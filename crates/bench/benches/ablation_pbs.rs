@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use probranch_bench::{experiments, render, ExperimentScale, Jobs};
 use probranch_core::PbsConfig;
-use probranch_pipeline::{simulate, PredictorChoice, SimConfig};
+use probranch_pipeline::{PredictorChoice, SimConfig, Simulation};
 use probranch_workloads::{Benchmark, BenchmarkId, Scale};
 
 fn run(prog: &probranch_isa::Program, pbs: PbsConfig) -> f64 {
@@ -14,7 +14,7 @@ fn run(prog: &probranch_isa::Program, pbs: PbsConfig) -> f64 {
         pbs: Some(pbs),
         ..SimConfig::default()
     };
-    simulate(prog, &cfg).unwrap().timing.mpki()
+    Simulation::default().run(prog, &cfg).unwrap().timing.mpki()
 }
 
 fn bench(c: &mut Criterion) {
@@ -33,7 +33,8 @@ fn bench(c: &mut Criterion) {
     ] {
         let b = id.build(w, 12345);
         let prog = b.program();
-        let base = simulate(&prog, &SimConfig::default())
+        let base = Simulation::default()
+            .run(&prog, &SimConfig::default())
             .unwrap()
             .timing
             .mpki();

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use probranch_bench::{experiments, render, ExperimentScale, Jobs};
 use probranch_core::PbsConfig;
-use probranch_pipeline::{simulate, PredictorChoice, SimConfig};
+use probranch_pipeline::{PredictorChoice, SimConfig, Simulation};
 use probranch_workloads::{Benchmark, BenchmarkId, Scale};
 
 use probranch_pipeline::OooConfig;
@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
             pbs: Some(PbsConfig::default()),
             ..SimConfig::default()
         };
-        b.iter(|| simulate(&prog, &cfg).unwrap().timing.ipc())
+        b.iter(|| Simulation::default().run(&prog, &cfg).unwrap().timing.ipc())
     });
 }
 

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use probranch_bench::{experiments, render, ExperimentScale, Jobs};
 use probranch_core::PbsConfig;
-use probranch_pipeline::{simulate, PredictorChoice, SimConfig};
+use probranch_pipeline::{PredictorChoice, SimConfig, Simulation};
 use probranch_workloads::{Benchmark, BenchmarkId, Scale};
 
 fn bench(c: &mut Criterion) {
@@ -22,7 +22,13 @@ fn bench(c: &mut Criterion) {
             filter_prob_from_predictor: true,
             ..SimConfig::default()
         };
-        b.iter(|| simulate(&prog, &cfg).unwrap().timing.mpki_regular())
+        b.iter(|| {
+            Simulation::default()
+                .run(&prog, &cfg)
+                .unwrap()
+                .timing
+                .mpki_regular()
+        })
     });
 }
 

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use probranch_bench::{experiments, render, ExperimentScale, Jobs};
 use probranch_core::PbsConfig;
-use probranch_pipeline::{simulate, PredictorChoice, SimConfig};
+use probranch_pipeline::{PredictorChoice, SimConfig, Simulation};
 use probranch_workloads::{Benchmark, BenchmarkId, Scale};
 
 use probranch_pipeline::run_functional;

@@ -4,8 +4,9 @@
 //! cargo run -p probranch-bench --bin figures --release -- --scale bench --jobs 8
 //! ```
 //!
-//! Scales: `smoke` (seconds), `bench` (default, ~2 minutes), `paper`
-//! (figure-quality, ~10 minutes). The scale can also be set through the
+//! Scales: `smoke` (under half a second), `bench` (default, 5–6 s with
+//! one worker), `paper` (figure-quality, 23–33 s with one worker),
+//! measured on a 2-vCPU VM. The scale can also be set through the
 //! `PROBRANCH_SCALE` environment variable; the flag wins when both are
 //! given.
 //!
@@ -24,14 +25,11 @@
 //! printed tables are byte-identical with or without a (warm or cold)
 //! trace directory.
 //!
-//! `--emit-bench-json PATH` switches to throughput-benchmark mode: runs
-//! the `sim-throughput` sweep (fig6 grid; fused, reference, replay and
-//! fused-convoy engines plus the shared-pool fig6+fig7 sweep), writes
-//! the measured-MIPS report as JSON to `PATH`, and prints the summary
-//! plus wall time to stderr. All timing lives behind this flag.
+//! Timing lives outside this binary: `perfbench/run.py` times whole
+//! runs and per-layer calls (see `perfbench/README.md`).
 
 use probranch_bench::experiments::{self, Engine, ExperimentScale};
-use probranch_bench::{service, throughput};
+use probranch_bench::service;
 use probranch_faults as faults;
 use probranch_harness::{Jobs, StrictViolation, SupervisedError, Supervision};
 
@@ -39,7 +37,6 @@ struct Options {
     scale: ExperimentScale,
     jobs: Option<Jobs>,
     engine: Engine,
-    bench_json: Option<String>,
     trace_dir: Option<String>,
     trace_mem_budget: Option<usize>,
     fault_plan: Option<faults::FaultPlan>,
@@ -69,7 +66,6 @@ fn parse_args() -> Options {
     let mut scale: Option<ExperimentScale> = None;
     let mut jobs: Option<Jobs> = None;
     let mut engine: Option<Engine> = None;
-    let mut bench_json: Option<String> = None;
     let mut trace_dir: Option<String> = None;
     let mut trace_mem_budget: Option<usize> = None;
     let mut fault_plan: Option<faults::FaultPlan> = None;
@@ -88,9 +84,8 @@ fn parse_args() -> Options {
                 strict_traces = true;
                 continue;
             }
-            "--scale" | "--jobs" | "--engine" | "--emit-bench-json" | "--trace-dir"
-            | "--trace-mem-budget" | "--fault-plan" | "--cell-retries" | "--cell-deadline-ms"
-            | "--serve" => {
+            "--scale" | "--jobs" | "--engine" | "--trace-dir" | "--trace-mem-budget"
+            | "--fault-plan" | "--cell-retries" | "--cell-deadline-ms" | "--serve" => {
                 let v = args
                     .next()
                     .unwrap_or_else(|| usage(&format!("{arg} needs a value")));
@@ -99,7 +94,6 @@ fn parse_args() -> Options {
             _ if arg.starts_with("--scale=")
                 || arg.starts_with("--jobs=")
                 || arg.starts_with("--engine=")
-                || arg.starts_with("--emit-bench-json=")
                 || arg.starts_with("--trace-dir=")
                 || arg.starts_with("--trace-mem-budget=")
                 || arg.starts_with("--fault-plan=")
@@ -144,12 +138,6 @@ fn parse_args() -> Options {
                     Engine::parse(&value)
                         .unwrap_or_else(|| usage(&format!("unknown engine `{value}`"))),
                 );
-            }
-            "--emit-bench-json" => {
-                if bench_json.is_some() {
-                    usage("--emit-bench-json given twice");
-                }
-                bench_json = Some(value);
             }
             "--trace-dir" => {
                 if trace_dir.is_some() {
@@ -219,7 +207,6 @@ fn parse_args() -> Options {
         scale: scale.unwrap_or_else(ExperimentScale::from_env),
         jobs,
         engine: engine.unwrap_or_default(),
-        bench_json,
         trace_dir,
         trace_mem_budget,
         fault_plan,
@@ -231,33 +218,13 @@ fn parse_args() -> Options {
 }
 
 fn usage(error: &str) -> ! {
-    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|convoy|fused|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--emit-bench-json PATH] [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block, cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3: requested engine twice, then fused, then\n        reference).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_SCALE / PROBRANCH_JOBS; default: bench scale,\n        all cores; --jobs 0 also means all cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        convoy regroups each sweep into streamed fused per-key convoys,\n        fused/reference re-simulate every cell — both for differential\n        debugging). All four print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool\n        (optional k/m/g suffix, e.g. 64m). Over budget, the coldest\n        pooled traces are demoted to their mmap-backed persisted form\n        (with --trace-dir) or evicted and re-captured on next use.\n        stdout stays byte-identical for any budget.\n       --emit-bench-json PATH: run the sim-throughput sweep instead of\n        the figures, writing measured MIPS per cell (fused, reference,\n        replay and fused-convoy engines, per-key trace-capture\n        overhead, plus the shared-pool fig6+fig7 sweep aggregate) to\n        PATH (serial unless --jobs is given; all wall-clock timing\n        lives here)\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines; SIGINT/SIGTERM or a `shutdown` request\n        drains in-flight sweeps, flushes pending demotions, prints the\n        service counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
+    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block, cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3). The first two attempts run the requested engine,\n        later ones the reference engine (all of them the requested\n        engine under --strict-traces).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_SCALE / PROBRANCH_JOBS; default: bench scale,\n        all cores; --jobs 0 also means all cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        Figure 9 streams the seeds no other figure uses through\n        bounded-memory convoys instead; reference re-simulates every\n        cell with the per-instruction oracle, for differential\n        debugging). Both print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool\n        (optional k/m/g suffix, e.g. 64m). Over budget, the coldest\n        pooled traces are demoted to their mmap-backed persisted form\n        (with --trace-dir) or evicted and re-captured on next use.\n        stdout stays byte-identical for any budget.\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines; SIGINT/SIGTERM or a `shutdown` request\n        drains in-flight sweeps, flushes pending demotions, prints the\n        service counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
     if error.is_empty() {
         println!("{text}");
         std::process::exit(0);
     }
     eprintln!("error: {error}\n\n{text}");
     std::process::exit(2);
-}
-
-/// Throughput-benchmark mode: the only code path in this binary allowed
-/// to read the wall clock.
-fn run_bench_json(path: &str, scale: ExperimentScale, jobs: Option<Jobs>) {
-    // Serial by default: per-cell wall times on an otherwise idle
-    // machine, not contention artifacts.
-    let jobs = jobs.unwrap_or_else(Jobs::serial);
-    // Benchmark cells measure capture wall time; keep single-worker
-    // runs free of helper threads so the numbers stay contention-free.
-    probranch_pipeline::set_capture_overlap(jobs.get() > 1);
-    eprintln!("sim-throughput: {} scale, {jobs} jobs", scale.name());
-    let t0 = std::time::Instant::now();
-    let report = throughput::measure(scale, jobs);
-    std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprint!("{}", report.summary());
-    eprintln!(
-        "wrote {path}; total wall time {:.1}s",
-        t0.elapsed().as_secs_f64()
-    );
 }
 
 /// The full figure run, in paper order — the same
@@ -314,10 +281,6 @@ fn run_serve(addr: &str, jobs: Jobs, ctx: &experiments::Context) {
 
 fn main() {
     let opts = parse_args();
-    if let Some(path) = &opts.bench_json {
-        run_bench_json(path, opts.scale, opts.jobs);
-        return;
-    }
     let scale = opts.scale;
     let jobs = opts.jobs.unwrap_or_else(Jobs::from_env);
     // Single-worker runs stay single-threaded: the capture/drain

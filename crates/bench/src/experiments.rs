@@ -14,10 +14,10 @@
 //! run-wide [`EngineContext`] trace pool — Figures 1, 6, 7 and 8 sweep
 //! the *same* keys, so one `figures` invocation emulates each key
 //! exactly once, and Figure 9 replays pooled/persisted traces where its
-//! keys overlap, streaming fused two-consumer convoys with bounded
-//! memory where they don't. The convoy, fused and reference engines
-//! remain selectable for differential debugging (`figures --engine`);
-//! all four produce byte-identical rows.
+//! keys overlap, streaming each unfiltered/filtered pair through one
+//! bounded-memory convoy where they don't. The reference engine remains
+//! selectable for differential debugging (`figures --engine
+//! reference`); both engines produce byte-identical rows.
 
 use probranch_core::PbsConfig;
 use probranch_faults as faults;
@@ -38,11 +38,11 @@ use probranch_workloads::{BenchmarkId, HostRng, McInteg, Pi, Scale};
 /// Run-size selection for the whole harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExperimentScale {
-    /// Seconds-long smoke runs.
+    /// Smoke runs: the full sweep in under half a second.
     Smoke,
-    /// Default: full sweep in a couple of minutes.
+    /// Default: the full sweep in 5–6 s on one worker of a 2-vCPU VM.
     Bench,
-    /// Figure-quality runs.
+    /// Figure-quality runs: 23–33 s on one worker of the same VM.
     Paper,
 }
 
@@ -108,7 +108,9 @@ const MAX_INSTS: u64 = 2_000_000_000;
 /// `(workload, seed, PBS)` replay one captured trace pooled in the
 /// run-wide [`EngineContext`]; paired runs (Figure 9) re-time a
 /// materialized (pooled or persisted) trace, or drain one streamed
-/// fused two-consumer convoy when there is none.
+/// [`Engine::Convoy`] when there is none. A sweep asked for
+/// [`Engine::Convoy`] runs exactly as under [`Engine::Replay`];
+/// [`Engine::Reference`] re-simulates every cell.
 pub use probranch_pipeline::EngineKind as Engine;
 
 /// The emulation key of a timing cell: the fields that determine the
@@ -401,16 +403,6 @@ fn cell_config(cell: &Cell, core: OooConfig) -> SimConfig {
     cfg
 }
 
-/// Builds the cell's workload (at its derived seed) and simulates it
-/// under the cell's predictor/PBS configuration with the fused engine.
-fn sim_cell(cell: &Cell, scale: ExperimentScale, core: OooConfig) -> SimReport {
-    let bench = cell.workload.build(scale.workload(), cell.workload_seed());
-    let cfg = cell_config(cell, core);
-    Simulation::new(Engine::Fused)
-        .run(&bench.program(), &cfg)
-        .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
-}
-
 /// The cell's trace, through the run-wide pool: the first cell of an
 /// emulation key captures (or disk-loads) the [`DynTrace`], every later
 /// cell — possibly on another worker thread, possibly in a *different
@@ -437,11 +429,9 @@ fn cell_trace(
         .unwrap_or_else(|e| panic!("{:?}: {e}", cell.workload))
 }
 
-/// [`sim_cell`] behind an engine choice. Under [`Engine::Replay`] the
-/// cell replays the pooled trace of its emulation key (see
-/// [`cell_trace`]). [`Engine::Convoy`] cells are grouped per key by the
-/// sweep runners and drain streamed fused convoys instead of reaching
-/// this per-cell path.
+/// Simulates the cell's workload (at its derived seed) under the cell's
+/// predictor/PBS configuration. Under [`Engine::Replay`] the cell
+/// replays the pooled trace of its emulation key (see [`cell_trace`]).
 fn sim_cell_engine(
     cell: &Cell,
     scale: ExperimentScale,
@@ -451,7 +441,6 @@ fn sim_cell_engine(
     attempt: u64,
 ) -> SimReport {
     match engine {
-        Engine::Fused => sim_cell(cell, scale, core),
         Engine::Reference => {
             let bench = cell.workload.build(scale.workload(), cell.workload_seed());
             let cfg = cell_config(cell, core);
@@ -470,8 +459,8 @@ fn sim_cell_engine(
 }
 
 /// The engine attempt `number` of a supervised cell actually runs: the
-/// requested engine twice, then the degradation cascade — fused, then
-/// reference — so a cell whose trace capture or replay keeps failing
+/// requested engine twice, then the reference engine, which captures
+/// no trace — so a cell whose trace capture or replay keeps failing
 /// still retires. Engine equivalence (locked in by
 /// `tests/engine_equivalence.rs`) keeps degraded rows byte-identical
 /// to clean ones. Under `--strict-traces` the cascade is off: the
@@ -481,7 +470,6 @@ fn engine_for_attempt(requested: Engine, number: u32, strict: bool) -> Engine {
     match number {
         _ if strict => requested,
         0 | 1 => requested,
-        2 => Engine::Fused,
         _ => Engine::Reference,
     }
 }
@@ -507,38 +495,9 @@ fn sim_cell_supervised(
     sim_cell_engine(cell, scale, core, engine, ctx, attempt.number as u64)
 }
 
-/// [`convoy_key`] under supervision: a degraded attempt re-simulates
-/// the key's configurations individually on the cascade engine instead
-/// of draining the streamed convoy, preserving report order (and, by
-/// engine equivalence, bytes).
-fn convoy_key_supervised(
-    workload: BenchmarkId,
-    seed: u64,
-    scale: ExperimentScale,
-    configs: &[SimConfig],
-    attempt: &Attempt,
-    strict: bool,
-) -> Vec<SimReport> {
-    let engine = engine_for_attempt(Engine::Convoy, attempt.number, strict);
-    if engine == Engine::Convoy {
-        return convoy_key(workload, seed, scale, configs);
-    }
-    attempt.set_label(engine.name());
-    let bench = workload.build(scale.workload(), workload_seed(workload, seed));
-    let program = bench.program();
-    let sim = Simulation::new(engine);
-    configs
-        .iter()
-        .map(|cfg| {
-            sim.run(&program, cfg)
-                .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
-        })
-        .collect()
-}
-
-/// One emulation key's cells as a **streamed fused convoy**: builds the
-/// key's workload once and drains every configuration in lockstep from
-/// a single capture stream — the [`Engine::Convoy`] execution shape.
+/// One emulation key's cells as a **streamed convoy**: builds the key's
+/// workload once and drains every configuration from a single capture
+/// stream — the [`Engine::Convoy`] execution shape.
 fn convoy_key(
     workload: BenchmarkId,
     seed: u64,
@@ -592,28 +551,13 @@ pub fn fig1_with_ctx(
 ) -> Vec<Fig1Row> {
     const PREDICTORS: [PredictorChoice; 2] =
         [PredictorChoice::Tournament, PredictorChoice::TageScL];
-    let reports: Vec<SimReport> = if engine == Engine::Convoy {
-        // One streamed fused convoy per benchmark: both predictors in
-        // lockstep from a single capture stream.
-        ctx.sweep(&BenchmarkId::ALL, jobs, |&w, attempt| {
-            faults::cell_faults(&[w as u64, attempt.number as u64]);
-            probranch_pipeline::cancel::inject_spurious(&[w as u64, attempt.number as u64]);
-            let configs =
-                PREDICTORS.map(|p| cell_config(&Cell::new(w, p, false, 0), OooConfig::default()));
-            convoy_key_supervised(w, 0, scale, &configs, attempt, ctx.strict())
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        let cells: Vec<Cell> = BenchmarkId::ALL
-            .iter()
-            .flat_map(|&w| PREDICTORS.map(|p| Cell::new(w, p, false, 0)))
-            .collect();
-        ctx.sweep(&cells, jobs, |c, attempt| {
-            sim_cell_supervised(c, scale, OooConfig::default(), engine, ctx, attempt)
-        })
-    };
+    let cells: Vec<Cell> = BenchmarkId::ALL
+        .iter()
+        .flat_map(|&w| PREDICTORS.map(|p| Cell::new(w, p, false, 0)))
+        .collect();
+    let reports = ctx.sweep(&cells, jobs, |c, attempt| {
+        sim_cell_supervised(c, scale, OooConfig::default(), engine, ctx, attempt)
+    });
     let share = |r: &SimReport| {
         100.0 * r.timing.prob_branches as f64 / r.timing.cond_branches.max(1) as f64
     };
@@ -758,8 +702,7 @@ const FOUR_CONFIGS: [(PredictorChoice, bool); 4] = [
 /// per benchmark in config order. Under the replay engine each
 /// benchmark's four cells collapse onto two emulation keys (PBS off /
 /// on), each captured at most once into the run-wide pool and replayed
-/// for both predictors; under [`Engine::Convoy`] each key runs as one
-/// streamed fused convoy of its two predictor cells.
+/// for both predictors.
 fn four_config_reports(
     scale: ExperimentScale,
     core: OooConfig,
@@ -768,34 +711,6 @@ fn four_config_reports(
     ctx: &Context,
 ) -> std::sync::Arc<Vec<Vec<SimReport>>> {
     ctx.grid((scale, engine, core_fingerprint(&core)), || {
-        if engine == Engine::Convoy {
-            // One (benchmark, PBS) key per convoy, both predictors in
-            // lockstep; regrouped below into FOUR_CONFIGS order.
-            let keys: Vec<(BenchmarkId, bool)> = BenchmarkId::ALL
-                .iter()
-                .flat_map(|&w| [false, true].map(|pbs| (w, pbs)))
-                .collect();
-            let per_key = ctx.sweep(&keys, jobs, |&(w, pbs), attempt| {
-                faults::cell_faults(&[w as u64, pbs as u64, attempt.number as u64]);
-                probranch_pipeline::cancel::inject_spurious(&[
-                    w as u64,
-                    pbs as u64,
-                    attempt.number as u64,
-                ]);
-                let configs = [PredictorChoice::Tournament, PredictorChoice::TageScL]
-                    .map(|p| cell_config(&Cell::new(w, p, pbs, 0), core.clone()));
-                convoy_key_supervised(w, 0, scale, &configs, attempt, ctx.strict())
-            });
-            return per_key
-                .chunks_exact(2)
-                .map(|key_pair| {
-                    let (off, on) = (&key_pair[0], &key_pair[1]);
-                    // FOUR_CONFIGS order: (T, off), (T, on), (Tg, off),
-                    // (Tg, on).
-                    vec![off[0].clone(), on[0].clone(), off[1].clone(), on[1].clone()]
-                })
-                .collect();
-        }
         let cells: Vec<Cell> = BenchmarkId::ALL
             .iter()
             .flat_map(|&w| FOUR_CONFIGS.map(|(p, pbs)| Cell::new(w, p, pbs, 0)))
@@ -958,8 +873,8 @@ pub fn fig9_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<Fig9
 /// Figures 1/6/7/8's), or an ephemeral load-or-capture trace when a
 /// trace directory is configured (persisted but never pooled — no
 /// later sweep revisits a fig9-private seed) — and otherwise drains a
-/// single bounded-memory capture stream as a fused two-consumer
-/// convoy. Either way the extra seeds never bloat the pool.
+/// single bounded-memory capture stream as a two-consumer convoy.
+/// Either way the extra seeds never bloat the pool.
 pub fn fig9_with_ctx(
     scale: ExperimentScale,
     jobs: Jobs,
@@ -993,29 +908,19 @@ pub fn fig9_with_ctx(
                 filtered_cfg.filter_prob_from_predictor = true;
                 let pair = [cfg, filtered_cfg];
                 let key = (cell.workload, cell.seed, cell.pbs, scale);
-                let pooled = if engine == Engine::Replay {
-                    ctx.traces.peek(&key)
-                } else {
-                    None
-                };
-                // Once a trace is materialized, two independent
-                // replays beat the fused pair drain (two issue rings
-                // interleaved per record thrash — see CHANGES.md); the
-                // fused convoy earns its keep on the streamed path,
-                // where it shares the one capture pass.
                 let replay_pair = |trace: &DynTrace| {
                     Simulation::new(Engine::Replay)
                         .replay_many(trace, &pair)
                         .expect("replay")
                 };
-                let mut reports = match pooled {
+                let mut reports = match ctx.traces.peek(&key) {
                     // The run-wide pool already holds this key (its
                     // seed-0 keys are exactly Figures 1/6/7/8's).
                     Some(trace) => replay_pair(&trace),
                     // Fig9-private key with a trace directory: load or
                     // capture+persist WITHOUT pooling — no later sweep
                     // revisits it, and the pool never evicts.
-                    None if engine == Engine::Replay && ctx.traces.persistent() => {
+                    None if ctx.traces.persistent() => {
                         let hash = trace_content_hash(cell, scale, &pair[0]);
                         let trace = ctx
                             .traces
@@ -1035,8 +940,8 @@ pub fn fig9_with_ctx(
                             .unwrap_or_else(|e| panic!("{:?}: {e}", cell.workload));
                         replay_pair(&trace)
                     }
-                    // No pool hit, no disk: one streamed fused convoy,
-                    // bounded memory.
+                    // No pool hit, no disk: one streamed convoy, bounded
+                    // memory.
                     None => convoy_key(cell.workload, cell.seed, scale, &pair),
                 }
                 .into_iter();
@@ -1045,7 +950,7 @@ pub fn fig9_with_ctx(
                     reports.next().expect("filtered report"),
                 )
             }
-            Engine::Fused | Engine::Reference => {
+            Engine::Reference => {
                 let b = cell.workload.build(scale.workload(), cell.workload_seed());
                 let sim = Simulation::new(engine);
                 let unfiltered = sim.run(&b.program(), &cfg).expect("sim");

@@ -31,7 +31,6 @@
 pub mod experiments;
 pub mod render;
 pub mod service;
-pub mod throughput;
 
 pub use experiments::ExperimentScale;
 pub use probranch_harness::{run_cells, Cell, Jobs};

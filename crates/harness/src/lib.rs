@@ -612,8 +612,7 @@ impl<K: Eq + Hash> TraceCache<K> {
 /// trace, every later sweep replays the `Arc`-shared copy, and the
 /// context counts what actually happened ([`captures`]
 /// (EngineContext::captures), [`disk_loads`](EngineContext::disk_loads))
-/// so the throughput report can verify each emulation key was emulated
-/// **exactly once** per run.
+/// so a run can show each emulation key was emulated **exactly once**.
 ///
 /// With a trace directory ([`EngineContext::with_trace_dir`]) the pool
 /// extends across *processes*: [`get_or_capture`]
@@ -1151,30 +1150,6 @@ impl<K: Eq + Hash> EngineContext<K> {
     }
 }
 
-/// Like [`run_cells`], additionally measuring each cell's wall-clock
-/// execution time — the backbone of the throughput benchmark.
-///
-/// The *results* keep the engine's determinism guarantee (cell-index
-/// order, scheduling-independent); the attached [`Duration`]s are
-/// measurements and naturally vary run to run, so anything downstream of
-/// them must stay off the byte-diffable output paths. Pass
-/// [`Jobs::serial`] for clean per-cell numbers — with concurrent workers
-/// the durations include contention on shared cores.
-///
-/// [`Duration`]: std::time::Duration
-pub fn run_cells_timed<T, R, F>(cells: &[T], jobs: Jobs, run: F) -> Vec<(R, std::time::Duration)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_cells(cells, jobs, |cell| {
-        let t0 = std::time::Instant::now();
-        let result = run(cell);
-        (result, t0.elapsed())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1210,16 +1185,6 @@ mod tests {
     fn more_workers_than_cells_is_fine() {
         let out = run_cells(&[1u32, 2], Jobs::new(64), |&c| c + 1);
         assert_eq!(out, vec![2, 3]);
-    }
-
-    #[test]
-    fn timed_runs_keep_results_in_order_and_measure_something() {
-        let cells: Vec<u64> = (0..16).collect();
-        let timed = run_cells_timed(&cells, Jobs::new(4), |&c| c * 3);
-        let plain: Vec<u64> = timed.iter().map(|(r, _)| *r).collect();
-        assert_eq!(plain, run_cells(&cells, Jobs::serial(), |&c| c * 3));
-        // Durations are measurements, not zero-sized placeholders.
-        assert_eq!(timed.len(), 16);
     }
 
     #[test]
@@ -1259,7 +1224,7 @@ mod tests {
 
     #[test]
     fn trace_cache_captures_once_and_is_shared_across_threads() {
-        use probranch_pipeline::{simulate_replay, DynTrace, SimConfig};
+        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
         let cache: TraceCache<(B, u64, bool)> = TraceCache::new();
@@ -1272,7 +1237,9 @@ mod tests {
             let trace = cache
                 .get_or_capture(key, || DynTrace::capture(&program, &SimConfig::default()))
                 .expect("capture");
-            simulate_replay(&trace, &SimConfig::default()).expect("replay")
+            Simulation::default()
+                .replay(&trace, &SimConfig::default())
+                .expect("replay")
         });
         assert!(cache.len() <= 2 && !cache.is_empty());
         assert!(cache.bytes() > 0);
@@ -1283,7 +1250,7 @@ mod tests {
 
     #[test]
     fn engine_context_pools_across_sweeps_and_counts_captures() {
-        use probranch_pipeline::{simulate_replay, DynTrace, SimConfig};
+        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
         let ctx: EngineContext<(B, u64, bool)> = EngineContext::new();
@@ -1299,7 +1266,7 @@ mod tests {
                 let trace = ctx
                     .get_or_capture(key, hash, &cfg, || DynTrace::capture(&program, &cfg))
                     .expect("capture");
-                simulate_replay(&trace, &cfg).expect("replay")
+                Simulation::default().replay(&trace, &cfg).expect("replay")
             });
             for r in &reports[1..] {
                 assert_eq!(r, &reports[0]);
@@ -1314,7 +1281,7 @@ mod tests {
 
     #[test]
     fn engine_context_trace_dir_round_trips_and_survives_corruption() {
-        use probranch_pipeline::{simulate_replay, DynTrace, SimConfig};
+        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
         let dir = std::env::temp_dir().join(format!("probranch-ctx-traces-{}", std::process::id()));
@@ -1327,7 +1294,7 @@ mod tests {
             let trace = ctx
                 .get_or_capture(key, hash, &cfg, || DynTrace::capture(&program, &cfg))
                 .expect("capture");
-            simulate_replay(&trace, &cfg).expect("replay")
+            Simulation::default().replay(&trace, &cfg).expect("replay")
         };
 
         // Cold: captures and persists.
@@ -1423,7 +1390,7 @@ mod tests {
 
     #[test]
     fn bounded_pool_evicts_but_never_changes_results() {
-        use probranch_pipeline::{simulate_replay, DynTrace, SimConfig};
+        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
         let cfg = SimConfig::default();
@@ -1447,7 +1414,7 @@ mod tests {
                         DynTrace::capture(&programs[s as usize], &cfg)
                     })
                     .expect("capture");
-                simulate_replay(&trace, &cfg).expect("replay")
+                Simulation::default().replay(&trace, &cfg).expect("replay")
             })
         };
         let unbounded: EngineContext<(B, u64, bool)> = EngineContext::new();
@@ -1479,7 +1446,7 @@ mod tests {
 
     #[test]
     fn bounded_pool_with_trace_dir_demotes_to_mapped_form() {
-        use probranch_pipeline::{simulate_replay, DynTrace, SimConfig};
+        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
         let dir =
@@ -1503,7 +1470,7 @@ mod tests {
                         DynTrace::capture(&programs[s as usize], &cfg)
                     })
                     .expect("capture");
-                simulate_replay(&trace, &cfg).expect("replay")
+                Simulation::default().replay(&trace, &cfg).expect("replay")
             })
         };
         let unbounded: EngineContext<(B, u64, bool)> = EngineContext::new();

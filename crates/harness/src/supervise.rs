@@ -82,9 +82,9 @@ impl Supervision {
         }
     }
 
-    /// The default robustness envelope: up to 4 attempts per cell (the
-    /// degradation cascade's length: requested engine twice, then
-    /// fused, then reference), no deadline.
+    /// The default robustness envelope: up to 4 attempts per cell
+    /// (requested engine twice, then the reference engine twice), no
+    /// deadline.
     pub fn default_robust() -> Supervision {
         Supervision {
             retries: 3,

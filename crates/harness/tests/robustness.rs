@@ -231,7 +231,9 @@ fn transient_write_faults_are_retried_to_success() {
         trace_file(&dir).exists(),
         "the retried persist must have published"
     );
-    drop(_scope);
+    // Disarm, but keep the fault lock: a sibling test's plan must not
+    // reach the warm load below.
+    faults::clear();
     // And the published file round-trips byte-identically.
     let warm_ctx = Ctx::with_trace_dir(&dir);
     let warm = run(&warm_ctx, &program, &cfg, hash);
@@ -245,7 +247,12 @@ fn transient_load_faults_are_retried_to_success() {
     let dir = tempdir("transient-load");
     let (program, cfg, hash) = fixture();
     let seed_ctx = Ctx::with_trace_dir(&dir);
-    let clean = run(&seed_ctx, &program, &cfg, hash);
+    // Seed under the fault lock too: a plan another test arms meanwhile
+    // could otherwise keep the trace from being persisted.
+    let clean = {
+        let _quiesce = faults::ScopedPlan::install(faults::FaultPlan::default());
+        run(&seed_ctx, &program, &cfg, hash)
+    };
 
     let _scope = faults::ScopedPlan::install(faults::FaultPlan::seeded(5).arm_capped(
         faults::Site::MmapLoad,

@@ -53,7 +53,7 @@
 //! block, so `InstLimitExceeded` trips at exactly the same dynamic
 //! instruction as the interpreter. Long block runs poll the
 //! cancellation token every [`CANCEL_STRIDE`](crate::cancel::CANCEL_STRIDE)
-//! instructions, same as the fused engine.
+//! instructions, same as the reference engine.
 //!
 //! # Tier selection
 //!
@@ -69,13 +69,12 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-use probranch_isa::{AluOp, CmpOp, FpBinOp, FpUnOp, Program, Reg};
+use probranch_isa::{AluOp, CmpOp, FpBinOp, FpUnOp, Reg};
 
 use crate::cache::MemoryHierarchy;
 use crate::cancel::CANCEL_STRIDE;
 use crate::decode::{DecOp, DecodedProgram, InstTiming};
 use crate::machine::{alu_eval, fp_bin_eval, BranchEvent, BranchEventKind, EmuError, Emulator};
-use crate::sim::SimConfig;
 use crate::trace::{
     encode_branch, record_costs, ChunkWriter, TraceChunk, TraceStream, TRACE_CHUNK_RECORDS,
 };
@@ -99,8 +98,8 @@ pub enum CaptureTier {
 }
 
 impl CaptureTier {
-    /// The tier's tag in throughput reports
-    /// (`BENCH_throughput.json` v8): `generated`/`block`/`interp`.
+    /// The tier's name, as `PROBRANCH_CAPTURE` spells it:
+    /// `generated`/`block`/`interp`.
     pub fn tag(self) -> &'static str {
         match self {
             CaptureTier::Generated => "generated",
@@ -146,40 +145,6 @@ pub fn with_capture_tier<R>(tier: CaptureTier, f: impl FnOnce() -> R) -> R {
 /// else environment, else `Generated`).
 pub(crate) fn selected_tier() -> CaptureTier {
     FORCED_TIER.with(|c| c.get()).unwrap_or_else(env_tier)
-}
-
-/// The tier a capture of `program` under `config` would actually run
-/// at, as a report tag: `generated` only when at least one RNG
-/// fragment matched, `block` when blocks compiled without fragments,
-/// `interp` when the tier selection or the L1-I-residency precondition
-/// forces the interpreter. (Failpoint degradation is not consulted —
-/// bench reports are measured without fault plans.)
-pub fn capture_tier(program: &Program, config: &SimConfig) -> &'static str {
-    let tier = selected_tier();
-    if tier == CaptureTier::Interp {
-        return CaptureTier::Interp.tag();
-    }
-    let decoded = DecodedProgram::of(program);
-    if !l1i_resident(decoded.len()) {
-        return CaptureTier::Interp.tag();
-    }
-    let _ = config;
-    let compiled = BlockProgram::compile(&decoded, tier == CaptureTier::Generated);
-    if compiled.compiled_blocks() == 0 {
-        CaptureTier::Interp.tag()
-    } else if compiled.has_native() {
-        CaptureTier::Generated.tag()
-    } else {
-        CaptureTier::Block.tag()
-    }
-}
-
-/// Whether a program of `n_insts` static instructions satisfies the
-/// L1-I-residency argument `TraceStream` sizes `itouched` with.
-pub(crate) fn l1i_resident(n_insts: usize) -> bool {
-    let presim = MemoryHierarchy::default();
-    let pcs_per_line = (presim.l1i().line_bytes() / 8).max(1);
-    n_insts.div_ceil(pcs_per_line) <= presim.l1i().capacity_lines()
 }
 
 // --- capture/drain overlap switch -----------------------------------
@@ -365,7 +330,6 @@ pub(crate) struct BlockProgram {
     /// or a lone terminator),
     /// [`NO_BLOCK`] everywhere else.
     index: Vec<u32>,
-    has_native: bool,
 }
 
 /// Control ops terminate a block and execute via `step_decoded` (branch
@@ -476,7 +440,6 @@ impl BlockProgram {
 
         let mut blocks = Vec::new();
         let mut index = vec![NO_BLOCK; n];
-        let mut has_native = false;
         let mut start = 0usize;
         while start < n {
             if !leader[start] {
@@ -523,7 +486,6 @@ impl BlockProgram {
                 if allow_native {
                     if let Some((fun, args, len)) = match_fragment(&ops[i..]) {
                         body.push(BodyStep::Native { fun, args, len });
-                        has_native = true;
                         i += len as usize;
                         continue;
                     }
@@ -554,15 +516,10 @@ impl BlockProgram {
                 let window: [DecOp; ARGMAX_LEN] = std::array::from_fn(|j| insts[p + j].op);
                 if let Some(spec) = match_argmax(&window, p as u32) {
                     blocks[i as usize].spec = Some(spec);
-                    has_native = true;
                 }
             }
         }
-        BlockProgram {
-            blocks,
-            index,
-            has_native,
-        }
+        BlockProgram { blocks, index }
     }
 
     /// The compiled block whose leader is `pc`, if any (unit-test
@@ -592,8 +549,14 @@ impl BlockProgram {
     }
 
     /// Whether any block carries a fragment-matched native step.
+    #[cfg(test)]
     pub(crate) fn has_native(&self) -> bool {
-        self.has_native
+        self.blocks.iter().any(|b| {
+            b.spec.is_some()
+                || b.body
+                    .iter()
+                    .any(|step| matches!(step, BodyStep::Native { .. }))
+        })
     }
 }
 
@@ -1076,7 +1039,7 @@ impl TraceStream {
         // interpreter tier (blocks never straddle the budget: the
         // dispatch below falls back to single steps for the tail).
         let budget = (self.max_insts - self.executed).clamp(1, TRACE_CHUNK_RECORDS as u64);
-        // The fused engine's 64 Ki-instruction cancellation stride,
+        // The 64 Ki-instruction cancellation stride,
         // threaded through block execution so `--cell-deadline-ms`
         // cancels long captures promptly even if chunks ever outgrow
         // the stride.

@@ -2,11 +2,12 @@
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle (an `Arc` around an
 //! atomic flag plus an optional hard deadline) that a driver hands to
-//! in-flight work. The pipeline's chunk loops — trace capture, convoy
-//! streaming, replay drains, and the fused/reference batch loops —
-//! poll the token between chunks (or every ~64 Ki instructions for the
-//! chunkless engines), so a cancelled cell stops within one chunk of
-//! work instead of running to completion. Cancellation surfaces as
+//! in-flight work. The pipeline's loops — trace capture, convoy
+//! streaming, replay drains and the reference engine — poll the token
+//! before their first chunk and between chunks (every ~64 Ki
+//! instructions for the chunkless reference loop), so a cancelled cell
+//! stops within one chunk of work instead of running to completion.
+//! Cancellation surfaces as
 //! [`EmuError::Cancelled`], which propagates through the same error
 //! paths as any emulator fault and therefore participates in the
 //! harness's retry/degradation cascade unchanged.
@@ -31,8 +32,8 @@ use std::time::{Duration, Instant};
 
 use crate::machine::EmuError;
 
-/// Cancellation poll cadence of the chunkless hot loops (the fused
-/// batch loop and block-compiled capture): cheap relative to ~64 Ki
+/// Cancellation poll cadence of the chunkless hot loops (the reference
+/// engine and block-compiled capture): cheap relative to ~64 Ki
 /// instructions of work, frequent enough that a cancelled cell stops
 /// within one trace chunk's worth of instructions.
 pub(crate) const CANCEL_STRIDE: u64 = 1 << 16;

@@ -1,6 +1,6 @@
 //! Predecode: lowers a validated [`Program`] once into a dense array of
-//! [`DecodedInst`]s so the hot emulate→time loop stops re-deriving
-//! per-instruction facts on every *dynamic* instruction.
+//! [`DecodedInst`]s so trace capture and the replay timing walk stop
+//! re-deriving per-instruction facts on every *dynamic* instruction.
 //!
 //! The original engine pays three recurring costs per executed
 //! instruction: the emulator re-matches the full [`Inst`] enum
@@ -230,8 +230,9 @@ impl InstTiming {
     }
 }
 
-/// One predecoded instruction: the execution micro-op plus its timing
-/// metadata, kept adjacent for cache locality in the fused loop.
+/// One predecoded instruction: the execution micro-op capture runs,
+/// plus the timing metadata replay reads (copied out per pc into each
+/// trace).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodedInst {
     /// The execution form.

@@ -17,26 +17,25 @@
 //! * [`Cache`], [`MemoryHierarchy`] — set-associative LRU caches;
 //! * [`OooTimingModel`] — fetch/dispatch/issue/complete/commit cycle
 //!   accounting with ROB back-pressure and misprediction redirects;
-//! * [`DecodedProgram`] — the one-time predecode pass feeding the fused
-//!   engine (see `decode`);
+//! * [`DecodedProgram`] — the one-time predecode pass feeding trace
+//!   capture (see `decode`);
 //! * [`Simulation`] / [`run_functional`] — one-call experiment drivers
 //!   returning [`SimReport`]s with IPC, MPKI, PBS counters, program
 //!   outputs and the consumed probabilistic-value stream.
-//!   [`Simulation`] is keyed by [`EngineKind`]: the fused/predecoded
-//!   live engine, the original unfused reference loop (the
-//!   differential baseline producing identical reports), and the two
-//!   trace engines below;
+//!   [`Simulation`] is keyed by [`EngineKind`]: the replay engine and
+//!   its streaming mode below, and the per-instruction reference loop
+//!   (the differential oracle producing identical reports);
 //! * [`DynTrace`] + [`EngineKind::Replay`] / [`EngineKind::Convoy`] —
-//!   the emulate-once/time-many engines: the dynamic record stream
-//!   (plus pre-simulated cache latencies) is captured once per
-//!   emulation key `(workload, PBS config, emulator config)` into
-//!   structure-of-arrays chunks and replayed against any number of
-//!   predictor/core configurations — one consumer at a time or as a
-//!   fused lockstep convoy, each chunk's branches batch-predicted
-//!   through [`probranch_predictor::BranchPredictor::predict_update_batch`]
-//!   ahead of the timing walk — byte-identically to the fused engine
-//!   (see `trace`), with optional on-disk persistence keyed by content
-//!   hash (see `persist`).
+//!   emulate once, time many: the dynamic record stream (plus
+//!   pre-simulated cache latencies) is captured once per emulation key
+//!   `(workload, PBS config, emulator config)` into structure-of-arrays
+//!   chunks and re-timed against any number of predictor/core
+//!   configurations — from a materialized trace, or chunk by chunk
+//!   from a streamed capture — with each chunk's branches
+//!   batch-predicted through
+//!   [`probranch_predictor::BranchPredictor::predict_update_batch`]
+//!   ahead of the timing walk (see `trace`), and optional on-disk
+//!   persistence keyed by content hash (see `persist`).
 //!
 //! ```
 //! use probranch_isa::{ProgramBuilder, Reg, CmpOp};
@@ -49,7 +48,7 @@
 //! b.add(Reg::R1, Reg::R1, 1)
 //!  .br(CmpOp::Lt, Reg::R1, 100, top)
 //!  .halt();
-//! let report = Simulation::new(EngineKind::Fused).run(&b.build()?, &SimConfig::default())?;
+//! let report = Simulation::new(EngineKind::Replay).run(&b.build()?, &SimConfig::default())?;
 //! assert_eq!(report.timing.instructions, 202);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -67,7 +66,7 @@ mod persist;
 mod sim;
 mod trace;
 
-pub use aot::{capture_overlap, capture_tier, set_capture_overlap, with_capture_tier, CaptureTier};
+pub use aot::{capture_overlap, set_capture_overlap, with_capture_tier, CaptureTier};
 pub use cache::{Cache, MemLatencies, MemoryHierarchy};
 pub use cancel::{CancelScope, CancelToken};
 pub use decode::{
@@ -78,10 +77,7 @@ pub use machine::{
 };
 pub use ooo::{BranchTraceEntry, ExecLatencies, OooConfig, OooTimingModel, TimingStats};
 pub use persist::{sweep_old_quarantined, sweep_stale_temps, TraceLoad, TRACE_FILE_VERSION};
-pub use sim::{
-    run_functional, simulate, simulate_convoy, simulate_reference, simulate_replay,
-    simulate_replay_convoy, EngineKind, PredictorChoice, SimConfig, SimReport, Simulation,
-};
+pub use sim::{run_functional, EngineKind, PredictorChoice, SimConfig, SimReport, Simulation};
 pub use trace::{
     DynTrace, ReplayConsumer, ReplayRec, TraceChunk, TraceFunctional, TraceStream,
     TRACE_CHUNK_RECORDS,

@@ -133,8 +133,8 @@ pub struct DynInst {
     pub mem_addr: Option<u64>,
 }
 
-/// One element of the compact dynamic stream produced by the fused
-/// engine ([`Emulator::step_block`]): just the facts the timing model
+/// One element of the compact dynamic stream trace capture packs
+/// ([`Emulator::step_block_with`]): just the facts the timing model
 /// needs, with the static instruction looked up by `pc` in the shared
 /// [`DecodedProgram`] instead of being copied per dynamic instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,7 +367,7 @@ impl Emulator {
     }
 
     /// The predecoded form of the program (lowered once at
-    /// construction), shared with the timing model by the fused engine.
+    /// construction), whose per-pc timing metadata trace capture copies.
     pub fn decoded(&self) -> &DecodedProgram {
         &self.decoded
     }
@@ -1253,24 +1253,10 @@ impl Emulator {
     }
 
     /// Executes up to `max` instructions from the predecoded form,
-    /// refilling `buf` (cleared first) with their [`StepRecord`]s — the
-    /// batch half of the fused emulate→time loop. Stops early at `halt`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EmuError`]; records buffered before the
-    /// fault are left in `buf`.
-    pub fn step_block(&mut self, buf: &mut Vec<StepRecord>, max: usize) -> Result<(), EmuError> {
-        buf.clear();
-        self.step_block_with(max, |rec| buf.push(rec)).map(|_| ())
-    }
-
-    /// Executes up to `max` instructions, handing each [`StepRecord`] to
-    /// `sink` as it is produced — the zero-buffer form of
-    /// [`step_block`](Self::step_block) used by trace capture, which
-    /// packs records into its own chunk layout and would otherwise pay a
-    /// buffer round-trip per record. Returns the number of instructions
-    /// executed (0 once halted).
+    /// handing each [`StepRecord`] to `sink` as it is produced — trace
+    /// capture packs them straight into its chunk layout. Stops early at
+    /// `halt`. Returns the number of instructions executed (0 once
+    /// halted).
     ///
     /// # Errors
     ///
@@ -1679,14 +1665,19 @@ mod tests {
             .out(Reg::R1, 3)
             .halt();
         let mut e = Emulator::new(bld.build().unwrap(), EmuConfig::default());
-        let mut buf = Vec::new();
-        e.step_block(&mut buf, 3).unwrap();
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf[0].pc, 0);
-        e.step_block(&mut buf, 64).unwrap();
-        assert_eq!(buf.len(), 1, "only the halt remains");
-        e.step_block(&mut buf, 64).unwrap();
-        assert!(buf.is_empty(), "halted machine yields an empty block");
+        let mut pcs = Vec::new();
+        assert_eq!(e.step_block_with(3, |rec| pcs.push(rec.pc)).unwrap(), 3);
+        assert_eq!(pcs, [0, 1, 2]);
+        assert_eq!(
+            e.step_block_with(64, |_| {}).unwrap(),
+            1,
+            "only the halt remains"
+        );
+        assert_eq!(
+            e.step_block_with(64, |_| {}).unwrap(),
+            0,
+            "halted machine yields an empty block"
+        );
         assert_eq!(e.output(3), &[2]);
         assert_eq!(e.outputs_sorted(), vec![(3u16, vec![2u64])]);
     }

@@ -24,8 +24,8 @@ use probranch_isa::ExecClass;
 use probranch_predictor::{BranchPredictor, BranchReq};
 
 use crate::cache::MemoryHierarchy;
-use crate::decode::{DecodedInst, InstTiming};
-use crate::machine::{BranchEvent, BranchEventKind, DynInst, StepRecord};
+use crate::decode::InstTiming;
+use crate::machine::{BranchEvent, BranchEventKind, DynInst};
 
 /// Functional-unit latencies in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -413,72 +413,37 @@ impl OooTimingModel {
     /// Figure 9 interference-isolation mode.
     ///
     /// Derives the dataflow/latency metadata from the carried
-    /// [`Inst`](probranch_isa::Inst) on the fly and feeds the same
-    /// cycle-accounting core as
-    /// [`consume_decoded`](Self::consume_decoded), so the two entry
-    /// points cannot diverge.
-    pub fn consume(&mut self, d: &DynInst, predictor: &mut dyn BranchPredictor, filter_prob: bool) {
-        let timing = InstTiming::of(&d.inst);
-        self.consume_inner(d.pc, &timing, d.branch, d.mem_addr, predictor, filter_prob);
-    }
-
-    /// Consumes one dynamic instruction from the fused engine: the
-    /// predecoded metadata comes from the shared [`DecodedInst`] and the
-    /// dynamic facts from the emulator's [`StepRecord`].
-    ///
-    /// Generic over the predictor so a concrete dispatch type (e.g.
-    /// `PredictorDispatch`) monomorphizes and inlines the per-branch
-    /// predict/update pair instead of paying two virtual calls.
-    #[inline]
-    pub fn consume_decoded<P: BranchPredictor + ?Sized>(
-        &mut self,
-        dec: &DecodedInst,
-        rec: &StepRecord,
-        predictor: &mut P,
-        filter_prob: bool,
-    ) {
-        self.consume_inner(
-            rec.pc,
-            &dec.timing,
-            rec.branch,
-            rec.mem_addr(),
-            predictor,
-            filter_prob,
-        );
-    }
-
-    /// The latency-resolving half shared by [`consume`](Self::consume)
-    /// and [`consume_decoded`](Self::consume_decoded): asks the live
+    /// [`Inst`](probranch_isa::Inst) on the fly and asks the live
     /// memory hierarchy for the fetch stall and (for loads) the data
     /// latency, then feeds the cycle-accounting core.
     ///
-    /// The replay engine calls [`consume_core`](Self::consume_core)
+    /// The replay engines call [`consume_core`](Self::consume_core)
     /// directly instead, with latencies pre-simulated at trace-capture
     /// time — the hierarchy's evolution depends only on the pc/address
     /// stream, which the trace fixes, never on the predictor or core
     /// configuration.
-    #[inline(always)]
-    fn consume_inner<P: BranchPredictor + ?Sized>(
-        &mut self,
-        pc: u32,
-        timing: &InstTiming,
-        branch: Option<BranchEvent>,
-        mem_addr: Option<u64>,
-        predictor: &mut P,
-        filter_prob: bool,
-    ) {
-        let istall = self.hierarchy.inst_access(pc as u64 * 8);
+    pub fn consume(&mut self, d: &DynInst, predictor: &mut dyn BranchPredictor, filter_prob: bool) {
+        let timing = InstTiming::of(&d.inst);
+        let istall = self.hierarchy.inst_access(d.pc as u64 * 8);
         // Resolving the load latency here instead of at issue is exact:
         // the issue-slot probe touches no hierarchy state, and the
         // access order the caches observe (instruction fetch, then data
         // access, per record in program order) is unchanged.
         let exec_lat = if timing.class as usize == ExecClass::Load.index() {
-            let addr = mem_addr.expect("loads carry an address");
+            let addr = d.mem_addr.expect("loads carry an address");
             self.hierarchy.data_access(addr)
         } else {
-            self.lat_table[(timing.class & 15) as usize]
+            self.static_latency(timing.class)
         };
-        self.consume_core(pc, timing, branch, istall, exec_lat, predictor, filter_prob);
+        self.consume_core(
+            d.pc,
+            &timing,
+            d.branch,
+            istall,
+            exec_lat,
+            predictor,
+            filter_prob,
+        );
     }
 
     /// The per-class latency table entry for `class` (replay helper).
@@ -489,9 +454,9 @@ impl OooTimingModel {
 
     /// The cycle-accounting core: everything downstream of the memory
     /// hierarchy, with the fetch stall and the execute latency already
-    /// resolved. Shared verbatim by the live engines (through
-    /// [`consume_inner`](Self::consume_inner)) and the trace-replay
-    /// engine, so the two paths cannot drift apart.
+    /// resolved. Shared verbatim by the reference engine (through
+    /// [`consume`](Self::consume)) and the trace-replay engines, so the
+    /// two paths cannot drift apart.
     // The argument list mirrors the record layout of the hot loops; a
     // grouping struct would be rebuilt per dynamic instruction.
     #[allow(clippy::too_many_arguments)]

@@ -837,7 +837,7 @@ fn writer_alive(pid: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{simulate_replay, PredictorChoice};
+    use crate::sim::{PredictorChoice, Simulation};
     use probranch_isa::{CmpOp, ProgramBuilder, Reg};
 
     fn workload(iters: i64) -> probranch_isa::Program {
@@ -956,14 +956,9 @@ mod tests {
         assert_eq!(owned.mapped_chunks(), 0);
         // And the replay through the loaded trace is byte-identical.
         let timing_cfg = cfg.clone().predictor(PredictorChoice::Tournament);
-        assert_eq!(
-            simulate_replay(&back, &timing_cfg),
-            simulate_replay(&trace, &timing_cfg)
-        );
-        assert_eq!(
-            simulate_replay(&owned, &timing_cfg),
-            simulate_replay(&trace, &timing_cfg)
-        );
+        let replay = |t: &DynTrace| Simulation::default().replay(t, &timing_cfg);
+        assert_eq!(replay(&back), replay(&trace));
+        assert_eq!(replay(&owned), replay(&trace));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,23 +3,20 @@
 //!
 //! [`Simulation`] is the single entry point, keyed by [`EngineKind`]:
 //!
-//! * [`EngineKind::Fused`] — the emulator executes from the predecoded
-//!   program and writes compact [`StepRecord`]s into a small batch
-//!   buffer that the timing model drains, with the branch predictor
-//!   dispatched statically through [`PredictorDispatch`] so the
-//!   per-branch predict/update pair inlines;
-//! * [`EngineKind::Reference`] — the original unfused loop (a
-//!   [`DynInst`](crate::DynInst) stream into `Box<dyn BranchPredictor>`),
-//!   kept as the differential baseline the equivalence suite checks
-//!   every other engine against;
 //! * [`EngineKind::Replay`] — emulate once, time many: cells re-time a
 //!   captured [`DynTrace`], with each chunk's branches batch-predicted
-//!   ahead of the timing walk (see `trace.rs`);
-//! * [`EngineKind::Convoy`] — streamed fused convoys: one capture with
-//!   all of a key's timing cells draining each chunk in lockstep,
-//!   bounded memory on arbitrarily long workloads.
+//!   through the statically dispatched [`PredictorDispatch`] ahead of
+//!   the timing walk (see `trace.rs`);
+//! * [`EngineKind::Convoy`] — replay's streaming mode: one capture
+//!   stream whose chunks each of a key's timing cells drains in turn,
+//!   so no trace is materialized and memory stays bounded on
+//!   arbitrarily long workloads;
+//! * [`EngineKind::Reference`] — the original per-instruction loop (a
+//!   [`DynInst`](crate::DynInst) stream into `Box<dyn BranchPredictor>`
+//!   with a live memory hierarchy), kept as the differential oracle
+//!   the equivalence suite checks replay against.
 //!
-//! All four produce byte-identical [`SimReport`]s — equality over every
+//! All three produce byte-identical [`SimReport`]s — equality over every
 //! field, error paths included — locked in by
 //! `tests/engine_equivalence.rs`.
 
@@ -31,10 +28,11 @@ use probranch_predictor::{
 
 use std::sync::mpsc;
 
+use crate::cancel::CANCEL_STRIDE;
 use crate::decode::InstTiming;
-use crate::machine::{EmuConfig, EmuError, Emulator, StepRecord};
+use crate::machine::{EmuConfig, EmuError, Emulator};
 use crate::ooo::{OooConfig, OooTimingModel, TimingStats};
-use crate::trace::{drain_chunk_convoy, DynTrace, ReplayConsumer, TraceChunk, TraceStream};
+use crate::trace::{DynTrace, ReplayConsumer, TraceChunk, TraceStream};
 
 /// Which baseline branch predictor to instantiate (paper Section VI-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +61,8 @@ impl PredictorChoice {
     }
 
     /// Instantiates the predictor behind the static [`PredictorDispatch`]
-    /// enum, letting per-branch lookups inline into the fused engine.
+    /// enum — the replay consumers' predictor, batch-predicted one
+    /// dispatch per chunk.
     pub fn build_dispatch(self) -> PredictorDispatch {
         match self {
             PredictorChoice::Tournament => PredictorDispatch::from(Tournament::default()),
@@ -171,7 +170,7 @@ impl SimConfig {
 /// The result of a simulation run.
 ///
 /// `PartialEq` compares every field — the engine-equivalence suite
-/// asserts whole-report equality between the fused and reference
+/// asserts whole-report equality between the replay and reference
 /// engines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
@@ -223,48 +222,43 @@ pub enum EngineKind {
     /// walk.
     #[default]
     Replay,
-    /// Streamed fused convoy: one capture with all of a key's timing
-    /// cells draining each chunk in lockstep — no materialized trace,
-    /// bounded memory on arbitrarily long workloads.
+    /// Replay's streaming mode: one capture stream, each chunk drained
+    /// through every one of a key's timing cells in turn — no
+    /// materialized trace, bounded memory on arbitrarily long
+    /// workloads.
     Convoy,
-    /// The fused emulate→time engine: emulator, predictor and timing
-    /// model advance together, re-emulating every cell. As a *live*
-    /// engine it must consult the predictor serially per branch — the
-    /// interleaving replay's batched path reproduces bit-exactly.
-    Fused,
-    /// The original unfused loop (a [`DynInst`](crate::DynInst) stream
-    /// into `Box<dyn BranchPredictor>`) — the slow differential
-    /// baseline.
+    /// The original per-instruction loop (a [`DynInst`](crate::DynInst)
+    /// stream into `Box<dyn BranchPredictor>`, consulted serially per
+    /// branch) — the slow differential oracle.
     Reference,
 }
 
 impl EngineKind {
     /// Every engine, replay first — the order differential matrices
     /// iterate.
-    pub const ALL: [EngineKind; 4] = [
+    pub const ALL: [EngineKind; 3] = [
         EngineKind::Replay,
         EngineKind::Convoy,
-        EngineKind::Fused,
         EngineKind::Reference,
     ];
 
-    /// Parses an engine name (as accepted by `figures --engine`).
+    /// Parses a sweep engine name, as accepted by `figures --engine`
+    /// and the sweep service: `replay` or `reference`. The sweeps pick
+    /// [`EngineKind::Convoy`] themselves, for the keys they stream, so
+    /// it has no name here.
     pub fn parse(name: &str) -> Option<EngineKind> {
         match name {
             "replay" => Some(EngineKind::Replay),
-            "convoy" => Some(EngineKind::Convoy),
-            "fused" => Some(EngineKind::Fused),
             "reference" => Some(EngineKind::Reference),
             _ => None,
         }
     }
 
-    /// The engine's name, as accepted by [`EngineKind::parse`].
+    /// The engine's name (stderr trailers and degraded-cell labels).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Replay => "replay",
             EngineKind::Convoy => "convoy",
-            EngineKind::Fused => "fused",
             EngineKind::Reference => "reference",
         }
     }
@@ -292,7 +286,7 @@ impl EngineKind {
 ///  .br(CmpOp::Lt, Reg::R1, 1000, top)
 ///  .halt();
 /// let program = b.build()?;
-/// let report = Simulation::new(EngineKind::Fused).run(&program, &SimConfig::default())?;
+/// let report = Simulation::new(EngineKind::Reference).run(&program, &SimConfig::default())?;
 /// assert!(report.timing.ipc() > 0.5);
 /// // Any other engine produces the byte-identical report.
 /// let replayed = Simulation::default().run(&program, &SimConfig::default())?;
@@ -328,7 +322,6 @@ impl Simulation {
     /// identically across engines.
     pub fn run(self, program: &Program, config: &SimConfig) -> Result<SimReport, EmuError> {
         match self.engine {
-            EngineKind::Fused => run_fused(program, config),
             EngineKind::Reference => run_reference(program, config),
             EngineKind::Convoy => run_convoy(program, std::slice::from_ref(config))
                 .map(|mut reports| reports.pop().expect("one report per config")),
@@ -344,7 +337,7 @@ impl Simulation {
     /// Under [`EngineKind::Replay`] and [`EngineKind::Convoy`] the
     /// configurations must share an emulation key (equal `pbs`, `emu`
     /// and `max_insts`) so one captured stream serves every cell; the
-    /// live engines simply run back to back.
+    /// reference engine simply runs them back to back.
     ///
     /// # Panics
     ///
@@ -360,14 +353,13 @@ impl Simulation {
         configs: &[SimConfig],
     ) -> Result<Vec<SimReport>, EmuError> {
         match self.engine {
-            EngineKind::Fused => configs.iter().map(|cfg| run_fused(program, cfg)).collect(),
             EngineKind::Reference => configs
                 .iter()
                 .map(|cfg| run_reference(program, cfg))
                 .collect(),
             EngineKind::Convoy => run_convoy(program, configs),
             EngineKind::Replay => {
-                let key = check_convoy_key(configs, "run_many");
+                let key = check_convoy_key(configs);
                 let trace = DynTrace::capture(program, key)?;
                 configs.iter().map(|cfg| replay_one(&trace, cfg)).collect()
             }
@@ -381,7 +373,7 @@ impl Simulation {
     /// The materialized-trace path is shared by every engine — a trace
     /// fixes the dynamic instruction stream, so the engine choice
     /// cannot change the report — which keeps this method total over
-    /// [`EngineKind`] (the live engines have nothing left to
+    /// [`EngineKind`] (the reference engine has nothing left to
     /// re-execute).
     ///
     /// # Panics
@@ -401,87 +393,32 @@ impl Simulation {
     }
 
     /// Re-times a captured [`DynTrace`] once per configuration, in
-    /// input order.
-    ///
-    /// Under [`EngineKind::Convoy`] all cells drain each chunk in one
-    /// fused lockstep pass (the configurations must share an emulation
-    /// key); every other engine replays the cells independently —
-    /// byte-identical reports either way.
+    /// input order: independent replays under every engine (see
+    /// [`replay`](Simulation::replay)).
     ///
     /// # Panics
     ///
-    /// Panics if `configs` is empty, the trace's emulation key differs
-    /// from a configuration's, or (convoy) the keys differ among
-    /// themselves.
+    /// Panics if the trace's emulation key differs from a
+    /// configuration's.
     ///
     /// # Errors
     ///
-    /// [`EmuError::InstLimitExceeded`] exactly when a live run would
-    /// return it — every cell errors identically.
+    /// The first cell's [`EmuError::InstLimitExceeded`], exactly when a
+    /// live run of that cell would return it.
     pub fn replay_many(
         self,
         trace: &DynTrace,
         configs: &[SimConfig],
     ) -> Result<Vec<SimReport>, EmuError> {
-        match self.engine {
-            EngineKind::Convoy => replay_convoy(trace, configs),
-            _ => configs.iter().map(|cfg| replay_one(trace, cfg)).collect(),
-        }
+        configs.iter().map(|cfg| replay_one(trace, cfg)).collect()
     }
 }
 
-/// The fused emulate→time engine body (see [`EngineKind::Fused`]).
-fn run_fused(program: &Program, config: &SimConfig) -> Result<SimReport, EmuError> {
-    let mut emu = build_emulator(program, config);
-    let mut predictor = config.predictor.build_dispatch();
-    let mut timing = OooTimingModel::new(config.core.clone());
-    if config.collect_branch_trace {
-        timing.enable_trace();
-    }
-
-    // The fused emulate→time loop: the emulator fills a small batch of
-    // compact records from the predecoded program, then the timing model
-    // drains it against the statically dispatched predictor. Batches are
-    // capped at the remaining instruction budget so the limit trips at
-    // exactly the same dynamic instruction as the reference engine.
-    const BATCH: u64 = 64;
-    use crate::cancel::CANCEL_STRIDE;
-    let mut buf: Vec<StepRecord> = Vec::with_capacity(BATCH as usize);
-    let mut executed: u64 = 0;
-    let mut next_cancel_poll: u64 = 0;
-    loop {
-        if executed >= next_cancel_poll {
-            crate::cancel::check_current()?;
-            next_cancel_poll = executed + CANCEL_STRIDE;
-        }
-        let budget = (config.max_insts - executed).clamp(1, BATCH) as usize;
-        emu.step_block(&mut buf, budget)?;
-        if buf.is_empty() {
-            break; // halted
-        }
-        let decoded = emu.decoded();
-        for rec in &buf {
-            timing.consume_decoded(
-                decoded.fetch(rec.pc),
-                rec,
-                &mut predictor,
-                config.filter_prob_from_predictor,
-            );
-        }
-        executed += buf.len() as u64;
-        if executed >= config.max_insts {
-            return Err(EmuError::InstLimitExceeded {
-                limit: config.max_insts,
-            });
-        }
-    }
-
-    Ok(report_of(emu, timing))
-}
-
-/// The original unfused engine body (see [`EngineKind::Reference`]):
+/// The reference engine body (see [`EngineKind::Reference`]):
 /// per-instruction [`DynInst`](crate::DynInst) records and a
-/// `Box<dyn BranchPredictor>`.
+/// `Box<dyn BranchPredictor>`. Polls cancellation before the first
+/// instruction, as the chunked engines do before their first chunk, and
+/// every [`CANCEL_STRIDE`] instructions after it.
 fn run_reference(program: &Program, config: &SimConfig) -> Result<SimReport, EmuError> {
     let mut emu = build_emulator(program, config);
     let mut predictor = config.predictor.build();
@@ -491,12 +428,13 @@ fn run_reference(program: &Program, config: &SimConfig) -> Result<SimReport, Emu
     }
 
     let mut executed: u64 = 0;
-    while let Some(d) = emu.step()? {
-        timing.consume(&d, predictor.as_mut(), config.filter_prob_from_predictor);
-        executed += 1;
-        if executed & 0xFFFF == 0 {
+    loop {
+        if executed % CANCEL_STRIDE == 0 {
             crate::cancel::check_current()?;
         }
+        let Some(d) = emu.step()? else { break };
+        timing.consume(&d, predictor.as_mut(), config.filter_prob_from_predictor);
+        executed += 1;
         if executed >= config.max_insts {
             return Err(EmuError::InstLimitExceeded {
                 limit: config.max_insts,
@@ -509,20 +447,27 @@ fn run_reference(program: &Program, config: &SimConfig) -> Result<SimReport, Emu
 
 /// The single-cell replay body (see [`EngineKind::Replay`]).
 fn replay_one(trace: &DynTrace, config: &SimConfig) -> Result<SimReport, EmuError> {
-    // The one-element convoy takes the identical single-consumer drain,
-    // so the two entry points share every check and cannot diverge in
-    // error semantics.
-    replay_convoy(trace, std::slice::from_ref(config))
-        .map(|mut reports| reports.pop().expect("one report per config"))
+    trace.check_compatible(config);
+    if trace.instructions() >= config.max_insts {
+        return Err(EmuError::InstLimitExceeded {
+            limit: config.max_insts,
+        });
+    }
+    let mut consumer = ReplayConsumer::new(config);
+    for chunk in trace.chunks() {
+        crate::cancel::check_current()?;
+        consumer.consume_chunk(trace.timings(), chunk);
+    }
+    Ok(consumer.into_report(trace.functional()))
 }
 
-/// Asserts every configuration of a convoy shares the first one's
-/// emulation key (`pbs`, `emu`, `max_insts`); timing-side fields are
-/// free to differ.
-fn check_convoy_key<'a>(configs: &'a [SimConfig], what: &str) -> &'a SimConfig {
+/// Asserts every configuration of a [`Simulation::run_many`] shares the
+/// first one's emulation key (`pbs`, `emu`, `max_insts`); timing-side
+/// fields are free to differ.
+fn check_convoy_key(configs: &[SimConfig]) -> &SimConfig {
     let key = configs
         .first()
-        .unwrap_or_else(|| panic!("{what} needs at least one configuration"));
+        .expect("run_many needs at least one configuration");
     for cfg in &configs[1..] {
         assert_eq!(cfg.pbs, key.pbs, "convoy cells must share the PBS config");
         assert_eq!(
@@ -538,14 +483,12 @@ fn check_convoy_key<'a>(configs: &'a [SimConfig], what: &str) -> &'a SimConfig {
 }
 
 /// The streamed-convoy body (see [`EngineKind::Convoy`]): emulates
-/// `program` once, draining each captured chunk through one timing
-/// consumer per configuration in a single fused loop — every consumer
-/// batch-predicts the chunk, then all `k` timing models advance in
-/// lockstep over their prediction feeds. Emulation and cache
-/// pre-simulation run once, and only a single chunk-sized buffer is
-/// ever live.
+/// `program` once and drains each captured chunk through one timing
+/// consumer per configuration, one consumer after another, while the
+/// chunk is cache-hot. Emulation and cache pre-simulation run once,
+/// and only a single chunk-sized buffer is ever live.
 fn run_convoy(program: &Program, configs: &[SimConfig]) -> Result<Vec<SimReport>, EmuError> {
-    let key = check_convoy_key(configs, "simulate_convoy");
+    let key = check_convoy_key(configs);
     let mut stream = TraceStream::new(program, key);
     let mut consumers: Vec<ReplayConsumer> = configs.iter().map(ReplayConsumer::new).collect();
     if crate::aot::capture_overlap() {
@@ -553,7 +496,9 @@ fn run_convoy(program: &Program, configs: &[SimConfig]) -> Result<Vec<SimReport>
     } else {
         let mut chunk = TraceChunk::with_chunk_capacity();
         while stream.fill(&mut chunk)? {
-            drain_chunk_convoy(&mut consumers, stream.timings(), &chunk);
+            for c in &mut consumers {
+                c.consume_chunk(stream.timings(), &chunk);
+            }
         }
     }
     let functional = stream.finish();
@@ -618,7 +563,9 @@ fn run_convoy_pipelined(
         while let Ok(msg) = full_rx.recv() {
             match msg {
                 Ok(Some(chunk)) => {
-                    drain_chunk_convoy(consumers, &timings, &chunk);
+                    for c in consumers.iter_mut() {
+                        c.consume_chunk(&timings, &chunk);
+                    }
                     // The helper exits after its final send; a closed
                     // free list here is expected, not an error.
                     let _ = free_tx.send(chunk);
@@ -637,66 +584,6 @@ fn run_convoy_pipelined(
         capture.join().expect("capture thread panicked");
         result
     })
-}
-
-/// The materialized-trace convoy body: drains each chunk of `trace`
-/// through one timing consumer per configuration in the same fused
-/// lockstep loop as [`run_convoy`], without re-emulating — the path
-/// sweeps take when a shared cache already holds the key's trace.
-fn replay_convoy(trace: &DynTrace, configs: &[SimConfig]) -> Result<Vec<SimReport>, EmuError> {
-    let key = check_convoy_key(configs, "simulate_replay_convoy");
-    trace.check_compatible(key);
-    if trace.instructions() >= key.max_insts {
-        return Err(EmuError::InstLimitExceeded {
-            limit: key.max_insts,
-        });
-    }
-    let mut consumers: Vec<ReplayConsumer> = configs.iter().map(ReplayConsumer::new).collect();
-    for chunk in trace.chunks() {
-        crate::cancel::check_current()?;
-        drain_chunk_convoy(&mut consumers, trace.timings(), chunk);
-    }
-    Ok(consumers
-        .into_iter()
-        .map(|c| c.into_report(trace.functional()))
-        .collect())
-}
-
-// ---- legacy free-function entry points --------------------------------
-//
-// Thin wrappers over `Simulation`, kept so call sites predating the
-// engine-keyed API keep compiling. New code goes through
-// `Simulation::new(EngineKind::…)`.
-
-#[doc(hidden)]
-pub fn simulate(program: &Program, config: &SimConfig) -> Result<SimReport, EmuError> {
-    Simulation::new(EngineKind::Fused).run(program, config)
-}
-
-#[doc(hidden)]
-pub fn simulate_reference(program: &Program, config: &SimConfig) -> Result<SimReport, EmuError> {
-    Simulation::new(EngineKind::Reference).run(program, config)
-}
-
-#[doc(hidden)]
-pub fn simulate_replay(trace: &DynTrace, config: &SimConfig) -> Result<SimReport, EmuError> {
-    Simulation::new(EngineKind::Replay).replay(trace, config)
-}
-
-#[doc(hidden)]
-pub fn simulate_convoy(
-    program: &Program,
-    configs: &[SimConfig],
-) -> Result<Vec<SimReport>, EmuError> {
-    Simulation::new(EngineKind::Convoy).run_many(program, configs)
-}
-
-#[doc(hidden)]
-pub fn simulate_replay_convoy(
-    trace: &DynTrace,
-    configs: &[SimConfig],
-) -> Result<Vec<SimReport>, EmuError> {
-    Simulation::new(EngineKind::Convoy).replay_many(trace, configs)
 }
 
 fn build_emulator(program: &Program, config: &SimConfig) -> Emulator {
@@ -798,8 +685,12 @@ mod tests {
     #[test]
     fn pbs_eliminates_prob_mispredictions() {
         let p = prob_workload(20_000);
-        let base = simulate(&p, &SimConfig::default()).unwrap();
-        let pbs = simulate(&p, &SimConfig::default().with_pbs()).unwrap();
+        let base = Simulation::default()
+            .run(&p, &SimConfig::default())
+            .unwrap();
+        let pbs = Simulation::default()
+            .run(&p, &SimConfig::default().with_pbs())
+            .unwrap();
         // Baseline: the ~50% branch mispredicts heavily.
         assert!(
             base.timing.mispredicts_prob > 5000,
@@ -845,18 +736,20 @@ mod tests {
         // tournament branch predictor with PBS outperforms the
         // TAGE-SC-L predictor."
         let p = prob_workload(20_000);
-        let tage = simulate(
-            &p,
-            &SimConfig::default().predictor(PredictorChoice::TageScL),
-        )
-        .unwrap();
-        let tour_pbs = simulate(
-            &p,
-            &SimConfig::default()
-                .predictor(PredictorChoice::Tournament)
-                .with_pbs(),
-        )
-        .unwrap();
+        let tage = Simulation::default()
+            .run(
+                &p,
+                &SimConfig::default().predictor(PredictorChoice::TageScL),
+            )
+            .unwrap();
+        let tour_pbs = Simulation::default()
+            .run(
+                &p,
+                &SimConfig::default()
+                    .predictor(PredictorChoice::Tournament)
+                    .with_pbs(),
+            )
+            .unwrap();
         assert!(
             tour_pbs.timing.cycles < tage.timing.cycles,
             "tournament+PBS {} vs TAGE {}",
@@ -870,13 +763,14 @@ mod tests {
         let p = prob_workload(5_000);
         let mut cfg = SimConfig::default().predictor(PredictorChoice::Tournament);
         cfg.filter_prob_from_predictor = true;
-        let filtered = simulate(&p, &cfg).unwrap();
+        let filtered = Simulation::default().run(&p, &cfg).unwrap();
         assert_eq!(filtered.timing.mispredicts_prob, 0);
-        let unfiltered = simulate(
-            &p,
-            &SimConfig::default().predictor(PredictorChoice::Tournament),
-        )
-        .unwrap();
+        let unfiltered = Simulation::default()
+            .run(
+                &p,
+                &SimConfig::default().predictor(PredictorChoice::Tournament),
+            )
+            .unwrap();
         // Interference: filtering prob branches out cannot hurt the
         // regular branches.
         assert!(filtered.timing.mpki_regular() <= unfiltered.timing.mpki_regular() + 0.01);
@@ -885,8 +779,12 @@ mod tests {
     #[test]
     fn determinism_across_runs() {
         let p = prob_workload(3_000);
-        let a = simulate(&p, &SimConfig::default().with_pbs()).unwrap();
-        let b = simulate(&p, &SimConfig::default().with_pbs()).unwrap();
+        let a = Simulation::default()
+            .run(&p, &SimConfig::default().with_pbs())
+            .unwrap();
+        let b = Simulation::default()
+            .run(&p, &SimConfig::default().with_pbs())
+            .unwrap();
         assert_eq!(a.timing, b.timing);
         assert_eq!(a.prob_consumed, b.prob_consumed);
         assert_eq!(a.output(0), b.output(0));
@@ -900,9 +798,36 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(matches!(
-            simulate(&p, &cfg),
+            Simulation::default().run(&p, &cfg),
             Err(EmuError::InstLimitExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn every_engine_stops_under_an_already_cancelled_scope() {
+        // 2,002 instructions: far below the reference engine's poll
+        // stride, so only a poll before the first instruction sees the
+        // cancellation.
+        let mut b = ProgramBuilder::new();
+        let top = b.label("top");
+        b.li(Reg::R1, 0);
+        b.bind(top);
+        b.add(Reg::R1, Reg::R1, 1)
+            .br(CmpOp::Lt, Reg::R1, 1000, top)
+            .halt();
+        let p = b.build().unwrap();
+        let token = crate::cancel::CancelToken::new();
+        token.cancel("stop");
+        let _scope = crate::cancel::CancelScope::enter(token);
+        for engine in EngineKind::ALL {
+            assert_eq!(
+                Simulation::new(engine).run(&p, &SimConfig::default()),
+                Err(EmuError::Cancelled {
+                    reason: "stop".into()
+                }),
+                "{engine:?}"
+            );
+        }
     }
 
     #[test]
@@ -923,12 +848,14 @@ mod tests {
     #[test]
     fn wide_core_does_not_regress_ipc() {
         let p = prob_workload(5_000);
-        let narrow = simulate(&p, &SimConfig::default()).unwrap();
+        let narrow = Simulation::default()
+            .run(&p, &SimConfig::default())
+            .unwrap();
         let wide_cfg = SimConfig {
             core: OooConfig::wide(),
             ..SimConfig::default()
         };
-        let wide = simulate(&p, &wide_cfg).unwrap();
+        let wide = Simulation::default().run(&p, &wide_cfg).unwrap();
         assert!(wide.timing.ipc() >= narrow.timing.ipc() * 0.99);
     }
 }

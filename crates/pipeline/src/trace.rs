@@ -7,8 +7,8 @@
 //! tracing live entirely in the timing model and feed nothing back into
 //! the emulator. This module makes that stream a first-class artifact:
 //!
-//! * [`TraceStream`] — the capture half of the fused engine, split out:
-//!   drains the emulator's [`StepRecord`](crate::StepRecord) stream (branch outcomes and
+//! * [`TraceStream`] — the capture half: drains the emulator's
+//!   [`StepRecord`](crate::StepRecord) stream (branch outcomes and
 //!   prob-branch resolutions ride inside the records) into
 //!   structure-of-arrays [`TraceChunk`]s, pre-simulating the memory
 //!   hierarchy — whose evolution also depends only on the pc/address
@@ -18,8 +18,8 @@
 //!   cell of a sweep, optionally persisted to disk (see `persist`);
 //! * [`ReplayConsumer`] — the consume half: an
 //!   [`OooTimingModel`] + statically dispatched predictor pair that
-//!   drains chunks through the same cycle-accounting core as the live
-//!   engines ([`OooTimingModel::consume_core`]). The predictor runs
+//!   drains chunks through the same cycle-accounting core as the
+//!   reference engine ([`OooTimingModel::consume_core`]). The predictor runs
 //!   *ahead* of the timing drain: each chunk's predictor-visible
 //!   branches are gathered into one request batch and handed to
 //!   [`BranchPredictor::predict_update_batch`] through
@@ -47,19 +47,14 @@
 //!
 //! Replay modes on top (see `sim.rs`, behind the `Simulation` entry
 //! point): `EngineKind::Replay` re-times a materialized [`DynTrace`];
-//! the convoy engines drain each chunk through *k* consumers in one
-//! **fused** loop that decodes every record once and advances all `k`
-//! timing models in lockstep. Every consumer batch-predicts the chunk
-//! up front (consumers may filter probabilistic branches differently,
-//! so each gathers its own request stream), which leaves the drain
-//! itself predictor-free: the `k = 1` and `k = 2` loops monomorphize
-//! over prediction feeds, and arbitrary `k` pays only a feed-array
-//! walk per record instead of `k` predictor dispatches per branch.
+//! `EngineKind::Convoy` streams a capture and drains each chunk through
+//! its *k* consumers one after another with
+//! [`ReplayConsumer::consume_chunk`], so only one chunk is ever live.
 //!
-//! Replay is byte-identical to the fused engine — `SimReport` equality
-//! including `branch_trace`, `prob_consumed` and the error paths — which
-//! `tests/engine_equivalence.rs` and the capture-then-replay property
-//! test lock in.
+//! Replay is byte-identical to the reference engine — `SimReport`
+//! equality including `branch_trace`, `prob_consumed` and the error
+//! paths — which `tests/engine_equivalence.rs` and the
+//! capture-then-replay property test lock in.
 
 use std::sync::Arc;
 
@@ -78,7 +73,7 @@ use crate::ooo::OooTimingModel;
 use crate::sim::{SimConfig, SimReport};
 
 /// Records per [`TraceChunk`]: 64 Ki records — small enough to stay
-/// cache-resident while a convoy streams it through several consumers
+/// cache-resident while a convoy drains it through several consumers
 /// (and the bounded-memory figure for streaming convoys), large enough
 /// to amortize the per-chunk bookkeeping and consumer switches. In the
 /// SoA layout a full chunk is 6 bytes of stream data per record
@@ -963,7 +958,7 @@ pub(crate) fn record_costs(
     (istall as u8, dlat as u8)
 }
 
-/// The capture half of the fused engine, split out as a chunk stream.
+/// The capture half of the replay engines, as a chunk stream.
 ///
 /// Drive it with [`fill`](TraceStream::fill) until it reports the
 /// machine halted, then take the architectural results with
@@ -1087,7 +1082,7 @@ impl TraceStream {
     ///
     /// Propagates emulator faults, and returns
     /// [`EmuError::InstLimitExceeded`] at exactly the dynamic
-    /// instruction where the fused engine would: when the dynamic
+    /// instruction where the reference engine would: when the dynamic
     /// instruction count reaches `max_insts` without a halt.
     pub fn fill(&mut self, chunk: &mut TraceChunk) -> Result<bool, EmuError> {
         if self.blocks.is_some() {
@@ -1105,11 +1100,11 @@ impl TraceStream {
         }
         // Cooperative cancellation: one poll per chunk bounds how much
         // work a cancelled capture or convoy performs after the fact
-        // (a chunk is exactly the fused engine's 64 Ki poll stride).
+        // (a chunk is exactly the 64 Ki-instruction poll stride).
         crate::cancel::check_current()?;
         // Cap the chunk at the remaining instruction budget so the limit
-        // trips at exactly the same dynamic instruction as the fused
-        // engine's batch loop.
+        // trips at exactly the same dynamic instruction as the
+        // reference engine.
         let budget = (self.max_insts - self.executed).clamp(1, TRACE_CHUNK_RECORDS as u64) as usize;
         let TraceStream {
             emu,
@@ -1232,9 +1227,8 @@ impl DynTrace {
     }
 
     /// Heap bytes held by the trace (record streams, timing table
-    /// and architectural results) — the peak-memory figure the
-    /// throughput report surfaces per cell, and the number the trace
-    /// pool's memory budget meters. Mapped record streams count 0
+    /// and architectural results) — the number the trace pool's memory
+    /// budget meters. Mapped record streams count 0
     /// (their pages are the OS page cache's, reclaimable at will), so
     /// demoting a trace to disk genuinely shrinks its pooled footprint
     /// to the timing table plus derived request streams.
@@ -1265,7 +1259,7 @@ impl DynTrace {
     }
 }
 
-/// The consume half of the fused engine: one timing model and its
+/// The consume half of the replay engines: one timing model and its
 /// statically dispatched predictor, fed chunks of a captured trace.
 ///
 /// Each chunk drains in two phases. First the consumer gathers the
@@ -1277,7 +1271,7 @@ impl DynTrace {
 /// through a position-only feed into the unchanged cycle-accounting
 /// core. This is a pure replay-side reordering: the predictor observes
 /// exactly the serial request stream, so reports stay byte-identical
-/// to the live engines.
+/// to the reference engine.
 #[derive(Debug)]
 pub struct ReplayConsumer {
     timing: OooTimingModel,
@@ -1366,29 +1360,23 @@ impl BranchPredictor for PredFeed<'_> {
     }
 }
 
-/// One consumer's per-record step over the SoA stream values: the
-/// shared [`ChunkVisitor`] body of the single-consumer drain and the
-/// fused convoy loops, generic over the concrete predictor type.
-struct Step<'a, P: ?Sized> {
+/// The chunk-drain loop: one timing model stepping over its prediction
+/// feed (the predictor itself already ran the chunk through the batch
+/// API).
+struct Drain<'a> {
+    timings: &'a [InstTiming],
     timing: &'a mut OooTimingModel,
-    predictor: &'a mut P,
+    feed: PredFeed<'a>,
     filter_prob: bool,
 }
 
-impl<P: BranchPredictor + ?Sized> Step<'_, P> {
+impl Drain<'_> {
     /// Advances the model by one record, with the branch event passed
     /// as a compile-time-known `Option` shape per call site.
     #[inline(always)]
-    fn advance(
-        &mut self,
-        streams: &Streams<'_>,
-        pc: u32,
-        istall: u8,
-        dlat: u8,
-        ev: Option<BranchEvent>,
-    ) {
-        let t = &streams.timings[pc as usize];
-        let exec_lat = if t.class == streams.load_class {
+    fn advance(&mut self, pc: u32, istall: u8, dlat: u8, ev: Option<BranchEvent>) {
+        let t = &self.timings[pc as usize];
+        let exec_lat = if t.class == ExecClass::Load.index() as u8 {
             dlat as u64
         } else {
             self.timing.static_latency(t.class)
@@ -1399,177 +1387,21 @@ impl<P: BranchPredictor + ?Sized> Step<'_, P> {
             ev,
             istall as u64,
             exec_lat,
-            self.predictor,
+            &mut self.feed,
             self.filter_prob,
         );
     }
 }
 
-/// The shared-borrow half of a chunk drain: the per-pc metadata,
-/// separated from the per-consumer mutable state so a fused loop can
-/// hold one `Streams` next to many [`Step`]s (the record streams
-/// themselves are walked by [`walk_chunk`]).
-struct Streams<'a> {
-    timings: &'a [InstTiming],
-    load_class: u8,
-}
-
-impl<'a> Streams<'a> {
-    fn new(timings: &'a [InstTiming]) -> Streams<'a> {
-        Streams {
-            timings,
-            load_class: ExecClass::Load.index() as u8,
-        }
-    }
-}
-
-/// The single-consumer chunk-drain loop: one timing model stepping over
-/// its prediction feed (the predictor itself already ran the chunk
-/// through the batch API).
-struct DrainOne<'a, P: ?Sized> {
-    streams: Streams<'a>,
-    step: Step<'a, P>,
-}
-
-impl<P: BranchPredictor + ?Sized> ChunkVisitor for DrainOne<'_, P> {
+impl ChunkVisitor for Drain<'_> {
     #[inline(always)]
     fn plain(&mut self, pc: u32, istall: u8, dlat: u8) {
-        self.step.advance(&self.streams, pc, istall, dlat, None);
+        self.advance(pc, istall, dlat, None);
     }
 
     #[inline(always)]
     fn branch(&mut self, pc: u32, istall: u8, dlat: u8, ev: BranchEvent) {
-        self.step.advance(&self.streams, pc, istall, dlat, Some(ev));
-    }
-}
-
-/// The fused two-consumer convoy loop: each record is decoded once from
-/// the SoA streams and advances both timing models back to back over
-/// their prediction feeds.
-struct DrainTwo<'a, PA: ?Sized, PB: ?Sized> {
-    streams: Streams<'a>,
-    a: Step<'a, PA>,
-    b: Step<'a, PB>,
-}
-
-impl<PA: BranchPredictor + ?Sized, PB: BranchPredictor + ?Sized> ChunkVisitor
-    for DrainTwo<'_, PA, PB>
-{
-    #[inline(always)]
-    fn plain(&mut self, pc: u32, istall: u8, dlat: u8) {
-        self.a.advance(&self.streams, pc, istall, dlat, None);
-        self.b.advance(&self.streams, pc, istall, dlat, None);
-    }
-
-    #[inline(always)]
-    fn branch(&mut self, pc: u32, istall: u8, dlat: u8, ev: BranchEvent) {
-        self.a.advance(&self.streams, pc, istall, dlat, Some(ev));
-        self.b.advance(&self.streams, pc, istall, dlat, Some(ev));
-    }
-}
-
-/// The arbitrary-`k` fused convoy loop: record-major over the SoA
-/// streams, advancing every consumer's timing model over its own
-/// prediction feed. With the predictors batched out of the drain, the
-/// `k ≥ 3` fallback pays only a feed-array walk per record — no
-/// per-branch predictor dispatch at any `k`.
-struct DrainMany<'a, 'c> {
-    streams: Streams<'a>,
-    parts: Vec<(&'c mut OooTimingModel, PredFeed<'c>, bool)>,
-}
-
-impl ChunkVisitor for DrainMany<'_, '_> {
-    #[inline(always)]
-    fn plain(&mut self, pc: u32, istall: u8, dlat: u8) {
-        for (timing, feed, filter) in &mut self.parts {
-            let mut step = Step {
-                timing,
-                predictor: feed,
-                filter_prob: *filter,
-            };
-            step.advance(&self.streams, pc, istall, dlat, None);
-        }
-    }
-
-    #[inline(always)]
-    fn branch(&mut self, pc: u32, istall: u8, dlat: u8, ev: BranchEvent) {
-        for (timing, feed, filter) in &mut self.parts {
-            let mut step = Step {
-                timing,
-                predictor: feed,
-                filter_prob: *filter,
-            };
-            step.advance(&self.streams, pc, istall, dlat, Some(ev));
-        }
-    }
-}
-
-/// Drains one chunk through every consumer in a single fused pass:
-/// every consumer's predictor first batch-predicts the whole chunk
-/// ([`ReplayConsumer::batch_predict`]), then each record is decoded
-/// once and all `k` timing models advance in lockstep over their
-/// prediction feeds while the record's streams are hot. `k = 1`
-/// degenerates to the single-consumer drain, `k = 2` — the sweep
-/// pairing — fuses both steps per record, larger convoys walk a feed
-/// array per record.
-pub(crate) fn drain_chunk_convoy(
-    consumers: &mut [ReplayConsumer],
-    timings: &[InstTiming],
-    chunk: &TraceChunk,
-) {
-    // Batch phase: consumers may filter probabilistic branches
-    // differently (Figure 9 pairs filtered and unfiltered cells), so
-    // each gathers and predicts its own request stream.
-    for c in consumers.iter_mut() {
-        c.batch_predict(chunk);
-    }
-    match consumers {
-        [] => {}
-        [one] => one.drain_chunk(timings, chunk),
-        [a, b] => {
-            let mut fa = PredFeed::new(&a.preds);
-            let mut fb = PredFeed::new(&b.preds);
-            let mut v = DrainTwo {
-                streams: Streams::new(timings),
-                a: Step {
-                    timing: &mut a.timing,
-                    predictor: &mut fa,
-                    filter_prob: a.filter_prob,
-                },
-                b: Step {
-                    timing: &mut b.timing,
-                    predictor: &mut fb,
-                    filter_prob: b.filter_prob,
-                },
-            };
-            walk_chunk(chunk, &mut v);
-            debug_assert!(
-                fa.consumed_all() && fb.consumed_all(),
-                "convoy drain left batched predictions unconsumed"
-            );
-        }
-        many => {
-            let mut v = DrainMany {
-                streams: Streams::new(timings),
-                parts: many
-                    .iter_mut()
-                    .map(|c| {
-                        let ReplayConsumer {
-                            ref mut timing,
-                            ref preds,
-                            filter_prob,
-                            ..
-                        } = *c;
-                        (timing, PredFeed::new(preds), filter_prob)
-                    })
-                    .collect(),
-            };
-            walk_chunk(chunk, &mut v);
-            debug_assert!(
-                v.parts.iter().all(|(_, feed, _)| feed.consumed_all()),
-                "convoy drain left batched predictions unconsumed"
-            );
-        }
+        self.advance(pc, istall, dlat, Some(ev));
     }
 }
 
@@ -1606,20 +1438,17 @@ impl ReplayConsumer {
     /// Phase two: walks the chunk's records through the cycle-accounting
     /// core, replaying the batched predictions in program order.
     fn drain_chunk(&mut self, timings: &[InstTiming], chunk: &TraceChunk) {
-        let mut feed = PredFeed::new(&self.preds);
-        let mut v = DrainOne {
-            streams: Streams::new(timings),
-            step: Step {
-                timing: &mut self.timing,
-                predictor: &mut feed,
-                filter_prob: self.filter_prob,
-            },
+        let mut v = Drain {
+            timings,
+            timing: &mut self.timing,
+            feed: PredFeed::new(&self.preds),
+            filter_prob: self.filter_prob,
         };
         walk_chunk(chunk, &mut v);
         debug_assert!(
-            feed.consumed_all(),
+            v.feed.consumed_all(),
             "drain consumed {} of {} batched predictions",
-            feed.next,
+            v.feed.next,
             self.preds.len(),
         );
     }
@@ -1635,7 +1464,7 @@ impl ReplayConsumer {
 
     /// Finishes the replay: the timing model's statistics joined with
     /// the trace's architectural results into the same [`SimReport`] the
-    /// fused engine would have produced.
+    /// reference engine would have produced.
     pub fn into_report(mut self, functional: &TraceFunctional) -> SimReport {
         SimReport {
             timing: self.timing.stats(),
@@ -1650,7 +1479,7 @@ impl ReplayConsumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{simulate, PredictorChoice};
+    use crate::sim::{EngineKind, PredictorChoice, Simulation};
     use probranch_isa::{CmpOp, ProgramBuilder, Reg};
 
     /// A loop mixing regular branches, a ~50% probabilistic branch and
@@ -1698,15 +1527,24 @@ mod tests {
         v
     }
 
+    /// The reference engine: re-emulates with a live memory hierarchy.
+    fn reference(p: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
+        Simulation::new(EngineKind::Reference).run(p, cfg)
+    }
+
+    fn replay(trace: &DynTrace, cfg: &SimConfig) -> Result<SimReport, EmuError> {
+        Simulation::default().replay(trace, cfg)
+    }
+
     #[test]
-    fn capture_then_replay_equals_fused_for_every_config() {
+    fn capture_then_replay_equals_reference_for_every_config() {
         let p = workload(3000);
         for cfg in configs() {
-            let fused = simulate(&p, &cfg).unwrap();
+            let direct = reference(&p, &cfg).unwrap();
             let trace = DynTrace::capture(&p, &cfg).unwrap();
-            assert_eq!(trace.instructions(), fused.timing.instructions);
-            let replayed = crate::sim::simulate_replay(&trace, &cfg).unwrap();
-            assert_eq!(replayed, fused, "replay drift under {cfg:?}");
+            assert_eq!(trace.instructions(), direct.timing.instructions);
+            let replayed = replay(&trace, &cfg).unwrap();
+            assert_eq!(replayed, direct, "replay drift under {cfg:?}");
         }
     }
 
@@ -1721,9 +1559,9 @@ mod tests {
             PredictorChoice::StaticTaken,
         ] {
             let cfg = SimConfig::default().with_pbs().predictor(predictor);
-            let fused = simulate(&p, &cfg).unwrap();
-            let replayed = crate::sim::simulate_replay(&trace, &cfg).unwrap();
-            assert_eq!(replayed, fused, "replay drift for {predictor:?}");
+            let direct = reference(&p, &cfg).unwrap();
+            let replayed = replay(&trace, &cfg).unwrap();
+            assert_eq!(replayed, direct, "replay drift for {predictor:?}");
         }
     }
 
@@ -1736,8 +1574,7 @@ mod tests {
         assert!(trace.bytes() > 0);
         let total: usize = trace.chunks().iter().map(TraceChunk::len).sum();
         assert_eq!(total as u64, trace.instructions());
-        let fused = simulate(&p, &cfg).unwrap();
-        assert_eq!(crate::sim::simulate_replay(&trace, &cfg).unwrap(), fused);
+        assert_eq!(replay(&trace, &cfg), reference(&p, &cfg));
     }
 
     #[test]
@@ -1766,18 +1603,18 @@ mod tests {
     }
 
     #[test]
-    fn capture_reports_inst_limit_like_the_fused_engine() {
+    fn capture_reports_inst_limit_like_the_reference_engine() {
         let p = workload(100_000);
         for max_insts in [1, 2, 1000, TRACE_CHUNK_RECORDS as u64 + 1] {
             let cfg = SimConfig {
                 max_insts,
                 ..SimConfig::default()
             };
-            let fused = simulate(&p, &cfg);
+            let direct = reference(&p, &cfg);
             let captured = DynTrace::capture(&p, &cfg).map(|_| ());
             assert_eq!(
                 captured.unwrap_err(),
-                fused.unwrap_err(),
+                direct.unwrap_err(),
                 "limit {max_insts}"
             );
         }
@@ -1792,10 +1629,7 @@ mod tests {
             max_insts: trace.instructions(),
             ..SimConfig::default()
         };
-        assert_eq!(
-            crate::sim::simulate_replay(&trace, &tight),
-            simulate(&p, &tight)
-        );
+        assert_eq!(replay(&trace, &tight), reference(&p, &tight));
     }
 
     #[test]
@@ -1803,6 +1637,6 @@ mod tests {
     fn replay_rejects_mismatched_pbs_key() {
         let p = workload(100);
         let trace = DynTrace::capture(&p, &SimConfig::default()).unwrap();
-        let _ = crate::sim::simulate_replay(&trace, &SimConfig::default().with_pbs());
+        let _ = replay(&trace, &SimConfig::default().with_pbs());
     }
 }

@@ -53,11 +53,9 @@ impl From<StaticPredictor> for PredictorDispatch {
 
 /// Expands `$body` once per [`PredictorDispatch`] variant with `$p`
 /// bound to the concrete `&mut` predictor — the single definition of the
-/// per-variant dispatch behind [`PredictorDispatch::visit_mut`],
-/// [`PredictorDispatch::visit_pair_mut`],
-/// [`PredictorDispatch::visit_batch`] and the enum's own
-/// [`BranchPredictor`] methods (each of which would otherwise repeat the
-/// same three-arm match, the boxed-TAGE deref included).
+/// per-variant dispatch behind [`PredictorDispatch::visit_batch`] and the
+/// enum's own [`BranchPredictor`] methods (each of which would otherwise
+/// repeat the same three-arm match, the boxed-TAGE deref included).
 macro_rules! with_concrete {
     ($dispatch:expr, |$p:ident| $body:expr) => {
         match $dispatch {
@@ -86,82 +84,7 @@ macro_rules! with_concrete_ref {
     };
 }
 
-/// A generic visitor over the concrete predictor behind a
-/// [`PredictorDispatch`] — the monomorphization hook for timing-only
-/// consume loops.
-///
-/// [`BranchPredictor::predict_and_update`] on the enum is one match per
-/// branch; a trace-replay loop that runs millions of records against one
-/// predictor wants the match hoisted out of the loop entirely. A visitor
-/// has a *generic* `visit`, which a plain closure cannot express: the
-/// dispatch matches once and hands the visitor the concrete `&mut P`, so
-/// the whole loop body monomorphizes per predictor type.
-///
-/// ```
-/// use probranch_predictor::{
-///     BranchPredictor, BranchReq, PredictorDispatch, PredictorVisitor, Tournament,
-/// };
-/// struct CountTaken<'a>(&'a [(u64, bool)]);
-/// impl PredictorVisitor for CountTaken<'_> {
-///     type Out = u32;
-///     fn visit<P: BranchPredictor + ?Sized>(self, p: &mut P) -> u32 {
-///         // This loop compiles against the concrete predictor type.
-///         self.0.iter().map(|&(pc, t)| p.predict_and_update(BranchReq::new(pc, t)) as u32).sum()
-///     }
-/// }
-/// let mut d = PredictorDispatch::from(Tournament::default());
-/// let _hits = d.visit_mut(CountTaken(&[(4, true), (8, false)]));
-/// ```
-pub trait PredictorVisitor {
-    /// The visit result.
-    type Out;
-
-    /// Runs against the concrete predictor.
-    fn visit<P: BranchPredictor + ?Sized>(self, predictor: &mut P) -> Self::Out;
-}
-
-/// A generic visitor over the concrete predictors behind *two*
-/// [`PredictorDispatch`] values — the monomorphization hook for fused
-/// two-consumer convoy loops.
-///
-/// The common convoy shape is exactly two timing consumers per chunk
-/// (the tournament/TAGE pairing of the figure sweeps, the
-/// filtered/unfiltered pairing of Figure 9). `visit` is generic over
-/// both concrete predictor types, so the double dispatch resolves once
-/// per chunk and the whole fused loop body — both predict/update pairs
-/// included — monomorphizes per predictor *combination*.
-pub trait PredictorPairVisitor {
-    /// The visit result.
-    type Out;
-
-    /// Runs against the two concrete predictors.
-    fn visit<PA: BranchPredictor + ?Sized, PB: BranchPredictor + ?Sized>(
-        self,
-        a: &mut PA,
-        b: &mut PB,
-    ) -> Self::Out;
-}
-
 impl PredictorDispatch {
-    /// Applies `visitor` to the concrete predictor behind the enum: one
-    /// dispatch for the visitor's whole (monomorphized) body.
-    #[inline]
-    pub fn visit_mut<V: PredictorVisitor>(&mut self, visitor: V) -> V::Out {
-        with_concrete!(self, |p| visitor.visit(p))
-    }
-
-    /// Applies `visitor` to the concrete predictors behind two dispatch
-    /// enums: one double dispatch for the visitor's whole body,
-    /// monomorphized per predictor pairing (nine instantiations).
-    #[inline]
-    pub fn visit_pair_mut<V: PredictorPairVisitor>(
-        a: &mut PredictorDispatch,
-        b: &mut PredictorDispatch,
-        visitor: V,
-    ) -> V::Out {
-        with_concrete!(a, |pa| with_concrete!(b, |pb| visitor.visit(pa, pb)))
-    }
-
     /// Runs [`BranchPredictor::predict_update_batch`] against the
     /// concrete predictor: one dispatch for the whole batch, so a replay
     /// loop that hands the predictor an entire chunk's branch runs pays

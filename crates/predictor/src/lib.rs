@@ -48,7 +48,7 @@ mod tournament;
 
 pub use bimodal::Bimodal;
 pub use counters::SatCounter;
-pub use dispatch::{PredictorDispatch, PredictorPairVisitor, PredictorVisitor};
+pub use dispatch::PredictorDispatch;
 pub use gshare::Gshare;
 pub use history::{FoldedHistory, HistoryBuffer, PackedFoldFamily};
 pub use loop_pred::LoopPredictor;

@@ -82,7 +82,7 @@ pub struct SweepRequest {
     pub section: String,
     /// Experiment scale (`smoke`, `bench`, `paper`).
     pub scale: String,
-    /// Engine name (`replay`, `convoy`, `fused`, `reference`).
+    /// Engine name (`replay` or `reference`).
     pub engine: String,
     /// Worker count; `None` = the server's default.
     pub jobs: Option<usize>,
@@ -342,7 +342,7 @@ mod tests {
             Request::Sweep(SweepRequest {
                 section: "table3".into(),
                 scale: "bench".into(),
-                engine: "convoy".into(),
+                engine: "reference".into(),
                 jobs: None,
                 deadline_ms: None,
             }),

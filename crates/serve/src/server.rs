@@ -70,8 +70,7 @@ impl SweepOutcome {
     }
 }
 
-/// Service counters, reported at drain and exported into the
-/// throughput schema (`probranch-throughput/7`).
+/// Service counters, reported at drain.
 #[derive(Debug, Default)]
 struct Stats {
     requests: AtomicU64,
@@ -395,6 +394,14 @@ mod tests {
         })
     }
 
+    /// Holds the process-wide fault lock with no plan armed. Fault plans
+    /// are global, so a test that arms one would otherwise drop this
+    /// test's connections — a lost `shutdown` then leaves the scoped
+    /// server thread running and the test hung.
+    fn quiesce() -> faults::ScopedPlan {
+        faults::ScopedPlan::install(faults::FaultPlan::default())
+    }
+
     /// Binds a server on an ephemeral port, runs it on a scoped
     /// thread, runs `body` against the address, then drains.
     fn with_server<F>(config: ServerConfig, handler_body: &'static str, body: F) -> StatsSnapshot
@@ -421,6 +428,7 @@ mod tests {
 
     #[test]
     fn serves_sweeps_pings_and_bad_requests() {
+        let _quiesce = quiesce();
         let stats = with_server(ServerConfig::default(), "body", |addr| {
             let resp =
                 client::request(addr, &sweep("fig6"), Duration::from_secs(5)).expect("sweep");
@@ -442,6 +450,7 @@ mod tests {
 
     #[test]
     fn draining_rejects_new_sweeps_with_shutting_down() {
+        let _quiesce = quiesce();
         with_server(ServerConfig::default(), "body", |addr| {
             let resp = client::request(addr, &Request::Shutdown, Duration::from_secs(5))
                 .expect("shutdown");
@@ -458,6 +467,7 @@ mod tests {
 
     #[test]
     fn admission_control_sheds_load_with_a_structured_response() {
+        let _quiesce = quiesce();
         // A handler that blocks until released, so the in-flight
         // budget is provably spent when the shed probe arrives.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
@@ -509,6 +519,7 @@ mod tests {
 
     #[test]
     fn concurrent_identical_requests_coalesce_to_one_computation() {
+        let _quiesce = quiesce();
         let computations = Arc::new(AtomicUsize::new(0));
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let (h_comp, h_gate) = (Arc::clone(&computations), Arc::clone(&gate));

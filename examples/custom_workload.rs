@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if pbs {
             cfg = cfg.with_pbs();
         }
-        let r = simulate(program, &cfg)?;
+        let r = Simulation::default().run(program, &cfg)?;
         println!(
             "{:<34} {:>8.3} {:>8.3} {:>12}",
             label,

@@ -32,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // Dynamic story: PBS handles it via the Context-Table's Function-PC.
-    let base = simulate(&program, &SimConfig::default())?;
-    let pbs = simulate(&program, &SimConfig::default().with_pbs())?;
+    let base = Simulation::default().run(&program, &SimConfig::default())?;
+    let pbs = Simulation::default().run(&program, &SimConfig::default().with_pbs())?;
 
     let (reward_base, best_base) = (base.output(0)[0], base.output(0)[1]);
     let (reward_pbs, best_pbs) = (pbs.output(0)[0], pbs.output(0)[1]);

@@ -59,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One timing run to show the branch-predictor story.
     let g = Genetic::new(Scale::Bench, 1000);
-    let base = simulate(&g.program(), &SimConfig::default())?;
-    let pbs = simulate(&g.program(), &SimConfig::default().with_pbs())?;
+    let base = Simulation::default().run(&g.program(), &SimConfig::default())?;
+    let pbs = Simulation::default().run(&g.program(), &SimConfig::default().with_pbs())?;
     println!();
     println!(
         "MPKI {:.2} -> {:.2}, IPC {:.2} -> {:.2} with PBS",

@@ -25,7 +25,7 @@ fn run(name: &str, program: &probranch::isa::Program) -> Result<(), Box<dyn std:
         if pbs {
             cfg = cfg.with_pbs();
         }
-        let r = simulate(program, &cfg)?;
+        let r = Simulation::default().run(program, &cfg)?;
         if label == "tournament" {
             baseline_cycles = r.timing.cycles;
         }

@@ -49,9 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Baseline: the probabilistic branch is ~50/50 — the TAGE-SC-L
     // predictor cannot learn it.
-    let base = simulate(&program, &SimConfig::default())?;
+    let base = Simulation::default().run(&program, &SimConfig::default())?;
     // PBS: fetch follows the recorded outcome of the previous execution.
-    let pbs = simulate(&program, &SimConfig::default().with_pbs())?;
+    let pbs = Simulation::default().run(&program, &SimConfig::default().with_pbs())?;
 
     println!("heads (baseline): {}", base.output(0)[0]);
     println!("heads (PBS):      {}", pbs.output(0)[0]);

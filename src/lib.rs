@@ -34,8 +34,8 @@
 //!
 //! // Build the paper's PI workload and simulate it with and without PBS.
 //! let pi = Pi::new(Scale::Smoke, 42);
-//! let base = simulate(&pi.program(), &SimConfig::default())?;
-//! let pbs = simulate(&pi.program(), &SimConfig::default().with_pbs())?;
+//! let base = Simulation::default().run(&pi.program(), &SimConfig::default())?;
+//! let pbs = Simulation::default().run(&pi.program(), &SimConfig::default().with_pbs())?;
 //! assert!(pbs.timing.mpki() < base.timing.mpki());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -59,8 +59,7 @@ pub mod prelude {
     pub use probranch_harness::{run_cells, Cell, Jobs};
     pub use probranch_isa::{CmpOp, Inst, Program, ProgramBuilder, Reg};
     pub use probranch_pipeline::{
-        run_functional, simulate, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport,
-        Simulation,
+        run_functional, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation,
     };
     pub use probranch_predictor::{BranchPredictor, TageScL, Tournament};
     pub use probranch_workloads::{

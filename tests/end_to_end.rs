@@ -13,7 +13,8 @@ fn every_workload_runs_under_all_four_configurations() {
                 if pbs {
                     cfg = cfg.with_pbs();
                 }
-                let r = simulate(&program, &cfg)
+                let r = Simulation::default()
+                    .run(&program, &cfg)
                     .unwrap_or_else(|e| panic!("{} {predictor:?} pbs={pbs}: {e}", b.name()));
                 assert!(r.timing.instructions > 1000, "{}", b.name());
                 assert!(r.timing.ipc() > 0.05, "{}", b.name());
@@ -26,8 +27,12 @@ fn every_workload_runs_under_all_four_configurations() {
 fn pbs_reduces_mpki_on_every_workload_with_tage() {
     for b in all_benchmarks(Scale::Smoke, 3) {
         let program = b.program();
-        let base = simulate(&program, &SimConfig::default()).unwrap();
-        let pbs = simulate(&program, &SimConfig::default().with_pbs()).unwrap();
+        let base = Simulation::default()
+            .run(&program, &SimConfig::default())
+            .unwrap();
+        let pbs = Simulation::default()
+            .run(&program, &SimConfig::default().with_pbs())
+            .unwrap();
         assert!(
             pbs.timing.mpki() <= base.timing.mpki() + 0.01,
             "{}: base {:.3} vs pbs {:.3}",
@@ -58,22 +63,24 @@ fn paper_headline_tournament_pbs_beats_plain_tage_on_average() {
     let mut tour_pbs_cycles = 0u64;
     for b in all_benchmarks(Scale::Smoke, 5) {
         let program = b.program();
-        tage_cycles += simulate(
-            &program,
-            &SimConfig::default().predictor(PredictorChoice::TageScL),
-        )
-        .unwrap()
-        .timing
-        .cycles;
-        tour_pbs_cycles += simulate(
-            &program,
-            &SimConfig::default()
-                .predictor(PredictorChoice::Tournament)
-                .with_pbs(),
-        )
-        .unwrap()
-        .timing
-        .cycles;
+        tage_cycles += Simulation::default()
+            .run(
+                &program,
+                &SimConfig::default().predictor(PredictorChoice::TageScL),
+            )
+            .unwrap()
+            .timing
+            .cycles;
+        tour_pbs_cycles += Simulation::default()
+            .run(
+                &program,
+                &SimConfig::default()
+                    .predictor(PredictorChoice::Tournament)
+                    .with_pbs(),
+            )
+            .unwrap()
+            .timing
+            .cycles;
     }
     assert!(
         tour_pbs_cycles < tage_cycles,
@@ -97,12 +104,12 @@ fn wider_core_gets_larger_pbs_benefit() {
                 core: cfgs.clone(),
                 ..SimConfig::default()
             };
-            let base = simulate(&program, &base_cfg).unwrap();
+            let base = Simulation::default().run(&program, &base_cfg).unwrap();
             let pbs_cfg = SimConfig {
                 core: cfgs,
                 ..SimConfig::default().with_pbs()
             };
-            let pbs = simulate(&program, &pbs_cfg).unwrap();
+            let pbs = Simulation::default().run(&program, &pbs_cfg).unwrap();
             *acc += base.timing.cycles as f64 / pbs.timing.cycles as f64;
         }
     }
@@ -120,8 +127,12 @@ fn binary_round_trip_preserves_simulation_results() {
     let program = b.program();
     let image = probranch::isa::encode(&program);
     let decoded = probranch::isa::Program::new(probranch::isa::decode(&image).unwrap()).unwrap();
-    let r1 = simulate(&program, &SimConfig::default().with_pbs()).unwrap();
-    let r2 = simulate(&decoded, &SimConfig::default().with_pbs()).unwrap();
+    let r1 = Simulation::default()
+        .run(&program, &SimConfig::default().with_pbs())
+        .unwrap();
+    let r2 = Simulation::default()
+        .run(&decoded, &SimConfig::default().with_pbs())
+        .unwrap();
     assert_eq!(r1.timing, r2.timing);
     assert_eq!(r1.output(0), r2.output(0));
 }
@@ -162,8 +173,12 @@ fn determinism_across_identical_runs() {
     // when given the same initial random seed."
     let b = Photon::new(Scale::Smoke, 11);
     let program = b.program();
-    let r1 = simulate(&program, &SimConfig::default().with_pbs()).unwrap();
-    let r2 = simulate(&program, &SimConfig::default().with_pbs()).unwrap();
+    let r1 = Simulation::default()
+        .run(&program, &SimConfig::default().with_pbs())
+        .unwrap();
+    let r2 = Simulation::default()
+        .run(&program, &SimConfig::default().with_pbs())
+        .unwrap();
     assert_eq!(r1.timing, r2.timing);
     assert_eq!(r1.prob_consumed, r2.prob_consumed);
     assert_eq!(r1.outputs, r2.outputs);
@@ -172,7 +187,9 @@ fn determinism_across_identical_runs() {
 #[test]
 fn pbs_unit_stats_are_consistent_with_timing_stats() {
     let b = Greeks::new(Scale::Smoke, 5);
-    let r = simulate(&b.program(), &SimConfig::default().with_pbs()).unwrap();
+    let r = Simulation::default()
+        .run(&b.program(), &SimConfig::default().with_pbs())
+        .unwrap();
     let pbs = r.pbs.expect("PBS attached");
     assert_eq!(
         pbs.directed, r.timing.pbs_directed,

@@ -1,18 +1,19 @@
-//! Engine-equivalence suite: the fused/predecoded engine (`simulate`),
-//! the unfused reference engine (`simulate_reference`) and the
-//! shared-trace replay engines (`DynTrace::capture` + `simulate_replay`,
-//! and the chunk-streaming `simulate_convoy`) must all produce
-//! **identical** `SimReport`s — timing statistics, PBS counters,
-//! outputs, the consumed probabilistic-value stream, and the per-branch
-//! trace — for every workload of the golden/determinism suites, under
-//! every machine configuration the paper sweeps. Error paths included:
-//! the instruction budget trips at the same dynamic instruction in
-//! every engine.
+//! Engine-equivalence suite: the shared-trace replay engine
+//! (`DynTrace::capture` + `Simulation::replay`, and the chunk-streaming
+//! `EngineKind::Convoy`) must produce an **identical** `SimReport` to the
+//! per-instruction reference engine (`EngineKind::Reference`) — timing
+//! statistics, PBS counters, outputs, the consumed probabilistic-value
+//! stream, and the per-branch trace — for every workload of the
+//! golden/determinism suites, under every machine configuration the
+//! paper sweeps. Error paths included: the instruction budget trips at
+//! the same dynamic instruction in every engine.
 //!
-//! The suite exercises both API generations: the legacy free functions
-//! above (now thin wrappers) and the `Simulation`/`EngineKind` entry
-//! type they forward to — including the batched-prediction replay drain
-//! that `EngineKind::Replay` runs through `predict_update_batch`.
+//! The reference engine shares the timing core with replay but not the
+//! capture path: it runs the `Inst`-interpreting emulator against a
+//! live memory hierarchy and consults a `Box<dyn BranchPredictor>`
+//! serially per branch, where replay pre-simulates the hierarchy at
+//! capture and batch-predicts each chunk through
+//! `predict_update_batch`.
 //!
 //! The comparison sweeps run through the parallel experiment harness
 //! with default jobs, so the CI matrix (PROBRANCH_JOBS=1 vs default)
@@ -20,10 +21,10 @@
 //! both serially and in parallel.
 
 use probranch::harness::{run_cells, workload_seed, Cell, Jobs};
+use probranch::isa::Program;
 use probranch::pbs::PbsConfig;
 use probranch::pipeline::{
-    simulate, simulate_convoy, simulate_reference, simulate_replay, simulate_replay_convoy,
-    DynTrace, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation,
+    DynTrace, EmuError, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation,
 };
 use probranch::workloads::{BenchmarkId, Scale};
 
@@ -44,34 +45,40 @@ fn config_for(cell: &Cell, core: OooConfig, trace: bool) -> SimConfig {
     cfg
 }
 
-/// Runs the replay engine (capture once, replay once) for `cfg`.
-fn replayed(program: &probranch::isa::Program, cfg: &SimConfig) -> SimReport {
-    let trace = DynTrace::capture(program, cfg).expect("capture");
-    simulate_replay(&trace, cfg).expect("replay")
+fn reference(program: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
+    Simulation::new(EngineKind::Reference).run(program, cfg)
 }
 
-fn assert_reports_equal(cell: &Cell, fused: &SimReport, reference: &SimReport) {
+/// Runs the replay engine (capture once, replay once) for `cfg`.
+fn replayed(program: &Program, cfg: &SimConfig) -> SimReport {
+    let trace = DynTrace::capture(program, cfg).expect("capture");
+    Simulation::default().replay(&trace, cfg).expect("replay")
+}
+
+fn assert_reports_equal(cell: &Cell, replay: &SimReport, reference: &SimReport) {
     // Field-by-field first, so a drift names the diverging component…
-    assert_eq!(fused.timing, reference.timing, "timing drift on {cell:?}");
-    assert_eq!(fused.pbs, reference.pbs, "PBS-counter drift on {cell:?}");
-    assert_eq!(fused.outputs, reference.outputs, "output drift on {cell:?}");
+    assert_eq!(replay.timing, reference.timing, "timing drift on {cell:?}");
+    assert_eq!(replay.pbs, reference.pbs, "PBS-counter drift on {cell:?}");
     assert_eq!(
-        fused.prob_consumed, reference.prob_consumed,
+        replay.outputs, reference.outputs,
+        "output drift on {cell:?}"
+    );
+    assert_eq!(
+        replay.prob_consumed, reference.prob_consumed,
         "consumed-stream drift on {cell:?}"
     );
     assert_eq!(
-        fused.branch_trace, reference.branch_trace,
+        replay.branch_trace, reference.branch_trace,
         "branch-trace drift on {cell:?}"
     );
     // …then the whole report, so no future field escapes the net.
-    assert_eq!(fused, reference, "report drift on {cell:?}");
+    assert_eq!(replay, reference, "report drift on {cell:?}");
 }
 
 /// Every benchmark × {tournament, TAGE-SC-L} × {PBS off, on} on the
 /// default 4-wide core — the fig6/fig7 grid the determinism suite runs.
-#[test]
-fn fused_engine_matches_reference_on_the_fig6_grid() {
-    let cells: Vec<Cell> = BenchmarkId::ALL
+fn fig6_grid() -> Vec<Cell> {
+    BenchmarkId::ALL
         .iter()
         .flat_map(|&w| {
             [
@@ -82,7 +89,14 @@ fn fused_engine_matches_reference_on_the_fig6_grid() {
             ]
             .map(|(p, pbs)| Cell::new(w, p, pbs, 0))
         })
-        .collect();
+        .collect()
+}
+
+/// A materialized capture, replayed once, against the reference engine
+/// on the fig6 grid — compared field by field.
+#[test]
+fn replay_engine_matches_reference_on_the_fig6_grid() {
+    let cells = fig6_grid();
     let outcomes = run_cells(&cells, Jobs::default(), |cell| {
         let program = cell
             .workload
@@ -90,39 +104,23 @@ fn fused_engine_matches_reference_on_the_fig6_grid() {
             .program();
         let cfg = config_for(cell, OooConfig::default(), false);
         (
-            simulate(&program, &cfg).expect("fused"),
-            simulate_reference(&program, &cfg).expect("reference"),
             replayed(&program, &cfg),
+            reference(&program, &cfg).expect("reference"),
         )
     });
-    for (cell, (fused, reference, replay)) in cells.iter().zip(&outcomes) {
-        assert_reports_equal(cell, fused, reference);
-        assert_eq!(fused, replay, "replay drift on {cell:?}");
+    for (cell, (replay, reference)) in cells.iter().zip(&outcomes) {
+        assert_reports_equal(cell, replay, reference);
     }
 }
 
-/// The redesigned `Simulation` entry point: all four `EngineKind`s —
-/// including the default batched replay engine, whose consumers
-/// pre-predict every chunk through `predict_update_batch` — must
-/// produce the same report on the full fig6 grid. The TAGE-SC-L cells
-/// are the load-bearing ones: they pin the history-parallel batched
-/// TAGE path byte-identical to the serial predictions the live fused
-/// and reference engines make.
+/// The `Simulation` entry point under every `EngineKind` on the fig6
+/// grid. The TAGE-SC-L cells are the load-bearing ones: they pin the
+/// history-parallel batched TAGE path of replay byte-identical to the
+/// serial predictions the reference engine makes.
 #[test]
 fn simulation_api_engines_agree_on_the_fig6_grid() {
     assert_eq!(Simulation::default().engine(), EngineKind::Replay);
-    let cells: Vec<Cell> = BenchmarkId::ALL
-        .iter()
-        .flat_map(|&w| {
-            [
-                (PredictorChoice::Tournament, false),
-                (PredictorChoice::Tournament, true),
-                (PredictorChoice::TageScL, false),
-                (PredictorChoice::TageScL, true),
-            ]
-            .map(|(p, pbs)| Cell::new(w, p, pbs, 0))
-        })
-        .collect();
+    let cells = fig6_grid();
     let outcomes = run_cells(&cells, Jobs::default(), |cell| {
         let program = cell
             .workload
@@ -133,7 +131,7 @@ fn simulation_api_engines_agree_on_the_fig6_grid() {
             EngineKind::ALL.map(|engine| Simulation::new(engine).run(&program, &cfg).expect("run"));
         // `Simulation::replay` is engine-independent by design: a trace
         // fixes the branch stream, so every engine re-times it the same
-        // way. Pin that with a capture replayed under all four kinds.
+        // way. Pin that with a capture replayed under every kind.
         let trace = DynTrace::capture(&program, &cfg).expect("capture");
         let replays = EngineKind::ALL.map(|engine| {
             Simulation::new(engine)
@@ -143,8 +141,7 @@ fn simulation_api_engines_agree_on_the_fig6_grid() {
         (reports, replays)
     });
     for (cell, (reports, replays)) in cells.iter().zip(&outcomes) {
-        let [replay, convoy, fused, reference] = reports;
-        assert_eq!(replay, fused, "batched replay vs fused drift on {cell:?}");
+        let [replay, convoy, reference] = reports;
         assert_eq!(
             replay, reference,
             "batched replay vs reference drift on {cell:?}"
@@ -158,7 +155,7 @@ fn simulation_api_engines_agree_on_the_fig6_grid() {
 
 /// One trace per (workload, PBS) emulation key must serve *every*
 /// predictor and filter configuration — including a convoy draining all
-/// of them in lockstep from a single streamed capture.
+/// of them from a single streamed capture.
 #[test]
 fn one_trace_serves_every_timing_configuration() {
     let keys: Vec<Cell> = BenchmarkId::ALL
@@ -185,39 +182,33 @@ fn one_trace_serves_every_timing_configuration() {
             [plain, filtered]
         })
         .collect();
-        let fused: Vec<SimReport> = configs
-            .iter()
-            .map(|cfg| simulate(&program, cfg).expect("fused"))
-            .collect();
+        let direct = Simulation::new(EngineKind::Reference)
+            .run_many(&program, &configs)
+            .expect("reference");
         // Mode (a): one materialized trace, one replay per config.
         let trace = DynTrace::capture(&program, &configs[0]).expect("capture");
-        let replays: Vec<SimReport> = configs
-            .iter()
-            .map(|cfg| simulate_replay(&trace, cfg).expect("replay"))
-            .collect();
-        // Mode (b): one streamed fused convoy over all configs in
-        // lockstep (k = 8 exercises the arbitrary-k fallback loop).
-        let convoy = simulate_convoy(&program, &configs).expect("convoy");
-        // Mode (c): the same fused convoy over the materialized trace.
-        let replay_convoy = simulate_replay_convoy(&trace, &configs).expect("replay convoy");
-        (fused, replays, convoy, replay_convoy)
+        let replays = Simulation::default()
+            .replay_many(&trace, &configs)
+            .expect("replay");
+        // Mode (b): one streamed convoy over all eight configs.
+        let convoy = Simulation::new(EngineKind::Convoy)
+            .run_many(&program, &configs)
+            .expect("convoy");
+        (direct, replays, convoy)
     });
-    for (key, (fused, replays, convoy, replay_convoy)) in keys.iter().zip(&outcomes) {
-        assert_eq!(fused, replays, "shared-trace replay drift on {key:?}");
-        assert_eq!(fused, convoy, "convoy drift on {key:?}");
-        assert_eq!(fused, replay_convoy, "replay-convoy drift on {key:?}");
+    for (key, (direct, replays, convoy)) in keys.iter().zip(&outcomes) {
+        assert_eq!(direct, replays, "shared-trace replay drift on {key:?}");
+        assert_eq!(direct, convoy, "convoy drift on {key:?}");
     }
 }
 
-/// The fused two-consumer convoy — the monomorphized-per-predictor-pair
-/// loop the Figure 9 sweep and the figure grids drain — must equal `k`
-/// independent `simulate_replay` runs for **every predictor pair** of
+/// The streamed two-consumer convoy — the shape the Figure 9 sweep
+/// drains for seeds no other figure pools — must equal independent
+/// replays, and the reference engine, for **every predictor pair** of
 /// the fig9 grid (each predictor against itself and every other, with
-/// the second consumer in the filtered mode), both streamed
-/// (`simulate_convoy`) and over a materialized trace
-/// (`simulate_replay_convoy`).
+/// the second consumer in the filtered mode).
 #[test]
-fn fused_pair_convoy_matches_independent_replays_for_every_predictor_pair() {
+fn streamed_convoy_matches_independent_replays_for_every_predictor_pair() {
     const PREDICTORS: [PredictorChoice; 4] = [
         PredictorChoice::Tournament,
         PredictorChoice::TageScL,
@@ -237,31 +228,32 @@ fn fused_pair_convoy_matches_independent_replays_for_every_predictor_pair() {
         let mut filtered = SimConfig::default().predictor(b);
         filtered.filter_prob_from_predictor = true;
         let pair = [unfiltered, filtered];
-        let independent: Vec<SimReport> = pair
+        let direct: Vec<SimReport> = pair
             .iter()
-            .map(|cfg| simulate(&program, cfg).expect("fused"))
+            .map(|cfg| reference(&program, cfg).expect("reference"))
             .collect();
-        let streamed = simulate_convoy(&program, &pair).expect("streamed convoy");
+        let streamed = Simulation::new(EngineKind::Convoy)
+            .run_many(&program, &pair)
+            .expect("streamed convoy");
         let trace = DynTrace::capture(&program, &pair[0]).expect("capture");
-        let materialized = simulate_replay_convoy(&trace, &pair).expect("replay convoy");
-        (independent, streamed, materialized)
+        let independent = Simulation::default()
+            .replay_many(&trace, &pair)
+            .expect("replays");
+        (direct, streamed, independent)
     });
-    for ((a, b), (independent, streamed, materialized)) in pairs.iter().zip(&outcomes) {
+    for ((a, b), (direct, streamed, independent)) in pairs.iter().zip(&outcomes) {
         assert_eq!(
             independent, streamed,
             "streamed pair-convoy drift for {a:?}/{b:?}"
         );
-        assert_eq!(
-            independent, materialized,
-            "materialized pair-convoy drift for {a:?}/{b:?}"
-        );
+        assert_eq!(direct, independent, "replay drift for {a:?}/{b:?}");
     }
 }
 
 /// The golden-trace workloads with branch tracing enabled: the traces —
 /// the predictor's observable behaviour — must match entry for entry.
 #[test]
-fn fused_engine_matches_reference_traces_on_golden_workloads() {
+fn replay_engine_matches_reference_traces_on_golden_workloads() {
     let cells = [
         Cell::new(BenchmarkId::Pi, PredictorChoice::TageScL, false, 0),
         Cell::new(BenchmarkId::Bandit, PredictorChoice::Tournament, false, 0),
@@ -272,29 +264,23 @@ fn fused_engine_matches_reference_traces_on_golden_workloads() {
         let program = cell.workload.build(Scale::Smoke, GOLDEN_SEED).program();
         let cfg = config_for(cell, OooConfig::default(), true);
         (
-            simulate(&program, &cfg).expect("fused"),
-            simulate_reference(&program, &cfg).expect("reference"),
             replayed(&program, &cfg),
+            reference(&program, &cfg).expect("reference"),
         )
     });
-    for (cell, (fused, reference, replay)) in cells.iter().zip(&outcomes) {
+    for (cell, (replay, reference)) in cells.iter().zip(&outcomes) {
         assert!(
-            !fused.branch_trace.is_empty(),
+            !reference.branch_trace.is_empty(),
             "trace must be populated for {cell:?}"
         );
-        assert_reports_equal(cell, fused, reference);
-        assert_eq!(
-            fused.branch_trace, replay.branch_trace,
-            "replayed branch-trace drift on {cell:?}"
-        );
-        assert_eq!(fused, replay, "replay drift on {cell:?}");
+        assert_reports_equal(cell, replay, reference);
     }
 }
 
 /// The wide (8-wide / 256-ROB) core, the static predictors, and the
 /// Figure 9 filter mode — the remaining machine axes.
 #[test]
-fn fused_engine_matches_reference_on_remaining_machine_axes() {
+fn replay_engine_matches_reference_on_remaining_machine_axes() {
     let program = BenchmarkId::Photon
         .build(Scale::Smoke, workload_seed(BenchmarkId::Photon, 1))
         .program();
@@ -319,15 +305,9 @@ fn fused_engine_matches_reference_on_remaining_machine_axes() {
             if pbs {
                 cfg.pbs = Some(PbsConfig::default());
             }
-            let fused = simulate(&program, &cfg).expect("fused");
-            let reference = simulate_reference(&program, &cfg).expect("reference");
             assert_eq!(
-                fused, reference,
-                "report drift: {predictor:?}, filter={filter}, pbs={pbs}"
-            );
-            assert_eq!(
-                fused,
                 replayed(&program, &cfg),
+                reference(&program, &cfg).expect("reference"),
                 "replay drift: {predictor:?}, filter={filter}, pbs={pbs}"
             );
         }
@@ -346,28 +326,31 @@ fn engines_match_on_instruction_limits() {
             max_insts,
             ..SimConfig::default()
         };
-        let fused = simulate(&program, &cfg);
-        let reference = simulate_reference(&program, &cfg);
-        assert_eq!(fused, reference, "limit {max_insts}");
-        assert!(fused.is_err(), "limit {max_insts} must trip");
+        let direct = reference(&program, &cfg);
+        assert!(direct.is_err(), "limit {max_insts} must trip");
+        assert_eq!(
+            Simulation::default().run(&program, &cfg),
+            direct,
+            "replay limit {max_insts}"
+        );
         // Capture under the same budget errors identically…
         let captured = DynTrace::capture(&program, &cfg);
         assert_eq!(
             captured.as_ref().err(),
-            fused.as_ref().err(),
+            direct.as_ref().err(),
             "capture limit {max_insts}"
         );
         // …and a convoy propagates it to every cell.
-        let convoy = simulate_convoy(&program, std::slice::from_ref(&cfg));
+        let convoy =
+            Simulation::new(EngineKind::Convoy).run_many(&program, std::slice::from_ref(&cfg));
         assert_eq!(
             convoy.err(),
-            fused.clone().err(),
+            direct.clone().err(),
             "convoy limit {max_insts}"
         );
     }
     // A completed trace replayed under budgets at/below its length must
-    // return the same error the live engines would — through the
-    // single-consumer replay and the fused replay-convoy alike.
+    // return the same error the reference engine would.
     let full = DynTrace::capture(&program, &SimConfig::default()).expect("capture");
     for max_insts in [1, full.instructions(), full.instructions() + 1] {
         let cfg = SimConfig {
@@ -375,15 +358,9 @@ fn engines_match_on_instruction_limits() {
             ..SimConfig::default()
         };
         assert_eq!(
-            simulate_replay(&full, &cfg),
-            simulate(&program, &cfg),
+            Simulation::default().replay(&full, &cfg),
+            reference(&program, &cfg),
             "replay limit {max_insts}"
-        );
-        assert_eq!(
-            simulate_replay_convoy(&full, std::slice::from_ref(&cfg))
-                .map(|mut v| v.pop().expect("one report")),
-            simulate(&program, &cfg),
-            "replay-convoy limit {max_insts}"
         );
     }
 }

@@ -12,7 +12,7 @@
 //! git diff tests/golden/   # review the drift before committing it
 //! ```
 
-use probranch::pipeline::{simulate, BranchTraceEntry, PredictorChoice, SimConfig};
+use probranch::pipeline::{BranchTraceEntry, PredictorChoice, SimConfig, Simulation};
 use probranch::workloads::{BenchmarkId, Scale};
 
 /// Fixed workload seed: golden files pin one exact dynamic stream.
@@ -29,7 +29,9 @@ fn trace_of(id: BenchmarkId, predictor: PredictorChoice) -> Vec<BranchTraceEntry
         collect_branch_trace: true,
         ..SimConfig::default()
     };
-    let report = simulate(&bench.program(), &cfg).expect("golden workload simulates");
+    let report = Simulation::default()
+        .run(&bench.program(), &cfg)
+        .expect("golden workload simulates");
     assert!(
         report.branch_trace.len() > PREFIX,
         "{id:?}: trace too short ({}) to be a meaningful golden",
@@ -144,6 +146,8 @@ fn golden_trace_is_reproducible_in_process() {
 #[test]
 fn trace_collection_is_off_by_default() {
     let bench = BenchmarkId::Pi.build(Scale::Smoke, GOLDEN_SEED);
-    let report = simulate(&bench.program(), &SimConfig::default()).expect("sim");
+    let report = Simulation::default()
+        .run(&bench.program(), &SimConfig::default())
+        .expect("sim");
     assert!(report.branch_trace.is_empty());
 }

@@ -9,7 +9,9 @@ fn run_with(pbs: PbsConfig, bench: &dyn Benchmark) -> probranch::pipeline::SimRe
         pbs: Some(pbs),
         ..SimConfig::default()
     };
-    simulate(&bench.program(), &cfg).unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
+    Simulation::default()
+        .run(&bench.program(), &cfg)
+        .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
 }
 
 #[test]

@@ -8,11 +8,17 @@ use probranch::isa::{
 };
 use probranch::pbs::{BranchResolution, PbsConfig, PbsUnit};
 use probranch::pipeline::{
-    simulate, simulate_replay, simulate_replay_convoy, with_capture_tier, BranchEvent,
-    BranchEventKind, Cache, CaptureTier, DynTrace, EmuConfig, Emulator, ExecLatencies, OooConfig,
-    PredictorChoice, ReplayRec, SimConfig, TraceChunk,
+    with_capture_tier, BranchEvent, BranchEventKind, Cache, CaptureTier, DynTrace, EmuConfig,
+    EmuError, Emulator, EngineKind, ExecLatencies, OooConfig, PredictorChoice, ReplayRec,
+    SimConfig, SimReport, Simulation, TraceChunk,
 };
 use probranch::predictor::{BranchPredictor, TageScL, Tournament};
+
+/// The reference engine: the per-instruction oracle the trace engines
+/// are checked against.
+fn reference(program: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
+    Simulation::new(EngineKind::Reference).run(program, cfg)
+}
 
 fn reg_strategy() -> impl Strategy<Value = Reg> {
     (0u32..32).prop_map(|i| Reg::new(i).unwrap())
@@ -240,7 +246,7 @@ proptest! {
         // machine configuration, capturing the dynamic trace once and
         // re-timing it produces the *identical* `SimReport` (timing,
         // outputs, `prob_consumed`, `branch_trace`) — or the identical
-        // error — as the fused engine simulating directly. And all
+        // error — as the reference engine simulating directly. And all
         // three capture tiers — native fragments, block-compiled,
         // decoded interpreter — must capture the identical trace,
         // error paths (`InstLimitExceeded` at the same dynamic trip
@@ -250,7 +256,7 @@ proptest! {
         // rare-op fallbacks (`prob_cmp`/`prob_jmp`/`out`) and block
         // terminators.
         let program = replay_workload(iters);
-        let direct = simulate(&program, &cfg);
+        let direct = reference(&program, &cfg);
         let interp =
             with_capture_tier(CaptureTier::Interp, || DynTrace::capture(&program, &cfg));
         let block = with_capture_tier(CaptureTier::Block, || DynTrace::capture(&program, &cfg));
@@ -258,7 +264,7 @@ proptest! {
             with_capture_tier(CaptureTier::Generated, || DynTrace::capture(&program, &cfg));
         prop_assert_eq!(&block, &interp);
         prop_assert_eq!(&generated, &interp);
-        let via_trace = interp.and_then(|trace| simulate_replay(&trace, &cfg));
+        let via_trace = interp.and_then(|trace| Simulation::default().replay(&trace, &cfg));
         prop_assert_eq!(via_trace, direct);
     }
 
@@ -286,7 +292,7 @@ proptest! {
         let block = with_capture_tier(CaptureTier::Block, || DynTrace::capture(&program, &cfg));
         prop_assert_eq!(&block, &interp);
         prop_assert!(block.is_err());
-        prop_assert_eq!(block.err(), simulate(&program, &cfg).err());
+        prop_assert_eq!(block.err(), reference(&program, &cfg).err());
     }
 
     #[test]
@@ -328,8 +334,8 @@ proptest! {
         let program = replay_workload(iters);
         match DynTrace::capture(&program, &cfg) {
             Err(e) => {
-                // Error paths agree with the fused engine…
-                prop_assert_eq!(Err(e), simulate(&program, &cfg).map(|_| ()));
+                // Error paths agree with the reference engine…
+                prop_assert_eq!(Err(e), reference(&program, &cfg).map(|_| ()));
             }
             Ok(trace) => {
                 let total: usize = trace.chunks().iter().map(TraceChunk::len).sum();
@@ -355,10 +361,10 @@ proptest! {
         // The zero-copy load invariant of the v2 trace store: for any
         // capturable configuration, persisting a trace and loading it
         // back memory-mapped yields a `DynTrace` equal to the fully
-        // owned decode of the same file, and every engine consuming the
-        // mapped chunks — single replay and multi-consumer convoy —
-        // returns byte-identical reports to the freshly captured,
-        // fully owned trace.
+        // owned decode of the same file, and replays of the mapped
+        // chunks — one configuration or several sharing the map —
+        // return byte-identical reports to the freshly captured, fully
+        // owned trace.
         let program = replay_workload(iters);
         // Budget-tripping configs have no trace to persist; the error
         // agreement is covered by the capture round-trip test above.
@@ -380,18 +386,16 @@ proptest! {
         };
         prop_assert_eq!(&mapped, &owned);
         prop_assert_eq!(&mapped, &trace);
-        prop_assert_eq!(simulate_replay(&mapped, &cfg), simulate_replay(&trace, &cfg));
-        // Convoy over mapped chunks: two consumers sharing the map.
+        let sim = Simulation::default();
+        prop_assert_eq!(sim.replay(&mapped, &cfg), sim.replay(&trace, &cfg));
+        // Two configurations replaying the one map.
         let mut other = cfg.clone();
         other.predictor = match cfg.predictor {
             PredictorChoice::Tournament => PredictorChoice::TageScL,
             _ => PredictorChoice::Tournament,
         };
         let configs = [cfg.clone(), other];
-        prop_assert_eq!(
-            simulate_replay_convoy(&mapped, &configs),
-            simulate_replay_convoy(&trace, &configs)
-        );
+        prop_assert_eq!(sim.replay_many(&mapped, &configs), sim.replay_many(&trace, &configs));
     }
 
     #[test]
@@ -507,7 +511,7 @@ proptest! {
         // cycles >= instructions / width: the core cannot beat its width.
         let pi = probranch::workloads::Pi { samples: iters, seed: 7 };
         use probranch::workloads::Benchmark;
-        let r = probranch::pipeline::simulate(&pi.program(), &SimConfig::default()).unwrap();
+        let r = Simulation::default().run(&pi.program(), &SimConfig::default()).unwrap();
         prop_assert!(r.timing.cycles >= r.timing.instructions / 4);
     }
 }

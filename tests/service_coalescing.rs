@@ -2,7 +2,8 @@
 //! identical requests through one served [`experiments::Context`] must
 //! produce byte-identical bodies, match the in-process rendering
 //! exactly, and — the shared-pool invariant — perform no more captures
-//! than a single request would.
+//! than a single request would. Requests naming an engine the service
+//! does not run are rejected before any work.
 
 use std::time::Duration;
 
@@ -108,4 +109,29 @@ fn expired_deadlines_cancel_instead_of_running_the_sweep() {
         }
         other => panic!("a 0ms deadline must cancel the sweep, got {other:?}"),
     }
+}
+
+#[test]
+fn removed_engine_names_are_bad_requests() {
+    let ctx = experiments::Context::new();
+    let handler = service::sweep_handler(&ctx, Jobs::new(2));
+    for engine in ["fused", "convoy"] {
+        let req = SweepRequest {
+            section: "fig1".into(),
+            scale: "smoke".into(),
+            engine: engine.into(),
+            jobs: Some(2),
+            deadline_ms: None,
+        };
+        match handler(&req) {
+            SweepOutcome::BadRequest(msg) => {
+                assert!(
+                    msg.contains(engine),
+                    "the error must name `{engine}`: {msg}"
+                );
+            }
+            other => panic!("engine `{engine}` must be rejected, got {other:?}"),
+        }
+    }
+    assert_eq!(ctx.captures(), 0, "a rejected request runs nothing");
 }
