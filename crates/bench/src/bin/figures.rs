@@ -4,8 +4,8 @@
 //! cargo run -p probranch-bench --bin figures --release -- --scale bench --jobs 8
 //! ```
 //!
-//! Scales: `smoke` (under half a second), `bench` (default, 5–6 s with
-//! one worker), `paper` (figure-quality, 23–33 s with one worker),
+//! Scales: `smoke` (about 0.3 s), `bench` (default, 2.7–3.3 s with
+//! one worker), `paper` (figure-quality, 15.7–16.1 s with one worker),
 //! measured on a 2-vCPU VM. The scale can also be set through the
 //! `PROBRANCH_SCALE` environment variable; the flag wins when both are
 //! given.
@@ -218,7 +218,7 @@ fn parse_args() -> Options {
 }
 
 fn usage(error: &str) -> ! {
-    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block, cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3). The first two attempts run the requested engine,\n        later ones the reference engine (all of them the requested\n        engine under --strict-traces).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_SCALE / PROBRANCH_JOBS; default: bench scale,\n        all cores; --jobs 0 also means all cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        Figure 9 streams the seeds no other figure uses through\n        bounded-memory convoys instead; reference re-simulates every\n        cell with the per-instruction oracle, for differential\n        debugging). Both print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool\n        (optional k/m/g suffix, e.g. 64m). Over budget, the coldest\n        pooled traces are demoted to their mmap-backed persisted form\n        (with --trace-dir) or evicted and re-captured on next use.\n        stdout stays byte-identical for any budget.\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines; SIGINT/SIGTERM or a `shutdown` request\n        drains in-flight sweeps, flushes pending demotions, prints the\n        service counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
+    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block, cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3). The first two attempts run the requested engine,\n        later ones the reference engine (all of them the requested\n        engine under --strict-traces).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_SCALE / PROBRANCH_JOBS; default: bench scale,\n        all cores; --jobs 0 also means all cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        Figures 1 and 9 print no cycle count and run only the batch\n        predictor, Figure 9 streaming the seeds no other figure uses\n        with bounded memory; reference re-simulates every\n        cell with the per-instruction oracle, for differential\n        debugging). Both print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool\n        (optional k/m/g suffix, e.g. 64m). Over budget, the coldest\n        pooled traces are demoted to their mmap-backed persisted form\n        (with --trace-dir) or evicted and re-captured on next use.\n        stdout stays byte-identical for any budget.\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines; SIGINT/SIGTERM or a `shutdown` request\n        drains in-flight sweeps, flushes pending demotions, prints the\n        service counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
     if error.is_empty() {
         println!("{text}");
         std::process::exit(0);
@@ -283,10 +283,6 @@ fn main() {
     let opts = parse_args();
     let scale = opts.scale;
     let jobs = opts.jobs.unwrap_or_else(Jobs::from_env);
-    // Single-worker runs stay single-threaded: the capture/drain
-    // overlap helper thread only spawns when the run is already
-    // parallel (PROBRANCH_CAPTURE_OVERLAP overrides either way).
-    probranch_pipeline::set_capture_overlap(jobs.get() > 1);
     let engine = opts.engine;
     let mut supervision = Supervision::default_robust();
     if let Some(r) = opts.cell_retries {

@@ -13,11 +13,16 @@
 //! emulation key instead of re-emulating the workload, through a
 //! run-wide [`EngineContext`] trace pool — Figures 1, 6, 7 and 8 sweep
 //! the *same* keys, so one `figures` invocation emulates each key
-//! exactly once, and Figure 9 replays pooled/persisted traces where its
-//! keys overlap, streaming each unfiltered/filtered pair through one
-//! bounded-memory convoy where they don't. The reference engine remains
-//! selectable for differential debugging (`figures --engine
-//! reference`); both engines produce byte-identical rows.
+//! exactly once. Only Figures 6, 7 and 8 run the out-of-order timing
+//! model. Figures 1 and 9 print branch counts and misprediction shares,
+//! which the batch predictor fixes before any timing walk, so they run
+//! the **predictor-only pass** ([`Simulation::replay_branches`],
+//! [`Simulation::run_branches`]): Figure 1 over its pooled traces, and
+//! Figure 9 over pooled or persisted traces where its keys have one and
+//! over one bounded-memory capture stream per unfiltered/filtered pair
+//! where they don't. The reference engine remains selectable for
+//! differential debugging (`figures --engine reference`); both engines
+//! produce byte-identical rows.
 
 use probranch_core::PbsConfig;
 use probranch_faults as faults;
@@ -26,8 +31,8 @@ use probranch_harness::{
     Jobs, Supervision,
 };
 use probranch_pipeline::{
-    run_functional, DynTrace, EmuError, OooConfig, PredictorChoice, SimConfig, SimReport,
-    Simulation,
+    run_functional, BranchStats, DynTrace, EmuError, OooConfig, PredictorChoice, SimConfig,
+    SimReport, Simulation,
 };
 use probranch_rng::SplitMix64;
 use probranch_stats::randomness::{run_battery, BatteryCounts};
@@ -38,11 +43,11 @@ use probranch_workloads::{BenchmarkId, HostRng, McInteg, Pi, Scale};
 /// Run-size selection for the whole harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExperimentScale {
-    /// Smoke runs: the full sweep in under half a second.
+    /// Smoke runs: the full sweep in about 0.3 s.
     Smoke,
-    /// Default: the full sweep in 5–6 s on one worker of a 2-vCPU VM.
+    /// Default: the full sweep in 2.7–3.3 s on one worker of a 2-vCPU VM.
     Bench,
-    /// Figure-quality runs: 23–33 s on one worker of the same VM.
+    /// Figure-quality runs: 15.7–16.1 s on one worker of the same VM.
     Paper,
 }
 
@@ -106,11 +111,11 @@ const MAX_INSTS: u64 = 2_000_000_000;
 /// choice as `--engine` for differential debugging. Under
 /// [`Engine::Replay`] (the default) cells sharing an emulation key
 /// `(workload, seed, PBS)` replay one captured trace pooled in the
-/// run-wide [`EngineContext`]; paired runs (Figure 9) re-time a
-/// materialized (pooled or persisted) trace, or drain one streamed
-/// [`Engine::Convoy`] when there is none. A sweep asked for
-/// [`Engine::Convoy`] runs exactly as under [`Engine::Replay`];
-/// [`Engine::Reference`] re-simulates every cell.
+/// run-wide [`EngineContext`]; Figure 9's paired predictor-only runs
+/// read a materialized (pooled or persisted) trace, or one capture
+/// stream when there is none. A sweep asked for [`Engine::Convoy`] runs
+/// exactly as under [`Engine::Replay`]; [`Engine::Reference`]
+/// re-simulates every cell in full.
 pub use probranch_pipeline::EngineKind as Engine;
 
 /// The emulation key of a timing cell: the fields that determine the
@@ -474,10 +479,22 @@ fn engine_for_attempt(requested: Engine, number: u32, strict: bool) -> Engine {
     }
 }
 
-/// One supervised timing cell: the injectable cell-body fault sites
-/// fire first (salted by cell identity and attempt ordinal, so retries
-/// re-roll), then the cell simulates under the cascade engine for this
-/// attempt, labelling itself when it degraded.
+/// The engine one attempt of a supervised cell runs: the injectable
+/// cell-body fault sites fire first (salted by cell identity and attempt
+/// ordinal, so retries re-roll), then the cascade picks the attempt's
+/// engine, and the cell labels itself when it degraded.
+fn attempt_engine(cell: &Cell, requested: Engine, ctx: &Context, attempt: &Attempt) -> Engine {
+    faults::cell_faults(&[cell.stable_hash(), attempt.number as u64]);
+    probranch_pipeline::cancel::inject_spurious(&[cell.stable_hash(), attempt.number as u64]);
+    let engine = engine_for_attempt(requested, attempt.number, ctx.strict());
+    if engine != requested {
+        attempt.set_label(engine.name());
+    }
+    engine
+}
+
+/// One supervised timing cell, simulated under the cascade engine for
+/// this attempt (see [`attempt_engine`]).
 fn sim_cell_supervised(
     cell: &Cell,
     scale: ExperimentScale,
@@ -486,28 +503,8 @@ fn sim_cell_supervised(
     ctx: &Context,
     attempt: &Attempt,
 ) -> SimReport {
-    faults::cell_faults(&[cell.stable_hash(), attempt.number as u64]);
-    probranch_pipeline::cancel::inject_spurious(&[cell.stable_hash(), attempt.number as u64]);
-    let engine = engine_for_attempt(requested, attempt.number, ctx.strict());
-    if engine != requested {
-        attempt.set_label(engine.name());
-    }
+    let engine = attempt_engine(cell, requested, ctx, attempt);
     sim_cell_engine(cell, scale, core, engine, ctx, attempt.number as u64)
-}
-
-/// One emulation key's cells as a **streamed convoy**: builds the key's
-/// workload once and drains every configuration from a single capture
-/// stream — the [`Engine::Convoy`] execution shape.
-fn convoy_key(
-    workload: BenchmarkId,
-    seed: u64,
-    scale: ExperimentScale,
-    configs: &[SimConfig],
-) -> Vec<SimReport> {
-    let bench = workload.build(scale.workload(), workload_seed(workload, seed));
-    Simulation::new(Engine::Convoy)
-        .run_many(&bench.program(), configs)
-        .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
 }
 
 // ---------------------------------------------------------------------------
@@ -540,9 +537,13 @@ pub fn fig1_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<Fig1
 }
 
 /// [`fig1`] under an explicit engine and the run-wide trace pool. The
-/// two predictor cells of each benchmark share one emulation key, so
-/// the replay engine emulates each workload at most once per `ctx` —
-/// zero times when an earlier sweep already pooled the key.
+/// rows are branch counts and misprediction shares, so each cell runs
+/// the predictor-only pass ([`Simulation::replay_branches`]) over its
+/// pooled trace, with no timing walk. The two predictor cells of each
+/// benchmark share one emulation key, so the replay engine emulates each
+/// workload at most once per `ctx` — zero times when an earlier sweep
+/// already pooled the key. A cell degraded to the reference engine runs
+/// a full reference simulation.
 pub fn fig1_with_ctx(
     scale: ExperimentScale,
     jobs: Jobs,
@@ -555,18 +556,27 @@ pub fn fig1_with_ctx(
         .iter()
         .flat_map(|&w| PREDICTORS.map(|p| Cell::new(w, p, false, 0)))
         .collect();
-    let reports = ctx.sweep(&cells, jobs, |c, attempt| {
-        sim_cell_supervised(c, scale, OooConfig::default(), engine, ctx, attempt)
+    let stats = ctx.sweep(&cells, jobs, |c, attempt| {
+        let core = OooConfig::default();
+        let number = attempt.number as u64;
+        match attempt_engine(c, engine, ctx, attempt) {
+            Engine::Reference => BranchStats::from(
+                sim_cell_engine(c, scale, core, Engine::Reference, ctx, number).timing,
+            ),
+            Engine::Replay | Engine::Convoy => {
+                let cfg = cell_config(c, core);
+                let trace = cell_trace(c, scale, &cfg, ctx, number);
+                Simulation::new(Engine::Replay)
+                    .replay_branches(&trace, &cfg)
+                    .unwrap_or_else(|e| panic!("{:?}: {e}", c.workload))
+            }
+        }
     });
-    let share = |r: &SimReport| {
-        100.0 * r.timing.prob_branches as f64 / r.timing.cond_branches.max(1) as f64
-    };
-    let mshare = |r: &SimReport| {
-        100.0 * r.timing.mispredicts_prob as f64 / r.timing.mispredicts.max(1) as f64
-    };
+    let share = |s: &BranchStats| 100.0 * s.prob_branches as f64 / s.cond_branches.max(1) as f64;
+    let mshare = |s: &BranchStats| 100.0 * s.mispredicts_prob as f64 / s.mispredicts.max(1) as f64;
     BenchmarkId::ALL
         .iter()
-        .zip(reports.chunks_exact(2))
+        .zip(stats.chunks_exact(2))
         .map(|(&id, pair)| {
             let (tour, tage) = (&pair[0], &pair[1]);
             Fig1Row {
@@ -866,15 +876,15 @@ pub fn fig9_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<Fig9
 }
 
 /// [`fig9`] under an explicit engine and the run-wide trace pool. The
-/// unfiltered and filtered runs of a cell share the dynamic instruction
-/// stream: the replay engine re-times a materialized trace twice when
-/// one is available — the pooled trace when the run-wide context
-/// already holds the cell's key (its seed-0 keys are exactly
-/// Figures 1/6/7/8's), or an ephemeral load-or-capture trace when a
-/// trace directory is configured (persisted but never pooled — no
-/// later sweep revisits a fig9-private seed) — and otherwise drains a
-/// single bounded-memory capture stream as a two-consumer convoy.
-/// Either way the extra seeds never bloat the pool.
+/// rows are regular-branch MPKIs, so both runs of a cell — unfiltered
+/// and filtered — are the predictor-only pass, with no timing walk. They
+/// share the dynamic instruction stream, which comes from the pooled
+/// trace when the run-wide context already holds the cell's key (its
+/// seed-0 keys are exactly Figures 1/6/7/8's), from an ephemeral
+/// load-or-capture trace when a trace directory is configured (persisted
+/// but never pooled — no later sweep revisits a fig9-private seed), and
+/// otherwise from one capture stream that feeds both runs chunk by
+/// chunk. Either way the extra seeds never bloat the pool.
 pub fn fig9_with_ctx(
     scale: ExperimentScale,
     jobs: Jobs,
@@ -890,40 +900,26 @@ pub fn fig9_with_ctx(
         .flat_map(|&w| (0..seeds).map(move |s| Cell::new(w, PredictorChoice::Tournament, false, s)))
         .collect();
     let increases = ctx.sweep(&cells, jobs, |cell, attempt| {
-        faults::cell_faults(&[cell.stable_hash(), attempt.number as u64]);
-        probranch_pipeline::cancel::inject_spurious(&[cell.stable_hash(), attempt.number as u64]);
-        let cascaded = engine_for_attempt(engine, attempt.number, ctx.strict());
-        if cascaded != engine {
-            attempt.set_label(cascaded.name());
-        }
-        let engine = cascaded;
-        let mut cfg = SimConfig {
+        let engine = attempt_engine(cell, engine, ctx, attempt);
+        let cfg = SimConfig {
             predictor: cell.predictor,
             max_insts: MAX_INSTS,
             ..SimConfig::default()
         };
-        let (unfiltered, filtered) = match engine {
+        let mut filtered_cfg = cfg.clone();
+        filtered_cfg.filter_prob_from_predictor = true;
+        let pair = [cfg, filtered_cfg];
+        let trace = match engine {
+            Engine::Reference => None,
             Engine::Replay | Engine::Convoy => {
-                let mut filtered_cfg = cfg.clone();
-                filtered_cfg.filter_prob_from_predictor = true;
-                let pair = [cfg, filtered_cfg];
                 let key = (cell.workload, cell.seed, cell.pbs, scale);
-                let replay_pair = |trace: &DynTrace| {
-                    Simulation::new(Engine::Replay)
-                        .replay_many(trace, &pair)
-                        .expect("replay")
-                };
-                let mut reports = match ctx.traces.peek(&key) {
-                    // The run-wide pool already holds this key (its
-                    // seed-0 keys are exactly Figures 1/6/7/8's).
-                    Some(trace) => replay_pair(&trace),
+                ctx.traces.peek(&key).or_else(|| {
                     // Fig9-private key with a trace directory: load or
                     // capture+persist WITHOUT pooling — no later sweep
                     // revisits it, and the pool never evicts.
-                    None if ctx.traces.persistent() => {
+                    ctx.traces.persistent().then(|| {
                         let hash = trace_content_hash(cell, scale, &pair[0]);
-                        let trace = ctx
-                            .traces
+                        ctx.traces
                             .load_or_capture_unpooled(hash, &pair[0], || {
                                 if faults::injected(
                                     faults::Site::Capture,
@@ -937,30 +933,30 @@ pub fn fig9_with_ctx(
                                     cell.workload.build(scale.workload(), cell.workload_seed());
                                 DynTrace::capture(&bench.program(), &pair[0])
                             })
-                            .unwrap_or_else(|e| panic!("{:?}: {e}", cell.workload));
-                        replay_pair(&trace)
-                    }
-                    // No pool hit, no disk: one streamed convoy, bounded
-                    // memory.
-                    None => convoy_key(cell.workload, cell.seed, scale, &pair),
-                }
-                .into_iter();
-                (
-                    reports.next().expect("unfiltered report"),
-                    reports.next().expect("filtered report"),
-                )
-            }
-            Engine::Reference => {
-                let b = cell.workload.build(scale.workload(), cell.workload_seed());
-                let sim = Simulation::new(engine);
-                let unfiltered = sim.run(&b.program(), &cfg).expect("sim");
-                cfg.filter_prob_from_predictor = true;
-                (unfiltered, sim.run(&b.program(), &cfg).expect("sim"))
+                            .map(std::sync::Arc::new)
+                            .unwrap_or_else(|e| panic!("{:?}: {e}", cell.workload))
+                    })
+                })
             }
         };
-        let base = filtered.timing.mpki_regular();
+        let sim = Simulation::new(engine);
+        let stats = match trace {
+            Some(trace) => pair
+                .iter()
+                .map(|cfg| sim.replay_branches(&trace, cfg))
+                .collect(),
+            // No pooled or stored trace, or the reference engine: one
+            // live run of the pair — under replay, a single
+            // bounded-memory capture stream.
+            None => {
+                let bench = cell.workload.build(scale.workload(), cell.workload_seed());
+                sim.run_branches(&bench.program(), &pair)
+            }
+        }
+        .unwrap_or_else(|e| panic!("{:?}: {e}", cell.workload));
+        let base = stats[1].mpki_regular();
         if base > 0.0 {
-            100.0 * (unfiltered.timing.mpki_regular() - base) / base
+            100.0 * (stats[0].mpki_regular() - base) / base
         } else {
             0.0
         }

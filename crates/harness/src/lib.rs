@@ -1281,9 +1281,13 @@ mod tests {
 
     #[test]
     fn engine_context_trace_dir_round_trips_and_survives_corruption() {
+        use probranch_faults as faults;
         use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
+        // Fault plans are process-wide: hold the fault lock, disarmed, so
+        // a sibling test's persistence faults never reach these writes.
+        let _quiesce = faults::ScopedPlan::install(faults::FaultPlan::default());
         let dir = std::env::temp_dir().join(format!("probranch-ctx-traces-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let program = B::Pi.build(Scale::Smoke, workload_seed(B::Pi, 0)).program();
@@ -1446,9 +1450,13 @@ mod tests {
 
     #[test]
     fn bounded_pool_with_trace_dir_demotes_to_mapped_form() {
+        use probranch_faults as faults;
         use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
+        // Demotion persists traces: hold the fault lock, disarmed (see
+        // `engine_context_trace_dir_round_trips_and_survives_corruption`).
+        let _quiesce = faults::ScopedPlan::install(faults::FaultPlan::default());
         let dir =
             std::env::temp_dir().join(format!("probranch-demote-traces-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();

@@ -154,11 +154,11 @@ static OVERLAP: AtomicU8 = AtomicU8::new(0);
 
 /// Enables or disables the chunk-pipelined capture/drain overlap for
 /// convoy runs (capture chunk `N+1` on a helper thread while consumers
-/// drain chunk `N`). The harness calls this with `jobs > 1` so a
-/// single-job run degrades to the serial fill loop. The
+/// drain chunk `N`). A caller running convoys on one worker passes
+/// `false` to keep to the serial fill loop. The
 /// `PROBRANCH_CAPTURE_OVERLAP` environment variable (`0`/`1`), read
-/// once, wins over this switch — that is how CI diffs pipelined
-/// against serial byte-for-byte.
+/// once, wins over this switch — that is how CI runs the serial loop
+/// through the engine-equivalence suite.
 pub fn set_capture_overlap(enabled: bool) {
     OVERLAP.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
 }

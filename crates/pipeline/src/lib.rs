@@ -35,7 +35,11 @@
 //!   batch-predicted through
 //!   [`probranch_predictor::BranchPredictor::predict_update_batch`]
 //!   ahead of the timing walk (see `trace`), and optional on-disk
-//!   persistence keyed by content hash (see `persist`).
+//!   persistence keyed by content hash (see `persist`);
+//! * [`BranchStats`] — the predictor-only pass
+//!   ([`Simulation::run_branches`], [`Simulation::replay_branches`]):
+//!   branch and misprediction counts from the batch predictor alone,
+//!   with no timing walk.
 //!
 //! ```
 //! use probranch_isa::{ProgramBuilder, Reg, CmpOp};
@@ -75,7 +79,9 @@ pub use decode::{
 pub use machine::{
     BranchEvent, BranchEventKind, DynInst, EmuConfig, EmuError, Emulator, StepRecord,
 };
-pub use ooo::{BranchTraceEntry, ExecLatencies, OooConfig, OooTimingModel, TimingStats};
+pub use ooo::{
+    BranchStats, BranchTraceEntry, ExecLatencies, OooConfig, OooTimingModel, TimingStats,
+};
 pub use persist::{sweep_old_quarantined, sweep_stale_temps, TraceLoad, TRACE_FILE_VERSION};
 pub use sim::{run_functional, EngineKind, PredictorChoice, SimConfig, SimReport, Simulation};
 pub use trace::{

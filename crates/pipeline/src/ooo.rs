@@ -188,6 +188,51 @@ impl TimingStats {
 
     /// Mispredictions per 1000 instructions.
     pub fn mpki(&self) -> f64 {
+        BranchStats::from(*self).mpki()
+    }
+
+    /// Regular-branch mispredictions per 1000 instructions (the Figure 9
+    /// interference metric).
+    pub fn mpki_regular(&self) -> f64 {
+        BranchStats::from(*self).mpki_regular()
+    }
+}
+
+/// The branch and misprediction counts of a run: every [`TimingStats`]
+/// field except `cycles`.
+///
+/// The predictor-only pass ([`Simulation::run_branches`] and
+/// [`Simulation::replay_branches`]) produces these without the
+/// out-of-order timing walk, since a trace fixes every branch outcome
+/// and the batch predictor fixes every prediction before the walk
+/// starts. With no cycle count there is no IPC to print by mistake.
+///
+/// [`Simulation::run_branches`]: crate::Simulation::run_branches
+/// [`Simulation::replay_branches`]: crate::Simulation::replay_branches
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BranchStats {
+    /// Committed instructions.
+    pub instructions: u64,
+    /// Dynamic control-transfer instructions.
+    pub dyn_branches: u64,
+    /// Dynamic conditional branches (including probabilistic ones
+    /// executing as regular branches).
+    pub cond_branches: u64,
+    /// Dynamic probabilistic jumps (all resolutions).
+    pub prob_branches: u64,
+    /// Probabilistic jumps steered by PBS (no predictor involvement).
+    pub pbs_directed: u64,
+    /// Mispredictions, total.
+    pub mispredicts: u64,
+    /// Mispredictions of probabilistic branches.
+    pub mispredicts_prob: u64,
+    /// Mispredictions of regular branches.
+    pub mispredicts_regular: u64,
+}
+
+impl BranchStats {
+    /// Mispredictions per 1000 instructions.
+    pub fn mpki(&self) -> f64 {
         if self.instructions == 0 {
             0.0
         } else {
@@ -202,6 +247,22 @@ impl TimingStats {
             0.0
         } else {
             self.mispredicts_regular as f64 * 1000.0 / self.instructions as f64
+        }
+    }
+}
+
+impl From<TimingStats> for BranchStats {
+    /// The timing statistics without their cycle count.
+    fn from(t: TimingStats) -> BranchStats {
+        BranchStats {
+            instructions: t.instructions,
+            dyn_branches: t.dyn_branches,
+            cond_branches: t.cond_branches,
+            prob_branches: t.prob_branches,
+            pbs_directed: t.pbs_directed,
+            mispredicts: t.mispredicts,
+            mispredicts_prob: t.mispredicts_prob,
+            mispredicts_regular: t.mispredicts_regular,
         }
     }
 }

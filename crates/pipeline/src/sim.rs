@@ -19,6 +19,13 @@
 //! All three produce byte-identical [`SimReport`]s — equality over every
 //! field, error paths included — locked in by
 //! `tests/engine_equivalence.rs`.
+//!
+//! Beside the full timing runs, [`Simulation::run_branches`] and
+//! [`Simulation::replay_branches`] are the *predictor-only pass*: the
+//! same capture and batch prediction, no out-of-order timing walk, and a
+//! [`BranchStats`] (every [`TimingStats`] field but `cycles`) as the
+//! result — for figures that print branch counts and misprediction
+//! shares but no cycle count.
 
 use probranch_core::{PbsConfig, PbsStats, PbsUnit};
 use probranch_isa::Program;
@@ -31,8 +38,8 @@ use std::sync::mpsc;
 use crate::cancel::CANCEL_STRIDE;
 use crate::decode::InstTiming;
 use crate::machine::{EmuConfig, EmuError, Emulator};
-use crate::ooo::{OooConfig, OooTimingModel, TimingStats};
-use crate::trace::{DynTrace, ReplayConsumer, TraceChunk, TraceStream};
+use crate::ooo::{BranchStats, OooConfig, OooTimingModel, TimingStats};
+use crate::trace::{BranchCounter, DynTrace, ReplayConsumer, TraceChunk, TraceStream};
 
 /// Which baseline branch predictor to instantiate (paper Section VI-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,9 +250,8 @@ impl EngineKind {
     ];
 
     /// Parses a sweep engine name, as accepted by `figures --engine`
-    /// and the sweep service: `replay` or `reference`. The sweeps pick
-    /// [`EngineKind::Convoy`] themselves, for the keys they stream, so
-    /// it has no name here.
+    /// and the sweep service: `replay` or `reference`. No sweep runs
+    /// [`EngineKind::Convoy`], so it has no name here.
     pub fn parse(name: &str) -> Option<EngineKind> {
         match name {
             "replay" => Some(EngineKind::Replay),
@@ -267,12 +273,16 @@ impl EngineKind {
 /// The simulator's single entry point: an [`EngineKind`] plus the four
 /// run shapes every engine supports — live single cell ([`run`]),
 /// live multi-cell ([`run_many`]), materialized-trace single cell
-/// ([`replay`]) and materialized-trace multi-cell ([`replay_many`]).
+/// ([`replay`]) and materialized-trace multi-cell ([`replay_many`]) —
+/// and the predictor-only pass over a live run ([`run_branches`]) or a
+/// materialized trace ([`replay_branches`]).
 ///
 /// [`run`]: Simulation::run
 /// [`run_many`]: Simulation::run_many
 /// [`replay`]: Simulation::replay
 /// [`replay_many`]: Simulation::replay_many
+/// [`run_branches`]: Simulation::run_branches
+/// [`replay_branches`]: Simulation::replay_branches
 ///
 /// ```
 /// use probranch_isa::{ProgramBuilder, Reg, CmpOp};
@@ -412,6 +422,81 @@ impl Simulation {
     ) -> Result<Vec<SimReport>, EmuError> {
         configs.iter().map(|cfg| replay_one(trace, cfg)).collect()
     }
+
+    /// The predictor-only pass over a live run: one [`BranchStats`] per
+    /// configuration, in input order, equal to the projected
+    /// [`TimingStats`] of [`run_many`](Simulation::run_many) without
+    /// running the out-of-order timing walk.
+    ///
+    /// Under [`EngineKind::Replay`] and [`EngineKind::Convoy`] one
+    /// capture stream feeds every configuration chunk by chunk (serial
+    /// fill, one chunk live), each configuration batch-predicting the
+    /// chunk's branches as a replay would; the configurations must share
+    /// an emulation key. Under [`EngineKind::Reference`] each
+    /// configuration is a reference run, projected. Branch tracing is
+    /// ignored.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_many`](Simulation::run_many).
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors [`run_many`](Simulation::run_many) returns:
+    /// emulator faults, the instruction budget and cancellation, polled
+    /// once per chunk.
+    pub fn run_branches(
+        self,
+        program: &Program,
+        configs: &[SimConfig],
+    ) -> Result<Vec<BranchStats>, EmuError> {
+        match self.engine {
+            EngineKind::Reference => configs
+                .iter()
+                .map(|cfg| run_reference(program, cfg).map(|r| r.timing.into()))
+                .collect(),
+            EngineKind::Replay | EngineKind::Convoy => {
+                let key = check_convoy_key(configs);
+                let mut stream = TraceStream::new(program, key);
+                let mut counters: Vec<BranchCounter> =
+                    configs.iter().map(BranchCounter::new).collect();
+                for_each_chunk(&mut stream, |_, chunk| {
+                    for c in &mut counters {
+                        c.consume_chunk(chunk);
+                    }
+                })?;
+                Ok(counters.iter().map(BranchCounter::stats).collect())
+            }
+        }
+    }
+
+    /// The predictor-only pass over a captured [`DynTrace`]: equal to the
+    /// projected [`TimingStats`] of [`replay`](Simulation::replay), with
+    /// each chunk's branches batch-predicted and the out-of-order timing
+    /// walk skipped. Engine-independent, as `replay` is. Branch tracing
+    /// is ignored.
+    ///
+    /// # Panics
+    ///
+    /// As [`replay`](Simulation::replay).
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors [`replay`](Simulation::replay) returns: the
+    /// instruction budget, and cancellation, polled once per chunk.
+    pub fn replay_branches(
+        self,
+        trace: &DynTrace,
+        config: &SimConfig,
+    ) -> Result<BranchStats, EmuError> {
+        check_replay(trace, config)?;
+        let mut counter = BranchCounter::new(config);
+        for chunk in trace.chunks() {
+            crate::cancel::check_current()?;
+            counter.consume_chunk(chunk);
+        }
+        Ok(counter.stats())
+    }
 }
 
 /// The reference engine body (see [`EngineKind::Reference`]):
@@ -445,14 +530,23 @@ fn run_reference(program: &Program, config: &SimConfig) -> Result<SimReport, Emu
     Ok(report_of(emu, timing))
 }
 
-/// The single-cell replay body (see [`EngineKind::Replay`]).
-fn replay_one(trace: &DynTrace, config: &SimConfig) -> Result<SimReport, EmuError> {
+/// Panics unless `config` shares the trace's emulation key, and returns
+/// [`EmuError::InstLimitExceeded`] exactly when a live run under
+/// `config` would: the trace carries a completed run, so any budget at or
+/// below its dynamic instruction count would have tripped.
+fn check_replay(trace: &DynTrace, config: &SimConfig) -> Result<(), EmuError> {
     trace.check_compatible(config);
     if trace.instructions() >= config.max_insts {
         return Err(EmuError::InstLimitExceeded {
             limit: config.max_insts,
         });
     }
+    Ok(())
+}
+
+/// The single-cell replay body (see [`EngineKind::Replay`]).
+fn replay_one(trace: &DynTrace, config: &SimConfig) -> Result<SimReport, EmuError> {
+    check_replay(trace, config)?;
     let mut consumer = ReplayConsumer::new(config);
     for chunk in trace.chunks() {
         crate::cancel::check_current()?;
@@ -494,18 +588,31 @@ fn run_convoy(program: &Program, configs: &[SimConfig]) -> Result<Vec<SimReport>
     if crate::aot::capture_overlap() {
         run_convoy_pipelined(&mut stream, &mut consumers)?;
     } else {
-        let mut chunk = TraceChunk::with_chunk_capacity();
-        while stream.fill(&mut chunk)? {
+        for_each_chunk(&mut stream, |timings, chunk| {
             for c in &mut consumers {
-                c.consume_chunk(stream.timings(), &chunk);
+                c.consume_chunk(timings, chunk);
             }
-        }
+        })?;
     }
     let functional = stream.finish();
     Ok(consumers
         .into_iter()
         .map(|c| c.into_report(&functional))
         .collect())
+}
+
+/// The serial streaming loop: fills one chunk buffer from `stream` and
+/// hands each chunk, with the trace's per-pc metadata, to `drain` — only
+/// one chunk is ever live. Cancellation is polled by each fill.
+fn for_each_chunk(
+    stream: &mut TraceStream,
+    mut drain: impl FnMut(&[InstTiming], &TraceChunk),
+) -> Result<(), EmuError> {
+    let mut chunk = TraceChunk::with_chunk_capacity();
+    while stream.fill(&mut chunk)? {
+        drain(stream.timings(), &chunk);
+    }
+    Ok(())
 }
 
 /// The chunk-pipelined convoy loop: a helper thread captures chunk
@@ -816,15 +923,49 @@ mod tests {
             .br(CmpOp::Lt, Reg::R1, 1000, top)
             .halt();
         let p = b.build().unwrap();
+        let cfg = SimConfig::default();
+        let trace = DynTrace::capture(&p, &cfg).unwrap();
         let token = crate::cancel::CancelToken::new();
         token.cancel("stop");
         let _scope = crate::cancel::CancelScope::enter(token);
+        let cancelled = EmuError::Cancelled {
+            reason: "stop".into(),
+        };
+        for engine in EngineKind::ALL {
+            let sim = Simulation::new(engine);
+            assert_eq!(sim.run(&p, &cfg), Err(cancelled.clone()), "{engine:?}");
+            assert_eq!(
+                sim.run_branches(&p, std::slice::from_ref(&cfg)),
+                Err(cancelled.clone()),
+                "{engine:?} predictor-only"
+            );
+            assert_eq!(
+                sim.replay_branches(&trace, &cfg),
+                Err(cancelled.clone()),
+                "{engine:?} predictor-only replay"
+            );
+        }
+    }
+
+    #[test]
+    fn predictor_only_pass_equals_projected_timing_under_every_engine() {
+        // ~280k instructions: several chunks per stream.
+        let p = prob_workload(20_000);
+        let unfiltered = SimConfig::default().predictor(PredictorChoice::Tournament);
+        let mut filtered = unfiltered.clone();
+        filtered.filter_prob_from_predictor = true;
+        let configs = [unfiltered, filtered];
+        let projected: Vec<BranchStats> = Simulation::new(EngineKind::Reference)
+            .run_many(&p, &configs)
+            .unwrap()
+            .iter()
+            .map(|r| r.timing.into())
+            .collect();
+        assert!(projected[0].mispredicts_prob > 0 && projected[1].mispredicts_prob == 0);
         for engine in EngineKind::ALL {
             assert_eq!(
-                Simulation::new(engine).run(&p, &SimConfig::default()),
-                Err(EmuError::Cancelled {
-                    reason: "stop".into()
-                }),
+                Simulation::new(engine).run_branches(&p, &configs).unwrap(),
+                projected,
                 "{engine:?}"
             );
         }

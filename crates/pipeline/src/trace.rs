@@ -27,7 +27,10 @@
 //!   the predictor (TAGE-SC-L in particular) free to software-pipeline
 //!   its own table walks across the whole batch — after which the
 //!   timing loop replays the precomputed predictions through a
-//!   position-only feed.
+//!   position-only feed;
+//! * `BranchCounter` — the predictor-only pass: the same batch
+//!   prediction with no timing model behind it, counting branches and
+//!   mispredictions into a [`BranchStats`](crate::BranchStats).
 //!
 //! # Structure-of-arrays chunk layout
 //!
@@ -69,7 +72,7 @@ use crate::aot::{BlockProgram, CaptureTier};
 use crate::cache::MemoryHierarchy;
 use crate::decode::InstTiming;
 use crate::machine::{BranchEvent, BranchEventKind, EmuConfig, EmuError, Emulator, StepRecord};
-use crate::ooo::OooTimingModel;
+use crate::ooo::{BranchStats, OooTimingModel};
 use crate::sim::{SimConfig, SimReport};
 
 /// Records per [`TraceChunk`]: 64 Ki records — small enough to stay
@@ -1262,25 +1265,61 @@ impl DynTrace {
 /// The consume half of the replay engines: one timing model and its
 /// statically dispatched predictor, fed chunks of a captured trace.
 ///
-/// Each chunk drains in two phases. First the consumer gathers the
-/// chunk's predictor-visible branches into one request batch and runs
-/// it through [`BranchPredictor::predict_update_batch`] via
-/// [`PredictorDispatch::visit_batch`] — one dispatch per chunk, with
-/// the predictor free to pipeline its own internal work across the
-/// batch. Then the record walk replays the precomputed predictions
-/// through a position-only feed into the unchanged cycle-accounting
-/// core. This is a pure replay-side reordering: the predictor observes
-/// exactly the serial request stream, so reports stay byte-identical
-/// to the reference engine.
+/// Each chunk drains in two phases. First the consumer's batch
+/// predictor runs the chunk's predictor-visible branches through
+/// [`BranchPredictor::predict_update_batch`] in one dispatch, with the
+/// predictor free to pipeline its own internal work across the batch.
+/// Then the record walk replays the precomputed predictions through a
+/// position-only feed into the unchanged cycle-accounting core. This is
+/// a pure replay-side reordering: the predictor observes exactly the
+/// serial request stream, so reports stay byte-identical to the
+/// reference engine.
 #[derive(Debug)]
 pub struct ReplayConsumer {
     timing: OooTimingModel,
+    batch: BatchPredictor,
+}
+
+/// The predictor half of a replay consumer: a statically dispatched
+/// predictor and its per-chunk batch scratch.
+#[derive(Debug)]
+struct BatchPredictor {
     predictor: PredictorDispatch,
     filter_prob: bool,
-    /// Per-chunk batch scratch: the chunk's predictor-visible requests…
+    /// The filter mode's copy of a chunk's predictor-visible requests…
     reqs: Vec<BranchReq>,
-    /// …and their batch-computed predictions, replayed by the drain.
+    /// …and the batch-computed predictions of the visible requests.
     preds: Vec<bool>,
+}
+
+impl BatchPredictor {
+    fn new(config: &SimConfig) -> BatchPredictor {
+        BatchPredictor {
+            predictor: config.predictor.build_dispatch(),
+            filter_prob: config.filter_prob_from_predictor,
+            reqs: Vec::new(),
+            preds: Vec::new(),
+        }
+    }
+
+    /// Runs the chunk's predictor-visible branches ([`visible_reqs`] — a
+    /// zero-copy borrow of the chunk's precomputed request stream unless
+    /// this predictor filters probabilistic branches) through the
+    /// predictor in one dispatch ([`PredictorDispatch::visit_batch`]).
+    /// Returns the requests and their predictions, in program order.
+    fn predict<'a>(&'a mut self, chunk: &'a TraceChunk) -> (&'a [BranchReq], &'a [bool]) {
+        let BatchPredictor {
+            predictor,
+            filter_prob,
+            reqs,
+            preds,
+        } = self;
+        let reqs = visible_reqs(chunk, *filter_prob, reqs);
+        preds.clear();
+        preds.resize(reqs.len(), false);
+        predictor.visit_batch(reqs, preds);
+        (reqs, preds)
+    }
 }
 
 /// The chunk's *predictor-visible* branch requests, in program order:
@@ -1415,51 +1454,31 @@ impl ReplayConsumer {
         }
         ReplayConsumer {
             timing,
-            predictor: config.predictor.build_dispatch(),
-            filter_prob: config.filter_prob_from_predictor,
-            reqs: Vec::new(),
-            preds: Vec::new(),
+            batch: BatchPredictor::new(config),
         }
     }
 
-    /// Phase one of a chunk drain: grabs the chunk's predictor-visible
-    /// branches ([`visible_reqs`] — a zero-copy borrow of the chunk's
-    /// precomputed request stream unless this consumer filters
-    /// probabilistic branches) and runs the whole batch through the
-    /// predictor in one dispatch ([`PredictorDispatch::visit_batch`]),
-    /// leaving the predictions in `self.preds` for the record walk.
-    fn batch_predict(&mut self, chunk: &TraceChunk) {
-        let reqs = visible_reqs(chunk, self.filter_prob, &mut self.reqs);
-        self.preds.clear();
-        self.preds.resize(reqs.len(), false);
-        self.predictor.visit_batch(reqs, &mut self.preds);
-    }
-
-    /// Phase two: walks the chunk's records through the cycle-accounting
-    /// core, replaying the batched predictions in program order.
-    fn drain_chunk(&mut self, timings: &[InstTiming], chunk: &TraceChunk) {
+    /// Drains one chunk through the timing model: batch-predict, then
+    /// walk the chunk's records through the cycle-accounting core,
+    /// replaying the batched predictions in program order. `timings` is
+    /// the per-pc metadata of the trace the chunk came from.
+    #[inline]
+    pub fn consume_chunk(&mut self, timings: &[InstTiming], chunk: &TraceChunk) {
+        let filter_prob = self.batch.filter_prob;
+        let (_, preds) = self.batch.predict(chunk);
         let mut v = Drain {
             timings,
             timing: &mut self.timing,
-            feed: PredFeed::new(&self.preds),
-            filter_prob: self.filter_prob,
+            feed: PredFeed::new(preds),
+            filter_prob,
         };
         walk_chunk(chunk, &mut v);
         debug_assert!(
             v.feed.consumed_all(),
             "drain consumed {} of {} batched predictions",
             v.feed.next,
-            self.preds.len(),
+            preds.len(),
         );
-    }
-
-    /// Drains one chunk through the timing model: batch-predict, then
-    /// the record walk. `timings` is the per-pc metadata of the trace
-    /// the chunk came from.
-    #[inline]
-    pub fn consume_chunk(&mut self, timings: &[InstTiming], chunk: &TraceChunk) {
-        self.batch_predict(chunk);
-        self.drain_chunk(timings, chunk);
     }
 
     /// Finishes the replay: the timing model's statistics joined with
@@ -1473,6 +1492,71 @@ impl ReplayConsumer {
             prob_consumed: functional.prob_consumed.clone(),
             branch_trace: self.timing.take_trace(),
         }
+    }
+}
+
+/// The consume half of the predictor-only pass: a replay consumer's
+/// [`BatchPredictor`] with no timing model behind it.
+///
+/// A trace fixes every branch outcome and the batch fixes every
+/// prediction, so the counts [`OooTimingModel::consume_core`] keeps
+/// follow from the chunk alone: branch kinds from its branch-byte
+/// stream (PBS-directed and unconditional transfers never reach the
+/// request stream), mispredictions from the predictions against the
+/// requests. The counts equal the replay's timing statistics without
+/// their cycle count.
+#[derive(Debug)]
+pub(crate) struct BranchCounter {
+    batch: BatchPredictor,
+    stats: BranchStats,
+}
+
+impl BranchCounter {
+    /// A counter for `config`'s predictor and filter mode.
+    pub(crate) fn new(config: &SimConfig) -> BranchCounter {
+        BranchCounter {
+            batch: BatchPredictor::new(config),
+            stats: BranchStats::default(),
+        }
+    }
+
+    /// Counts one chunk's records, branches and mispredictions.
+    pub(crate) fn consume_chunk(&mut self, chunk: &TraceChunk) {
+        let s = &mut self.stats;
+        s.instructions += chunk.len() as u64;
+        s.dyn_branches += chunk.branch_count() as u64;
+        for &byte in chunk.branches.as_slice() {
+            let ev = decode_branch(byte);
+            match ev.kind {
+                BranchEventKind::Conditional => {
+                    s.cond_branches += 1;
+                    s.prob_branches += ev.is_prob as u64;
+                }
+                BranchEventKind::PbsDirected => {
+                    s.cond_branches += 1;
+                    s.prob_branches += 1;
+                    s.pbs_directed += 1;
+                }
+                BranchEventKind::Unconditional | BranchEventKind::Call | BranchEventKind::Ret => {}
+            }
+        }
+        // Unfiltered, the visible requests are the chunk's whole request
+        // stream, parallel to `breq_prob`; filtered, they are all regular.
+        let filter_prob = self.batch.filter_prob;
+        let (reqs, preds) = self.batch.predict(chunk);
+        for (i, (req, &pred)) in reqs.iter().zip(preds).enumerate() {
+            if pred != req.taken {
+                let prob = !filter_prob && chunk.breq_prob[i];
+                s.mispredicts += 1;
+                s.mispredicts_prob += prob as u64;
+                s.mispredicts_regular += !prob as u64;
+            }
+        }
+    }
+
+    /// The counts so far.
+    pub(crate) fn stats(&self) -> BranchStats {
+        self.stats
     }
 }
 

@@ -98,12 +98,6 @@ fn to_bits(values: &[f64]) -> Vec<u32> {
         .collect()
 }
 
-fn bit_iter(words: &[u32]) -> impl Iterator<Item = bool> + '_ {
-    words
-        .iter()
-        .flat_map(|w| (0..32).map(move |b| (w >> b) & 1 == 1))
-}
-
 fn monobit(words: &[u32]) -> TestResult {
     let n = words.len() * 32;
     let ones: u64 = words.iter().map(|w| w.count_ones() as u64).sum();
@@ -111,18 +105,23 @@ fn monobit(words: &[u32]) -> TestResult {
     result("monobit-frequency", normal_p2(z))
 }
 
+// The three bit-level tests below read the stream as the bits of each
+// word from bit 0 to bit 31, word after word, and count them on the
+// packed words with `count_ones`. Every count is the same integer the
+// bit-by-bit walk in the reference implementations (see the tests)
+// reaches, and the floating-point arithmetic runs in the same order, so
+// the p-values are bit-identical.
+
 fn block_frequency(words: &[u32], block_bits: usize) -> TestResult {
-    let bits: Vec<bool> = bit_iter(words).collect();
-    let blocks = bits.len() / block_bits;
+    debug_assert!(block_bits % 32 == 0, "blocks are whole words");
+    let block_words = block_bits / 32;
+    let blocks = words.len() / block_words;
     if blocks < 4 {
         return result("block-frequency", 1.0);
     }
     let mut chi2 = 0.0;
-    for b in 0..blocks {
-        let ones = bits[b * block_bits..(b + 1) * block_bits]
-            .iter()
-            .filter(|&&x| x)
-            .count();
+    for block in words.chunks_exact(block_words) {
+        let ones: u32 = block.iter().map(|w| w.count_ones()).sum();
         let pi = ones as f64 / block_bits as f64;
         chi2 += 4.0 * block_bits as f64 * (pi - 0.5) * (pi - 0.5);
     }
@@ -130,14 +129,23 @@ fn block_frequency(words: &[u32], block_bits: usize) -> TestResult {
 }
 
 fn runs(words: &[u32]) -> TestResult {
-    let bits: Vec<bool> = bit_iter(words).collect();
-    let n = bits.len() as f64;
-    let n1 = bits.iter().filter(|&&b| b).count() as f64;
+    let n = (words.len() * 32) as f64;
+    let n1 = words.iter().map(|w| w.count_ones() as usize).sum::<usize>() as f64;
     let n0 = n - n1;
     if n1 == 0.0 || n0 == 0.0 {
         return result("runs", 0.0);
     }
-    let r = 1 + bits.windows(2).filter(|w| w[0] != w[1]).count();
+    // Transitions between bits b and b + 1 of one word, for b < 31…
+    let inside: usize = words
+        .iter()
+        .map(|w| ((w ^ (w >> 1)) & 0x7FFF_FFFF).count_ones() as usize)
+        .sum();
+    // …and from bit 31 of one word to bit 0 of the next.
+    let across = words
+        .windows(2)
+        .filter(|p| (p[0] >> 31) != (p[1] & 1))
+        .count();
+    let r = 1 + inside + across;
     let mu = 2.0 * n1 * n0 / n + 1.0;
     let var = (mu - 1.0) * (mu - 2.0) / (n - 1.0);
     let z = (r as f64 - mu) / var.sqrt();
@@ -145,10 +153,20 @@ fn runs(words: &[u32]) -> TestResult {
 }
 
 fn serial_pairs(words: &[u32]) -> TestResult {
-    let bits: Vec<bool> = bit_iter(words).collect();
+    // A pair is bits (2k, 2k + 1) of one word, never straddling two, and
+    // its count index is `bit 2k << 1 | bit 2k + 1`.
+    const EVEN: u32 = 0x5555_5555;
     let mut counts = [0u64; 4];
-    for pair in bits.chunks_exact(2) {
-        counts[(pair[0] as usize) << 1 | pair[1] as usize] += 1;
+    for &w in words {
+        let first = w & EVEN;
+        let second = (w >> 1) & EVEN;
+        let both = (first & second).count_ones() as u64;
+        let first_only = first.count_ones() as u64 - both;
+        let second_only = second.count_ones() as u64 - both;
+        counts[3] += both;
+        counts[2] += first_only;
+        counts[1] += second_only;
+        counts[0] += 16 - both - first_only - second_only;
     }
     let n: u64 = counts.iter().sum();
     let expect = n as f64 / 4.0;
@@ -322,10 +340,153 @@ pub fn run_battery(values: &[f64]) -> Vec<TestResult> {
 mod tests {
     use super::*;
     use probranch_rng::{SplitMix64, UniformSource};
+    use proptest::prelude::*;
 
     fn uniform_stream(seed: u64, n: usize) -> Vec<f64> {
         let mut r = SplitMix64::seed(seed);
         (0..n).map(|_| r.next_f64()).collect()
+    }
+
+    /// Reference implementations of the three bit-level tests: the
+    /// stream expanded into one `bool` per bit and counted bit by bit.
+    /// The packed versions must match them bit for bit.
+    mod expanded {
+        use super::super::{chi2_sf, normal_p2, result, TestResult};
+
+        fn bit_iter(words: &[u32]) -> impl Iterator<Item = bool> + '_ {
+            words
+                .iter()
+                .flat_map(|w| (0..32).map(move |b| (w >> b) & 1 == 1))
+        }
+
+        pub fn block_frequency(words: &[u32], block_bits: usize) -> TestResult {
+            let bits: Vec<bool> = bit_iter(words).collect();
+            let blocks = bits.len() / block_bits;
+            if blocks < 4 {
+                return result("block-frequency", 1.0);
+            }
+            let mut chi2 = 0.0;
+            for b in 0..blocks {
+                let ones = bits[b * block_bits..(b + 1) * block_bits]
+                    .iter()
+                    .filter(|&&x| x)
+                    .count();
+                let pi = ones as f64 / block_bits as f64;
+                chi2 += 4.0 * block_bits as f64 * (pi - 0.5) * (pi - 0.5);
+            }
+            result("block-frequency", chi2_sf(chi2, blocks as f64))
+        }
+
+        pub fn runs(words: &[u32]) -> TestResult {
+            let bits: Vec<bool> = bit_iter(words).collect();
+            let n = bits.len() as f64;
+            let n1 = bits.iter().filter(|&&b| b).count() as f64;
+            let n0 = n - n1;
+            if n1 == 0.0 || n0 == 0.0 {
+                return result("runs", 0.0);
+            }
+            let r = 1 + bits.windows(2).filter(|w| w[0] != w[1]).count();
+            let mu = 2.0 * n1 * n0 / n + 1.0;
+            let var = (mu - 1.0) * (mu - 2.0) / (n - 1.0);
+            let z = (r as f64 - mu) / var.sqrt();
+            result("runs", normal_p2(z))
+        }
+
+        pub fn serial_pairs(words: &[u32]) -> TestResult {
+            let bits: Vec<bool> = bit_iter(words).collect();
+            let mut counts = [0u64; 4];
+            for pair in bits.chunks_exact(2) {
+                counts[(pair[0] as usize) << 1 | pair[1] as usize] += 1;
+            }
+            let n: u64 = counts.iter().sum();
+            let expect = n as f64 / 4.0;
+            let chi2: f64 = counts
+                .iter()
+                .map(|&c| (c as f64 - expect) * (c as f64 - expect) / expect)
+                .sum();
+            result("serial-2bit", chi2_sf(chi2, 3.0))
+        }
+    }
+
+    /// The (packed, expanded) result pairs of the three bit-level tests
+    /// on `values` that differ in name, p-value bits or outcome.
+    fn mismatches(values: &[f64]) -> Vec<(TestResult, TestResult)> {
+        let words = to_bits(values);
+        [
+            (
+                block_frequency(&words, 128),
+                expanded::block_frequency(&words, 128),
+            ),
+            (runs(&words), expanded::runs(&words)),
+            (serial_pairs(&words), expanded::serial_pairs(&words)),
+        ]
+        .into_iter()
+        .filter(|(packed, expanded)| {
+            packed.name != expanded.name
+                || packed.p_value.to_bits() != expanded.p_value.to_bits()
+                || packed.outcome != expanded.outcome
+        })
+        .collect()
+    }
+
+    /// The largest `f64` below 1, which the word conversion clamps.
+    const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
+
+    /// One stream value: mostly uniform in `[0, 1)`, sometimes one of the
+    /// edges the word conversion clamps or rounds — 0, the largest value
+    /// below 1, and values outside `[0, 1)`.
+    fn value() -> impl Strategy<Value = f64> {
+        any::<u64>().prop_map(|x| match x % 32 {
+            0 => 0.0,
+            1 => BELOW_ONE,
+            2 => -0.25,
+            3 => 1.0,
+            4 => 7.5,
+            _ => (x >> 11) as f64 / (1u64 << 53) as f64,
+        })
+    }
+
+    /// A stream of 100–5,000 values (bit counts that are mostly not a
+    /// multiple of the 128-bit block), or a constant or alternating one.
+    fn stream() -> impl Strategy<Value = Vec<f64>> {
+        prop_oneof![
+            proptest::collection::vec(value(), 100..5_001),
+            (value(), 100usize..5_001).prop_map(|(v, n)| vec![v; n]),
+            (value(), value(), 100usize..5_001)
+                .prop_map(|(a, b, n)| (0..n).map(|i| if i % 2 == 0 { a } else { b }).collect()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn packed_bit_tests_match_the_expanded_reference(values in stream()) {
+            let bad = mismatches(&values);
+            prop_assert!(bad.is_empty(), "{} values: {bad:?}", values.len());
+        }
+    }
+
+    #[test]
+    fn packed_bit_tests_match_the_expanded_reference_on_edge_streams() {
+        // The named edge cases, whatever the generator draws: constant
+        // and alternating streams of clamped and boundary values, at
+        // lengths whose bit counts are (100, 128) and are not (101, 127,
+        // 129, 4,999) a multiple of the 128-bit block.
+        let pairs = [
+            (0.0, 0.0),
+            (BELOW_ONE, BELOW_ONE),
+            (0.0, BELOW_ONE),
+            (-0.25, 7.5),
+            (0.25, 0.5),
+        ];
+        for n in [100, 101, 127, 128, 129, 4_999] {
+            for (a, b) in pairs {
+                let values: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { a } else { b }).collect();
+                let bad = mismatches(&values);
+                assert!(bad.is_empty(), "{n} × ({a}, {b}): {bad:?}");
+            }
+        }
     }
 
     #[test]

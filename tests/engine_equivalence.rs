@@ -6,7 +6,10 @@
 //! stream, and the per-branch trace — for every workload of the
 //! golden/determinism suites, under every machine configuration the
 //! paper sweeps. Error paths included: the instruction budget trips at
-//! the same dynamic instruction in every engine.
+//! the same dynamic instruction in every engine. The predictor-only pass
+//! (`Simulation::run_branches` / `replay_branches`) must equal the
+//! reference engine's timing statistics without their cycle count, with
+//! the same errors.
 //!
 //! The reference engine shares the timing core with replay but not the
 //! capture path: it runs the `Inst`-interpreting emulator against a
@@ -24,7 +27,8 @@ use probranch::harness::{run_cells, workload_seed, Cell, Jobs};
 use probranch::isa::Program;
 use probranch::pbs::PbsConfig;
 use probranch::pipeline::{
-    DynTrace, EmuError, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation,
+    BranchStats, DynTrace, EmuError, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport,
+    Simulation,
 };
 use probranch::workloads::{BenchmarkId, Scale};
 
@@ -155,7 +159,10 @@ fn simulation_api_engines_agree_on_the_fig6_grid() {
 
 /// One trace per (workload, PBS) emulation key must serve *every*
 /// predictor and filter configuration — including a convoy draining all
-/// of them from a single streamed capture.
+/// of them from a single streamed capture — and the predictor-only pass
+/// must equal the reference engine's timing statistics without their
+/// cycle count, over the materialized trace, its mmap-loaded copy and a
+/// streamed capture.
 #[test]
 fn one_trace_serves_every_timing_configuration() {
     let keys: Vec<Cell> = BenchmarkId::ALL
@@ -194,11 +201,47 @@ fn one_trace_serves_every_timing_configuration() {
         let convoy = Simulation::new(EngineKind::Convoy)
             .run_many(&program, &configs)
             .expect("convoy");
-        (direct, replays, convoy)
+        // Mode (c): the predictor-only pass over the materialized trace,
+        // over the same trace written to disk and mmap-loaded, and over
+        // one streamed capture feeding all eight configs.
+        let path = std::env::temp_dir().join(format!(
+            "probranch-branch-pass-{}-{:?}-{}.bin",
+            std::process::id(),
+            key.workload,
+            key.pbs
+        ));
+        trace.write_file(&path, 1).expect("write trace");
+        let mapped = DynTrace::read_file(&path, 1, &configs[0]).expect("load trace");
+        std::fs::remove_file(&path).ok();
+        let per_config = |trace: &DynTrace| -> Vec<BranchStats> {
+            configs
+                .iter()
+                .map(|cfg| {
+                    Simulation::default()
+                        .replay_branches(trace, cfg)
+                        .expect("predictor-only replay")
+                })
+                .collect()
+        };
+        let branches = [
+            per_config(&trace),
+            per_config(&mapped),
+            Simulation::default()
+                .run_branches(&program, &configs)
+                .expect("predictor-only stream"),
+        ];
+        (direct, replays, convoy, branches)
     });
-    for (key, (direct, replays, convoy)) in keys.iter().zip(&outcomes) {
+    for (key, (direct, replays, convoy, branches)) in keys.iter().zip(&outcomes) {
         assert_eq!(direct, replays, "shared-trace replay drift on {key:?}");
         assert_eq!(direct, convoy, "convoy drift on {key:?}");
+        let projected: Vec<BranchStats> = direct.iter().map(|r| r.timing.into()).collect();
+        for (input, stats) in ["trace", "mapped trace", "stream"].iter().zip(branches) {
+            assert_eq!(
+                stats, &projected,
+                "predictor-only drift over the {input} on {key:?}"
+            );
+        }
     }
 }
 
@@ -340,7 +383,7 @@ fn engines_match_on_instruction_limits() {
             direct.as_ref().err(),
             "capture limit {max_insts}"
         );
-        // …and a convoy propagates it to every cell.
+        // …and a convoy propagates it to every cell…
         let convoy =
             Simulation::new(EngineKind::Convoy).run_many(&program, std::slice::from_ref(&cfg));
         assert_eq!(
@@ -348,19 +391,36 @@ fn engines_match_on_instruction_limits() {
             direct.clone().err(),
             "convoy limit {max_insts}"
         );
+        // …as does the predictor-only pass under every engine.
+        for engine in EngineKind::ALL {
+            let branches =
+                Simulation::new(engine).run_branches(&program, &[cfg.clone(), cfg.clone()]);
+            assert_eq!(
+                branches.err(),
+                direct.clone().err(),
+                "{engine:?} predictor-only limit {max_insts}"
+            );
+        }
     }
     // A completed trace replayed under budgets at/below its length must
-    // return the same error the reference engine would.
+    // return the same error the reference engine would, in full or
+    // predictor-only.
     let full = DynTrace::capture(&program, &SimConfig::default()).expect("capture");
     for max_insts in [1, full.instructions(), full.instructions() + 1] {
         let cfg = SimConfig {
             max_insts,
             ..SimConfig::default()
         };
+        let direct = reference(&program, &cfg);
         assert_eq!(
             Simulation::default().replay(&full, &cfg),
-            reference(&program, &cfg),
+            direct,
             "replay limit {max_insts}"
+        );
+        assert_eq!(
+            Simulation::default().replay_branches(&full, &cfg),
+            direct.map(|r| BranchStats::from(r.timing)),
+            "predictor-only replay limit {max_insts}"
         );
     }
 }
