@@ -13,7 +13,10 @@ use crate::decode::{DecOp, DecodedProgram};
 /// Emulator configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmuConfig {
-    /// Data-memory size in 64-bit words (byte-addressed, 8-aligned).
+    /// Data-memory size in 64-bit words (byte-addressed, 8-aligned):
+    /// the architectural bound an access faults beyond. Memory is
+    /// allocated as it is stored to, so a large bound costs nothing
+    /// until a program writes that far.
     pub mem_words: usize,
     /// Maximum call-stack depth before a fault.
     pub max_call_depth: usize,
@@ -294,6 +297,8 @@ pub struct Emulator {
     flag: bool,
     pc: u32,
     halted: bool,
+    /// The allocated prefix of data memory, grown by stores (see
+    /// [`Emulator::store_word`]); words past its end read 0.
     memory: Vec<u64>,
     call_stack: Vec<u32>,
     outputs: PortTable,
@@ -320,7 +325,7 @@ impl Emulator {
             flag: false,
             pc: 0,
             halted: false,
-            memory: vec![0; config.mem_words],
+            memory: Vec::new(),
             call_stack: Vec::new(),
             outputs: PortTable::default(),
             pbs: None,
@@ -405,18 +410,52 @@ impl Emulator {
     ///
     /// # Panics
     ///
-    /// Panics if `word` is out of bounds.
+    /// Panics if `word` is not below [`EmuConfig::mem_words`].
     pub fn mem_word(&self, word: usize) -> u64 {
-        self.memory[word]
+        self.assert_in_bounds(word);
+        self.load_word(word)
     }
 
     /// Writes a data-memory word (for test setup).
     ///
     /// # Panics
     ///
-    /// Panics if `word` is out of bounds.
+    /// Panics if `word` is not below [`EmuConfig::mem_words`].
     pub fn set_mem_word(&mut self, word: usize, value: u64) {
-        self.memory[word] = value;
+        self.assert_in_bounds(word);
+        self.store_word(word, value);
+    }
+
+    fn assert_in_bounds(&self, word: usize) {
+        assert!(
+            word < self.config.mem_words,
+            "word {word} is outside the {}-word data memory",
+            self.config.mem_words
+        );
+    }
+
+    /// Reads an in-bounds data word; words no store has reached yet
+    /// read 0, as zero-filled memory would.
+    #[inline(always)]
+    fn load_word(&self, idx: usize) -> u64 {
+        self.memory.get(idx).copied().unwrap_or(0)
+    }
+
+    /// Writes an in-bounds data word, first growing the allocation to
+    /// the next power of two above `idx` (capped at the architectural
+    /// size) when the store lands past its end.
+    #[inline(always)]
+    fn store_word(&mut self, idx: usize, value: u64) {
+        if idx >= self.memory.len() {
+            self.grow_memory(idx);
+        }
+        self.memory[idx] = value;
+    }
+
+    #[cold]
+    fn grow_memory(&mut self, idx: usize) {
+        let len = (idx + 1).next_power_of_two().min(self.config.mem_words);
+        self.memory.resize(len, 0);
     }
 
     #[inline]
@@ -439,7 +478,7 @@ impl Emulator {
     #[inline]
     fn mem_index(&self, base: Reg, offset: i64, pc: u32) -> Result<usize, EmuError> {
         let addr = self.regs[base.index()].wrapping_add(offset as u64);
-        if addr % 8 != 0 || (addr / 8) as usize >= self.memory.len() {
+        if addr % 8 != 0 || addr / 8 >= self.config.mem_words as u64 {
             return Err(EmuError::MemoryFault { addr, pc });
         }
         Ok((addr / 8) as usize)
@@ -527,14 +566,14 @@ impl Emulator {
                     .mem_index(base, offset, pc)
                     .inspect_err(|_| self.halted = true)?;
                 mem_addr = Some(idx as u64 * 8);
-                self.regs[dst.index()] = self.memory[idx];
+                self.regs[dst.index()] = self.load_word(idx);
             }
             Inst::Store { src, base, offset } => {
                 let idx = self
                     .mem_index(base, offset, pc)
                     .inspect_err(|_| self.halted = true)?;
                 mem_addr = Some(idx as u64 * 8);
-                self.memory[idx] = self.regs[src.index()];
+                self.store_word(idx, self.regs[src.index()]);
             }
             Inst::Cmp { op, fp, lhs, rhs } => {
                 self.flag = self.eval_cmp(op, fp, self.regs[lhs.index()], self.operand(rhs));
@@ -797,14 +836,14 @@ impl Emulator {
                     .mem_index(base, offset, pc)
                     .inspect_err(|_| self.halted = true)?;
                 mem_addr = idx as u64 * 8;
-                self.regs[dst.index()] = self.memory[idx];
+                self.regs[dst.index()] = self.load_word(idx);
             }
             DecOp::Store { src, base, offset } => {
                 let idx = self
                     .mem_index(base, offset, pc)
                     .inspect_err(|_| self.halted = true)?;
                 mem_addr = idx as u64 * 8;
-                self.memory[idx] = self.regs[src.index()];
+                self.store_word(idx, self.regs[src.index()]);
             }
             DecOp::CmpRR { op, fp, lhs, rhs } => {
                 self.flag = self.eval_cmp(op, fp, self.regs[lhs.index()], self.regs[rhs.index()]);
@@ -1018,7 +1057,7 @@ impl Emulator {
         let idx = self
             .mem_index(base, offset, pc)
             .inspect_err(|_| self.halted = true)?;
-        self.regs[dst.index()] = self.memory[idx];
+        self.regs[dst.index()] = self.load_word(idx);
         Ok(idx as u64 * 8)
     }
 
@@ -1208,7 +1247,7 @@ impl Emulator {
                 let idx = self
                     .mem_index(base, offset, pc)
                     .inspect_err(|_| self.halted = true)?;
-                self.memory[idx] = self.regs[src.index()];
+                self.store_word(idx, self.regs[src.index()]);
             }
             DecOp::CmpRR { op, fp, lhs, rhs } => {
                 self.flag = self.eval_cmp(op, fp, self.regs[lhs.index()], self.regs[rhs.index()]);
@@ -1411,6 +1450,26 @@ mod tests {
         let e = run(b);
         assert_eq!(e.reg(Reg::R3), 7);
         assert_eq!(e.mem_word(9), 7);
+    }
+
+    #[test]
+    fn memory_is_allocated_as_it_is_stored_to() {
+        let mut b = ProgramBuilder::new();
+        b.li(Reg::R1, 40)
+            .li(Reg::R2, 7)
+            .st(Reg::R2, Reg::R1, 0)
+            .halt();
+        let e = run(b);
+        let mem_words = EmuConfig::default().mem_words;
+        assert_eq!(e.mem_word(5), 7);
+        assert_eq!(
+            e.memory.len(),
+            8,
+            "one store grows to the next power of two"
+        );
+        assert_eq!(e.mem_word(mem_words - 1), 0, "unstored words read 0");
+        let past_end = std::panic::catch_unwind(|| e.mem_word(mem_words));
+        assert!(past_end.is_err(), "the architectural bound still holds");
     }
 
     #[test]

@@ -32,8 +32,11 @@
 //! * **Graceful shutdown** — SIGTERM/ctrl-c (see
 //!   [`install_signal_shutdown`]) or a protocol `shutdown` request
 //!   drains in-flight sweeps to completion while answering new ones
-//!   with [`Status::ShuttingDown`], then returns so the driver can
-//!   flush demotions to the trace directory before exit.
+//!   with [`Status::ShuttingDown`]. The acceptor blocks in `accept`,
+//!   so connections are served the moment they arrive; once the drain
+//!   completes, one connect to the listener's own port wakes it, and
+//!   [`Server::run`] returns so the caller can flush demotions to the
+//!   trace directory before exit.
 //!
 //! The request path is torture-testable end to end: the
 //! `serve.{accept,read,write,drop}` failpoints of `probranch-faults`

@@ -3,7 +3,7 @@
 //! layer never depends on the experiment crates.
 
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
@@ -15,6 +15,15 @@ use crate::protocol::{read_frame, write_frame, Request, Response, Status, SweepR
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
+
+/// How often the drain gate re-checks the shutdown flag and the
+/// in-flight count. It only sets how soon a drained server returns:
+/// connections are accepted the moment they arrive.
+const DRAIN_POLL: Duration = Duration::from_millis(20);
+
+/// Back-off after a transient accept failure (EMFILE, aborted
+/// handshake).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Server tuning knobs. The defaults suit the CI smoke gates; a real
 /// deployment would size `max_inflight` to cores/`jobs`.
@@ -28,9 +37,6 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Per-connection write timeout.
     pub write_timeout: Duration,
-    /// Accept-poll tick while idle (the listener runs non-blocking so
-    /// the loop can notice shutdown between connections).
-    pub accept_poll: Duration,
 }
 
 impl Default for ServerConfig {
@@ -39,7 +45,6 @@ impl Default for ServerConfig {
             max_inflight: 4,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            accept_poll: Duration::from_millis(20),
         }
     }
 }
@@ -141,7 +146,7 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the underlying `local_addr` error.
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -156,6 +161,12 @@ impl Server {
     /// sweeps finish (new arrivals get [`Status::ShuttingDown`]), and
     /// the final counters return to the caller.
     ///
+    /// A scoped acceptor thread blocks in `accept` and hands each
+    /// connection to its own scoped thread the moment it arrives. The
+    /// calling thread is the drain gate: once a shutdown is requested
+    /// and no sweep is in flight, it stops the acceptor and wakes it
+    /// with one connect to the listener's own port.
+    ///
     /// # Errors
     ///
     /// Only fatal listener setup errors; per-connection failures are
@@ -164,48 +175,75 @@ impl Server {
     where
         H: Fn(&SweepRequest) -> SweepOutcome + Sync,
     {
-        self.listener.set_nonblocking(true)?;
+        let wake = self.wake_addr()?;
         // Admitted sweeps currently running — the drain gate.
         let inflight = AtomicUsize::new(0);
         // Leader cells for in-flight coalescable requests.
         let coalesce: Mutex<HashMap<String, CoalesceCell>> = Mutex::new(HashMap::new());
-        let mut conn_id: u64 = 0;
+        // Set by the drain gate; the next accepted connection is its
+        // wake-up, not a client.
+        let stop = AtomicBool::new(false);
 
         std::thread::scope(|scope| {
-            loop {
-                if self.shutdown.load(Ordering::Acquire) && inflight.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        conn_id += 1;
-                        let id = conn_id;
-                        // Injected accept-path fault: the connection is
-                        // dropped before its request is read — the
-                        // client sees EOF and retries.
-                        if faults::injected(faults::Site::ServeAccept, &[id]) {
-                            drop(stream);
-                            continue;
+            let (handler, inflight, coalesce, stop) = (&handler, &inflight, &coalesce, &stop);
+            let acceptor = scope.spawn(move || {
+                let mut conn_id: u64 = 0;
+                loop {
+                    match self.listener.accept() {
+                        Ok((stream, _peer)) => {
+                            if stop.load(Ordering::Acquire) {
+                                return;
+                            }
+                            conn_id += 1;
+                            let id = conn_id;
+                            // Injected accept-path fault: the connection
+                            // is dropped before its request is read —
+                            // the client sees EOF and retries.
+                            if faults::injected(faults::Site::ServeAccept, &[id]) {
+                                drop(stream);
+                                continue;
+                            }
+                            scope.spawn(move || {
+                                self.serve_connection(stream, id, handler, inflight, coalesce);
+                            });
                         }
-                        let handler = &handler;
-                        let inflight = &inflight;
-                        let coalesce = &coalesce;
-                        scope.spawn(move || {
-                            self.serve_connection(stream, id, handler, inflight, coalesce);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(self.config.accept_poll);
-                    }
-                    Err(_) => {
-                        // Transient accept failure (EMFILE, aborted
-                        // handshake): back off and keep serving.
-                        std::thread::sleep(self.config.accept_poll);
+                        Err(_) => {
+                            // Transient accept failure (EMFILE, aborted
+                            // handshake): back off and keep serving.
+                            if stop.load(Ordering::Acquire) {
+                                return;
+                            }
+                            std::thread::sleep(ACCEPT_BACKOFF);
+                        }
                     }
                 }
+            });
+            while !(self.shutdown.load(Ordering::Acquire) && inflight.load(Ordering::Acquire) == 0)
+            {
+                std::thread::sleep(DRAIN_POLL);
+            }
+            stop.store(true, Ordering::Release);
+            // A connect that fails (say, under fd exhaustion) is retried
+            // until it lands or the acceptor has returned on its own.
+            while TcpStream::connect(wake).is_err() && !acceptor.is_finished() {
+                std::thread::sleep(DRAIN_POLL);
             }
         });
         Ok(self.snapshot())
+    }
+
+    /// Where the drain gate connects to wake the acceptor: the bound
+    /// address, with an unspecified IP (`0.0.0.0`, `::`) replaced by
+    /// the loopback address of the same family.
+    fn wake_addr(&self) -> std::io::Result<SocketAddr> {
+        let mut addr = self.listener.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Ok(addr)
     }
 
     /// The current counters.
@@ -598,5 +636,103 @@ mod tests {
             assert_eq!(resp.body, "body:fig6");
         });
         assert!(stats.requests >= 1);
+    }
+
+    #[test]
+    fn back_to_back_pings_are_answered_without_an_accept_tick() {
+        let _quiesce = quiesce();
+        let mut elapsed = Duration::ZERO;
+        with_server(ServerConfig::default(), "body", |addr| {
+            let t0 = std::time::Instant::now();
+            for _ in 0..50 {
+                let resp =
+                    client::request(addr, &Request::Ping, Duration::from_secs(5)).expect("ping");
+                assert_eq!((resp.status, resp.body.as_str()), (Status::Ok, "pong"));
+            }
+            elapsed = t0.elapsed();
+        });
+        // Asserted after the drain: a panic inside `with_server` would
+        // leave the server thread running and the test hung. A 20 ms
+        // accept-poll tick would put this near one second.
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "50 pings took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn idle_server_on_an_unspecified_address_drains_through_the_handle() {
+        let _quiesce = quiesce();
+        let server = Arc::new(Server::bind("0.0.0.0:0", ServerConfig::default()).expect("bind"));
+        let port = server.local_addr().expect("addr").port();
+        let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
+        let runner = Arc::clone(&server);
+        // A plain thread, so a drain that never wakes fails the test
+        // below instead of hanging it in a scope join.
+        let run = std::thread::spawn(move || runner.run(canned("body")).expect("run"));
+        assert!(client::wait_ready(addr, Duration::from_secs(5)));
+        server.shutdown_handle().store(true, Ordering::Release);
+        let t0 = std::time::Instant::now();
+        while !run.is_finished() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "the loopback connect never woke the acceptor"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(run.join().expect("server thread"), StatsSnapshot::default());
+    }
+
+    #[test]
+    fn arrivals_during_a_drain_are_answered_shutting_down() {
+        let _quiesce = quiesce();
+        // A handler that blocks until released keeps one sweep in
+        // flight, so the drain provably stays open.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let handler_gate = Arc::clone(&gate);
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        std::thread::scope(|scope| {
+            let server = &server;
+            let handler = move |_req: &SweepRequest| {
+                let (lock_, cvar) = &*handler_gate;
+                let mut open = lock_.lock().unwrap();
+                while !*open {
+                    open = cvar.wait(open).unwrap();
+                }
+                SweepOutcome::Ok("slow".into())
+            };
+            let run = scope.spawn(move || server.run(handler).expect("run"));
+            assert!(client::wait_ready(addr, Duration::from_secs(5)));
+            let first = scope.spawn(move || {
+                client::request(addr, &sweep("fig6"), Duration::from_secs(10)).expect("first")
+            });
+            let t0 = std::time::Instant::now();
+            while server.snapshot().requests == 0 {
+                assert!(t0.elapsed() < Duration::from_secs(5), "admission stuck");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let drain = client::request(addr, &Request::Shutdown, Duration::from_secs(5));
+            let late = client::request(addr, &sweep("fig7"), Duration::from_secs(5));
+            // Released before asserting, so a failure below still lets
+            // the drain finish instead of hanging the scope join.
+            {
+                let (lock_, cvar) = &*gate;
+                *lock_.lock().unwrap() = true;
+                cvar.notify_all();
+            }
+            let drain = drain.expect("shutdown");
+            assert_eq!(
+                (drain.status, drain.body.as_str()),
+                (Status::Ok, "draining")
+            );
+            // The drain was open: the arrival was accepted and
+            // answered, not dropped.
+            let late = late.expect("an arrival during the drain gets a response");
+            assert_eq!(late.status, Status::ShuttingDown);
+            assert_eq!(first.join().expect("join").status, Status::Ok);
+            let stats = run.join().expect("server");
+            assert_eq!((stats.requests, stats.shed), (1, 0));
+        });
     }
 }

@@ -2,13 +2,16 @@
 //!
 //! Installs minimal SIGINT/SIGTERM handlers whose only effect is one
 //! atomic store into a process-wide flag — the sole async-signal-safe
-//! operation the drain path needs. The serve loop polls the flag
-//! between accepts and turns it into the same drain a protocol
-//! `shutdown` request triggers.
+//! operation the drain path needs. The `figures --serve` binary polls
+//! the flag and forwards it to [`Server::shutdown_handle`], whose drain
+//! gate turns it into the same drain a protocol `shutdown` request
+//! triggers.
+//!
+//! [`Server::shutdown_handle`]: crate::Server::shutdown_handle
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the signal handler; polled by the serve loop.
+/// Set by the signal handler; polled by the serve binary.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// Whether a shutdown signal (SIGINT/SIGTERM) has been delivered since

@@ -1,6 +1,8 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants, spanning crates.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use probranch::isa::{
@@ -234,6 +236,67 @@ fn replay_rec_strategy() -> impl Strategy<Value = ReplayRec> {
         .prop_map(|(pc, branch, istall, dlat)| ReplayRec::new(pc, branch, istall, dlat))
 }
 
+/// One access of a random memory program: `Some(value)` stores,
+/// `None` loads, and `(region, pick, skew, offset)` place it (see
+/// [`mem_addr`]).
+type MemAccess = (Option<u64>, (u8, u64, u64, i64));
+
+fn mem_access_strategy() -> impl Strategy<Value = MemAccess> {
+    (
+        prop_oneof![any::<u64>().prop_map(Some), Just(None)],
+        (0u8..16, any::<u64>(), 0u64..448, -64i64..64),
+    )
+}
+
+/// The byte address an access targets, below `8 · mem_words + 64`:
+/// a low word, a word straddling the architectural end, or any word
+/// below `mem_words + 8`; misaligned for 7 of the 448 skews. Faults
+/// stay rare enough that about two programs in five halt.
+fn mem_addr(mem_words: u64, (region, pick, skew, _): (u8, u64, u64, i64)) -> u64 {
+    let word = match region {
+        0..=7 => pick % 64,
+        8 => mem_words - 8 + pick % 16,
+        _ => pick % (mem_words + 8),
+    };
+    word * 8 + if skew < 7 { skew + 1 } else { 0 }
+}
+
+/// Lowers `accesses` to a program that sends every loaded value to
+/// port 0, and predicts its run with a model that shares no code with
+/// the emulator: a map of stored words, 0 for the rest, and a
+/// `MemoryFault` at the first misaligned or out-of-bounds access.
+fn mem_program(mem_words: u64, accesses: &[MemAccess]) -> (Program, Vec<u64>, Option<EmuError>) {
+    let mut b = probranch::isa::ProgramBuilder::new();
+    let mut words = BTreeMap::new();
+    let mut outputs = Vec::new();
+    let mut fault = None;
+    for &(store, place) in accesses {
+        let addr = mem_addr(mem_words, place);
+        let offset = place.3;
+        b.li(Reg::R1, addr.wrapping_sub(offset as u64) as i64);
+        if let Some(value) = store {
+            b.li(Reg::R2, value as i64);
+        }
+        let pc = b.pc();
+        match store {
+            Some(_) => b.st(Reg::R2, Reg::R1, offset),
+            None => b.ld(Reg::R3, Reg::R1, offset).out(Reg::R3, 0),
+        };
+        if fault.is_some() {
+            continue;
+        }
+        if addr % 8 != 0 || addr / 8 >= mem_words {
+            fault = Some(EmuError::MemoryFault { addr, pc });
+        } else if let Some(value) = store {
+            words.insert(addr / 8, value);
+        } else {
+            outputs.push(words.get(&(addr / 8)).copied().unwrap_or(0));
+        }
+    }
+    b.halt();
+    (b.build().unwrap(), outputs, fault)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -293,6 +356,37 @@ proptest! {
         prop_assert_eq!(&block, &interp);
         prop_assert!(block.is_err());
         prop_assert_eq!(block.err(), reference(&program, &cfg).err());
+    }
+
+    #[test]
+    fn memory_matches_a_map_model_under_every_engine(
+        mem_words in 64u64..4097,
+        accesses in proptest::collection::vec(mem_access_strategy(), 1..40),
+    ) {
+        // Memory allocated on demand must be invisible: every load
+        // reads the last value stored to its word (0 if none), and the
+        // first misaligned or out-of-bounds access faults with its
+        // address and pc — under the decoded interpreter, the reference
+        // engine and every capture tier.
+        let (program, outputs, fault) = mem_program(mem_words, &accesses);
+        let emu = EmuConfig { mem_words: mem_words as usize, ..EmuConfig::default() };
+        let mut e = Emulator::new(program.clone(), emu.clone());
+        prop_assert_eq!(e.run_to_halt(1_000).err(), fault.clone());
+        prop_assert_eq!(e.output(0), outputs.as_slice());
+        let cfg = SimConfig { emu, ..SimConfig::default() };
+        let direct = reference(&program, &cfg);
+        prop_assert_eq!(direct.as_ref().err(), fault.as_ref());
+        if let Ok(report) = &direct {
+            prop_assert_eq!(report.output(0), outputs.as_slice());
+        }
+        let by_port = if outputs.is_empty() { vec![] } else { vec![(0u16, outputs)] };
+        for tier in [CaptureTier::Generated, CaptureTier::Block, CaptureTier::Interp] {
+            let captured = with_capture_tier(tier, || DynTrace::capture(&program, &cfg));
+            prop_assert_eq!(captured.as_ref().err(), fault.as_ref());
+            if let Ok(trace) = &captured {
+                prop_assert_eq!(&trace.functional().outputs, &by_port);
+            }
+        }
     }
 
     #[test]
