@@ -46,8 +46,8 @@ pub fn section_text(
             "FIG 8 — normalized IPC, 8-wide / 256-entry ROB",
         ),
         "fig9" => render::fig9(&experiments::fig9_with_ctx(scale, jobs, engine, ctx)),
-        "table3" => render::table3(&experiments::table3(scale, jobs)),
-        "accuracy" => render::accuracy(&experiments::accuracy(scale, jobs)),
+        "table3" => render::table3(&experiments::table3_with_ctx(scale, jobs, ctx)),
+        "accuracy" => render::accuracy(&experiments::accuracy_with_ctx(scale, jobs, ctx)),
         "cost" => render::cost(&experiments::hardware_cost()),
         _ => return None,
     })

@@ -39,7 +39,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use probranch_pipeline::{
-    sweep_old_quarantined, sweep_stale_temps, DynTrace, PredictorChoice, SimConfig, TraceLoad,
+    sweep_old_quarantined, sweep_stale_temps, DynTrace, PredTape, PredictorChoice, SimConfig,
+    TapeKey, TraceLoad,
 };
 use probranch_rng::SplitMix64;
 use probranch_workloads::BenchmarkId;
@@ -257,12 +258,18 @@ impl TraceDiskInfo {
     }
 }
 
-/// One pooled trace plus its budget-accounting metadata.
+/// One pooled trace plus its prediction tapes and budget-accounting
+/// metadata.
 #[derive(Debug)]
 struct Entry {
     trace: Arc<DynTrace>,
-    /// `trace.bytes()` at insert/demotion time — what this entry
-    /// charges against the pool budget.
+    /// The prediction tapes recorded over `trace`, one per
+    /// [`TapeKey`]: kept, counted and dropped with the trace (a
+    /// demotion keeps them — the mapped trace is byte-identical).
+    tapes: Vec<Arc<PredTape>>,
+    /// `trace.bytes()` plus the tapes' bytes at the last insert,
+    /// demotion or tape store — what this entry charges against the
+    /// pool budget.
     bytes: usize,
     /// LRU clock value at last touch.
     stamp: u64,
@@ -272,6 +279,13 @@ struct Entry {
     /// Whether the trace's record streams are already mmap-backed
     /// (nothing left to demote; eviction is the only further step).
     mapped: bool,
+}
+
+impl Entry {
+    /// The heap bytes the entry holds: its trace and its tapes.
+    fn footprint(&self) -> usize {
+        self.trace.bytes() + self.tapes.iter().map(|t| t.bytes()).sum::<usize>()
+    }
 }
 
 /// A cache slot: empty until its key's one capture completes (or after
@@ -319,6 +333,14 @@ type TraceSlot = Arc<Mutex<Option<Entry>>>;
 ///
 /// [`TraceCache::peak_bytes`] reports the high-water mark of pooled
 /// bytes sampled after each insert's budget enforcement.
+///
+/// # Prediction tapes
+///
+/// Beside each trace the cache keeps the [`PredTape`]s of the predictor
+/// passes run over it ([`TraceCache::taped`]): a later pass under the
+/// same predictor and filter mode reads the tape instead of running the
+/// predictor again. Tapes count against the budget like the trace they
+/// belong to and are evicted with it.
 #[derive(Debug, Default)]
 pub struct TraceCache<K> {
     /// One slot per key. The outer lock is held only for slot lookup;
@@ -338,6 +360,8 @@ pub struct TraceCache<K> {
     demotions: AtomicUsize,
     evictions: AtomicUsize,
     peak_bytes: AtomicUsize,
+    tape_reads: AtomicUsize,
+    tapes_recorded: AtomicUsize,
 }
 
 impl<K: Eq + Hash> TraceCache<K> {
@@ -357,6 +381,8 @@ impl<K: Eq + Hash> TraceCache<K> {
             demotions: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             peak_bytes: AtomicUsize::new(0),
+            tape_reads: AtomicUsize::new(0),
+            tapes_recorded: AtomicUsize::new(0),
         }
     }
 
@@ -406,6 +432,7 @@ impl<K: Eq + Hash> TraceCache<K> {
             let mapped = trace.mapped_chunks() > 0;
             *guard = Some(Entry {
                 trace: Arc::clone(&trace),
+                tapes: Vec::new(),
                 bytes: trace.bytes(),
                 stamp: self.touch(),
                 disk,
@@ -512,9 +539,77 @@ impl<K: Eq + Hash> TraceCache<K> {
             return false;
         };
         e.trace = Arc::new(mapped);
-        e.bytes = e.trace.bytes();
+        e.bytes = e.footprint();
         e.mapped = true;
         true
+    }
+
+    /// Runs one predictor pass over `key`'s pooled trace through its
+    /// prediction tape for `tape_key`. `pass` receives the tape an
+    /// earlier pass recorded, if the entry holds one, and returns its
+    /// result with the tape it recorded, if it ran the predictor; that
+    /// tape is stored beside the trace, charged to the budget. A pass
+    /// that fails or panics stores nothing, and a tape recorded after
+    /// its entry was evicted is dropped — the key's next capture is
+    /// byte-identical, so its tapes are simply recorded again.
+    ///
+    /// Looking a tape up refreshes the entry's LRU stamp but is not a
+    /// [`hits`](TraceCache::hits) event.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `pass`'s error.
+    pub fn taped<R, E>(
+        &self,
+        key: &K,
+        tape_key: TapeKey,
+        pass: impl FnOnce(Option<&PredTape>) -> Result<(R, Option<PredTape>), E>,
+    ) -> Result<R, E> {
+        let slot = lock_ignore_poison(&self.slots).get(key).map(Arc::clone);
+        let tape = slot.as_ref().and_then(|slot| {
+            let mut guard = lock_ignore_poison(slot);
+            let e = guard.as_mut()?;
+            let tape = e
+                .tapes
+                .iter()
+                .find(|t| t.key() == tape_key)
+                .map(Arc::clone)?;
+            e.stamp = self.touch();
+            Some(tape)
+        });
+        if tape.is_some() {
+            self.tape_reads.fetch_add(1, Ordering::Relaxed);
+        }
+        let (result, recorded) = pass(tape.as_deref())?;
+        if let (Some(recorded), Some(slot)) = (recorded, slot) {
+            let stored = {
+                let mut guard = lock_ignore_poison(&slot);
+                match guard.as_mut() {
+                    Some(e) if e.tapes.iter().all(|t| t.key() != tape_key) => {
+                        e.tapes.push(Arc::new(recorded));
+                        e.bytes = e.footprint();
+                        e.stamp = self.touch();
+                        true
+                    }
+                    _ => false,
+                }
+            };
+            if stored {
+                self.tapes_recorded.fetch_add(1, Ordering::Relaxed);
+                self.enforce_budget();
+            }
+        }
+        Ok(result)
+    }
+
+    /// Passes served from a stored prediction tape.
+    pub fn tape_reads(&self) -> usize {
+        self.tape_reads.load(Ordering::Relaxed)
+    }
+
+    /// Prediction tapes recorded and stored beside their traces.
+    pub fn tapes_recorded(&self) -> usize {
+        self.tapes_recorded.load(Ordering::Relaxed)
     }
 
     /// The trace already pooled for `key`, if any — never captures, but
@@ -541,8 +636,8 @@ impl<K: Eq + Hash> TraceCache<K> {
         self.len() == 0
     }
 
-    /// Total heap bytes held by the pooled traces (mmap-backed record
-    /// streams count 0 — see [`DynTrace::bytes`]).
+    /// Total heap bytes held by the pooled traces and their tapes
+    /// (mmap-backed record streams count 0 — see [`DynTrace::bytes`]).
     pub fn bytes(&self) -> usize {
         lock_ignore_poison(&self.slots)
             .values()
@@ -641,6 +736,10 @@ impl<K: Eq + Hash> TraceCache<K> {
 /// evicted outright — see [`TraceCache`]. An evicted key's next use
 /// re-serves it from disk, or re-captures when there is no directory;
 /// either way the results are byte-identical to an unbounded run.
+///
+/// The pool also keeps each trace's prediction tapes
+/// ([`EngineContext::taped`]), in memory only: a disk load starts with
+/// none, and they are recorded again on first use.
 #[derive(Debug)]
 pub struct EngineContext<K> {
     cache: TraceCache<K>,
@@ -1044,6 +1143,31 @@ impl<K: Eq + Hash> EngineContext<K> {
         self.cache.peek(key)
     }
 
+    /// Runs one predictor pass over `key`'s pooled trace through its
+    /// prediction tape (see [`TraceCache::taped`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `pass`'s error.
+    pub fn taped<R, E>(
+        &self,
+        key: &K,
+        tape_key: TapeKey,
+        pass: impl FnOnce(Option<&PredTape>) -> Result<(R, Option<PredTape>), E>,
+    ) -> Result<R, E> {
+        self.cache.taped(key, tape_key, pass)
+    }
+
+    /// Passes over pooled traces served from a stored prediction tape.
+    pub fn tape_reads(&self) -> usize {
+        self.cache.tape_reads()
+    }
+
+    /// Prediction tapes recorded and stored beside pooled traces.
+    pub fn tapes_recorded(&self) -> usize {
+        self.cache.tapes_recorded()
+    }
+
     /// Emulations actually performed through this context.
     pub fn captures(&self) -> usize {
         self.captures.load(Ordering::Relaxed)
@@ -1059,7 +1183,7 @@ impl<K: Eq + Hash> EngineContext<K> {
         self.cache.len()
     }
 
-    /// Total heap bytes held by the pooled traces.
+    /// Total heap bytes held by the pooled traces and their tapes.
     pub fn bytes(&self) -> usize {
         self.cache.bytes()
     }
@@ -1508,6 +1632,117 @@ mod tests {
             .count();
         assert!(mapped_keys > 0, "at least one key must be serving mapped");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tapes_are_pooled_counted_and_evicted_with_their_trace() {
+        use probranch_pipeline::{DynTrace, SimConfig, Simulation, TapeKey};
+        use probranch_workloads::{BenchmarkId as B, Scale};
+
+        let cfg = SimConfig::default();
+        let hash = cfg.emu_key_fingerprint();
+        let programs: Vec<_> = (0..2)
+            .map(|s| B::Pi.build(Scale::Smoke, workload_seed(B::Pi, s)).program())
+            .collect();
+        let capture = |ctx: &EngineContext<u64>, s: u64| {
+            ctx.get_or_capture(s, hash ^ s, &cfg, || {
+                DynTrace::capture(&programs[s as usize], &cfg)
+            })
+            .expect("capture")
+        };
+        let pass = |ctx: &EngineContext<u64>, s: u64, trace: &DynTrace| {
+            ctx.taped(&s, TapeKey::of(&cfg), |tape| {
+                Simulation::default().replay_taped(trace, &cfg, tape)
+            })
+            .expect("replay")
+        };
+
+        let ctx: EngineContext<u64> = EngineContext::new();
+        let trace = capture(&ctx, 0);
+        let untaped = ctx.bytes();
+        let first = pass(&ctx, 0, &trace);
+        let (_, tape) = Simulation::default()
+            .replay_taped(&trace, &cfg, None)
+            .expect("replay");
+        let tape_bytes = tape.expect("recorded").bytes();
+        assert_eq!(
+            ctx.bytes(),
+            untaped + tape_bytes,
+            "a stored tape is pooled bytes"
+        );
+        assert_eq!(ctx.peak_bytes(), untaped + tape_bytes);
+        assert_eq!((ctx.tapes_recorded(), ctx.tape_reads()), (1, 0));
+        assert_eq!(
+            pass(&ctx, 0, &trace),
+            first,
+            "a tape-fed replay is the same"
+        );
+        assert_eq!((ctx.tapes_recorded(), ctx.tape_reads()), (1, 1));
+        assert_eq!(ctx.store_hits(), 0, "tape reads are not store hits");
+
+        // A budget that holds one trace: capturing the second key evicts
+        // the first together with its tape, and a pass over the evicted
+        // key stores nothing.
+        let bounded: EngineContext<u64> = EngineContext::with_options(None, Some(untaped));
+        let trace = capture(&bounded, 0);
+        assert_eq!(pass(&bounded, 0, &trace), first);
+        let _second = capture(&bounded, 1);
+        assert_eq!(bounded.evictions(), 1);
+        assert_eq!(pass(&bounded, 0, &trace), first);
+        assert_eq!((bounded.tapes_recorded(), bounded.tape_reads()), (1, 0));
+        assert_eq!(bounded.keys(), 1);
+    }
+
+    #[test]
+    fn a_failed_pass_stores_no_tape() {
+        use probranch_pipeline::cancel::{CancelScope, CancelToken};
+        use probranch_pipeline::{DynTrace, EmuError, EngineKind, SimConfig, Simulation, TapeKey};
+        use probranch_workloads::{BenchmarkId as B, Scale};
+
+        let cfg = SimConfig::default();
+        let program = B::Bandit
+            .build(Scale::Smoke, workload_seed(B::Bandit, 0))
+            .program();
+        let ctx: EngineContext<u64> = EngineContext::new();
+        let trace = ctx
+            .get_or_capture(0, cfg.emu_key_fingerprint(), &cfg, || {
+                DynTrace::capture(&program, &cfg)
+            })
+            .expect("capture");
+        let pass = || {
+            ctx.taped(&0, TapeKey::of(&cfg), |tape| {
+                Simulation::default().replay_taped(&trace, &cfg, tape)
+            })
+        };
+        {
+            let token = CancelToken::new();
+            token.cancel("stop");
+            let _scope = CancelScope::enter(token);
+            assert_eq!(
+                pass(),
+                Err(EmuError::Cancelled {
+                    reason: "stop".into()
+                })
+            );
+        }
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.taped(&0, TapeKey::of(&cfg), |_| -> Result<((), _), EmuError> {
+                panic!("faulted pass")
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(ctx.tapes_recorded(), 0, "a failed pass publishes no tape");
+        let bytes = ctx.bytes();
+
+        // A clean rerun records the tape, and the pass after it reads
+        // it: both equal the reference engine.
+        let reference = Simulation::new(EngineKind::Reference)
+            .run(&program, &cfg)
+            .expect("reference");
+        assert_eq!(pass(), Ok(reference.clone()));
+        assert_eq!(pass(), Ok(reference));
+        assert_eq!((ctx.tapes_recorded(), ctx.tape_reads()), (1, 1));
+        assert!(ctx.bytes() > bytes);
     }
 
     #[test]

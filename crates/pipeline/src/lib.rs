@@ -39,7 +39,12 @@
 //! * [`BranchStats`] — the predictor-only pass
 //!   ([`Simulation::run_branches`], [`Simulation::replay_branches`]):
 //!   branch and misprediction counts from the batch predictor alone,
-//!   with no timing walk.
+//!   with no timing walk;
+//! * [`PredTape`] — predict once, time many: one pass's predictions
+//!   over a trace, one bit per predictor-visible branch, which later
+//!   replays and predictor-only passes under the same [`TapeKey`] read
+//!   instead of running the predictor
+//!   ([`Simulation::replay_taped`], [`Simulation::replay_branches_taped`]).
 //!
 //! ```
 //! use probranch_isa::{ProgramBuilder, Reg, CmpOp};
@@ -68,6 +73,7 @@ mod machine;
 mod ooo;
 mod persist;
 mod sim;
+mod tape;
 mod trace;
 
 pub use aot::{capture_overlap, set_capture_overlap, with_capture_tier, CaptureTier};
@@ -84,6 +90,7 @@ pub use ooo::{
 };
 pub use persist::{sweep_old_quarantined, sweep_stale_temps, TraceLoad, TRACE_FILE_VERSION};
 pub use sim::{run_functional, EngineKind, PredictorChoice, SimConfig, SimReport, Simulation};
+pub use tape::{PredTape, TapeKey};
 pub use trace::{
     DynTrace, ReplayConsumer, ReplayRec, TraceChunk, TraceFunctional, TraceStream,
     TRACE_CHUNK_RECORDS,

@@ -27,7 +27,9 @@
 //!   the predictor (TAGE-SC-L in particular) free to software-pipeline
 //!   its own table walks across the whole batch — after which the
 //!   timing loop replays the precomputed predictions through a
-//!   position-only feed;
+//!   position-only feed. The predictions are recorded on a
+//!   [`PredTape`] as they are made, and a consumer built over an
+//!   earlier pass's tape reads them from it and runs no predictor;
 //! * `BranchCounter` — the predictor-only pass: the same batch
 //!   prediction with no timing model behind it, counting branches and
 //!   mispredictions into a [`BranchStats`](crate::BranchStats).
@@ -74,6 +76,7 @@ use crate::decode::InstTiming;
 use crate::machine::{BranchEvent, BranchEventKind, EmuConfig, EmuError, Emulator, StepRecord};
 use crate::ooo::{BranchStats, OooTimingModel};
 use crate::sim::{SimConfig, SimReport};
+use crate::tape::{PredTape, TapeChunk, TapeKey};
 
 /// Records per [`TraceChunk`]: 64 Ki records — small enough to stay
 /// cache-resident while a convoy drains it through several consumers
@@ -905,6 +908,33 @@ pub struct TraceFunctional {
     pub pbs: Option<PbsStats>,
 }
 
+impl TraceFunctional {
+    /// The values emitted on `port`.
+    pub fn output(&self, port: u16) -> &[u64] {
+        crate::sim::port_values(&self.outputs, port)
+    }
+
+    /// The values emitted on `port`, as doubles.
+    pub fn output_f64(&self, port: u16) -> Vec<f64> {
+        self.output(port)
+            .iter()
+            .map(|&v| f64::from_bits(v))
+            .collect()
+    }
+}
+
+impl From<SimReport> for TraceFunctional {
+    /// The architectural results of a run, without its timing.
+    fn from(r: SimReport) -> TraceFunctional {
+        TraceFunctional {
+            instructions: r.timing.instructions,
+            outputs: r.outputs,
+            prob_consumed: r.prob_consumed,
+            pbs: r.pbs,
+        }
+    }
+}
+
 /// Pre-simulates and packs one interpreter record — the shared
 /// per-record path of every capture tier: the interpreter fill loop,
 /// the block engine's fallback single-steps and its block terminators
@@ -1262,26 +1292,41 @@ impl DynTrace {
     }
 }
 
-/// The consume half of the replay engines: one timing model and its
-/// statically dispatched predictor, fed chunks of a captured trace.
+/// The consume half of the replay engines: one timing model fed chunks
+/// of a captured trace, with its predictions made by a statically
+/// dispatched predictor or read from a recorded [`PredTape`].
 ///
-/// Each chunk drains in two phases. First the consumer's batch
-/// predictor runs the chunk's predictor-visible branches through
-/// [`BranchPredictor::predict_update_batch`] in one dispatch, with the
-/// predictor free to pipeline its own internal work across the batch.
-/// Then the record walk replays the precomputed predictions through a
+/// Each chunk drains in two phases. First the predictions: a live
+/// consumer's batch predictor runs the chunk's predictor-visible
+/// branches through [`BranchPredictor::predict_update_batch`] in one
+/// dispatch, with the predictor free to pipeline its own internal work
+/// across the batch, and records them on its tape; a tape-fed consumer
+/// reads the chunk's recorded bits instead and runs no predictor at
+/// all. Then the record walk replays the predictions through a
 /// position-only feed into the unchanged cycle-accounting core. This is
 /// a pure replay-side reordering: the predictor observes exactly the
 /// serial request stream, so reports stay byte-identical to the
 /// reference engine.
 #[derive(Debug)]
-pub struct ReplayConsumer {
+pub struct ReplayConsumer<'t> {
     timing: OooTimingModel,
-    batch: BatchPredictor,
+    filter_prob: bool,
+    preds: PredSource<'t>,
 }
 
-/// The predictor half of a replay consumer: a statically dispatched
-/// predictor and its per-chunk batch scratch.
+/// Where a replay consumer's predictions come from.
+#[derive(Debug)]
+enum PredSource<'t> {
+    /// The predictor itself, recording its tape as it goes.
+    Live(Box<BatchPredictor>),
+    /// An earlier pass's tape, read chunk by chunk.
+    Tape { tape: &'t PredTape, next: usize },
+}
+
+/// The predictor half of a live consumer: a statically dispatched
+/// predictor, its per-chunk batch scratch and the tape of every chunk's
+/// predictions so far. This is the only code that runs a predictor over
+/// a trace.
 #[derive(Debug)]
 struct BatchPredictor {
     predictor: PredictorDispatch,
@@ -1290,6 +1335,7 @@ struct BatchPredictor {
     reqs: Vec<BranchReq>,
     /// …and the batch-computed predictions of the visible requests.
     preds: Vec<bool>,
+    tape: PredTape,
 }
 
 impl BatchPredictor {
@@ -1299,25 +1345,29 @@ impl BatchPredictor {
             filter_prob: config.filter_prob_from_predictor,
             reqs: Vec::new(),
             preds: Vec::new(),
+            tape: PredTape::new(TapeKey::of(config)),
         }
     }
 
     /// Runs the chunk's predictor-visible branches ([`visible_reqs`] — a
     /// zero-copy borrow of the chunk's precomputed request stream unless
     /// this predictor filters probabilistic branches) through the
-    /// predictor in one dispatch ([`PredictorDispatch::visit_batch`]).
-    /// Returns the requests and their predictions, in program order.
+    /// predictor in one dispatch ([`PredictorDispatch::visit_batch`]) and
+    /// records the predictions on the tape. Returns the requests and
+    /// their predictions, in program order.
     fn predict<'a>(&'a mut self, chunk: &'a TraceChunk) -> (&'a [BranchReq], &'a [bool]) {
         let BatchPredictor {
             predictor,
             filter_prob,
             reqs,
             preds,
+            tape,
         } = self;
         let reqs = visible_reqs(chunk, *filter_prob, reqs);
         preds.clear();
         preds.resize(reqs.len(), false);
         predictor.visit_batch(reqs, preds);
+        tape.push_chunk(preds);
         (reqs, preds)
     }
 }
@@ -1350,27 +1400,27 @@ fn visible_reqs<'a>(
     scratch
 }
 
-/// Replays a chunk's batch-precomputed predictions into the unchanged
+/// Replays a chunk's packed predictions into the unchanged
 /// cycle-accounting core. [`OooTimingModel::consume_core`] consults its
 /// predictor through exactly one entry point — `predict_and_update`,
 /// once per predictor-visible branch in program order — so a feed that
-/// pops the next precomputed prediction is indistinguishable from the
-/// live predictor the batch already ran.
+/// pops the next recorded prediction is indistinguishable from the live
+/// predictor that recorded it.
 struct PredFeed<'a> {
-    preds: &'a [bool],
+    preds: TapeChunk<'a>,
     next: usize,
 }
 
 impl<'a> PredFeed<'a> {
-    fn new(preds: &'a [bool]) -> PredFeed<'a> {
+    fn new(preds: TapeChunk<'a>) -> PredFeed<'a> {
         PredFeed { preds, next: 0 }
     }
 
-    /// Whether the drain consumed every batched prediction — the
+    /// Whether the drain consumed every recorded prediction — the
     /// request collection and the record walk agreeing on which records
     /// are predictor-visible.
     fn consumed_all(&self) -> bool {
-        self.next == self.preds.len()
+        self.next == self.preds.len
     }
 }
 
@@ -1385,9 +1435,13 @@ impl BranchPredictor for PredFeed<'_> {
 
     #[inline(always)]
     fn predict_and_update(&mut self, _req: BranchReq) -> bool {
-        let pred = self.preds[self.next];
+        debug_assert!(
+            self.next < self.preds.len,
+            "drain ran past the chunk's predictions"
+        );
+        let taken = (self.preds.words[self.next / 64] >> (self.next % 64)) & 1 == 1;
         self.next += 1;
-        pred
+        taken
     }
 
     fn storage_bits(&self) -> usize {
@@ -1400,8 +1454,7 @@ impl BranchPredictor for PredFeed<'_> {
 }
 
 /// The chunk-drain loop: one timing model stepping over its prediction
-/// feed (the predictor itself already ran the chunk through the batch
-/// API).
+/// feed (the predictions were fixed before the walk began).
 struct Drain<'a> {
     timings: &'a [InstTiming],
     timing: &'a mut OooTimingModel,
@@ -1444,54 +1497,97 @@ impl ChunkVisitor for Drain<'_> {
     }
 }
 
-impl ReplayConsumer {
+impl ReplayConsumer<'static> {
     /// A consumer for `config`'s timing side (core, predictor, filter
-    /// mode, branch tracing).
-    pub fn new(config: &SimConfig) -> ReplayConsumer {
+    /// mode, branch tracing) that runs `config`'s predictor.
+    pub fn new(config: &SimConfig) -> ReplayConsumer<'static> {
+        ReplayConsumer::with_source(
+            config,
+            PredSource::Live(Box::new(BatchPredictor::new(config))),
+        )
+    }
+}
+
+impl<'t> ReplayConsumer<'t> {
+    /// A consumer for `config`'s timing side that reads its predictions
+    /// from `tape` instead of running a predictor. The caller checks the
+    /// tape was recorded over the trace it feeds in, under `config`'s
+    /// predictor and filter mode ([`PredTape::check_compatible`]).
+    pub(crate) fn from_tape(config: &SimConfig, tape: &'t PredTape) -> ReplayConsumer<'t> {
+        ReplayConsumer::with_source(config, PredSource::Tape { tape, next: 0 })
+    }
+
+    fn with_source(config: &SimConfig, preds: PredSource<'t>) -> ReplayConsumer<'t> {
         let mut timing = OooTimingModel::new(config.core.clone());
         if config.collect_branch_trace {
             timing.enable_trace();
         }
         ReplayConsumer {
             timing,
-            batch: BatchPredictor::new(config),
+            filter_prob: config.filter_prob_from_predictor,
+            preds,
         }
     }
 
-    /// Drains one chunk through the timing model: batch-predict, then
-    /// walk the chunk's records through the cycle-accounting core,
-    /// replaying the batched predictions in program order. `timings` is
-    /// the per-pc metadata of the trace the chunk came from.
+    /// Drains one chunk through the timing model: fix the chunk's
+    /// predictions (batch-predict, or read the tape), then walk the
+    /// chunk's records through the cycle-accounting core, replaying the
+    /// predictions in program order. `timings` is the per-pc metadata of
+    /// the trace the chunk came from.
     #[inline]
     pub fn consume_chunk(&mut self, timings: &[InstTiming], chunk: &TraceChunk) {
-        let filter_prob = self.batch.filter_prob;
-        let (_, preds) = self.batch.predict(chunk);
+        let preds = match &mut self.preds {
+            PredSource::Live(batch) => {
+                batch.predict(chunk);
+                batch.tape.chunk(batch.tape.chunk_count() - 1)
+            }
+            PredSource::Tape { tape, next } => {
+                *next += 1;
+                tape.chunk(*next - 1)
+            }
+        };
         let mut v = Drain {
             timings,
             timing: &mut self.timing,
             feed: PredFeed::new(preds),
-            filter_prob,
+            filter_prob: self.filter_prob,
         };
         walk_chunk(chunk, &mut v);
         debug_assert!(
             v.feed.consumed_all(),
-            "drain consumed {} of {} batched predictions",
+            "drain consumed {} of {} predictions",
             v.feed.next,
-            preds.len(),
+            preds.len,
         );
     }
 
     /// Finishes the replay: the timing model's statistics joined with
     /// the trace's architectural results into the same [`SimReport`] the
     /// reference engine would have produced.
-    pub fn into_report(mut self, functional: &TraceFunctional) -> SimReport {
-        SimReport {
-            timing: self.timing.stats(),
+    pub fn into_report(self, functional: &TraceFunctional) -> SimReport {
+        self.finish(functional).0
+    }
+
+    /// [`into_report`](ReplayConsumer::into_report), plus the tape a
+    /// live consumer recorded, carrying the replay's branch counts
+    /// (`None` for a tape-fed consumer).
+    pub(crate) fn finish(self, functional: &TraceFunctional) -> (SimReport, Option<PredTape>) {
+        let ReplayConsumer {
+            mut timing, preds, ..
+        } = self;
+        let stats = timing.stats();
+        let tape = match preds {
+            PredSource::Live(batch) => Some(batch.tape.finish(stats.into())),
+            PredSource::Tape { .. } => None,
+        };
+        let report = SimReport {
+            timing: stats,
             pbs: functional.pbs,
             outputs: functional.outputs.clone(),
             prob_consumed: functional.prob_consumed.clone(),
-            branch_trace: self.timing.take_trace(),
-        }
+            branch_trace: timing.take_trace(),
+        };
+        (report, tape)
     }
 }
 
@@ -1557,6 +1653,11 @@ impl BranchCounter {
     /// The counts so far.
     pub(crate) fn stats(&self) -> BranchStats {
         self.stats
+    }
+
+    /// The recorded tape, carrying the pass's counts.
+    pub(crate) fn into_tape(self) -> PredTape {
+        self.batch.tape.finish(self.stats)
     }
 }
 
@@ -1647,6 +1748,63 @@ mod tests {
             let replayed = replay(&trace, &cfg).unwrap();
             assert_eq!(replayed, direct, "replay drift for {predictor:?}");
         }
+    }
+
+    #[test]
+    fn tape_fed_passes_equal_the_reference_for_every_config() {
+        // ~170k instructions: three chunks.
+        let p = workload(10_000);
+        for narrow in configs() {
+            let wide = SimConfig {
+                core: crate::OooConfig::wide(),
+                ..narrow.clone()
+            };
+            let mut filtered = narrow.clone();
+            filtered.filter_prob_from_predictor = true;
+            for cfg in [narrow, wide, filtered] {
+                let direct = reference(&p, &cfg).unwrap();
+                let trace = DynTrace::capture(&p, &cfg).unwrap();
+                assert!(trace.chunk_count() > 1);
+                let sim = Simulation::default();
+                // The tape a replay records equals the predictor-only
+                // pass's, and either one feeds both kinds of pass.
+                let (replayed, tape) = sim.replay_taped(&trace, &cfg, None).unwrap();
+                let (counted, counted_tape) =
+                    sim.replay_branches_taped(&trace, &cfg, None).unwrap();
+                let tape = tape.expect("a live replay records its tape");
+                assert_eq!(
+                    Some(&tape),
+                    counted_tape.as_ref(),
+                    "tapes differ under {cfg:?}"
+                );
+                assert_eq!(replayed, direct, "replay drift under {cfg:?}");
+                assert_eq!(counted, direct.timing.into());
+                assert_eq!(tape.stats(), counted);
+                assert_eq!(
+                    sim.replay_taped(&trace, &cfg, Some(&tape)).unwrap(),
+                    (direct.clone(), None),
+                    "tape-fed replay drift under {cfg:?}"
+                );
+                assert_eq!(
+                    sim.replay_branches_taped(&trace, &cfg, Some(&tape))
+                        .unwrap(),
+                    (counted, None)
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tape recorded under a different predictor or filter mode")]
+    fn replay_rejects_another_predictors_tape() {
+        let p = workload(100);
+        let cfg = SimConfig::default().predictor(PredictorChoice::Tournament);
+        let trace = DynTrace::capture(&p, &cfg).unwrap();
+        let (_, tape) = Simulation::default()
+            .replay_branches_taped(&trace, &cfg, None)
+            .unwrap();
+        let tage = SimConfig::default().predictor(PredictorChoice::TageScL);
+        let _ = Simulation::default().replay_taped(&trace, &tage, tape.as_ref());
     }
 
     #[test]

@@ -224,9 +224,13 @@ fn gap_test(values: &[f64]) -> TestResult {
     result("gap", chi2_sf(chi2, CATS as f64))
 }
 
+/// One-sample Kolmogorov–Smirnov test against U(0, 1). The sort need
+/// not be stable: values that compare equal are the same `f64`, or +0
+/// and −0, which give the same distance to every step of the empirical
+/// CDF — so D, and the p-value, are bit-identical to a stable sort's.
 fn ks_uniform(values: &[f64]) -> TestResult {
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in value streams"));
+    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN in value streams"));
     let n = sorted.len();
     let mut d: f64 = 0.0;
     for (i, &v) in sorted.iter().enumerate() {
@@ -347,11 +351,25 @@ mod tests {
         (0..n).map(|_| r.next_f64()).collect()
     }
 
-    /// Reference implementations of the three bit-level tests: the
-    /// stream expanded into one `bool` per bit and counted bit by bit.
-    /// The packed versions must match them bit for bit.
+    /// Reference implementations of the three bit-level tests — the
+    /// stream expanded into one `bool` per bit and counted bit by bit —
+    /// and of the KS test over a stable sort. The battery's versions
+    /// must match them bit for bit.
     mod expanded {
-        use super::super::{chi2_sf, normal_p2, result, TestResult};
+        use super::super::{chi2_sf, ks_sf, normal_p2, result, TestResult};
+
+        pub fn ks_uniform(values: &[f64]) -> TestResult {
+            let mut sorted = values.to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in value streams"));
+            let n = sorted.len();
+            let mut d: f64 = 0.0;
+            for (i, &v) in sorted.iter().enumerate() {
+                let lo = i as f64 / n as f64;
+                let hi = (i + 1) as f64 / n as f64;
+                d = d.max((v - lo).abs()).max((hi - v).abs());
+            }
+            result("ks-uniformity", ks_sf(d, n))
+        }
 
         fn bit_iter(words: &[u32]) -> impl Iterator<Item = bool> + '_ {
             words
@@ -486,6 +504,45 @@ mod tests {
                 let bad = mismatches(&values);
                 assert!(bad.is_empty(), "{n} × ({a}, {b}): {bad:?}");
             }
+        }
+    }
+
+    /// A stream drawn from a handful of values, ±0 among them, so most
+    /// values repeat and an unstable sort reorders equal keys.
+    fn repetitive_stream() -> impl Strategy<Value = Vec<f64>> {
+        let pick = |x: u64| [0.0, -0.0, 0.25, 0.5, BELOW_ONE, 0.125, 0.75][(x % 7) as usize];
+        proptest::collection::vec(any::<u64>().prop_map(pick), 1..3_000)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100))]
+
+        #[test]
+        fn ks_test_matches_the_stable_sort_oracle(values in repetitive_stream()) {
+            let (fast, oracle) = (ks_uniform(&values), expanded::ks_uniform(&values));
+            prop_assert_eq!(fast.p_value.to_bits(), oracle.p_value.to_bits());
+            prop_assert_eq!(fast.outcome, oracle.outcome);
+        }
+    }
+
+    #[test]
+    fn ks_test_matches_the_stable_sort_oracle_on_signed_zeros() {
+        // Zeros of both signs interleaved with repeats, at lengths where
+        // an unstable sort moves equal keys past each other; the
+        // max-of-5 and min-of-5 transforms feed the same test.
+        for n in [1, 2, 5, 64, 1_000, 4_999] {
+            let values: Vec<f64> = (0..n)
+                .map(|i| match i % 5 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => 0.5,
+                    3 => -0.0,
+                    _ => 0.5,
+                })
+                .collect();
+            let (fast, oracle) = (ks_uniform(&values), expanded::ks_uniform(&values));
+            assert_eq!(fast.p_value.to_bits(), oracle.p_value.to_bits(), "n = {n}");
+            assert_eq!(fast.outcome, oracle.outcome, "n = {n}");
         }
     }
 

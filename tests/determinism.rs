@@ -4,7 +4,7 @@
 //! --jobs N` be trusted for paper figures — and that the CI matrix
 //! (PROBRANCH_JOBS=1 vs default) re-checks on every push.
 
-use probranch_bench::experiments::{self, ExperimentScale};
+use probranch_bench::experiments::{self, Engine, ExperimentScale};
 use probranch_bench::{render, Jobs};
 
 #[test]
@@ -67,4 +67,27 @@ fn ipc_sweeps_match_across_worker_counts() {
         render::ipc(&experiments::fig8(scale, Jobs::serial()), title),
         render::ipc(&experiments::fig8(scale, Jobs::new(4)), title)
     );
+}
+
+#[test]
+fn pooled_functional_runs_render_like_fresh_ones() {
+    // Figures 1 and 6 pool every seed-0 key, so §VII-D and Table III
+    // read those runs' results from the pool instead of emulating.
+    let scale = ExperimentScale::Smoke;
+    let ctx = experiments::Context::new();
+    experiments::fig1_with_ctx(scale, Jobs::serial(), Engine::Replay, &ctx);
+    experiments::fig6_with_ctx(scale, Jobs::serial(), Engine::Replay, &ctx);
+    assert_eq!(ctx.keys(), 16);
+    for jobs in [Jobs::serial(), Jobs::new(8)] {
+        assert_eq!(
+            render::accuracy(&experiments::accuracy_with_ctx(scale, jobs, &ctx)),
+            render::accuracy(&experiments::accuracy(scale, jobs)),
+            "accuracy over a warmed pool differs at {jobs} workers"
+        );
+        assert_eq!(
+            render::table3(&experiments::table3_with_ctx(scale, jobs, &ctx)),
+            render::table3(&experiments::table3(scale, jobs)),
+            "table3 over a warmed pool differs at {jobs} workers"
+        );
+    }
 }

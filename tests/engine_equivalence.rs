@@ -245,6 +245,92 @@ fn one_trace_serves_every_timing_configuration() {
     }
 }
 
+/// Prediction tapes: every pass over a trace records its predictions,
+/// and a later replay or predictor-only pass under the same predictor and
+/// filter mode reads them instead of running the predictor. For every
+/// benchmark × {tournament, TAGE-SC-L} × filter × PBS × {4-wide, 8-wide}
+/// core, the tapes recorded by a 4-wide replay, an 8-wide replay over
+/// the mmap-loaded copy and the predictor-only pass must be equal, and
+/// each must feed replays and predictor-only passes — over the
+/// materialized trace and the mapped one, on both cores — that equal
+/// the tape-less passes and the reference engine.
+#[test]
+fn tape_fed_passes_match_tape_less_ones_and_the_reference() {
+    let keys: Vec<Cell> = BenchmarkId::ALL
+        .iter()
+        .flat_map(|&w| [false, true].map(|pbs| Cell::new(w, PredictorChoice::Tournament, pbs, 0)))
+        .collect();
+    run_cells(&keys, Jobs::default(), |key| {
+        let program = key
+            .workload
+            .build(Scale::Smoke, key.workload_seed())
+            .program();
+        let base = config_for(key, OooConfig::default(), false);
+        let trace = DynTrace::capture(&program, &base).expect("capture");
+        let path = std::env::temp_dir().join(format!(
+            "probranch-tapes-{}-{:?}-{}.bin",
+            std::process::id(),
+            key.workload,
+            key.pbs
+        ));
+        trace.write_file(&path, 1).expect("write trace");
+        let mapped = DynTrace::read_file(&path, 1, &base).expect("load trace");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(mapped.mapped_chunks(), mapped.chunk_count());
+        let sim = Simulation::default();
+        for predictor in [PredictorChoice::Tournament, PredictorChoice::TageScL] {
+            for filter in [false, true] {
+                let [narrow, wide] = [OooConfig::default(), OooConfig::wide()].map(|core| {
+                    let mut cfg = config_for(key, core, false);
+                    cfg.predictor = predictor;
+                    cfg.filter_prob_from_predictor = filter;
+                    cfg
+                });
+                let what = format!("{key:?}, {predictor:?}, filter {filter}");
+                let direct =
+                    [&narrow, &wide].map(|cfg| reference(&program, cfg).expect("reference"));
+                let (replayed, tape) = sim.replay_taped(&trace, &narrow, None).expect("replay");
+                let (wide_replayed, wide_tape) =
+                    sim.replay_taped(&mapped, &wide, None).expect("replay");
+                let (counted, counted_tape) = sim
+                    .replay_branches_taped(&trace, &narrow, None)
+                    .expect("predictor-only pass");
+                assert_eq!(replayed, direct[0], "tape-less replay drift on {what}");
+                assert_eq!(
+                    wide_replayed, direct[1],
+                    "tape-less wide replay drift on {what}"
+                );
+                let projected = BranchStats::from(direct[0].timing);
+                assert_eq!(counted, projected, "predictor-only drift on {what}");
+                let tapes = [tape, wide_tape, counted_tape].map(|t| t.expect("recorded tape"));
+                assert!(
+                    tapes.iter().all(|t| t == &tapes[0]),
+                    "tapes differ by core or pass on {what}"
+                );
+                for tape in &tapes {
+                    for input in [&trace, &mapped] {
+                        for (cfg, direct) in [&narrow, &wide].iter().zip(&direct) {
+                            assert_eq!(
+                                sim.replay_taped(input, cfg, Some(tape))
+                                    .expect("tape-fed replay"),
+                                (direct.clone(), None),
+                                "tape-fed replay drift on {what}, {:?}",
+                                cfg.core.width
+                            );
+                            assert_eq!(
+                                sim.replay_branches_taped(input, cfg, Some(tape))
+                                    .expect("tape-fed predictor-only pass"),
+                                (projected, None),
+                                "tape-fed predictor-only drift on {what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
 /// The streamed two-consumer convoy — the shape the Figure 9 sweep
 /// drains for seeds no other figure pools — must equal independent
 /// replays, and the reference engine, for **every predictor pair** of

@@ -1,6 +1,7 @@
 //! Workspace-level checks of the paper's headline claims, run against
 //! the real experiment harness (smoke scale).
 
+use probranch::pipeline::DynTrace;
 use probranch::prelude::*;
 use probranch_bench::experiments::{self, ExperimentScale};
 
@@ -130,6 +131,116 @@ fn fig9_interference_is_bounded() {
             "{}: {}%",
             r.name,
             r.max_increase_pct
+        );
+    }
+}
+
+/// A loop of `k` iterations around one jumping `PROB_JMP` whose
+/// comparison holds for every value (`value >= 0`, values `1000 + i`),
+/// so every instance jumps — bootstrapped or PBS-directed — and the
+/// not-taken counter on port 0 stays 0. The loop is entered through its
+/// back-edge test, so the first taken back-edge opens the loop context
+/// before the first instance runs and every instance shares one PBS
+/// context.
+fn jumping_prob_loop(k: i64) -> Program {
+    let mut b = ProgramBuilder::new();
+    let top = b.label("top");
+    let join = b.label("join");
+    let test = b.label("test");
+    b.li(Reg::R1, 0).li(Reg::R2, 0);
+    b.jmp(test);
+    b.bind(top);
+    b.add(Reg::R3, Reg::R1, 1000);
+    b.prob_cmp(CmpOp::Ge, Reg::R3, 0);
+    b.prob_jmp(None, join);
+    b.add(Reg::R2, Reg::R2, 1);
+    b.bind(join);
+    b.add(Reg::R1, Reg::R1, 1);
+    b.bind(test);
+    b.br(CmpOp::Lt, Reg::R1, k, top);
+    b.out(Reg::R2, 0);
+    b.halt();
+    b.build().expect("microprogram builds")
+}
+
+#[test]
+fn pbs_microprogram_consumes_bootstraps_and_directs_in_closed_form() {
+    // Section III-B by hand: K dynamic instances of one probabilistic
+    // branch under PBS with B in flight consume exactly K values (one
+    // per PROB_CMP, in generation order lagged by B after the
+    // bootstrap), bootstrap the first B as regular branches and direct
+    // the other K - B. The predictor sees the B bootstrap
+    // instances and the K + 1 executions of the back-edge test, nothing
+    // else: that is the prediction tape's length, and the probabilistic
+    // entries of the reference engine's branch log.
+    for (k, b) in [
+        (1u64, 4usize),
+        (4, 4),
+        (5, 4),
+        (40, 1),
+        (40, 4),
+        (40, 8),
+        (300, 16),
+    ] {
+        let program = jumping_prob_loop(k as i64);
+        let mut cfg = SimConfig::default().predictor(PredictorChoice::Tournament);
+        cfg.pbs = Some(PbsConfig {
+            in_flight: b,
+            ..PbsConfig::default()
+        });
+        cfg.collect_branch_trace = true;
+        let bootstraps = k.min(b as u64);
+        let what = format!("K = {k}, B = {b}");
+
+        let report = Simulation::new(EngineKind::Reference)
+            .run(&program, &cfg)
+            .expect("reference run");
+        let pbs = report.pbs.expect("PBS stats");
+        assert_eq!(
+            report.prob_consumed.len() as u64,
+            k,
+            "values consumed, {what}"
+        );
+        // Bootstrap instances consume their own value; each directed
+        // instance swaps in the value generated B instances earlier.
+        let lagged: Vec<u64> = (0..k)
+            .map(|i| 1000 + if i < bootstraps { i } else { i - bootstraps })
+            .collect();
+        assert_eq!(report.prob_consumed, lagged, "consumption order, {what}");
+        assert_eq!(pbs.bootstrap, bootstraps, "bootstraps, {what}");
+        assert_eq!(pbs.directed, k - bootstraps, "directed, {what}");
+        assert_eq!(pbs.bypassed, 0, "bypassed, {what}");
+        assert_eq!(report.output(0), &[0], "every instance jumps, {what}");
+        let t = report.timing;
+        assert_eq!(t.cond_branches, 2 * k + 1, "conditional branches, {what}");
+        assert_eq!(t.prob_branches, k, "probabilistic branches, {what}");
+        assert_eq!(t.pbs_directed, k - bootstraps, "directed in timing, {what}");
+        assert!(
+            t.mispredicts_prob <= bootstraps,
+            "no mispredicts after the bootstrap, {what}"
+        );
+        let seen_prob = report.branch_trace.iter().filter(|e| e.is_prob).count() as u64;
+        assert_eq!(seen_prob, bootstraps, "predictor-visible instances, {what}");
+
+        let trace = DynTrace::capture(&program, &cfg).expect("capture");
+        let (_, tape) = Simulation::default()
+            .replay_branches_taped(&trace, &cfg, None)
+            .expect("predictor-only pass");
+        let tape = tape.expect("recorded tape");
+        assert_eq!(
+            tape.predictions(),
+            k + 1 + bootstraps,
+            "tape length, {what}"
+        );
+        let mut filtered = cfg.clone();
+        filtered.filter_prob_from_predictor = true;
+        let (_, tape) = Simulation::default()
+            .replay_branches_taped(&trace, &filtered, None)
+            .expect("filtered predictor-only pass");
+        assert_eq!(
+            tape.expect("recorded tape").predictions(),
+            k + 1,
+            "filtered tape length, {what}"
         );
     }
 }

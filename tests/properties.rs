@@ -609,3 +609,166 @@ proptest! {
         prop_assert!(r.timing.cycles >= r.timing.instructions / 4);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The `--fault-plan` spec parser
+// ---------------------------------------------------------------------------
+
+/// Characters a fault spec is made of, plus a few that never belong.
+const SPEC_CHARS: &str = "seed=,.xX0123456789-+eE _pathcnrsiwofmubyldk\t;é∞";
+
+/// A spec-shaped token: a site name, a key, a number or a separator.
+fn spec_token() -> impl Strategy<Value = String> {
+    let sites: Vec<String> = probranch_faults::ALL_SITES
+        .iter()
+        .map(|s| s.name().to_string())
+        .collect();
+    let words: Vec<String> = [
+        "seed",
+        "=",
+        ",",
+        "x",
+        "X",
+        "0",
+        "1",
+        "0.5",
+        "1e-3",
+        "-0",
+        "2",
+        "inf",
+        "NaN",
+        " ",
+        "18446744073709551616",
+        "0x1p-3",
+        "",
+    ]
+    .iter()
+    .map(|w| w.to_string())
+    .collect();
+    let chars: Vec<char> = SPEC_CHARS.chars().collect();
+    prop_oneof![
+        proptest::sample::select(sites),
+        proptest::sample::select(words),
+        proptest::sample::select(chars).prop_map(String::from),
+        any::<u32>()
+            .prop_map(|c| char::from_u32(c % 0x11_0000).map_or_else(String::new, String::from)),
+    ]
+}
+
+/// A valid plan: a seed and up to five clauses, some with budgets.
+fn valid_plan() -> impl Strategy<Value = probranch_faults::FaultPlan> {
+    let clause = (
+        0usize..probranch_faults::ALL_SITES.len(),
+        prop_oneof![
+            Just(0.0f64),
+            Just(1.0f64),
+            Just(-0.0f64),
+            Just(5e-324f64),
+            any::<u64>().prop_map(|x| (x >> 11) as f64 / (1u64 << 53) as f64),
+        ],
+        prop_oneof![Just(None), any::<u64>().prop_map(Some)],
+    );
+    (any::<u64>(), proptest::collection::vec(clause, 0..6)).prop_map(|(seed, clauses)| {
+        clauses.into_iter().fold(
+            probranch_faults::FaultPlan::seeded(seed),
+            |plan, (site, p, budget)| {
+                let site = probranch_faults::ALL_SITES[site];
+                match budget {
+                    Some(n) => plan.arm_capped(site, p, n),
+                    None => plan.arm(site, p),
+                }
+            },
+        )
+    })
+}
+
+/// One edit of a spec: delete, insert or replace the character at a
+/// position, or repeat a stretch of it.
+fn spec_edit() -> impl Strategy<Value = (u8, usize, usize, char)> {
+    let chars: Vec<char> = SPEC_CHARS.chars().collect();
+    (
+        0u8..4,
+        any::<usize>(),
+        0usize..12,
+        proptest::sample::select(chars),
+    )
+}
+
+fn mutate(spec: &str, edits: &[(u8, usize, usize, char)]) -> String {
+    let mut s: Vec<char> = spec.chars().collect();
+    for &(kind, at, len, c) in edits {
+        let at = at % (s.len() + 1);
+        match kind {
+            0 if at < s.len() => {
+                s.remove(at);
+            }
+            1 => s.insert(at, c),
+            2 if at < s.len() => s[at] = c,
+            _ => {
+                let end = (at + len).min(s.len());
+                let copy: Vec<char> = s[at..end].to_vec();
+                s.splice(at..at, copy);
+            }
+        }
+    }
+    s.into_iter().collect()
+}
+
+/// Checks one parse outcome: an `Ok` plan survives rendering and
+/// re-parsing unchanged, and an `Err` quotes a clause of the spec, or
+/// that clause's site, value, probability or budget.
+fn check_parse(spec: &str) -> Result<(), TestCaseError> {
+    match probranch_faults::FaultPlan::parse(spec) {
+        Ok(plan) => {
+            let rendered = plan.spec();
+            prop_assert_eq!(
+                probranch_faults::FaultPlan::parse(&rendered),
+                Ok(plan),
+                "`{}` rendered as `{}`",
+                spec,
+                rendered
+            );
+        }
+        Err(msg) => {
+            let named = spec.split(',').map(str::trim).any(|clause| {
+                let mut parts = vec![clause];
+                if let Some((key, value)) = clause.split_once('=') {
+                    let value = value.trim();
+                    parts.extend([key.trim(), value]);
+                    if let Some((p, n)) = value.split_once(['x', 'X']) {
+                        parts.extend([p, n]);
+                    }
+                }
+                parts.iter().any(|p| msg.contains(&format!("`{p}`")))
+            });
+            prop_assert!(
+                named,
+                "error for `{}` names no clause or value: {}",
+                spec,
+                msg
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn fault_plan_parse_never_panics_on_arbitrary_specs(
+        tokens in proptest::collection::vec(spec_token(), 0..24)
+    ) {
+        check_parse(&tokens.concat())?;
+    }
+
+    #[test]
+    fn fault_plan_parse_round_trips_valid_and_mutated_specs(
+        plan in valid_plan(),
+        edits in proptest::collection::vec(spec_edit(), 0..5)
+    ) {
+        let spec = plan.spec();
+        prop_assert_eq!(probranch_faults::FaultPlan::parse(&spec), Ok(plan));
+        check_parse(&mutate(&spec, &edits))?;
+    }
+}
