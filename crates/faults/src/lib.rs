@@ -86,8 +86,9 @@ pub enum Site {
     /// A spurious cancellation of the current cancel scope's token
     /// (exercises the cooperative-cancellation path end to end).
     CancelSpurious,
-    /// Block-compiled capture degrades to the decoded interpreter for
-    /// the whole stream (exercises the capture-tier fallback; must be
+    /// Trace capture compiles no blocks for the stream, so every pc
+    /// single-steps through the decoded interpreter (how interpreter
+    /// capture is forced from outside the process; must be
     /// byte-invisible in every report).
     CaptureBlock,
 }

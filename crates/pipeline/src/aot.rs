@@ -1,31 +1,29 @@
-//! The block-compiled capture engine: trace capture above interpreter
-//! speed.
+//! The capture loop: trace capture above interpreter speed.
 //!
-//! Capture cost used to be one [`Emulator::step_decoded`] call — fetch,
-//! dispatch, record construction, per-record cache bookkeeping — per
-//! dynamic instruction. This module compiles the predecoded program
-//! into **basic blocks** once per emulation key and executes each block
-//! as a specialized straight-line step function:
+//! [`TraceStream::fill`] is one dispatch loop over the guest pc. This
+//! module compiles the predecoded program into **basic blocks** once per
+//! emulation key, and the loop executes each warm block as a
+//! specialized straight-line step function:
 //!
 //! * the body (every non-control op up to the block's terminator) runs
 //!   branch-free against the architectural state, with no per-op pc or
 //!   retired-counter bookkeeping — one [`Emulator::commit_straight`]
-//!   per block;
-//! * body records bulk-append into the SoA [`TraceChunk`] packer as one
-//!   consecutive-pc span through a pre-sized cursor writer
+//!   per block. The PBS probes (`prob_cmp`, `prob_jmp_push`/`quiet`)
+//!   run inside bodies like any straight-line op;
+//! * body records bulk-append into the SoA [`TraceChunk`] as one
+//!   consecutive-pc span through the chunk's cursor writer
 //!   (`TraceChunk::begin_fill`) instead of per-record pushes: zero
 //!   istalls (see the warmth rule below), zero branch bytes, and dlats
 //!   patched in from the loads the body actually executed;
-//! * the terminator (branch/call/ret/halt/`PROB_JMP`) and every *rare*
-//!   op (PBS probes, `out`) fall back to `step_decoded`, so branch
-//!   events, PBS observation, call-stack faults and probabilistic
-//!   resolution reuse the interpreter's code paths verbatim;
-//! * on top, **fragment-matched native specializations** (the
-//!   `generated` tier): the workload library's inline RNG sequences —
-//!   the xorshift64\* step, the `[0,1)` conversion, the Box–Muller
-//!   tail — are structurally pattern-matched at block-build time and
-//!   executed as straight-line host Rust, bit-identical to the op
-//!   datapath (same `f64` operations in the same order);
+//! * the terminator commits inline: direct conditional branches, `jmp`,
+//!   `call`, `ret` and `PROB_JMP` (through the shared resolution path)
+//!   each run their datapath, redirect the pc, update the PBS context
+//!   and emit one packed branch record;
+//! * the workload library's inline RNG sequences — the xorshift64\*
+//!   step, the `[0,1)` conversion, the Box–Muller tail — are
+//!   structurally pattern-matched at block-build time and executed as
+//!   straight-line host Rust, bit-identical to the op datapath (same
+//!   `f64` operations in the same order);
 //! * above blocks, **whole-loop specializations** ([`ArgmaxLoop`]):
 //!   hot inner loops that the block engine would chop into several
 //!   tiny blocks per iteration are fingerprinted at compile time and
@@ -33,37 +31,41 @@
 //!   records, branch bytes, PBS observations and fault behavior
 //!   through the same cursor writer.
 //!
+//! Every other pc takes the loop's single-step arm: one
+//! [`Emulator::step_decoded`] call, its fetch and load pre-simulated
+//! into the record's latencies. That arm runs the rare ops (`out` and
+//! `halt`, which never enter a block), cold blocks, budget tails and
+//! mid-block resume points. A program with no compiled blocks runs
+//! every pc through it — the interpreter is the loop with no blocks.
+//!
 //! # Warmth rule (byte-identity of the fast path)
 //!
 //! The bulk path writes `istall = 0` for every body record, which is
 //! only correct when each body line is already resident in the L1-I.
-//! The engine therefore executes a block through the interpreter until
-//! every line the body spans is marked in [`TraceStream::itouched`]
-//! (first touches walk the hierarchy and insert into the shared L2,
-//! exactly as the interpreter would), and only then engages the bulk
-//! path. Programs too large for the `itouched` regime never compile —
-//! they stay on the interpreter tier.
+//! The loop therefore single-steps a block until every line it spans is
+//! marked in [`TraceStream::itouched`] (first touches walk the
+//! hierarchy and insert into the shared L2, exactly as a full
+//! pre-simulation would), and only then engages the bulk path.
+//! Programs too large for the `itouched` regime compile no blocks.
 //!
 //! # Faults and limits
 //!
 //! A memory fault at body index `k` emits the `k` completed records,
 //! commits `pc`/`executed` to the faulting instruction and halts —
-//! indistinguishable from `k` interpreter steps followed by the same
+//! indistinguishable from `k` single steps followed by the same
 //! fault. Blocks only execute when the chunk budget covers the whole
 //! block, so `InstLimitExceeded` trips at exactly the same dynamic
-//! instruction as the interpreter. Long block runs poll the
+//! instruction as the reference engine. Long block runs poll the
 //! cancellation token every [`CANCEL_STRIDE`](crate::cancel::CANCEL_STRIDE)
 //! instructions, same as the reference engine.
 //!
-//! # Tier selection
+//! # Forcing the interpreter
 //!
-//! [`CaptureTier`] pick order: a per-thread override
-//! ([`with_capture_tier`], for equivalence tests) beats the
-//! `PROBRANCH_CAPTURE` environment variable
-//! (`auto`/`generated`/`block`/`interp`, read once) beats the default
-//! (`generated`). The `capture.block` failpoint degrades a block-tier
-//! capture to the interpreter at `TraceStream` construction — torture
-//! runs prove the degradation is byte-invisible.
+//! [`with_capture_tier`] forces [`CaptureTier::Interp`] on one thread
+//! (the tier-equivalence tests' hook). From outside the process, the
+//! `capture.block` failpoint does the same per emulation key:
+//! `--fault-plan 'seed=1,capture.block=1.0'` captures every key with no
+//! blocks, and torture runs prove the fallback is byte-invisible.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -73,7 +75,7 @@ use probranch_isa::{AluOp, CmpOp, FpBinOp, FpUnOp, Reg};
 
 use crate::cache::MemoryHierarchy;
 use crate::cancel::CANCEL_STRIDE;
-use crate::decode::{DecOp, DecodedProgram, InstTiming};
+use crate::decode::{DecOp, DecodedProgram};
 use crate::machine::{alu_eval, fp_bin_eval, BranchEvent, BranchEventKind, EmuError, Emulator};
 use crate::trace::{
     encode_branch, record_costs, ChunkWriter, TraceChunk, TraceStream, TRACE_CHUNK_RECORDS,
@@ -81,45 +83,18 @@ use crate::trace::{
 
 /// How trace capture executes the guest program.
 ///
-/// Every tier is byte-identical — same chunks, same errors at the same
+/// Both tiers are byte-identical — same chunks, same errors at the same
 /// dynamic instruction, same architectural results — locked by the
-/// capture-tier proptests and the CI engine-diff matrix. Tiers differ
+/// capture-tier proptests and the CI capture-tier gate. They differ
 /// only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaptureTier {
-    /// Block-compiled execution with fragment-matched native
-    /// specializations for the workload RNG sequences (the default and
-    /// fastest tier).
+    /// Block-compiled execution with native RNG fragments and loop
+    /// specializations (the default).
     Generated,
-    /// Block-compiled execution without native fragments.
-    Block,
-    /// The per-instruction decoded interpreter.
+    /// No compiled blocks: every pc single-steps through the decoded
+    /// interpreter.
     Interp,
-}
-
-impl CaptureTier {
-    /// The tier's name, as `PROBRANCH_CAPTURE` spells it:
-    /// `generated`/`block`/`interp`.
-    pub fn tag(self) -> &'static str {
-        match self {
-            CaptureTier::Generated => "generated",
-            CaptureTier::Block => "block",
-            CaptureTier::Interp => "interp",
-        }
-    }
-}
-
-fn env_tier() -> CaptureTier {
-    static TIER: OnceLock<CaptureTier> = OnceLock::new();
-    *TIER.get_or_init(|| match std::env::var("PROBRANCH_CAPTURE") {
-        Err(_) => CaptureTier::Generated,
-        Ok(v) => match v.as_str() {
-            "" | "auto" | "generated" => CaptureTier::Generated,
-            "block" => CaptureTier::Block,
-            "interp" => CaptureTier::Interp,
-            other => panic!("PROBRANCH_CAPTURE must be auto|generated|block|interp, got {other:?}"),
-        },
-    })
 }
 
 thread_local! {
@@ -128,8 +103,8 @@ thread_local! {
 
 /// Runs `f` with the capture tier forced to `tier` on this thread —
 /// the hook the tier-equivalence tests use to capture the same key
-/// under every tier regardless of environment. Restores the previous
-/// override on exit (including on panic/early return).
+/// under both tiers. Restores the previous override on exit (including
+/// on panic/early return).
 pub fn with_capture_tier<R>(tier: CaptureTier, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<CaptureTier>);
     impl Drop for Restore {
@@ -141,10 +116,12 @@ pub fn with_capture_tier<R>(tier: CaptureTier, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The tier new [`TraceStream`]s select blocks under (thread override,
-/// else environment, else `Generated`).
+/// The tier new [`TraceStream`]s select blocks under (the thread
+/// override, else `Generated`).
 pub(crate) fn selected_tier() -> CaptureTier {
-    FORCED_TIER.with(|c| c.get()).unwrap_or_else(env_tier)
+    FORCED_TIER
+        .with(|c| c.get())
+        .unwrap_or(CaptureTier::Generated)
 }
 
 // --- capture/drain overlap switch -----------------------------------
@@ -221,14 +198,14 @@ impl std::fmt::Debug for BodyStep {
 
 /// A block terminator, predecoded at block-build time.
 ///
-/// Direct branches (`jf`, the fused compare-and-branches, `jmp`) and
-/// the call-stack pair (`call`/`ret`) execute inline on the warm path:
-/// the condition/stack datapath, the pc redirect, the PBS history
-/// observation and one packed branch record — skipping the
+/// Every terminator executes inline on the warm path: the direct
+/// branches (`jf`, the fused compare-and-branches, `jmp`), the
+/// call-stack pair (`call`/`ret`) and `PROB_JMP` each run their
+/// condition, stack or resolution datapath, redirect the pc, update the
+/// PBS context and emit one packed branch record — skipping the
 /// interpreter's fetch/dispatch/record round trip, which dominates
 /// capture time on branchy kernels whose blocks are only a few ops
-/// long. Terminators with side effects beyond that (probabilistic
-/// resolution, halt) stay on [`Emulator::step_decoded`].
+/// long.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Term {
     /// `jf target` — conditional on the flag register.
@@ -286,8 +263,6 @@ pub(crate) enum Term {
         /// Taken-path pc.
         target: u32,
     },
-    /// `halt`: executed via `step_decoded`.
-    Other,
 }
 
 /// One basic block: a maximal straight-line body plus (usually) a
@@ -307,7 +282,7 @@ pub(crate) struct CompiledBlock {
     /// instead.
     pub(crate) term: Option<Term>,
     /// A whole-loop specialization headed at this block's leader, when
-    /// the fingerprint matched (`generated` tier only).
+    /// the fingerprint matched.
     pub(crate) spec: Option<ArgmaxLoop>,
 }
 
@@ -322,8 +297,10 @@ impl CompiledBlock {
 const NO_BLOCK: u32 = u32::MAX;
 
 /// The block-compiled form of a program: dense pc → block dispatch
-/// plus the compiled blocks, built once per emulation key.
-#[derive(Debug)]
+/// plus the compiled blocks, built once per emulation key. The empty
+/// program (`BlockProgram::default()`) compiles nothing, so the capture
+/// loop single-steps every pc.
+#[derive(Debug, Default)]
 pub(crate) struct BlockProgram {
     blocks: Vec<CompiledBlock>,
     /// pc → index into `blocks` for compiled leaders (non-empty body
@@ -332,8 +309,8 @@ pub(crate) struct BlockProgram {
     index: Vec<u32>,
 }
 
-/// Control ops terminate a block and execute via `step_decoded` (branch
-/// events, PBS observation, call-stack faults, prob resolution, halt).
+/// Control ops terminate a block and commit inline as its [`Term`]
+/// (branch event, PBS observation, call-stack faults, prob resolution).
 fn is_control(op: &DecOp) -> bool {
     matches!(
         op,
@@ -344,19 +321,18 @@ fn is_control(op: &DecOp) -> bool {
             | DecOp::Call { .. }
             | DecOp::Ret
             | DecOp::ProbJmp { .. }
-            | DecOp::Halt
     )
 }
 
-/// Rare ops the block engine leaves to the interpreter: output writes
-/// only. A body ends before one; the pc after it is a fresh leader, so
-/// only the rare op itself single-steps. The PBS probes (`prob_cmp`,
+/// Rare ops the capture loop single-steps: output writes and `halt`. A
+/// body ends before one; the pc after it is a fresh leader, so only the
+/// rare op itself single-steps. The PBS probes (`prob_cmp`,
 /// `prob_jmp_push`/`quiet`) are straight-line from the trace's point
 /// of view and execute inside block bodies via `exec_straight_op` —
 /// every paper kernel has one in its hot loop, and splitting there
 /// would cost two dispatch round trips per iteration.
 fn is_rare(op: &DecOp) -> bool {
-    matches!(op, DecOp::Out { .. })
+    matches!(op, DecOp::Out { .. } | DecOp::Halt)
 }
 
 /// Predecodes a control op into its [`Term`] form.
@@ -393,7 +369,7 @@ fn lower_term(op: &DecOp) -> Term {
         DecOp::Call { target } => Term::Call { target },
         DecOp::Ret => Term::Ret,
         DecOp::ProbJmp { prob, target } => Term::Prob { prob, target },
-        _ => Term::Other,
+        _ => unreachable!("only control ops lower to terminators"),
     }
 }
 
@@ -413,10 +389,10 @@ impl BlockProgram {
     /// Extracts and compiles the basic blocks of `decoded`. Leaders are
     /// the entry, every branch/call target, and the pc after every
     /// control or rare op; a body extends from its leader to the next
-    /// control op (terminator), rare op, leader or program end.
-    /// `allow_native` additionally pattern-matches the workload RNG
-    /// fragments (the `generated` tier).
-    pub(crate) fn compile(decoded: &DecodedProgram, allow_native: bool) -> BlockProgram {
+    /// control op (terminator), rare op, leader or program end. Bodies
+    /// pattern-match the workload RNG fragments, and loop heads the
+    /// whole-loop fingerprints.
+    pub(crate) fn compile(decoded: &DecodedProgram) -> BlockProgram {
         let insts = decoded.insts();
         let n = insts.len();
         let mut leader = vec![false; n];
@@ -483,12 +459,10 @@ impl BlockProgram {
             let ops: Vec<DecOp> = insts[start..end].iter().map(|d| d.op).collect();
             let mut i = 0;
             while i < ops.len() {
-                if allow_native {
-                    if let Some((fun, args, len)) = match_fragment(&ops[i..]) {
-                        body.push(BodyStep::Native { fun, args, len });
-                        i += len as usize;
-                        continue;
-                    }
+                if let Some((fun, args, len)) = match_fragment(&ops[i..]) {
+                    body.push(BodyStep::Native { fun, args, len });
+                    i += len as usize;
+                    continue;
                 }
                 body.push(BodyStep::Op(ops[i]));
                 i += 1;
@@ -503,20 +477,18 @@ impl BlockProgram {
             });
             start = end;
         }
-        if allow_native {
-            // Whole-loop fingerprints attach to the loop-head leader's
-            // block; the loop's interior blocks stay compiled as-is so
-            // mid-loop resume points (budget tails, post-fault pcs)
-            // still dispatch generically.
-            for p in 0..n {
-                let i = index[p];
-                if i == NO_BLOCK || p + ARGMAX_LEN > n {
-                    continue;
-                }
-                let window: [DecOp; ARGMAX_LEN] = std::array::from_fn(|j| insts[p + j].op);
-                if let Some(spec) = match_argmax(&window, p as u32) {
-                    blocks[i as usize].spec = Some(spec);
-                }
+        // Whole-loop fingerprints attach to the loop-head leader's
+        // block; the loop's interior blocks stay compiled as-is so
+        // mid-loop resume points (budget tails, post-fault pcs) still
+        // dispatch generically.
+        for p in 0..n {
+            let i = index[p];
+            if i == NO_BLOCK || p + ARGMAX_LEN > n {
+                continue;
+            }
+            let window: [DecOp; ARGMAX_LEN] = std::array::from_fn(|j| insts[p + j].op);
+            if let Some(spec) = match_argmax(&window, p as u32) {
+                blocks[i as usize].spec = Some(spec);
             }
         }
         BlockProgram { blocks, index }
@@ -565,7 +537,8 @@ impl BlockProgram {
 /// Whether every L1-I line the block spans — body plus terminator, when
 /// one follows — has been touched: the precondition for the zero-istall
 /// bulk path *and* for the inline terminator record, whose `istall = 0`
-/// is only what `pack_record` would produce once the line is resident.
+/// is only what a single step would pre-simulate once the line is
+/// resident.
 #[inline(always)]
 fn block_warm(itouched: &[bool], pcs_per_line: usize, b: &CompiledBlock) -> bool {
     debug_assert!(b.records() > 0);
@@ -576,20 +549,15 @@ fn block_warm(itouched: &[bool], pcs_per_line: usize, b: &CompiledBlock) -> bool
 }
 
 /// Executes one warm block: native body, bulk record emission, then
-/// the terminator through the interpreter. Returns the records
-/// emitted.
+/// the inline terminator.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn exec_block(
     emu: &mut Emulator,
     presim: &mut MemoryHierarchy,
-    timings: &[InstTiming],
-    itouched: &mut [bool],
-    pcs_per_line: usize,
     w: &mut ChunkWriter,
     b: &CompiledBlock,
     dlats: &mut Vec<(u32, u8)>,
-) -> Result<u64, EmuError> {
+) -> Result<(), EmuError> {
     dlats.clear();
     let start = b.start_pc;
     let mut done: u32 = 0;
@@ -598,8 +566,8 @@ fn exec_block(
             BodyStep::Op(op) => match emu.exec_straight_op(*op, start + done) {
                 Ok(Some(addr)) => {
                     // Loads pre-simulate their data access in execution
-                    // order, exactly as the interpreter tier would; the
-                    // latency is patched into the bulk span below.
+                    // order, exactly as a single step would; the latency
+                    // is patched into the bulk span below.
                     let dlat = presim.data_access(addr);
                     debug_assert!(dlat <= u8::MAX as u64);
                     dlats.push((done, dlat as u8));
@@ -610,7 +578,7 @@ fn exec_block(
                     // Fault at body index `done`: emit the completed
                     // records and land the machine on the faulting
                     // instruction — indistinguishable from `done`
-                    // interpreter steps followed by the same fault.
+                    // single steps followed by the same fault.
                     w.emit_straight(start, done, dlats);
                     emu.commit_straight(start + done, done as u64);
                     return Err(e);
@@ -626,14 +594,14 @@ fn exec_block(
     w.emit_straight(start, done, dlats);
     emu.commit_straight(start + done, done as u64);
     let Some(term) = b.term else {
-        return Ok(done as u64);
+        return Ok(());
     };
     let pc = start + done;
-    // Direct branch terminators execute inline: condition datapath, pc
-    // redirect, PBS observation, one packed record. The terminator's
-    // line is covered by the warmth precondition (`istall = 0`, exactly
-    // what `pack_record` would compute for a resident line) and a
-    // branch is never a load (`dlat = 0`).
+    // Terminators execute inline: condition datapath, pc redirect, PBS
+    // observation, one packed record. The terminator's line is covered
+    // by the warmth precondition (`istall = 0`, exactly what a single
+    // step would pre-simulate for a resident line) and a branch is
+    // never a load (`dlat = 0`).
     let (target, taken, kind) = match term {
         Term::Jf { target } => (target, emu.flag(), BranchEventKind::Conditional),
         Term::BrRR {
@@ -669,7 +637,7 @@ fn exec_block(
                 is_prob: false,
             }));
             w.emit_record(pc, byte, 0, 0);
-            return Ok(done as u64 + 1);
+            return Ok(());
         }
         Term::Ret => {
             emu.commit_term_ret(pc)?;
@@ -679,7 +647,7 @@ fn exec_block(
                 is_prob: false,
             }));
             w.emit_record(pc, byte, 0, 0);
-            return Ok(done as u64 + 1);
+            return Ok(());
         }
         Term::Prob { prob, target } => {
             // Probabilistic resolution through the shared path
@@ -694,17 +662,7 @@ fn exec_block(
                 is_prob: true,
             }));
             w.emit_record(pc, byte, 0, 0);
-            return Ok(done as u64 + 1);
-        }
-        Term::Other => {
-            // `halt`: one interpreter step through the shared record
-            // path.
-            let rec = emu
-                .step_decoded()?
-                .expect("machine cannot be halted at a block terminator");
-            let (istall, dlat) = record_costs(presim, timings, itouched, pcs_per_line, &rec);
-            w.emit_record(rec.pc, encode_branch(rec.branch), istall, dlat);
-            return Ok(done as u64 + 1);
+            return Ok(());
         }
     };
     emu.commit_term_branch(pc, target, taken);
@@ -714,7 +672,7 @@ fn exec_block(
         is_prob: false,
     }));
     w.emit_record(pc, byte, 0, 0);
-    Ok(done as u64 + 1)
+    Ok(())
 }
 
 // --- whole-loop specializations --------------------------------------
@@ -746,10 +704,10 @@ const ARGMAX_ITER_RECORDS: u64 = 12;
 ///          br   cc3 k, #n, head   ; back edge
 /// ```
 ///
-/// The block engine chops one iteration into four tiny blocks, and
-/// `head+9` — a jump target that is itself a control op — never
-/// compiles at all, so the unpulled path pays a full `step_decoded`
-/// per iteration. [`exec_argmax`] runs whole iterations as native
+/// The block compiler chops one iteration into up to five tiny blocks
+/// (`head+9`, a jump target that is itself a control op, compiles as a
+/// terminator-only block), each a separate dispatch. [`exec_argmax`]
+/// runs whole iterations as native
 /// Rust instead: same datapath functions, same record/branch-byte
 /// emission through the cursor writer, same PBS observations (the
 /// back edge; forward branches are provable no-ops on the context
@@ -1024,19 +982,33 @@ fn exec_argmax(
 }
 
 impl TraceStream {
-    /// The block-compiled tier of [`fill`](TraceStream::fill): dispatch
-    /// on the pc, execute warm blocks natively with bulk emission, and
-    /// single-step everything else (cold blocks, rare ops, budget
-    /// tails, mid-block resume points) through the interpreter.
-    pub(crate) fn fill_block(&mut self, chunk: &mut TraceChunk) -> Result<bool, EmuError> {
+    /// Refills `chunk` with the next run of records (clearing it first)
+    /// and pre-simulates their latencies. Returns `false` — with `chunk`
+    /// left empty — once the machine has halted.
+    ///
+    /// The one capture loop: dispatch on the pc, execute a warm compiled
+    /// block natively with bulk emission, and single-step everything
+    /// else (cold blocks, rare ops, budget tails, mid-block resume
+    /// points, and every pc of a program with no compiled blocks)
+    /// through [`Emulator::step_decoded`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates emulator faults, and returns
+    /// [`EmuError::InstLimitExceeded`] at exactly the dynamic
+    /// instruction where the reference engine would: when the dynamic
+    /// instruction count reaches `max_insts` without a halt.
+    pub fn fill(&mut self, chunk: &mut TraceChunk) -> Result<bool, EmuError> {
         chunk.clear();
         if self.halted {
             return Ok(false);
         }
+        // Cooperative cancellation: one poll per chunk bounds how much
+        // work a cancelled capture or convoy performs after the fact.
         crate::cancel::check_current()?;
         // Cap the chunk at the remaining instruction budget so the
         // limit trips at exactly the same dynamic instruction as the
-        // interpreter tier (blocks never straddle the budget: the
+        // reference engine (blocks never straddle the budget: the
         // dispatch below falls back to single steps for the tail).
         let budget = (self.max_insts - self.executed).clamp(1, TRACE_CHUNK_RECORDS as u64);
         // The 64 Ki-instruction cancellation stride,
@@ -1055,9 +1027,6 @@ impl TraceStream {
             dlat_scratch,
             ..
         } = self;
-        let blocks = blocks
-            .as_ref()
-            .expect("fill_block requires compiled blocks");
         let pcs_per_line = *pcs_per_line;
         let mut w = chunk.begin_fill(budget as usize);
         // Run the dispatch loop to completion or first error, then trim
@@ -1092,19 +1061,11 @@ impl TraceStream {
                         }
                     }
                     if warm && b.records() <= budget - w.written() {
-                        exec_block(
-                            emu,
-                            presim,
-                            timings,
-                            itouched,
-                            pcs_per_line,
-                            &mut w,
-                            b,
-                            dlat_scratch,
-                        )?;
+                        exec_block(emu, presim, &mut w, b, dlat_scratch)?;
                         continue;
                     }
                 }
+                // The single-step arm.
                 match emu.step_decoded()? {
                     Some(rec) => {
                         let (istall, dlat) =
@@ -1442,11 +1403,12 @@ mod tests {
             b.add(Reg::R3, Reg::R1, Reg::R2);
             b.halt();
         });
-        let p = BlockProgram::compile(&d, true);
+        let p = BlockProgram::compile(&d);
         assert_eq!(p.compiled_blocks(), 1);
         let b = p.at(0).unwrap();
         assert_eq!(b.body_len, 3);
-        assert!(matches!(b.term, Some(Term::Other)), "halt terminator");
+        assert!(b.term.is_none(), "halt single-steps");
+        assert!(p.at(3).is_none());
         assert!(!p.has_native());
     }
 
@@ -1458,14 +1420,15 @@ mod tests {
             b.li(Reg::R2, 8);
             b.halt();
         });
-        let p = BlockProgram::compile(&d, true);
-        // [li] | out (rare, single-stepped) | [li] halt
+        let p = BlockProgram::compile(&d);
+        // [li] | out | [li] | halt (rare ops single-step)
         assert_eq!(p.compiled_blocks(), 2);
         assert!(p.at(0).is_some());
         assert!(p.at(1).is_none());
         assert!(p.at(2).is_some());
+        assert!(p.at(3).is_none());
         assert!(p.at(0).unwrap().term.is_none());
-        assert!(p.at(2).unwrap().term.is_some());
+        assert!(p.at(2).unwrap().term.is_none());
     }
 
     #[test]
@@ -1478,9 +1441,9 @@ mod tests {
             b.br(probranch_isa::CmpOp::Lt, Reg::R1, 10, top);
             b.halt();
         });
-        let p = BlockProgram::compile(&d, true);
-        // [li] | [add] br | halt (control leader: terminator-only)
-        assert_eq!(p.compiled_blocks(), 3);
+        let p = BlockProgram::compile(&d);
+        // [li] | [add] br | halt (rare: single-stepped)
+        assert_eq!(p.compiled_blocks(), 2);
         let head = p.at(0).unwrap();
         assert_eq!(head.body_len, 1);
         assert!(head.term.is_none(), "body splits at the loop-top leader");
@@ -1490,9 +1453,23 @@ mod tests {
             matches!(body.term, Some(Term::BrRI { .. })),
             "back-edge branch executes inline"
         );
-        let tail = p.at(3).unwrap();
+        assert!(p.at(3).is_none());
+    }
+
+    #[test]
+    fn control_leaders_compile_terminator_only_blocks() {
+        let d = decode(|b| {
+            let skip = b.label("skip");
+            b.li(Reg::R1, 0);
+            b.br(probranch_isa::CmpOp::Eq, Reg::R1, 0, skip);
+            b.bind(skip);
+            b.jmp(skip);
+            b.halt();
+        });
+        let p = BlockProgram::compile(&d);
+        let tail = p.at(2).unwrap();
         assert_eq!(tail.body_len, 0, "lone control op compiles bodyless");
-        assert!(matches!(tail.term, Some(Term::Other)));
+        assert!(matches!(tail.term, Some(Term::Jmp { target: 2 })));
     }
 
     #[test]
@@ -1512,9 +1489,7 @@ mod tests {
             rng_block(b, Reg::R2);
             b.halt();
         });
-        let p = BlockProgram::compile(&d, true);
+        let p = BlockProgram::compile(&d);
         assert!(p.has_native(), "xorshift fragment should match");
-        let without = BlockProgram::compile(&d, false);
-        assert!(!without.has_native());
     }
 }

@@ -19,6 +19,12 @@
 //!   accounting with ROB back-pressure and misprediction redirects;
 //! * [`DecodedProgram`] — the one-time predecode pass feeding trace
 //!   capture (see `decode`);
+//! * [`TraceStream`] — trace capture: one loop that runs the program's
+//!   warm basic blocks as compiled straight-line code and single-steps
+//!   every other pc through the decoded interpreter (see `aot`), writing
+//!   the records into chunks through the chunk format's one writer.
+//!   [`with_capture_tier`] forces the interpreter for tests; the
+//!   `capture.block` failpoint forces it from outside the process;
 //! * [`Simulation`] / [`run_functional`] — one-call experiment drivers
 //!   returning [`SimReport`]s with IPC, MPKI, PBS counters, program
 //!   outputs and the consumed probabilistic-value stream.
@@ -92,6 +98,5 @@ pub use persist::{sweep_old_quarantined, sweep_stale_temps, TraceLoad, TRACE_FIL
 pub use sim::{run_functional, EngineKind, PredictorChoice, SimConfig, SimReport, Simulation};
 pub use tape::{PredTape, TapeKey};
 pub use trace::{
-    DynTrace, ReplayConsumer, ReplayRec, TraceChunk, TraceFunctional, TraceStream,
-    TRACE_CHUNK_RECORDS,
+    DynTrace, ReplayConsumer, TraceChunk, TraceFunctional, TraceStream, TRACE_CHUNK_RECORDS,
 };

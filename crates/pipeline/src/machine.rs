@@ -136,10 +136,12 @@ pub struct DynInst {
     pub mem_addr: Option<u64>,
 }
 
-/// One element of the compact dynamic stream trace capture packs
-/// ([`Emulator::step_block_with`]): just the facts the timing model
-/// needs, with the static instruction looked up by `pc` in the shared
-/// [`DecodedProgram`] instead of being copied per dynamic instruction.
+/// One element of the compact dynamic stream the decoded interpreter
+/// produces ([`Emulator::step_decoded`], which trace capture's
+/// single-step arm packs into its chunks): just the facts the timing
+/// model needs, with the static instruction looked up by `pc` in the
+/// shared [`DecodedProgram`] instead of being copied per dynamic
+/// instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepRecord {
     /// PC of the instruction.
@@ -1017,7 +1019,7 @@ impl Emulator {
         }))
     }
 
-    /// Current program counter (the block engine dispatches on it).
+    /// Current program counter (the capture loop dispatches on it).
     #[inline(always)]
     pub(crate) fn pc(&self) -> u32 {
         self.pc
@@ -1180,9 +1182,10 @@ impl Emulator {
     /// subset — including the PBS probes (`prob_cmp`, `prob_jmp_push`),
     /// which are plain straight-line ops from the trace's point of
     /// view; the capture-tier equivalence proptests lock the two
-    /// datapaths together. Control ops (block terminators) and `out`
-    /// never enter a block body — the block builder in `crate::aot`
-    /// routes them through `step_decoded`.
+    /// datapaths together. Control ops never enter a block body (they
+    /// terminate it and commit inline through the `commit_term_*`
+    /// helpers), and neither do `out` and `halt`, which the capture
+    /// loop single-steps through `step_decoded`.
     ///
     /// # Errors
     ///
@@ -1291,51 +1294,24 @@ impl Emulator {
         Ok(None)
     }
 
-    /// Executes up to `max` instructions from the predecoded form,
-    /// handing each [`StepRecord`] to `sink` as it is produced — trace
-    /// capture packs them straight into its chunk layout. Stops early at
-    /// `halt`. Returns the number of instructions executed (0 once
-    /// halted).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EmuError`]; records already handed to
-    /// `sink` stay consumed.
-    pub fn step_block_with<F: FnMut(StepRecord)>(
-        &mut self,
-        max: usize,
-        mut sink: F,
-    ) -> Result<usize, EmuError> {
-        let mut n = 0;
-        while n < max {
-            match self.step_decoded()? {
-                Some(rec) => {
-                    n += 1;
-                    sink(rec);
-                }
-                None => break,
-            }
-        }
-        Ok(n)
-    }
-
     /// Runs until `halt`, with an instruction budget.
     ///
     /// # Errors
     ///
     /// Any [`EmuError`] from execution, or
-    /// [`EmuError::InstLimitExceeded`] if the program does not halt
-    /// within `max_insts`.
+    /// [`EmuError::InstLimitExceeded`] once `max_insts` instructions
+    /// have executed — the `halt` included, so a program of exactly
+    /// `max_insts` instructions trips the limit. That is the instruction
+    /// at which the simulation engines and trace capture stop.
     pub fn run_to_halt(&mut self, max_insts: u64) -> Result<u64, EmuError> {
         let start = self.executed;
-        while !self.halted {
+        // The decoded interpreter: architecturally identical to `step`,
+        // without the per-instruction record construction costs of the
+        // reference path.
+        while self.step_decoded()?.is_some() {
             if self.executed - start >= max_insts {
                 return Err(EmuError::InstLimitExceeded { limit: max_insts });
             }
-            // The decoded interpreter: architecturally identical to
-            // `step`, without the per-instruction record construction
-            // costs of the reference path.
-            self.step_decoded()?;
         }
         Ok(self.executed - start)
     }
@@ -1717,7 +1693,7 @@ mod tests {
     }
 
     #[test]
-    fn step_block_batches_and_stops_at_halt() {
+    fn decoded_steps_record_the_halt_then_stop() {
         let mut bld = ProgramBuilder::new();
         bld.li(Reg::R1, 1)
             .add(Reg::R1, Reg::R1, 1)
@@ -1725,17 +1701,15 @@ mod tests {
             .halt();
         let mut e = Emulator::new(bld.build().unwrap(), EmuConfig::default());
         let mut pcs = Vec::new();
-        assert_eq!(e.step_block_with(3, |rec| pcs.push(rec.pc)).unwrap(), 3);
-        assert_eq!(pcs, [0, 1, 2]);
+        while let Some(rec) = e.step_decoded().unwrap() {
+            pcs.push(rec.pc);
+        }
+        assert_eq!(pcs, [0, 1, 2, 3], "the halt is a record");
+        assert_eq!(e.executed(), 4);
         assert_eq!(
-            e.step_block_with(64, |_| {}).unwrap(),
-            1,
-            "only the halt remains"
-        );
-        assert_eq!(
-            e.step_block_with(64, |_| {}).unwrap(),
-            0,
-            "halted machine yields an empty block"
+            e.step_decoded().unwrap(),
+            None,
+            "halted machine stays halted"
         );
         assert_eq!(e.output(3), &[2]);
         assert_eq!(e.outputs_sorted(), vec![(3u16, vec![2u64])]);

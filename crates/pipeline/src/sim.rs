@@ -982,6 +982,47 @@ mod tests {
     }
 
     #[test]
+    fn functional_runs_stop_at_the_engines_instruction_budget() {
+        // Budgets one below, at and one above a run's length N: the run
+        // completes only under N + 1, whichever of `run_functional`,
+        // the reference engine and capture under either tier runs it —
+        // the halt is an instruction, and all of them count it.
+        use crate::aot::{with_capture_tier, CaptureTier};
+        use crate::trace::TraceFunctional;
+        let mut b = ProgramBuilder::new();
+        b.li(Reg::R1, 7).out(Reg::R1, 0).halt();
+        let runs = [
+            (b.build().unwrap(), None),
+            (prob_workload(40), Some(PbsConfig::default())),
+        ];
+        for (program, pbs) in runs {
+            let n = run_functional(&program, pbs.clone(), u64::MAX)
+                .unwrap()
+                .timing
+                .instructions;
+            for max_insts in [n - 1, n, n + 1] {
+                let cfg = SimConfig {
+                    pbs: pbs.clone(),
+                    max_insts,
+                    ..SimConfig::default()
+                };
+                let direct = Simulation::new(EngineKind::Reference)
+                    .run(&program, &cfg)
+                    .map(TraceFunctional::from);
+                assert_eq!(direct.is_ok(), max_insts > n, "N = {n}, budget {max_insts}");
+                let functional =
+                    run_functional(&program, pbs.clone(), max_insts).map(TraceFunctional::from);
+                assert_eq!(functional, direct, "N = {n}, budget {max_insts}");
+                for tier in [CaptureTier::Generated, CaptureTier::Interp] {
+                    let captured = with_capture_tier(tier, || DynTrace::capture(&program, &cfg))
+                        .map(|t| t.functional().clone());
+                    assert_eq!(captured, direct, "N = {n}, budget {max_insts}, {tier:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn every_engine_stops_under_an_already_cancelled_scope() {
         // 2,002 instructions: far below the reference engine's poll
         // stride, so only a poll before the first instruction sees the

@@ -7,9 +7,9 @@
 //! tracing live entirely in the timing model and feed nothing back into
 //! the emulator. This module makes that stream a first-class artifact:
 //!
-//! * [`TraceStream`] — the capture half: drains the emulator's
-//!   [`StepRecord`](crate::StepRecord) stream (branch outcomes and
-//!   prob-branch resolutions ride inside the records) into
+//! * [`TraceStream`] — the capture half: runs the program through the
+//!   capture loop ([`TraceStream::fill`], in `crate::aot`: compiled
+//!   blocks where they are warm, single steps everywhere else) into
 //!   structure-of-arrays [`TraceChunk`]s, pre-simulating the memory
 //!   hierarchy — whose evolution also depends only on the pc/address
 //!   stream — into per-record latencies along the way;
@@ -40,15 +40,24 @@
 //! streams plus a **run-length index over non-branch runs**: the
 //! branch-event byte is zero for the large majority of dynamic
 //! instructions (~80% on the paper workloads), so instead of an
-//! interleaved 8-byte [`ReplayRec`] per record — whose branch byte every
-//! consumer re-tests — the chunk stores one length per non-branch run
-//! and a dense stream of the (non-zero) branch bytes. A consumer never
-//! scans for branches at all: [`walk_chunk`] iterates whole non-branch
-//! spans through a branch-free specialization of the cycle-accounting
-//! core (the `branch: None` match arm constant-folds away) and decodes
-//! exactly one branch event per run. The AoS [`ReplayRec`] view remains
-//! available through [`TraceChunk::push`] / [`TraceChunk::records`] and
-//! round-trips byte-identically (property-tested).
+//! interleaved branch byte per record — which every consumer would
+//! re-test — the chunk stores one length per non-branch run and a dense
+//! stream of the (non-zero) branch bytes. A consumer never scans for
+//! branches at all: [`walk_chunk`] iterates whole non-branch spans
+//! through a branch-free specialization of the cycle-accounting core
+//! (the `branch: None` match arm constant-folds away) and decodes
+//! exactly one branch event per run.
+//!
+//! The format has one writer and one reader. [`ChunkWriter`] (opened by
+//! `TraceChunk::begin_fill`) is the only code that appends records, and
+//! [`walk_chunk`] the only code that reads them back in order; the
+//! persistence layer copies the raw streams verbatim. The two latency
+//! bytes of a record are exact pre-simulations of the timing model's
+//! `MemoryHierarchy::default()`: the hierarchy is deterministic given
+//! the interleaved access stream (instruction fetch, then the data
+//! access for loads, in program order), and that stream is fixed by
+//! the trace — so capture resolves the cache model once and replay
+//! consumers read two bytes instead of re-simulating three LRU caches.
 //!
 //! Replay modes on top (see `sim.rs`, behind the `Simulation` entry
 //! point): `EngineKind::Replay` re-times a materialized [`DynTrace`];
@@ -86,35 +95,8 @@ use crate::tape::{PredTape, TapeChunk, TapeKey};
 /// (384 KiB) plus the run index.
 pub const TRACE_CHUNK_RECORDS: usize = 1 << 16;
 
-/// One dynamic instruction of a captured trace, as an 8-byte
-/// array-of-structs value.
-///
-/// This is the *record view* of the trace: [`TraceChunk`] stores the
-/// same fields as parallel streams (see the module docs) and converts
-/// losslessly to and from this form ([`TraceChunk::push`] /
-/// [`TraceChunk::records`]). A timing-only pass needs less than the
-/// 16-byte live [`StepRecord`](crate::StepRecord): the data address is replaced by its
-/// pre-simulated cache latency, and the branch event fits one byte.
-///
-/// The two latency fields are exact pre-simulations of the timing
-/// model's `MemoryHierarchy::default()`: the hierarchy is deterministic
-/// given the interleaved access stream (instruction fetch, then the
-/// data access for loads, in program order), and that stream is fixed
-/// by the trace — so capture resolves the cache model once and replay
-/// consumers read two bytes instead of re-simulating three LRU caches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayRec {
-    /// PC of the instruction.
-    pub pc: u32,
-    /// Packed branch event; see [`ReplayRec::branch`].
-    branch: u8,
-    /// Extra front-end stall cycles of the instruction fetch (0 on an
-    /// L1-I hit).
-    pub istall: u8,
-    /// Load-to-use latency for loads; 0 for every other class.
-    pub dlat: u8,
-}
-
+// The packed branch byte of a record: present, taken and probabilistic
+// flags in bits 0–2, the `BranchEventKind` above them (0 = conditional).
 const BR_PRESENT: u8 = 1 << 0;
 const BR_TAKEN: u8 = 1 << 1;
 const BR_PROB: u8 = 1 << 2;
@@ -158,30 +140,6 @@ fn decode_branch(byte: u8) -> BranchEvent {
         taken: byte & BR_TAKEN != 0,
         kind,
         is_prob: byte & BR_PROB != 0,
-    }
-}
-
-impl ReplayRec {
-    /// A record from its parts (test and property-check constructor;
-    /// capture packs directly into the SoA streams).
-    pub fn new(pc: u32, branch: Option<BranchEvent>, istall: u8, dlat: u8) -> ReplayRec {
-        ReplayRec {
-            pc,
-            branch: encode_branch(branch),
-            istall,
-            dlat,
-        }
-    }
-
-    /// The branch resolution, exactly as the live [`StepRecord`](crate::StepRecord)
-    /// carried it.
-    #[inline(always)]
-    pub fn branch(&self) -> Option<BranchEvent> {
-        if self.branch & BR_PRESENT == 0 {
-            None
-        } else {
-            Some(decode_branch(self.branch))
-        }
     }
 }
 
@@ -522,31 +480,9 @@ impl TraceChunk {
         self.breq_prob.clear();
     }
 
-    /// Appends one record in its raw stream form.
-    #[inline(always)]
-    pub(crate) fn push_raw(&mut self, pc: u32, branch_byte: u8, istall: u8, dlat: u8) {
-        self.pcs.owned_mut().push(pc);
-        self.istalls.owned_mut().push(istall);
-        self.dlats.owned_mut().push(dlat);
-        if branch_byte != 0 {
-            self.runs.owned_mut().push(self.open_run);
-            self.branches.owned_mut().push(branch_byte);
-            self.open_run = 0;
-            // A conditional branch has kind bits 0: only the present/
-            // taken/prob flags may be set.
-            if branch_byte & !(BR_TAKEN | BR_PROB) == BR_PRESENT {
-                self.breqs
-                    .push(BranchReq::new(pc as u64, branch_byte & BR_TAKEN != 0));
-                self.breq_prob.push(branch_byte & BR_PROB != 0);
-            }
-        } else {
-            self.open_run += 1;
-        }
-    }
-
     /// Returns a cursor writer over zero-filled record streams that
-    /// grow lazily toward `budget` slots — the block engine's emission
-    /// path. Per-record work becomes plain indexed stores behind one
+    /// grow lazily toward `budget` slots — the only way records enter a
+    /// chunk. Per-record work becomes plain indexed stores behind one
     /// watermark check, the zero istalls/dlats of each bulk span come
     /// from the growth `memset` for free, and a capture that stops
     /// well short of the budget (short program, tail chunk) never
@@ -580,47 +516,6 @@ impl TraceChunk {
         self.open_run = open_run;
     }
 
-    /// Appends one record from its AoS view.
-    pub fn push(&mut self, rec: ReplayRec) {
-        self.push_raw(rec.pc, rec.branch, rec.istall, rec.dlat);
-    }
-
-    /// The records in program order, reassembled into their AoS view —
-    /// the inverse of repeated [`push`](TraceChunk::push) calls, used by
-    /// the pack/unpack round-trip tests (hot consumers drain the SoA
-    /// streams directly through [`walk_chunk`]).
-    pub fn records(&self) -> impl Iterator<Item = ReplayRec> + '_ {
-        let run_at = |i: usize| {
-            if i < self.runs.len() {
-                self.runs.get(i)
-            } else {
-                self.open_run
-            }
-        };
-        let branches = self.branches.as_slice();
-        let istalls = self.istalls.as_slice();
-        let dlats = self.dlats.as_slice();
-        let mut next_branch = 0usize;
-        let mut left_in_run = run_at(0);
-        (0..self.pcs.len()).map(move |i| {
-            let branch = if left_in_run > 0 {
-                left_in_run -= 1;
-                0u8
-            } else {
-                let b = branches[next_branch];
-                next_branch += 1;
-                left_in_run = run_at(next_branch);
-                b
-            };
-            ReplayRec {
-                pc: self.pcs.get(i),
-                branch,
-                istall: istalls[i],
-                dlat: dlats[i],
-            }
-        })
-    }
-
     /// Drops the slack capacity of every stream (final chunk of a
     /// materialized trace).
     fn shrink_to_fit(&mut self) {
@@ -650,10 +545,7 @@ impl TraceChunk {
         let mut idx = 0usize;
         for (run, &byte) in runs.iter().zip(branches.as_slice()) {
             idx += run as usize;
-            if byte & !(BR_TAKEN | BR_PROB) == BR_PRESENT {
-                breqs.push(BranchReq::new(pcs.get(idx) as u64, byte & BR_TAKEN != 0));
-                breq_prob.push(byte & BR_PROB != 0);
-            }
+            push_breq(breqs, breq_prob, pcs.get(idx), byte);
             idx += 1;
         }
     }
@@ -673,13 +565,26 @@ impl TraceChunk {
     }
 }
 
+/// Appends the predictor request of a branch record to the chunk's
+/// derived request stream, if the record is a conditional branch — the
+/// one rule the writer and [`TraceChunk::rebuild_breqs`] both apply.
+#[inline(always)]
+fn push_breq(breqs: &mut Vec<BranchReq>, breq_prob: &mut Vec<bool>, pc: u32, byte: u8) {
+    // A conditional branch has kind bits 0: only the present/taken/prob
+    // flags may be set.
+    if byte & !(BR_TAKEN | BR_PROB) == BR_PRESENT {
+        breqs.push(BranchReq::new(pc as u64, byte & BR_TAKEN != 0));
+        breq_prob.push(byte & BR_PROB != 0);
+    }
+}
+
 /// A cursor over a [`TraceChunk`]'s zero-filled record streams (see
-/// [`TraceChunk::begin_fill`]). Every emission is a plain indexed
-/// store at the cursor behind a watermark check — the streams grow by
-/// doubling toward `budget` rather than pre-sizing upfront, so short
-/// captures only pay for the pages they actually fill. The
-/// branch-side streams stay push-based (they are an order of
-/// magnitude sparser than the record streams).
+/// [`TraceChunk::begin_fill`]) — the chunk format's only writer. Every
+/// emission is a plain indexed store at the cursor behind a watermark
+/// check — the streams grow by doubling toward `budget` rather than
+/// pre-sizing upfront, so short captures only pay for the pages they
+/// actually fill. The branch-side streams stay push-based (they are an
+/// order of magnitude sparser than the record streams).
 pub(crate) struct ChunkWriter<'a> {
     pcs: &'a mut Vec<u32>,
     istalls: &'a mut Vec<u8>,
@@ -716,7 +621,7 @@ impl ChunkWriter<'_> {
     }
 
     /// Bulk-appends `n` straight-line records at consecutive pcs
-    /// `start..start + n` — the block engine's warm fast path. No
+    /// `start..start + n` — the compiled blocks' warm fast path. No
     /// branch bytes (a block body is branch-free by construction), and
     /// the zero istalls/dlats are already in place from the zero-fill
     /// growth: only the pcs and the load-latency patches are written.
@@ -736,8 +641,8 @@ impl ChunkWriter<'_> {
         self.cur = base + n as usize;
     }
 
-    /// Appends one record in its raw stream form —
-    /// [`TraceChunk::push_raw`] in cursor form, byte for byte.
+    /// Appends one record: its pc, packed branch byte (0 for a
+    /// non-branch record) and pre-simulated latencies.
     #[inline(always)]
     pub(crate) fn emit_record(&mut self, pc: u32, branch_byte: u8, istall: u8, dlat: u8) {
         if self.cur == self.sized {
@@ -751,13 +656,7 @@ impl ChunkWriter<'_> {
             self.runs.push(self.open_run);
             self.branches.push(branch_byte);
             self.open_run = 0;
-            // A conditional branch has kind bits 0: only the present/
-            // taken/prob flags may be set.
-            if branch_byte & !(BR_TAKEN | BR_PROB) == BR_PRESENT {
-                self.breqs
-                    .push(BranchReq::new(pc as u64, branch_byte & BR_TAKEN != 0));
-                self.breq_prob.push(branch_byte & BR_PROB != 0);
-            }
+            push_breq(self.breqs, self.breq_prob, pc, branch_byte);
         } else {
             self.open_run += 1;
         }
@@ -935,33 +834,14 @@ impl From<SimReport> for TraceFunctional {
     }
 }
 
-/// Pre-simulates and packs one interpreter record — the shared
-/// per-record path of every capture tier: the interpreter fill loop,
-/// the block engine's fallback single-steps and its block terminators
-/// all go through here, so the hierarchy evolution and the packed
-/// bytes cannot drift between tiers.
+/// Pre-simulates one single-stepped record: evolves the hierarchy by
+/// the record's instruction fetch, then its data access for a load, and
+/// returns the record's `(istall, dlat)` bytes.
 ///
 /// The L1-I-resident fast path: once a line has been fetched it can
 /// never leave the L1-I (see [`TraceStream::itouched`]), so only the
 /// first touch walks the hierarchy (and inserts into the shared L2,
 /// exactly as the full simulation would).
-#[inline(always)]
-pub(crate) fn pack_record(
-    presim: &mut MemoryHierarchy,
-    timings: &[InstTiming],
-    itouched: &mut [bool],
-    pcs_per_line: usize,
-    chunk: &mut TraceChunk,
-    rec: StepRecord,
-) {
-    let (istall, dlat) = record_costs(presim, timings, itouched, pcs_per_line, &rec);
-    chunk.push_raw(rec.pc, encode_branch(rec.branch), istall, dlat);
-}
-
-/// The latency half of [`pack_record`] — evolves the pre-simulated
-/// hierarchy and returns the record's `(istall, dlat)` bytes. Shared
-/// with the block engine's cursor writer, which packs the record
-/// itself.
 #[inline(always)]
 pub(crate) fn record_costs(
     presim: &mut MemoryHierarchy,
@@ -1019,11 +899,11 @@ pub struct TraceStream {
     /// Consecutive pcs per L1-I line (`line_bytes / 8`-byte
     /// instructions) — the divisor `itouched` was sized with.
     pub(crate) pcs_per_line: usize,
-    /// The block-compiled form of the program (see `crate::aot`), when
-    /// the selected capture tier, the `capture.block` failpoint and the
-    /// L1-I-residency precondition all allow block execution. `None`
-    /// runs the per-instruction decoded interpreter.
-    pub(crate) blocks: Option<BlockProgram>,
+    /// The block-compiled form of the program (see `crate::aot`) —
+    /// empty when the selected capture tier, the `capture.block`
+    /// failpoint or the L1-I-residency precondition rules block
+    /// execution out, so the capture loop single-steps every pc.
+    pub(crate) blocks: BlockProgram,
     /// Per-block warmth verdicts, parallel to `blocks`' block indices.
     /// Warmth is monotonic — `itouched` lines are only ever set — so a
     /// block found warm stays warm and the dispatch loop skips the
@@ -1061,30 +941,19 @@ impl TraceStream {
         };
         // Block-compiled capture (see `crate::aot`): the warm fast path
         // relies on the L1-I-residency argument above, so programs too
-        // large for `itouched` stay on the interpreter. The
-        // `capture.block` failpoint degrades block capture to the
-        // interpreter silently — torture runs prove the fallback is
-        // byte-invisible.
-        let blocks = if itouched.is_empty() {
-            None
+        // large for `itouched` compile no blocks. The `capture.block`
+        // failpoint does the same silently — torture runs prove the
+        // fallback is byte-invisible.
+        let salt = [timings.len() as u64, config.max_insts];
+        let blocks = if itouched.is_empty()
+            || crate::aot::selected_tier() == CaptureTier::Interp
+            || faults::injected(faults::Site::CaptureBlock, &salt)
+        {
+            BlockProgram::default()
         } else {
-            match crate::aot::selected_tier() {
-                CaptureTier::Interp => None,
-                tier => {
-                    let salt = [timings.len() as u64, config.max_insts];
-                    if faults::injected(faults::Site::CaptureBlock, &salt) {
-                        None
-                    } else {
-                        let compiled =
-                            BlockProgram::compile(emu.decoded(), tier == CaptureTier::Generated);
-                        (compiled.compiled_blocks() > 0).then_some(compiled)
-                    }
-                }
-            }
+            BlockProgram::compile(emu.decoded())
         };
-        let warm_blocks = blocks.as_ref().map_or_else(Box::default, |b| {
-            vec![false; b.compiled_blocks()].into_boxed_slice()
-        });
+        let warm_blocks = vec![false; blocks.compiled_blocks()].into_boxed_slice();
         TraceStream {
             emu,
             presim,
@@ -1105,67 +974,6 @@ impl TraceStream {
     /// timing-only pass needs.
     pub fn timings(&self) -> &[InstTiming] {
         &self.timings
-    }
-
-    /// Refills `chunk` with the next run of records (clearing it first)
-    /// and pre-simulates their latencies. Returns `false` — with `chunk`
-    /// left empty — once the machine has halted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates emulator faults, and returns
-    /// [`EmuError::InstLimitExceeded`] at exactly the dynamic
-    /// instruction where the reference engine would: when the dynamic
-    /// instruction count reaches `max_insts` without a halt.
-    pub fn fill(&mut self, chunk: &mut TraceChunk) -> Result<bool, EmuError> {
-        if self.blocks.is_some() {
-            return self.fill_block(chunk);
-        }
-        self.fill_interp(chunk)
-    }
-
-    /// The interpreter tier of [`fill`](TraceStream::fill): one
-    /// [`Emulator::step_decoded`] call per record.
-    pub(crate) fn fill_interp(&mut self, chunk: &mut TraceChunk) -> Result<bool, EmuError> {
-        chunk.clear();
-        if self.halted {
-            return Ok(false);
-        }
-        // Cooperative cancellation: one poll per chunk bounds how much
-        // work a cancelled capture or convoy performs after the fact
-        // (a chunk is exactly the 64 Ki-instruction poll stride).
-        crate::cancel::check_current()?;
-        // Cap the chunk at the remaining instruction budget so the limit
-        // trips at exactly the same dynamic instruction as the
-        // reference engine.
-        let budget = (self.max_insts - self.executed).clamp(1, TRACE_CHUNK_RECORDS as u64) as usize;
-        let TraceStream {
-            emu,
-            presim,
-            timings,
-            itouched,
-            pcs_per_line,
-            ..
-        } = self;
-        let pcs_per_line = *pcs_per_line;
-        // Emulate, pre-simulate and pack in one pass: each record is
-        // handed straight from the interpreter to the chunk's SoA
-        // streams, no intermediate record buffer.
-        let n = emu.step_block_with(budget, |rec| {
-            pack_record(presim, timings, itouched, pcs_per_line, chunk, rec);
-        })?;
-        if n == 0 {
-            self.halted = true;
-            return Ok(false);
-        }
-        self.executed += n as u64;
-        if self.executed >= self.max_insts {
-            self.halted = true;
-            return Err(EmuError::InstLimitExceeded {
-                limit: self.max_insts,
-            });
-        }
-        Ok(true)
     }
 
     /// The architectural results, once [`fill`](TraceStream::fill) has
@@ -1819,29 +1627,243 @@ mod tests {
         assert_eq!(replay(&trace, &cfg), reference(&p, &cfg));
     }
 
-    #[test]
-    fn soa_chunks_round_trip_their_record_view() {
-        let p = workload(4000);
-        let trace = DynTrace::capture(&p, &SimConfig::default().with_pbs()).unwrap();
-        let mut branches = 0usize;
-        for chunk in trace.chunks() {
-            let recs: Vec<ReplayRec> = chunk.records().collect();
-            assert_eq!(recs.len(), chunk.len());
-            branches += chunk.branch_count();
-            // Re-packing the AoS view reproduces the SoA streams
-            // exactly.
-            let mut repacked = TraceChunk::default();
-            for r in &recs {
-                repacked.push(*r);
-            }
-            assert_eq!(&repacked, chunk);
-            // The run index elides exactly the zero branch bytes.
-            assert_eq!(
-                recs.iter().filter(|r| r.branch().is_some()).count(),
-                chunk.branch_count()
-            );
+    /// One record as a consumer reads it back: `(pc, branch, istall,
+    /// dlat)`.
+    type Rec = (u32, Option<BranchEvent>, u8, u8);
+
+    /// Collects every record [`walk_chunk`] yields.
+    #[derive(Default)]
+    struct Collect(Vec<Rec>);
+
+    impl ChunkVisitor for Collect {
+        fn plain(&mut self, pc: u32, istall: u8, dlat: u8) {
+            self.0.push((pc, None, istall, dlat));
         }
-        assert!(branches > 0, "workload must record branches");
+
+        fn branch(&mut self, pc: u32, istall: u8, dlat: u8, ev: BranchEvent) {
+            self.0.push((pc, Some(ev), istall, dlat));
+        }
+    }
+
+    /// The record-level oracle: the reference interpreter's
+    /// `Emulator::step()` stream, with each record's latencies from a
+    /// full `MemoryHierarchy::default()` walk (fetch at `pc·8`, then the
+    /// data access of a load). It shares no code with the capture loop,
+    /// the chunk writer or the `itouched` shortcut, and checks every
+    /// record a chunk walk yields against the next one it produces.
+    struct Oracle {
+        emu: Emulator,
+        hierarchy: MemoryHierarchy,
+        seen: u64,
+    }
+
+    impl Oracle {
+        fn check(&mut self, got: Rec) {
+            let d = self
+                .emu
+                .step()
+                .unwrap()
+                .expect("the trace outruns the reference stream");
+            let istall = self.hierarchy.inst_access(d.pc as u64 * 8);
+            let dlat = match d.inst {
+                probranch_isa::Inst::Load { .. } => self
+                    .hierarchy
+                    .data_access(d.mem_addr.expect("loads carry an address")),
+                _ => 0,
+            };
+            let (pc, branch, got_istall, got_dlat) = got;
+            assert_eq!(
+                (pc, branch, got_istall as u64, got_dlat as u64),
+                (d.pc, d.branch, istall, dlat),
+                "record {}",
+                self.seen
+            );
+            self.seen += 1;
+        }
+    }
+
+    impl ChunkVisitor for Oracle {
+        fn plain(&mut self, pc: u32, istall: u8, dlat: u8) {
+            self.check((pc, None, istall, dlat));
+        }
+
+        fn branch(&mut self, pc: u32, istall: u8, dlat: u8, ev: BranchEvent) {
+            self.check((pc, Some(ev), istall, dlat));
+        }
+    }
+
+    #[test]
+    fn captured_records_match_the_reference_stream_and_a_full_cache_walk() {
+        use probranch_workloads::{BenchmarkId, Scale};
+        for id in BenchmarkId::ALL {
+            let program = id.build(Scale::Smoke, 1).program();
+            for pbs in [false, true] {
+                let cfg = if pbs {
+                    SimConfig::default().with_pbs()
+                } else {
+                    SimConfig::default()
+                };
+                for tier in [CaptureTier::Generated, CaptureTier::Interp] {
+                    let trace =
+                        crate::aot::with_capture_tier(tier, || DynTrace::capture(&program, &cfg))
+                            .unwrap();
+                    let emu = match &cfg.pbs {
+                        Some(p) => Emulator::with_pbs(
+                            program.clone(),
+                            cfg.emu.clone(),
+                            PbsUnit::new(p.clone()),
+                        ),
+                        None => Emulator::new(program.clone(), cfg.emu.clone()),
+                    };
+                    let mut oracle = Oracle {
+                        emu,
+                        hierarchy: MemoryHierarchy::default(),
+                        seen: 0,
+                    };
+                    for chunk in trace.chunks() {
+                        walk_chunk(chunk, &mut oracle);
+                    }
+                    let at = format!("{id:?}, PBS {pbs}, {tier:?}");
+                    assert_eq!(oracle.emu.step().unwrap(), None, "{at}: trace ends early");
+                    assert_eq!(oracle.seen, trace.instructions(), "{at}");
+                }
+            }
+        }
+    }
+
+    /// One write into a chunk: a record through
+    /// [`ChunkWriter::emit_record`], or a straight-line span through
+    /// [`ChunkWriter::emit_straight`].
+    enum Write {
+        Record(Rec),
+        Straight(u32, u32, Vec<(u32, u8)>),
+    }
+
+    /// Every branch event a record can carry: each kind × taken × prob.
+    fn every_branch_event() -> Vec<BranchEvent> {
+        let kinds = [
+            BranchEventKind::Conditional,
+            BranchEventKind::PbsDirected,
+            BranchEventKind::Unconditional,
+            BranchEventKind::Call,
+            BranchEventKind::Ret,
+        ];
+        let mut events = Vec::new();
+        for kind in kinds {
+            for taken in [false, true] {
+                for is_prob in [false, true] {
+                    events.push(BranchEvent {
+                        taken,
+                        kind,
+                        is_prob,
+                    });
+                }
+            }
+        }
+        events
+    }
+
+    /// Writes `writes` into a fresh chunk through its writer and checks
+    /// that the chunk walk, the branch count and the derived request
+    /// stream — as written, and as [`TraceChunk::rebuild_breqs`]
+    /// rebuilds it — reproduce them.
+    fn assert_round_trip(writes: &[Write]) {
+        let mut want: Vec<Rec> = Vec::new();
+        for write in writes {
+            match write {
+                Write::Record(rec) => want.push(*rec),
+                Write::Straight(start, n, patch) => {
+                    for i in 0..*n {
+                        let dlat = patch.iter().find(|&&(j, _)| j == i).map_or(0, |&(_, d)| d);
+                        want.push((start + i, None, 0, dlat));
+                    }
+                }
+            }
+        }
+        let mut chunk = TraceChunk::with_chunk_capacity();
+        let mut w = chunk.begin_fill(want.len().max(1));
+        for write in writes {
+            match write {
+                Write::Record((pc, branch, istall, dlat)) => {
+                    w.emit_record(*pc, encode_branch(*branch), *istall, *dlat)
+                }
+                Write::Straight(start, n, patch) => w.emit_straight(*start, *n, patch),
+            }
+        }
+        let (written, open_run) = w.finish();
+        chunk.end_fill(written, open_run);
+
+        let mut got = Collect::default();
+        walk_chunk(&chunk, &mut got);
+        assert_eq!(got.0, want);
+        assert_eq!(chunk.len(), want.len());
+        let branches = want.iter().filter(|r| r.1.is_some()).count();
+        assert_eq!(chunk.branch_count(), branches);
+        let (reqs, prob): (Vec<BranchReq>, Vec<bool>) = want
+            .iter()
+            .filter_map(|&(pc, branch, ..)| match branch {
+                Some(ev) if ev.kind == BranchEventKind::Conditional => {
+                    Some((BranchReq::new(pc as u64, ev.taken), ev.is_prob))
+                }
+                _ => None,
+            })
+            .unzip();
+        assert_eq!((&chunk.breqs, &chunk.breq_prob), (&reqs, &prob));
+        let mut rebuilt = chunk.clone();
+        rebuilt.breqs.clear();
+        rebuilt.breq_prob.clear();
+        rebuilt.rebuild_breqs();
+        assert_eq!((&rebuilt.breqs, &rebuilt.breq_prob), (&reqs, &prob));
+    }
+
+    #[test]
+    fn chunk_writer_round_trips_through_the_walk_and_the_request_rebuild() {
+        use probranch_rng::{SplitMix64, UniformSource};
+        let events = every_branch_event();
+        let branch = |pc: u32, ev: BranchEvent| Write::Record((pc, Some(ev), 3, 0));
+        let plain = |pc: u32| Write::Record((pc, None, (pc % 7) as u8, (pc % 5) as u8));
+        // The empty chunk.
+        assert_round_trip(&[]);
+        // Every branch event alone, after a plain record, and before
+        // one: chunks ending and not ending on a branch.
+        for &ev in &events {
+            assert_round_trip(&[branch(9, ev)]);
+            assert_round_trip(&[plain(8), branch(9, ev)]);
+            assert_round_trip(&[branch(9, ev), plain(10)]);
+        }
+        // All-branch and branch-free runs.
+        assert_round_trip(&events.iter().map(|&ev| branch(40, ev)).collect::<Vec<_>>());
+        assert_round_trip(&(0..300).map(plain).collect::<Vec<_>>());
+        assert_round_trip(&[
+            Write::Straight(100, 12, vec![(0, 4), (11, 250)]),
+            Write::Straight(112, 0, vec![]),
+            Write::Straight(0, 5000, vec![(4999, 1)]),
+        ]);
+        // Arbitrary mixes of all three write shapes.
+        let mut rng = SplitMix64::seed(17);
+        for _ in 0..200 {
+            let len = rng.next_u64() % 64;
+            let writes: Vec<Write> = (0..len)
+                .map(|_| {
+                    let r = rng.next_u64();
+                    let pc = (r >> 32) as u32;
+                    match r % 4 {
+                        0 => Write::Record((pc, None, (r >> 8) as u8, (r >> 16) as u8)),
+                        1 => {
+                            let ev = events[(r >> 8) as usize % events.len()];
+                            Write::Record((pc, Some(ev), (r >> 16) as u8, (r >> 24) as u8))
+                        }
+                        _ => {
+                            let n = (r >> 8) as u32 % 40;
+                            let patch = (0..n).filter(|i| (r >> (i % 32)) & 1 == 1);
+                            let patch = patch.map(|i| (i, (i * 3) as u8 | 1)).collect();
+                            Write::Straight(pc >> 1, n, patch)
+                        }
+                    }
+                })
+                .collect();
+            assert_round_trip(&writes);
+        }
     }
 
     #[test]

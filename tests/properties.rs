@@ -10,9 +10,9 @@ use probranch::isa::{
 };
 use probranch::pbs::{BranchResolution, PbsConfig, PbsUnit};
 use probranch::pipeline::{
-    with_capture_tier, BranchEvent, BranchEventKind, Cache, CaptureTier, DynTrace, EmuConfig,
-    EmuError, Emulator, EngineKind, ExecLatencies, OooConfig, PredictorChoice, ReplayRec,
-    SimConfig, SimReport, Simulation, TraceChunk,
+    with_capture_tier, Cache, CaptureTier, DynTrace, EmuConfig, EmuError, Emulator, EngineKind,
+    ExecLatencies, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation, TraceChunk,
+    TRACE_CHUNK_RECORDS,
 };
 use probranch::predictor::{BranchPredictor, TageScL, Tournament};
 
@@ -196,46 +196,6 @@ fn replay_workload(iters: i64) -> Program {
     b.build().unwrap()
 }
 
-/// Arbitrary branch events, covering every kind/flag combination a
-/// trace record can encode.
-fn branch_event_strategy() -> impl Strategy<Value = Option<BranchEvent>> {
-    prop_oneof![
-        // Weight toward `None` (runs of non-branch records) so the
-        // run-length index sees realistic span shapes…
-        Just(None),
-        Just(None),
-        Just(None),
-        // …without starving any kind/flag combination.
-        (
-            any::<bool>(),
-            any::<bool>(),
-            prop_oneof![
-                Just(BranchEventKind::Conditional),
-                Just(BranchEventKind::PbsDirected),
-                Just(BranchEventKind::Unconditional),
-                Just(BranchEventKind::Call),
-                Just(BranchEventKind::Ret),
-            ],
-        )
-            .prop_map(|(taken, is_prob, kind)| Some(BranchEvent {
-                taken,
-                kind,
-                is_prob,
-            })),
-    ]
-}
-
-/// Arbitrary AoS replay records.
-fn replay_rec_strategy() -> impl Strategy<Value = ReplayRec> {
-    (
-        any::<u32>(),
-        branch_event_strategy(),
-        any::<u8>(),
-        any::<u8>(),
-    )
-        .prop_map(|(pc, branch, istall, dlat)| ReplayRec::new(pc, branch, istall, dlat))
-}
-
 /// One access of a random memory program: `Some(value)` stores,
 /// `None` loads, and `(region, pick, skew, offset)` place it (see
 /// [`mem_addr`]).
@@ -309,23 +269,20 @@ proptest! {
         // machine configuration, capturing the dynamic trace once and
         // re-timing it produces the *identical* `SimReport` (timing,
         // outputs, `prob_consumed`, `branch_trace`) — or the identical
-        // error — as the reference engine simulating directly. And all
-        // three capture tiers — native fragments, block-compiled,
-        // decoded interpreter — must capture the identical trace,
-        // error paths (`InstLimitExceeded` at the same dynamic trip
-        // point) included. `replay_workload` is a mixed program for
-        // the block compiler: straight-line xorshift bodies (a native
-        // fragment under the generated tier) interleaved with
-        // rare-op fallbacks (`prob_cmp`/`prob_jmp`/`out`) and block
-        // terminators.
+        // error — as the reference engine simulating directly. And both
+        // capture tiers — compiled blocks with native fragments, and no
+        // blocks at all — must capture the identical trace, error
+        // paths (`InstLimitExceeded` at the same dynamic trip point)
+        // included. `replay_workload` is a mixed program for the block
+        // compiler: straight-line xorshift bodies (a native fragment)
+        // with the PBS probes inside them, inline `PROB_JMP` and branch
+        // terminators, and single-stepped `out` and `halt`.
         let program = replay_workload(iters);
         let direct = reference(&program, &cfg);
         let interp =
             with_capture_tier(CaptureTier::Interp, || DynTrace::capture(&program, &cfg));
-        let block = with_capture_tier(CaptureTier::Block, || DynTrace::capture(&program, &cfg));
         let generated =
             with_capture_tier(CaptureTier::Generated, || DynTrace::capture(&program, &cfg));
-        prop_assert_eq!(&block, &interp);
         prop_assert_eq!(&generated, &interp);
         let via_trace = interp.and_then(|trace| Simulation::default().replay(&trace, &cfg));
         prop_assert_eq!(via_trace, direct);
@@ -336,7 +293,7 @@ proptest! {
         pad in 1usize..40,
         budget in 3u64..2_000,
     ) {
-        // A straight-line block faulting mid-body: every capture tier
+        // A straight-line block faulting mid-body: both capture tiers
         // must commit exactly the same record prefix and surface the
         // identical structured error — `MemoryFault` when the budget
         // covers the faulting load, `InstLimitExceeded` when it trips
@@ -352,10 +309,11 @@ proptest! {
         let cfg = SimConfig { max_insts: budget, ..SimConfig::default() };
         let interp =
             with_capture_tier(CaptureTier::Interp, || DynTrace::capture(&program, &cfg));
-        let block = with_capture_tier(CaptureTier::Block, || DynTrace::capture(&program, &cfg));
-        prop_assert_eq!(&block, &interp);
-        prop_assert!(block.is_err());
-        prop_assert_eq!(block.err(), reference(&program, &cfg).err());
+        let generated =
+            with_capture_tier(CaptureTier::Generated, || DynTrace::capture(&program, &cfg));
+        prop_assert_eq!(&generated, &interp);
+        prop_assert!(generated.is_err());
+        prop_assert_eq!(generated.err(), reference(&program, &cfg).err());
     }
 
     #[test]
@@ -367,7 +325,7 @@ proptest! {
         // reads the last value stored to its word (0 if none), and the
         // first misaligned or out-of-bounds access faults with its
         // address and pc — under the decoded interpreter, the reference
-        // engine and every capture tier.
+        // engine and both capture tiers.
         let (program, outputs, fault) = mem_program(mem_words, &accesses);
         let emu = EmuConfig { mem_words: mem_words as usize, ..EmuConfig::default() };
         let mut e = Emulator::new(program.clone(), emu.clone());
@@ -380,7 +338,7 @@ proptest! {
             prop_assert_eq!(report.output(0), outputs.as_slice());
         }
         let by_port = if outputs.is_empty() { vec![] } else { vec![(0u16, outputs)] };
-        for tier in [CaptureTier::Generated, CaptureTier::Block, CaptureTier::Interp] {
+        for tier in [CaptureTier::Generated, CaptureTier::Interp] {
             let captured = with_capture_tier(tier, || DynTrace::capture(&program, &cfg));
             prop_assert_eq!(captured.as_ref().err(), fault.as_ref());
             if let Ok(trace) = &captured {
@@ -390,30 +348,29 @@ proptest! {
     }
 
     #[test]
-    fn soa_chunk_round_trips_arbitrary_record_streams(
-        recs in proptest::collection::vec(replay_rec_strategy(), 0..600),
+    fn captured_chunks_are_full_and_count_the_reference_branches(
+        iters in 1i64..9_000,
+        pbs in any::<bool>(),
+        interp in any::<bool>(),
     ) {
-        // The SoA chunk layout (parallel streams + a run-length index
-        // over non-branch runs) must be a lossless re-encoding of the
-        // AoS `ReplayRec` stream: unpacking reproduces every record
-        // byte-identically, and re-packing the unpacked stream
-        // reproduces the exact SoA buffers.
-        let mut chunk = TraceChunk::default();
-        for r in &recs {
-            chunk.push(*r);
+        // Under either capture tier, every chunk but the last holds
+        // exactly `TRACE_CHUNK_RECORDS` records (the capture loop fills
+        // each chunk to its budget), and the chunks' branch counts add
+        // up to the reference engine's branch records.
+        let program = replay_workload(iters);
+        let cfg = SimConfig { pbs: pbs.then(PbsConfig::default), ..SimConfig::default() };
+        let tier = if interp { CaptureTier::Interp } else { CaptureTier::Generated };
+        let trace = with_capture_tier(tier, || DynTrace::capture(&program, &cfg)).unwrap();
+        let Some((last, full)) = trace.chunks().split_last() else {
+            return Err(TestCaseError::fail("a completed run captures a chunk"));
+        };
+        for chunk in full {
+            prop_assert_eq!(chunk.len(), TRACE_CHUNK_RECORDS);
         }
-        prop_assert_eq!(chunk.len(), recs.len());
-        prop_assert_eq!(
-            chunk.branch_count(),
-            recs.iter().filter(|r| r.branch().is_some()).count()
-        );
-        let unpacked: Vec<ReplayRec> = chunk.records().collect();
-        prop_assert_eq!(&unpacked, &recs);
-        let mut repacked = TraceChunk::default();
-        for r in &unpacked {
-            repacked.push(*r);
-        }
-        prop_assert_eq!(repacked, chunk);
+        prop_assert!(!last.is_empty() && last.len() <= TRACE_CHUNK_RECORDS);
+        let branches: usize = trace.chunks().iter().map(TraceChunk::branch_count).sum();
+        let direct = reference(&program, &cfg).unwrap();
+        prop_assert_eq!(branches as u64, direct.timing.dyn_branches);
     }
 
     #[test]
@@ -422,26 +379,17 @@ proptest! {
         iters in 40i64..400,
     ) {
         // For any machine configuration — including budgets that trip
-        // the error path — a capture's SoA chunks must carry exactly
-        // the committed dynamic stream, and each chunk's AoS view must
-        // re-pack into the identical SoA streams.
+        // the error path — a capture either fails exactly as the
+        // reference engine does, or its SoA chunks carry exactly the
+        // committed dynamic stream.
         let program = replay_workload(iters);
         match DynTrace::capture(&program, &cfg) {
             Err(e) => {
-                // Error paths agree with the reference engine…
                 prop_assert_eq!(Err(e), reference(&program, &cfg).map(|_| ()));
             }
             Ok(trace) => {
                 let total: usize = trace.chunks().iter().map(TraceChunk::len).sum();
                 prop_assert_eq!(total as u64, trace.instructions());
-                for chunk in trace.chunks() {
-                    let recs: Vec<ReplayRec> = chunk.records().collect();
-                    let mut repacked = TraceChunk::default();
-                    for r in &recs {
-                        repacked.push(*r);
-                    }
-                    prop_assert_eq!(&repacked, chunk);
-                }
             }
         }
     }
