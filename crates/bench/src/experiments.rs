@@ -30,8 +30,13 @@
 //! cells after Figure 1, all of Figure 8, Figure 9's seed-0 unfiltered
 //! runs — reads them instead of predicting again. Table III and §VII-D
 //! read the architectural results of pooled traces
-//! ([`DynTrace::functional`]) instead of re-emulating the same runs. The
-//! reference engine remains selectable for differential debugging
+//! ([`DynTrace::functional`]) instead of re-emulating the same runs.
+//! Their other runs, and Table II's, are functional runs
+//! ([`run_functional`]): the capture loop's compiled blocks with nothing
+//! recorded, polling the caller's cancellation scope — so a served
+//! request's deadline stops these sections too, on every worker
+//! [`run_cells`] starts. The reference engine remains selectable for
+//! differential debugging
 //! (`figures --engine reference`); it never reads a tape, and both
 //! engines produce byte-identical rows.
 
@@ -1016,7 +1021,7 @@ fn functional_run(
     match pooled() {
         Some(trace) => trace.functional().clone(),
         None => run_functional(&program(), pbs.then(PbsConfig::default), MAX_INSTS)
-            .expect("functional run")
+            .unwrap_or_else(|e| panic!("functional run: {e}"))
             .into(),
     }
 }
@@ -1081,8 +1086,8 @@ fn uniform_streams(
                 in_flight: usize::MAX / 2,
                 ..PbsConfig::default()
             };
-            let orig =
-                run_functional(&bench.program(), Some(huge), MAX_INSTS).expect("functional run");
+            let orig = run_functional(&bench.program(), Some(huge), MAX_INSTS)
+                .unwrap_or_else(|e| panic!("functional run: {e}"));
             let pbs = functional_run(|| bench.program(), true, pooled_pbs);
             let tof = |values: &[u64]| values.iter().map(|&b| f64::from_bits(b)).collect();
             Some((tof(&orig.prob_consumed), tof(&pbs.prob_consumed)))

@@ -86,9 +86,10 @@ pub enum Site {
     /// A spurious cancellation of the current cancel scope's token
     /// (exercises the cooperative-cancellation path end to end).
     CancelSpurious,
-    /// Trace capture compiles no blocks for the stream, so every pc
-    /// single-steps through the decoded interpreter (how interpreter
-    /// capture is forced from outside the process; must be
+    /// A trace capture or a functional run compiles no blocks, so
+    /// every pc single-steps through the decoded interpreter (how the
+    /// interpreter tier is forced from outside the process; rolled
+    /// once per capture and once per functional run; must be
     /// byte-invisible in every report).
     CaptureBlock,
 }

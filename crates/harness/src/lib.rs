@@ -38,6 +38,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use probranch_pipeline::cancel::{self, CancelScope};
 use probranch_pipeline::{
     sweep_old_quarantined, sweep_stale_temps, DynTrace, PredTape, PredictorChoice, SimConfig,
     TapeKey, TraceLoad,
@@ -191,8 +192,10 @@ pub fn workload_seed(workload: BenchmarkId, seed: u64) -> u64 {
 /// Workers claim cell indices from a shared atomic counter and deposit
 /// each result into its cell's dedicated slot, so the returned vector —
 /// and therefore everything downstream of it — is byte-identical no
-/// matter how many workers ran or how they interleaved. A panic inside
-/// `run` propagates after all workers have stopped.
+/// matter how many workers ran or how they interleaved. Every worker
+/// runs under the caller's [`cancel::current`] scope, so a request
+/// deadline reaches the cells on every worker. A panic inside `run`
+/// propagates, with its own payload, after all workers have stopped.
 ///
 /// The driver is generic over the item type: the paper sweeps pass
 /// [`Cell`]s, but any `Sync` descriptor works.
@@ -208,18 +211,31 @@ where
         return cells.iter().map(run).collect();
     }
 
+    let token = cancel::current();
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = run(&cells[i]);
-                *lock_ignore_poison(&slots[i]) = Some(result);
-            });
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let _scope = token.clone().map(CancelScope::enter);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let result = run(&cells[i]);
+                        *lock_ignore_poison(&slots[i]) = Some(result);
+                    }
+                })
+            })
+            .collect();
+        // Join explicitly: the scope's implicit join would replace a
+        // worker's panic payload with a generic message.
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
     slots

@@ -1,24 +1,30 @@
-//! The capture loop: trace capture above interpreter speed.
+//! The capture loop: trace capture and functional runs above
+//! interpreter speed.
 //!
-//! [`TraceStream::fill`] is one dispatch loop over the guest pc. This
-//! module compiles the predecoded program into **basic blocks** once per
-//! emulation key, and the loop executes each warm block as a
-//! specialized straight-line step function:
+//! [`TraceStream::fill`] and [`Emulator::run_to_halt`] run one dispatch
+//! loop over the guest pc, generic over a [`Sink`] — what the loop emits
+//! as it runs. The capture sink writes trace records and pre-simulates
+//! the memory hierarchy; the functional sink emits nothing, for runs
+//! that need only the architectural results. This module compiles the
+//! predecoded program into **basic blocks** once per run, and the loop
+//! executes each ready block as a specialized straight-line step
+//! function:
 //!
 //! * the body (every non-control op up to the block's terminator) runs
 //!   branch-free against the architectural state, with no per-op pc or
 //!   retired-counter bookkeeping — one [`Emulator::commit_straight`]
 //!   per block. The PBS probes (`prob_cmp`, `prob_jmp_push`/`quiet`)
 //!   run inside bodies like any straight-line op;
-//! * body records bulk-append into the SoA [`TraceChunk`] as one
-//!   consecutive-pc span through the chunk's cursor writer
-//!   (`TraceChunk::begin_fill`) instead of per-record pushes: zero
-//!   istalls (see the warmth rule below), zero branch bytes, and dlats
-//!   patched in from the loads the body actually executed;
+//! * under the capture sink, body records bulk-append into the SoA
+//!   [`TraceChunk`] as one consecutive-pc span through the chunk's
+//!   cursor writer (`TraceChunk::begin_fill`) instead of per-record
+//!   pushes: zero istalls (see the warmth rule below), zero branch
+//!   bytes, and dlats patched in from the loads the body actually
+//!   executed;
 //! * the terminator commits inline: direct conditional branches, `jmp`,
 //!   `call`, `ret` and `PROB_JMP` (through the shared resolution path)
 //!   each run their datapath, redirect the pc, update the PBS context
-//!   and emit one packed branch record;
+//!   and hand the sink one packed branch record;
 //! * the workload library's inline RNG sequences — the xorshift64\*
 //!   step, the `[0,1)` conversion, the Box–Muller tail — are
 //!   structurally pattern-matched at block-build time and executed as
@@ -27,34 +33,38 @@
 //! * above blocks, **whole-loop specializations** ([`ArgmaxLoop`]):
 //!   hot inner loops that the block engine would chop into several
 //!   tiny blocks per iteration are fingerprinted at compile time and
-//!   executed iteration-at-a-time as native Rust, emitting the same
-//!   records, branch bytes, PBS observations and fault behavior
-//!   through the same cursor writer.
+//!   executed iteration-at-a-time as native Rust, handing the sink the
+//!   same records and branch bytes, with the same PBS observations and
+//!   fault behavior.
 //!
 //! Every other pc takes the loop's single-step arm: one
-//! [`Emulator::step_decoded`] call, its fetch and load pre-simulated
-//! into the record's latencies. That arm runs the rare ops (`out` and
-//! `halt`, which never enter a block), cold blocks, budget tails and
-//! mid-block resume points. A program with no compiled blocks runs
-//! every pc through it — the interpreter is the loop with no blocks.
+//! [`Emulator::step_decoded`] call (under the capture sink, its fetch
+//! and load pre-simulated into the record's latencies). That arm runs
+//! the rare ops (`out` and `halt`, which never enter a block), cold
+//! blocks, budget tails and mid-block resume points. A program with no
+//! compiled blocks runs every pc through it — the interpreter is the
+//! loop with no blocks.
 //!
-//! # Warmth rule (byte-identity of the fast path)
+//! # Warmth rule (byte-identity of the capture fast path)
 //!
 //! The bulk path writes `istall = 0` for every body record, which is
 //! only correct when each body line is already resident in the L1-I.
-//! The loop therefore single-steps a block until every line it spans is
-//! marked in [`TraceStream::itouched`] (first touches walk the
+//! The capture sink therefore single-steps a block until every line it
+//! spans is marked in [`TraceStream::itouched`] (first touches walk the
 //! hierarchy and insert into the shared L2, exactly as a full
 //! pre-simulation would), and only then engages the bulk path.
-//! Programs too large for the `itouched` regime compile no blocks.
+//! Programs too large for the `itouched` regime capture with no blocks.
+//! A functional run has no `istall` to protect, so it runs every
+//! compiled block from its first execution, at any program size.
 //!
 //! # Faults and limits
 //!
 //! A memory fault at body index `k` emits the `k` completed records,
 //! commits `pc`/`executed` to the faulting instruction and halts —
 //! indistinguishable from `k` single steps followed by the same
-//! fault. Blocks only execute when the chunk budget covers the whole
-//! block, so `InstLimitExceeded` trips at exactly the same dynamic
+//! fault. Blocks and argmax iterations only execute when the remaining
+//! instruction budget (the chunk's, or the functional run's) covers
+//! them, so `InstLimitExceeded` trips at exactly the same dynamic
 //! instruction as the reference engine. Long block runs poll the
 //! cancellation token every [`CANCEL_STRIDE`](crate::cancel::CANCEL_STRIDE)
 //! instructions, same as the reference engine.
@@ -62,26 +72,29 @@
 //! # Forcing the interpreter
 //!
 //! [`with_capture_tier`] forces [`CaptureTier::Interp`] on one thread
-//! (the tier-equivalence tests' hook). From outside the process, the
-//! `capture.block` failpoint does the same per emulation key:
-//! `--fault-plan 'seed=1,capture.block=1.0'` captures every key with no
-//! blocks, and torture runs prove the fallback is byte-invisible.
+//! (the tier-equivalence tests' hook), for captures and functional runs
+//! alike. From outside the process, the `capture.block` failpoint does
+//! the same per run, rolled once per capture and once per functional
+//! run: `--fault-plan 'seed=1,capture.block=1.0'` runs everything with
+//! no blocks, and torture runs prove the fallback is byte-invisible.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
+use probranch_faults as faults;
 use probranch_isa::{AluOp, CmpOp, FpBinOp, FpUnOp, Reg};
 
 use crate::cache::MemoryHierarchy;
 use crate::cancel::CANCEL_STRIDE;
-use crate::decode::{DecOp, DecodedProgram};
+use crate::decode::{DecOp, DecodedProgram, InstTiming};
 use crate::machine::{alu_eval, fp_bin_eval, BranchEvent, BranchEventKind, EmuError, Emulator};
 use crate::trace::{
     encode_branch, record_costs, ChunkWriter, TraceChunk, TraceStream, TRACE_CHUNK_RECORDS,
 };
 
-/// How trace capture executes the guest program.
+/// How the capture loop executes the guest program, for trace capture
+/// and functional runs ([`Emulator::run_to_halt`]) alike.
 ///
 /// Both tiers are byte-identical — same chunks, same errors at the same
 /// dynamic instruction, same architectural results — locked by the
@@ -102,9 +115,9 @@ thread_local! {
 }
 
 /// Runs `f` with the capture tier forced to `tier` on this thread —
-/// the hook the tier-equivalence tests use to capture the same key
-/// under both tiers. Restores the previous override on exit (including
-/// on panic/early return).
+/// the hook the tier-equivalence tests use to capture or run the same
+/// key under both tiers. Restores the previous override on exit
+/// (including on panic/early return).
 pub fn with_capture_tier<R>(tier: CaptureTier, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<CaptureTier>);
     impl Drop for Restore {
@@ -116,9 +129,9 @@ pub fn with_capture_tier<R>(tier: CaptureTier, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The tier new [`TraceStream`]s select blocks under (the thread
-/// override, else `Generated`).
-pub(crate) fn selected_tier() -> CaptureTier {
+/// The tier new runs select blocks under (the thread override, else
+/// `Generated`).
+fn selected_tier() -> CaptureTier {
     FORCED_TIER
         .with(|c| c.get())
         .unwrap_or(CaptureTier::Generated)
@@ -198,11 +211,11 @@ impl std::fmt::Debug for BodyStep {
 
 /// A block terminator, predecoded at block-build time.
 ///
-/// Every terminator executes inline on the warm path: the direct
+/// Every terminator executes inline on the block path: the direct
 /// branches (`jf`, the fused compare-and-branches, `jmp`), the
 /// call-stack pair (`call`/`ret`) and `PROB_JMP` each run their
 /// condition, stack or resolution datapath, redirect the pc, update the
-/// PBS context and emit one packed branch record — skipping the
+/// PBS context and hand the sink one packed branch record — skipping the
 /// interpreter's fetch/dispatch/record round trip, which dominates
 /// capture time on branchy kernels whose blocks are only a few ops
 /// long.
@@ -297,9 +310,9 @@ impl CompiledBlock {
 const NO_BLOCK: u32 = u32::MAX;
 
 /// The block-compiled form of a program: dense pc → block dispatch
-/// plus the compiled blocks, built once per emulation key. The empty
-/// program (`BlockProgram::default()`) compiles nothing, so the capture
-/// loop single-steps every pc.
+/// plus the compiled blocks, built once per capture or functional run.
+/// The empty program (`BlockProgram::default()`) compiles nothing, so
+/// the capture loop single-steps every pc.
 #[derive(Debug, Default)]
 pub(crate) struct BlockProgram {
     blocks: Vec<CompiledBlock>,
@@ -386,6 +399,23 @@ fn branch_target(op: &DecOp) -> Option<u32> {
 }
 
 impl BlockProgram {
+    /// The blocks a run of `decoded` under the instruction budget
+    /// `max_insts` executes: none under [`CaptureTier::Interp`] or when
+    /// the `capture.block` failpoint fires for the run (salted by the
+    /// program length and the budget), else the compiled program.
+    pub(crate) fn select(decoded: &DecodedProgram, max_insts: u64) -> BlockProgram {
+        if selected_tier() == CaptureTier::Interp
+            || faults::injected(
+                faults::Site::CaptureBlock,
+                &[decoded.len() as u64, max_insts],
+            )
+        {
+            BlockProgram::default()
+        } else {
+            BlockProgram::compile(decoded)
+        }
+    }
+
     /// Extracts and compiles the basic blocks of `decoded`. Leaders are
     /// the entry, every branch/call target, and the pc after every
     /// control or rare op; a body extends from its leader to the next
@@ -520,6 +550,13 @@ impl BlockProgram {
         self.blocks.len()
     }
 
+    /// The head pc of the first whole-loop specialization, if any
+    /// (unit-test convenience).
+    #[cfg(test)]
+    pub(crate) fn argmax_head(&self) -> Option<u32> {
+        self.blocks.iter().find_map(|b| b.spec.map(|sp| sp.head))
+    }
+
     /// Whether any block carries a fragment-matched native step.
     #[cfg(test)]
     pub(crate) fn has_native(&self) -> bool {
@@ -532,45 +569,210 @@ impl BlockProgram {
     }
 }
 
-// --- block execution -------------------------------------------------
+// --- sinks -----------------------------------------------------------
 
-/// Whether every L1-I line the block spans — body plus terminator, when
-/// one follows — has been touched: the precondition for the zero-istall
-/// bulk path *and* for the inline terminator record, whose `istall = 0`
-/// is only what a single step would pre-simulate once the line is
-/// resident.
-#[inline(always)]
-fn block_warm(itouched: &[bool], pcs_per_line: usize, b: &CompiledBlock) -> bool {
-    debug_assert!(b.records() > 0);
-    let l0 = b.start_pc as usize / pcs_per_line;
-    let last_pc = b.start_pc + b.body_len + b.term.is_some() as u32 - 1;
-    let l1 = last_pc as usize / pcs_per_line;
-    itouched[l0..=l1].iter().all(|&t| t)
+/// What the dispatch loop and the block executors emit as they run, and
+/// when a compiled block may run.
+///
+/// [`CaptureSink`] writes trace records through the [`ChunkWriter`],
+/// pre-simulates every fetch and load, and holds a block back until it
+/// is warm. [`FunctionalSink`] emits nothing and runs every block as
+/// soon as it is reached. Every method inlines, so a functional run
+/// compiles down to the bare datapath.
+pub(crate) trait Sink {
+    /// Whether compiled block `i` may take the fast path now.
+    fn block_ready(&mut self, i: usize, b: &CompiledBlock) -> bool;
+    /// Whether the argmax loop headed at `head` may run natively.
+    fn loop_ready(&self, head: u32) -> bool;
+    /// A load at index `i` of the straight-line span the next
+    /// [`straight`](Sink::straight) call reports touched `addr`.
+    fn load(&mut self, i: u32, addr: u64);
+    /// The `n` straight-line instructions at `start..start + n` retired.
+    fn straight(&mut self, start: u32, n: u32);
+    /// The control instruction at `pc` retired, with its packed branch
+    /// byte.
+    fn branch(&mut self, pc: u32, byte: u8);
+    /// Single-steps one instruction of a machine that has not halted.
+    fn step(&mut self, emu: &mut Emulator) -> Result<(), EmuError>;
 }
 
-/// Executes one warm block: native body, bulk record emission, then
-/// the inline terminator.
+/// The capture sink (see [`Sink`]): [`TraceStream::fill`]'s chunk
+/// writer, its pre-simulated hierarchy and its warmth state.
+struct CaptureSink<'a, 'w> {
+    w: &'a mut ChunkWriter<'w>,
+    presim: &'a mut MemoryHierarchy,
+    timings: &'a [InstTiming],
+    itouched: &'a mut [bool],
+    pcs_per_line: usize,
+    warm_blocks: &'a mut [bool],
+    /// `(span index, latency)` of the loads of the span being executed.
+    dlats: &'a mut Vec<(u32, u8)>,
+}
+
+impl Sink for CaptureSink<'_, '_> {
+    /// The warmth rule: every L1-I line the block spans — body plus
+    /// terminator, when one follows — has been touched. That is the
+    /// precondition for the zero-istall bulk path *and* for the inline
+    /// terminator record, whose `istall = 0` is only what a single step
+    /// would pre-simulate once the line is resident. Warmth is
+    /// monotonic (`itouched` lines are only ever set), so a block found
+    /// warm once is warm forever: the verdict is cached and the line
+    /// scan skipped.
+    #[inline(always)]
+    fn block_ready(&mut self, i: usize, b: &CompiledBlock) -> bool {
+        self.warm_blocks[i] || {
+            debug_assert!(b.records() > 0);
+            let l0 = b.start_pc as usize / self.pcs_per_line;
+            let last_pc = b.start_pc + b.body_len + b.term.is_some() as u32 - 1;
+            let l1 = last_pc as usize / self.pcs_per_line;
+            let warm = self.itouched[l0..=l1].iter().all(|&t| t);
+            self.warm_blocks[i] = warm;
+            warm
+        }
+    }
+
+    /// Whether every L1-I line the whole loop spans is resident — the
+    /// zero-istall precondition for [`exec_argmax`], which covers all
+    /// fourteen pcs, not just the head block.
+    #[inline(always)]
+    fn loop_ready(&self, head: u32) -> bool {
+        let l0 = head as usize / self.pcs_per_line;
+        let l1 = (head as usize + ARGMAX_LEN - 1) / self.pcs_per_line;
+        self.itouched[l0..=l1].iter().all(|&t| t)
+    }
+
+    /// Loads pre-simulate their data access in execution order, exactly
+    /// as a single step would; the latency is patched into the span's
+    /// bulk emission.
+    #[inline(always)]
+    fn load(&mut self, i: u32, addr: u64) {
+        let dlat = self.presim.data_access(addr);
+        debug_assert!(dlat <= u8::MAX as u64);
+        self.dlats.push((i, dlat as u8));
+    }
+
+    #[inline(always)]
+    fn straight(&mut self, start: u32, n: u32) {
+        self.w.emit_straight(start, n, self.dlats);
+        self.dlats.clear();
+    }
+
+    /// A terminator's line is covered by the warmth rule (`istall = 0`,
+    /// exactly what a single step would pre-simulate for a resident
+    /// line) and a branch is never a load (`dlat = 0`).
+    #[inline(always)]
+    fn branch(&mut self, pc: u32, byte: u8) {
+        self.w.emit_record(pc, byte, 0, 0);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, emu: &mut Emulator) -> Result<(), EmuError> {
+        if let Some(rec) = emu.step_decoded()? {
+            let (istall, dlat) = record_costs(
+                self.presim,
+                self.timings,
+                self.itouched,
+                self.pcs_per_line,
+                &rec,
+            );
+            self.w
+                .emit_record(rec.pc, encode_branch(rec.branch), istall, dlat);
+        }
+        Ok(())
+    }
+}
+
+/// The functional sink (see [`Sink`]): [`Emulator::run_to_halt`]
+/// records nothing, and with no `istall` to protect there is no warmth
+/// rule — every compiled block is ready from its first execution.
+pub(crate) struct FunctionalSink;
+
+impl Sink for FunctionalSink {
+    #[inline(always)]
+    fn block_ready(&mut self, _: usize, _: &CompiledBlock) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn loop_ready(&self, _: u32) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn load(&mut self, _: u32, _: u64) {}
+
+    #[inline(always)]
+    fn straight(&mut self, _: u32, _: u32) {}
+
+    #[inline(always)]
+    fn branch(&mut self, _: u32, _: u8) {}
+
+    #[inline(always)]
+    fn step(&mut self, emu: &mut Emulator) -> Result<(), EmuError> {
+        emu.step_decoded().map(drop)
+    }
+}
+
+// --- block execution -------------------------------------------------
+
+/// The dispatch loop both sinks run: until the machine halts or has
+/// executed `end` instructions in total, execute a ready compiled block
+/// (or whole argmax iterations) natively and single-step every other
+/// pc. A block or an argmax iteration runs only when the instructions
+/// left before `end` cover it, so the loop stops at exactly `end`.
+/// Polls cancellation every [`CANCEL_STRIDE`] instructions; callers
+/// poll on entry.
 #[inline(always)]
-fn exec_block(
+pub(crate) fn dispatch<S: Sink>(
     emu: &mut Emulator,
-    presim: &mut MemoryHierarchy,
-    w: &mut ChunkWriter,
-    b: &CompiledBlock,
-    dlats: &mut Vec<(u32, u8)>,
+    blocks: &BlockProgram,
+    end: u64,
+    sink: &mut S,
 ) -> Result<(), EmuError> {
-    dlats.clear();
+    let mut next_poll = emu.executed() + CANCEL_STRIDE;
+    while emu.executed() < end && !emu.is_halted() {
+        if emu.executed() >= next_poll {
+            crate::cancel::check_current()?;
+            next_poll = emu.executed() + CANCEL_STRIDE;
+        }
+        if let Some(i) = blocks.idx_at(emu.pc()) {
+            let b = blocks.block(i);
+            let ready = sink.block_ready(i, b);
+            if let Some(sp) = ready.then_some(()).and(b.spec.as_ref()) {
+                // Whole-loop fast path: needs its own budget headroom
+                // (one full iteration) and, under capture, warmth over
+                // all fourteen lines, not just the head block.
+                if end - emu.executed() >= ARGMAX_ITER_RECORDS && sink.loop_ready(sp.head) {
+                    exec_argmax(emu, sink, sp, end)?;
+                    continue;
+                }
+            }
+            if ready && b.records() <= end - emu.executed() {
+                exec_block(emu, sink, b)?;
+                continue;
+            }
+        }
+        // The single-step arm.
+        sink.step(emu)?;
+    }
+    Ok(())
+}
+
+/// Executes one ready block: native body, one bulk span to the sink,
+/// then the inline terminator.
+#[inline(always)]
+fn exec_block<S: Sink>(
+    emu: &mut Emulator,
+    sink: &mut S,
+    b: &CompiledBlock,
+) -> Result<(), EmuError> {
     let start = b.start_pc;
     let mut done: u32 = 0;
     for step in &b.body {
         match step {
             BodyStep::Op(op) => match emu.exec_straight_op(*op, start + done) {
                 Ok(Some(addr)) => {
-                    // Loads pre-simulate their data access in execution
-                    // order, exactly as a single step would; the latency
-                    // is patched into the bulk span below.
-                    let dlat = presim.data_access(addr);
-                    debug_assert!(dlat <= u8::MAX as u64);
-                    dlats.push((done, dlat as u8));
+                    sink.load(done, addr);
                     done += 1;
                 }
                 Ok(None) => done += 1,
@@ -579,7 +781,7 @@ fn exec_block(
                     // records and land the machine on the faulting
                     // instruction — indistinguishable from `done`
                     // single steps followed by the same fault.
-                    w.emit_straight(start, done, dlats);
+                    sink.straight(start, done);
                     emu.commit_straight(start + done, done as u64);
                     return Err(e);
                 }
@@ -591,17 +793,14 @@ fn exec_block(
         }
     }
     debug_assert_eq!(done, b.body_len);
-    w.emit_straight(start, done, dlats);
+    sink.straight(start, done);
     emu.commit_straight(start + done, done as u64);
     let Some(term) = b.term else {
         return Ok(());
     };
     let pc = start + done;
     // Terminators execute inline: condition datapath, pc redirect, PBS
-    // observation, one packed record. The terminator's line is covered
-    // by the warmth precondition (`istall = 0`, exactly what a single
-    // step would pre-simulate for a resident line) and a branch is
-    // never a load (`dlat = 0`).
+    // observation, one packed record.
     let (target, taken, kind) = match term {
         Term::Jf { target } => (target, emu.flag(), BranchEventKind::Conditional),
         Term::BrRR {
@@ -636,7 +835,7 @@ fn exec_block(
                 kind: BranchEventKind::Call,
                 is_prob: false,
             }));
-            w.emit_record(pc, byte, 0, 0);
+            sink.branch(pc, byte);
             return Ok(());
         }
         Term::Ret => {
@@ -646,7 +845,7 @@ fn exec_block(
                 kind: BranchEventKind::Ret,
                 is_prob: false,
             }));
-            w.emit_record(pc, byte, 0, 0);
+            sink.branch(pc, byte);
             return Ok(());
         }
         Term::Prob { prob, target } => {
@@ -661,7 +860,7 @@ fn exec_block(
                 kind,
                 is_prob: true,
             }));
-            w.emit_record(pc, byte, 0, 0);
+            sink.branch(pc, byte);
             return Ok(());
         }
     };
@@ -671,7 +870,7 @@ fn exec_block(
         kind,
         is_prob: false,
     }));
-    w.emit_record(pc, byte, 0, 0);
+    sink.branch(pc, byte);
     Ok(())
 }
 
@@ -682,7 +881,7 @@ const ARGMAX_LEN: usize = 14;
 
 /// Most records one argmax iteration emits (an already-pulled arm that
 /// improves the running best: `2 + 1 + 4 + 1 + 2 + 1 + 1`).
-const ARGMAX_ITER_RECORDS: u64 = 12;
+pub(crate) const ARGMAX_ITER_RECORDS: u64 = 12;
 
 /// A fingerprint-matched whole-loop specialization: the linear argmax
 /// scan at the heart of the Bandit kernel's exploit path —
@@ -708,8 +907,8 @@ const ARGMAX_ITER_RECORDS: u64 = 12;
 /// (`head+9`, a jump target that is itself a control op, compiles as a
 /// terminator-only block), each a separate dispatch. [`exec_argmax`]
 /// runs whole iterations as native
-/// Rust instead: same datapath functions, same record/branch-byte
-/// emission through the cursor writer, same PBS observations (the
+/// Rust instead: same datapath functions, same records and branch
+/// bytes handed to the sink, same PBS observations (the
 /// back edge; forward branches are provable no-ops on the context
 /// table), and the same fault landing points as the interpreter.
 #[derive(Debug, Clone, Copy)]
@@ -861,27 +1060,17 @@ fn match_argmax(w: &[DecOp; ARGMAX_LEN], at: u32) -> Option<ArgmaxLoop> {
     })
 }
 
-/// Whether every L1-I line the whole loop spans is resident — the
-/// zero-istall precondition for [`exec_argmax`], which covers all
-/// fourteen pcs, not just the head block.
-#[inline(always)]
-fn argmax_warm(itouched: &[bool], pcs_per_line: usize, head: u32) -> bool {
-    let l0 = head as usize / pcs_per_line;
-    let l1 = (head as usize + ARGMAX_LEN - 1) / pcs_per_line;
-    itouched[l0..=l1].iter().all(|&t| t)
-}
-
 /// Executes argmax iterations natively until the back edge falls
-/// through or the next iteration might not fit `budget`, emitting
-/// exactly the records the interpreter would. Loads pre-simulate in
+/// through or the next iteration might not fit before `end` (the
+/// executed-instruction bound of the dispatch loop), handing the sink
+/// exactly the records the interpreter would. Loads reach the sink in
 /// execution order and faults land identically: completed records
 /// emitted, `pc` on the faulting instruction, machine halted.
-fn exec_argmax(
+fn exec_argmax<S: Sink>(
     emu: &mut Emulator,
-    presim: &mut MemoryHierarchy,
-    w: &mut ChunkWriter,
+    sink: &mut S,
     sp: &ArgmaxLoop,
-    budget: u64,
+    end: u64,
 ) -> Result<(), EmuError> {
     let p0 = sp.head;
     let cond = |taken| {
@@ -907,26 +1096,24 @@ fn exec_argmax(
         let addr = match emu.load_checked(sp.pulls, sp.i, sp.off_pulls, p0 + 1) {
             Ok(a) => a,
             Err(e) => {
-                w.emit_straight(p0, 1, &[]);
+                sink.straight(p0, 1);
                 emu.commit_straight(p0 + 1, 1);
                 return Err(e);
             }
         };
-        let dlat = presim.data_access(addr);
-        debug_assert!(dlat <= u8::MAX as u64);
-        w.emit_straight(p0, 2, &[(1, dlat as u8)]);
+        sink.load(1, addr);
+        sink.straight(p0, 2);
         emu.commit_straight(p0 + 2, 2);
         // head+2: pulled test (forward branch: PBS no-op).
         let (op1, fp1, imm1) = sp.br_pulled;
         let pulled = emu.cmp_ri(op1, fp1, sp.pulls, imm1);
         emu.commit_term_branch(p0 + 2, p0 + 5, pulled);
-        w.emit_record(p0 + 2, if pulled { taken_byte } else { not_byte }, 0, 0);
+        sink.branch(p0 + 2, if pulled { taken_byte } else { not_byte });
         if pulled {
             // head+5..9: wins load, two itofs, fdiv — the shared
             // datapath expressions, in op order.
             let addr = emu.load_checked(sp.score, sp.i, sp.off_wins, p0 + 5)?;
-            let dlat = presim.data_access(addr);
-            debug_assert!(dlat <= u8::MAX as u64);
+            sink.load(0, addr);
             {
                 let regs = emu.regs_mut();
                 regs[sp.score.index()] = (regs[sp.score.index()] as i64 as f64).to_bits();
@@ -938,7 +1125,7 @@ fn exec_argmax(
                 )
                 .to_bits();
             }
-            w.emit_straight(p0 + 5, 4, &[(0, dlat as u8)]);
+            sink.straight(p0 + 5, 4);
             emu.commit_straight(p0 + 9, 4);
         } else {
             // head+3..5: optimistic score, jump to the compare.
@@ -946,21 +1133,21 @@ fn exec_argmax(
                 let regs = emu.regs_mut();
                 regs[sp.score.index()] = regs[sp.one.index()];
             }
-            w.emit_straight(p0 + 3, 1, &[]);
+            sink.straight(p0 + 3, 1);
             emu.commit_straight(p0 + 4, 1);
             emu.commit_term_branch(p0 + 4, p0 + 9, true);
-            w.emit_record(p0 + 4, jmp_byte, 0, 0);
+            sink.branch(p0 + 4, jmp_byte);
         }
         // head+9: skip-update test (forward branch: PBS no-op).
         let (op2, fp2) = sp.br_skip;
         let skip = emu.cmp_rr(op2, fp2, sp.score, sp.best_v);
         emu.commit_term_branch(p0 + 9, p0 + 12, skip);
-        w.emit_record(p0 + 9, if skip { taken_byte } else { not_byte }, 0, 0);
+        sink.branch(p0 + 9, if skip { taken_byte } else { not_byte });
         if !skip {
             let regs = emu.regs_mut();
             regs[sp.best_v.index()] = regs[sp.score.index()];
             regs[sp.best_i.index()] = regs[sp.k.index()];
-            w.emit_straight(p0 + 10, 2, &[]);
+            sink.straight(p0 + 10, 2);
             emu.commit_straight(p0 + 12, 2);
         }
         // head+12: counter step.
@@ -968,14 +1155,14 @@ fn exec_argmax(
             let regs = emu.regs_mut();
             regs[sp.k.index()] = alu_eval(AluOp::Add, regs[sp.k.index()], sp.add_imm);
         }
-        w.emit_straight(p0 + 12, 1, &[]);
+        sink.straight(p0 + 12, 1);
         emu.commit_straight(p0 + 13, 1);
         // head+13: the back edge — the one branch PBS observes.
         let (op3, fp3, imm3) = sp.br_back;
         let again = emu.cmp_ri(op3, fp3, sp.k, imm3);
         emu.commit_term_branch(p0 + 13, p0, again);
-        w.emit_record(p0 + 13, if again { taken_byte } else { not_byte }, 0, 0);
-        if !again || budget - w.written() < ARGMAX_ITER_RECORDS {
+        sink.branch(p0 + 13, if again { taken_byte } else { not_byte });
+        if !again || end - emu.executed() < ARGMAX_ITER_RECORDS {
             return Ok(());
         }
     }
@@ -986,7 +1173,7 @@ impl TraceStream {
     /// and pre-simulates their latencies. Returns `false` — with `chunk`
     /// left empty — once the machine has halted.
     ///
-    /// The one capture loop: dispatch on the pc, execute a warm compiled
+    /// The dispatch loop over the capture sink: execute a warm compiled
     /// block natively with bulk emission, and single-step everything
     /// else (cold blocks, rare ops, budget tails, mid-block resume
     /// points, and every pc of a program with no compiled blocks)
@@ -1009,13 +1196,8 @@ impl TraceStream {
         // Cap the chunk at the remaining instruction budget so the
         // limit trips at exactly the same dynamic instruction as the
         // reference engine (blocks never straddle the budget: the
-        // dispatch below falls back to single steps for the tail).
-        let budget = (self.max_insts - self.executed).clamp(1, TRACE_CHUNK_RECORDS as u64);
-        // The 64 Ki-instruction cancellation stride,
-        // threaded through block execution so `--cell-deadline-ms`
-        // cancels long captures promptly even if chunks ever outgrow
-        // the stride.
-        let mut next_poll = CANCEL_STRIDE;
+        // dispatch loop falls back to single steps for the tail).
+        let budget = (self.max_insts - self.emu.executed()).clamp(1, TRACE_CHUNK_RECORDS as u64);
         let TraceStream {
             emu,
             presim,
@@ -1027,56 +1209,23 @@ impl TraceStream {
             dlat_scratch,
             ..
         } = self;
-        let pcs_per_line = *pcs_per_line;
         let mut w = chunk.begin_fill(budget as usize);
+        // Every retired instruction is one record, so the chunk budget
+        // ends the loop at `budget` more executed instructions.
+        let end = emu.executed() + budget;
+        let mut sink = CaptureSink {
+            w: &mut w,
+            presim,
+            timings,
+            itouched,
+            pcs_per_line: *pcs_per_line,
+            warm_blocks,
+            dlats: dlat_scratch,
+        };
         // Run the dispatch loop to completion or first error, then trim
         // the pre-sized streams either way — a fault must leave the
         // chunk holding exactly the records emitted before it.
-        let run = (|| -> Result<(), EmuError> {
-            while w.written() < budget && !emu.is_halted() {
-                if w.written() >= next_poll {
-                    crate::cancel::check_current()?;
-                    next_poll = w.written() + CANCEL_STRIDE;
-                }
-                if let Some(i) = blocks.idx_at(emu.pc()) {
-                    let b = blocks.block(i);
-                    // Warmth is monotonic (`itouched` lines are only
-                    // ever set), so a block found warm once is warm
-                    // forever — cache the verdict and skip the line
-                    // scan.
-                    let warm = warm_blocks[i] || {
-                        let v = block_warm(itouched, pcs_per_line, b);
-                        warm_blocks[i] = v;
-                        v
-                    };
-                    if let Some(sp) = warm.then_some(()).and(b.spec.as_ref()) {
-                        // Whole-loop fast path: needs its own budget
-                        // headroom (one full iteration) and warmth over
-                        // all fourteen lines, not just the head block.
-                        if budget - w.written() >= ARGMAX_ITER_RECORDS
-                            && argmax_warm(itouched, pcs_per_line, sp.head)
-                        {
-                            exec_argmax(emu, presim, &mut w, sp, budget)?;
-                            continue;
-                        }
-                    }
-                    if warm && b.records() <= budget - w.written() {
-                        exec_block(emu, presim, &mut w, b, dlat_scratch)?;
-                        continue;
-                    }
-                }
-                // The single-step arm.
-                match emu.step_decoded()? {
-                    Some(rec) => {
-                        let (istall, dlat) =
-                            record_costs(presim, timings, itouched, pcs_per_line, &rec);
-                        w.emit_record(rec.pc, encode_branch(rec.branch), istall, dlat);
-                    }
-                    None => break,
-                }
-            }
-            Ok(())
-        })();
+        let run = dispatch(emu, blocks, end, &mut sink);
         let emitted = w.written();
         let (written, open_run) = w.finish();
         chunk.end_fill(written, open_run);
@@ -1085,8 +1234,7 @@ impl TraceStream {
             self.halted = true;
             return Ok(false);
         }
-        self.executed += emitted;
-        if self.executed >= self.max_insts {
+        if self.emu.executed() >= self.max_insts {
             self.halted = true;
             return Err(EmuError::InstLimitExceeded {
                 limit: self.max_insts,

@@ -23,7 +23,8 @@
 //!   warm basic blocks as compiled straight-line code and single-steps
 //!   every other pc through the decoded interpreter (see `aot`), writing
 //!   the records into chunks through the chunk format's one writer.
-//!   [`with_capture_tier`] forces the interpreter for tests; the
+//!   [`Emulator::run_to_halt`] runs the same loop with nothing to
+//!   record. [`with_capture_tier`] forces the interpreter for tests; the
 //!   `capture.block` failpoint forces it from outside the process;
 //! * [`Simulation`] / [`run_functional`] — one-call experiment drivers
 //!   returning [`SimReport`]s with IPC, MPKI, PBS counters, program

@@ -8,6 +8,7 @@ use std::fmt;
 use probranch_core::{BranchResolution, PbsStats, PbsUnit};
 use probranch_isa::{AluOp, CmpOp, FpBinOp, FpUnOp, Inst, Operand, Program, Reg};
 
+use crate::aot::{BlockProgram, FunctionalSink};
 use crate::decode::{DecOp, DecodedProgram};
 
 /// Emulator configuration.
@@ -1294,26 +1295,44 @@ impl Emulator {
         Ok(None)
     }
 
-    /// Runs until `halt`, with an instruction budget.
+    /// Runs until `halt`, with an instruction budget, and returns the
+    /// instructions executed.
+    ///
+    /// This is the capture loop run with nothing to record: the
+    /// program's compiled blocks — native RNG fragments and loop
+    /// specializations included — execute from their first visit, and
+    /// `out`, `halt` and budget tails single-step through
+    /// [`step_decoded`](Self::step_decoded). Under
+    /// [`CaptureTier::Interp`](crate::CaptureTier::Interp), or when the
+    /// `capture.block` failpoint fires for the run, there are no blocks
+    /// and every instruction single-steps; the results are the same.
+    /// The run polls the current cancellation scope on entry and every
+    /// 64 Ki instructions.
     ///
     /// # Errors
     ///
-    /// Any [`EmuError`] from execution, or
+    /// Any [`EmuError`] from execution, [`EmuError::Cancelled`], or
     /// [`EmuError::InstLimitExceeded`] once `max_insts` instructions
     /// have executed — the `halt` included, so a program of exactly
     /// `max_insts` instructions trips the limit. That is the instruction
-    /// at which the simulation engines and trace capture stop.
+    /// at which the simulation engines and trace capture stop. A budget
+    /// of 0 behaves as a budget of 1.
     pub fn run_to_halt(&mut self, max_insts: u64) -> Result<u64, EmuError> {
+        crate::cancel::check_current()?;
+        let blocks = BlockProgram::select(&self.decoded, max_insts);
+        let budget = max_insts.max(1);
         let start = self.executed;
-        // The decoded interpreter: architecturally identical to `step`,
-        // without the per-instruction record construction costs of the
-        // reference path.
-        while self.step_decoded()?.is_some() {
-            if self.executed - start >= max_insts {
-                return Err(EmuError::InstLimitExceeded { limit: max_insts });
-            }
+        crate::aot::dispatch(
+            self,
+            &blocks,
+            start.saturating_add(budget),
+            &mut FunctionalSink,
+        )?;
+        let executed = self.executed - start;
+        if executed >= budget {
+            return Err(EmuError::InstLimitExceeded { limit: max_insts });
         }
-        Ok(self.executed - start)
+        Ok(executed)
     }
 }
 

@@ -784,15 +784,19 @@ fn report_of(emu: Emulator, mut timing: OooTimingModel) -> SimReport {
 
 /// Runs a program functionally only (no timing model) — used for output
 /// accuracy and randomness experiments where only the architectural
-/// results matter. Over the eight paper workloads (seed 0, PBS off and
-/// on, smoke and bench scale, one core of a 2-vCPU VM) it ran about 6×
-/// faster than a full [`Simulation`] run under the default replay
-/// engine (capture plus a TAGE-SC-L replay on the 4-wide core) and
-/// about 12× faster than a reference-engine run.
+/// results matter. It is [`Emulator::run_to_halt`]: the capture loop's
+/// compiled blocks with nothing recorded. Over the eight paper
+/// workloads (seed 0, PBS off and on, smoke and bench scale, best of 3–5
+/// repetitions on one core of a 2-vCPU Xeon VM) it ran 10–12× faster
+/// than a full [`Simulation`] run under the default replay engine
+/// (capture plus a TAGE-SC-L replay on the 4-wide core), 20–21× faster
+/// than a reference-engine run, and 2.8–3.0× faster than with no
+/// compiled blocks ([`CaptureTier::Interp`](crate::CaptureTier::Interp)).
 ///
 /// # Errors
 ///
-/// Propagates any [`EmuError`].
+/// Propagates any [`EmuError`], including [`EmuError::Cancelled`]
+/// under a cancelled scope.
 pub fn run_functional(
     program: &Program,
     pbs: Option<PbsConfig>,
@@ -981,12 +985,39 @@ mod tests {
         ));
     }
 
+    /// The machine `run_to_halt(max_insts)` leaves under `tier`: the
+    /// result, pc, halt flag, retired count, registers, outputs,
+    /// consumed values and PBS counters.
+    fn machine_after_run(
+        program: &Program,
+        pbs: Option<PbsConfig>,
+        max_insts: u64,
+        tier: crate::aot::CaptureTier,
+    ) -> impl PartialEq + std::fmt::Debug {
+        let mut emu = build_emulator(
+            program,
+            &SimConfig {
+                pbs,
+                ..SimConfig::default()
+            },
+        );
+        let result = crate::aot::with_capture_tier(tier, || emu.run_to_halt(max_insts));
+        let regs: Vec<u64> = (0..32).map(|i| emu.reg(Reg::new(i).unwrap())).collect();
+        (
+            result,
+            (emu.pc(), emu.is_halted(), emu.executed(), regs),
+            (emu.outputs_sorted(), emu.prob_consumed().to_vec()),
+            emu.pbs_stats(),
+        )
+    }
+
     #[test]
     fn functional_runs_stop_at_the_engines_instruction_budget() {
         // Budgets one below, at and one above a run's length N: the run
         // completes only under N + 1, whichever of `run_functional`,
         // the reference engine and capture under either tier runs it —
-        // the halt is an instruction, and all of them count it.
+        // the halt is an instruction, and all of them count it. Both
+        // tiers leave the same machine behind.
         use crate::aot::{with_capture_tier, CaptureTier};
         use crate::trace::TraceFunctional;
         let mut b = ProgramBuilder::new();
@@ -1018,6 +1049,47 @@ mod tests {
                         .map(|t| t.functional().clone());
                     assert_eq!(captured, direct, "N = {n}, budget {max_insts}, {tier:?}");
                 }
+                assert_eq!(
+                    machine_after_run(&program, pbs.clone(), max_insts, CaptureTier::Generated),
+                    machine_after_run(&program, pbs.clone(), max_insts, CaptureTier::Interp),
+                    "N = {n}, budget {max_insts}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn functional_budgets_inside_the_argmax_loop_land_like_single_steps() {
+        // Consecutive budgets that stop a run inside Bandit's argmax
+        // loop, at its first visit (every arm unpulled) and mid-run
+        // (the pulled path's wins load): the window spans three
+        // iterations' worth of records, so runs stop before the loop
+        // specialization may start, inside a compiled block that no
+        // longer fits, and between iterations. Compiled blocks must
+        // leave exactly the machine single steps do.
+        use crate::aot::{BlockProgram, CaptureTier, ARGMAX_ITER_RECORDS};
+        use probranch_workloads::{BenchmarkId, Scale};
+        let program = BenchmarkId::Bandit.build(Scale::Smoke, 3).program();
+        let head = BlockProgram::compile(&crate::decode::DecodedProgram::of(&program))
+            .argmax_head()
+            .expect("Bandit's argmax loop compiles to a loop specialization");
+        let mut emu = Emulator::new(program.clone(), EmuConfig::default());
+        let mut visits = Vec::new();
+        while !emu.is_halted() {
+            if emu.pc() == head {
+                visits.push(emu.executed());
+            }
+            emu.step_decoded().unwrap();
+        }
+        let pbs = Some(PbsConfig::default());
+        for start in [visits[0], visits[visits.len() / 2]] {
+            for max_insts in start + 1..=start + 3 * ARGMAX_ITER_RECORDS {
+                assert_eq!(
+                    machine_after_run(&program, pbs.clone(), max_insts, CaptureTier::Generated),
+                    machine_after_run(&program, pbs.clone(), max_insts, CaptureTier::Interp),
+                    "budget {max_insts}, {} into the loop",
+                    max_insts - start
+                );
             }
         }
     }
@@ -1026,7 +1098,8 @@ mod tests {
     fn every_engine_stops_under_an_already_cancelled_scope() {
         // 2,002 instructions: far below the reference engine's poll
         // stride, so only a poll before the first instruction sees the
-        // cancellation.
+        // cancellation — for functional runs too, under either tier.
+        use crate::aot::{with_capture_tier, CaptureTier};
         let mut b = ProgramBuilder::new();
         let top = b.label("top");
         b.li(Reg::R1, 0);
@@ -1068,6 +1141,13 @@ mod tests {
                 sim.replay_branches_taped(&trace, &cfg, tape.as_ref()),
                 Err(cancelled.clone()),
                 "{engine:?} tape-fed predictor-only replay"
+            );
+        }
+        for tier in [CaptureTier::Generated, CaptureTier::Interp] {
+            assert_eq!(
+                with_capture_tier(tier, || run_functional(&p, None, cfg.max_insts)),
+                Err(cancelled.clone()),
+                "functional run, {tier:?}"
             );
         }
     }

@@ -77,9 +77,7 @@ use probranch_isa::{ExecClass, Program};
 use probranch_mmap::Mmap;
 use probranch_predictor::{BranchPredictor, BranchReq, PredictorDispatch};
 
-use probranch_faults as faults;
-
-use crate::aot::{BlockProgram, CaptureTier};
+use crate::aot::BlockProgram;
 use crate::cache::MemoryHierarchy;
 use crate::decode::InstTiming;
 use crate::machine::{BranchEvent, BranchEventKind, EmuConfig, EmuError, Emulator, StepRecord};
@@ -909,10 +907,9 @@ pub struct TraceStream {
     /// block found warm stays warm and the dispatch loop skips the
     /// per-execution line scan.
     pub(crate) warm_blocks: Box<[bool]>,
-    /// Scratch for the block executor: `(body index, latency)` of the
-    /// loads in the currently executing block body.
+    /// Scratch for the capture sink: `(span index, latency)` of the
+    /// loads in the straight-line span being executed.
     pub(crate) dlat_scratch: Vec<(u32, u8)>,
-    pub(crate) executed: u64,
     pub(crate) max_insts: u64,
     pub(crate) halted: bool,
 }
@@ -941,17 +938,14 @@ impl TraceStream {
         };
         // Block-compiled capture (see `crate::aot`): the warm fast path
         // relies on the L1-I-residency argument above, so programs too
-        // large for `itouched` compile no blocks. The `capture.block`
-        // failpoint does the same silently — torture runs prove the
-        // fallback is byte-invisible.
-        let salt = [timings.len() as u64, config.max_insts];
-        let blocks = if itouched.is_empty()
-            || crate::aot::selected_tier() == CaptureTier::Interp
-            || faults::injected(faults::Site::CaptureBlock, &salt)
-        {
+        // large for `itouched` compile no blocks. The capture tier and
+        // the `capture.block` failpoint select blocks as for a
+        // functional run — torture runs prove the fallback is
+        // byte-invisible.
+        let blocks = if itouched.is_empty() {
             BlockProgram::default()
         } else {
-            BlockProgram::compile(emu.decoded())
+            BlockProgram::select(emu.decoded(), config.max_insts)
         };
         let warm_blocks = vec![false; blocks.compiled_blocks()].into_boxed_slice();
         TraceStream {
@@ -963,7 +957,6 @@ impl TraceStream {
             blocks,
             warm_blocks,
             dlat_scratch: Vec::new(),
-            executed: 0,
             max_insts: config.max_insts,
             halted: false,
         }
@@ -1472,6 +1465,7 @@ impl BranchCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aot::CaptureTier;
     use crate::sim::{EngineKind, PredictorChoice, Simulation};
     use probranch_isa::{CmpOp, ProgramBuilder, Reg};
 

@@ -27,8 +27,8 @@ use probranch::harness::{run_cells, workload_seed, Cell, Jobs};
 use probranch::isa::Program;
 use probranch::pbs::PbsConfig;
 use probranch::pipeline::{
-    BranchStats, DynTrace, EmuError, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport,
-    Simulation,
+    run_functional, with_capture_tier, BranchStats, CaptureTier, DynTrace, EmuError, EngineKind,
+    OooConfig, PredictorChoice, SimConfig, SimReport, Simulation, TraceFunctional,
 };
 use probranch::workloads::{BenchmarkId, Scale};
 
@@ -509,4 +509,51 @@ fn engines_match_on_instruction_limits() {
             "predictor-only replay limit {max_insts}"
         );
     }
+}
+
+/// Functional runs execute the capture loop's compiled blocks with
+/// nothing to record: under either capture tier they must return
+/// exactly the architectural results — instructions, outputs, consumed
+/// values and PBS counters — of the reference engine and of a capture,
+/// for every workload with PBS off, at its default design point, and
+/// with an in-flight window so large that every instance bootstraps
+/// (Table III's original-order streams).
+#[test]
+fn functional_runs_match_the_reference_engine_and_capture_on_every_workload() {
+    let pbs_points = [
+        None,
+        Some(PbsConfig::default()),
+        Some(PbsConfig {
+            in_flight: usize::MAX / 2,
+            ..PbsConfig::default()
+        }),
+    ];
+    let cells: Vec<(BenchmarkId, u64, usize)> = BenchmarkId::ALL
+        .iter()
+        .flat_map(|&id| (0..2).flat_map(move |seed| (0..3).map(move |p| (id, seed, p))))
+        .collect();
+    run_cells(&cells, Jobs::default(), |&(id, seed, p)| {
+        let pbs = &pbs_points[p];
+        let program = id.build(Scale::Smoke, workload_seed(id, seed)).program();
+        let cfg = SimConfig {
+            pbs: pbs.clone(),
+            predictor: PredictorChoice::StaticTaken,
+            ..SimConfig::default()
+        };
+        let label = format!("{id:?}, seed {seed}, PBS {pbs:?}");
+        let direct = TraceFunctional::from(reference(&program, &cfg).expect("reference run"));
+        let captured = DynTrace::capture(&program, &cfg).expect("capture");
+        assert_eq!(captured.functional(), &direct, "capture: {label}");
+        for tier in [CaptureTier::Generated, CaptureTier::Interp] {
+            let functional = with_capture_tier(tier, || {
+                run_functional(&program, pbs.clone(), cfg.max_insts)
+            })
+            .expect("functional run");
+            assert_eq!(
+                TraceFunctional::from(functional),
+                direct,
+                "{tier:?}: {label}"
+            );
+        }
+    });
 }

@@ -196,6 +196,40 @@ fn replay_workload(iters: i64) -> Program {
     b.build().unwrap()
 }
 
+/// What a `run_to_halt` leaves behind: its result, and the machine's
+/// halt flag, retired count, registers, outputs, consumed values and
+/// PBS counters.
+#[derive(Debug, PartialEq)]
+struct MachineAfterRun {
+    result: Result<u64, EmuError>,
+    halted: bool,
+    executed: u64,
+    regs: Vec<u64>,
+    outputs: Vec<(u16, Vec<u64>)>,
+    prob_consumed: Vec<u64>,
+    pbs: Option<probranch::pbs::PbsStats>,
+}
+
+/// Runs `program` with `run_to_halt(max_insts)` under `tier`.
+fn machine_after_run(
+    program: &Program,
+    emu: &EmuConfig,
+    max_insts: u64,
+    tier: CaptureTier,
+) -> MachineAfterRun {
+    let mut e = Emulator::new(program.clone(), emu.clone());
+    let result = with_capture_tier(tier, || e.run_to_halt(max_insts));
+    MachineAfterRun {
+        result,
+        halted: e.is_halted(),
+        executed: e.executed(),
+        regs: (0..32).map(|i| e.reg(Reg::new(i).unwrap())).collect(),
+        outputs: e.outputs_sorted(),
+        prob_consumed: e.prob_consumed().to_vec(),
+        pbs: e.pbs_stats(),
+    }
+}
+
 /// One access of a random memory program: `Some(value)` stores,
 /// `None` loads, and `(region, pick, skew, offset)` place it (see
 /// [`mem_addr`]).
@@ -297,7 +331,8 @@ proptest! {
         // must commit exactly the same record prefix and surface the
         // identical structured error — `MemoryFault` when the budget
         // covers the faulting load, `InstLimitExceeded` when it trips
-        // first.
+        // first. A functional run, which runs the block on its first
+        // visit, must leave the same machine under both tiers.
         let mut b = probranch::isa::ProgramBuilder::new();
         for _ in 0..pad {
             b.add(Reg::R1, Reg::R1, 1);
@@ -314,6 +349,12 @@ proptest! {
         prop_assert_eq!(&generated, &interp);
         prop_assert!(generated.is_err());
         prop_assert_eq!(generated.err(), reference(&program, &cfg).err());
+        let run = machine_after_run(&program, &EmuConfig::default(), budget, CaptureTier::Interp);
+        prop_assert_eq!(run.result.as_ref().err(), interp.as_ref().err());
+        prop_assert_eq!(
+            machine_after_run(&program, &EmuConfig::default(), budget, CaptureTier::Generated),
+            run
+        );
     }
 
     #[test]
@@ -324,20 +365,21 @@ proptest! {
         // Memory allocated on demand must be invisible: every load
         // reads the last value stored to its word (0 if none), and the
         // first misaligned or out-of-bounds access faults with its
-        // address and pc — under the decoded interpreter, the reference
-        // engine and both capture tiers.
+        // address and pc — under functional runs and captures in both
+        // tiers, and the reference engine.
         let (program, outputs, fault) = mem_program(mem_words, &accesses);
         let emu = EmuConfig { mem_words: mem_words as usize, ..EmuConfig::default() };
-        let mut e = Emulator::new(program.clone(), emu.clone());
-        prop_assert_eq!(e.run_to_halt(1_000).err(), fault.clone());
-        prop_assert_eq!(e.output(0), outputs.as_slice());
+        let by_port = if outputs.is_empty() { vec![] } else { vec![(0u16, outputs)] };
+        let run = machine_after_run(&program, &emu, 1_000, CaptureTier::Interp);
+        prop_assert_eq!(run.result.as_ref().err(), fault.as_ref());
+        prop_assert_eq!(&run.outputs, &by_port);
+        prop_assert_eq!(machine_after_run(&program, &emu, 1_000, CaptureTier::Generated), run);
         let cfg = SimConfig { emu, ..SimConfig::default() };
         let direct = reference(&program, &cfg);
         prop_assert_eq!(direct.as_ref().err(), fault.as_ref());
         if let Ok(report) = &direct {
-            prop_assert_eq!(report.output(0), outputs.as_slice());
+            prop_assert_eq!(&report.outputs, &by_port);
         }
-        let by_port = if outputs.is_empty() { vec![] } else { vec![(0u16, outputs)] };
         for tier in [CaptureTier::Generated, CaptureTier::Interp] {
             let captured = with_capture_tier(tier, || DynTrace::capture(&program, &cfg));
             prop_assert_eq!(captured.as_ref().err(), fault.as_ref());

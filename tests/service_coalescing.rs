@@ -91,23 +91,32 @@ fn concurrent_identical_sweeps_share_one_capture_pass() {
 
 #[test]
 fn expired_deadlines_cancel_instead_of_running_the_sweep() {
+    // Supervised timing sweeps and the plain cell grids of the
+    // functional-run sections alike, on the caller's thread and on
+    // workers.
     let ctx = experiments::Context::new();
     let handler = service::sweep_handler(&ctx, Jobs::new(2));
-    let req = SweepRequest {
-        section: "fig6".into(),
-        scale: "smoke".into(),
-        engine: "replay".into(),
-        jobs: Some(2),
-        deadline_ms: Some(0),
-    };
-    match handler(&req) {
-        SweepOutcome::Cancelled(msg) => {
-            assert!(
-                msg.contains("deadline exceeded"),
-                "cancellation must attribute the deadline: {msg}"
-            );
+    for section in ["fig6", "table2", "table3", "accuracy"] {
+        for jobs in [1, 2] {
+            let req = SweepRequest {
+                section: section.into(),
+                scale: "smoke".into(),
+                engine: "replay".into(),
+                jobs: Some(jobs),
+                deadline_ms: Some(0),
+            };
+            match handler(&req) {
+                SweepOutcome::Cancelled(msg) => {
+                    assert!(
+                        msg.contains("deadline exceeded"),
+                        "{section} at jobs {jobs}: cancellation must attribute the deadline: {msg}"
+                    );
+                }
+                other => panic!(
+                    "{section} at jobs {jobs}: a 0ms deadline must cancel the sweep, got {other:?}"
+                ),
+            }
         }
-        other => panic!("a 0ms deadline must cancel the sweep, got {other:?}"),
     }
 }
 
