@@ -1640,13 +1640,29 @@ mod tests {
             budget
         );
         // Demoted keys stay pooled, re-served through the file map with
-        // their owned record streams dropped.
-        let mapped_keys = seeds
+        // their owned record streams dropped: a mapped trace owns its
+        // timing table and architectural results, and nothing else — no
+        // chunk stream and no request stream.
+        let mapped: Vec<_> = seeds
             .iter()
             .filter_map(|&s| bounded.peek(&(B::Pi, s, false)))
             .filter(|t| t.mapped_chunks() == t.chunk_count() && t.chunk_count() > 0)
-            .count();
-        assert!(mapped_keys > 0, "at least one key must be serving mapped");
+            .collect();
+        assert!(
+            !mapped.is_empty(),
+            "at least one key must be serving mapped"
+        );
+        for t in &mapped {
+            let f = t.functional();
+            let owned = std::mem::size_of_val(t.timings())
+                + f.prob_consumed.capacity() * 8
+                + f.outputs
+                    .iter()
+                    .map(|(_, v)| v.capacity() * 8)
+                    .sum::<usize>();
+            assert_eq!(t.bytes(), owned, "a mapped trace owns no derived bytes");
+            assert!(t.chunks().iter().all(|c| c.bytes() == 0));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -23,22 +23,21 @@
 //! `*.tmp.<pid>.<n>` files; [`sweep_stale_temps`] reaps those when the
 //! trace store opens.
 //!
-//! # Zero-copy loads (format v2)
+//! # Format v3 and zero-copy loads
 //!
+//! A chunk is stored as its record count, branch count and open-run
+//! length, then its run lengths, branch bytes, run start pcs and the
+//! per-record `istall` and `dlat` bytes: 2 bytes per record plus 9 per
+//! branch (README "File format (v3)" has the whole layout and why).
 //! [`DynTrace::read_file`] memory-maps the file read-only and serves
-//! each chunk's record streams as borrowed little-endian views over the
-//! map ([`TraceChunk::is_mapped`]): a warm-start load materializes only
-//! the timing table, the architectural results and the derived
-//! predictor-request streams — the bulk record data stays in the page
-//! cache and is paged in on demand. Validation is still a single full
-//! pass (the whole-file digest reads the map once, with no second
-//! buffer); v2 keeps v1's byte layout — already stream-contiguous, and
-//! the reader decodes u32 streams with unaligned little-endian loads,
-//! so no padding is needed — but v1 files were produced before the
-//! mapped reader existed, and the version bump retires them (readers
-//! reject them and fall back to capture). [`DynTrace::read_file_owned`]
-//! decodes the same format into owned buffers, as the
-//! equivalence-testing and diagnostic path.
+//! each chunk's streams as borrowed little-endian views over the map
+//! ([`TraceChunk::is_mapped`]), so a warm-start load materializes only
+//! the timing table and the architectural results. Validation is a
+//! single pass: the whole-file digest, then what the chunk walk relies
+//! on — the runs tile the record count, every run ends inside the
+//! timing table (so every derived pc is in range) and every branch byte
+//! decodes. [`DynTrace::read_file_owned`] decodes the same format into
+//! owned buffers, as the equivalence-testing and diagnostic path.
 
 use std::io::Write;
 use std::path::Path;
@@ -51,15 +50,16 @@ use probranch_rng::SplitMix64;
 
 use crate::decode::InstTiming;
 use crate::sim::SimConfig;
-use crate::trace::{ByteView, DynTrace, TraceChunk, TraceFunctional, U32s, U8s};
+use crate::trace::{is_branch_byte, ByteView, DynTrace, TraceChunk, TraceFunctional, U32s, U8s};
 
 /// File magic: identifies a probranch trace file.
 const MAGIC: &[u8; 8] = b"PBTRACE\0";
 
 /// Version of the on-disk layout. Bump on any layout change; readers
-/// reject other versions (falling back to capture). v2 == v1's byte
-/// layout, re-versioned when the memory-mapped reader landed.
-pub const TRACE_FILE_VERSION: u32 = 2;
+/// reject other versions (falling back to capture). v2 was v1's byte
+/// layout, re-versioned when the memory-mapped reader landed; v3 stores
+/// run start pcs in place of a pc per record.
+pub const TRACE_FILE_VERSION: u32 = 3;
 
 /// Word-folding digest over a byte stream (SplitMix64-mixed FNV-style
 /// accumulation): not cryptographic, but any truncation or flipped bit
@@ -297,8 +297,10 @@ impl DynTrace {
         n += 1 + if self.functional.pbs.is_some() { 56 } else { 0 };
         n += 8;
         for c in &self.chunks {
-            // len, n_branches, open_run, then 6 B/record + 5 B/branch.
-            n += 8 + 8 + 4 + 6 * c.len() as u64 + 5 * c.branch_count() as u64;
+            // len, n_branches, open_run, then 2 B/record + 9 B/branch,
+            // plus the open run's start.
+            n += 8 + 8 + 4 + 2 * c.len() as u64 + 9 * c.branch_count() as u64;
+            n += 4 * u64::from(c.open_run > 0);
         }
         n + 8 // trailing digest
     }
@@ -347,7 +349,7 @@ impl DynTrace {
             e.u32(c.open_run)?;
             e.u32_stream(&c.runs)?;
             e.bytes(c.branches.as_slice())?;
-            e.u32_stream(&c.pcs)?;
+            e.u32_stream(&c.starts)?;
             e.bytes(c.istalls.as_slice())?;
             e.bytes(c.dlats.as_slice())?;
         }
@@ -477,7 +479,7 @@ impl DynTrace {
     /// of the returned trace are zero-copy views over the map (where
     /// the platform supports it — see [`Mmap`]): validation is one full
     /// pass over the map, and the load materializes only the timing
-    /// table, architectural results and derived request streams.
+    /// table and the architectural results.
     pub fn read_file(path: &Path, content_hash: u64, config: &SimConfig) -> Option<DynTrace> {
         match Self::load_file(path, content_hash, config, 0) {
             TraceLoad::Loaded(t) => Some(t),
@@ -630,30 +632,43 @@ impl DynTrace {
         let mut chunks = Vec::with_capacity(n_chunks);
         let mut total = 0u64;
         for _ in 0..n_chunks {
-            let len = d.len(6)?;
-            // Each branch costs at least its run entry + branch byte.
-            let n_branches = d.len(5)?;
+            // Each record costs its two latency bytes, each branch its
+            // run entry, branch byte and start.
+            let len = d.len(2)?;
+            let n_branches = d.len(9)?;
             let open_run = d.u32()?;
             let runs = d.u32_stream(n_branches, backing)?;
             let branches = d.u8_stream(n_branches, backing)?;
-            let pcs = d.u32_stream(len, backing)?;
+            let starts = d.u32_stream(n_branches + usize::from(open_run > 0), backing)?;
             let istalls = d.u8_stream(len, backing)?;
             let dlats = d.u8_stream(len, backing)?;
-            // Structural consistency: the run index must tile the
-            // record count, and every pc must index the timing table —
-            // the invariants replay consumers rely on.
+            // Structural consistency, the invariants the chunk walk
+            // relies on: the runs tile the record count, every run — its
+            // non-branch records and its branch, or the open run — ends
+            // inside the timing table, and every branch byte decodes.
             let indexed: u64 =
                 runs.iter().map(u64::from).sum::<u64>() + n_branches as u64 + u64::from(open_run);
-            if indexed != len as u64 || pcs.iter().any(|pc| pc as usize >= timings.len()) {
+            let run_lens = runs
+                .iter()
+                .map(|run| u64::from(run) + 1)
+                .chain((open_run > 0).then_some(u64::from(open_run)));
+            let in_table = starts
+                .iter()
+                .zip(run_lens)
+                .all(|(start, n)| u64::from(start) + n <= timings.len() as u64);
+            let decodes = branches.as_slice().iter().all(|&b| is_branch_byte(b));
+            if indexed != len as u64 || !in_table || !decodes {
                 return None;
             }
             total += len as u64;
-            let mut chunk =
-                TraceChunk::from_raw_streams(pcs, istalls, dlats, branches, runs, open_run);
-            // The on-disk format carries only the raw streams; the
-            // derived request stream is recomputed on load.
-            chunk.rebuild_breqs();
-            chunks.push(chunk);
+            chunks.push(TraceChunk {
+                starts,
+                istalls,
+                dlats,
+                branches,
+                runs,
+                open_run,
+            });
         }
         if d.pos != body.len() || total != instructions {
             return None;
@@ -1005,16 +1020,18 @@ mod tests {
                 "owned reader accepted bit flip at {pos}"
             );
         }
-        // A different format version (v1 files in particular: same byte
-        // layout, retired when the mapped reader landed).
+        // A different format version (v1 and v2 files in particular:
+        // retired when the mapped reader and the run starts landed).
         let mut bad = pristine.clone();
         bad[8] = bad[8].wrapping_add(1);
         std::fs::write(&path, &bad).unwrap();
         assert!(DynTrace::read_file(&path, hash, &cfg).is_none());
-        let mut v1 = pristine.clone();
-        v1[8] = 1;
-        std::fs::write(&path, &v1).unwrap();
-        assert!(DynTrace::read_file(&path, hash, &cfg).is_none());
+        for old in [1, 2] {
+            let mut stale = pristine.clone();
+            stale[8] = old;
+            std::fs::write(&path, &stale).unwrap();
+            assert!(DynTrace::read_file(&path, hash, &cfg).is_none());
+        }
 
         // The pristine bytes still load.
         std::fs::write(&path, &pristine).unwrap();

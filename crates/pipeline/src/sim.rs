@@ -46,7 +46,7 @@ use crate::decode::InstTiming;
 use crate::machine::{EmuConfig, EmuError, Emulator};
 use crate::ooo::{BranchStats, OooConfig, OooTimingModel, TimingStats};
 use crate::tape::PredTape;
-use crate::trace::{BranchCounter, DynTrace, ReplayConsumer, TraceChunk, TraceStream};
+use crate::trace::{BranchCounter, ChunkReqs, DynTrace, ReplayConsumer, TraceChunk, TraceStream};
 
 /// Which baseline branch predictor to instantiate (paper Section VI-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -480,11 +480,11 @@ impl Simulation {
     ///
     /// Under [`EngineKind::Replay`] and [`EngineKind::Convoy`] one
     /// capture stream feeds every configuration chunk by chunk (serial
-    /// fill, one chunk live), each configuration batch-predicting the
-    /// chunk's branches as a replay would; the configurations must share
-    /// an emulation key. Under [`EngineKind::Reference`] each
-    /// configuration is a reference run, projected. Branch tracing is
-    /// ignored.
+    /// fill, one chunk live): each chunk's predictor requests are built
+    /// once, and each configuration batch-predicts them as a replay
+    /// would; the configurations must share an emulation key. Under
+    /// [`EngineKind::Reference`] each configuration is a reference run,
+    /// projected. Branch tracing is ignored.
     ///
     /// # Panics
     ///
@@ -510,9 +510,11 @@ impl Simulation {
                 let mut stream = TraceStream::new(program, key);
                 let mut counters: Vec<BranchCounter> =
                     configs.iter().map(BranchCounter::new).collect();
+                let mut reqs = ChunkReqs::default();
                 for_each_chunk(&mut stream, |_, chunk| {
+                    reqs.build(chunk);
                     for c in &mut counters {
-                        c.consume_chunk(chunk);
+                        c.consume_chunk(chunk, &reqs);
                     }
                 })?;
                 Ok(counters.iter().map(BranchCounter::stats).collect())
@@ -570,9 +572,11 @@ impl Simulation {
             return Ok((tape.stats(), None));
         }
         let mut counter = BranchCounter::new(config);
+        let mut reqs = ChunkReqs::default();
         for chunk in trace.chunks() {
             crate::cancel::check_current()?;
-            counter.consume_chunk(chunk);
+            reqs.build(chunk);
+            counter.consume_chunk(chunk, &reqs);
         }
         Ok((counter.stats(), Some(counter.into_tape())))
     }

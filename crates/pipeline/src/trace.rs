@@ -36,17 +36,28 @@
 //!
 //! # Structure-of-arrays chunk layout
 //!
-//! A chunk stores its records as parallel `pc` / `istall` / `dlat`
-//! streams plus a **run-length index over non-branch runs**: the
-//! branch-event byte is zero for the large majority of dynamic
-//! instructions (~80% on the paper workloads), so instead of an
-//! interleaved branch byte per record — which every consumer would
-//! re-test — the chunk stores one length per non-branch run and a dense
-//! stream of the (non-zero) branch bytes. A consumer never scans for
-//! branches at all: [`walk_chunk`] iterates whole non-branch spans
-//! through a branch-free specialization of the cycle-accounting core
-//! (the `branch: None` match arm constant-folds away) and decodes
-//! exactly one branch event per run.
+//! A chunk stores its records as parallel `istall` / `dlat` streams
+//! plus a **run index**. The branch-event byte is zero for the large
+//! majority of dynamic instructions (~80% on the paper workloads), so
+//! instead of an interleaved branch byte per record — which every
+//! consumer would re-test — the chunk cuts its records into *runs*: a
+//! run is zero or more non-branch records followed by one branch
+//! record, and a chunk that does not end on a branch closes with an
+//! open run of non-branch records only. The index keeps, per run, its
+//! length, its branch byte and its **start pc**. That is every pc the
+//! chunk holds: only a branch redirects control, so a non-branch record
+//! at pc `p` is followed by `p + 1`, and run `i`'s records sit at
+//! `start, start + 1, …` with its branch at `start + runs[i]`. A
+//! consumer never scans for branches at all: [`walk_chunk`] iterates
+//! whole non-branch spans through a branch-free specialization of the
+//! cycle-accounting core (the `branch: None` match arm constant-folds
+//! away), counting pcs up from the run's start, and decodes exactly one
+//! branch event per run.
+//!
+//! The predictor requests a replay needs are not stored either:
+//! [`ChunkReqs::build`] derives them from the run index when a pass
+//! needs them — once per chunk for the first pass of a predictor and
+//! filter mode; later passes read its prediction tape.
 //!
 //! The format has one writer and one reader. [`ChunkWriter`] (opened by
 //! `TraceChunk::begin_fill`) is the only code that appends records, and
@@ -89,8 +100,8 @@ use crate::tape::{PredTape, TapeChunk, TapeKey};
 /// cache-resident while a convoy drains it through several consumers
 /// (and the bounded-memory figure for streaming convoys), large enough
 /// to amortize the per-chunk bookkeeping and consumer switches. In the
-/// SoA layout a full chunk is 6 bytes of stream data per record
-/// (384 KiB) plus the run index.
+/// SoA layout a full chunk is 2 bytes of stream data per record
+/// (128 KiB) plus the run index, 9 bytes per branch.
 pub const TRACE_CHUNK_RECORDS: usize = 1 << 16;
 
 // The packed branch byte of a record: present, taken and probabilistic
@@ -120,6 +131,14 @@ pub(crate) fn encode_branch(branch: Option<BranchEvent>) -> u8 {
                 | (kind << BR_KIND_SHIFT)
         }
     }
+}
+
+/// Whether `byte` is a packed branch byte [`encode_branch`] can
+/// produce: present, with a kind it knows. Every other byte, 0
+/// included, is corrupt — the persistence reader's check on loaded
+/// branch streams.
+pub(crate) fn is_branch_byte(byte: u8) -> bool {
+    byte & BR_PRESENT != 0 && byte >> BR_KIND_SHIFT <= 4
 }
 
 /// Decodes a (non-zero) packed branch byte, exactly as the live
@@ -326,25 +345,18 @@ impl PartialEq for U32s {
 
 /// A borrowed random-access u32 stream for the chunk walk: a native
 /// slice (owned chunks) or little-endian bytes (mapped chunks). The
-/// walk monomorphizes over this, so neither backing pays a per-record
+/// walk monomorphizes over this, so neither backing pays a per-element
 /// dispatch — the mapped path costs exactly one unaligned LE load per
 /// element.
 trait U32Slice: Copy {
     /// Element `i`.
     fn get(self, i: usize) -> u32;
-    /// The elements of `start..end`, in order.
-    fn iter_range(self, start: usize, end: usize) -> impl Iterator<Item = u32>;
 }
 
 impl U32Slice for &[u32] {
     #[inline(always)]
     fn get(self, i: usize) -> u32 {
         self[i]
-    }
-
-    #[inline(always)]
-    fn iter_range(self, start: usize, end: usize) -> impl Iterator<Item = u32> {
-        self[start..end].iter().copied()
     }
 }
 
@@ -357,29 +369,23 @@ impl U32Slice for LeU32s<'_> {
     fn get(self, i: usize) -> u32 {
         u32::from_le_bytes(self.0[4 * i..4 * i + 4].try_into().expect("4-byte element"))
     }
-
-    #[inline(always)]
-    fn iter_range(self, start: usize, end: usize) -> impl Iterator<Item = u32> {
-        self.0[4 * start..4 * end]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte element")))
-    }
 }
 
 /// One chunk of a dynamic trace in structure-of-arrays form: parallel
-/// per-record streams plus a run-length index over non-branch runs (see
-/// the module docs).
+/// per-record latency streams plus the run index that holds the
+/// chunk's pcs and branch events (see the module docs).
 ///
 /// Each stream is either **owned** (capture) or a **zero-copy view**
-/// over a persisted file's read-only memory map (a v2 warm-start load,
+/// over a persisted file's read-only memory map (a warm-start load,
 /// see `persist`). Consumers never care which: the chunk walk
 /// monomorphizes over the backing and every engine produces
 /// byte-identical reports either way. Equality is logical — an owned
 /// chunk and its mapped round-trip compare equal.
 #[derive(Debug, Clone, Default)]
 pub struct TraceChunk {
-    /// PC per record, in program order.
-    pub(crate) pcs: U32s,
+    /// The start pc of every run, in order: one per branch record, plus
+    /// one for a non-empty open run.
+    pub(crate) starts: U32s,
     /// Fetch-stall cycles per record.
     pub(crate) istalls: U8s,
     /// Load-to-use latency per record (0 for non-loads).
@@ -392,15 +398,6 @@ pub struct TraceChunk {
     /// Length of the still-open trailing non-branch run (a chunk that
     /// ends on a branch record leaves this 0).
     pub(crate) open_run: u32,
-    /// Derived stream: the chunk's *conditional* branches as ready-made
-    /// predictor requests, in program order. Built during capture (and
-    /// rebuilt after a persistence load), so replay consumers hand it to
-    /// [`BranchPredictor::predict_update_batch`] without re-walking the
-    /// run index — the unfiltered batch is a borrow, not a copy.
-    pub(crate) breqs: Vec<BranchReq>,
-    /// Parallel to `breqs`: whether the request's branch was
-    /// probabilistic (the Figure 9 filter mode drops those requests).
-    pub(crate) breq_prob: Vec<bool>,
 }
 
 impl TraceChunk {
@@ -408,57 +405,28 @@ impl TraceChunk {
     /// — allocate once, refill per [`TraceStream::fill`] call.
     pub fn with_chunk_capacity() -> TraceChunk {
         TraceChunk {
-            pcs: U32s::Owned(Vec::with_capacity(TRACE_CHUNK_RECORDS)),
             istalls: U8s::Owned(Vec::with_capacity(TRACE_CHUNK_RECORDS)),
             dlats: U8s::Owned(Vec::with_capacity(TRACE_CHUNK_RECORDS)),
-            // Branch density is workload-dependent; these grow on
-            // demand and stabilize after the first refill.
-            branches: U8s::default(),
-            runs: U32s::default(),
-            open_run: 0,
-            breqs: Vec::new(),
-            breq_prob: Vec::new(),
-        }
-    }
-
-    /// A chunk directly from its raw streams — the persistence load
-    /// path, where the streams may be zero-copy views over the file
-    /// map. The derived request stream is *not* built; the caller runs
-    /// [`rebuild_breqs`](TraceChunk::rebuild_breqs) after validation.
-    pub(crate) fn from_raw_streams(
-        pcs: U32s,
-        istalls: U8s,
-        dlats: U8s,
-        branches: U8s,
-        runs: U32s,
-        open_run: u32,
-    ) -> TraceChunk {
-        TraceChunk {
-            pcs,
-            istalls,
-            dlats,
-            branches,
-            runs,
-            open_run,
-            breqs: Vec::new(),
-            breq_prob: Vec::new(),
+            // Branch density is workload-dependent; the run index grows
+            // on demand and stabilizes after the first refill.
+            ..TraceChunk::default()
         }
     }
 
     /// Number of records in the chunk.
     pub fn len(&self) -> usize {
-        self.pcs.len()
+        self.istalls.len()
     }
 
     /// Whether the chunk holds no records.
     pub fn is_empty(&self) -> bool {
-        self.pcs.len() == 0
+        self.istalls.len() == 0
     }
 
     /// Whether the chunk's record streams are zero-copy views over a
     /// mapped trace file rather than owned buffers.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.pcs, U32s::Mapped(_))
+        matches!(self.istalls, U8s::Mapped(_))
     }
 
     /// Number of branch records in the chunk.
@@ -468,14 +436,12 @@ impl TraceChunk {
 
     /// Removes all records, keeping the stream allocations.
     pub fn clear(&mut self) {
-        self.pcs.clear();
+        self.starts.clear();
         self.istalls.clear();
         self.dlats.clear();
         self.branches.clear();
         self.runs.clear();
         self.open_run = 0;
-        self.breqs.clear();
-        self.breq_prob.clear();
     }
 
     /// Returns a cursor writer over zero-filled record streams that
@@ -490,13 +456,11 @@ impl TraceChunk {
     pub(crate) fn begin_fill(&mut self, budget: usize) -> ChunkWriter<'_> {
         debug_assert!(self.is_empty() && self.open_run == 0);
         ChunkWriter {
-            pcs: self.pcs.owned_mut(),
+            starts: self.starts.owned_mut(),
             istalls: self.istalls.owned_mut(),
             dlats: self.dlats.owned_mut(),
             branches: self.branches.owned_mut(),
             runs: self.runs.owned_mut(),
-            breqs: &mut self.breqs,
-            breq_prob: &mut self.breq_prob,
             cur: 0,
             open_run: 0,
             sized: 0,
@@ -508,7 +472,6 @@ impl TraceChunk {
     /// the record streams to the `written` records and installs the
     /// writer's trailing open-run length.
     pub(crate) fn end_fill(&mut self, written: usize, open_run: u32) {
-        self.pcs.owned_mut().truncate(written);
         self.istalls.owned_mut().truncate(written);
         self.dlats.owned_mut().truncate(written);
         self.open_run = open_run;
@@ -517,35 +480,11 @@ impl TraceChunk {
     /// Drops the slack capacity of every stream (final chunk of a
     /// materialized trace).
     fn shrink_to_fit(&mut self) {
-        self.pcs.shrink_to_fit();
+        self.starts.shrink_to_fit();
         self.istalls.shrink_to_fit();
         self.dlats.shrink_to_fit();
         self.branches.shrink_to_fit();
         self.runs.shrink_to_fit();
-        self.breqs.shrink_to_fit();
-        self.breq_prob.shrink_to_fit();
-    }
-
-    /// Rebuilds the derived request stream from the raw streams — for
-    /// chunks reassembled from a persisted trace, whose serialized form
-    /// carries only the raw streams.
-    pub(crate) fn rebuild_breqs(&mut self) {
-        let TraceChunk {
-            pcs,
-            runs,
-            branches,
-            breqs,
-            breq_prob,
-            ..
-        } = self;
-        breqs.clear();
-        breq_prob.clear();
-        let mut idx = 0usize;
-        for (run, &byte) in runs.iter().zip(branches.as_slice()) {
-            idx += run as usize;
-            push_breq(breqs, breq_prob, pcs.get(idx), byte);
-            idx += 1;
-        }
     }
 
     /// Heap bytes held by the chunk's stream buffers (capacity, not
@@ -553,26 +492,69 @@ impl TraceChunk {
     /// Mapped streams count 0: their pages belong to the OS page cache,
     /// not the trace pool's budget.
     pub fn bytes(&self) -> usize {
-        self.pcs.heap_bytes()
+        self.starts.heap_bytes()
             + self.istalls.heap_bytes()
             + self.dlats.heap_bytes()
             + self.branches.heap_bytes()
             + self.runs.heap_bytes()
-            + self.breqs.capacity() * std::mem::size_of::<BranchReq>()
-            + self.breq_prob.capacity()
     }
 }
 
-/// Appends the predictor request of a branch record to the chunk's
-/// derived request stream, if the record is a conditional branch — the
-/// one rule the writer and [`TraceChunk::rebuild_breqs`] both apply.
-#[inline(always)]
-fn push_breq(breqs: &mut Vec<BranchReq>, breq_prob: &mut Vec<bool>, pc: u32, byte: u8) {
-    // A conditional branch has kind bits 0: only the present/taken/prob
-    // flags may be set.
-    if byte & !(BR_TAKEN | BR_PROB) == BR_PRESENT {
-        breqs.push(BranchReq::new(pc as u64, byte & BR_TAKEN != 0));
-        breq_prob.push(byte & BR_PROB != 0);
+/// A chunk's *conditional* branches as predictor requests, in program
+/// order, each with whether its branch was probabilistic (the Figure 9
+/// filter mode drops those). Chunks store no requests: a pass rebuilds
+/// them per chunk with [`build`](ChunkReqs::build) into buffers it
+/// reuses from chunk to chunk.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkReqs {
+    reqs: Vec<BranchReq>,
+    prob: Vec<bool>,
+}
+
+impl ChunkReqs {
+    /// Replaces the requests with `chunk`'s, read off its run index —
+    /// the branch of run `i` sits at `starts[i] + runs[i]` — for
+    /// captured and mapped chunks alike. The only code that builds
+    /// predictor requests.
+    pub(crate) fn build(&mut self, chunk: &TraceChunk) {
+        self.reqs.clear();
+        self.prob.clear();
+        for (i, &byte) in chunk.branches.as_slice().iter().enumerate() {
+            // A conditional branch has kind bits 0: only the
+            // present/taken/prob flags may be set.
+            if byte & !(BR_TAKEN | BR_PROB) == BR_PRESENT {
+                let pc = chunk.starts.get(i) + chunk.runs.get(i);
+                self.reqs
+                    .push(BranchReq::new(pc as u64, byte & BR_TAKEN != 0));
+                self.prob.push(byte & BR_PROB != 0);
+            }
+        }
+    }
+
+    /// The *predictor-visible* requests, in program order: every
+    /// conditional branch, minus the probabilistic ones when the Figure
+    /// 9 filter diverts those to the PBS oracle — exactly the records
+    /// for which [`OooTimingModel::consume_core`] consults the predictor
+    /// (PBS-directed and unconditional control flow never touch it).
+    /// Unfiltered passes borrow the requests outright; the filter mode
+    /// copies the non-probabilistic subset into `scratch`.
+    fn visible<'a>(
+        &'a self,
+        filter_prob: bool,
+        scratch: &'a mut Vec<BranchReq>,
+    ) -> &'a [BranchReq] {
+        if !filter_prob {
+            return &self.reqs;
+        }
+        scratch.clear();
+        scratch.extend(
+            self.reqs
+                .iter()
+                .zip(&self.prob)
+                .filter(|&(_, &prob)| !prob)
+                .map(|(&req, _)| req),
+        );
+        scratch
     }
 }
 
@@ -581,17 +563,22 @@ fn push_breq(breqs: &mut Vec<BranchReq>, breq_prob: &mut Vec<bool>, pc: u32, byt
 /// emission is a plain indexed store at the cursor behind a watermark
 /// check — the streams grow by doubling toward `budget` rather than
 /// pre-sizing upfront, so short captures only pay for the pages they
-/// actually fill. The branch-side streams stay push-based (they are an
-/// order of magnitude sparser than the record streams).
+/// actually fill. The run index stays push-based (it is an order of
+/// magnitude sparser than the record streams).
+///
+/// A record that opens a run pushes its pc as the run's start; every
+/// other record of the run must sit at the previous record's pc + 1,
+/// which every capture guarantees (only branch records redirect
+/// control) and debug builds assert.
 pub(crate) struct ChunkWriter<'a> {
-    pcs: &'a mut Vec<u32>,
+    starts: &'a mut Vec<u32>,
     istalls: &'a mut Vec<u8>,
     dlats: &'a mut Vec<u8>,
     branches: &'a mut Vec<u8>,
     runs: &'a mut Vec<u32>,
-    breqs: &'a mut Vec<BranchReq>,
-    breq_prob: &'a mut Vec<bool>,
     cur: usize,
+    /// Non-branch records of the open run; 0 when no run is open (the
+    /// chunk's start, or right after a branch record).
     open_run: u32,
     /// Zero-filled length of the record streams; indexed stores are
     /// valid below it.
@@ -612,25 +599,44 @@ impl ChunkWriter<'_> {
     #[cold]
     fn grow(&mut self, need: usize) {
         let new = self.budget.min((self.sized * 2).max(4096)).max(need);
-        self.pcs.resize(new, 0);
         self.istalls.resize(new, 0);
         self.dlats.resize(new, 0);
         self.sized = new;
+    }
+
+    /// Places the next record, at `pc`, in a run: it opens one when
+    /// none is open, and otherwise continues the open run.
+    #[inline(always)]
+    fn place(&mut self, pc: u32) {
+        if self.open_run == 0 {
+            self.starts.push(pc);
+        } else {
+            debug_assert_eq!(
+                self.starts
+                    .last()
+                    .map(|&s| u64::from(s) + u64::from(self.open_run)),
+                Some(u64::from(pc)),
+                "a record inside a run sits at the previous pc + 1"
+            );
+        }
     }
 
     /// Bulk-appends `n` straight-line records at consecutive pcs
     /// `start..start + n` — the compiled blocks' warm fast path. No
     /// branch bytes (a block body is branch-free by construction), and
     /// the zero istalls/dlats are already in place from the zero-fill
-    /// growth: only the pcs and the load-latency patches are written.
+    /// growth: only the load-latency patches are written. A zero-length
+    /// span (a block that faults at its first body op) opens no run.
     #[inline(always)]
     pub(crate) fn emit_straight(&mut self, start: u32, n: u32, dlat_patch: &[(u32, u8)]) {
+        if n == 0 {
+            debug_assert!(dlat_patch.is_empty());
+            return;
+        }
+        self.place(start);
         let base = self.cur;
         if base + n as usize > self.sized {
             self.grow(base + n as usize);
-        }
-        for i in 0..n as usize {
-            self.pcs[base + i] = start + i as u32;
         }
         for &(i, d) in dlat_patch {
             self.dlats[base + i as usize] = d;
@@ -643,10 +649,10 @@ impl ChunkWriter<'_> {
     /// non-branch record) and pre-simulated latencies.
     #[inline(always)]
     pub(crate) fn emit_record(&mut self, pc: u32, branch_byte: u8, istall: u8, dlat: u8) {
+        self.place(pc);
         if self.cur == self.sized {
             self.grow(self.cur + 1);
         }
-        self.pcs[self.cur] = pc;
         self.istalls[self.cur] = istall;
         self.dlats[self.cur] = dlat;
         self.cur += 1;
@@ -654,7 +660,6 @@ impl ChunkWriter<'_> {
             self.runs.push(self.open_run);
             self.branches.push(branch_byte);
             self.open_run = 0;
-            push_breq(self.breqs, self.breq_prob, pc, branch_byte);
         } else {
             self.open_run += 1;
         }
@@ -668,13 +673,11 @@ impl ChunkWriter<'_> {
 }
 
 impl PartialEq for TraceChunk {
-    /// Logical equality over the *raw* streams — backing-agnostic (an
-    /// owned chunk equals its mapped round-trip), and the derived
-    /// `breqs`/`breq_prob` are excluded because the raw streams
-    /// determine them.
+    /// Logical equality over the streams — backing-agnostic (an owned
+    /// chunk equals its mapped round-trip).
     fn eq(&self, other: &TraceChunk) -> bool {
         self.open_run == other.open_run
-            && self.pcs == other.pcs
+            && self.starts == other.starts
             && self.istalls == other.istalls
             && self.dlats == other.dlats
             && self.branches == other.branches
@@ -698,97 +701,64 @@ pub(crate) trait ChunkVisitor {
 /// whole non-branch runs through `plain` — the branch test runs once
 /// per *run*, not once per record, and inside a run the `branch: None`
 /// arm of the cycle-accounting core constant-folds away. Each span is
-/// walked as three zipped per-record streams, so the per-record loads
-/// carry no per-record bounds checks.
+/// walked as two zipped per-record streams with its pcs counted up from
+/// the run's start, so the per-record loads carry no per-record bounds
+/// checks.
 ///
 /// The walk monomorphizes over the chunk's u32 backing ([`U32Slice`]):
-/// the owned arm is the pre-mmap slice walk unchanged, and the mapped
-/// arm decodes each little-endian element in place of a slice load —
-/// one specialization per (pcs, runs) backing pair, resolved once per
-/// chunk.
+/// the owned arm reads native slices, and the mapped arm decodes each
+/// little-endian element in place of a slice load — one specialization
+/// per (starts, runs) backing pair, resolved once per chunk.
 #[inline(always)]
 pub(crate) fn walk_chunk<V: ChunkVisitor>(chunk: &TraceChunk, v: &mut V) {
-    let istalls = chunk.istalls.as_slice();
-    let dlats = chunk.dlats.as_slice();
-    let branches = chunk.branches.as_slice();
-    match (&chunk.pcs, &chunk.runs) {
-        (U32s::Owned(pcs), U32s::Owned(runs)) => walk_streams(
-            pcs.as_slice(),
-            runs.as_slice(),
-            istalls,
-            dlats,
-            branches,
-            chunk.open_run,
-            v,
-        ),
-        (U32s::Owned(pcs), U32s::Mapped(runs)) => walk_streams(
-            pcs.as_slice(),
-            LeU32s(runs.as_slice()),
-            istalls,
-            dlats,
-            branches,
-            chunk.open_run,
-            v,
-        ),
-        (U32s::Mapped(pcs), U32s::Owned(runs)) => walk_streams(
-            LeU32s(pcs.as_slice()),
-            runs.as_slice(),
-            istalls,
-            dlats,
-            branches,
-            chunk.open_run,
-            v,
-        ),
-        (U32s::Mapped(pcs), U32s::Mapped(runs)) => walk_streams(
-            LeU32s(pcs.as_slice()),
-            LeU32s(runs.as_slice()),
-            istalls,
-            dlats,
-            branches,
-            chunk.open_run,
-            v,
-        ),
+    match &chunk.starts {
+        U32s::Owned(starts) => walk_runs(chunk, starts.as_slice(), v),
+        U32s::Mapped(starts) => walk_runs(chunk, LeU32s(starts.as_slice()), v),
+    }
+}
+
+/// [`walk_chunk`] past its starts' backing: resolves the run lengths'.
+#[inline(always)]
+fn walk_runs<S: U32Slice, V: ChunkVisitor>(chunk: &TraceChunk, starts: S, v: &mut V) {
+    match &chunk.runs {
+        U32s::Owned(runs) => walk_streams(chunk, starts, runs.as_slice(), v),
+        U32s::Mapped(runs) => walk_streams(chunk, starts, LeU32s(runs.as_slice()), v),
     }
 }
 
 /// The backing-generic body of [`walk_chunk`].
 #[inline(always)]
-fn walk_streams<P: U32Slice, R: U32Slice, V: ChunkVisitor>(
-    pcs: P,
+fn walk_streams<S: U32Slice, R: U32Slice, V: ChunkVisitor>(
+    chunk: &TraceChunk,
+    starts: S,
     runs: R,
-    istalls: &[u8],
-    dlats: &[u8],
-    branches: &[u8],
-    open_run: u32,
     v: &mut V,
 ) {
+    /// Non-branch records whose pcs count up from `pc`.
     #[inline(always)]
-    fn span<P: U32Slice, V: ChunkVisitor>(
-        pcs: P,
-        istalls: &[u8],
-        dlats: &[u8],
-        start: usize,
-        len: usize,
-        v: &mut V,
-    ) {
-        let end = start + len;
-        for ((pc, &istall), &dlat) in pcs
-            .iter_range(start, end)
-            .zip(&istalls[start..end])
-            .zip(&dlats[start..end])
-        {
-            v.plain(pc, istall, dlat);
+    fn span<V: ChunkVisitor>(pc: u32, istalls: &[u8], dlats: &[u8], v: &mut V) {
+        for (i, (&istall, &dlat)) in istalls.iter().zip(dlats).enumerate() {
+            v.plain(pc + i as u32, istall, dlat);
         }
     }
+    let (istalls, dlats) = (chunk.istalls.as_slice(), chunk.dlats.as_slice());
+    let branches = chunk.branches.as_slice();
     let mut idx = 0usize;
     for (i, &byte) in branches.iter().enumerate() {
-        let run = runs.get(i) as usize;
-        span(pcs, istalls, dlats, idx, run, v);
-        idx += run;
-        v.branch(pcs.get(idx), istalls[idx], dlats[idx], decode_branch(byte));
-        idx += 1;
+        let (start, run) = (starts.get(i), runs.get(i));
+        let end = idx + run as usize;
+        span(start, &istalls[idx..end], &dlats[idx..end], v);
+        v.branch(start + run, istalls[end], dlats[end], decode_branch(byte));
+        idx = end + 1;
     }
-    span(pcs, istalls, dlats, idx, open_run as usize, v);
+    if chunk.open_run > 0 {
+        span(
+            starts.get(branches.len()),
+            &istalls[idx..],
+            &dlats[idx..],
+            v,
+        );
+    }
 }
 
 /// The architectural results of a captured run — everything a
@@ -1064,8 +1034,8 @@ impl DynTrace {
     /// and architectural results) — the number the trace pool's memory
     /// budget meters. Mapped record streams count 0
     /// (their pages are the OS page cache's, reclaimable at will), so
-    /// demoting a trace to disk genuinely shrinks its pooled footprint
-    /// to the timing table plus derived request streams.
+    /// demoting a trace to disk shrinks its pooled footprint to the
+    /// timing table and the architectural results.
     pub fn bytes(&self) -> usize {
         self.chunks.iter().map(TraceChunk::bytes).sum::<usize>()
             + self.timings.len() * std::mem::size_of::<InstTiming>()
@@ -1118,8 +1088,12 @@ pub struct ReplayConsumer<'t> {
 /// Where a replay consumer's predictions come from.
 #[derive(Debug)]
 enum PredSource<'t> {
-    /// The predictor itself, recording its tape as it goes.
-    Live(Box<BatchPredictor>),
+    /// The predictor itself, recording its tape as it goes, and the
+    /// requests it is fed, rebuilt per chunk.
+    Live {
+        batch: Box<BatchPredictor>,
+        reqs: ChunkReqs,
+    },
     /// An earlier pass's tape, read chunk by chunk.
     Tape { tape: &'t PredTape, next: usize },
 }
@@ -1133,7 +1107,7 @@ struct BatchPredictor {
     predictor: PredictorDispatch,
     filter_prob: bool,
     /// The filter mode's copy of a chunk's predictor-visible requests…
-    reqs: Vec<BranchReq>,
+    visible: Vec<BranchReq>,
     /// …and the batch-computed predictions of the visible requests.
     preds: Vec<bool>,
     tape: PredTape,
@@ -1144,61 +1118,32 @@ impl BatchPredictor {
         BatchPredictor {
             predictor: config.predictor.build_dispatch(),
             filter_prob: config.filter_prob_from_predictor,
-            reqs: Vec::new(),
+            visible: Vec::new(),
             preds: Vec::new(),
             tape: PredTape::new(TapeKey::of(config)),
         }
     }
 
-    /// Runs the chunk's predictor-visible branches ([`visible_reqs`] — a
-    /// zero-copy borrow of the chunk's precomputed request stream unless
-    /// this predictor filters probabilistic branches) through the
-    /// predictor in one dispatch ([`PredictorDispatch::visit_batch`]) and
-    /// records the predictions on the tape. Returns the requests and
-    /// their predictions, in program order.
-    fn predict<'a>(&'a mut self, chunk: &'a TraceChunk) -> (&'a [BranchReq], &'a [bool]) {
+    /// Runs a chunk's predictor-visible requests ([`ChunkReqs::visible`]
+    /// of the chunk's `reqs`) through the predictor in one dispatch
+    /// ([`PredictorDispatch::visit_batch`]) and records the predictions
+    /// on the tape. Returns the visible requests and their predictions,
+    /// in program order.
+    fn predict<'a>(&'a mut self, reqs: &'a ChunkReqs) -> (&'a [BranchReq], &'a [bool]) {
         let BatchPredictor {
             predictor,
             filter_prob,
-            reqs,
+            visible,
             preds,
             tape,
         } = self;
-        let reqs = visible_reqs(chunk, *filter_prob, reqs);
+        let reqs = reqs.visible(*filter_prob, visible);
         preds.clear();
         preds.resize(reqs.len(), false);
         predictor.visit_batch(reqs, preds);
         tape.push_chunk(preds);
         (reqs, preds)
     }
-}
-
-/// The chunk's *predictor-visible* branch requests, in program order:
-/// conditional branches, minus probabilistic ones when the Figure 9
-/// filter diverts those to the PBS oracle — exactly the records for
-/// which [`OooTimingModel::consume_core`] consults the predictor
-/// (PBS-directed and unconditional control flow never touch it).
-/// Unfiltered consumers borrow the chunk's pre-built request stream
-/// outright; the filter mode copies the non-probabilistic subset into
-/// `scratch`.
-fn visible_reqs<'a>(
-    chunk: &'a TraceChunk,
-    filter_prob: bool,
-    scratch: &'a mut Vec<BranchReq>,
-) -> &'a [BranchReq] {
-    if !filter_prob {
-        return &chunk.breqs;
-    }
-    scratch.clear();
-    scratch.extend(
-        chunk
-            .breqs
-            .iter()
-            .zip(&chunk.breq_prob)
-            .filter(|&(_, &prob)| !prob)
-            .map(|(&req, _)| req),
-    );
-    scratch
 }
 
 /// Replays a chunk's packed predictions into the unchanged
@@ -1304,7 +1249,10 @@ impl ReplayConsumer<'static> {
     pub fn new(config: &SimConfig) -> ReplayConsumer<'static> {
         ReplayConsumer::with_source(
             config,
-            PredSource::Live(Box::new(BatchPredictor::new(config))),
+            PredSource::Live {
+                batch: Box::new(BatchPredictor::new(config)),
+                reqs: ChunkReqs::default(),
+            },
         )
     }
 }
@@ -1331,15 +1279,17 @@ impl<'t> ReplayConsumer<'t> {
     }
 
     /// Drains one chunk through the timing model: fix the chunk's
-    /// predictions (batch-predict, or read the tape), then walk the
-    /// chunk's records through the cycle-accounting core, replaying the
-    /// predictions in program order. `timings` is the per-pc metadata of
-    /// the trace the chunk came from.
+    /// predictions (build its requests and batch-predict them, or read
+    /// the tape), then walk the chunk's records through the
+    /// cycle-accounting core, replaying the predictions in program
+    /// order. `timings` is the per-pc metadata of the trace the chunk
+    /// came from.
     #[inline]
     pub fn consume_chunk(&mut self, timings: &[InstTiming], chunk: &TraceChunk) {
         let preds = match &mut self.preds {
-            PredSource::Live(batch) => {
-                batch.predict(chunk);
+            PredSource::Live { batch, reqs } => {
+                reqs.build(chunk);
+                batch.predict(reqs);
                 batch.tape.chunk(batch.tape.chunk_count() - 1)
             }
             PredSource::Tape { tape, next } => {
@@ -1378,7 +1328,7 @@ impl<'t> ReplayConsumer<'t> {
         } = self;
         let stats = timing.stats();
         let tape = match preds {
-            PredSource::Live(batch) => Some(batch.tape.finish(stats.into())),
+            PredSource::Live { batch, .. } => Some(batch.tape.finish(stats.into())),
             PredSource::Tape { .. } => None,
         };
         let report = SimReport {
@@ -1398,8 +1348,8 @@ impl<'t> ReplayConsumer<'t> {
 /// A trace fixes every branch outcome and the batch fixes every
 /// prediction, so the counts [`OooTimingModel::consume_core`] keeps
 /// follow from the chunk alone: branch kinds from its branch-byte
-/// stream (PBS-directed and unconditional transfers never reach the
-/// request stream), mispredictions from the predictions against the
+/// stream (PBS-directed and unconditional transfers never become
+/// requests), mispredictions from the predictions against the
 /// requests. The counts equal the replay's timing statistics without
 /// their cycle count.
 #[derive(Debug)]
@@ -1417,8 +1367,10 @@ impl BranchCounter {
         }
     }
 
-    /// Counts one chunk's records, branches and mispredictions.
-    pub(crate) fn consume_chunk(&mut self, chunk: &TraceChunk) {
+    /// Counts one chunk's records, branches and mispredictions; `reqs`
+    /// holds the chunk's requests ([`ChunkReqs::build`]), which
+    /// counters streaming one chunk share.
+    pub(crate) fn consume_chunk(&mut self, chunk: &TraceChunk, reqs: &ChunkReqs) {
         let s = &mut self.stats;
         s.instructions += chunk.len() as u64;
         s.dyn_branches += chunk.branch_count() as u64;
@@ -1437,13 +1389,13 @@ impl BranchCounter {
                 BranchEventKind::Unconditional | BranchEventKind::Call | BranchEventKind::Ret => {}
             }
         }
-        // Unfiltered, the visible requests are the chunk's whole request
-        // stream, parallel to `breq_prob`; filtered, they are all regular.
+        // Unfiltered, the visible requests are all of `reqs`, parallel
+        // to its probabilistic flags; filtered, they are all regular.
         let filter_prob = self.batch.filter_prob;
-        let (reqs, preds) = self.batch.predict(chunk);
-        for (i, (req, &pred)) in reqs.iter().zip(preds).enumerate() {
+        let (visible, preds) = self.batch.predict(reqs);
+        for (i, (req, &pred)) in visible.iter().zip(preds).enumerate() {
             if pred != req.taken {
-                let prob = !filter_prob && chunk.breq_prob[i];
+                let prob = !filter_prob && reqs.prob[i];
                 s.mispredicts += 1;
                 s.mispredicts_prob += prob as u64;
                 s.mispredicts_regular += !prob as u64;
@@ -1649,10 +1601,13 @@ mod tests {
         emu: Emulator,
         hierarchy: MemoryHierarchy,
         seen: u64,
+        /// The last record checked.
+        last: Option<Rec>,
     }
 
     impl Oracle {
         fn check(&mut self, got: Rec) {
+            self.last = Some(got);
             let d = self
                 .emu
                 .step()
@@ -1689,6 +1644,7 @@ mod tests {
     #[test]
     fn captured_records_match_the_reference_stream_and_a_full_cache_walk() {
         use probranch_workloads::{BenchmarkId, Scale};
+        let mut chained = 0;
         for id in BenchmarkId::ALL {
             let program = id.build(Scale::Smoke, 1).program();
             for pbs in [false, true] {
@@ -1713,16 +1669,25 @@ mod tests {
                         emu,
                         hierarchy: MemoryHierarchy::default(),
                         seen: 0,
+                        last: None,
                     };
+                    let at = format!("{id:?}, PBS {pbs}, {tier:?}");
                     for chunk in trace.chunks() {
+                        // Chunks chain: after a chunk that ends on a
+                        // non-branch record at pc p, the next chunk's
+                        // first run starts at p + 1.
+                        if let Some((pc, None, ..)) = oracle.last {
+                            assert_eq!(chunk.starts.get(0), pc + 1, "{at}: chunk chain");
+                            chained += 1;
+                        }
                         walk_chunk(chunk, &mut oracle);
                     }
-                    let at = format!("{id:?}, PBS {pbs}, {tier:?}");
                     assert_eq!(oracle.emu.step().unwrap(), None, "{at}: trace ends early");
                     assert_eq!(oracle.seen, trace.instructions(), "{at}");
                 }
             }
         }
+        assert!(chained > 0, "no chunk boundary fell inside a run");
     }
 
     /// One write into a chunk: a record through
@@ -1758,9 +1723,11 @@ mod tests {
     }
 
     /// Writes `writes` into a fresh chunk through its writer and checks
-    /// that the chunk walk, the branch count and the derived request
-    /// stream — as written, and as [`TraceChunk::rebuild_breqs`]
-    /// rebuilds it — reproduce them.
+    /// that the chunk walk, the branch count, the run starts and the
+    /// predictor requests [`ChunkReqs::build`] reads off the run index
+    /// reproduce them. The writes must follow the run rule every
+    /// capture follows: a record after a non-branch record sits at its
+    /// pc + 1.
     fn assert_round_trip(writes: &[Write]) {
         let mut want: Vec<Rec> = Vec::new();
         for write in writes {
@@ -1793,6 +1760,10 @@ mod tests {
         assert_eq!(chunk.len(), want.len());
         let branches = want.iter().filter(|r| r.1.is_some()).count();
         assert_eq!(chunk.branch_count(), branches);
+        assert_eq!(
+            chunk.starts.len(),
+            branches + usize::from(chunk.open_run > 0)
+        );
         let (reqs, prob): (Vec<BranchReq>, Vec<bool>) = want
             .iter()
             .filter_map(|&(pc, branch, ..)| match branch {
@@ -1802,12 +1773,9 @@ mod tests {
                 _ => None,
             })
             .unzip();
-        assert_eq!((&chunk.breqs, &chunk.breq_prob), (&reqs, &prob));
-        let mut rebuilt = chunk.clone();
-        rebuilt.breqs.clear();
-        rebuilt.breq_prob.clear();
-        rebuilt.rebuild_breqs();
-        assert_eq!((&rebuilt.breqs, &rebuilt.breq_prob), (&reqs, &prob));
+        let mut built = ChunkReqs::default();
+        built.build(&chunk);
+        assert_eq!((&built.reqs, &built.prob), (&reqs, &prob));
     }
 
     #[test]
@@ -1828,22 +1796,35 @@ mod tests {
         // All-branch and branch-free runs.
         assert_round_trip(&events.iter().map(|&ev| branch(40, ev)).collect::<Vec<_>>());
         assert_round_trip(&(0..300).map(plain).collect::<Vec<_>>());
+        // Zero-length spans open no run and may name any pc: at the
+        // chunk's start, inside a run and after a branch.
         assert_round_trip(&[
+            Write::Straight(7, 0, vec![]),
             Write::Straight(100, 12, vec![(0, 4), (11, 250)]),
-            Write::Straight(112, 0, vec![]),
-            Write::Straight(0, 5000, vec![(4999, 1)]),
+            Write::Straight(3, 0, vec![]),
+            Write::Straight(112, 5000, vec![(4999, 1)]),
+            branch(5112, events[0]),
+            Write::Straight(9, 0, vec![]),
         ]);
-        // Arbitrary mixes of all three write shapes.
+        // Arbitrary mixes of all three write shapes, with pcs by the
+        // run rule: after a non-branch record the next pc is its pc + 1,
+        // and after a branch record (or at the chunk's start) any pc may
+        // follow.
         let mut rng = SplitMix64::seed(17);
         for _ in 0..200 {
             let len = rng.next_u64() % 64;
+            let mut next: Option<u32> = None;
             let writes: Vec<Write> = (0..len)
                 .map(|_| {
                     let r = rng.next_u64();
-                    let pc = (r >> 32) as u32;
+                    let pc = next.unwrap_or((r >> 40) as u32);
                     match r % 4 {
-                        0 => Write::Record((pc, None, (r >> 8) as u8, (r >> 16) as u8)),
+                        0 => {
+                            next = Some(pc + 1);
+                            Write::Record((pc, None, (r >> 8) as u8, (r >> 16) as u8))
+                        }
                         1 => {
+                            next = None;
                             let ev = events[(r >> 8) as usize % events.len()];
                             Write::Record((pc, Some(ev), (r >> 16) as u8, (r >> 24) as u8))
                         }
@@ -1851,13 +1832,66 @@ mod tests {
                             let n = (r >> 8) as u32 % 40;
                             let patch = (0..n).filter(|i| (r >> (i % 32)) & 1 == 1);
                             let patch = patch.map(|i| (i, (i * 3) as u8 | 1)).collect();
-                            Write::Straight(pc >> 1, n, patch)
+                            if n > 0 {
+                                next = Some(pc + n);
+                            }
+                            Write::Straight(pc, n, patch)
                         }
                     }
                 })
                 .collect();
             assert_round_trip(&writes);
         }
+    }
+
+    /// A loop whose first body op is a load walking off the end of
+    /// memory: the loop block is warm by the time the load faults, so
+    /// the generated tier faults at body index 0 and reports an empty
+    /// straight-line span.
+    fn faulting_loop() -> (Program, SimConfig) {
+        let mut b = ProgramBuilder::new();
+        let top = b.label("top");
+        let cfg = SimConfig::default();
+        // 100 iterations before the address leaves memory.
+        b.li(Reg::R1, 8 * (cfg.emu.mem_words as i64 - 100));
+        b.li(Reg::R2, 0);
+        b.bind(top);
+        b.ld(Reg::R3, Reg::R1, 0);
+        b.add(Reg::R1, Reg::R1, 8);
+        b.add(Reg::R2, Reg::R2, Reg::R3);
+        b.br(CmpOp::Lt, Reg::R2, i64::MAX, top);
+        b.halt();
+        (b.build().unwrap(), cfg)
+    }
+
+    #[test]
+    fn a_warm_block_faulting_at_its_first_op_leaves_the_interpreters_chunk() {
+        let (program, cfg) = faulting_loop();
+        let fill = |tier| {
+            crate::aot::with_capture_tier(tier, || {
+                let mut stream = TraceStream::new(&program, &cfg);
+                assert_eq!(
+                    stream.blocks.compiled_blocks() > 0,
+                    tier == CaptureTier::Generated
+                );
+                let mut chunk = TraceChunk::with_chunk_capacity();
+                (stream.fill(&mut chunk), chunk)
+            })
+        };
+        let (generated, chunk) = fill(CaptureTier::Generated);
+        let (interp, interp_chunk) = fill(CaptureTier::Interp);
+        assert!(
+            matches!(generated, Err(EmuError::MemoryFault { .. })),
+            "{generated:?}"
+        );
+        assert_eq!(generated, interp);
+        assert_eq!(chunk, interp_chunk);
+        // The records before the fault: two setup instructions and 100
+        // iterations, ending on the loop's branch. The empty span of
+        // the faulting block opened no run.
+        assert_eq!(chunk.len(), 2 + 100 * 4);
+        assert_eq!(chunk.open_run, 0);
+        assert_eq!(chunk.starts.len(), chunk.branch_count());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use probranch::pbs::{BranchResolution, PbsConfig, PbsUnit};
 use probranch::pipeline::{
     with_capture_tier, Cache, CaptureTier, DynTrace, EmuConfig, EmuError, Emulator, EngineKind,
     ExecLatencies, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation, TraceChunk,
-    TRACE_CHUNK_RECORDS,
+    TraceLoad, TRACE_CHUNK_RECORDS,
 };
 use probranch::predictor::{BranchPredictor, TageScL, Tournament};
 
@@ -760,5 +760,257 @@ proptest! {
         let spec = plan.spec();
         prop_assert_eq!(probranch_faults::FaultPlan::parse(&spec), Ok(plan));
         check_parse(&mutate(&spec, &edits))?;
+    }
+}
+
+// ---- trace-file decoder fuzzing ---------------------------------------
+
+/// The trailing digest of a trace file's body, computed as the writer
+/// does: a SplitMix64 fold of its little-endian words, seeded with its
+/// length, closed by the zero-padded tail word. Test-side copy, so a
+/// mutated body can be resealed and reach the structural checks.
+fn trace_file_digest(body: &[u8]) -> u64 {
+    let mix = probranch::rng::SplitMix64::mix;
+    let mut h = 0x9E37_79B9_7F4A_7C15u64 ^ body.len() as u64;
+    let mut words = body.chunks_exact(8);
+    for w in &mut words {
+        h = mix(h ^ u64::from_le_bytes(w.try_into().unwrap()));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    mix(h ^ u64::from_le_bytes(tail))
+}
+
+/// Rewrites a trace file's trailing digest to match its body.
+fn reseal(file: &mut [u8]) {
+    let at = file.len() - 8;
+    let d = trace_file_digest(&file[..at]);
+    file[at..].copy_from_slice(&d.to_le_bytes());
+}
+
+/// Where one chunk's structural fields sit in a v3 trace file.
+struct ChunkFields {
+    /// Offsets of the record count and the branch count (u64 each).
+    len: usize,
+    n_branches: usize,
+    /// Offset of the open-run length (u32).
+    open_run: usize,
+    /// Offsets of the run lengths and the run start pcs (u32 each),
+    /// with each run's length in records (its branch included).
+    runs: Vec<usize>,
+    starts: Vec<(usize, u64)>,
+    /// Offsets of the branch bytes.
+    branches: Vec<usize>,
+}
+
+/// Walks a v3 trace file's layout (README, "File format (v3)") to its
+/// timing-table size and every chunk's structural fields.
+fn chunk_fields(file: &[u8]) -> (u64, Vec<ChunkFields>) {
+    let u64_at = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
+    let u32_at = |at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap());
+    // Magic, version, content hash, instruction count.
+    let mut at = 8 + 4 + 8 + 8;
+    let n_timings = u64_at(at);
+    at += 8 + 9 * n_timings as usize;
+    let ports = u64_at(at);
+    at += 8;
+    for _ in 0..ports {
+        at += 2;
+        at += 8 + 8 * u64_at(at) as usize;
+    }
+    at += 8 + 8 * u64_at(at) as usize;
+    at += 1 + if file[at] == 1 { 56 } else { 0 };
+    let n_chunks = u64_at(at);
+    at += 8;
+    let chunks = (0..n_chunks)
+        .map(|_| {
+            let len = u64_at(at) as usize;
+            let nb = u64_at(at + 8) as usize;
+            let open_run = u32_at(at + 16);
+            let runs: Vec<usize> = (0..nb).map(|i| at + 20 + 4 * i).collect();
+            let starts_at = at + 20 + 5 * nb;
+            let mut lens: Vec<u64> = runs.iter().map(|&r| u64::from(u32_at(r)) + 1).collect();
+            if open_run > 0 {
+                lens.push(u64::from(open_run));
+            }
+            let starts = lens
+                .into_iter()
+                .enumerate()
+                .map(|(i, n)| (starts_at + 4 * i, n))
+                .collect();
+            let fields = ChunkFields {
+                len: at,
+                n_branches: at + 8,
+                open_run: at + 16,
+                runs,
+                starts,
+                branches: (0..nb).map(|i| at + 20 + 4 * nb + i).collect(),
+            };
+            at += 20 + 9 * nb + 4 * usize::from(open_run > 0) + 2 * len;
+            fields
+        })
+        .collect();
+    assert_eq!(at, file.len() - 8, "the layout walk must end at the digest");
+    (n_timings, chunks)
+}
+
+/// Mutates one structural field of chunk `c` in `file` — by `field`: a
+/// run length, a start pc, the open-run length, the branch count, the
+/// record count or a branch byte — to a value next to the old one when
+/// `near`, else to an arbitrary one, and never to the old value. A
+/// start pc goes to the end of the timing table when `near`, and a
+/// branch byte flips one bit. Returns whether the file stays
+/// structurally valid, which only a start pc whose run still ends
+/// inside the timing table does, or a byte that is still a branch byte
+/// (bit 0 set, and a kind of 0–4 in bits 3 and up).
+fn mutate_chunk_field(
+    file: &mut [u8],
+    n_timings: u64,
+    c: &ChunkFields,
+    field: u8,
+    pick: usize,
+    value: u64,
+    near: bool,
+) -> bool {
+    let mut last_fit = None;
+    let branch_byte = field == 5 && !c.branches.is_empty();
+    let (at, width) = match field {
+        0 if !c.runs.is_empty() => (c.runs[pick % c.runs.len()], 4),
+        1 => {
+            let (at, n) = c.starts[pick % c.starts.len()];
+            last_fit = Some(n_timings - n);
+            (at, 4)
+        }
+        5 if branch_byte => (c.branches[pick % c.branches.len()], 1),
+        0 | 2 => (c.open_run, 4),
+        3 => (c.n_branches, 8),
+        _ => (c.len, 8),
+    };
+    let mut old = [0u8; 8];
+    old[..width].copy_from_slice(&file[at..at + width]);
+    let old = u64::from_le_bytes(old);
+    let mask = u64::MAX >> (64 - 8 * width);
+    let v = match (last_fit, near) {
+        (Some(last), true) => last + value % 3,
+        (Some(_), false) => value % (2 * n_timings),
+        (None, true) if branch_byte => old ^ (1 << (value % 8)),
+        (None, true) => old.wrapping_add(value % 7).wrapping_sub(3),
+        (None, false) => value,
+    } & mask;
+    let v = if v == old {
+        v.wrapping_add(1) & mask
+    } else {
+        v
+    };
+    file[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+    match last_fit {
+        Some(last) => v <= last,
+        None => branch_byte && v & 1 == 1 && v >> 3 <= 4,
+    }
+}
+
+/// A persisted smoke-scale trace — the Bandit benchmark, several
+/// chunks long — with the configuration and content hash it loads
+/// under.
+fn smoke_trace_file() -> &'static (Vec<u8>, SimConfig, u64) {
+    static FILE: std::sync::OnceLock<(Vec<u8>, SimConfig, u64)> = std::sync::OnceLock::new();
+    FILE.get_or_init(|| {
+        use probranch::workloads::{BenchmarkId, Scale};
+        let program = BenchmarkId::Bandit.build(Scale::Smoke, 1).program();
+        let cfg = SimConfig::default().with_pbs();
+        let hash = cfg.emu_key_fingerprint();
+        let trace = DynTrace::capture(&program, &cfg).unwrap();
+        assert!(trace.chunk_count() > 1);
+        let path = fuzz_path();
+        trace.write_file(&path, hash).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        (bytes, cfg, hash)
+    })
+}
+
+/// A fresh temp-file path for one fuzz case.
+fn fuzz_path() -> std::path::PathBuf {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "probranch-fuzz-{}-{}.bin",
+        std::process::id(),
+        SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ))
+}
+
+/// Loads `file` through both readers, which must agree: either both
+/// reject it, the mapped one as [`TraceLoad::Corrupt`], or both accept
+/// the same trace, which must replay — every pc it yields indexes the
+/// timing table, or the replay would panic. Returns whether the file
+/// loaded.
+fn load_both(file: &[u8], cfg: &SimConfig, hash: u64) -> Result<bool, TestCaseError> {
+    let path = fuzz_path();
+    std::fs::write(&path, file).unwrap();
+    let mapped = DynTrace::load_file(&path, hash, cfg, 0);
+    let owned = DynTrace::read_file_owned(&path, hash, cfg);
+    std::fs::remove_file(&path).unwrap();
+    match (mapped, owned) {
+        (TraceLoad::Corrupt, None) => Ok(false),
+        (TraceLoad::Loaded(trace), Some(owned)) => {
+            prop_assert_eq!(&trace, &owned);
+            let sim = Simulation::default();
+            prop_assert!(sim.replay(&trace, cfg).is_ok());
+            prop_assert!(sim.replay_branches(&trace, cfg).is_ok());
+            Ok(true)
+        }
+        (mapped, owned) => Err(TestCaseError::fail(format!(
+            "readers disagree: mapped {mapped:?}, owned loaded {}",
+            owned.is_some()
+        ))),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn trace_file_decoder_rejects_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+        sealed in any::<bool>(),
+    ) {
+        // Arbitrary bytes fail the digest. Sealed behind a valid magic,
+        // version and content hash with a matching digest, they reach
+        // the decoder, whose counts must be bounded by the bytes left
+        // before anything is allocated for them.
+        let _quiesce = probranch_faults::ScopedPlan::install(Default::default());
+        let (pristine, cfg, hash) = smoke_trace_file();
+        let mut file = bytes;
+        if sealed {
+            let mut head = pristine[..8 + 4 + 8].to_vec();
+            head.extend_from_slice(&file);
+            head.extend_from_slice(&[0; 8]);
+            reseal(&mut head);
+            file = head;
+        }
+        prop_assert!(!load_both(&file, cfg, *hash)?);
+    }
+
+    #[test]
+    fn trace_file_decoder_checks_every_structural_field(
+        chunk in any::<usize>(),
+        field in 0u8..6,
+        pick in any::<usize>(),
+        value in any::<u64>(),
+        near in any::<bool>(),
+    ) {
+        // One structural field of a valid file mutated — a run length,
+        // a start pc, the open-run length, the branch count, the record
+        // count or a branch byte — and the digest recomputed, so that
+        // only the structural checks stand between the decoder and the
+        // edit.
+        let _quiesce = probranch_faults::ScopedPlan::install(Default::default());
+        let (pristine, cfg, hash) = smoke_trace_file();
+        let (n_timings, chunks) = chunk_fields(pristine);
+        let c = &chunks[chunk % chunks.len()];
+        let mut file = pristine.clone();
+        let may_load = mutate_chunk_field(&mut file, n_timings, c, field, pick, value, near);
+        reseal(&mut file);
+        prop_assert_eq!(load_both(&file, cfg, *hash)?, may_load);
     }
 }
