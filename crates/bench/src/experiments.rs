@@ -682,17 +682,35 @@ pub struct Table2Row {
 /// Table II: benchmark characteristics (branch counts, category,
 /// instruction counts).
 pub fn table2(scale: ExperimentScale, jobs: Jobs) -> Vec<Table2Row> {
+    table2_with_ctx(scale, jobs, &Context::new())
+}
+
+/// [`table2`] over the run-wide trace pool: a benchmark whose PBS-off
+/// seed-0 run the pool holds — the emulation key Figure 1 captures —
+/// reads its dynamic instruction count from the pooled trace instead of
+/// emulating the workload again. `figures` runs Table II before any key
+/// is pooled, so only a served request after Figure 1 reads the pool.
+/// The rows are byte-identical either way.
+pub fn table2_with_ctx(scale: ExperimentScale, jobs: Jobs, ctx: &Context) -> Vec<Table2Row> {
     run_cells(&BenchmarkId::ALL, jobs, |&id| {
         let b = id.build(scale.workload(), workload_seed(id, 0));
         let p = b.program();
         let (prob, total) = p.branch_counts();
-        let r = run_functional(&p, None, MAX_INSTS).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+        let dynamic_insts = match ctx.traces.peek(&(id, 0, false, scale)) {
+            Some(trace) => trace.instructions(),
+            None => {
+                run_functional(&p, None, MAX_INSTS)
+                    .unwrap_or_else(|e| panic!("{}: {e}", b.name()))
+                    .timing
+                    .instructions
+            }
+        };
         Table2Row {
             name: b.name(),
             prob_branches: prob,
             total_branches: total,
             category: b.category().to_string(),
-            dynamic_insts: r.timing.instructions,
+            dynamic_insts,
         }
     })
 }

@@ -33,7 +33,7 @@ pub fn section_text(
     ctx: &experiments::Context,
 ) -> Option<String> {
     Some(match section {
-        "table2" => render::table2(&experiments::table2(scale, jobs)),
+        "table2" => render::table2(&experiments::table2_with_ctx(scale, jobs, ctx)),
         "table1" => render::table1(&experiments::table1(jobs)),
         "fig1" => render::fig1(&experiments::fig1_with_ctx(scale, jobs, engine, ctx)),
         "fig6" => render::fig6(&experiments::fig6_with_ctx(scale, jobs, engine, ctx)),

@@ -61,7 +61,7 @@ mod unit;
 
 pub use config::PbsConfig;
 pub use context::{ContextKey, ContextTable};
-pub use tables::{InFlightRecord, ProbBtb, ProbBtbEntry, ProbInFlight};
+pub use tables::{ProbBtb, ProbBtbEntry, ProbInFlight};
 pub use unit::{BranchResolution, BypassReason, PbsStats, PbsUnit};
 
 // The parallel experiment harness ships PBS configurations and result

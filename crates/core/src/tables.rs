@@ -12,28 +12,27 @@ use std::collections::VecDeque;
 
 use crate::ContextKey;
 
-/// One Prob-in-Flight record: the probabilistic values generated by an
-/// executed branch instance together with the branch outcome those values
-/// produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InFlightRecord {
-    /// The probabilistic values, in instruction order (`PROB_CMP`
-    /// register first, then any intermediate `PROB_JMP` registers, then
-    /// the final `PROB_JMP` register).
-    pub values: Vec<u64>,
-    /// The outcome the branch condition produced on `values`.
-    pub outcome: bool,
-}
-
 /// The per-branch Prob-in-Flight FIFO.
 ///
-/// Execution pushes `(values, outcome)` records; fetch pops the oldest to
-/// direct the next instance. The depth bound is the number of
-/// simultaneously outstanding instances the hardware supports, which is
-/// also the bootstrap length.
+/// Execution pushes a record — the probabilistic values an executed
+/// instance generated, in instruction order (`PROB_CMP` register first,
+/// then any intermediate `PROB_JMP` registers, then the final
+/// `PROB_JMP` register), with the outcome the branch condition produced
+/// on them; fetch pops the oldest to direct the next instance. The
+/// depth bound is the number of simultaneously outstanding instances
+/// the hardware supports, which is also the bootstrap length.
+///
+/// Every record's values share one flat buffer, beside a value count
+/// and an outcome per record, so a record holds no allocation of its
+/// own — the FIFO of an unbounded window (every instance bootstraps)
+/// grows by 8 bytes per value and 8 per record.
 #[derive(Debug, Clone, Default)]
 pub struct ProbInFlight {
-    fifo: VecDeque<InFlightRecord>,
+    /// The values of every outstanding record, oldest first.
+    values: VecDeque<u64>,
+    /// Per outstanding record, oldest first: its value count and
+    /// outcome.
+    records: VecDeque<(u32, bool)>,
 }
 
 impl ProbInFlight {
@@ -42,34 +41,41 @@ impl ProbInFlight {
         ProbInFlight::default()
     }
 
-    /// Records an executed instance.
-    pub fn push(&mut self, record: InFlightRecord) {
-        self.fifo.push_back(record);
+    /// Records an executed instance: its values and the outcome they
+    /// produced.
+    pub fn push(&mut self, values: &[u64], outcome: bool) {
+        let n = u32::try_from(values.len()).expect("a branch carries few values");
+        self.values.extend(values);
+        self.records.push_back((n, outcome));
     }
 
-    /// Pulls the oldest recorded instance, if any.
-    pub fn pop(&mut self) -> Option<InFlightRecord> {
-        self.fifo.pop_front()
+    /// Pulls the oldest recorded instance, if any: appends its values to
+    /// `values` and returns its outcome.
+    pub fn pop_into(&mut self, values: &mut Vec<u64>) -> Option<bool> {
+        let (n, outcome) = self.records.pop_front()?;
+        values.extend(self.values.drain(..n as usize));
+        Some(outcome)
     }
 
     /// Number of outstanding records.
     pub fn len(&self) -> usize {
-        self.fifo.len()
+        self.records.len()
     }
 
     /// Whether no records are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.fifo.is_empty()
+        self.records.is_empty()
     }
 
     /// Drops all records.
     pub fn clear(&mut self) {
-        self.fifo.clear();
+        self.values.clear();
+        self.records.clear();
     }
 }
 
-/// One Prob-BTB entry (with its SwapTable slots folded in as the extra
-/// capacity of each [`InFlightRecord`]'s value vector).
+/// One Prob-BTB entry (with its SwapTable slots folded into the values
+/// its Prob-in-Flight records hold).
 #[derive(Debug, Clone)]
 pub struct ProbBtbEntry {
     /// PC of the probabilistic jump.
@@ -222,29 +228,33 @@ mod tests {
     fn fifo_is_first_in_first_out() {
         let mut f = ProbInFlight::new();
         assert!(f.is_empty());
-        f.push(InFlightRecord {
-            values: vec![1],
-            outcome: true,
-        });
-        f.push(InFlightRecord {
-            values: vec![2],
-            outcome: false,
-        });
-        assert_eq!(f.len(), 2);
-        assert_eq!(f.pop().unwrap().values, vec![1]);
-        assert_eq!(f.pop().unwrap().values, vec![2]);
-        assert!(f.pop().is_none());
+        f.push(&[1], true);
+        f.push(&[2, 3], false);
+        f.push(&[], true);
+        assert_eq!(f.len(), 3);
+        let mut values = vec![9];
+        assert_eq!(f.pop_into(&mut values), Some(true));
+        assert_eq!(values, [9, 1], "values append to the buffer");
+        values.clear();
+        assert_eq!(f.pop_into(&mut values), Some(false));
+        assert_eq!(values, [2, 3], "a record's values travel as a group");
+        values.clear();
+        assert_eq!(f.pop_into(&mut values), Some(true));
+        assert!(values.is_empty());
+        assert_eq!(f.pop_into(&mut values), None);
+        assert!(f.is_empty());
     }
 
     #[test]
     fn fifo_clear() {
         let mut f = ProbInFlight::new();
-        f.push(InFlightRecord {
-            values: vec![1],
-            outcome: true,
-        });
+        f.push(&[1], true);
         f.clear();
         assert!(f.is_empty());
+        f.push(&[4], false);
+        let mut values = Vec::new();
+        assert_eq!(f.pop_into(&mut values), Some(false));
+        assert_eq!(values, [4], "a cleared FIFO keeps no stale values");
     }
 
     #[test]

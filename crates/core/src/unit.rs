@@ -1,7 +1,6 @@
 //! The PBS unit: the functional engine gluing the Prob-BTB, SwapTable,
 //! Prob-in-Flight and Context-Table together (paper Sections III and V).
 
-use crate::tables::InFlightRecord;
 use crate::{ContextTable, PbsConfig, ProbBtb};
 
 /// Why a probabilistic branch was *not* handled by PBS and executed as a
@@ -106,9 +105,9 @@ pub struct PbsUnit {
     btb: ProbBtb,
     context: ContextTable,
     stats: PbsStats,
-    /// Recycled value buffers for in-flight records: the driver hands
-    /// consumed swap buffers back through [`PbsUnit::recycle`], making
-    /// the steady-state directed path allocation-free.
+    /// Recycled swap buffers: the emulator hands consumed ones back
+    /// through [`PbsUnit::recycle`], making the steady-state directed
+    /// path allocation-free.
     spare: Vec<Vec<u64>>,
 }
 
@@ -128,15 +127,6 @@ impl PbsUnit {
             spare: Vec::new(),
             config,
         }
-    }
-
-    /// Copies `values` into a recycled buffer (or a fresh one when the
-    /// pool is empty).
-    fn record_buf(&mut self, values: &[u64]) -> Vec<u64> {
-        let mut v = self.spare.pop().unwrap_or_default();
-        v.clear();
-        v.extend_from_slice(values);
-        v
     }
 
     /// Returns a spent swap buffer (from
@@ -182,7 +172,6 @@ impl PbsUnit {
         };
 
         let in_flight_limit = self.config.in_flight;
-        let new_values = self.record_buf(values);
         if self.btb.find_mut(pc, context).is_none() {
             // First encounter in this context: allocate and bootstrap.
             // On a full table, evict an entry from a stale/outer context
@@ -193,16 +182,12 @@ impl PbsUnit {
             match self.btb.allocate(pc, context, const_val) {
                 Some(entry) => {
                     entry.executed = 1;
-                    entry.in_flight.push(InFlightRecord {
-                        values: new_values,
-                        outcome: taken_new,
-                    });
+                    entry.in_flight.push(values, taken_new);
                     self.stats.allocations += 1;
                     self.stats.bootstrap += 1;
                     return BranchResolution::Bootstrap { taken: taken_new };
                 }
                 None => {
-                    self.recycle(new_values);
                     self.stats.bypassed += 1;
                     return BranchResolution::Bypassed {
                         taken: taken_new,
@@ -214,8 +199,6 @@ impl PbsUnit {
 
         let entry = self.btb.find_mut(pc, context).expect("checked above");
         if entry.risky {
-            let spent = new_values;
-            self.recycle(spent);
             self.stats.bypassed += 1;
             return BranchResolution::Bypassed {
                 taken: taken_new,
@@ -227,7 +210,6 @@ impl PbsUnit {
             // breaks the correctness argument — flush and demote.
             entry.risky = true;
             entry.in_flight.clear();
-            self.recycle(new_values);
             self.stats.const_val_demotions += 1;
             self.stats.bypassed += 1;
             return BranchResolution::Bypassed {
@@ -239,26 +221,23 @@ impl PbsUnit {
         entry.executed += 1;
         if entry.in_flight.len() < in_flight_limit {
             // Initialization: record while the pipeline window fills.
-            entry.in_flight.push(InFlightRecord {
-                values: new_values,
-                outcome: taken_new,
-            });
+            entry.in_flight.push(values, taken_new);
             self.stats.bootstrap += 1;
             return BranchResolution::Bootstrap { taken: taken_new };
         }
 
-        // Steady state: pull the oldest record to direct this instance,
-        // store the new values for a future instance.
-        let old = entry.in_flight.pop().expect("FIFO at in-flight limit");
-        entry.in_flight.push(InFlightRecord {
-            values: new_values,
-            outcome: taken_new,
-        });
+        // Steady state: pull the oldest record into a recycled swap
+        // buffer to direct this instance, and store the new values for a
+        // future instance.
+        let mut swapped = self.spare.pop().unwrap_or_default();
+        swapped.clear();
+        let taken = entry
+            .in_flight
+            .pop_into(&mut swapped)
+            .expect("FIFO at in-flight limit");
+        entry.in_flight.push(values, taken_new);
         self.stats.directed += 1;
-        BranchResolution::Directed {
-            taken: old.outcome,
-            swapped: old.values,
-        }
+        BranchResolution::Directed { taken, swapped }
     }
 
     /// Observes a direct branch (conditional or not) for loop detection.

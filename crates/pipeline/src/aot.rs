@@ -17,10 +17,9 @@
 //!   run inside bodies like any straight-line op;
 //! * under the capture sink, body records bulk-append into the SoA
 //!   [`TraceChunk`] as one consecutive-pc span through the chunk's
-//!   cursor writer (`TraceChunk::begin_fill`) instead of per-record
-//!   pushes: zero istalls (see the warmth rule below), zero branch
-//!   bytes, and dlats patched in from the loads the body actually
-//!   executed;
+//!   writer (`TraceChunk::begin_fill`) instead of per-record pushes: no
+//!   fetch stalls (see the warmth rule below), no branch bytes, and the
+//!   latencies of the loads the body actually executed;
 //! * the terminator commits inline: direct conditional branches, `jmp`,
 //!   `call`, `ret` and `PROB_JMP` (through the shared resolution path)
 //!   each run their datapath, redirect the pc, update the PBS context
@@ -47,7 +46,7 @@
 //!
 //! # Warmth rule (byte-identity of the capture fast path)
 //!
-//! The bulk path writes `istall = 0` for every body record, which is
+//! The bulk path records no fetch stall for any body record, which is
 //! only correct when each body line is already resident in the L1-I.
 //! The capture sink therefore single-steps a block until every line it
 //! spans is marked in [`TraceStream::itouched`] (first touches walk the
@@ -584,9 +583,10 @@ pub(crate) trait Sink {
     fn block_ready(&mut self, i: usize, b: &CompiledBlock) -> bool;
     /// Whether the argmax loop headed at `head` may run natively.
     fn loop_ready(&self, head: u32) -> bool;
-    /// A load at index `i` of the straight-line span the next
-    /// [`straight`](Sink::straight) call reports touched `addr`.
-    fn load(&mut self, i: u32, addr: u64);
+    /// A load of the straight-line span the next
+    /// [`straight`](Sink::straight) call reports touched `addr`; a
+    /// span's loads report in order.
+    fn load(&mut self, addr: u64);
     /// The `n` straight-line instructions at `start..start + n` retired.
     fn straight(&mut self, start: u32, n: u32);
     /// The control instruction at `pc` retired, with its packed branch
@@ -605,8 +605,6 @@ struct CaptureSink<'a, 'w> {
     itouched: &'a mut [bool],
     pcs_per_line: usize,
     warm_blocks: &'a mut [bool],
-    /// `(span index, latency)` of the loads of the span being executed.
-    dlats: &'a mut Vec<(u32, u8)>,
 }
 
 impl Sink for CaptureSink<'_, '_> {
@@ -642,27 +640,26 @@ impl Sink for CaptureSink<'_, '_> {
     }
 
     /// Loads pre-simulate their data access in execution order, exactly
-    /// as a single step would; the latency is patched into the span's
-    /// bulk emission.
+    /// as a single step would, and append their latency for the span's
+    /// emission.
     #[inline(always)]
-    fn load(&mut self, i: u32, addr: u64) {
+    fn load(&mut self, addr: u64) {
         let dlat = self.presim.data_access(addr);
         debug_assert!(dlat <= u8::MAX as u64);
-        self.dlats.push((i, dlat as u8));
+        self.w.load(dlat as u8);
     }
 
     #[inline(always)]
     fn straight(&mut self, start: u32, n: u32) {
-        self.w.emit_straight(start, n, self.dlats);
-        self.dlats.clear();
+        self.w.emit_straight(start, n);
     }
 
     /// A terminator's line is covered by the warmth rule (`istall = 0`,
     /// exactly what a single step would pre-simulate for a resident
-    /// line) and a branch is never a load (`dlat = 0`).
+    /// line) and a branch is never a load.
     #[inline(always)]
     fn branch(&mut self, pc: u32, byte: u8) {
-        self.w.emit_record(pc, byte, 0, 0);
+        self.w.emit_record(pc, byte, 0);
     }
 
     #[inline(always)]
@@ -675,8 +672,11 @@ impl Sink for CaptureSink<'_, '_> {
                 self.pcs_per_line,
                 &rec,
             );
+            if let Some(dlat) = dlat {
+                self.w.load(dlat);
+            }
             self.w
-                .emit_record(rec.pc, encode_branch(rec.branch), istall, dlat);
+                .emit_record(rec.pc, encode_branch(rec.branch), istall);
         }
         Ok(())
     }
@@ -699,7 +699,7 @@ impl Sink for FunctionalSink {
     }
 
     #[inline(always)]
-    fn load(&mut self, _: u32, _: u64) {}
+    fn load(&mut self, _: u64) {}
 
     #[inline(always)]
     fn straight(&mut self, _: u32, _: u32) {}
@@ -772,7 +772,7 @@ fn exec_block<S: Sink>(
         match step {
             BodyStep::Op(op) => match emu.exec_straight_op(*op, start + done) {
                 Ok(Some(addr)) => {
-                    sink.load(done, addr);
+                    sink.load(addr);
                     done += 1;
                 }
                 Ok(None) => done += 1,
@@ -1101,7 +1101,7 @@ fn exec_argmax<S: Sink>(
                 return Err(e);
             }
         };
-        sink.load(1, addr);
+        sink.load(addr);
         sink.straight(p0, 2);
         emu.commit_straight(p0 + 2, 2);
         // head+2: pulled test (forward branch: PBS no-op).
@@ -1113,7 +1113,7 @@ fn exec_argmax<S: Sink>(
             // head+5..9: wins load, two itofs, fdiv — the shared
             // datapath expressions, in op order.
             let addr = emu.load_checked(sp.score, sp.i, sp.off_wins, p0 + 5)?;
-            sink.load(0, addr);
+            sink.load(addr);
             {
                 let regs = emu.regs_mut();
                 regs[sp.score.index()] = (regs[sp.score.index()] as i64 as f64).to_bits();
@@ -1206,10 +1206,9 @@ impl TraceStream {
             pcs_per_line,
             blocks,
             warm_blocks,
-            dlat_scratch,
             ..
         } = self;
-        let mut w = chunk.begin_fill(budget as usize);
+        let mut w = chunk.begin_fill();
         // Every retired instruction is one record, so the chunk budget
         // ends the loop at `budget` more executed instructions.
         let end = emu.executed() + budget;
@@ -1220,17 +1219,15 @@ impl TraceStream {
             itouched,
             pcs_per_line: *pcs_per_line,
             warm_blocks,
-            dlats: dlat_scratch,
         };
-        // Run the dispatch loop to completion or first error, then trim
-        // the pre-sized streams either way — a fault must leave the
-        // chunk holding exactly the records emitted before it.
+        // Run the dispatch loop to completion or first error, then close
+        // the chunk either way — a fault must leave it holding exactly
+        // the records emitted before it.
         let run = dispatch(emu, blocks, end, &mut sink);
-        let emitted = w.written();
         let (written, open_run) = w.finish();
         chunk.end_fill(written, open_run);
         run?;
-        if emitted == 0 {
+        if written == 0 {
             self.halted = true;
             return Ok(false);
         }

@@ -22,7 +22,7 @@
 //! `Inst`-interpreting reference engine, which the golden-trace suite
 //! and `tests/engine_equivalence.rs` lock in.
 
-use probranch_isa::{AluOp, CmpOp, FpBinOp, FpUnOp, Inst, Operand, Program, Reg};
+use probranch_isa::{AluOp, CmpOp, ExecClass, FpBinOp, FpUnOp, Inst, Operand, Program, Reg};
 
 /// Pseudo-register index modeling the condition flag in the timing
 /// model's ready-cycle scoreboard (one past the 32 architectural
@@ -227,6 +227,13 @@ impl InstTiming {
     #[inline]
     pub fn defs(&self) -> &[u8] {
         &self.defs[..self.n_defs as usize]
+    }
+
+    /// Whether the instruction is a load: its execute latency is the
+    /// cache hierarchy's, not its class's.
+    #[inline(always)]
+    pub(crate) fn is_load(&self) -> bool {
+        self.class == ExecClass::Load.index() as u8
     }
 }
 

@@ -490,7 +490,7 @@ impl OooTimingModel {
         // the issue-slot probe touches no hierarchy state, and the
         // access order the caches observe (instruction fetch, then data
         // access, per record in program order) is unchanged.
-        let exec_lat = if timing.class as usize == ExecClass::Load.index() {
+        let exec_lat = if timing.is_load() {
             let addr = d.mem_addr.expect("loads carry an address");
             self.hierarchy.data_access(addr)
         } else {

@@ -23,21 +23,27 @@
 //! `*.tmp.<pid>.<n>` files; [`sweep_stale_temps`] reaps those when the
 //! trace store opens.
 //!
-//! # Format v3 and zero-copy loads
+//! # Format v4 and zero-copy loads
 //!
-//! A chunk is stored as its record count, branch count and open-run
-//! length, then its run lengths, branch bytes, run start pcs and the
-//! per-record `istall` and `dlat` bytes: 2 bytes per record plus 9 per
-//! branch (README "File format (v3)" has the whole layout and why).
-//! [`DynTrace::read_file`] memory-maps the file read-only and serves
-//! each chunk's streams as borrowed little-endian views over the map
-//! ([`TraceChunk::is_mapped`]), so a warm-start load materializes only
-//! the timing table and the architectural results. Validation is a
+//! A chunk is stored as its record count, branch count, open-run
+//! length, load count and stall count, then its run lengths, branch
+//! bytes, run start pcs, load latencies, stall record indices and stall
+//! cycles: 9 bytes per branch, 1 per load and 5 per fetch stall, and
+//! nothing per record (README "File format (v4)" has the whole layout
+//! and why). [`DynTrace::read_file`] memory-maps the file read-only and
+//! serves each chunk's streams as borrowed little-endian views over the
+//! map ([`TraceChunk::is_mapped`]), so a warm-start load materializes
+//! only the timing table and the architectural results. Validation is a
 //! single pass: the whole-file digest, then what the chunk walk relies
-//! on — the runs tile the record count, every run ends inside the
-//! timing table (so every derived pc is in range) and every branch byte
-//! decodes. [`DynTrace::read_file_owned`] decodes the same format into
-//! owned buffers, as the equivalence-testing and diagnostic path.
+//! on — a chunk holds at most [`TRACE_CHUNK_RECORDS`] records, the runs
+//! tile the record count, every run ends inside the timing table (so
+//! every derived pc is in range), every branch byte decodes, the load
+//! count is the number of load pcs the runs cover, and the stalls sit at
+//! strictly increasing record indices below the record count with
+//! nonzero cycles. A count read from the file never reserves more
+//! memory than the bytes left could hold. [`DynTrace::read_file_owned`]
+//! decodes the same format into owned buffers, as the
+//! equivalence-testing and diagnostic path.
 
 use std::io::Write;
 use std::path::Path;
@@ -50,7 +56,9 @@ use probranch_rng::SplitMix64;
 
 use crate::decode::InstTiming;
 use crate::sim::SimConfig;
-use crate::trace::{is_branch_byte, ByteView, DynTrace, TraceChunk, TraceFunctional, U32s, U8s};
+use crate::trace::{
+    is_branch_byte, ByteView, DynTrace, TraceChunk, TraceFunctional, U32s, U8s, TRACE_CHUNK_RECORDS,
+};
 
 /// File magic: identifies a probranch trace file.
 const MAGIC: &[u8; 8] = b"PBTRACE\0";
@@ -58,8 +66,15 @@ const MAGIC: &[u8; 8] = b"PBTRACE\0";
 /// Version of the on-disk layout. Bump on any layout change; readers
 /// reject other versions (falling back to capture). v2 was v1's byte
 /// layout, re-versioned when the memory-mapped reader landed; v3 stores
-/// run start pcs in place of a pc per record.
-pub const TRACE_FILE_VERSION: u32 = 3;
+/// run start pcs in place of a pc per record; v4 drops the two latency
+/// bytes per record for one latency per load and a sparse list of
+/// fetch stalls.
+pub const TRACE_FILE_VERSION: u32 = 4;
+
+/// A chunk's fixed header: its record, branch, load and stall counts
+/// (u64 each) and its open-run length (u32) — all an empty chunk
+/// encodes.
+const CHUNK_HEADER_BYTES: usize = 8 + 8 + 8 + 8 + 4;
 
 /// Word-folding digest over a byte stream (SplitMix64-mixed FNV-style
 /// accumulation): not cryptographic, but any truncation or flipped bit
@@ -241,10 +256,25 @@ impl<'a> Dec<'a> {
     /// hold before the digest check would catch it.
     fn len(&mut self, min_elem_bytes: usize) -> Option<usize> {
         let n = usize::try_from(self.u64()?).ok()?;
-        if n.checked_mul(min_elem_bytes.max(1))? > self.buf.len() - self.pos {
+        if n.checked_mul(min_elem_bytes.max(1))? > self.left() {
             return None;
         }
         Some(n)
+    }
+    /// Bytes not yet read.
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+    /// An empty vector for `n` elements counted by [`Dec::len`],
+    /// reserving room for no more of them than the bytes left could
+    /// hold at `T`'s in-memory size. A count is bounded by its elements'
+    /// *encoded* size, which can be far smaller than their size in
+    /// memory (a chunk's header against a [`TraceChunk`], an output
+    /// port's against its vector), so a crafted count must not reserve
+    /// more than the file's own length; pushes past the reservation grow
+    /// the vector as usual.
+    fn vec_for<T>(&self, n: usize) -> Vec<T> {
+        Vec::with_capacity(n.min(self.left() / std::mem::size_of::<T>().max(1)))
     }
     fn u64s(&mut self, n: usize) -> Option<Vec<u64>> {
         let raw = self.take(n.checked_mul(8)?)?;
@@ -297,10 +327,11 @@ impl DynTrace {
         n += 1 + if self.functional.pbs.is_some() { 56 } else { 0 };
         n += 8;
         for c in &self.chunks {
-            // len, n_branches, open_run, then 2 B/record + 9 B/branch,
-            // plus the open run's start.
-            n += 8 + 8 + 4 + 2 * c.len() as u64 + 9 * c.branch_count() as u64;
+            // The chunk header, then 9 B/branch plus the open run's
+            // start, 1 B/load and 5 B/stall.
+            n += CHUNK_HEADER_BYTES as u64 + 9 * c.branch_count() as u64;
             n += 4 * u64::from(c.open_run > 0);
+            n += c.dlats.len() as u64 + 5 * c.stalls.len() as u64;
         }
         n + 8 // trailing digest
     }
@@ -347,11 +378,14 @@ impl DynTrace {
             e.u64(c.len() as u64)?;
             e.u64(c.branch_count() as u64)?;
             e.u32(c.open_run)?;
+            e.u64(c.dlats.len() as u64)?;
+            e.u64(c.stalls.len() as u64)?;
             e.u32_stream(&c.runs)?;
             e.bytes(c.branches.as_slice())?;
             e.u32_stream(&c.starts)?;
-            e.bytes(c.istalls.as_slice())?;
             e.bytes(c.dlats.as_slice())?;
+            e.u32_stream(&c.stall_at)?;
+            e.bytes(c.stalls.as_slice())?;
         }
         Ok(())
     }
@@ -591,7 +625,7 @@ impl DynTrace {
         let body = d.buf;
         let instructions = d.u64()?;
         let n_timings = d.len(9)?;
-        let mut timings = Vec::with_capacity(n_timings);
+        let mut timings = d.vec_for(n_timings);
         for _ in 0..n_timings {
             let raw = d.take(9)?;
             timings.push(InstTiming {
@@ -603,7 +637,7 @@ impl DynTrace {
             });
         }
         let n_ports = d.len(10)?;
-        let mut outputs = Vec::with_capacity(n_ports);
+        let mut outputs = d.vec_for(n_ports);
         for _ in 0..n_ports {
             let port = d.u16()?;
             let n = d.len(8)?;
@@ -627,47 +661,82 @@ impl DynTrace {
             }
             _ => return None,
         };
-        // An empty chunk still encodes its three header fields.
-        let n_chunks = d.len(8 + 8 + 4)?;
-        let mut chunks = Vec::with_capacity(n_chunks);
+        // The load pcs below each pc, for the load-count check: the
+        // loads a run covers are a difference of two entries.
+        let loads_below: Vec<u64> = std::iter::once(0)
+            .chain(timings.iter().scan(0, |n, t: &InstTiming| {
+                *n += u64::from(t.is_load());
+                Some(*n)
+            }))
+            .collect();
+        let n_chunks = d.len(CHUNK_HEADER_BYTES)?;
+        let mut chunks = d.vec_for(n_chunks);
         let mut total = 0u64;
         for _ in 0..n_chunks {
-            // Each record costs its two latency bytes, each branch its
-            // run entry, branch byte and start.
-            let len = d.len(2)?;
+            // A record costs no file bytes, so the bytes left cannot
+            // bound the record count: no writer exceeds the chunk size.
+            let len = u32::try_from(d.u64()?)
+                .ok()
+                .filter(|&n| n as usize <= TRACE_CHUNK_RECORDS)?;
+            // Each branch costs its run entry, branch byte and start,
+            // each load its latency, each stall its index and cycles.
             let n_branches = d.len(9)?;
             let open_run = d.u32()?;
+            let n_loads = d.len(1)?;
+            let n_stalls = d.len(5)?;
             let runs = d.u32_stream(n_branches, backing)?;
             let branches = d.u8_stream(n_branches, backing)?;
             let starts = d.u32_stream(n_branches + usize::from(open_run > 0), backing)?;
-            let istalls = d.u8_stream(len, backing)?;
-            let dlats = d.u8_stream(len, backing)?;
+            let dlats = d.u8_stream(n_loads, backing)?;
+            let stall_at = d.u32_stream(n_stalls, backing)?;
+            let stalls = d.u8_stream(n_stalls, backing)?;
             // Structural consistency, the invariants the chunk walk
-            // relies on: the runs tile the record count, every run — its
+            // relies on: the runs tile the record count; every run — its
             // non-branch records and its branch, or the open run — ends
-            // inside the timing table, and every branch byte decodes.
+            // inside the timing table; every branch byte decodes; the
+            // runs cover exactly one load pc per load latency; and the
+            // stalls sit at strictly increasing record indices below the
+            // record count, with nonzero cycles.
             let indexed: u64 =
                 runs.iter().map(u64::from).sum::<u64>() + n_branches as u64 + u64::from(open_run);
             let run_lens = runs
                 .iter()
                 .map(|run| u64::from(run) + 1)
                 .chain((open_run > 0).then_some(u64::from(open_run)));
-            let in_table = starts
-                .iter()
-                .zip(run_lens)
-                .all(|(start, n)| u64::from(start) + n <= timings.len() as u64);
+            let mut loads = 0u64;
+            for (start, n) in starts.iter().zip(run_lens) {
+                let (start, end) = (u64::from(start), u64::from(start) + n);
+                if end > timings.len() as u64 {
+                    return None;
+                }
+                loads += loads_below[end as usize] - loads_below[start as usize];
+            }
             let decodes = branches.as_slice().iter().all(|&b| is_branch_byte(b));
-            if indexed != len as u64 || !in_table || !decodes {
+            let mut next_stall = 0u64;
+            let stalls_ordered = stall_at.iter().all(|at| {
+                let after = u64::from(at) >= next_stall;
+                next_stall = u64::from(at) + 1;
+                after
+            }) && next_stall <= u64::from(len);
+            let stalls_nonzero = stalls.as_slice().iter().all(|&c| c != 0);
+            if indexed != u64::from(len)
+                || loads != n_loads as u64
+                || !decodes
+                || !stalls_ordered
+                || !stalls_nonzero
+            {
                 return None;
             }
-            total += len as u64;
+            total += u64::from(len);
             chunks.push(TraceChunk {
+                len,
                 starts,
-                istalls,
-                dlats,
                 branches,
                 runs,
                 open_run,
+                dlats,
+                stall_at,
+                stalls,
             });
         }
         if d.pos != body.len() || total != instructions {
@@ -1020,13 +1089,14 @@ mod tests {
                 "owned reader accepted bit flip at {pos}"
             );
         }
-        // A different format version (v1 and v2 files in particular:
-        // retired when the mapped reader and the run starts landed).
+        // A different format version (v1, v2 and v3 files in
+        // particular: retired when the mapped reader, the run starts and
+        // the sparse latencies landed).
         let mut bad = pristine.clone();
         bad[8] = bad[8].wrapping_add(1);
         std::fs::write(&path, &bad).unwrap();
         assert!(DynTrace::read_file(&path, hash, &cfg).is_none());
-        for old in [1, 2] {
+        for old in [1, 2, 3] {
             let mut stale = pristine.clone();
             stale[8] = old;
             std::fs::write(&path, &stale).unwrap();
@@ -1170,6 +1240,100 @@ mod tests {
             !is_stale_by_age(future, now),
             "clock skew must read as in-use, never stale"
         );
+    }
+
+    #[test]
+    fn decoder_reservations_fit_in_the_bytes_left() {
+        // A count bounded at its elements' encoded size — 36 bytes per
+        // chunk, 10 per output port — reserves no more elements than the
+        // bytes left could hold at their in-memory size.
+        let file = vec![0u8; 4096];
+        let d = Dec {
+            buf: &file,
+            pos: 96,
+        };
+        let left = file.len() - 96;
+        let chunks: Vec<TraceChunk> = d.vec_for(left / CHUNK_HEADER_BYTES);
+        assert!(std::mem::size_of::<TraceChunk>() > CHUNK_HEADER_BYTES);
+        assert!(chunks.capacity() * std::mem::size_of::<TraceChunk>() <= left);
+        let ports: Vec<(u16, Vec<u64>)> = d.vec_for(left / 10);
+        assert!(ports.capacity() * std::mem::size_of::<(u16, Vec<u64>)>() <= left);
+        // A count the bytes can hold is reserved in full.
+        let timings: Vec<InstTiming> = d.vec_for(left / 9);
+        assert_eq!(timings.capacity(), left / 9);
+        // A crafted file claiming that many chunks is rejected after the
+        // header, with the reservation capped the same way.
+        let cfg = SimConfig::default();
+        let trace = DynTrace::capture(&workload(50), &cfg).unwrap();
+        let dir = tempdir("reserve");
+        let path = dir.join("trace.bin");
+        trace.write_file(&path, 1).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let body = bytes.len() - 8;
+        // The chunk count sits right before the first chunk header.
+        let first_chunk = body - trace.chunks().iter().map(encoded_chunk_len).sum::<usize>();
+        let count_at = first_chunk - 8;
+        assert_eq!(
+            u64::from_le_bytes(bytes[count_at..first_chunk].try_into().unwrap()),
+            trace.chunk_count() as u64
+        );
+        let claimed = ((body - first_chunk) / CHUNK_HEADER_BYTES) as u64;
+        bytes[count_at..first_chunk].copy_from_slice(&claimed.to_le_bytes());
+        let d = digest(&bytes[..body]);
+        bytes[body..].copy_from_slice(&d.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            DynTrace::load_file(&path, 1, &cfg, 0),
+            TraceLoad::Corrupt
+        ));
+        assert!(DynTrace::read_file_owned(&path, 1, &cfg).is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_chunk_claims_at_most_trace_chunk_records() {
+        // One straight-line chunk over a table of plain ops: the reader
+        // takes a chunk of `TRACE_CHUNK_RECORDS` records, and rejects one
+        // record more, which no capture writes.
+        let cfg = SimConfig::default();
+        let dir = tempdir("chunk-bound");
+        let path = dir.join("trace.bin");
+        for (records, loads) in [
+            (TRACE_CHUNK_RECORDS, true),
+            (TRACE_CHUNK_RECORDS + 1, false),
+        ] {
+            let mut chunk = TraceChunk::default();
+            let mut w = chunk.begin_fill();
+            w.emit_straight(0, records as u32);
+            let (written, open_run) = w.finish();
+            chunk.end_fill(written, open_run);
+            let plain = InstTiming::of(&probranch_isa::Inst::Nop);
+            let trace = DynTrace {
+                timings: vec![plain; records].into_boxed_slice(),
+                chunks: vec![chunk],
+                functional: TraceFunctional {
+                    instructions: records as u64,
+                    outputs: Vec::new(),
+                    prob_consumed: Vec::new(),
+                    pbs: None,
+                },
+                pbs: None,
+                emu: cfg.emu.clone(),
+            };
+            trace.write_file(&path, 1).unwrap();
+            assert_eq!(DynTrace::read_file(&path, 1, &cfg).is_some(), loads);
+            assert_eq!(DynTrace::read_file_owned(&path, 1, &cfg).is_some(), loads);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The encoded size of one chunk.
+    fn encoded_chunk_len(c: &TraceChunk) -> usize {
+        CHUNK_HEADER_BYTES
+            + 9 * c.branch_count()
+            + 4 * usize::from(c.open_run > 0)
+            + c.dlats.len()
+            + 5 * c.stalls.len()
     }
 
     #[test]

@@ -680,7 +680,7 @@ fn for_each_chunk(
     stream: &mut TraceStream,
     mut drain: impl FnMut(&[InstTiming], &TraceChunk),
 ) -> Result<(), EmuError> {
-    let mut chunk = TraceChunk::with_chunk_capacity();
+    let mut chunk = TraceChunk::default();
     while stream.fill(&mut chunk)? {
         drain(stream.timings(), &chunk);
     }
@@ -714,7 +714,7 @@ fn run_convoy_pipelined(
     let (free_tx, free_rx) = mpsc::channel::<TraceChunk>();
     for _ in 0..3 {
         free_tx
-            .send(TraceChunk::with_chunk_capacity())
+            .send(TraceChunk::default())
             .expect("free list holds its receiver");
     }
     std::thread::scope(|scope| {

@@ -12,7 +12,7 @@
 //!   blocks where they are warm, single steps everywhere else) into
 //!   structure-of-arrays [`TraceChunk`]s, pre-simulating the memory
 //!   hierarchy — whose evolution also depends only on the pc/address
-//!   stream — into per-record latencies along the way;
+//!   stream — into load latencies and fetch stalls along the way;
 //! * [`DynTrace`] — a materialized, chunked trace captured once per
 //!   emulation key and shared (`Arc<DynTrace>`) across every timing
 //!   cell of a sweep, optionally persisted to disk (see `persist`);
@@ -36,23 +36,34 @@
 //!
 //! # Structure-of-arrays chunk layout
 //!
-//! A chunk stores its records as parallel `istall` / `dlat` streams
-//! plus a **run index**. The branch-event byte is zero for the large
-//! majority of dynamic instructions (~80% on the paper workloads), so
-//! instead of an interleaved branch byte per record — which every
-//! consumer would re-test — the chunk cuts its records into *runs*: a
-//! run is zero or more non-branch records followed by one branch
-//! record, and a chunk that does not end on a branch closes with an
-//! open run of non-branch records only. The index keeps, per run, its
-//! length, its branch byte and its **start pc**. That is every pc the
-//! chunk holds: only a branch redirects control, so a non-branch record
-//! at pc `p` is followed by `p + 1`, and run `i`'s records sit at
-//! `start, start + 1, …` with its branch at `start + runs[i]`. A
-//! consumer never scans for branches at all: [`walk_chunk`] iterates
-//! whole non-branch spans through a branch-free specialization of the
-//! cycle-accounting core (the `branch: None` match arm constant-folds
-//! away), counting pcs up from the run's start, and decodes exactly one
-//! branch event per run.
+//! A chunk stores no bytes per record. It cuts its records into
+//! **runs**: a run is zero or more non-branch records followed by one
+//! branch record, and a chunk that does not end on a branch closes with
+//! an open run of non-branch records only. The branch-event byte is
+//! zero for the large majority of dynamic instructions (~80% on the
+//! paper workloads), so instead of an interleaved branch byte per
+//! record — which every consumer would re-test — a **run index** keeps,
+//! per run, its length, its branch byte and its **start pc**. That is
+//! every pc the chunk holds: only a branch redirects control, so a
+//! non-branch record at pc `p` is followed by `p + 1`, and run `i`'s
+//! records sit at `start, start + 1, …` with its branch at `start +
+//! runs[i]`.
+//!
+//! The two latencies the timing model needs per record are kept only
+//! where they can be nonzero. A **load** record keeps its load-to-use
+//! latency, in a stream with one byte per load: the timing table's
+//! class says which records are loads, and every other record's latency
+//! is 0. A **fetch stall** — a line's first fetch — goes on a sparse
+//! list of `(record index, cycles)` pairs; every other record stalls 0
+//! cycles.
+//!
+//! A consumer never scans for branches or stalls: [`walk_chunk`] reads
+//! each record's timing-table entry once (which also says whether the
+//! record takes the next load latency) and iterates whole non-branch
+//! spans between stalls through a specialization of the
+//! cycle-accounting core with no branch and a literal `istall = 0`
+//! (both arms constant-fold away), counting pcs up from the run's
+//! start, and decodes exactly one branch event per run.
 //!
 //! The predictor requests a replay needs are not stored either:
 //! [`ChunkReqs::build`] derives them from the run index when a pass
@@ -62,13 +73,14 @@
 //! The format has one writer and one reader. [`ChunkWriter`] (opened by
 //! `TraceChunk::begin_fill`) is the only code that appends records, and
 //! [`walk_chunk`] the only code that reads them back in order; the
-//! persistence layer copies the raw streams verbatim. The two latency
-//! bytes of a record are exact pre-simulations of the timing model's
+//! persistence layer copies the raw streams verbatim. The latencies are
+//! exact pre-simulations of the timing model's
 //! `MemoryHierarchy::default()`: the hierarchy is deterministic given
 //! the interleaved access stream (instruction fetch, then the data
 //! access for loads, in program order), and that stream is fixed by
 //! the trace — so capture resolves the cache model once and replay
-//! consumers read two bytes instead of re-simulating three LRU caches.
+//! consumers read its results instead of re-simulating three LRU
+//! caches.
 //!
 //! Replay modes on top (see `sim.rs`, behind the `Simulation` entry
 //! point): `EngineKind::Replay` re-times a materialized [`DynTrace`];
@@ -84,7 +96,7 @@
 use std::sync::Arc;
 
 use probranch_core::{PbsConfig, PbsStats, PbsUnit};
-use probranch_isa::{ExecClass, Program};
+use probranch_isa::Program;
 use probranch_mmap::Mmap;
 use probranch_predictor::{BranchPredictor, BranchReq, PredictorDispatch};
 
@@ -96,12 +108,13 @@ use crate::ooo::{BranchStats, OooTimingModel};
 use crate::sim::{SimConfig, SimReport};
 use crate::tape::{PredTape, TapeChunk, TapeKey};
 
-/// Records per [`TraceChunk`]: 64 Ki records — small enough to stay
-/// cache-resident while a convoy drains it through several consumers
-/// (and the bounded-memory figure for streaming convoys), large enough
-/// to amortize the per-chunk bookkeeping and consumer switches. In the
-/// SoA layout a full chunk is 2 bytes of stream data per record
-/// (128 KiB) plus the run index, 9 bytes per branch.
+/// Records per [`TraceChunk`], at most: 64 Ki records — small enough to
+/// stay cache-resident while a convoy drains it through several
+/// consumers (and the bounded-memory figure for streaming convoys),
+/// large enough to amortize the per-chunk bookkeeping and consumer
+/// switches. A chunk holds no bytes per record: 9 bytes per branch
+/// (plus 4 for an open run's start), 1 per load and 5 per fetch stall.
+/// The persistence reader rejects a chunk that claims more records.
 pub const TRACE_CHUNK_RECORDS: usize = 1 << 16;
 
 // The packed branch byte of a record: present, taken and probabilistic
@@ -213,7 +226,7 @@ impl U8s {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.as_slice().len()
     }
 
@@ -371,9 +384,10 @@ impl U32Slice for LeU32s<'_> {
     }
 }
 
-/// One chunk of a dynamic trace in structure-of-arrays form: parallel
-/// per-record latency streams plus the run index that holds the
-/// chunk's pcs and branch events (see the module docs).
+/// One chunk of a dynamic trace in structure-of-arrays form: the run
+/// index that holds the chunk's pcs and branch events, and the sparse
+/// latency streams — one byte per load record and one entry per fetch
+/// stall (see the module docs). Nothing is stored per record.
 ///
 /// Each stream is either **owned** (capture) or a **zero-copy view**
 /// over a persisted file's read-only memory map (a warm-start load,
@@ -383,13 +397,11 @@ impl U32Slice for LeU32s<'_> {
 /// chunk and its mapped round-trip compare equal.
 #[derive(Debug, Clone, Default)]
 pub struct TraceChunk {
+    /// Number of records, at most [`TRACE_CHUNK_RECORDS`].
+    pub(crate) len: u32,
     /// The start pc of every run, in order: one per branch record, plus
     /// one for a non-empty open run.
     pub(crate) starts: U32s,
-    /// Fetch-stall cycles per record.
-    pub(crate) istalls: U8s,
-    /// Load-to-use latency per record (0 for non-loads).
-    pub(crate) dlats: U8s,
     /// The packed branch byte of every *branch* record, in order —
     /// the zero bytes of non-branch records are elided.
     pub(crate) branches: U8s,
@@ -398,35 +410,32 @@ pub struct TraceChunk {
     /// Length of the still-open trailing non-branch run (a chunk that
     /// ends on a branch record leaves this 0).
     pub(crate) open_run: u32,
+    /// The load-to-use latency of every load record, in order. Which
+    /// records are loads is the timing table's to say; every other
+    /// record's latency is 0.
+    pub(crate) dlats: U8s,
+    /// The record index of every nonzero fetch stall, ascending…
+    pub(crate) stall_at: U32s,
+    /// …and its cycles, parallel to `stall_at`. Every other record
+    /// stalls 0 cycles.
+    pub(crate) stalls: U8s,
 }
 
 impl TraceChunk {
-    /// An empty chunk with stream capacity for [`TRACE_CHUNK_RECORDS`]
-    /// — allocate once, refill per [`TraceStream::fill`] call.
-    pub fn with_chunk_capacity() -> TraceChunk {
-        TraceChunk {
-            istalls: U8s::Owned(Vec::with_capacity(TRACE_CHUNK_RECORDS)),
-            dlats: U8s::Owned(Vec::with_capacity(TRACE_CHUNK_RECORDS)),
-            // Branch density is workload-dependent; the run index grows
-            // on demand and stabilizes after the first refill.
-            ..TraceChunk::default()
-        }
-    }
-
     /// Number of records in the chunk.
     pub fn len(&self) -> usize {
-        self.istalls.len()
+        self.len as usize
     }
 
     /// Whether the chunk holds no records.
     pub fn is_empty(&self) -> bool {
-        self.istalls.len() == 0
+        self.len == 0
     }
 
-    /// Whether the chunk's record streams are zero-copy views over a
-    /// mapped trace file rather than owned buffers.
+    /// Whether the chunk's streams are zero-copy views over a mapped
+    /// trace file rather than owned buffers.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.istalls, U8s::Mapped(_))
+        matches!(self.runs, U32s::Mapped(_))
     }
 
     /// Number of branch records in the chunk.
@@ -436,55 +445,50 @@ impl TraceChunk {
 
     /// Removes all records, keeping the stream allocations.
     pub fn clear(&mut self) {
+        self.len = 0;
         self.starts.clear();
-        self.istalls.clear();
-        self.dlats.clear();
         self.branches.clear();
         self.runs.clear();
         self.open_run = 0;
+        self.dlats.clear();
+        self.stall_at.clear();
+        self.stalls.clear();
     }
 
-    /// Returns a cursor writer over zero-filled record streams that
-    /// grow lazily toward `budget` slots — the only way records enter a
-    /// chunk. Per-record work becomes plain indexed stores behind one
-    /// watermark check, the zero istalls/dlats of each bulk span come
-    /// from the growth `memset` for free, and a capture that stops
-    /// well short of the budget (short program, tail chunk) never
-    /// touches — or faults in — the unused pages a full upfront
-    /// pre-size would. The caller trims the streams back to the
-    /// records actually written with [`end_fill`](TraceChunk::end_fill).
-    pub(crate) fn begin_fill(&mut self, budget: usize) -> ChunkWriter<'_> {
+    /// Returns a writer appending to the chunk's streams — the only way
+    /// records enter a chunk. The caller installs the writer's record
+    /// count and open run with [`end_fill`](TraceChunk::end_fill).
+    pub(crate) fn begin_fill(&mut self) -> ChunkWriter<'_> {
         debug_assert!(self.is_empty() && self.open_run == 0);
         ChunkWriter {
             starts: self.starts.owned_mut(),
-            istalls: self.istalls.owned_mut(),
-            dlats: self.dlats.owned_mut(),
             branches: self.branches.owned_mut(),
             runs: self.runs.owned_mut(),
+            dlats: self.dlats.owned_mut(),
+            stall_at: self.stall_at.owned_mut(),
+            stalls: self.stalls.owned_mut(),
             cur: 0,
             open_run: 0,
-            sized: 0,
-            budget,
         }
     }
 
-    /// Closes a [`begin_fill`](TraceChunk::begin_fill) session: trims
-    /// the record streams to the `written` records and installs the
-    /// writer's trailing open-run length.
-    pub(crate) fn end_fill(&mut self, written: usize, open_run: u32) {
-        self.istalls.owned_mut().truncate(written);
-        self.dlats.owned_mut().truncate(written);
+    /// Closes what [`begin_fill`](TraceChunk::begin_fill) opened:
+    /// installs the `written` record count and the writer's trailing
+    /// open-run length.
+    pub(crate) fn end_fill(&mut self, written: u32, open_run: u32) {
+        self.len = written;
         self.open_run = open_run;
     }
 
-    /// Drops the slack capacity of every stream (final chunk of a
+    /// Drops the slack capacity of every stream (each chunk of a
     /// materialized trace).
     fn shrink_to_fit(&mut self) {
         self.starts.shrink_to_fit();
-        self.istalls.shrink_to_fit();
-        self.dlats.shrink_to_fit();
         self.branches.shrink_to_fit();
         self.runs.shrink_to_fit();
+        self.dlats.shrink_to_fit();
+        self.stall_at.shrink_to_fit();
+        self.stalls.shrink_to_fit();
     }
 
     /// Heap bytes held by the chunk's stream buffers (capacity, not
@@ -493,10 +497,11 @@ impl TraceChunk {
     /// not the trace pool's budget.
     pub fn bytes(&self) -> usize {
         self.starts.heap_bytes()
-            + self.istalls.heap_bytes()
-            + self.dlats.heap_bytes()
             + self.branches.heap_bytes()
             + self.runs.heap_bytes()
+            + self.dlats.heap_bytes()
+            + self.stall_at.heap_bytes()
+            + self.stalls.heap_bytes()
     }
 }
 
@@ -558,13 +563,11 @@ impl ChunkReqs {
     }
 }
 
-/// A cursor over a [`TraceChunk`]'s zero-filled record streams (see
-/// [`TraceChunk::begin_fill`]) — the chunk format's only writer. Every
-/// emission is a plain indexed store at the cursor behind a watermark
-/// check — the streams grow by doubling toward `budget` rather than
-/// pre-sizing upfront, so short captures only pay for the pages they
-/// actually fill. The run index stays push-based (it is an order of
-/// magnitude sparser than the record streams).
+/// An appending writer over a [`TraceChunk`]'s streams (see
+/// [`TraceChunk::begin_fill`]) — the chunk format's only writer. It
+/// writes nothing per record: a run's start when a record opens one, a
+/// branch's run entry, a load's latency and a nonzero fetch stall's
+/// index and cycles.
 ///
 /// A record that opens a run pushes its pc as the run's start; every
 /// other record of the run must sit at the previous record's pc + 1,
@@ -572,38 +575,19 @@ impl ChunkReqs {
 /// control) and debug builds assert.
 pub(crate) struct ChunkWriter<'a> {
     starts: &'a mut Vec<u32>,
-    istalls: &'a mut Vec<u8>,
-    dlats: &'a mut Vec<u8>,
     branches: &'a mut Vec<u8>,
     runs: &'a mut Vec<u32>,
-    cur: usize,
+    dlats: &'a mut Vec<u8>,
+    stall_at: &'a mut Vec<u32>,
+    stalls: &'a mut Vec<u8>,
+    /// Records written so far.
+    cur: u32,
     /// Non-branch records of the open run; 0 when no run is open (the
     /// chunk's start, or right after a branch record).
     open_run: u32,
-    /// Zero-filled length of the record streams; indexed stores are
-    /// valid below it.
-    sized: usize,
-    /// Chunk record budget — the growth ceiling (callers never emit
-    /// past it).
-    budget: usize,
 }
 
 impl ChunkWriter<'_> {
-    /// Records written so far.
-    #[inline(always)]
-    pub(crate) fn written(&self) -> u64 {
-        self.cur as u64
-    }
-
-    /// Raises the zero-filled watermark to cover `need` records.
-    #[cold]
-    fn grow(&mut self, need: usize) {
-        let new = self.budget.min((self.sized * 2).max(4096)).max(need);
-        self.istalls.resize(new, 0);
-        self.dlats.resize(new, 0);
-        self.sized = new;
-    }
-
     /// Places the next record, at `pc`, in a run: it opens one when
     /// none is open, and otherwise continues the open run.
     #[inline(always)]
@@ -621,40 +605,41 @@ impl ChunkWriter<'_> {
         }
     }
 
-    /// Bulk-appends `n` straight-line records at consecutive pcs
-    /// `start..start + n` — the compiled blocks' warm fast path. No
-    /// branch bytes (a block body is branch-free by construction), and
-    /// the zero istalls/dlats are already in place from the zero-fill
-    /// growth: only the load-latency patches are written. A zero-length
-    /// span (a block that faults at its first body op) opens no run.
+    /// Appends the load-to-use latency of a load record this writer
+    /// emits next: the next [`emit_record`](ChunkWriter::emit_record)'s,
+    /// or one of the next [`emit_straight`](ChunkWriter::emit_straight)
+    /// span's. Loads report in program order, and every load record
+    /// reports exactly once.
     #[inline(always)]
-    pub(crate) fn emit_straight(&mut self, start: u32, n: u32, dlat_patch: &[(u32, u8)]) {
+    pub(crate) fn load(&mut self, dlat: u8) {
+        self.dlats.push(dlat);
+    }
+
+    /// Appends `n` straight-line records at the consecutive pcs from
+    /// `start` on — the compiled blocks' warm fast path: no branch bytes
+    /// (a block body is branch-free by construction) and no fetch stalls
+    /// (the warmth rule), so only the run bookkeeping is written. A
+    /// zero-length span (a block that faults at its first body op)
+    /// opens no run.
+    #[inline(always)]
+    pub(crate) fn emit_straight(&mut self, start: u32, n: u32) {
         if n == 0 {
-            debug_assert!(dlat_patch.is_empty());
             return;
         }
         self.place(start);
-        let base = self.cur;
-        if base + n as usize > self.sized {
-            self.grow(base + n as usize);
-        }
-        for &(i, d) in dlat_patch {
-            self.dlats[base + i as usize] = d;
-        }
         self.open_run += n;
-        self.cur = base + n as usize;
+        self.cur += n;
     }
 
     /// Appends one record: its pc, packed branch byte (0 for a
-    /// non-branch record) and pre-simulated latencies.
+    /// non-branch record) and pre-simulated fetch stall.
     #[inline(always)]
-    pub(crate) fn emit_record(&mut self, pc: u32, branch_byte: u8, istall: u8, dlat: u8) {
+    pub(crate) fn emit_record(&mut self, pc: u32, branch_byte: u8, istall: u8) {
         self.place(pc);
-        if self.cur == self.sized {
-            self.grow(self.cur + 1);
+        if istall != 0 {
+            self.stall_at.push(self.cur);
+            self.stalls.push(istall);
         }
-        self.istalls[self.cur] = istall;
-        self.dlats[self.cur] = dlat;
         self.cur += 1;
         if branch_byte != 0 {
             self.runs.push(self.open_run);
@@ -667,7 +652,7 @@ impl ChunkWriter<'_> {
 
     /// Ends the session, returning `(written, open_run)` for
     /// [`TraceChunk::end_fill`].
-    pub(crate) fn finish(self) -> (usize, u32) {
+    pub(crate) fn finish(self) -> (u32, u32) {
         (self.cur, self.open_run)
     }
 }
@@ -676,53 +661,63 @@ impl PartialEq for TraceChunk {
     /// Logical equality over the streams — backing-agnostic (an owned
     /// chunk equals its mapped round-trip).
     fn eq(&self, other: &TraceChunk) -> bool {
-        self.open_run == other.open_run
+        self.len == other.len
+            && self.open_run == other.open_run
             && self.starts == other.starts
-            && self.istalls == other.istalls
-            && self.dlats == other.dlats
             && self.branches == other.branches
             && self.runs == other.runs
+            && self.dlats == other.dlats
+            && self.stall_at == other.stall_at
+            && self.stalls == other.stalls
     }
 }
 
 /// A per-record visitor for [`walk_chunk`]: `plain` sees every
 /// non-branch record, `branch` every branch record with its event
-/// decoded exactly once. Both receive the record's stream values
-/// directly — the walk owns all stream indexing, so visitors do no
-/// bounds-checked loads of their own.
+/// decoded exactly once. Both receive the record's pc, its timing-table
+/// entry and its latencies directly — the walk owns all stream and
+/// table indexing, so visitors do no bounds-checked loads of their own.
 pub(crate) trait ChunkVisitor {
     /// One non-branch record.
-    fn plain(&mut self, pc: u32, istall: u8, dlat: u8);
+    fn plain(&mut self, pc: u32, t: &InstTiming, istall: u8, dlat: u8);
     /// One branch record.
-    fn branch(&mut self, pc: u32, istall: u8, dlat: u8, ev: BranchEvent);
+    fn branch(&mut self, pc: u32, t: &InstTiming, istall: u8, dlat: u8, ev: BranchEvent);
 }
 
-/// Drives `v` over every record of `chunk` in program order, iterating
-/// whole non-branch runs through `plain` — the branch test runs once
-/// per *run*, not once per record, and inside a run the `branch: None`
-/// arm of the cycle-accounting core constant-folds away. Each span is
-/// walked as two zipped per-record streams with its pcs counted up from
-/// the run's start, so the per-record loads carry no per-record bounds
-/// checks.
+/// Drives `v` over every record of `chunk` in program order; `timings`
+/// is the per-pc metadata of the trace the chunk came from. Whole
+/// non-branch runs go through `plain` — the branch test runs once per
+/// *run*, not once per record, and inside a run the `branch: None` arm
+/// of the cycle-accounting core constant-folds away. A run is walked in
+/// stall-free sub-spans with a literal `istall = 0`, so the core's
+/// fetch-stall arm constant-folds too; a stalled record is visited on
+/// its own. Each record's timing-table entry is read once, from a slice
+/// of the table its span's pcs count up through, and a load takes the
+/// next load latency.
 ///
 /// The walk monomorphizes over the chunk's u32 backing ([`U32Slice`]):
 /// the owned arm reads native slices, and the mapped arm decodes each
 /// little-endian element in place of a slice load — one specialization
 /// per (starts, runs) backing pair, resolved once per chunk.
 #[inline(always)]
-pub(crate) fn walk_chunk<V: ChunkVisitor>(chunk: &TraceChunk, v: &mut V) {
+pub(crate) fn walk_chunk<V: ChunkVisitor>(chunk: &TraceChunk, timings: &[InstTiming], v: &mut V) {
     match &chunk.starts {
-        U32s::Owned(starts) => walk_runs(chunk, starts.as_slice(), v),
-        U32s::Mapped(starts) => walk_runs(chunk, LeU32s(starts.as_slice()), v),
+        U32s::Owned(starts) => walk_runs(chunk, timings, starts.as_slice(), v),
+        U32s::Mapped(starts) => walk_runs(chunk, timings, LeU32s(starts.as_slice()), v),
     }
 }
 
 /// [`walk_chunk`] past its starts' backing: resolves the run lengths'.
 #[inline(always)]
-fn walk_runs<S: U32Slice, V: ChunkVisitor>(chunk: &TraceChunk, starts: S, v: &mut V) {
+fn walk_runs<S: U32Slice, V: ChunkVisitor>(
+    chunk: &TraceChunk,
+    timings: &[InstTiming],
+    starts: S,
+    v: &mut V,
+) {
     match &chunk.runs {
-        U32s::Owned(runs) => walk_streams(chunk, starts, runs.as_slice(), v),
-        U32s::Mapped(runs) => walk_streams(chunk, starts, LeU32s(runs.as_slice()), v),
+        U32s::Owned(runs) => walk_streams(chunk, timings, starts, runs.as_slice(), v),
+        U32s::Mapped(runs) => walk_streams(chunk, timings, starts, LeU32s(runs.as_slice()), v),
     }
 }
 
@@ -730,34 +725,132 @@ fn walk_runs<S: U32Slice, V: ChunkVisitor>(chunk: &TraceChunk, starts: S, v: &mu
 #[inline(always)]
 fn walk_streams<S: U32Slice, R: U32Slice, V: ChunkVisitor>(
     chunk: &TraceChunk,
+    timings: &[InstTiming],
     starts: S,
     runs: R,
     v: &mut V,
 ) {
-    /// Non-branch records whose pcs count up from `pc`.
-    #[inline(always)]
-    fn span<V: ChunkVisitor>(pc: u32, istalls: &[u8], dlats: &[u8], v: &mut V) {
-        for (i, (&istall, &dlat)) in istalls.iter().zip(dlats).enumerate() {
-            v.plain(pc + i as u32, istall, dlat);
-        }
-    }
-    let (istalls, dlats) = (chunk.istalls.as_slice(), chunk.dlats.as_slice());
+    let mut lat = Latencies::of(chunk);
     let branches = chunk.branches.as_slice();
     let mut idx = 0usize;
     for (i, &byte) in branches.iter().enumerate() {
         let (start, run) = (starts.get(i), runs.get(i));
-        let end = idx + run as usize;
-        span(start, &istalls[idx..end], &dlats[idx..end], v);
-        v.branch(start + run, istalls[end], dlats[end], decode_branch(byte));
-        idx = end + 1;
+        lat.span(idx, start, run, timings, v);
+        idx += run as usize;
+        let pc = start + run;
+        let t = &timings[pc as usize];
+        let istall = lat.stall(idx);
+        v.branch(pc, t, istall, lat.dlat(t), decode_branch(byte));
+        idx += 1;
     }
     if chunk.open_run > 0 {
-        span(
-            starts.get(branches.len()),
-            &istalls[idx..],
-            &dlats[idx..],
-            v,
-        );
+        let start = starts.get(branches.len());
+        lat.span(idx, start, chunk.open_run, timings, v);
+    }
+    debug_assert!(
+        lat.d == lat.dlats.len() && lat.k == lat.stalls.len(),
+        "the walk consumed {} of {} load latencies and {} of {} stalls",
+        lat.d,
+        lat.dlats.len(),
+        lat.k,
+        lat.stalls.len()
+    );
+}
+
+/// The latency cursor of a chunk walk: the next load latency, and the
+/// next entry of the sparse stall list.
+struct Latencies<'a> {
+    dlats: &'a [u8],
+    /// Load latencies consumed so far.
+    d: usize,
+    stall_at: &'a U32s,
+    stalls: &'a [u8],
+    /// Stalls consumed so far.
+    k: usize,
+    /// The record index of the next stall; `usize::MAX` past the last.
+    next: usize,
+}
+
+impl<'a> Latencies<'a> {
+    fn of(chunk: &'a TraceChunk) -> Latencies<'a> {
+        let mut lat = Latencies {
+            dlats: chunk.dlats.as_slice(),
+            d: 0,
+            stall_at: &chunk.stall_at,
+            stalls: chunk.stalls.as_slice(),
+            k: 0,
+            next: 0,
+        };
+        lat.next = lat.stall_index();
+        lat
+    }
+
+    /// The record index of stall `k`, or `usize::MAX` past the last.
+    fn stall_index(&self) -> usize {
+        if self.k < self.stalls.len() {
+            self.stall_at.get(self.k) as usize
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// The load latency of a record with timing entry `t`: the next one
+    /// for a load, 0 for anything else.
+    #[inline(always)]
+    fn dlat(&mut self, t: &InstTiming) -> u8 {
+        if t.is_load() {
+            self.d += 1;
+            self.dlats[self.d - 1]
+        } else {
+            0
+        }
+    }
+
+    /// The fetch stall of record `idx`, which the walk reaches in order.
+    #[inline(always)]
+    fn stall(&mut self, idx: usize) -> u8 {
+        if idx != self.next {
+            return 0;
+        }
+        let cycles = self.stalls[self.k];
+        self.k += 1;
+        self.next = self.stall_index();
+        cycles
+    }
+
+    /// Visits the `n` non-branch records from record `idx` on, at pcs
+    /// counted up from `pc`: stall-free sub-spans with a literal
+    /// `istall = 0`, and each stalled record on its own.
+    #[inline(always)]
+    fn span<V: ChunkVisitor>(
+        &mut self,
+        mut idx: usize,
+        mut pc: u32,
+        n: u32,
+        timings: &[InstTiming],
+        v: &mut V,
+    ) {
+        let end = idx + n as usize;
+        while self.next < end {
+            let quiet = (self.next - idx) as u32;
+            self.quiet(pc, quiet, timings, v);
+            pc += quiet;
+            let t = &timings[pc as usize];
+            let istall = self.stall(self.next);
+            v.plain(pc, t, istall, self.dlat(t));
+            pc += 1;
+            idx += quiet as usize + 1;
+        }
+        self.quiet(pc, (end - idx) as u32, timings, v);
+    }
+
+    /// Visits `n` stall-free non-branch records at pcs `pc..pc + n`.
+    #[inline(always)]
+    fn quiet<V: ChunkVisitor>(&mut self, pc: u32, n: u32, timings: &[InstTiming], v: &mut V) {
+        let ts = &timings[pc as usize..pc as usize + n as usize];
+        for (i, t) in ts.iter().enumerate() {
+            v.plain(pc + i as u32, t, 0, self.dlat(t));
+        }
     }
 }
 
@@ -804,7 +897,8 @@ impl From<SimReport> for TraceFunctional {
 
 /// Pre-simulates one single-stepped record: evolves the hierarchy by
 /// the record's instruction fetch, then its data access for a load, and
-/// returns the record's `(istall, dlat)` bytes.
+/// returns the record's fetch stall and, for a load, its load-to-use
+/// latency.
 ///
 /// The L1-I-resident fast path: once a line has been fetched it can
 /// never leave the L1-I (see [`TraceStream::itouched`]), so only the
@@ -817,7 +911,7 @@ pub(crate) fn record_costs(
     itouched: &mut [bool],
     pcs_per_line: usize,
     rec: &StepRecord,
-) -> (u8, u8) {
+) -> (u8, Option<u8>) {
     let istall = if !itouched.is_empty() {
         let line = rec.pc as usize / pcs_per_line;
         if itouched[line] {
@@ -829,14 +923,14 @@ pub(crate) fn record_costs(
     } else {
         presim.inst_access(rec.pc as u64 * 8)
     };
-    let dlat = if timings[rec.pc as usize].class == ExecClass::Load.index() as u8 {
+    let dlat = timings[rec.pc as usize].is_load().then(|| {
         let addr = rec.mem_addr().expect("loads carry an address");
-        presim.data_access(addr)
-    } else {
-        0
-    };
-    debug_assert!(istall <= u8::MAX as u64 && dlat <= u8::MAX as u64);
-    (istall as u8, dlat as u8)
+        let dlat = presim.data_access(addr);
+        debug_assert!(dlat <= u8::MAX as u64);
+        dlat as u8
+    });
+    debug_assert!(istall <= u8::MAX as u64);
+    (istall as u8, dlat)
 }
 
 /// The capture half of the replay engines, as a chunk stream.
@@ -877,9 +971,6 @@ pub struct TraceStream {
     /// block found warm stays warm and the dispatch loop skips the
     /// per-execution line scan.
     pub(crate) warm_blocks: Box<[bool]>,
-    /// Scratch for the capture sink: `(span index, latency)` of the
-    /// loads in the straight-line span being executed.
-    pub(crate) dlat_scratch: Vec<(u32, u8)>,
     pub(crate) max_insts: u64,
     pub(crate) halted: bool,
 }
@@ -926,7 +1017,6 @@ impl TraceStream {
             pcs_per_line,
             blocks,
             warm_blocks,
-            dlat_scratch: Vec::new(),
             max_insts: config.max_insts,
             halted: false,
         }
@@ -981,14 +1071,12 @@ impl DynTrace {
         let mut stream = TraceStream::new(program, config);
         let mut chunks = Vec::new();
         loop {
-            let mut chunk = TraceChunk::with_chunk_capacity();
+            let mut chunk = TraceChunk::default();
             if !stream.fill(&mut chunk)? {
                 break;
             }
+            chunk.shrink_to_fit();
             chunks.push(chunk);
-        }
-        if let Some(last) = chunks.last_mut() {
-            last.shrink_to_fit();
         }
         Ok(DynTrace {
             timings: stream.timings.clone(),
@@ -1202,7 +1290,6 @@ impl BranchPredictor for PredFeed<'_> {
 /// The chunk-drain loop: one timing model stepping over its prediction
 /// feed (the predictions were fixed before the walk began).
 struct Drain<'a> {
-    timings: &'a [InstTiming],
     timing: &'a mut OooTimingModel,
     feed: PredFeed<'a>,
     filter_prob: bool,
@@ -1212,9 +1299,8 @@ impl Drain<'_> {
     /// Advances the model by one record, with the branch event passed
     /// as a compile-time-known `Option` shape per call site.
     #[inline(always)]
-    fn advance(&mut self, pc: u32, istall: u8, dlat: u8, ev: Option<BranchEvent>) {
-        let t = &self.timings[pc as usize];
-        let exec_lat = if t.class == ExecClass::Load.index() as u8 {
+    fn advance(&mut self, pc: u32, t: &InstTiming, istall: u8, dlat: u8, ev: Option<BranchEvent>) {
+        let exec_lat = if t.is_load() {
             dlat as u64
         } else {
             self.timing.static_latency(t.class)
@@ -1233,13 +1319,13 @@ impl Drain<'_> {
 
 impl ChunkVisitor for Drain<'_> {
     #[inline(always)]
-    fn plain(&mut self, pc: u32, istall: u8, dlat: u8) {
-        self.advance(pc, istall, dlat, None);
+    fn plain(&mut self, pc: u32, t: &InstTiming, istall: u8, dlat: u8) {
+        self.advance(pc, t, istall, dlat, None);
     }
 
     #[inline(always)]
-    fn branch(&mut self, pc: u32, istall: u8, dlat: u8, ev: BranchEvent) {
-        self.advance(pc, istall, dlat, Some(ev));
+    fn branch(&mut self, pc: u32, t: &InstTiming, istall: u8, dlat: u8, ev: BranchEvent) {
+        self.advance(pc, t, istall, dlat, Some(ev));
     }
 }
 
@@ -1298,12 +1384,11 @@ impl<'t> ReplayConsumer<'t> {
             }
         };
         let mut v = Drain {
-            timings,
             timing: &mut self.timing,
             feed: PredFeed::new(preds),
             filter_prob: self.filter_prob,
         };
-        walk_chunk(chunk, &mut v);
+        walk_chunk(chunk, timings, &mut v);
         debug_assert!(
             v.feed.consumed_all(),
             "drain consumed {} of {} predictions",
@@ -1419,7 +1504,7 @@ mod tests {
     use super::*;
     use crate::aot::CaptureTier;
     use crate::sim::{EngineKind, PredictorChoice, Simulation};
-    use probranch_isa::{CmpOp, ProgramBuilder, Reg};
+    use probranch_isa::{CmpOp, ExecClass, ProgramBuilder, Reg};
 
     /// A loop mixing regular branches, a ~50% probabilistic branch and
     /// memory traffic — every record shape a trace can hold.
@@ -1577,17 +1662,22 @@ mod tests {
     /// dlat)`.
     type Rec = (u32, Option<BranchEvent>, u8, u8);
 
-    /// Collects every record [`walk_chunk`] yields.
-    #[derive(Default)]
-    struct Collect(Vec<Rec>);
+    /// Collects every record [`walk_chunk`] yields over `timings`,
+    /// checking that each comes with its pc's timing entry.
+    struct Collect<'a> {
+        timings: &'a [InstTiming],
+        recs: Vec<Rec>,
+    }
 
-    impl ChunkVisitor for Collect {
-        fn plain(&mut self, pc: u32, istall: u8, dlat: u8) {
-            self.0.push((pc, None, istall, dlat));
+    impl ChunkVisitor for Collect<'_> {
+        fn plain(&mut self, pc: u32, t: &InstTiming, istall: u8, dlat: u8) {
+            assert_eq!(t, &self.timings[pc as usize]);
+            self.recs.push((pc, None, istall, dlat));
         }
 
-        fn branch(&mut self, pc: u32, istall: u8, dlat: u8, ev: BranchEvent) {
-            self.0.push((pc, Some(ev), istall, dlat));
+        fn branch(&mut self, pc: u32, t: &InstTiming, istall: u8, dlat: u8, ev: BranchEvent) {
+            assert_eq!(t, &self.timings[pc as usize]);
+            self.recs.push((pc, Some(ev), istall, dlat));
         }
     }
 
@@ -1601,18 +1691,21 @@ mod tests {
         emu: Emulator,
         hierarchy: MemoryHierarchy,
         seen: u64,
+        /// Records checked with a nonzero fetch stall.
+        stalled: u64,
         /// The last record checked.
         last: Option<Rec>,
     }
 
     impl Oracle {
-        fn check(&mut self, got: Rec) {
+        fn check(&mut self, got: Rec, t: &InstTiming) {
             self.last = Some(got);
             let d = self
                 .emu
                 .step()
                 .unwrap()
                 .expect("the trace outruns the reference stream");
+            assert_eq!(t, &InstTiming::of(&d.inst), "record {}", self.seen);
             let istall = self.hierarchy.inst_access(d.pc as u64 * 8);
             let dlat = match d.inst {
                 probranch_isa::Inst::Load { .. } => self
@@ -1628,17 +1721,56 @@ mod tests {
                 self.seen
             );
             self.seen += 1;
+            self.stalled += u64::from(istall > 0);
         }
     }
 
     impl ChunkVisitor for Oracle {
-        fn plain(&mut self, pc: u32, istall: u8, dlat: u8) {
-            self.check((pc, None, istall, dlat));
+        fn plain(&mut self, pc: u32, t: &InstTiming, istall: u8, dlat: u8) {
+            self.check((pc, None, istall, dlat), t);
         }
 
-        fn branch(&mut self, pc: u32, istall: u8, dlat: u8, ev: BranchEvent) {
-            self.check((pc, Some(ev), istall, dlat));
+        fn branch(&mut self, pc: u32, t: &InstTiming, istall: u8, dlat: u8, ev: BranchEvent) {
+            self.check((pc, Some(ev), istall, dlat), t);
         }
+    }
+
+    /// Walks every chunk of `trace` — a capture of `program` under
+    /// `cfg`, or a load of one — through the record-level oracle.
+    /// Returns the oracle, done, and how many chunk boundaries fell
+    /// inside a run, each checked to chain: after a chunk that ends on a
+    /// non-branch record at pc p, the next chunk's first run starts at
+    /// p + 1.
+    fn check_records(
+        program: &Program,
+        cfg: &SimConfig,
+        trace: &DynTrace,
+        at: &str,
+    ) -> (Oracle, usize) {
+        let emu = match &cfg.pbs {
+            Some(p) => {
+                Emulator::with_pbs(program.clone(), cfg.emu.clone(), PbsUnit::new(p.clone()))
+            }
+            None => Emulator::new(program.clone(), cfg.emu.clone()),
+        };
+        let mut oracle = Oracle {
+            emu,
+            hierarchy: MemoryHierarchy::default(),
+            seen: 0,
+            stalled: 0,
+            last: None,
+        };
+        let mut chained = 0;
+        for chunk in trace.chunks() {
+            if let Some((pc, None, ..)) = oracle.last {
+                assert_eq!(chunk.starts.get(0), pc + 1, "{at}: chunk chain");
+                chained += 1;
+            }
+            walk_chunk(chunk, trace.timings(), &mut oracle);
+        }
+        assert_eq!(oracle.emu.step().unwrap(), None, "{at}: trace ends early");
+        assert_eq!(oracle.seen, trace.instructions(), "{at}");
+        (oracle, chained)
     }
 
     #[test]
@@ -1657,45 +1789,161 @@ mod tests {
                     let trace =
                         crate::aot::with_capture_tier(tier, || DynTrace::capture(&program, &cfg))
                             .unwrap();
-                    let emu = match &cfg.pbs {
-                        Some(p) => Emulator::with_pbs(
-                            program.clone(),
-                            cfg.emu.clone(),
-                            PbsUnit::new(p.clone()),
-                        ),
-                        None => Emulator::new(program.clone(), cfg.emu.clone()),
-                    };
-                    let mut oracle = Oracle {
-                        emu,
-                        hierarchy: MemoryHierarchy::default(),
-                        seen: 0,
-                        last: None,
-                    };
                     let at = format!("{id:?}, PBS {pbs}, {tier:?}");
-                    for chunk in trace.chunks() {
-                        // Chunks chain: after a chunk that ends on a
-                        // non-branch record at pc p, the next chunk's
-                        // first run starts at p + 1.
-                        if let Some((pc, None, ..)) = oracle.last {
-                            assert_eq!(chunk.starts.get(0), pc + 1, "{at}: chunk chain");
-                            chained += 1;
-                        }
-                        walk_chunk(chunk, &mut oracle);
-                    }
-                    assert_eq!(oracle.emu.step().unwrap(), None, "{at}: trace ends early");
-                    assert_eq!(oracle.seen, trace.instructions(), "{at}");
+                    chained += check_records(&program, &cfg, &trace, &at).1;
                 }
             }
         }
         assert!(chained > 0, "no chunk boundary fell inside a run");
     }
 
+    /// A loop whose straight-line body of 5,000 instructions, a quarter
+    /// of them loads, outgrows the L1-I: capture runs no blocks and no
+    /// `itouched` shortcut, and every pass over the body misses every
+    /// line again.
+    fn l1i_buster(iters: i64) -> Program {
+        let mut b = ProgramBuilder::new();
+        let top = b.label("top");
+        b.li(Reg::R9, 64);
+        b.li(Reg::R2, 0);
+        b.bind(top);
+        for i in 0..1250 {
+            b.add(Reg::R1, Reg::R1, 1);
+            b.ld(Reg::R3, Reg::R9, 8 * (i % 512));
+            b.add(Reg::R4, Reg::R4, Reg::R3);
+            b.st(Reg::R1, Reg::R9, 8 * (i % 512));
+        }
+        b.add(Reg::R2, Reg::R2, 1);
+        b.br(CmpOp::Lt, Reg::R2, iters, top);
+        b.out(Reg::R4, 0);
+        b.halt();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn dense_stalls_round_trip_through_capture_both_readers_and_the_walk() {
+        let program = l1i_buster(14);
+        let cfg = SimConfig::default();
+        let trace = DynTrace::capture(&program, &cfg).unwrap();
+        assert!(trace.chunk_count() > 1);
+        let stream = TraceStream::new(&program, &cfg);
+        assert!(stream.itouched.is_empty() && stream.blocks.compiled_blocks() == 0);
+        let path = std::env::temp_dir().join(format!("probranch-dense-{}.bin", std::process::id()));
+        trace.write_file(&path, 7).unwrap();
+        let mapped = DynTrace::read_file(&path, 7, &cfg).expect("mapped load");
+        let owned = DynTrace::read_file_owned(&path, 7, &cfg).expect("owned load");
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(mapped, trace);
+        assert_eq!(owned, trace);
+        for (t, at) in [(&trace, "captured"), (&mapped, "mapped"), (&owned, "owned")] {
+            let (oracle, _) = check_records(&program, &cfg, t, at);
+            // One stall per line per pass, at least: an eighth of the
+            // records.
+            assert!(
+                oracle.stalled * 8 >= oracle.seen,
+                "{at}: {} stalls in {} records",
+                oracle.stalled,
+                oracle.seen
+            );
+            let stalls: usize = t.chunks().iter().map(|c| c.stalls.len()).sum();
+            assert_eq!(stalls as u64, oracle.stalled, "{at}");
+        }
+        assert_eq!(
+            Simulation::default().replay(&mapped, &cfg),
+            reference(&program, &cfg)
+        );
+    }
+
+    /// Records of `trace` that are loads or carry a fetch stall, counted
+    /// through the walk.
+    #[derive(Default)]
+    struct Tally {
+        loads: usize,
+        stalls: usize,
+    }
+
+    impl ChunkVisitor for Tally {
+        fn plain(&mut self, _: u32, t: &InstTiming, istall: u8, _: u8) {
+            self.loads += usize::from(t.is_load());
+            self.stalls += usize::from(istall > 0);
+        }
+
+        fn branch(&mut self, pc: u32, t: &InstTiming, istall: u8, dlat: u8, _: BranchEvent) {
+            self.plain(pc, t, istall, dlat);
+        }
+    }
+
+    #[test]
+    fn a_captured_trace_holds_no_bytes_per_record() {
+        use probranch_workloads::{BenchmarkId, Scale};
+        for id in BenchmarkId::ALL {
+            for cfg in [SimConfig::default(), SimConfig::default().with_pbs()] {
+                let trace = DynTrace::capture(&id.build(Scale::Smoke, 1).program(), &cfg).unwrap();
+                let mut tally = Tally::default();
+                let mut runs = 0;
+                for chunk in trace.chunks() {
+                    walk_chunk(chunk, trace.timings(), &mut tally);
+                    runs += chunk.branch_count() + usize::from(chunk.open_run > 0);
+                }
+                let branches: usize = trace.chunks().iter().map(TraceChunk::branch_count).sum();
+                let f = trace.functional();
+                let results = f.prob_consumed.capacity() * 8
+                    + f.outputs
+                        .iter()
+                        .map(|(_, v)| v.capacity() * 8)
+                        .sum::<usize>();
+                // 9 B per branch (its run length, branch byte and start),
+                // 4 B per open run's start, 1 B per load, 5 B per stall.
+                let records = 4 * runs + 5 * branches + tally.loads + 5 * tally.stalls;
+                let bound = records + std::mem::size_of_val(trace.timings()) + results;
+                assert!(
+                    trace.bytes() <= bound,
+                    "{id:?} under {:?}: {} bytes for {} records, bound {bound}",
+                    cfg.pbs.is_some(),
+                    trace.bytes(),
+                    trace.instructions()
+                );
+            }
+        }
+    }
+
     /// One write into a chunk: a record through
-    /// [`ChunkWriter::emit_record`], or a straight-line span through
-    /// [`ChunkWriter::emit_straight`].
+    /// [`ChunkWriter::emit_record`], or a straight-line span of `n`
+    /// records from a pc through [`ChunkWriter::emit_straight`].
     enum Write {
         Record(Rec),
-        Straight(u32, u32, Vec<(u32, u8)>),
+        Straight(u32, u32),
+    }
+
+    /// Whether `pc` is a load in [`load_table`].
+    fn is_load_pc(pc: u32) -> bool {
+        pc % 3 == 0
+    }
+
+    /// A timing table for hand-written chunks, 8 Ki pcs long: every
+    /// third pc is a load.
+    fn load_table() -> Vec<InstTiming> {
+        (0..8192)
+            .map(|pc| {
+                let class = if is_load_pc(pc) {
+                    ExecClass::Load
+                } else {
+                    ExecClass::IntAlu
+                };
+                InstTiming {
+                    uses: [0; 4],
+                    n_uses: 0,
+                    defs: [0; 2],
+                    n_defs: 0,
+                    class: class.index() as u8,
+                }
+            })
+            .collect()
+    }
+
+    /// The latency a straight-line span reports for its load at `pc`.
+    fn span_dlat(pc: u32) -> u8 {
+        (pc % 251) as u8 + 1
     }
 
     /// Every branch event a record can carry: each kind × taken × prob.
@@ -1722,41 +1970,53 @@ mod tests {
         events
     }
 
-    /// Writes `writes` into a fresh chunk through its writer and checks
-    /// that the chunk walk, the branch count, the run starts and the
-    /// predictor requests [`ChunkReqs::build`] reads off the run index
-    /// reproduce them. The writes must follow the run rule every
-    /// capture follows: a record after a non-branch record sits at its
-    /// pc + 1.
+    /// Writes `writes` into a fresh chunk through its writer — a load
+    /// record's latency through [`ChunkWriter::load`] — and checks that
+    /// the chunk walk over [`load_table`], the branch count, the run
+    /// starts, the latency streams and the predictor requests
+    /// [`ChunkReqs::build`] reads off the run index reproduce them. The
+    /// writes must follow two rules every capture follows: a record
+    /// after a non-branch record sits at its pc + 1, and a record that
+    /// is not a load has `dlat = 0`.
     fn assert_round_trip(writes: &[Write]) {
+        let timings = load_table();
         let mut want: Vec<Rec> = Vec::new();
         for write in writes {
-            match write {
-                Write::Record(rec) => want.push(*rec),
-                Write::Straight(start, n, patch) => {
-                    for i in 0..*n {
-                        let dlat = patch.iter().find(|&&(j, _)| j == i).map_or(0, |&(_, d)| d);
-                        want.push((start + i, None, 0, dlat));
-                    }
-                }
+            match *write {
+                Write::Record(rec) => want.push(rec),
+                Write::Straight(start, n) => want.extend((start..start + n).map(|pc| {
+                    let dlat = if is_load_pc(pc) { span_dlat(pc) } else { 0 };
+                    (pc, None, 0, dlat)
+                })),
             }
         }
-        let mut chunk = TraceChunk::with_chunk_capacity();
-        let mut w = chunk.begin_fill(want.len().max(1));
+        let mut chunk = TraceChunk::default();
+        let mut w = chunk.begin_fill();
         for write in writes {
-            match write {
+            match *write {
                 Write::Record((pc, branch, istall, dlat)) => {
-                    w.emit_record(*pc, encode_branch(*branch), *istall, *dlat)
+                    if is_load_pc(pc) {
+                        w.load(dlat);
+                    }
+                    w.emit_record(pc, encode_branch(branch), istall);
                 }
-                Write::Straight(start, n, patch) => w.emit_straight(*start, *n, patch),
+                Write::Straight(start, n) => {
+                    for pc in (start..start + n).filter(|&pc| is_load_pc(pc)) {
+                        w.load(span_dlat(pc));
+                    }
+                    w.emit_straight(start, n);
+                }
             }
         }
         let (written, open_run) = w.finish();
         chunk.end_fill(written, open_run);
 
-        let mut got = Collect::default();
-        walk_chunk(&chunk, &mut got);
-        assert_eq!(got.0, want);
+        let mut got = Collect {
+            timings: &timings,
+            recs: Vec::new(),
+        };
+        walk_chunk(&chunk, &timings, &mut got);
+        assert_eq!(got.recs, want);
         assert_eq!(chunk.len(), want.len());
         let branches = want.iter().filter(|r| r.1.is_some()).count();
         assert_eq!(chunk.branch_count(), branches);
@@ -1764,6 +2024,10 @@ mod tests {
             chunk.starts.len(),
             branches + usize::from(chunk.open_run > 0)
         );
+        // Nothing per record: one latency per load, one entry per stall.
+        let loads = want.iter().filter(|r| is_load_pc(r.0)).count();
+        assert_eq!(chunk.dlats.len(), loads);
+        assert_eq!(chunk.stalls.len(), want.iter().filter(|r| r.2 != 0).count());
         let (reqs, prob): (Vec<BranchReq>, Vec<bool>) = want
             .iter()
             .filter_map(|&(pc, branch, ..)| match branch {
@@ -1782,8 +2046,10 @@ mod tests {
     fn chunk_writer_round_trips_through_the_walk_and_the_request_rebuild() {
         use probranch_rng::{SplitMix64, UniformSource};
         let events = every_branch_event();
-        let branch = |pc: u32, ev: BranchEvent| Write::Record((pc, Some(ev), 3, 0));
-        let plain = |pc: u32| Write::Record((pc, None, (pc % 7) as u8, (pc % 5) as u8));
+        // A non-load record keeps `dlat = 0`.
+        let dlat = |pc: u32, d: u8| if is_load_pc(pc) { d } else { 0 };
+        let branch = |pc: u32, ev: BranchEvent| Write::Record((pc, Some(ev), 3, dlat(pc, 9)));
+        let plain = |pc: u32| Write::Record((pc, None, (pc % 7) as u8, dlat(pc, (pc % 5) as u8)));
         // The empty chunk.
         assert_round_trip(&[]);
         // Every branch event alone, after a plain record, and before
@@ -1799,17 +2065,17 @@ mod tests {
         // Zero-length spans open no run and may name any pc: at the
         // chunk's start, inside a run and after a branch.
         assert_round_trip(&[
-            Write::Straight(7, 0, vec![]),
-            Write::Straight(100, 12, vec![(0, 4), (11, 250)]),
-            Write::Straight(3, 0, vec![]),
-            Write::Straight(112, 5000, vec![(4999, 1)]),
+            Write::Straight(7, 0),
+            Write::Straight(100, 12),
+            Write::Straight(3, 0),
+            Write::Straight(112, 5000),
             branch(5112, events[0]),
-            Write::Straight(9, 0, vec![]),
+            Write::Straight(9, 0),
         ]);
-        // Arbitrary mixes of all three write shapes, with pcs by the
-        // run rule: after a non-branch record the next pc is its pc + 1,
-        // and after a branch record (or at the chunk's start) any pc may
-        // follow.
+        // Arbitrary mixes of all three write shapes — stalls dense
+        // enough to split most runs — with pcs by the run rule: after a
+        // non-branch record the next pc is its pc + 1, and after a
+        // branch record (or at the chunk's start) any pc may follow.
         let mut rng = SplitMix64::seed(17);
         for _ in 0..200 {
             let len = rng.next_u64() % 64;
@@ -1817,25 +2083,24 @@ mod tests {
             let writes: Vec<Write> = (0..len)
                 .map(|_| {
                     let r = rng.next_u64();
-                    let pc = next.unwrap_or((r >> 40) as u32);
+                    let pc = next.unwrap_or((r >> 40) as u32 % 4096);
                     match r % 4 {
                         0 => {
                             next = Some(pc + 1);
-                            Write::Record((pc, None, (r >> 8) as u8, (r >> 16) as u8))
+                            Write::Record((pc, None, (r >> 8) as u8, dlat(pc, (r >> 16) as u8)))
                         }
                         1 => {
                             next = None;
                             let ev = events[(r >> 8) as usize % events.len()];
-                            Write::Record((pc, Some(ev), (r >> 16) as u8, (r >> 24) as u8))
+                            let d = dlat(pc, (r >> 24) as u8);
+                            Write::Record((pc, Some(ev), (r >> 16) as u8, d))
                         }
                         _ => {
                             let n = (r >> 8) as u32 % 40;
-                            let patch = (0..n).filter(|i| (r >> (i % 32)) & 1 == 1);
-                            let patch = patch.map(|i| (i, (i * 3) as u8 | 1)).collect();
                             if n > 0 {
                                 next = Some(pc + n);
                             }
-                            Write::Straight(pc, n, patch)
+                            Write::Straight(pc, n)
                         }
                     }
                 })
@@ -1874,7 +2139,7 @@ mod tests {
                     stream.blocks.compiled_blocks() > 0,
                     tier == CaptureTier::Generated
                 );
-                let mut chunk = TraceChunk::with_chunk_capacity();
+                let mut chunk = TraceChunk::default();
                 (stream.fill(&mut chunk), chunk)
             })
         };

@@ -71,14 +71,20 @@ fn ipc_sweeps_match_across_worker_counts() {
 
 #[test]
 fn pooled_functional_runs_render_like_fresh_ones() {
-    // Figures 1 and 6 pool every seed-0 key, so §VII-D and Table III
-    // read those runs' results from the pool instead of emulating.
+    // Figures 1 and 6 pool every seed-0 key, so Table II, §VII-D and
+    // Table III read those runs' results from the pool instead of
+    // emulating.
     let scale = ExperimentScale::Smoke;
     let ctx = experiments::Context::new();
     experiments::fig1_with_ctx(scale, Jobs::serial(), Engine::Replay, &ctx);
     experiments::fig6_with_ctx(scale, Jobs::serial(), Engine::Replay, &ctx);
     assert_eq!(ctx.keys(), 16);
     for jobs in [Jobs::serial(), Jobs::new(8)] {
+        assert_eq!(
+            render::table2(&experiments::table2_with_ctx(scale, jobs, &ctx)),
+            render::table2(&experiments::table2(scale, jobs)),
+            "table2 over a warmed pool differs at {jobs} workers"
+        );
         assert_eq!(
             render::accuracy(&experiments::accuracy_with_ctx(scale, jobs, &ctx)),
             render::accuracy(&experiments::accuracy(scale, jobs)),

@@ -18,6 +18,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::OnceLock;
 
 use probranch_bench::experiments::{self, Engine, ExperimentScale};
+use probranch_bench::render;
 use probranch_faults as faults;
 use probranch_harness::{Jobs, SupervisedError};
 use probranch_rng::SplitMix64;
@@ -75,6 +76,36 @@ fn is_structured_fault(payload: &(dyn std::any::Any + Send)) -> bool {
 /// a response byte-identical to the clean rendering, or receives a
 /// structured error naming only injected sites. Never a hang, never
 /// torn bytes.
+#[test]
+fn table2_over_a_warmed_pool_emulates_nothing() {
+    // Every capture and every functional run rolls `capture.block` once,
+    // so with the site armed its hits count emulations — and the
+    // interpreter tier they then run prints the same rows.
+    let _scope = faults::ScopedPlan::install(
+        faults::FaultPlan::seeded(1).arm(faults::Site::CaptureBlock, 1.0),
+    );
+    let emulations = || {
+        faults::hits()
+            .into_iter()
+            .find(|&(site, _)| site == faults::Site::CaptureBlock)
+            .map_or(0, |(_, n)| n)
+    };
+    let (scale, jobs) = (ExperimentScale::Smoke, Jobs::new(2));
+    let ctx = experiments::Context::new();
+    let cold = render::table2(&experiments::table2_with_ctx(scale, jobs, &ctx));
+    assert_eq!(emulations(), 8, "an empty pool runs 8 functional runs");
+    // Figure 1 captures the 8 PBS-off seed-0 keys Table II reads.
+    experiments::fig1_with_ctx(scale, jobs, Engine::Replay, &ctx);
+    assert_eq!(emulations(), 16);
+    let warm = render::table2(&experiments::table2_with_ctx(scale, jobs, &ctx));
+    assert_eq!(
+        emulations(),
+        16,
+        "a warmed pool answers Table II from its traces"
+    );
+    assert_eq!(warm, cold);
+}
+
 #[test]
 fn service_mode_faults_heal_or_fail_structured_over_the_socket() {
     use std::time::Duration;

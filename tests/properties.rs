@@ -788,30 +788,67 @@ fn reseal(file: &mut [u8]) {
     file[at..].copy_from_slice(&d.to_le_bytes());
 }
 
-/// Where one chunk's structural fields sit in a v3 trace file.
+/// Where one chunk's structural fields sit in a v4 trace file.
 struct ChunkFields {
-    /// Offsets of the record count and the branch count (u64 each).
+    /// Offsets of the record, branch, load and stall counts (u64 each).
     len: usize,
     n_branches: usize,
+    n_loads: usize,
+    n_stalls: usize,
     /// Offset of the open-run length (u32).
     open_run: usize,
+    /// The record count.
+    records: u64,
     /// Offsets of the run lengths and the run start pcs (u32 each),
     /// with each run's length in records (its branch included).
     runs: Vec<usize>,
     starts: Vec<(usize, u64)>,
     /// Offsets of the branch bytes.
     branches: Vec<usize>,
+    /// Offsets of the stall record indices (u32 each) and the stall
+    /// cycles (u8 each).
+    stall_at: Vec<usize>,
+    stalls: Vec<usize>,
 }
 
-/// Walks a v3 trace file's layout (README, "File format (v3)") to its
-/// timing-table size and every chunk's structural fields.
-fn chunk_fields(file: &[u8]) -> (u64, Vec<ChunkFields>) {
+/// A v4 trace file's structural fields.
+struct Layout {
+    /// The load pcs below each pc of the timing table: one entry per pc
+    /// and one past the end, so a range's loads are a difference.
+    loads_below: Vec<u64>,
+    chunks: Vec<ChunkFields>,
+}
+
+impl Layout {
+    /// The pcs in the timing table.
+    fn n_timings(&self) -> u64 {
+        self.loads_below.len() as u64 - 1
+    }
+
+    /// The load pcs in `start..start + n`, when that range lies inside
+    /// the timing table.
+    fn loads(&self, start: u64, n: u64) -> Option<u64> {
+        let end = usize::try_from(start + n).ok()?;
+        Some(self.loads_below.get(end)? - self.loads_below[start as usize])
+    }
+}
+
+/// Walks a v4 trace file's layout (README, "File format (v4)") to its
+/// timing table's load pcs and every chunk's structural fields.
+fn chunk_fields(file: &[u8]) -> Layout {
     let u64_at = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
     let u32_at = |at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap());
     // Magic, version, content hash, instruction count.
     let mut at = 8 + 4 + 8 + 8;
-    let n_timings = u64_at(at);
-    at += 8 + 9 * n_timings as usize;
+    let n_timings = u64_at(at) as usize;
+    let load = probranch::isa::ExecClass::Load.index() as u8;
+    let mut loads_below = vec![0];
+    for pc in 0..n_timings {
+        // A timing entry's last byte is its latency class.
+        let is_load = file[at + 8 + 9 * pc + 8] == load;
+        loads_below.push(loads_below[pc] + u64::from(is_load));
+    }
+    at += 8 + 9 * n_timings;
     let ports = u64_at(at);
     at += 8;
     for _ in 0..ports {
@@ -824,78 +861,117 @@ fn chunk_fields(file: &[u8]) -> (u64, Vec<ChunkFields>) {
     at += 8;
     let chunks = (0..n_chunks)
         .map(|_| {
-            let len = u64_at(at) as usize;
             let nb = u64_at(at + 8) as usize;
             let open_run = u32_at(at + 16);
-            let runs: Vec<usize> = (0..nb).map(|i| at + 20 + 4 * i).collect();
-            let starts_at = at + 20 + 5 * nb;
+            let (nl, ns) = (u64_at(at + 20) as usize, u64_at(at + 28) as usize);
+            let runs_at = at + 36;
+            let runs: Vec<usize> = (0..nb).map(|i| runs_at + 4 * i).collect();
+            let starts_at = runs_at + 5 * nb;
             let mut lens: Vec<u64> = runs.iter().map(|&r| u64::from(u32_at(r)) + 1).collect();
             if open_run > 0 {
                 lens.push(u64::from(open_run));
             }
+            let n_starts = lens.len();
             let starts = lens
                 .into_iter()
                 .enumerate()
                 .map(|(i, n)| (starts_at + 4 * i, n))
                 .collect();
+            let stall_at_at = starts_at + 4 * n_starts + nl;
             let fields = ChunkFields {
                 len: at,
                 n_branches: at + 8,
                 open_run: at + 16,
+                n_loads: at + 20,
+                n_stalls: at + 28,
+                records: u64_at(at),
                 runs,
                 starts,
-                branches: (0..nb).map(|i| at + 20 + 4 * nb + i).collect(),
+                branches: (0..nb).map(|i| runs_at + 4 * nb + i).collect(),
+                stall_at: (0..ns).map(|i| stall_at_at + 4 * i).collect(),
+                stalls: (0..ns).map(|i| stall_at_at + 4 * ns + i).collect(),
             };
-            at += 20 + 9 * nb + 4 * usize::from(open_run > 0) + 2 * len;
+            at = stall_at_at + 5 * ns;
             fields
         })
         .collect();
     assert_eq!(at, file.len() - 8, "the layout walk must end at the digest");
-    (n_timings, chunks)
+    Layout {
+        loads_below,
+        chunks,
+    }
 }
 
 /// Mutates one structural field of chunk `c` in `file` — by `field`: a
 /// run length, a start pc, the open-run length, the branch count, the
-/// record count or a branch byte — to a value next to the old one when
-/// `near`, else to an arbitrary one, and never to the old value. A
-/// start pc goes to the end of the timing table when `near`, and a
-/// branch byte flips one bit. Returns whether the file stays
-/// structurally valid, which only a start pc whose run still ends
-/// inside the timing table does, or a byte that is still a branch byte
-/// (bit 0 set, and a kind of 0–4 in bits 3 and up).
+/// record count, a branch byte, the load count, the stall count, a
+/// stall's record index or a stall's cycles — to a value next to the
+/// old one when `near`, else to an arbitrary one, and never to the old
+/// value. Near, a start pc goes to the end of the timing table, a
+/// branch byte flips one bit, a stall index repeats a neighbour's,
+/// goes out of order or lands at or past the record count, and a
+/// stall's cycles go to 0; far, a start pc or a stall index stays below
+/// twice the table's or the chunk's length. Returns whether the file stays structurally
+/// valid: only a start pc whose run still ends inside the timing table
+/// and covers as many load pcs as before, a byte that is still a branch
+/// byte (bit 0 set, and a kind of 0–4 in bits 3 and up), a stall index
+/// still strictly between its neighbours (or the record count), and
+/// nonzero stall cycles are.
 fn mutate_chunk_field(
     file: &mut [u8],
-    n_timings: u64,
+    layout: &Layout,
     c: &ChunkFields,
     field: u8,
     pick: usize,
     value: u64,
     near: bool,
 ) -> bool {
-    let mut last_fit = None;
+    let read = |at: usize, width: usize| {
+        let mut raw = [0u8; 8];
+        raw[..width].copy_from_slice(&file[at..at + width]);
+        u64::from_le_bytes(raw)
+    };
     let branch_byte = field == 5 && !c.branches.is_empty();
+    let stall = (field == 8 || field == 9) && !c.stalls.is_empty();
+    let s = pick % c.stalls.len().max(1);
     let (at, width) = match field {
         0 if !c.runs.is_empty() => (c.runs[pick % c.runs.len()], 4),
-        1 => {
-            let (at, n) = c.starts[pick % c.starts.len()];
-            last_fit = Some(n_timings - n);
-            (at, 4)
-        }
+        1 => (c.starts[pick % c.starts.len()].0, 4),
         5 if branch_byte => (c.branches[pick % c.branches.len()], 1),
+        8 if stall => (c.stall_at[s], 4),
+        9 if stall => (c.stalls[s], 1),
         0 | 2 => (c.open_run, 4),
         3 => (c.n_branches, 8),
+        6 => (c.n_loads, 8),
+        7..=9 => (c.n_stalls, 8),
         _ => (c.len, 8),
     };
-    let mut old = [0u8; 8];
-    old[..width].copy_from_slice(&file[at..at + width]);
-    let old = u64::from_le_bytes(old);
+    let old = read(at, width);
     let mask = u64::MAX >> (64 - 8 * width);
-    let v = match (last_fit, near) {
-        (Some(last), true) => last + value % 3,
-        (Some(_), false) => value % (2 * n_timings),
-        (None, true) if branch_byte => old ^ (1 << (value % 8)),
-        (None, true) => old.wrapping_add(value % 7).wrapping_sub(3),
-        (None, false) => value,
+    // A stall index's neighbours: the indices a valid one lies between.
+    let below = (s > 0).then(|| read(c.stall_at[s - 1], 4));
+    let above = c.stall_at.get(s + 1).map_or(c.records, |&a| read(a, 4));
+    let v = match field {
+        1 => {
+            let n = c.starts[pick % c.starts.len()].1;
+            if near {
+                layout.n_timings() - n + value % 3
+            } else {
+                value % (2 * layout.n_timings())
+            }
+        }
+        8 if stall && near => match (value % 3, below) {
+            (0, Some(b)) => b,
+            (0, None) => above,
+            (1, Some(b)) => b.saturating_sub(1),
+            (1, None) if above < c.records => above + 1,
+            _ => c.records + value % 3,
+        },
+        8 if stall => value % (2 * c.records),
+        9 if stall && near => 0,
+        5 if branch_byte && near => old ^ (1 << (value % 8)),
+        _ if near => old.wrapping_add(value % 7).wrapping_sub(3),
+        _ => value,
     } & mask;
     let v = if v == old {
         v.wrapping_add(1) & mask
@@ -903,9 +979,15 @@ fn mutate_chunk_field(
         v
     };
     file[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
-    match last_fit {
-        Some(last) => v <= last,
-        None => branch_byte && v & 1 == 1 && v >> 3 <= 4,
+    match field {
+        1 => {
+            let n = c.starts[pick % c.starts.len()].1;
+            layout.loads(v, n).is_some() && layout.loads(v, n) == layout.loads(old, n)
+        }
+        5 if branch_byte => v & 1 == 1 && v >> 3 <= 4,
+        8 if stall => below.is_none_or(|b| v > b) && v < above,
+        9 if stall => v != 0,
+        _ => false,
     }
 }
 
@@ -994,22 +1076,30 @@ proptest! {
     #[test]
     fn trace_file_decoder_checks_every_structural_field(
         chunk in any::<usize>(),
-        field in 0u8..6,
+        field in 0u8..10,
         pick in any::<usize>(),
         value in any::<u64>(),
         near in any::<bool>(),
     ) {
         // One structural field of a valid file mutated — a run length,
         // a start pc, the open-run length, the branch count, the record
-        // count or a branch byte — and the digest recomputed, so that
-        // only the structural checks stand between the decoder and the
-        // edit.
+        // count, a branch byte, the load count, the stall count, a
+        // stall's record index or its cycles — and the digest
+        // recomputed, so that only the structural checks stand between
+        // the decoder and the edit. A stall field is drawn from the
+        // chunks that hold stalls.
         let _quiesce = probranch_faults::ScopedPlan::install(Default::default());
         let (pristine, cfg, hash) = smoke_trace_file();
-        let (n_timings, chunks) = chunk_fields(pristine);
-        let c = &chunks[chunk % chunks.len()];
+        let layout = chunk_fields(pristine);
+        let stalled: Vec<&ChunkFields> =
+            layout.chunks.iter().filter(|c| !c.stalls.is_empty()).collect();
+        prop_assert!(!stalled.is_empty(), "the first fetches of every line stall");
+        let c = match field {
+            8 | 9 => stalled[chunk % stalled.len()],
+            _ => &layout.chunks[chunk % layout.chunks.len()],
+        };
         let mut file = pristine.clone();
-        let may_load = mutate_chunk_field(&mut file, n_timings, c, field, pick, value, near);
+        let may_load = mutate_chunk_field(&mut file, &layout, c, field, pick, value, near);
         reseal(&mut file);
         prop_assert_eq!(load_both(&file, cfg, *hash)?, may_load);
     }
