@@ -553,12 +553,7 @@ pub struct Fig1Row {
 /// Figure 1: probabilistic branches are a small fraction of dynamic
 /// branches but a disproportionate fraction of mispredictions.
 pub fn fig1(scale: ExperimentScale, jobs: Jobs) -> Vec<Fig1Row> {
-    fig1_with(scale, jobs, Engine::default())
-}
-
-/// [`fig1`] under an explicit engine and a private trace pool.
-pub fn fig1_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<Fig1Row> {
-    fig1_with_ctx(scale, jobs, engine, &Context::new())
+    fig1_with_ctx(scale, jobs, Engine::default(), &Context::new())
 }
 
 /// [`fig1`] under an explicit engine and the run-wide trace pool. The
@@ -784,12 +779,7 @@ fn four_config_reports(
 
 /// Figure 6: MPKI reduction through PBS for both predictors.
 pub fn fig6(scale: ExperimentScale, jobs: Jobs) -> Vec<Fig6Row> {
-    fig6_with(scale, jobs, Engine::default())
-}
-
-/// [`fig6`] under an explicit engine and a private trace pool.
-pub fn fig6_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<Fig6Row> {
-    fig6_with_ctx(scale, jobs, engine, &Context::new())
+    fig6_with_ctx(scale, jobs, Engine::default(), &Context::new())
 }
 
 /// [`fig6`] under an explicit engine and the run-wide trace pool.
@@ -853,12 +843,7 @@ fn ipc_rows(
 
 /// Figure 7: normalized IPC on the 4-wide, 168-ROB core.
 pub fn fig7(scale: ExperimentScale, jobs: Jobs) -> Vec<IpcRow> {
-    fig7_with(scale, jobs, Engine::default())
-}
-
-/// [`fig7`] under an explicit engine and a private trace pool.
-pub fn fig7_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<IpcRow> {
-    fig7_with_ctx(scale, jobs, engine, &Context::new())
+    fig7_with_ctx(scale, jobs, Engine::default(), &Context::new())
 }
 
 /// [`fig7`] under an explicit engine and the run-wide trace pool —
@@ -875,12 +860,7 @@ pub fn fig7_with_ctx(
 
 /// Figure 8: normalized IPC on the 8-wide, 256-ROB core.
 pub fn fig8(scale: ExperimentScale, jobs: Jobs) -> Vec<IpcRow> {
-    fig8_with(scale, jobs, Engine::default())
-}
-
-/// [`fig8`] under an explicit engine and a private trace pool.
-pub fn fig8_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<IpcRow> {
-    fig8_with_ctx(scale, jobs, engine, &Context::new())
+    fig8_with_ctx(scale, jobs, Engine::default(), &Context::new())
 }
 
 /// [`fig8`] under an explicit engine and the run-wide trace pool. The
@@ -914,12 +894,7 @@ pub struct Fig9Row {
 /// regular-branch MPKI when probabilistic branches access the predictor
 /// versus when they are filtered out.
 pub fn fig9(scale: ExperimentScale, jobs: Jobs) -> Vec<Fig9Row> {
-    fig9_with(scale, jobs, Engine::default())
-}
-
-/// [`fig9`] under an explicit engine and a private trace pool.
-pub fn fig9_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<Fig9Row> {
-    fig9_with_ctx(scale, jobs, engine, &Context::new())
+    fig9_with_ctx(scale, jobs, Engine::default(), &Context::new())
 }
 
 /// [`fig9`] under an explicit engine and the run-wide trace pool. The

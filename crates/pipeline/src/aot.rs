@@ -20,10 +20,10 @@
 //!   writer (`TraceChunk::begin_fill`) instead of per-record pushes: no
 //!   fetch stalls (see the warmth rule below), no branch bytes, and the
 //!   latencies of the loads the body actually executed;
-//! * the terminator commits inline: direct conditional branches, `jmp`,
-//!   `call`, `ret` and `PROB_JMP` (through the shared resolution path)
-//!   each run their datapath, redirect the pc, update the PBS context
-//!   and hand the sink one packed branch record;
+//! * the terminator, a control op, runs through
+//!   [`Emulator::exec_control`]: its condition, call-stack or `PROB_JMP`
+//!   resolution, the pc redirect and the PBS context update, then one
+//!   packed branch record to the sink;
 //! * the workload library's inline RNG sequences — the xorshift64\*
 //!   step, the `[0,1)` conversion, the Box–Muller tail — are
 //!   structurally pattern-matched at block-build time and executed as
@@ -38,10 +38,15 @@
 //!
 //! Every other pc takes the loop's single-step arm: one
 //! [`Emulator::step_decoded`] call (under the capture sink, its fetch
-//! and load pre-simulated into the record's latencies). That arm runs
-//! the rare ops (`out` and `halt`, which never enter a block), cold
-//! blocks, budget tails and mid-block resume points. A program with no
-//! compiled blocks runs every pc through it — the interpreter is the
+//! and load pre-simulated into the record's latencies). A single step is
+//! the block datapath run one op at a time — a body op through
+//! [`Emulator::exec_straight_op`], a control op through
+//! [`Emulator::exec_control`] — and only the rare ops (`out` and `halt`,
+//! which never enter a block) execute in `step_decoded` itself. So a
+//! block and the single steps it stands for share every op's datapath,
+//! the PBS probes and resolution included. That arm runs the rare ops,
+//! cold blocks, budget tails and mid-block resume points. A program with
+//! no compiled blocks runs every pc through it — the interpreter is the
 //! loop with no blocks.
 //!
 //! # Warmth rule (byte-identity of the capture fast path)
@@ -208,75 +213,6 @@ impl std::fmt::Debug for BodyStep {
     }
 }
 
-/// A block terminator, predecoded at block-build time.
-///
-/// Every terminator executes inline on the block path: the direct
-/// branches (`jf`, the fused compare-and-branches, `jmp`), the
-/// call-stack pair (`call`/`ret`) and `PROB_JMP` each run their
-/// condition, stack or resolution datapath, redirect the pc, update the
-/// PBS context and hand the sink one packed branch record — skipping the
-/// interpreter's fetch/dispatch/record round trip, which dominates
-/// capture time on branchy kernels whose blocks are only a few ops
-/// long.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Term {
-    /// `jf target` — conditional on the flag register.
-    Jf {
-        /// Taken-path pc.
-        target: u32,
-    },
-    /// Fused register-register compare-and-branch.
-    BrRR {
-        /// Comparison operator.
-        op: CmpOp,
-        /// Whether the compare is over `f64` bit patterns.
-        fp: bool,
-        /// Left operand register.
-        lhs: Reg,
-        /// Right operand register.
-        rhs: Reg,
-        /// Taken-path pc.
-        target: u32,
-    },
-    /// Fused register-immediate compare-and-branch.
-    BrRI {
-        /// Comparison operator.
-        op: CmpOp,
-        /// Whether the compare is over `f64` bit patterns.
-        fp: bool,
-        /// Left operand register.
-        lhs: Reg,
-        /// Immediate right operand (bit pattern).
-        imm: u64,
-        /// Taken-path pc.
-        target: u32,
-    },
-    /// Direct unconditional jump.
-    Jmp {
-        /// Target pc.
-        target: u32,
-    },
-    /// Direct call: stack push + redirect, with the overflow fault
-    /// handled inline.
-    Call {
-        /// Callee entry pc.
-        target: u32,
-    },
-    /// Return: stack pop + redirect, with the underflow fault handled
-    /// inline.
-    Ret,
-    /// `PROB_JMP`: probabilistic resolution inline
-    /// ([`Emulator::commit_term_prob`] — the shared resolution path,
-    /// minus the interpreter round trip).
-    Prob {
-        /// Last probability register to push, when the short form
-        /// carries one.
-        prob: Option<Reg>,
-        /// Taken-path pc.
-        target: u32,
-    },
-}
-
 /// One basic block: a maximal straight-line body plus (usually) a
 /// control-op terminator.
 #[derive(Debug)]
@@ -289,10 +225,10 @@ pub(crate) struct CompiledBlock {
     /// Records the body contributes (== static body length in guest
     /// instructions).
     pub(crate) body_len: u32,
-    /// The control-op terminator following the body, predecoded;
-    /// `None` when the block ends at a leader or rare-op boundary
-    /// instead.
-    pub(crate) term: Option<Term>,
+    /// The control op following the body, which the block runs through
+    /// [`Emulator::exec_control`]; `None` when the block ends at a leader
+    /// or rare-op boundary instead.
+    pub(crate) term: Option<DecOp>,
     /// A whole-loop specialization headed at this block's leader, when
     /// the fingerprint matched.
     pub(crate) spec: Option<ArgmaxLoop>,
@@ -321,21 +257,6 @@ pub(crate) struct BlockProgram {
     index: Vec<u32>,
 }
 
-/// Control ops terminate a block and commit inline as its [`Term`]
-/// (branch event, PBS observation, call-stack faults, prob resolution).
-fn is_control(op: &DecOp) -> bool {
-    matches!(
-        op,
-        DecOp::Jf { .. }
-            | DecOp::BrRR { .. }
-            | DecOp::BrRI { .. }
-            | DecOp::Jmp { .. }
-            | DecOp::Call { .. }
-            | DecOp::Ret
-            | DecOp::ProbJmp { .. }
-    )
-}
-
 /// Rare ops the capture loop single-steps: output writes and `halt`. A
 /// body ends before one; the pc after it is a fresh leader, so only the
 /// rare op itself single-steps. The PBS probes (`prob_cmp`,
@@ -345,44 +266,6 @@ fn is_control(op: &DecOp) -> bool {
 /// would cost two dispatch round trips per iteration.
 fn is_rare(op: &DecOp) -> bool {
     matches!(op, DecOp::Out { .. } | DecOp::Halt)
-}
-
-/// Predecodes a control op into its [`Term`] form.
-fn lower_term(op: &DecOp) -> Term {
-    match *op {
-        DecOp::Jf { target } => Term::Jf { target },
-        DecOp::BrRR {
-            op,
-            fp,
-            lhs,
-            rhs,
-            target,
-        } => Term::BrRR {
-            op,
-            fp,
-            lhs,
-            rhs,
-            target,
-        },
-        DecOp::BrRI {
-            op,
-            fp,
-            lhs,
-            imm,
-            target,
-        } => Term::BrRI {
-            op,
-            fp,
-            lhs,
-            imm,
-            target,
-        },
-        DecOp::Jmp { target } => Term::Jmp { target },
-        DecOp::Call { target } => Term::Call { target },
-        DecOp::Ret => Term::Ret,
-        DecOp::ProbJmp { prob, target } => Term::Prob { prob, target },
-        _ => unreachable!("only control ops lower to terminators"),
-    }
 }
 
 fn branch_target(op: &DecOp) -> Option<u32> {
@@ -429,7 +312,7 @@ impl BlockProgram {
             leader[0] = true;
         }
         for (pc, d) in insts.iter().enumerate() {
-            if is_control(&d.op) {
+            if d.op.is_control() {
                 if let Some(t) = branch_target(&d.op) {
                     if (t as usize) < n {
                         leader[t as usize] = true;
@@ -455,7 +338,7 @@ impl BlockProgram {
             let mut has_term = false;
             while end < n {
                 let op = &insts[end].op;
-                if is_control(op) {
+                if op.is_control() {
                     has_term = true;
                     break;
                 }
@@ -468,16 +351,15 @@ impl BlockProgram {
                 // The leader is itself a control op (a branch that is
                 // also a branch target — common in else-chains and at
                 // loop-skip labels): compile a terminator-only block so
-                // it still executes inline instead of paying a full
-                // `step_decoded` round trip. Rare ops stay
-                // single-stepped.
+                // it skips the single step's fetch and record round
+                // trip. Rare ops stay single-stepped.
                 if has_term {
                     index[start] = blocks.len() as u32;
                     blocks.push(CompiledBlock {
                         start_pc: start as u32,
                         body: Vec::new(),
                         body_len: 0,
-                        term: Some(lower_term(&insts[end].op)),
+                        term: Some(insts[end].op),
                         spec: None,
                     });
                 }
@@ -501,7 +383,7 @@ impl BlockProgram {
                 start_pc: start as u32,
                 body,
                 body_len: (end - start) as u32,
-                term: has_term.then(|| lower_term(&insts[end].op)),
+                term: has_term.then_some(insts[end].op),
                 spec: None,
             });
             start = end;
@@ -572,6 +454,12 @@ impl BlockProgram {
 
 /// What the dispatch loop and the block executors emit as they run, and
 /// when a compiled block may run.
+///
+/// A block and the single steps it stands for run the same datapath, so
+/// a sink receives the same records in the same order either way: a
+/// block's body arrives as one [`straight`](Sink::straight) span after
+/// its loads and its terminator as one [`branch`](Sink::branch), a
+/// single step through [`step`](Sink::step).
 ///
 /// [`CaptureSink`] writes trace records through the [`ChunkWriter`],
 /// pre-simulates every fetch and load, and holds a block back until it
@@ -758,8 +646,10 @@ pub(crate) fn dispatch<S: Sink>(
     Ok(())
 }
 
-/// Executes one ready block: native body, one bulk span to the sink,
-/// then the inline terminator.
+/// Executes one ready block: the body through
+/// [`Emulator::exec_straight_op`] (or a native fragment where one
+/// matched), one bulk span to the sink, then the terminator through
+/// [`Emulator::exec_control`] and one packed branch record.
 #[inline(always)]
 fn exec_block<S: Sink>(
     emu: &mut Emulator,
@@ -795,82 +685,12 @@ fn exec_block<S: Sink>(
     debug_assert_eq!(done, b.body_len);
     sink.straight(start, done);
     emu.commit_straight(start + done, done as u64);
-    let Some(term) = b.term else {
+    let Some(op) = b.term else {
         return Ok(());
     };
     let pc = start + done;
-    // Terminators execute inline: condition datapath, pc redirect, PBS
-    // observation, one packed record.
-    let (target, taken, kind) = match term {
-        Term::Jf { target } => (target, emu.flag(), BranchEventKind::Conditional),
-        Term::BrRR {
-            op,
-            fp,
-            lhs,
-            rhs,
-            target,
-        } => (
-            target,
-            emu.cmp_rr(op, fp, lhs, rhs),
-            BranchEventKind::Conditional,
-        ),
-        Term::BrRI {
-            op,
-            fp,
-            lhs,
-            imm,
-            target,
-        } => (
-            target,
-            emu.cmp_ri(op, fp, lhs, imm),
-            BranchEventKind::Conditional,
-        ),
-        Term::Jmp { target } => (target, true, BranchEventKind::Unconditional),
-        Term::Call { target } => {
-            // Stack push + redirect; an overflow fault lands after the
-            // body records, exactly like the interpreter's.
-            emu.commit_term_call(pc, target)?;
-            let byte = encode_branch(Some(BranchEvent {
-                taken: true,
-                kind: BranchEventKind::Call,
-                is_prob: false,
-            }));
-            sink.branch(pc, byte);
-            return Ok(());
-        }
-        Term::Ret => {
-            emu.commit_term_ret(pc)?;
-            let byte = encode_branch(Some(BranchEvent {
-                taken: true,
-                kind: BranchEventKind::Ret,
-                is_prob: false,
-            }));
-            sink.branch(pc, byte);
-            return Ok(());
-        }
-        Term::Prob { prob, target } => {
-            // Probabilistic resolution through the shared path
-            // (`resolve_prob_jump`), committed inline: every paper
-            // kernel crosses one per hot-loop iteration, and the
-            // interpreter round trip it used to pay is pure dispatch
-            // overhead on top of the resolution itself.
-            let (taken, kind) = emu.commit_term_prob(prob, pc, target);
-            let byte = encode_branch(Some(BranchEvent {
-                taken,
-                kind,
-                is_prob: true,
-            }));
-            sink.branch(pc, byte);
-            return Ok(());
-        }
-    };
-    emu.commit_term_branch(pc, target, taken);
-    let byte = encode_branch(Some(BranchEvent {
-        taken,
-        kind,
-        is_prob: false,
-    }));
-    sink.branch(pc, byte);
+    let event = emu.exec_control(op, pc)?;
+    sink.branch(pc, encode_branch(Some(event)));
     Ok(())
 }
 
@@ -1595,7 +1415,7 @@ mod tests {
         let body = p.at(1).unwrap();
         assert_eq!(body.body_len, 1);
         assert!(
-            matches!(body.term, Some(Term::BrRI { .. })),
+            matches!(body.term, Some(DecOp::BrRI { .. })),
             "back-edge branch executes inline"
         );
         assert!(p.at(3).is_none());
@@ -1614,7 +1434,7 @@ mod tests {
         let p = BlockProgram::compile(&d);
         let tail = p.at(2).unwrap();
         assert_eq!(tail.body_len, 0, "lone control op compiles bodyless");
-        assert!(matches!(tail.term, Some(Term::Jmp { target: 2 })));
+        assert!(matches!(tail.term, Some(DecOp::Jmp { target: 2 })));
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!
 //! Decoding is semantically lossless: `DecOp` execution and
 //! `InstTiming`-driven timing are byte-for-byte equivalent to the
-//! `Inst`-interpreting reference engine, which the golden-trace suite
-//! and `tests/engine_equivalence.rs` lock in.
+//! `Inst`-interpreting reference engine, which the golden-trace suite,
+//! `tests/engine_equivalence.rs` and a lock-step test of the two
+//! interpreters over every workload lock in.
 
 use probranch_isa::{AluOp, CmpOp, ExecClass, FpBinOp, FpUnOp, Inst, Operand, Program, Reg};
 
@@ -154,6 +155,25 @@ pub enum DecOp {
     Halt,
     /// No operation.
     Nop,
+}
+
+impl DecOp {
+    /// Whether the op transfers control: it ends a compiled block as its
+    /// terminator, and single steps and terminators alike run it through
+    /// [`Emulator::exec_control`](crate::Emulator::exec_control).
+    #[inline(always)]
+    pub(crate) fn is_control(&self) -> bool {
+        matches!(
+            self,
+            DecOp::Jf { .. }
+                | DecOp::BrRR { .. }
+                | DecOp::BrRI { .. }
+                | DecOp::Jmp { .. }
+                | DecOp::Call { .. }
+                | DecOp::Ret
+                | DecOp::ProbJmp { .. }
+        )
+    }
 }
 
 /// Predecoded timing metadata of one static instruction: the dataflow

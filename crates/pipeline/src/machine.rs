@@ -137,30 +137,31 @@ pub struct DynInst {
     pub mem_addr: Option<u64>,
 }
 
-/// One element of the compact dynamic stream the decoded interpreter
-/// produces ([`Emulator::step_decoded`], which trace capture's
-/// single-step arm packs into its chunks): just the facts the timing
-/// model needs, with the static instruction looked up by `pc` in the
-/// shared [`DecodedProgram`] instead of being copied per dynamic
-/// instruction.
+/// What one [`Emulator::step_decoded`] call reports, and the capture
+/// loop's single-step arm packs into its chunks: just the facts the trace
+/// records, with the static instruction looked up by `pc` in the shared
+/// [`DecodedProgram`] instead of being copied per dynamic instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepRecord {
     /// PC of the instruction.
     pub pc: u32,
     /// Branch resolution, for control instructions.
     pub branch: Option<BranchEvent>,
-    /// Data address for loads/stores, with `u64::MAX` as the "none"
-    /// sentinel — keeps the record at 16 bytes (a `Option<u64>` would
-    /// double the field). Read through [`StepRecord::mem_addr`].
+    /// Load address, with `u64::MAX` as the "none" sentinel — keeps the
+    /// record at 16 bytes (a `Option<u64>` would double the field). Read
+    /// through [`StepRecord::mem_addr`].
     mem_addr: u64,
 }
 
 impl StepRecord {
-    /// Sentinel for "no data address" (unreachable as a real address:
+    /// Sentinel for "no load address" (unreachable as a real address:
     /// data addresses are word-aligned indices into bounded memory).
     const NO_ADDR: u64 = u64::MAX;
 
-    /// Data address, for loads and stores.
+    /// The data address of a load; `None` for every other instruction,
+    /// stores included. A load's address is what the cache
+    /// pre-simulation and the timing model read; a store's reaches
+    /// neither, so the record does not carry it.
     #[inline]
     pub fn mem_addr(&self) -> Option<u64> {
         if self.mem_addr == Self::NO_ADDR {
@@ -764,10 +765,15 @@ impl Emulator {
     /// Executes one instruction from the predecoded form, returning a
     /// compact [`StepRecord`], or `None` if the machine is halted.
     ///
-    /// Architecturally identical to [`Emulator::step`] — the golden-trace
-    /// and engine-equivalence suites lock the two interpreters together —
-    /// but monomorphic over [`DecOp`]: no nested operand dispatch and no
-    /// per-instruction [`Inst`] copy into a [`DynInst`].
+    /// This is the compiled blocks' datapath run one op at a time: a
+    /// control op runs through `exec_control`, as a block terminator
+    /// does, and every other op but `out` and `halt` through
+    /// `exec_straight_op`, as a block body op does. So the capture
+    /// loop's single steps and its blocks share one `PROB_CMP`/`PROB_JMP`
+    /// datapath. [`Emulator::step`] is the independent oracle: the `Inst`
+    /// interpreter, which shares no dispatch with this one; a lock-step
+    /// test holds the two together on every workload, with PBS off and
+    /// on.
     ///
     /// # Errors
     ///
@@ -779,245 +785,26 @@ impl Emulator {
             return Ok(None);
         }
         let pc = self.pc;
-        let op = self.decoded.fetch(pc).op;
-        let mut next_pc = pc + 1;
-        let mut branch = None;
-        let mut mem_addr = StepRecord::NO_ADDR;
-
-        match op {
-            DecOp::AluRR {
-                op,
-                dst,
-                src1,
-                src2,
-            } => {
-                let a = self.regs[src1.index()];
-                let b = self.regs[src2.index()];
-                self.regs[dst.index()] = alu_eval(op, a, b);
-            }
-            DecOp::AluRI { op, dst, src1, imm } => {
-                let a = self.regs[src1.index()];
-                self.regs[dst.index()] = alu_eval(op, a, imm);
-            }
-            DecOp::Li { dst, imm } => self.regs[dst.index()] = imm,
-            DecOp::Mov { dst, src } => self.regs[dst.index()] = self.regs[src.index()],
-            DecOp::FpBin {
-                op,
-                dst,
-                src1,
-                src2,
-            } => {
-                let a = f64::from_bits(self.regs[src1.index()]);
-                let b = f64::from_bits(self.regs[src2.index()]);
-                self.regs[dst.index()] = fp_bin_eval(op, a, b).to_bits();
-            }
-            DecOp::FpUn { op, dst, src } => {
-                let a = f64::from_bits(self.regs[src.index()]);
-                self.regs[dst.index()] = fp_un_eval(op, a).to_bits();
-            }
-            DecOp::IntToFp { dst, src } => {
-                self.regs[dst.index()] = (self.regs[src.index()] as i64 as f64).to_bits();
-            }
-            DecOp::FpToInt { dst, src } => {
-                let v = f64::from_bits(self.regs[src.index()]);
-                self.regs[dst.index()] = (v as i64) as u64;
-            }
-            DecOp::CMov {
-                dst,
-                cond,
-                if_true,
-                if_false,
-            } => {
-                self.regs[dst.index()] = if self.regs[cond.index()] != 0 {
-                    self.regs[if_true.index()]
-                } else {
-                    self.regs[if_false.index()]
-                };
-            }
-            DecOp::Load { dst, base, offset } => {
-                let idx = self
-                    .mem_index(base, offset, pc)
-                    .inspect_err(|_| self.halted = true)?;
-                mem_addr = idx as u64 * 8;
-                self.regs[dst.index()] = self.load_word(idx);
-            }
-            DecOp::Store { src, base, offset } => {
-                let idx = self
-                    .mem_index(base, offset, pc)
-                    .inspect_err(|_| self.halted = true)?;
-                mem_addr = idx as u64 * 8;
-                self.store_word(idx, self.regs[src.index()]);
-            }
-            DecOp::CmpRR { op, fp, lhs, rhs } => {
-                self.flag = self.eval_cmp(op, fp, self.regs[lhs.index()], self.regs[rhs.index()]);
-            }
-            DecOp::CmpRI { op, fp, lhs, imm } => {
-                self.flag = self.eval_cmp(op, fp, self.regs[lhs.index()], imm);
-            }
-            DecOp::Jf { target } => {
-                let taken = self.flag;
-                if taken {
-                    next_pc = target;
-                }
-                branch = Some(BranchEvent {
-                    taken,
-                    kind: BranchEventKind::Conditional,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_branch(pc, target, taken);
-                }
-            }
-            DecOp::BrRR {
-                op,
-                fp,
-                lhs,
-                rhs,
-                target,
-            } => {
-                let taken = self.eval_cmp(op, fp, self.regs[lhs.index()], self.regs[rhs.index()]);
-                if taken {
-                    next_pc = target;
-                }
-                branch = Some(BranchEvent {
-                    taken,
-                    kind: BranchEventKind::Conditional,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_branch(pc, target, taken);
-                }
-            }
-            DecOp::BrRI {
-                op,
-                fp,
-                lhs,
-                imm,
-                target,
-            } => {
-                let taken = self.eval_cmp(op, fp, self.regs[lhs.index()], imm);
-                if taken {
-                    next_pc = target;
-                }
-                branch = Some(BranchEvent {
-                    taken,
-                    kind: BranchEventKind::Conditional,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_branch(pc, target, taken);
-                }
-            }
-            DecOp::Jmp { target } => {
-                next_pc = target;
-                branch = Some(BranchEvent {
-                    taken: true,
-                    kind: BranchEventKind::Unconditional,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_branch(pc, target, true);
-                }
-            }
-            DecOp::Call { target } => {
-                if self.call_stack.len() >= self.config.max_call_depth {
-                    self.halted = true;
-                    return Err(EmuError::CallStackOverflow { pc });
-                }
-                self.call_stack.push(pc + 1);
-                next_pc = target;
-                branch = Some(BranchEvent {
-                    taken: true,
-                    kind: BranchEventKind::Call,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_call(pc);
-                }
-            }
-            DecOp::Ret => {
-                match self.call_stack.pop() {
-                    Some(ra) => next_pc = ra,
-                    None => {
-                        self.halted = true;
-                        return Err(EmuError::CallStackUnderflow { pc });
-                    }
-                }
-                branch = Some(BranchEvent {
-                    taken: true,
-                    kind: BranchEventKind::Ret,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_ret();
-                }
-            }
-            DecOp::ProbCmpRR { op, fp, prob, rhs } => {
-                let value = self.regs[prob.index()];
-                let const_val = self.regs[rhs.index()];
-                let outcome = self.eval_cmp(op, fp, value, const_val);
-                self.flag = outcome;
-                if self.pbs.is_some() {
-                    self.pending_prob.values.clear();
-                    self.pending_prob.values.push((prob, value));
-                    self.pending_prob.const_val = const_val;
-                    self.pending_prob.outcome = outcome;
-                }
-            }
-            DecOp::ProbCmpRI { op, fp, prob, imm } => {
-                let value = self.regs[prob.index()];
-                let outcome = self.eval_cmp(op, fp, value, imm);
-                self.flag = outcome;
-                if self.pbs.is_some() {
-                    self.pending_prob.values.clear();
-                    self.pending_prob.values.push((prob, value));
-                    self.pending_prob.const_val = imm;
-                    self.pending_prob.outcome = outcome;
-                }
-            }
-            DecOp::ProbJmpPush { prob } => {
-                let v = self.regs[prob.index()];
-                if self.pbs.is_some() {
-                    self.pending_prob.values.push((prob, v));
-                }
-            }
-            DecOp::ProbJmpQuiet => {}
-            DecOp::ProbJmp { prob, target } => {
-                if let Some(p) = prob {
-                    let v = self.regs[p.index()];
-                    if self.pbs.is_some() {
-                        self.pending_prob.values.push((p, v));
-                    }
-                }
-                let (taken, kind) = self.resolve_prob_jump(pc);
-                if taken {
-                    next_pc = target;
-                }
-                branch = Some(BranchEvent {
-                    taken,
-                    kind,
-                    is_prob: true,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_branch(pc, target, taken);
-                }
-            }
-            DecOp::Out { src, port } => {
-                self.outputs.push(port, self.regs[src.index()]);
-            }
-            DecOp::Halt => {
-                self.halted = true;
-            }
-            DecOp::Nop => {}
-        }
-
-        self.pc = next_pc;
-        self.executed += 1;
-        Ok(Some(StepRecord {
+        let mut rec = StepRecord {
             pc,
-            branch,
-            mem_addr,
-        }))
+            branch: None,
+            mem_addr: StepRecord::NO_ADDR,
+        };
+        match self.decoded.fetch(pc).op {
+            DecOp::Out { src, port } => self.outputs.push(port, self.regs[src.index()]),
+            DecOp::Halt => self.halted = true,
+            op if op.is_control() => {
+                rec.branch = Some(self.exec_control(op, pc)?);
+                return Ok(Some(rec));
+            }
+            op => {
+                if let Some(addr) = self.exec_straight_op(op, pc)? {
+                    rec.mem_addr = addr;
+                }
+            }
+        }
+        self.commit_straight(pc + 1, 1);
+        Ok(Some(rec))
     }
 
     /// Current program counter (the capture loop dispatches on it).
@@ -1064,16 +851,8 @@ impl Emulator {
         Ok(idx as u64 * 8)
     }
 
-    /// The condition flag, for inline `jf` terminator execution in the
-    /// block-compiled capture engine.
-    #[inline(always)]
-    pub(crate) fn flag(&self) -> bool {
-        self.flag
-    }
-
     /// Evaluates a register-register compare against the architectural
-    /// state — the `BrRR` condition datapath, shared with
-    /// [`step_decoded`](Self::step_decoded)'s arm.
+    /// state — the `BrRR` condition datapath.
     #[inline(always)]
     pub(crate) fn cmp_rr(&self, op: CmpOp, fp: bool, lhs: Reg, rhs: Reg) -> bool {
         self.eval_cmp(op, fp, self.regs[lhs.index()], self.regs[rhs.index()])
@@ -1086,11 +865,11 @@ impl Emulator {
         self.eval_cmp(op, fp, self.regs[lhs.index()], imm)
     }
 
-    /// Commits an inline-executed direct branch terminator: the pc
-    /// redirect, the retired count and the PBS history observation —
-    /// exactly the state effects of the `step_decoded`
-    /// `Jf`/`BrRR`/`BrRI`/`Jmp` arms, minus the record construction the
-    /// block engine does itself.
+    /// Commits a direct branch whose direction is already known: the pc
+    /// redirect, the retired count and the PBS history observation.
+    /// [`exec_control`](Self::exec_control) ends every branch and
+    /// `PROB_JMP` here, and the argmax loop specialization in
+    /// `crate::aot` commits its four branches here directly.
     #[inline(always)]
     pub(crate) fn commit_term_branch(&mut self, pc: u32, target: u32, taken: bool) {
         self.pc = if taken { target } else { pc + 1 };
@@ -1106,92 +885,120 @@ impl Emulator {
         }
     }
 
-    /// Commits an inline-executed `call` terminator: the stack push, pc
-    /// redirect, retired count and PBS call observation — the state
-    /// effects of `step_decoded`'s `Call` arm. On overflow the machine
-    /// halts on the faulting instruction with nothing retired, exactly
-    /// like the interpreter.
-    #[inline(always)]
-    pub(crate) fn commit_term_call(&mut self, pc: u32, target: u32) -> Result<(), EmuError> {
-        if self.call_stack.len() >= self.config.max_call_depth {
-            self.halted = true;
-            return Err(EmuError::CallStackOverflow { pc });
-        }
-        self.call_stack.push(pc + 1);
-        self.pc = target;
-        self.executed += 1;
-        if let Some(pbs) = self.pbs.as_mut() {
-            pbs.observe_call(pc);
-        }
-        Ok(())
-    }
-
-    /// `PROB_JMP` executed inline as a block terminator: pending-value
-    /// push, probabilistic resolution, pc redirect and retire, PBS
-    /// history observation. Returns `(taken, kind)` for the branch
-    /// record — `kind` distinguishes PBS-directed resolutions.
-    #[inline(always)]
-    pub(crate) fn commit_term_prob(
-        &mut self,
-        prob: Option<Reg>,
-        pc: u32,
-        target: u32,
-    ) -> (bool, BranchEventKind) {
-        if let Some(p) = prob {
-            let v = self.regs[p.index()];
-            if self.pbs.is_some() {
-                self.pending_prob.values.push((p, v));
-            }
-        }
-        let (taken, kind) = self.resolve_prob_jump(pc);
-        self.pc = if taken { target } else { pc + 1 };
-        self.executed += 1;
-        // Same forward-branch skip as `commit_term_branch`: the
-        // context table never mutates on a forward target.
-        if target <= pc {
-            if let Some(pbs) = self.pbs.as_mut() {
-                pbs.observe_branch(pc, target, taken);
-            }
-        }
-        (taken, kind)
-    }
-
-    /// Commits an inline-executed `ret` terminator — `step_decoded`'s
-    /// `Ret` arm minus the record construction.
-    #[inline(always)]
-    pub(crate) fn commit_term_ret(&mut self, pc: u32) -> Result<(), EmuError> {
-        let Some(ra) = self.call_stack.pop() else {
-            self.halted = true;
-            return Err(EmuError::CallStackUnderflow { pc });
-        };
-        self.pc = ra;
-        self.executed += 1;
-        if let Some(pbs) = self.pbs.as_mut() {
-            pbs.observe_ret();
-        }
-        Ok(())
-    }
-
-    /// Executes one straight-line op from a compiled block body without
-    /// touching `pc`/`executed` — the block executor commits those in
-    /// bulk via [`commit_straight`](Self::commit_straight). Returns the
-    /// pre-simulation data address for loads (`None` for everything
-    /// else; stores never reach the data-latency pre-simulation, same
-    /// as the capture path over [`step_decoded`](Self::step_decoded)).
+    /// Executes the control op `op` at `pc` (see [`DecOp::is_control`]):
+    /// its condition, call-stack or PBS resolution, the pc redirect, the
+    /// retire and the PBS history observation. Returns the branch event
+    /// for the op's record. A compiled block's terminator and a single
+    /// step both run control ops through here.
     ///
-    /// The arms are copied verbatim from `step_decoded`'s non-control
-    /// subset — including the PBS probes (`prob_cmp`, `prob_jmp_push`),
-    /// which are plain straight-line ops from the trace's point of
-    /// view; the capture-tier equivalence proptests lock the two
-    /// datapaths together. Control ops never enter a block body (they
-    /// terminate it and commit inline through the `commit_term_*`
-    /// helpers), and neither do `out` and `halt`, which the capture
-    /// loop single-steps through `step_decoded`.
+    /// A jumping `PROB_JMP` pushes its last probability register, then
+    /// resolves through [`resolve_prob_jump`](Self::resolve_prob_jump):
+    /// under PBS a directed instance swaps the recorded values into the
+    /// probability registers, so the program consumes its original value
+    /// stream, only delayed.
     ///
     /// # Errors
     ///
-    /// Memory faults halt the machine and propagate, exactly like
-    /// `step_decoded`.
+    /// Call-stack overflow and underflow halt the machine on the
+    /// faulting instruction with nothing retired.
+    #[inline(always)]
+    pub(crate) fn exec_control(&mut self, op: DecOp, pc: u32) -> Result<BranchEvent, EmuError> {
+        let (target, taken, kind, is_prob) = match op {
+            DecOp::Jf { target } => (target, self.flag, BranchEventKind::Conditional, false),
+            DecOp::BrRR {
+                op,
+                fp,
+                lhs,
+                rhs,
+                target,
+            } => (
+                target,
+                self.cmp_rr(op, fp, lhs, rhs),
+                BranchEventKind::Conditional,
+                false,
+            ),
+            DecOp::BrRI {
+                op,
+                fp,
+                lhs,
+                imm,
+                target,
+            } => (
+                target,
+                self.cmp_ri(op, fp, lhs, imm),
+                BranchEventKind::Conditional,
+                false,
+            ),
+            DecOp::Jmp { target } => (target, true, BranchEventKind::Unconditional, false),
+            DecOp::Call { target } => {
+                if self.call_stack.len() >= self.config.max_call_depth {
+                    self.halted = true;
+                    return Err(EmuError::CallStackOverflow { pc });
+                }
+                self.call_stack.push(pc + 1);
+                self.pc = target;
+                self.executed += 1;
+                if let Some(pbs) = self.pbs.as_mut() {
+                    pbs.observe_call(pc);
+                }
+                return Ok(BranchEvent {
+                    taken: true,
+                    kind: BranchEventKind::Call,
+                    is_prob: false,
+                });
+            }
+            DecOp::Ret => {
+                let Some(ra) = self.call_stack.pop() else {
+                    self.halted = true;
+                    return Err(EmuError::CallStackUnderflow { pc });
+                };
+                self.pc = ra;
+                self.executed += 1;
+                if let Some(pbs) = self.pbs.as_mut() {
+                    pbs.observe_ret();
+                }
+                return Ok(BranchEvent {
+                    taken: true,
+                    kind: BranchEventKind::Ret,
+                    is_prob: false,
+                });
+            }
+            DecOp::ProbJmp { prob, target } => {
+                if let Some(p) = prob {
+                    let v = self.regs[p.index()];
+                    if self.pbs.is_some() {
+                        self.pending_prob.values.push((p, v));
+                    }
+                }
+                let (taken, kind) = self.resolve_prob_jump(pc);
+                (target, taken, kind, true)
+            }
+            _ => unreachable!("exec_control runs control ops only"),
+        };
+        self.commit_term_branch(pc, target, taken);
+        Ok(BranchEvent {
+            taken,
+            kind,
+            is_prob,
+        })
+    }
+
+    /// Executes one straight-line op without touching `pc`/`executed`:
+    /// a compiled block commits those in bulk via
+    /// [`commit_straight`](Self::commit_straight), and a single step
+    /// commits them per op. Returns the pre-simulation data address for
+    /// loads, `None` for every other op (a store's address reaches
+    /// neither the cache pre-simulation nor the timing model).
+    ///
+    /// The PBS probes (`prob_cmp`, `prob_jmp_push`) are plain
+    /// straight-line ops from the trace's point of view. Control ops run
+    /// through [`exec_control`](Self::exec_control) instead, and `out`
+    /// and `halt` only in [`step_decoded`](Self::step_decoded).
+    ///
+    /// # Errors
+    ///
+    /// Memory faults halt the machine on the faulting instruction and
+    /// propagate.
     #[inline(always)]
     pub(crate) fn exec_straight_op(&mut self, op: DecOp, pc: u32) -> Result<Option<u64>, EmuError> {
         match op {
@@ -1290,7 +1097,7 @@ impl Emulator {
             }
             DecOp::ProbJmpQuiet => {}
             DecOp::Nop => {}
-            _ => unreachable!("control and rare ops never enter a block body"),
+            _ => unreachable!("control ops, `out` and `halt` are not straight-line"),
         }
         Ok(None)
     }
@@ -1568,8 +1375,11 @@ mod tests {
 
     /// A program with a probabilistic branch in a counted loop: an
     /// xorshift64* RNG in ISA code draws a value, compares it against a
-    /// threshold register, and counts taken outcomes.
-    fn prob_loop_program(iters: i64) -> Program {
+    /// threshold register, and counts taken outcomes. With `three`, the
+    /// branch's `PROB_JMP`s also register the draw and the last shift
+    /// (the intermediate form, then the jumping form with a register),
+    /// and port 1 folds both, so a directed swap of each shows there.
+    fn prob_loop_program(iters: i64, three: bool) -> Program {
         let mut b = ProgramBuilder::new();
         let top = b.label("top");
         let join = b.label("join");
@@ -1585,19 +1395,25 @@ mod tests {
         b.mul(Reg::R7, Reg::R1, Reg::R6);
         b.sltu(Reg::R8, Reg::R7, Reg::R4);
         b.prob_cmp(CmpOp::Eq, Reg::R8, 1);
-        b.prob_jmp(None, join); // taken ~50%
+        if three {
+            b.prob_jmp_mid(Reg::R7).prob_jmp(Some(Reg::R5), join);
+        } else {
+            b.prob_jmp(None, join); // taken ~50%
+        }
         b.add(Reg::R3, Reg::R3, 1); // not-taken path counts
         b.bind(join);
+        b.xor(Reg::R9, Reg::R9, Reg::R7)
+            .add(Reg::R9, Reg::R9, Reg::R5);
         b.add(Reg::R2, Reg::R2, 1);
         b.br(CmpOp::Lt, Reg::R2, iters, top);
-        b.out(Reg::R3, 0);
+        b.out(Reg::R3, 0).out(Reg::R9, 1);
         b.halt();
         b.build().unwrap()
     }
 
     #[test]
     fn prob_branch_without_pbs_behaves_like_regular() {
-        let p = prob_loop_program(1000);
+        let p = prob_loop_program(1000, false);
         let mut e = Emulator::new(p, EmuConfig::default());
         e.run_to_halt(100_000).unwrap();
         let count = e.output(0)[0];
@@ -1611,7 +1427,7 @@ mod tests {
 
     #[test]
     fn prob_branch_with_pbs_directs_after_bootstrap() {
-        let p = prob_loop_program(1000);
+        let p = prob_loop_program(1000, false);
         let mut e = Emulator::with_pbs(p, EmuConfig::default(), PbsUnit::new(PbsConfig::default()));
         e.run_to_halt(100_000).unwrap();
         let stats = e.pbs_stats().unwrap();
@@ -1626,7 +1442,7 @@ mod tests {
     #[test]
     fn pbs_is_deterministic_and_replays_the_value_stream() {
         let run_once = || {
-            let p = prob_loop_program(500);
+            let p = prob_loop_program(500, false);
             let mut e =
                 Emulator::with_pbs(p, EmuConfig::default(), PbsUnit::new(PbsConfig::default()));
             e.run_to_halt(100_000).unwrap();
@@ -1643,7 +1459,7 @@ mod tests {
         // The consumed stream under PBS must be: the first B values
         // (bootstrap, consumed as generated), then the generated stream
         // replayed from the start (paper Section III-B determinism).
-        let p = prob_loop_program(100);
+        let p = prob_loop_program(100, false);
         let mut with = Emulator::with_pbs(
             p.clone(),
             EmuConfig::default(),
@@ -1686,29 +1502,52 @@ mod tests {
 
     #[test]
     fn decoded_interpreter_matches_reference_step_stream() {
-        // Lock-step the `Inst` interpreter against the predecoded one on
-        // a PBS workload: identical records, outputs, consumed stream.
-        let p = prob_loop_program(300);
-        let mut a = Emulator::with_pbs(
-            p.clone(),
-            EmuConfig::default(),
-            PbsUnit::new(PbsConfig::default()),
-        );
-        let mut b = Emulator::with_pbs(p, EmuConfig::default(), PbsUnit::new(PbsConfig::default()));
-        loop {
-            match (a.step().unwrap(), b.step_decoded().unwrap()) {
-                (None, None) => break,
-                (Some(da), Some(db)) => {
-                    assert_eq!(db.pc, da.pc);
-                    assert_eq!(db.branch, da.branch);
-                    assert_eq!(db.mem_addr(), da.mem_addr);
+        // Lock-step the `Inst` interpreter, which shares no dispatch with
+        // the decoded one, against `step_decoded` on every workload with
+        // PBS off and on: per record the same pc, branch event and load
+        // address (no other record carries an address, stores included),
+        // then the same outputs, consumed values and PBS counters.
+        // A three-value `PROB_JMP` loop joins them: no workload
+        // registers more than the compared value.
+        use probranch_workloads::{BenchmarkId, Scale};
+        let programs = BenchmarkId::ALL
+            .map(|id| (format!("{id:?}"), id.build(Scale::Smoke, 1).program()))
+            .into_iter()
+            .chain([("three-value loop".into(), prob_loop_program(300, true))]);
+        let (mut loads, mut stores) = (0u64, 0u64);
+        for (id, program) in programs {
+            for pbs in [false, true] {
+                let emu = || {
+                    let (p, c) = (program.clone(), EmuConfig::default());
+                    match pbs {
+                        true => Emulator::with_pbs(p, c, PbsUnit::new(PbsConfig::default())),
+                        false => Emulator::new(p, c),
+                    }
+                };
+                let (mut a, mut b) = (emu(), emu());
+                loop {
+                    match (a.step().unwrap(), b.step_decoded().unwrap()) {
+                        (None, None) => break,
+                        (Some(da), Some(db)) => {
+                            let load = matches!(da.inst, Inst::Load { .. });
+                            assert_eq!(
+                                (db.pc, db.branch, db.mem_addr()),
+                                (da.pc, da.branch, da.mem_addr.filter(|_| load)),
+                                "{id}, PBS {pbs}, record {}",
+                                a.executed() - 1
+                            );
+                            loads += u64::from(load);
+                            stores += u64::from(matches!(da.inst, Inst::Store { .. }));
+                        }
+                        (x, y) => panic!("{id}, PBS {pbs}: {x:?} vs {y:?}"),
+                    }
                 }
-                (x, y) => panic!("stream length mismatch: {x:?} vs {y:?}"),
+                assert_eq!(a.outputs_sorted(), b.outputs_sorted(), "{id}, PBS {pbs}");
+                assert_eq!(a.prob_consumed(), b.prob_consumed(), "{id}, PBS {pbs}");
+                assert_eq!(a.pbs_stats(), b.pbs_stats(), "{id}, PBS {pbs}");
             }
         }
-        assert_eq!(a.output(0), b.output(0));
-        assert_eq!(a.prob_consumed(), b.prob_consumed());
-        assert_eq!(a.pbs_stats(), b.pbs_stats());
+        assert!(loads > 0 && stores > 0, "{loads} loads, {stores} stores");
     }
 
     #[test]

@@ -15,6 +15,9 @@ use probranch::pipeline::{
     TraceLoad, TRACE_CHUNK_RECORDS,
 };
 use probranch::predictor::{BranchPredictor, TageScL, Tournament};
+use probranch_serve::{
+    read_frame, write_frame, Request, Response, Status, SweepRequest, MAX_FRAME, PROTOCOL,
+};
 
 /// The reference engine: the per-instruction oracle the trace engines
 /// are checked against.
@@ -684,24 +687,26 @@ fn spec_edit() -> impl Strategy<Value = (u8, usize, usize, char)> {
     )
 }
 
-fn mutate(spec: &str, edits: &[(u8, usize, usize, char)]) -> String {
-    let mut s: Vec<char> = spec.chars().collect();
-    for &(kind, at, len, c) in edits {
+/// Applies edits (see [`spec_edit`]) to a sequence of characters or
+/// bytes.
+fn mutate<T: Clone>(items: &[T], edits: &[(u8, usize, usize, T)]) -> Vec<T> {
+    let mut s = items.to_vec();
+    for (kind, at, len, c) in edits {
         let at = at % (s.len() + 1);
         match kind {
             0 if at < s.len() => {
                 s.remove(at);
             }
-            1 => s.insert(at, c),
-            2 if at < s.len() => s[at] = c,
+            1 => s.insert(at, c.clone()),
+            2 if at < s.len() => s[at] = c.clone(),
             _ => {
                 let end = (at + len).min(s.len());
-                let copy: Vec<char> = s[at..end].to_vec();
+                let copy = s[at..end].to_vec();
                 s.splice(at..at, copy);
             }
         }
     }
-    s.into_iter().collect()
+    s
 }
 
 /// Checks one parse outcome: an `Ok` plan survives rendering and
@@ -759,7 +764,8 @@ proptest! {
     ) {
         let spec = plan.spec();
         prop_assert_eq!(probranch_faults::FaultPlan::parse(&spec), Ok(plan));
-        check_parse(&mutate(&spec, &edits))?;
+        let chars: Vec<char> = spec.chars().collect();
+        check_parse(&mutate(&chars, &edits).into_iter().collect::<String>())?;
     }
 }
 
@@ -1102,5 +1108,225 @@ proptest! {
         let may_load = mutate_chunk_field(&mut file, &layout, c, field, pick, value, near);
         reseal(&mut file);
         prop_assert_eq!(load_both(&file, cfg, *hash)?, may_load);
+    }
+}
+
+// ---- framed protocol fuzzing ------------------------------------------
+
+/// Pieces request and response payloads are made of, plus a few that
+/// never belong.
+fn protocol_token() -> impl Strategy<Value = String> {
+    let words: Vec<String> = [
+        PROTOCOL,
+        "probranch-serve/2",
+        " ",
+        "\t",
+        "\n",
+        "\r\n",
+        "\n\n",
+        "=",
+        "ping",
+        "shutdown",
+        "sweep",
+        "section=",
+        "scale=",
+        "engine=",
+        "jobs=",
+        "deadline-ms=",
+        "fig6",
+        "smoke",
+        "reference",
+        "0",
+        "+7",
+        "-1",
+        "18446744073709551616",
+        "ok",
+        "overloaded",
+        "shutting-down",
+        "bad-request",
+        "cancelled",
+        "failed",
+        "é",
+        "\u{85}",
+        "\u{2028}",
+        "",
+    ]
+    .iter()
+    .map(|w| w.to_string())
+    .collect();
+    prop_oneof![
+        proptest::sample::select(words),
+        any::<u32>()
+            .prop_map(|c| char::from_u32(c % 0x11_0000).map_or_else(String::new, String::from)),
+    ]
+}
+
+/// A request that encodes and parses back to itself: its values hold no
+/// line break and end in no whitespace, which the parser trims.
+fn valid_request() -> impl Strategy<Value = Request> {
+    fn value(extra: &[&'static str]) -> impl Strategy<Value = String> {
+        let mut words = vec!["fig6", "table3", "bench", "replay", "a=b", " é", "x\ry"];
+        words.extend_from_slice(extra);
+        proptest::sample::select(words).prop_map(String::from)
+    }
+    let sweep = (
+        value(&[]),
+        value(&[""]),
+        value(&[""]),
+        prop_oneof![Just(None), any::<usize>().prop_map(Some)],
+        prop_oneof![Just(None), any::<u64>().prop_map(Some)],
+    )
+        .prop_map(|(section, scale, engine, jobs, deadline_ms)| {
+            Request::Sweep(SweepRequest {
+                section,
+                scale,
+                engine,
+                jobs,
+                deadline_ms,
+            })
+        });
+    prop_oneof![Just(Request::Ping), Just(Request::Shutdown), sweep]
+}
+
+/// One edit of a payload (see [`mutate`]).
+fn byte_edit() -> impl Strategy<Value = (u8, usize, usize, u8)> {
+    (0u8..4, any::<usize>(), 0usize..12, any::<u8>())
+}
+
+/// Checks both parsers on one payload: an `Ok` request or response
+/// re-encodes to bytes that parse back to itself, and an `Err` is one
+/// non-empty line, fit for a `bad-request` body or a client message.
+fn check_payload(payload: &[u8]) -> Result<(), TestCaseError> {
+    let one_line = |msg: &str| !msg.is_empty() && !msg.contains('\n');
+    match Request::parse(payload) {
+        Ok(req) => prop_assert_eq!(Request::parse(&req.encode()), Ok(req)),
+        Err(msg) => prop_assert!(one_line(&msg), "request error {:?}", msg),
+    }
+    match Response::parse(payload) {
+        Ok(resp) => prop_assert_eq!(Response::parse(&resp.encode()), Ok(resp)),
+        Err(msg) => prop_assert!(one_line(&msg), "response error {:?}", msg),
+    }
+    Ok(())
+}
+
+/// A reader that hands out at most `step` bytes per call, as a socket
+/// may.
+struct Trickle<'a> {
+    data: &'a [u8],
+    step: usize,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.step).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// What `read_frame` must make of the stream `rest`: the payload and the
+/// bytes its frame spans when the header and every byte it claims are
+/// there, else the error kind.
+fn frame_model(rest: &[u8]) -> Result<(&[u8], usize), std::io::ErrorKind> {
+    use std::io::ErrorKind;
+    let head = rest.get(..4).ok_or(ErrorKind::UnexpectedEof)?;
+    let len = u32::from_le_bytes(head.try_into().unwrap()) as usize;
+    if len > MAX_FRAME {
+        return Err(ErrorKind::InvalidData);
+    }
+    let payload = rest.get(4..4 + len).ok_or(ErrorKind::UnexpectedEof)?;
+    Ok((payload, 4 + len))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn protocol_parsers_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..160)
+    ) {
+        check_payload(&bytes)?;
+    }
+
+    #[test]
+    fn protocol_parsers_round_trip_shaped_payloads(
+        headed in any::<bool>(),
+        tokens in proptest::collection::vec(protocol_token(), 0..16)
+    ) {
+        let head = if headed { PROTOCOL } else { "" };
+        check_payload(format!("{head}{}", tokens.concat()).as_bytes())?;
+    }
+
+    #[test]
+    fn protocol_parsers_round_trip_valid_and_mutated_encodings(
+        req in valid_request(),
+        status in 0usize..6,
+        body in proptest::collection::vec(protocol_token(), 0..8),
+        edits in proptest::collection::vec(byte_edit(), 0..5)
+    ) {
+        let statuses = [
+            Status::Ok,
+            Status::Overloaded,
+            Status::ShuttingDown,
+            Status::BadRequest,
+            Status::Cancelled,
+            Status::Failed,
+        ];
+        let resp = Response::new(statuses[status], body.concat());
+        prop_assert_eq!(Request::parse(&req.encode()), Ok(req.clone()));
+        prop_assert_eq!(Response::parse(&resp.encode()), Ok(resp.clone()));
+        check_payload(&mutate(&req.encode(), &edits))?;
+        check_payload(&mutate(&resp.encode(), &edits))?;
+    }
+
+    #[test]
+    fn read_frame_returns_whole_frames_or_an_error(
+        frames in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..48), 0u8..3, any::<u32>()),
+            0..5,
+        ),
+        tail in proptest::collection::vec(any::<u8>(), 0..16),
+        cut in any::<usize>(),
+        step in 1usize..9,
+    ) {
+        // Frames as the writer lays them out, some with a header that
+        // claims more bytes than follow or an arbitrary length, then
+        // stray bytes, the whole stream cut anywhere and read a few
+        // bytes at a time. Each read must return a frame's whole payload
+        // or fail: an over-cap length as `InvalidData`, a header or
+        // payload cut short as `UnexpectedEof`, never a short payload.
+        let mut stream = Vec::new();
+        for (payload, edit, word) in &frames {
+            write_frame(&mut stream, payload).unwrap();
+            let at = stream.len() - payload.len() - 4;
+            let claim = match edit {
+                1 => payload.len() as u32 + 1 + word % 16,
+                2 => *word,
+                _ => continue,
+            };
+            stream[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+        }
+        stream.extend_from_slice(&tail);
+        stream.truncate(cut % (stream.len() + 1));
+        let mut reader = Trickle { data: &stream, step };
+        let mut at = 0;
+        loop {
+            match (read_frame(&mut reader), frame_model(&stream[at..])) {
+                (Ok(got), Ok((want, spans))) => {
+                    prop_assert_eq!(&got[..], want);
+                    at += spans;
+                }
+                (Err(e), Err(kind)) => {
+                    prop_assert_eq!(e.kind(), kind, "{}", e);
+                    break;
+                }
+                (got, want) => {
+                    return Err(TestCaseError::fail(format!(
+                        "at byte {at}: read {got:?}, want {want:?}"
+                    )));
+                }
+            }
+        }
     }
 }
