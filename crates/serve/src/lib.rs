@@ -18,12 +18,17 @@
 //!   [`Status::Overloaded`] response immediately (load-shedding, never
 //!   accept-then-hang), and every connection carries read/write
 //!   timeouts so a stalled peer cannot pin a worker.
-//! * **Request coalescing** — concurrent identical sweep requests
-//!   share one computation: the first becomes the leader, later
-//!   arrivals wait on its result and are counted
-//!   ([`StatsSnapshot::coalesced`]). Together with the trace store's
-//!   per-key capture locks, N concurrent requests for one emulation
-//!   key perform exactly one capture.
+//! * **Request coalescing** — identical sweep requests (same section,
+//!   scale and engine: [`SweepRequest::coalesce_key`]) share one
+//!   computation: the first becomes the leader, later arrivals wait on
+//!   its result and are counted ([`StatsSnapshot::coalesced`]). An `Ok`
+//!   outcome is kept for the server's lifetime, so a repeated request
+//!   is answered from memory; cancelled, failed and bad requests are
+//!   not kept, so retries recompute. Handlers must therefore be
+//!   deterministic in the key, and the kept outcomes are bounded by the
+//!   keys a handler accepts. Together with the trace store's per-key
+//!   capture locks, N concurrent requests for one emulation key perform
+//!   exactly one capture.
 //! * **Cooperative cancellation** — requests carry an optional
 //!   deadline the handler turns into a `CancelToken`; the pipeline's
 //!   chunk loops poll it, so an expired request stops consuming CPU

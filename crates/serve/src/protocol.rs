@@ -53,12 +53,15 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame's payload.
+/// Reads one frame's payload. The buffer grows as payload bytes
+/// arrive, so a header that claims [`MAX_FRAME`] and then stalls pins
+/// no more memory than the bytes actually sent.
 ///
 /// # Errors
 ///
 /// Propagates the underlying reader's errors (including read
-/// timeouts); a length over [`MAX_FRAME`] fails with `InvalidData`.
+/// timeouts); a length over [`MAX_FRAME`] fails with `InvalidData`,
+/// and a stream that ends inside the payload with `UnexpectedEof`.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -69,8 +72,14 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
             format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame payload ended after {} of {len} bytes", payload.len()),
+        ));
+    }
     Ok(payload)
 }
 
@@ -91,18 +100,14 @@ pub struct SweepRequest {
 }
 
 impl SweepRequest {
-    /// The coalescing key: everything that shapes the response bytes.
-    /// The deadline is deliberately excluded — it shapes whether the
-    /// sweep finishes, not what it prints.
+    /// The coalescing key: the section, scale and engine. The deadline
+    /// and the worker count are deliberately excluded: the deadline
+    /// shapes whether the sweep finishes, not what it prints, and the
+    /// printed bytes are identical for every worker count. Requests
+    /// that differ only in them share one computation and its kept
+    /// outcome.
     pub fn coalesce_key(&self) -> String {
-        format!(
-            "{}/{}/{}/{}",
-            self.section,
-            self.scale,
-            self.engine,
-            self.jobs
-                .map_or_else(|| "default".into(), |j| j.to_string()),
-        )
+        format!("{}/{}/{}", self.section, self.scale, self.engine)
     }
 }
 
@@ -327,6 +332,43 @@ mod tests {
         );
     }
 
+    /// Serves `data` as fast as it is asked for, then EOF, and records
+    /// the largest buffer it is handed.
+    struct Recording<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_short_payload_allocates_only_what_arrived() {
+        // A header claiming the whole cap, then a few hundred bytes.
+        let mut served = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        served.extend_from_slice(&[b'x'; 300]);
+        let mut reader = Recording {
+            data: &served,
+            largest: 0,
+        };
+        assert_eq!(
+            read_frame(&mut reader).unwrap_err().kind(),
+            std::io::ErrorKind::UnexpectedEof
+        );
+        assert!(
+            reader.largest < 64 << 10,
+            "read_frame handed the reader a {}-byte buffer for 300 payload bytes",
+            reader.largest
+        );
+    }
+
     #[test]
     fn requests_round_trip() {
         let reqs = [
@@ -390,7 +432,19 @@ mod tests {
         let key = a.coalesce_key();
         a.deadline_ms = None;
         assert_eq!(a.coalesce_key(), key);
+        // Stdout is byte-identical across worker counts, so the worker
+        // count does not split the key either.
+        for jobs in [None, Some(0), Some(1), Some(64)] {
+            a.jobs = jobs;
+            assert_eq!(a.coalesce_key(), key);
+        }
         a.section = "fig7".into();
+        assert_ne!(a.coalesce_key(), key);
+        a.section = "fig6".into();
+        a.scale = "bench".into();
+        assert_ne!(a.coalesce_key(), key);
+        a.scale = "smoke".into();
+        a.engine = "reference".into();
         assert_ne!(a.coalesce_key(), key);
     }
 }

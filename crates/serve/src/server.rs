@@ -90,8 +90,9 @@ struct Stats {
 pub struct StatsSnapshot {
     /// Sweep requests admitted past the load-shedding gate.
     pub requests: u64,
-    /// Admitted requests that shared a leader's in-flight computation
-    /// instead of running their own.
+    /// Admitted requests that ran no computation of their own: they
+    /// shared a leader's in-flight computation, or took the kept `Ok`
+    /// outcome of an earlier identical request.
     pub coalesced: u64,
     /// Requests rejected with [`Status::Overloaded`].
     pub shed: u64,
@@ -112,7 +113,8 @@ impl StatsSnapshot {
 }
 
 /// One coalescing cell: the leader publishes its outcome here and
-/// wakes the waiters.
+/// wakes the waiters. A cell holding an `Ok` outcome stays in the map
+/// and answers every later identical request.
 type CoalesceCell = Arc<(Mutex<Option<SweepOutcome>>, Condvar)>;
 
 /// The sweep server. [`Server::run`] blocks until a drain completes;
@@ -167,6 +169,11 @@ impl Server {
     /// and no sweep is in flight, it stops the acceptor and wakes it
     /// with one connect to the listener's own port.
     ///
+    /// `handler` must be deterministic in
+    /// [`SweepRequest::coalesce_key`]: the server keeps each `Ok`
+    /// outcome and answers every later request with the same key from
+    /// it, without calling `handler` again.
+    ///
     /// # Errors
     ///
     /// Only fatal listener setup errors; per-connection failures are
@@ -178,7 +185,8 @@ impl Server {
         let wake = self.wake_addr()?;
         // Admitted sweeps currently running — the drain gate.
         let inflight = AtomicUsize::new(0);
-        // Leader cells for in-flight coalescable requests.
+        // Leader cells of in-flight sweeps and kept `Ok` outcomes, by
+        // coalescing key.
         let coalesce: Mutex<HashMap<String, CoalesceCell>> = Mutex::new(HashMap::new());
         // Set by the drain gate; the next accepted connection is its
         // wake-up, not a client.
@@ -350,10 +358,19 @@ impl Server {
         outcome.into_response()
     }
 
-    /// Runs the handler once per concurrent identical request: the
-    /// first arrival for a key leads and computes; later arrivals wait
-    /// on the leader's cell and share its outcome (all responses are
-    /// byte-identical — sweeps are deterministic).
+    /// Runs the handler once per coalescing key
+    /// ([`SweepRequest::coalesce_key`]: section, scale and engine) for
+    /// as long as it answers `Ok`: the first arrival for a key leads and
+    /// computes; later arrivals wait on the leader's cell, or find its
+    /// outcome already there, and share it. The handler must be
+    /// deterministic in the key, as the sweeps are, so every response is
+    /// byte-identical and an `Ok` cell is kept for the server's
+    /// lifetime. The map is bounded by the keys the handler accepts —
+    /// for `figures`, 10 sections × 3 scales × 2 engines. A
+    /// `Cancelled`, `Failed` or `BadRequest` outcome leaves the map
+    /// before it is published, so the next identical request runs the
+    /// handler again, and unknown names sent by clients never stay in
+    /// the map.
     fn coalesced_sweep<H>(
         &self,
         req: &SweepRequest,
@@ -377,14 +394,12 @@ impl Server {
         };
         if leader {
             let outcome = handler(req);
-            {
-                let mut slot = lock(&cell.0);
-                *slot = Some(outcome.clone());
-                cell.1.notify_all();
+            if !matches!(outcome, SweepOutcome::Ok(_)) {
+                lock(coalesce).remove(&key);
             }
-            // Arrivals after this point start a fresh computation —
-            // determinism makes that merely wasteful, never wrong.
-            lock(coalesce).remove(&key);
+            let mut slot = lock(&cell.0);
+            *slot = Some(outcome.clone());
+            cell.1.notify_all();
             outcome
         } else {
             self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -412,9 +427,11 @@ mod tests {
     use crate::client;
     use crate::protocol::PROTOCOL;
 
+    /// Answers `{body}:{section}`, or a bad request for a section
+    /// named `missing…`.
     fn canned(body: &str) -> impl Fn(&SweepRequest) -> SweepOutcome + Sync + '_ {
         move |req| {
-            if req.section == "missing" {
+            if req.section.starts_with("missing") {
                 SweepOutcome::BadRequest("unknown section".into())
             } else {
                 SweepOutcome::Ok(format!("{body}:{}", req.section))
@@ -422,14 +439,35 @@ mod tests {
         }
     }
 
-    fn sweep(section: &str) -> Request {
-        Request::Sweep(SweepRequest {
+    /// [`canned`] with body `body`, counting its calls in `calls`.
+    fn counted(calls: &AtomicUsize) -> impl Fn(&SweepRequest) -> SweepOutcome + Sync + '_ {
+        let inner = canned("body");
+        move |req| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            inner(req)
+        }
+    }
+
+    fn sweep_request(section: &str) -> SweepRequest {
+        SweepRequest {
             section: section.into(),
             scale: "smoke".into(),
             engine: "replay".into(),
             jobs: Some(1),
             deadline_ms: None,
-        })
+        }
+    }
+
+    fn sweep(section: &str) -> Request {
+        Request::Sweep(sweep_request(section))
+    }
+
+    /// Sends `req` and returns its status and body, or `None` if the
+    /// transport failed — for bodies that assert after the drain.
+    fn answer(addr: SocketAddr, req: &Request) -> Option<(Status, String)> {
+        client::request(addr, req, Duration::from_secs(5))
+            .ok()
+            .map(|resp| (resp.status, resp.body))
     }
 
     /// Holds the process-wide fault lock with no plan armed. Fault plans
@@ -440,18 +478,19 @@ mod tests {
         faults::ScopedPlan::install(faults::FaultPlan::default())
     }
 
-    /// Binds a server on an ephemeral port, runs it on a scoped
-    /// thread, runs `body` against the address, then drains.
-    fn with_server<F>(config: ServerConfig, handler_body: &'static str, body: F) -> StatsSnapshot
+    /// Binds a server on an ephemeral port, runs it with `handler` on a
+    /// scoped thread, runs `body` against the address, then drains.
+    fn with_server<H, F>(config: ServerConfig, handler: H, body: F) -> StatsSnapshot
     where
-        F: FnOnce(std::net::SocketAddr),
+        H: Fn(&SweepRequest) -> SweepOutcome + Sync + Send,
+        F: FnOnce(SocketAddr),
     {
         let server = Server::bind("127.0.0.1:0", config).expect("bind");
         let addr = server.local_addr().expect("addr");
         let mut snapshot = StatsSnapshot::default();
         std::thread::scope(|scope| {
             let server = &server;
-            let run = scope.spawn(move || server.run(canned(handler_body)).expect("run"));
+            let run = scope.spawn(move || server.run(handler).expect("run"));
             assert!(client::wait_ready(addr, Duration::from_secs(5)));
             body(addr);
             // The body may have drained the server already; a failed
@@ -467,7 +506,7 @@ mod tests {
     #[test]
     fn serves_sweeps_pings_and_bad_requests() {
         let _quiesce = quiesce();
-        let stats = with_server(ServerConfig::default(), "body", |addr| {
+        let stats = with_server(ServerConfig::default(), canned("body"), |addr| {
             let resp =
                 client::request(addr, &sweep("fig6"), Duration::from_secs(5)).expect("sweep");
             assert_eq!(resp.status, Status::Ok);
@@ -489,7 +528,7 @@ mod tests {
     #[test]
     fn draining_rejects_new_sweeps_with_shutting_down() {
         let _quiesce = quiesce();
-        with_server(ServerConfig::default(), "body", |addr| {
+        with_server(ServerConfig::default(), canned("body"), |addr| {
             let resp = client::request(addr, &Request::Shutdown, Duration::from_secs(5))
                 .expect("shutdown");
             assert_eq!(resp.status, Status::Ok);
@@ -629,7 +668,7 @@ mod tests {
             1.0,
             2,
         ));
-        let stats = with_server(ServerConfig::default(), "body", |addr| {
+        let stats = with_server(ServerConfig::default(), canned("body"), |addr| {
             let resp = client::request_with_retry(addr, &sweep("fig6"), Duration::from_secs(5), 5)
                 .expect("retries heal injected drops");
             assert_eq!(resp.status, Status::Ok);
@@ -642,7 +681,7 @@ mod tests {
     fn back_to_back_pings_are_answered_without_an_accept_tick() {
         let _quiesce = quiesce();
         let mut elapsed = Duration::ZERO;
-        with_server(ServerConfig::default(), "body", |addr| {
+        with_server(ServerConfig::default(), canned("body"), |addr| {
             let t0 = std::time::Instant::now();
             for _ in 0..50 {
                 let resp =
@@ -734,5 +773,105 @@ mod tests {
             let stats = run.join().expect("server");
             assert_eq!((stats.requests, stats.shed), (1, 0));
         });
+    }
+
+    #[test]
+    fn sequential_identical_sweeps_run_the_handler_once() {
+        let _quiesce = quiesce();
+        let calls = AtomicUsize::new(0);
+        let mut answers = Vec::new();
+        let stats = with_server(ServerConfig::default(), counted(&calls), |addr| {
+            for section in ["fig6", "fig6", "fig7", "fig6", "fig7"] {
+                answers.push(answer(addr, &sweep(section)));
+            }
+        });
+        let ok = |section: &str| Some((Status::Ok, format!("body:{section}")));
+        assert_eq!(
+            answers,
+            [ok("fig6"), ok("fig6"), ok("fig7"), ok("fig6"), ok("fig7")]
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "one call per section");
+        assert_eq!((stats.requests, stats.coalesced), (5, 3));
+    }
+
+    #[test]
+    fn failed_and_cancelled_sweeps_run_again_on_the_next_request() {
+        let _quiesce = quiesce();
+        // fig6 fails and fig7 is cancelled on their first call; every
+        // later call answers ok.
+        let calls: Mutex<HashMap<String, usize>> = Mutex::default();
+        let handler = |req: &SweepRequest| {
+            let mut calls = lock(&calls);
+            let n = calls.entry(req.section.clone()).or_default();
+            *n += 1;
+            match (req.section.as_str(), *n) {
+                ("fig6", 1) => SweepOutcome::Failed("injected fault".into()),
+                ("fig7", 1) => SweepOutcome::Cancelled("deadline exceeded".into()),
+                _ => SweepOutcome::Ok(format!("body:{}", req.section)),
+            }
+        };
+        let mut statuses = Vec::new();
+        let stats = with_server(ServerConfig::default(), handler, |addr| {
+            for section in ["fig6", "fig6", "fig6", "fig7", "fig7", "fig7"] {
+                statuses.push(answer(addr, &sweep(section)).map(|(status, _)| status));
+            }
+        });
+        let [failed, cancelled, ok] = [Status::Failed, Status::Cancelled, Status::Ok].map(Some);
+        assert_eq!(statuses, [failed, ok, ok, cancelled, ok, ok]);
+        let calls = calls.into_inner().unwrap();
+        assert_eq!((calls["fig6"], calls["fig7"]), (2, 2));
+        let expected = StatsSnapshot {
+            requests: 6,
+            coalesced: 2,
+            shed: 0,
+            cancelled: 1,
+            failed: 1,
+        };
+        assert_eq!(stats, expected);
+    }
+
+    #[test]
+    fn requests_differing_only_in_jobs_or_deadline_share_one_computation() {
+        let _quiesce = quiesce();
+        let calls = AtomicUsize::new(0);
+        let mut answers = Vec::new();
+        let stats = with_server(ServerConfig::default(), counted(&calls), |addr| {
+            for (jobs, deadline_ms) in [(Some(1), None), (Some(4), None), (None, Some(60_000))] {
+                let req = SweepRequest {
+                    jobs,
+                    deadline_ms,
+                    ..sweep_request("fig6")
+                };
+                answers.push(answer(addr, &Request::Sweep(req)));
+            }
+        });
+        let ok = Some((Status::Ok, "body:fig6".to_string()));
+        assert_eq!(answers, [ok.clone(), ok.clone(), ok]);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!((stats.requests, stats.coalesced), (3, 2));
+    }
+
+    #[test]
+    fn unknown_sections_are_never_kept() {
+        let _quiesce = quiesce();
+        let calls = AtomicUsize::new(0);
+        let mut statuses = Vec::new();
+        // N distinct unknown names, each sent twice.
+        let n = 5;
+        let stats = with_server(ServerConfig::default(), counted(&calls), |addr| {
+            for _ in 0..2 {
+                for i in 0..n {
+                    let section = format!("missing-{i}");
+                    statuses.push(answer(addr, &sweep(&section)).map(|(status, _)| status));
+                }
+            }
+        });
+        assert_eq!(statuses, vec![Some(Status::BadRequest); 2 * n]);
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            2 * n,
+            "every bad request runs the handler"
+        );
+        assert_eq!((stats.requests, stats.coalesced), (2 * n as u64, 0));
     }
 }

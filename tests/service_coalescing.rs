@@ -3,14 +3,18 @@
 //! produce byte-identical bodies, match the in-process rendering
 //! exactly, and — the shared-pool invariant — perform no more captures
 //! than a single request would. Requests naming an engine the service
-//! does not run are rejected before any work.
+//! does not run are rejected before any work. A served sweep sequence
+//! repeated on one server is answered from the kept outcomes, so the
+//! warm pool under it is checked in process here.
 
 use std::time::Duration;
 
 use probranch_bench::experiments::{self, Engine, ExperimentScale};
 use probranch_bench::service;
 use probranch_harness::Jobs;
-use probranch_serve::{request, Request, Server, ServerConfig, Status, SweepOutcome, SweepRequest};
+use probranch_serve::{
+    request, Request, Server, ServerConfig, Status, SweepOutcome, SweepRequest, SECTIONS,
+};
 
 fn fig6_request() -> Request {
     Request::Sweep(SweepRequest {
@@ -143,4 +147,38 @@ fn removed_engine_names_are_bad_requests() {
         }
     }
     assert_eq!(ctx.captures(), 0, "a rejected request runs nothing");
+}
+
+#[test]
+fn a_warm_context_renders_every_section_like_a_fresh_one() {
+    // The second pass runs over the warm pool — prediction tapes, the
+    // grid memo and pooled functional results — which a server's kept
+    // outcomes no longer reach on repeated requests.
+    let render = |ctx: &experiments::Context| -> Vec<String> {
+        SECTIONS
+            .iter()
+            .map(|section| {
+                service::section_text(
+                    section,
+                    ExperimentScale::Smoke,
+                    Jobs::new(2),
+                    Engine::Replay,
+                    ctx,
+                )
+                .expect("SECTIONS names known sections")
+            })
+            .collect()
+    };
+    let fresh = render(&experiments::Context::new());
+    let ctx = experiments::Context::new();
+    let cold = render(&ctx);
+    let (keys, captures) = (ctx.keys(), ctx.captures());
+    let warm = render(&ctx);
+    assert_eq!(cold, fresh, "the first pass differs from a fresh context's");
+    assert_eq!(warm, fresh, "the warm pass differs from a fresh context's");
+    assert_eq!(
+        (ctx.keys(), ctx.captures()),
+        (keys, captures),
+        "the warm pass must add no key and no capture"
+    );
 }
