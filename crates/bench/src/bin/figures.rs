@@ -4,9 +4,9 @@
 //! cargo run -p probranch-bench --bin figures --release -- --scale bench --jobs 8
 //! ```
 //!
-//! Scales: `smoke` (about 0.2 s), `bench` (default, 2.4–3.0 s with
-//! one worker), `paper` (figure-quality, 12–16 s with one worker),
-//! measured on a 2-vCPU VM. The scale can also be set through the
+//! Scales: `smoke` (about 0.2 s), `bench` (default, 1.1–1.8 s with
+//! one worker), `paper` (figure-quality, 6.9–8.1 s with one worker),
+//! measured on a 2-vCPU VM whose speed swings by tens of percent. The scale can also be set through the
 //! `PROBRANCH_SCALE` environment variable; the flag wins when both are
 //! given.
 //!

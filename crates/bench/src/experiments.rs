@@ -61,9 +61,9 @@ use probranch_workloads::{BenchmarkId, HostRng, McInteg, Pi, Scale};
 pub enum ExperimentScale {
     /// Smoke runs: the full sweep in about 0.2 s.
     Smoke,
-    /// Default: the full sweep in 2.4–3.0 s on one worker of a 2-vCPU VM.
+    /// Default: the full sweep in 1.1–1.8 s on one worker of a 2-vCPU VM.
     Bench,
-    /// Figure-quality runs: 12–16 s on one worker of the same VM.
+    /// Figure-quality runs: 6.9–8.1 s on one worker of the same VM.
     Paper,
 }
 

@@ -964,7 +964,7 @@ impl<K: Eq + Hash> EngineContext<K> {
         let mut attempt = 0u64;
         loop {
             match DynTrace::load_file(&path, content_hash, config, attempt) {
-                TraceLoad::Loaded(trace) => return Some(trace),
+                TraceLoad::Loaded(trace) => return Some(*trace),
                 TraceLoad::Missing => return None,
                 TraceLoad::Stale => {
                     self.stale_rejected.fetch_add(1, Ordering::Relaxed);
@@ -1641,8 +1641,8 @@ mod tests {
         );
         // Demoted keys stay pooled, re-served through the file map with
         // their owned record streams dropped: a mapped trace owns its
-        // timing table and architectural results, and nothing else — no
-        // chunk stream and no request stream.
+        // timing and flow tables and architectural results, and nothing
+        // else — no chunk stream and no request stream.
         let mapped: Vec<_> = seeds
             .iter()
             .filter_map(|&s| bounded.peek(&(B::Pi, s, false)))
@@ -1655,6 +1655,7 @@ mod tests {
         for t in &mapped {
             let f = t.functional();
             let owned = std::mem::size_of_val(t.timings())
+                + t.flow().bytes()
                 + f.prob_consumed.capacity() * 8
                 + f.outputs
                     .iter()

@@ -16,10 +16,11 @@
 //!   per block. The PBS probes (`prob_cmp`, `prob_jmp_push`/`quiet`)
 //!   run inside bodies like any straight-line op;
 //! * under the capture sink, body records bulk-append into the SoA
-//!   [`TraceChunk`] as one consecutive-pc span through the chunk's
-//!   writer (`TraceChunk::begin_fill`) instead of per-record pushes: no
-//!   fetch stalls (see the warmth rule below), no branch bytes, and the
-//!   latencies of the loads the body actually executed;
+//!   [`TraceChunk`] as one span through the chunk's writer
+//!   (`TraceChunk::begin_fill`) instead of per-record pushes: no fetch
+//!   stalls (see the warmth rule below), no branch bytes, no pcs (the
+//!   trace's flow table derives them), and the latencies of the loads
+//!   the body actually executed;
 //! * the terminator, a control op, runs through
 //!   [`Emulator::exec_control`]: its condition, call-stack or `PROB_JMP`
 //!   resolution, the pc redirect and the PBS context update, then one
@@ -94,7 +95,8 @@ use crate::cancel::CANCEL_STRIDE;
 use crate::decode::{DecOp, DecodedProgram, InstTiming};
 use crate::machine::{alu_eval, fp_bin_eval, BranchEvent, BranchEventKind, EmuError, Emulator};
 use crate::trace::{
-    encode_branch, record_costs, ChunkWriter, TraceChunk, TraceStream, TRACE_CHUNK_RECORDS,
+    encode_branch, record_costs, ChunkWriter, FlowState, TraceChunk, TraceStream,
+    TRACE_CHUNK_RECORDS,
 };
 
 /// How the capture loop executes the guest program, for trace capture
@@ -475,11 +477,11 @@ pub(crate) trait Sink {
     /// [`straight`](Sink::straight) call reports touched `addr`; a
     /// span's loads report in order.
     fn load(&mut self, addr: u64);
-    /// The `n` straight-line instructions at `start..start + n` retired.
-    fn straight(&mut self, start: u32, n: u32);
-    /// The control instruction at `pc` retired, with its packed branch
-    /// byte.
-    fn branch(&mut self, pc: u32, byte: u8);
+    /// The next `n` straight-line instructions retired.
+    fn straight(&mut self, n: u32);
+    /// The next instruction, a control op, retired with its packed
+    /// branch byte.
+    fn branch(&mut self, byte: u8);
     /// Single-steps one instruction of a machine that has not halted.
     fn step(&mut self, emu: &mut Emulator) -> Result<(), EmuError>;
 }
@@ -538,16 +540,16 @@ impl Sink for CaptureSink<'_, '_> {
     }
 
     #[inline(always)]
-    fn straight(&mut self, start: u32, n: u32) {
-        self.w.emit_straight(start, n);
+    fn straight(&mut self, n: u32) {
+        self.w.emit_straight(n);
     }
 
     /// A terminator's line is covered by the warmth rule (`istall = 0`,
     /// exactly what a single step would pre-simulate for a resident
     /// line) and a branch is never a load.
     #[inline(always)]
-    fn branch(&mut self, pc: u32, byte: u8) {
-        self.w.emit_record(pc, byte, 0);
+    fn branch(&mut self, byte: u8) {
+        self.w.emit_record(byte, 0);
     }
 
     #[inline(always)]
@@ -563,8 +565,7 @@ impl Sink for CaptureSink<'_, '_> {
             if let Some(dlat) = dlat {
                 self.w.load(dlat);
             }
-            self.w
-                .emit_record(rec.pc, encode_branch(rec.branch), istall);
+            self.w.emit_record(encode_branch(rec.branch), istall);
         }
         Ok(())
     }
@@ -590,10 +591,10 @@ impl Sink for FunctionalSink {
     fn load(&mut self, _: u64) {}
 
     #[inline(always)]
-    fn straight(&mut self, _: u32, _: u32) {}
+    fn straight(&mut self, _: u32) {}
 
     #[inline(always)]
-    fn branch(&mut self, _: u32, _: u8) {}
+    fn branch(&mut self, _: u8) {}
 
     #[inline(always)]
     fn step(&mut self, emu: &mut Emulator) -> Result<(), EmuError> {
@@ -671,7 +672,7 @@ fn exec_block<S: Sink>(
                     // records and land the machine on the faulting
                     // instruction — indistinguishable from `done`
                     // single steps followed by the same fault.
-                    sink.straight(start, done);
+                    sink.straight(done);
                     emu.commit_straight(start + done, done as u64);
                     return Err(e);
                 }
@@ -683,14 +684,14 @@ fn exec_block<S: Sink>(
         }
     }
     debug_assert_eq!(done, b.body_len);
-    sink.straight(start, done);
+    sink.straight(done);
     emu.commit_straight(start + done, done as u64);
     let Some(op) = b.term else {
         return Ok(());
     };
     let pc = start + done;
     let event = emu.exec_control(op, pc)?;
-    sink.branch(pc, encode_branch(Some(event)));
+    sink.branch(encode_branch(Some(event)));
     Ok(())
 }
 
@@ -916,19 +917,19 @@ fn exec_argmax<S: Sink>(
         let addr = match emu.load_checked(sp.pulls, sp.i, sp.off_pulls, p0 + 1) {
             Ok(a) => a,
             Err(e) => {
-                sink.straight(p0, 1);
+                sink.straight(1);
                 emu.commit_straight(p0 + 1, 1);
                 return Err(e);
             }
         };
         sink.load(addr);
-        sink.straight(p0, 2);
+        sink.straight(2);
         emu.commit_straight(p0 + 2, 2);
         // head+2: pulled test (forward branch: PBS no-op).
         let (op1, fp1, imm1) = sp.br_pulled;
         let pulled = emu.cmp_ri(op1, fp1, sp.pulls, imm1);
         emu.commit_term_branch(p0 + 2, p0 + 5, pulled);
-        sink.branch(p0 + 2, if pulled { taken_byte } else { not_byte });
+        sink.branch(if pulled { taken_byte } else { not_byte });
         if pulled {
             // head+5..9: wins load, two itofs, fdiv — the shared
             // datapath expressions, in op order.
@@ -945,7 +946,7 @@ fn exec_argmax<S: Sink>(
                 )
                 .to_bits();
             }
-            sink.straight(p0 + 5, 4);
+            sink.straight(4);
             emu.commit_straight(p0 + 9, 4);
         } else {
             // head+3..5: optimistic score, jump to the compare.
@@ -953,21 +954,21 @@ fn exec_argmax<S: Sink>(
                 let regs = emu.regs_mut();
                 regs[sp.score.index()] = regs[sp.one.index()];
             }
-            sink.straight(p0 + 3, 1);
+            sink.straight(1);
             emu.commit_straight(p0 + 4, 1);
             emu.commit_term_branch(p0 + 4, p0 + 9, true);
-            sink.branch(p0 + 4, jmp_byte);
+            sink.branch(jmp_byte);
         }
         // head+9: skip-update test (forward branch: PBS no-op).
         let (op2, fp2) = sp.br_skip;
         let skip = emu.cmp_rr(op2, fp2, sp.score, sp.best_v);
         emu.commit_term_branch(p0 + 9, p0 + 12, skip);
-        sink.branch(p0 + 9, if skip { taken_byte } else { not_byte });
+        sink.branch(if skip { taken_byte } else { not_byte });
         if !skip {
             let regs = emu.regs_mut();
             regs[sp.best_v.index()] = regs[sp.score.index()];
             regs[sp.best_i.index()] = regs[sp.k.index()];
-            sink.straight(p0 + 10, 2);
+            sink.straight(2);
             emu.commit_straight(p0 + 12, 2);
         }
         // head+12: counter step.
@@ -975,13 +976,13 @@ fn exec_argmax<S: Sink>(
             let regs = emu.regs_mut();
             regs[sp.k.index()] = alu_eval(AluOp::Add, regs[sp.k.index()], sp.add_imm);
         }
-        sink.straight(p0 + 12, 1);
+        sink.straight(1);
         emu.commit_straight(p0 + 13, 1);
         // head+13: the back edge — the one branch PBS observes.
         let (op3, fp3, imm3) = sp.br_back;
         let again = emu.cmp_ri(op3, fp3, sp.k, imm3);
         emu.commit_term_branch(p0 + 13, p0, again);
-        sink.branch(p0 + 13, if again { taken_byte } else { not_byte });
+        sink.branch(if again { taken_byte } else { not_byte });
         if !again || end - emu.executed() < ARGMAX_ITER_RECORDS {
             return Ok(());
         }
@@ -1028,7 +1029,7 @@ impl TraceStream {
             warm_blocks,
             ..
         } = self;
-        let mut w = chunk.begin_fill();
+        let mut w = chunk.begin_fill(emu.pc(), emu.call_stack());
         // Every retired instruction is one record, so the chunk budget
         // ends the loop at `budget` more executed instructions.
         let end = emu.executed() + budget;
@@ -1040,14 +1041,20 @@ impl TraceStream {
             pcs_per_line: *pcs_per_line,
             warm_blocks,
         };
-        // Run the dispatch loop to completion or first error, then close
-        // the chunk either way — a fault must leave it holding exactly
-        // the records emitted before it.
+        // Run the dispatch loop to completion or first error. The writer
+        // counts records into the chunk as they come, so a fault leaves
+        // it holding exactly the records emitted before it.
         let run = dispatch(emu, blocks, end, &mut sink);
-        let (written, open_run) = w.finish();
-        chunk.end_fill(written, open_run);
+        debug_assert_eq!(
+            self.flow.derive(chunk, usize::MAX, &mut ()),
+            Some(FlowState {
+                pc: self.emu.pc(),
+                stack: self.emu.call_stack().to_vec(),
+            }),
+            "a captured chunk's derived exit state is the emulator's"
+        );
         run?;
-        if written == 0 {
+        if chunk.is_empty() {
             self.halted = true;
             return Ok(false);
         }

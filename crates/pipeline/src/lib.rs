@@ -99,5 +99,6 @@ pub use persist::{sweep_old_quarantined, sweep_stale_temps, TraceLoad, TRACE_FIL
 pub use sim::{run_functional, EngineKind, PredictorChoice, SimConfig, SimReport, Simulation};
 pub use tape::{PredTape, TapeKey};
 pub use trace::{
-    DynTrace, ReplayConsumer, TraceChunk, TraceFunctional, TraceStream, TRACE_CHUNK_RECORDS,
+    DynTrace, FlowTable, ReplayConsumer, TraceChunk, TraceFunctional, TraceStream,
+    TRACE_CHUNK_RECORDS,
 };

@@ -790,19 +790,32 @@ impl Emulator {
             branch: None,
             mem_addr: StepRecord::NO_ADDR,
         };
-        match self.decoded.fetch(pc).op {
-            DecOp::Out { src, port } => self.outputs.push(port, self.regs[src.index()]),
-            DecOp::Halt => self.halted = true,
-            op if op.is_control() => {
-                rec.branch = Some(self.exec_control(op, pc)?);
-                return Ok(Some(rec));
-            }
-            op => {
-                if let Some(addr) = self.exec_straight_op(op, pc)? {
-                    rec.mem_addr = addr;
+        // One arm per variant: each arm knows its op's variant, so the
+        // match in `exec_control` or `exec_straight_op` folds into this
+        // one and a single step dispatches once. An arm per group of
+        // variants would leave a second dispatch inside the callee.
+        macro_rules! one_arm_per_variant {
+            ($($control:ident),*; $($straight:ident),*) => {
+                match self.decoded.fetch(pc).op {
+                    DecOp::Out { src, port } => self.outputs.push(port, self.regs[src.index()]),
+                    DecOp::Halt => self.halted = true,
+                    $(op @ DecOp::$control { .. } => {
+                        rec.branch = Some(self.exec_control(op, pc)?);
+                        return Ok(Some(rec));
+                    })*
+                    $(op @ DecOp::$straight { .. } => {
+                        if let Some(addr) = self.exec_straight_op(op, pc)? {
+                            rec.mem_addr = addr;
+                        }
+                    })*
                 }
-            }
+            };
         }
+        one_arm_per_variant!(
+            Jf, BrRR, BrRI, Jmp, Call, Ret, ProbJmp;
+            AluRR, AluRI, Li, Mov, FpBin, FpUn, IntToFp, FpToInt, CMov, Load, Store,
+            CmpRR, CmpRI, ProbCmpRR, ProbCmpRI, ProbJmpPush, ProbJmpQuiet, Nop
+        );
         self.commit_straight(pc + 1, 1);
         Ok(Some(rec))
     }
@@ -811,6 +824,12 @@ impl Emulator {
     #[inline(always)]
     pub(crate) fn pc(&self) -> u32 {
         self.pc
+    }
+
+    /// The return addresses of the calls in progress, outermost first —
+    /// with [`pc`](Self::pc), a trace chunk's entry state.
+    pub(crate) fn call_stack(&self) -> &[u32] {
+        &self.call_stack
     }
 
     /// The architectural register file, for fragment-matched native

@@ -23,27 +23,33 @@
 //! `*.tmp.<pid>.<n>` files; [`sweep_stale_temps`] reaps those when the
 //! trace store opens.
 //!
-//! # Format v4 and zero-copy loads
+//! # Format v5 and zero-copy loads
 //!
-//! A chunk is stored as its record count, branch count, open-run
-//! length, load count and stall count, then its run lengths, branch
-//! bytes, run start pcs, load latencies, stall record indices and stall
-//! cycles: 9 bytes per branch, 1 per load and 5 per fetch stall, and
-//! nothing per record (README "File format (v4)" has the whole layout
+//! Beside the timing table, a file stores the program's flow table:
+//! each pc's control-op kind and static target. A chunk is stored as
+//! its record, branch, load and stall counts, its entry state (the pc
+//! of its first record and the return stack under it), then its branch
+//! bytes, load latencies, stall record indices and stall cycles: 1 byte
+//! per control record, 1 per load and 5 per fetch stall, and no pc and
+//! nothing per record (README "File format (v5)" has the whole layout
 //! and why). [`DynTrace::read_file`] memory-maps the file read-only and
 //! serves each chunk's streams as borrowed little-endian views over the
 //! map ([`TraceChunk::is_mapped`]), so a warm-start load materializes
-//! only the timing table and the architectural results. Validation is a
+//! only the two tables and the architectural results. Validation is a
 //! single pass: the whole-file digest, then what the chunk walk relies
-//! on — a chunk holds at most [`TRACE_CHUNK_RECORDS`] records, the runs
-//! tile the record count, every run ends inside the timing table (so
-//! every derived pc is in range), every branch byte decodes, the load
-//! count is the number of load pcs the runs cover, and the stalls sit at
-//! strictly increasing record indices below the record count with
-//! nonzero cycles. A count read from the file never reserves more
-//! memory than the bytes left could hold. [`DynTrace::read_file_owned`]
-//! decodes the same format into owned buffers, as the
-//! equivalence-testing and diagnostic path.
+//! on — every flow-table target lies inside the table; a chunk holds at
+//! most [`TRACE_CHUNK_RECORDS`] records; it enters where the previous
+//! chunk's records end (the first at pc 0 with an empty return stack);
+//! and the run derivation the walk runs ([`FlowTable::derive`])
+//! succeeds on it under the configuration's call depth: its runs tile
+//! the record count inside the table, every branch byte fits the
+//! control op it lands on, and no `ret` finds the stack empty. The load
+//! count is then the number of load pcs the derived runs cover, and the
+//! stalls sit at strictly increasing record indices below the record
+//! count with nonzero cycles. A count read from the file never reserves
+//! more memory than the bytes left could hold.
+//! [`DynTrace::read_file_owned`] decodes the same format into owned
+//! buffers, as the equivalence-testing and diagnostic path.
 
 use std::io::Write;
 use std::path::Path;
@@ -57,7 +63,8 @@ use probranch_rng::SplitMix64;
 use crate::decode::InstTiming;
 use crate::sim::SimConfig;
 use crate::trace::{
-    is_branch_byte, ByteView, DynTrace, TraceChunk, TraceFunctional, U32s, U8s, TRACE_CHUNK_RECORDS,
+    ByteView, DynTrace, FlowKind, FlowState, FlowTable, RunVisitor, TraceChunk, TraceFunctional,
+    U32s, U8s, TRACE_CHUNK_RECORDS,
 };
 
 /// File magic: identifies a probranch trace file.
@@ -68,13 +75,18 @@ const MAGIC: &[u8; 8] = b"PBTRACE\0";
 /// layout, re-versioned when the memory-mapped reader landed; v3 stores
 /// run start pcs in place of a pc per record; v4 drops the two latency
 /// bytes per record for one latency per load and a sparse list of
-/// fetch stalls.
-pub const TRACE_FILE_VERSION: u32 = 4;
+/// fetch stalls; v5 drops the run starts and lengths for a flow table
+/// and each chunk's entry state.
+pub const TRACE_FILE_VERSION: u32 = 5;
 
 /// A chunk's fixed header: its record, branch, load and stall counts
-/// (u64 each) and its open-run length (u32) — all an empty chunk
-/// encodes.
-const CHUNK_HEADER_BYTES: usize = 8 + 8 + 8 + 8 + 4;
+/// (u64 each), its entry pc (u32) and its return-stack depth (u64) —
+/// all an empty chunk entered with an empty stack encodes.
+const CHUNK_HEADER_BYTES: usize = 8 + 8 + 8 + 8 + 4 + 8;
+
+/// A pc's encoded timing entry (4 use slots, use count, 2 def slots,
+/// def count, latency class) and flow entry (kind, target).
+const PC_BYTES: usize = 9 + 5;
 
 /// Word-folding digest over a byte stream (SplitMix64-mixed FNV-style
 /// accumulation): not cryptographic, but any truncation or flipped bit
@@ -318,7 +330,7 @@ impl DynTrace {
     fn encoded_len(&self) -> u64 {
         // magic, version, content hash, instruction count.
         let mut n = (MAGIC.len() + 4 + 8 + 8) as u64;
-        n += 8 + self.timings.len() as u64 * 9;
+        n += 8 + self.timings.len() as u64 * PC_BYTES as u64;
         n += 8;
         for (_, values) in &self.functional.outputs {
             n += 2 + 8 + values.len() as u64 * 8;
@@ -327,11 +339,10 @@ impl DynTrace {
         n += 1 + if self.functional.pbs.is_some() { 56 } else { 0 };
         n += 8;
         for c in &self.chunks {
-            // The chunk header, then 9 B/branch plus the open run's
-            // start, 1 B/load and 5 B/stall.
-            n += CHUNK_HEADER_BYTES as u64 + 9 * c.branch_count() as u64;
-            n += 4 * u64::from(c.open_run > 0);
-            n += c.dlats.len() as u64 + 5 * c.stalls.len() as u64;
+            // The chunk header and return stack, then 1 B/branch,
+            // 1 B/load and 5 B/stall.
+            n += CHUNK_HEADER_BYTES as u64 + 4 * c.entry_stack.len() as u64;
+            n += c.branch_count() as u64 + c.dlats.len() as u64 + 5 * c.stalls.len() as u64;
         }
         n + 8 // trailing digest
     }
@@ -349,6 +360,10 @@ impl DynTrace {
             e.bytes(&t.defs)?;
             e.u8(t.n_defs)?;
             e.u8(t.class)?;
+        }
+        for (kind, target) in self.flow.ops() {
+            e.u8(kind.code())?;
+            e.u32(target)?;
         }
         e.u64(self.functional.outputs.len() as u64)?;
         for (port, values) in &self.functional.outputs {
@@ -377,12 +392,12 @@ impl DynTrace {
         for c in &self.chunks {
             e.u64(c.len() as u64)?;
             e.u64(c.branch_count() as u64)?;
-            e.u32(c.open_run)?;
             e.u64(c.dlats.len() as u64)?;
             e.u64(c.stalls.len() as u64)?;
-            e.u32_stream(&c.runs)?;
+            e.u32(c.entry_pc)?;
+            e.u64(c.entry_stack.len() as u64)?;
+            e.u32_stream(&c.entry_stack)?;
             e.bytes(c.branches.as_slice())?;
-            e.u32_stream(&c.starts)?;
             e.bytes(c.dlats.as_slice())?;
             e.u32_stream(&c.stall_at)?;
             e.bytes(c.stalls.as_slice())?;
@@ -516,7 +531,7 @@ impl DynTrace {
     /// table and the architectural results.
     pub fn read_file(path: &Path, content_hash: u64, config: &SimConfig) -> Option<DynTrace> {
         match Self::load_file(path, content_hash, config, 0) {
-            TraceLoad::Loaded(t) => Some(t),
+            TraceLoad::Loaded(t) => Some(*t),
             _ => None,
         }
     }
@@ -567,7 +582,7 @@ impl DynTrace {
         config: &SimConfig,
     ) -> Option<DynTrace> {
         match Self::classify(bytes, backing, content_hash, config) {
-            TraceLoad::Loaded(t) => Some(t),
+            TraceLoad::Loaded(t) => Some(*t),
             _ => None,
         }
     }
@@ -611,7 +626,7 @@ impl DynTrace {
             _ => return TraceLoad::Corrupt,
         }
         match Self::decode_body(&mut d, backing, config) {
-            Some(trace) => TraceLoad::Loaded(trace),
+            Some(trace) => TraceLoad::Loaded(Box::new(trace)),
             None => TraceLoad::Corrupt,
         }
     }
@@ -624,7 +639,7 @@ impl DynTrace {
     ) -> Option<DynTrace> {
         let body = d.buf;
         let instructions = d.u64()?;
-        let n_timings = d.len(9)?;
+        let n_timings = d.len(PC_BYTES)?;
         let mut timings = d.vec_for(n_timings);
         for _ in 0..n_timings {
             let raw = d.take(9)?;
@@ -636,6 +651,11 @@ impl DynTrace {
                 class: raw[8],
             });
         }
+        let mut flow = d.vec_for(n_timings);
+        for _ in 0..n_timings {
+            flow.push((FlowKind::from_code(d.u8()?)?, d.u32()?));
+        }
+        let flow = FlowTable::from_ops(&flow)?;
         let n_ports = d.len(10)?;
         let mut outputs = d.vec_for(n_ports);
         for _ in 0..n_ports {
@@ -662,88 +682,78 @@ impl DynTrace {
             _ => return None,
         };
         // The load pcs below each pc, for the load-count check: the
-        // loads a run covers are a difference of two entries.
+        // loads a span covers are a difference of two entries.
         let loads_below: Vec<u64> = std::iter::once(0)
             .chain(timings.iter().scan(0, |n, t: &InstTiming| {
                 *n += u64::from(t.is_load());
                 Some(*n)
             }))
             .collect();
+        let max_depth = config.emu.max_call_depth;
         let n_chunks = d.len(CHUNK_HEADER_BYTES)?;
         let mut chunks = d.vec_for(n_chunks);
         let mut total = 0u64;
+        // Where the previous chunk's records end: the program's start
+        // before the first chunk.
+        let mut exit = FlowState::default();
         for _ in 0..n_chunks {
             // A record costs no file bytes, so the bytes left cannot
             // bound the record count: no writer exceeds the chunk size.
             let len = u32::try_from(d.u64()?)
                 .ok()
                 .filter(|&n| n as usize <= TRACE_CHUNK_RECORDS)?;
-            // Each branch costs its run entry, branch byte and start,
-            // each load its latency, each stall its index and cycles.
-            let n_branches = d.len(9)?;
-            let open_run = d.u32()?;
+            // Each branch costs its byte, each load its latency, each
+            // stall its index and cycles, each return address 4 bytes.
+            let n_branches = d.len(1)?;
             let n_loads = d.len(1)?;
             let n_stalls = d.len(5)?;
-            let runs = d.u32_stream(n_branches, backing)?;
-            let branches = d.u8_stream(n_branches, backing)?;
-            let starts = d.u32_stream(n_branches + usize::from(open_run > 0), backing)?;
-            let dlats = d.u8_stream(n_loads, backing)?;
-            let stall_at = d.u32_stream(n_stalls, backing)?;
-            let stalls = d.u8_stream(n_stalls, backing)?;
+            let entry_pc = d.u32()?;
+            let depth = d.len(4)?;
+            let chunk = TraceChunk {
+                len,
+                entry_pc,
+                entry_stack: d.u32_stream(depth, backing)?,
+                branches: d.u8_stream(n_branches, backing)?,
+                dlats: d.u8_stream(n_loads, backing)?,
+                stall_at: d.u32_stream(n_stalls, backing)?,
+                stalls: d.u8_stream(n_stalls, backing)?,
+            };
             // Structural consistency, the invariants the chunk walk
-            // relies on: the runs tile the record count; every run — its
-            // non-branch records and its branch, or the open run — ends
-            // inside the timing table; every branch byte decodes; the
-            // runs cover exactly one load pc per load latency; and the
-            // stalls sit at strictly increasing record indices below the
-            // record count, with nonzero cycles.
-            let indexed: u64 =
-                runs.iter().map(u64::from).sum::<u64>() + n_branches as u64 + u64::from(open_run);
-            let run_lens = runs
-                .iter()
-                .map(|run| u64::from(run) + 1)
-                .chain((open_run > 0).then_some(u64::from(open_run)));
-            let mut loads = 0u64;
-            for (start, n) in starts.iter().zip(run_lens) {
-                let (start, end) = (u64::from(start), u64::from(start) + n);
-                if end > timings.len() as u64 {
-                    return None;
-                }
-                loads += loads_below[end as usize] - loads_below[start as usize];
+            // relies on: the chunk enters where the previous one ended;
+            // its records derive from the flow table (their runs tile
+            // the record count inside the table, every branch byte fits
+            // its op, the return stack never underflows or outgrows the
+            // call depth); the runs cover exactly one load pc per load
+            // latency; and the stalls sit at strictly increasing record
+            // indices below the record count, with nonzero cycles.
+            if !chunk.enters_at(&exit) {
+                return None;
             }
-            let decodes = branches.as_slice().iter().all(|&b| is_branch_byte(b));
+            let mut loads = LoadCount {
+                loads_below: &loads_below,
+                timings: &timings,
+                loads: 0,
+            };
+            exit = flow.derive(&chunk, max_depth, &mut loads)?;
             let mut next_stall = 0u64;
-            let stalls_ordered = stall_at.iter().all(|at| {
+            let stalls_ordered = chunk.stall_at.iter().all(|at| {
                 let after = u64::from(at) >= next_stall;
                 next_stall = u64::from(at) + 1;
                 after
             }) && next_stall <= u64::from(len);
-            let stalls_nonzero = stalls.as_slice().iter().all(|&c| c != 0);
-            if indexed != u64::from(len)
-                || loads != n_loads as u64
-                || !decodes
-                || !stalls_ordered
-                || !stalls_nonzero
-            {
+            let stalls_nonzero = chunk.stalls.as_slice().iter().all(|&c| c != 0);
+            if loads.loads != n_loads as u64 || !stalls_ordered || !stalls_nonzero {
                 return None;
             }
             total += u64::from(len);
-            chunks.push(TraceChunk {
-                len,
-                starts,
-                branches,
-                runs,
-                open_run,
-                dlats,
-                stall_at,
-                stalls,
-            });
+            chunks.push(chunk);
         }
         if d.pos != body.len() || total != instructions {
             return None;
         }
         Some(DynTrace {
             timings: timings.into_boxed_slice(),
+            flow,
             chunks,
             functional: TraceFunctional {
                 instructions,
@@ -757,13 +767,33 @@ impl DynTrace {
     }
 }
 
+/// The loader's run visitor: counts the load pcs a chunk's derived
+/// records cover, which must equal its load latencies.
+struct LoadCount<'a> {
+    /// The load pcs below each pc, and below the table's end.
+    loads_below: &'a [u64],
+    timings: &'a [InstTiming],
+    loads: u64,
+}
+
+impl RunVisitor for LoadCount<'_> {
+    fn span(&mut self, pc: u32, n: u32) {
+        let (start, end) = (pc as usize, pc as usize + n as usize);
+        self.loads += self.loads_below[end] - self.loads_below[start];
+    }
+
+    fn branch(&mut self, pc: u32, _: u8) {
+        self.loads += u64::from(self.timings[pc as usize].is_load());
+    }
+}
+
 /// The classified outcome of loading a persisted trace — see
 /// [`DynTrace::load_file`]. Each variant maps to a different recovery
 /// in the self-healing store.
 #[derive(Debug)]
 pub enum TraceLoad {
     /// The file validated end to end; here is the trace.
-    Loaded(DynTrace),
+    Loaded(Box<DynTrace>),
     /// No file under that path — an ordinary cold start; capture.
     Missing,
     /// The file is intact (digest passes) but was written for another
@@ -1089,14 +1119,14 @@ mod tests {
                 "owned reader accepted bit flip at {pos}"
             );
         }
-        // A different format version (v1, v2 and v3 files in
-        // particular: retired when the mapped reader, the run starts and
-        // the sparse latencies landed).
+        // A different format version (v1 to v4 files in particular:
+        // retired when the mapped reader, the run starts, the sparse
+        // latencies and the flow table landed).
         let mut bad = pristine.clone();
         bad[8] = bad[8].wrapping_add(1);
         std::fs::write(&path, &bad).unwrap();
         assert!(DynTrace::read_file(&path, hash, &cfg).is_none());
-        for old in [1, 2, 3] {
+        for old in [1, 2, 3, 4] {
             let mut stale = pristine.clone();
             stale[8] = old;
             std::fs::write(&path, &stale).unwrap();
@@ -1244,7 +1274,7 @@ mod tests {
 
     #[test]
     fn decoder_reservations_fit_in_the_bytes_left() {
-        // A count bounded at its elements' encoded size — 36 bytes per
+        // A count bounded at its elements' encoded size — 44 bytes per
         // chunk, 10 per output port — reserves no more elements than the
         // bytes left could hold at their in-memory size.
         let file = vec![0u8; 4096];
@@ -1303,13 +1333,11 @@ mod tests {
             (TRACE_CHUNK_RECORDS + 1, false),
         ] {
             let mut chunk = TraceChunk::default();
-            let mut w = chunk.begin_fill();
-            w.emit_straight(0, records as u32);
-            let (written, open_run) = w.finish();
-            chunk.end_fill(written, open_run);
+            chunk.begin_fill(0, &[]).emit_straight(records as u32);
             let plain = InstTiming::of(&probranch_isa::Inst::Nop);
             let trace = DynTrace {
                 timings: vec![plain; records].into_boxed_slice(),
+                flow: FlowTable::from_ops(&vec![(FlowKind::None, 0); records]).unwrap(),
                 chunks: vec![chunk],
                 functional: TraceFunctional {
                     instructions: records as u64,
@@ -1330,10 +1358,138 @@ mod tests {
     /// The encoded size of one chunk.
     fn encoded_chunk_len(c: &TraceChunk) -> usize {
         CHUNK_HEADER_BYTES
-            + 9 * c.branch_count()
-            + 4 * usize::from(c.open_run > 0)
+            + 4 * c.entry_stack.len()
+            + c.branch_count()
             + c.dlats.len()
             + 5 * c.stalls.len()
+    }
+
+    /// A trace of a program of `ops.len()` `nop`-timed pcs with the
+    /// control flow `ops`, holding one chunk per `(entry pc, entry
+    /// stack, branch bytes, records)` and no loads or stalls, written
+    /// as is — the writer checks nothing.
+    fn hand_trace(ops: &[(FlowKind, u32)], chunks: &[(u32, &[u32], &[u8], u32)]) -> DynTrace {
+        let chunks: Vec<TraceChunk> = chunks
+            .iter()
+            .map(|&(entry_pc, stack, bytes, len)| TraceChunk {
+                len,
+                entry_pc,
+                entry_stack: U32s::Owned(stack.to_vec()),
+                branches: U8s::Owned(bytes.to_vec()),
+                ..TraceChunk::default()
+            })
+            .collect();
+        DynTrace {
+            timings: vec![InstTiming::of(&probranch_isa::Inst::Nop); ops.len()].into_boxed_slice(),
+            flow: FlowTable::from_ops(ops).unwrap(),
+            functional: TraceFunctional {
+                instructions: chunks.iter().map(|c| c.len() as u64).sum(),
+                outputs: Vec::new(),
+                prob_consumed: Vec::new(),
+                pbs: None,
+            },
+            chunks,
+            pbs: None,
+            emu: crate::EmuConfig::default(),
+        }
+    }
+
+    #[test]
+    fn the_loader_accepts_only_chunks_that_derive_from_the_flow_table() {
+        use crate::machine::{BranchEvent, BranchEventKind};
+        let byte = |kind| {
+            crate::trace::encode_branch(Some(BranchEvent {
+                taken: true,
+                kind,
+                is_prob: false,
+            }))
+        };
+        let (jmp, call, ret) = (
+            byte(BranchEventKind::Unconditional),
+            byte(BranchEventKind::Call),
+            byte(BranchEventKind::Ret),
+        );
+        let dir = tempdir("derive");
+        let path = dir.join("trace.bin");
+        // Writes `trace`, applies `patch` to the file and reseals its
+        // digest, and loads it under a call depth of `depth` through
+        // both readers, which must agree.
+        let loads = |trace: &DynTrace, depth: usize, patch: &dyn Fn(&mut [u8])| {
+            trace.write_file(&path, 1).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            patch(&mut bytes);
+            let body = bytes.len() - 8;
+            let d = digest(&bytes[..body]);
+            bytes[body..].copy_from_slice(&d.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let mut cfg = SimConfig::default();
+            cfg.emu.max_call_depth = depth;
+            let mapped = matches!(DynTrace::load_file(&path, 1, &cfg, 0), TraceLoad::Loaded(_));
+            assert_eq!(DynTrace::read_file_owned(&path, 1, &cfg).is_some(), mapped);
+            mapped
+        };
+        let as_is = |_: &mut [u8]| {};
+        let derives = |ops: &[(FlowKind, u32)], chunks: &[(u32, &[u32], &[u8], u32)]| {
+            loads(&hand_trace(ops, chunks), 1, &as_is)
+        };
+        // `call 2; halt; ret`: the call pushes 1 and the return pops it,
+        // then the halt — three records, entered at pc 0 with an empty
+        // stack; cut after the call, the second chunk enters at pc 2
+        // over the return address.
+        let calls = [(FlowKind::Call, 2), (FlowKind::None, 0), (FlowKind::Ret, 0)];
+        let whole = hand_trace(&calls, &[(0, &[], &[call, ret], 3)]);
+        let cut = |entry_pc, stack: &[u32], bytes: &[u8]| {
+            hand_trace(&calls, &[(0, &[], &[call], 1), (entry_pc, stack, bytes, 1)])
+        };
+        assert!(loads(&whole, 1, &as_is));
+        assert!(loads(&cut(2, &[1], &[ret]), 1, &as_is));
+        // The call outgrows a call depth of 0.
+        assert!(!loads(&whole, 0, &as_is));
+        // A second chunk that does not enter where the first ended, at
+        // another pc or over another return address, though it derives.
+        assert!(!loads(&cut(1, &[1], &[]), 1, &as_is));
+        assert!(!loads(&cut(2, &[0], &[ret]), 1, &as_is));
+        // A first chunk that does not enter at the program's start.
+        assert!(!derives(&calls, &[(1, &[], &[], 1)]));
+        // The call's byte made a jump's; then the return finds the
+        // stack empty when the call is made a jump too.
+        assert!(!derives(&calls, &[(0, &[], &[jmp, ret], 3)]));
+        let jumps = [(FlowKind::Jmp, 2), (FlowKind::None, 0), (FlowKind::Ret, 0)];
+        assert!(!derives(&jumps, &[(0, &[], &[jmp, ret], 2)]));
+        // Branch bytes left over, or run out.
+        assert!(!derives(&calls, &[(0, &[], &[call, ret, ret], 3)]));
+        assert!(!derives(&calls, &[(0, &[], &[call], 3)]));
+        // A run past the table's end.
+        let plain = [(FlowKind::None, 0); 2];
+        assert!(derives(&plain, &[(0, &[], &[], 2)]));
+        assert!(!derives(&plain, &[(0, &[], &[], 3)]));
+        // A load the runs cover needs its latency, and only it.
+        let mut loading = hand_trace(&plain, &[(0, &[], &[], 2)]);
+        loading.timings[1] = InstTiming::of(&probranch_isa::Inst::Load {
+            dst: probranch_isa::Reg::R1,
+            base: probranch_isa::Reg::R2,
+            offset: 0,
+        });
+        assert!(!loads(&loading, 1, &as_is));
+        loading.chunks[0].dlats = U8s::Owned(vec![5]);
+        assert!(loads(&loading, 1, &as_is));
+        loading.chunks[0].dlats = U8s::Owned(vec![5, 5]);
+        assert!(!loads(&loading, 1, &as_is));
+        // The flow table: a target outside the table, a target on a
+        // `ret`, and a kind code that names none. The call is the one
+        // record, so nothing but the table check rejects them.
+        let called = hand_trace(&calls, &[(0, &[], &[call], 1)]);
+        assert!(loads(&called, 1, &as_is));
+        let flow_at = |pc: usize| MAGIC.len() + 4 + 8 + 8 + 8 + 9 * calls.len() + 5 * pc;
+        let target = |pc: usize, to: u32| {
+            move |f: &mut [u8]| {
+                f[flow_at(pc) + 1..flow_at(pc) + 5].copy_from_slice(&to.to_le_bytes())
+            }
+        };
+        assert!(!loads(&called, 1, &target(0, 3)));
+        assert!(!loads(&called, 1, &target(2, 1)));
+        assert!(!loads(&called, 1, &|f: &mut [u8]| f[flow_at(1)] = 6));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

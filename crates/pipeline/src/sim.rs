@@ -46,7 +46,9 @@ use crate::decode::InstTiming;
 use crate::machine::{EmuConfig, EmuError, Emulator};
 use crate::ooo::{BranchStats, OooConfig, OooTimingModel, TimingStats};
 use crate::tape::PredTape;
-use crate::trace::{BranchCounter, ChunkReqs, DynTrace, ReplayConsumer, TraceChunk, TraceStream};
+use crate::trace::{
+    BranchCounter, ChunkReqs, DynTrace, FlowTable, ReplayConsumer, TraceChunk, TraceStream,
+};
 
 /// Which baseline branch predictor to instantiate (paper Section VI-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -447,7 +449,7 @@ impl Simulation {
         };
         for chunk in trace.chunks() {
             crate::cancel::check_current()?;
-            consumer.consume_chunk(trace.timings(), chunk);
+            consumer.consume_chunk(trace.timings(), trace.flow(), chunk);
         }
         Ok(consumer.finish(trace.functional()))
     }
@@ -511,8 +513,8 @@ impl Simulation {
                 let mut counters: Vec<BranchCounter> =
                     configs.iter().map(BranchCounter::new).collect();
                 let mut reqs = ChunkReqs::default();
-                for_each_chunk(&mut stream, |_, chunk| {
-                    reqs.build(chunk);
+                for_each_chunk(&mut stream, |_, flow, chunk| {
+                    reqs.build(chunk, flow);
                     for c in &mut counters {
                         c.consume_chunk(chunk, &reqs);
                     }
@@ -575,7 +577,7 @@ impl Simulation {
         let mut reqs = ChunkReqs::default();
         for chunk in trace.chunks() {
             crate::cancel::check_current()?;
-            reqs.build(chunk);
+            reqs.build(chunk, trace.flow());
             counter.consume_chunk(chunk, &reqs);
         }
         Ok((counter.stats(), Some(counter.into_tape())))
@@ -660,9 +662,9 @@ fn run_convoy(program: &Program, configs: &[SimConfig]) -> Result<Vec<SimReport>
     if crate::aot::capture_overlap() {
         run_convoy_pipelined(&mut stream, &mut consumers)?;
     } else {
-        for_each_chunk(&mut stream, |timings, chunk| {
+        for_each_chunk(&mut stream, |timings, flow, chunk| {
             for c in &mut consumers {
-                c.consume_chunk(timings, chunk);
+                c.consume_chunk(timings, flow, chunk);
             }
         })?;
     }
@@ -674,15 +676,15 @@ fn run_convoy(program: &Program, configs: &[SimConfig]) -> Result<Vec<SimReport>
 }
 
 /// The serial streaming loop: fills one chunk buffer from `stream` and
-/// hands each chunk, with the trace's per-pc metadata, to `drain` — only
+/// hands each chunk, with the trace's per-pc tables, to `drain` — only
 /// one chunk is ever live. Cancellation is polled by each fill.
 fn for_each_chunk(
     stream: &mut TraceStream,
-    mut drain: impl FnMut(&[InstTiming], &TraceChunk),
+    mut drain: impl FnMut(&[InstTiming], &FlowTable, &TraceChunk),
 ) -> Result<(), EmuError> {
     let mut chunk = TraceChunk::default();
     while stream.fill(&mut chunk)? {
-        drain(stream.timings(), &chunk);
+        drain(stream.timings(), stream.flow(), &chunk);
     }
     Ok(())
 }
@@ -705,10 +707,11 @@ fn run_convoy_pipelined(
     stream: &mut TraceStream,
     consumers: &mut [ReplayConsumer<'_>],
 ) -> Result<(), EmuError> {
-    // Instruction timings are fixed at predecode; clone them so the
-    // drain side can classify records while the helper thread holds the
-    // stream mutably.
+    // The per-pc tables are fixed at predecode; clone them so the drain
+    // side can walk records while the helper thread holds the stream
+    // mutably.
     let timings: Box<[InstTiming]> = stream.timings().into();
+    let flow = stream.flow().clone();
     let token = crate::cancel::current();
     let (full_tx, full_rx) = mpsc::sync_channel::<Result<Option<TraceChunk>, EmuError>>(1);
     let (free_tx, free_rx) = mpsc::channel::<TraceChunk>();
@@ -743,7 +746,7 @@ fn run_convoy_pipelined(
             match msg {
                 Ok(Some(chunk)) => {
                     for c in consumers.iter_mut() {
-                        c.consume_chunk(&timings, &chunk);
+                        c.consume_chunk(&timings, &flow, &chunk);
                     }
                     // The helper exits after its final send; a closed
                     // free list here is expected, not an error.

@@ -36,18 +36,20 @@
 //!
 //! # Structure-of-arrays chunk layout
 //!
-//! A chunk stores no bytes per record. It cuts its records into
-//! **runs**: a run is zero or more non-branch records followed by one
-//! branch record, and a chunk that does not end on a branch closes with
-//! an open run of non-branch records only. The branch-event byte is
-//! zero for the large majority of dynamic instructions (~80% on the
-//! paper workloads), so instead of an interleaved branch byte per
-//! record — which every consumer would re-test — a **run index** keeps,
-//! per run, its length, its branch byte and its **start pc**. That is
-//! every pc the chunk holds: only a branch redirects control, so a
-//! non-branch record at pc `p` is followed by `p + 1`, and run `i`'s
-//! records sit at `start, start + 1, …` with its branch at `start +
-//! runs[i]`.
+//! A chunk stores no bytes per record and no pc at all. Its records
+//! follow the program's control flow from the chunk's **entry state**
+//! — the pc of its first record and the return stack under it — and
+//! only a control op redirects it: a non-control record at pc `p` is
+//! followed by `p + 1`. The branch-event byte is zero for the large
+//! majority of dynamic instructions (~80% on the paper workloads), so a
+//! chunk keeps one **branch byte** per *control* record only, and the
+//! trace keeps a per-pc [`FlowTable`]: each control op's kind and
+//! static target. [`FlowTable::derive`] recovers every pc from the two:
+//! a **run** is the records from the pc up to the next control op (cut
+//! at the record count), then that op's record, whose byte says where
+//! control went — the target when taken (always, for a jump or a call,
+//! which also pushes its return address), the fall-through when not,
+//! the popped return address for a `ret`.
 //!
 //! The two latencies the timing model needs per record are kept only
 //! where they can be nonzero. A **load** record keeps its load-to-use
@@ -66,14 +68,17 @@
 //! start, and decodes exactly one branch event per run.
 //!
 //! The predictor requests a replay needs are not stored either:
-//! [`ChunkReqs::build`] derives them from the run index when a pass
+//! [`ChunkReqs::build`] derives them from the same runs when a pass
 //! needs them — once per chunk for the first pass of a predictor and
 //! filter mode; later passes read its prediction tape.
 //!
 //! The format has one writer and one reader. [`ChunkWriter`] (opened by
 //! `TraceChunk::begin_fill`) is the only code that appends records, and
-//! [`walk_chunk`] the only code that reads them back in order; the
-//! persistence layer copies the raw streams verbatim. The latencies are
+//! [`FlowTable::derive`] the only code that walks them back in order:
+//! [`walk_chunk`], [`ChunkReqs::build`] and the persistence loader,
+//! which accepts a file only if every chunk derives and continues the
+//! previous chunk's exit state, all run it. The persistence layer
+//! copies the raw streams verbatim. The latencies are
 //! exact pre-simulations of the timing model's
 //! `MemoryHierarchy::default()`: the hierarchy is deterministic given
 //! the interleaved access stream (instruction fetch, then the data
@@ -102,7 +107,7 @@ use probranch_predictor::{BranchPredictor, BranchReq, PredictorDispatch};
 
 use crate::aot::BlockProgram;
 use crate::cache::MemoryHierarchy;
-use crate::decode::InstTiming;
+use crate::decode::{DecOp, DecodedProgram, InstTiming};
 use crate::machine::{BranchEvent, BranchEventKind, EmuConfig, EmuError, Emulator, StepRecord};
 use crate::ooo::{BranchStats, OooTimingModel};
 use crate::sim::{SimConfig, SimReport};
@@ -112,17 +117,22 @@ use crate::tape::{PredTape, TapeChunk, TapeKey};
 /// stay cache-resident while a convoy drains it through several
 /// consumers (and the bounded-memory figure for streaming convoys),
 /// large enough to amortize the per-chunk bookkeeping and consumer
-/// switches. A chunk holds no bytes per record: 9 bytes per branch
-/// (plus 4 for an open run's start), 1 per load and 5 per fetch stall.
-/// The persistence reader rejects a chunk that claims more records.
+/// switches. A chunk holds no bytes per record: 1 byte per control
+/// record, 1 per load and 5 per fetch stall, plus its entry state. The
+/// persistence reader rejects a chunk that claims more records.
 pub const TRACE_CHUNK_RECORDS: usize = 1 << 16;
 
 // The packed branch byte of a record: present, taken and probabilistic
-// flags in bits 0–2, the `BranchEventKind` above them (0 = conditional).
+// flags in bits 0–2, the `BranchEventKind` above them.
 const BR_PRESENT: u8 = 1 << 0;
 const BR_TAKEN: u8 = 1 << 1;
 const BR_PROB: u8 = 1 << 2;
 const BR_KIND_SHIFT: u32 = 3;
+const KIND_CONDITIONAL: u8 = 0;
+const KIND_PBS_DIRECTED: u8 = 1;
+const KIND_UNCONDITIONAL: u8 = 2;
+const KIND_CALL: u8 = 3;
+const KIND_RET: u8 = 4;
 
 /// Packs a branch resolution into the trace's one-byte encoding (0 for
 /// a non-branch record).
@@ -132,11 +142,11 @@ pub(crate) fn encode_branch(branch: Option<BranchEvent>) -> u8 {
         None => 0,
         Some(ev) => {
             let kind = match ev.kind {
-                BranchEventKind::Conditional => 0u8,
-                BranchEventKind::PbsDirected => 1,
-                BranchEventKind::Unconditional => 2,
-                BranchEventKind::Call => 3,
-                BranchEventKind::Ret => 4,
+                BranchEventKind::Conditional => KIND_CONDITIONAL,
+                BranchEventKind::PbsDirected => KIND_PBS_DIRECTED,
+                BranchEventKind::Unconditional => KIND_UNCONDITIONAL,
+                BranchEventKind::Call => KIND_CALL,
+                BranchEventKind::Ret => KIND_RET,
             };
             BR_PRESENT
                 | (BR_TAKEN * ev.taken as u8)
@@ -146,30 +156,285 @@ pub(crate) fn encode_branch(branch: Option<BranchEvent>) -> u8 {
     }
 }
 
-/// Whether `byte` is a packed branch byte [`encode_branch`] can
-/// produce: present, with a kind it knows. Every other byte, 0
-/// included, is corrupt — the persistence reader's check on loaded
-/// branch streams.
-pub(crate) fn is_branch_byte(byte: u8) -> bool {
-    byte & BR_PRESENT != 0 && byte >> BR_KIND_SHIFT <= 4
-}
-
-/// Decodes a (non-zero) packed branch byte, exactly as the live
+/// Decodes a packed branch byte that fits its op
+/// ([`FlowKind::fits`]), exactly as the live
 /// [`StepRecord`](crate::StepRecord) carried it.
 #[inline(always)]
 fn decode_branch(byte: u8) -> BranchEvent {
     debug_assert!(byte & BR_PRESENT != 0);
     let kind = match byte >> BR_KIND_SHIFT {
-        0 => BranchEventKind::Conditional,
-        1 => BranchEventKind::PbsDirected,
-        2 => BranchEventKind::Unconditional,
-        3 => BranchEventKind::Call,
+        KIND_CONDITIONAL => BranchEventKind::Conditional,
+        KIND_PBS_DIRECTED => BranchEventKind::PbsDirected,
+        KIND_UNCONDITIONAL => BranchEventKind::Unconditional,
+        KIND_CALL => BranchEventKind::Call,
         _ => BranchEventKind::Ret,
     };
     BranchEvent {
         taken: byte & BR_TAKEN != 0,
         kind,
         is_prob: byte & BR_PROB != 0,
+    }
+}
+
+// ---- static control flow --------------------------------------------------
+
+/// How a control op moves the pc: the part of its [`DecOp`] the run
+/// derivation needs besides the static target. Every other op falls
+/// through to the next pc.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FlowKind {
+    /// Not a control op.
+    None,
+    /// `jf` and the fused compare-and-branches: to the target when
+    /// taken, else to the next pc.
+    Cond,
+    /// The jumping `PROB_JMP`: as [`FlowKind::Cond`], resolved by the
+    /// probabilistic value or directed by the PBS unit.
+    Prob,
+    /// `jmp`: to the target.
+    Jmp,
+    /// `call`: pushes the next pc, then to the target.
+    Call,
+    /// `ret`: to the return address it pops.
+    Ret,
+}
+
+impl FlowKind {
+    /// Every kind, in the order of its file code.
+    const ALL: [FlowKind; 6] = [
+        FlowKind::None,
+        FlowKind::Cond,
+        FlowKind::Prob,
+        FlowKind::Jmp,
+        FlowKind::Call,
+        FlowKind::Ret,
+    ];
+
+    /// The kind and static target of `op` (target 0 for a `ret` and
+    /// for an op that is not a control op).
+    fn of(op: &DecOp) -> (FlowKind, u32) {
+        let flow = match *op {
+            DecOp::Jf { target } | DecOp::BrRR { target, .. } | DecOp::BrRI { target, .. } => {
+                (FlowKind::Cond, target)
+            }
+            DecOp::ProbJmp { target, .. } => (FlowKind::Prob, target),
+            DecOp::Jmp { target } => (FlowKind::Jmp, target),
+            DecOp::Call { target } => (FlowKind::Call, target),
+            DecOp::Ret => (FlowKind::Ret, 0),
+            _ => (FlowKind::None, 0),
+        };
+        debug_assert_eq!(op.is_control(), flow.0 != FlowKind::None);
+        flow
+    }
+
+    /// The kind's code in a trace file.
+    pub(crate) fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The kind of file code `code`, if it names one.
+    pub(crate) fn from_code(code: u8) -> Option<FlowKind> {
+        FlowKind::ALL.get(usize::from(code)).copied()
+    }
+
+    /// Whether the kind jumps to a static target.
+    fn has_target(self) -> bool {
+        !matches!(self, FlowKind::None | FlowKind::Ret)
+    }
+
+    /// Whether `byte` is a branch byte an op of this kind produces
+    /// (see [`Emulator::exec_control`]): a conditional branch's says
+    /// whether it was taken; a `PROB_JMP`'s also says it is
+    /// probabilistic and whether the PBS unit directed it; a jump's,
+    /// call's and return's say taken and their kind, and nothing else.
+    #[inline(always)]
+    fn fits(self, byte: u8) -> bool {
+        // As `(mask, want)` pairs, `byte & mask == want`: a table load
+        // rather than a jump per kind.
+        const fn taken(kind: u8) -> (u8, u8) {
+            (u8::MAX, BR_PRESENT | BR_TAKEN | kind << BR_KIND_SHIFT)
+        }
+        let (mask, want) = match self {
+            FlowKind::None => (0, 1),
+            FlowKind::Cond => (!BR_TAKEN, BR_PRESENT),
+            FlowKind::Prob => (
+                !(BR_TAKEN | KIND_PBS_DIRECTED << BR_KIND_SHIFT),
+                BR_PRESENT | BR_PROB,
+            ),
+            FlowKind::Jmp => taken(KIND_UNCONDITIONAL),
+            FlowKind::Call => taken(KIND_CALL),
+            FlowKind::Ret => taken(KIND_RET),
+        };
+        byte & mask == want
+    }
+}
+
+/// One pc of a [`FlowTable`]: where the run from this pc ends, and the
+/// control op there — so a run costs the derivation one table load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Flow {
+    /// The first control pc at or after this one; the table's length
+    /// when none follows.
+    next: u32,
+    /// That op's static target (0 when it has none)…
+    target: u32,
+    /// …and its kind: [`FlowKind::None`] when none follows.
+    kind: FlowKind,
+}
+
+/// A program's static control flow: per pc, whether the op there is a
+/// control op — a conditional branch, a `PROB_JMP`, a jump, a call or a
+/// return — and its static target. With a chunk's entry state and
+/// branch bytes it fixes every pc the chunk holds, so chunks store
+/// none.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlowTable {
+    pcs: Box<[Flow]>,
+}
+
+/// Where a chunk's records start or end: the pc of the next record and
+/// the return stack, outermost return address first.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct FlowState {
+    pub(crate) pc: u32,
+    pub(crate) stack: Vec<u32>,
+}
+
+/// What a run derivation reports, in record order.
+pub(crate) trait RunVisitor {
+    /// The `n > 0` non-control records at pcs `pc..pc + n`.
+    fn span(&mut self, pc: u32, n: u32);
+    /// The control record at `pc`, with its branch byte.
+    fn branch(&mut self, pc: u32, byte: u8);
+}
+
+/// The visitor of a derivation run for its exit state alone.
+impl RunVisitor for () {
+    fn span(&mut self, _: u32, _: u32) {}
+    fn branch(&mut self, _: u32, _: u8) {}
+}
+
+impl FlowTable {
+    /// The flow table of a decoded program.
+    pub(crate) fn of(decoded: &DecodedProgram) -> FlowTable {
+        let ops: Vec<_> = decoded
+            .insts()
+            .iter()
+            .map(|d| FlowKind::of(&d.op))
+            .collect();
+        FlowTable::from_ops(&ops).expect("a program's branch targets lie inside it")
+    }
+
+    /// The table of per-pc `(kind, target)` pairs, or `None` unless
+    /// every target lies inside the table and every op without a
+    /// target has target 0 — the check on a table read from a file.
+    pub(crate) fn from_ops(ops: &[(FlowKind, u32)]) -> Option<FlowTable> {
+        let len = u32::try_from(ops.len()).ok()?;
+        let mut next = Flow {
+            next: len,
+            target: 0,
+            kind: FlowKind::None,
+        };
+        let mut pcs = Vec::with_capacity(ops.len());
+        for (pc, &(kind, target)) in ops.iter().enumerate().rev() {
+            let in_range = if kind.has_target() {
+                target < len
+            } else {
+                target == 0
+            };
+            if !in_range {
+                return None;
+            }
+            if kind != FlowKind::None {
+                next = Flow {
+                    next: pc as u32,
+                    target,
+                    kind,
+                };
+            }
+            pcs.push(next);
+        }
+        pcs.reverse();
+        Some(FlowTable {
+            pcs: pcs.into_boxed_slice(),
+        })
+    }
+
+    /// The per-pc `(kind, target)` pairs, in pc order.
+    pub(crate) fn ops(&self) -> impl Iterator<Item = (FlowKind, u32)> + '_ {
+        self.pcs.iter().enumerate().map(|(pc, f)| {
+            if f.next as usize == pc {
+                (f.kind, f.target)
+            } else {
+                (FlowKind::None, 0)
+            }
+        })
+    }
+
+    /// Heap bytes held by the table.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.pcs)
+    }
+
+    /// Derives `chunk`'s records from its entry state and branch bytes,
+    /// reporting them to `v` run by run, and returns its exit state: the
+    /// pc and return stack after its last record. Each run is the
+    /// records from the pc up to the next control op, cut at the record
+    /// count; the op's record takes the next branch byte, which must
+    /// fit the op ([`FlowKind::fits`]) and says where control goes.
+    ///
+    /// `None` when the chunk does not follow the program: a run leaves
+    /// the table, a byte does not fit its op, a `ret` finds the return
+    /// stack empty, a `call` would push it past `max_depth` entries, or
+    /// the branch bytes run out or are left over. A chunk captured from
+    /// the program always derives; the persistence loader accepts only
+    /// chunks that do, so the chunk walk and the request rebuild may
+    /// rely on it.
+    #[inline(always)]
+    pub(crate) fn derive<V: RunVisitor>(
+        &self,
+        chunk: &TraceChunk,
+        max_depth: usize,
+        v: &mut V,
+    ) -> Option<FlowState> {
+        let pcs = &*self.pcs;
+        let mut pc = chunk.entry_pc;
+        let mut stack: Vec<u32> = chunk.entry_stack.iter().collect();
+        let mut left = chunk.len;
+        let mut bytes = chunk.branches.as_slice().iter();
+        while left > 0 {
+            let flow = pcs.get(pc as usize)?;
+            // The records up to the next control op, cut at the record
+            // count; then the op's record, unless the table ends first
+            // (a `None` op fits no byte).
+            let run = (flow.next - pc).min(left);
+            if run > 0 {
+                v.span(pc, run);
+                (pc, left) = (pc + run, left - run);
+                if left == 0 {
+                    break;
+                }
+            }
+            let &byte = bytes.next()?;
+            if !flow.kind.fits(byte) {
+                return None;
+            }
+            v.branch(pc, byte);
+            left -= 1;
+            pc = match flow.kind {
+                FlowKind::Call => {
+                    if stack.len() >= max_depth {
+                        return None;
+                    }
+                    stack.push(pc + 1);
+                    flow.target
+                }
+                FlowKind::Ret => stack.pop()?,
+                _ if byte & BR_TAKEN != 0 => flow.target,
+                _ => pc + 1,
+            };
+        }
+        bytes.next().is_none().then_some(FlowState { pc, stack })
     }
 }
 
@@ -301,13 +566,15 @@ impl U32s {
     pub(crate) fn get(&self, i: usize) -> u32 {
         match self {
             U32s::Owned(v) => v[i],
-            U32s::Mapped(b) => LeU32s(b.as_slice()).get(i),
+            U32s::Mapped(b) => u32::from_le_bytes(
+                b.as_slice()[4 * i..4 * i + 4]
+                    .try_into()
+                    .expect("4-byte element"),
+            ),
         }
     }
 
-    /// The values in order, decoding mapped bytes on the fly. Cold
-    /// paths only — the chunk walk monomorphizes over [`U32Slice`]
-    /// instead of paying a backing match per element.
+    /// The values in order, decoding mapped bytes on the fly.
     pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
@@ -356,60 +623,29 @@ impl PartialEq for U32s {
     }
 }
 
-/// A borrowed random-access u32 stream for the chunk walk: a native
-/// slice (owned chunks) or little-endian bytes (mapped chunks). The
-/// walk monomorphizes over this, so neither backing pays a per-element
-/// dispatch — the mapped path costs exactly one unaligned LE load per
-/// element.
-trait U32Slice: Copy {
-    /// Element `i`.
-    fn get(self, i: usize) -> u32;
-}
-
-impl U32Slice for &[u32] {
-    #[inline(always)]
-    fn get(self, i: usize) -> u32 {
-        self[i]
-    }
-}
-
-/// Little-endian u32 elements over raw mapped bytes.
-#[derive(Clone, Copy)]
-struct LeU32s<'a>(&'a [u8]);
-
-impl U32Slice for LeU32s<'_> {
-    #[inline(always)]
-    fn get(self, i: usize) -> u32 {
-        u32::from_le_bytes(self.0[4 * i..4 * i + 4].try_into().expect("4-byte element"))
-    }
-}
-
-/// One chunk of a dynamic trace in structure-of-arrays form: the run
-/// index that holds the chunk's pcs and branch events, and the sparse
-/// latency streams — one byte per load record and one entry per fetch
-/// stall (see the module docs). Nothing is stored per record.
+/// One chunk of a dynamic trace in structure-of-arrays form: its entry
+/// state and branch bytes, from which the trace's [`FlowTable`] derives
+/// every pc, and the sparse latency streams — one byte per load record
+/// and one entry per fetch stall (see the module docs). Nothing is
+/// stored per record.
 ///
 /// Each stream is either **owned** (capture) or a **zero-copy view**
 /// over a persisted file's read-only memory map (a warm-start load,
-/// see `persist`). Consumers never care which: the chunk walk
-/// monomorphizes over the backing and every engine produces
+/// see `persist`). Consumers never care which: every engine produces
 /// byte-identical reports either way. Equality is logical — an owned
 /// chunk and its mapped round-trip compare equal.
 #[derive(Debug, Clone, Default)]
 pub struct TraceChunk {
     /// Number of records, at most [`TRACE_CHUNK_RECORDS`].
     pub(crate) len: u32,
-    /// The start pc of every run, in order: one per branch record, plus
-    /// one for a non-empty open run.
-    pub(crate) starts: U32s,
-    /// The packed branch byte of every *branch* record, in order —
-    /// the zero bytes of non-branch records are elided.
+    /// The pc of the chunk's first record…
+    pub(crate) entry_pc: u32,
+    /// …and the return stack under it, outermost return address first:
+    /// the chunk's entry state, where the previous chunk ended.
+    pub(crate) entry_stack: U32s,
+    /// The packed branch byte of every *control* record, in order —
+    /// the zero bytes of the other records are elided.
     pub(crate) branches: U8s,
-    /// Non-branch run length preceding each entry of `branches`.
-    pub(crate) runs: U32s,
-    /// Length of the still-open trailing non-branch run (a chunk that
-    /// ends on a branch record leaves this 0).
-    pub(crate) open_run: u32,
     /// The load-to-use latency of every load record, in order. Which
     /// records are loads is the timing table's to say; every other
     /// record's latency is 0.
@@ -435,7 +671,7 @@ impl TraceChunk {
     /// Whether the chunk's streams are zero-copy views over a mapped
     /// trace file rather than owned buffers.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.runs, U32s::Mapped(_))
+        matches!(self.branches, U8s::Mapped(_))
     }
 
     /// Number of branch records in the chunk.
@@ -446,46 +682,41 @@ impl TraceChunk {
     /// Removes all records, keeping the stream allocations.
     pub fn clear(&mut self) {
         self.len = 0;
-        self.starts.clear();
+        self.entry_pc = 0;
+        self.entry_stack.clear();
         self.branches.clear();
-        self.runs.clear();
-        self.open_run = 0;
         self.dlats.clear();
         self.stall_at.clear();
         self.stalls.clear();
     }
 
-    /// Returns a writer appending to the chunk's streams — the only way
-    /// records enter a chunk. The caller installs the writer's record
-    /// count and open run with [`end_fill`](TraceChunk::end_fill).
-    pub(crate) fn begin_fill(&mut self) -> ChunkWriter<'_> {
-        debug_assert!(self.is_empty() && self.open_run == 0);
+    /// Whether the chunk enters at `state`: its first record at
+    /// `state.pc`, over the return stack `state.stack`.
+    pub(crate) fn enters_at(&self, state: &FlowState) -> bool {
+        self.entry_pc == state.pc && self.entry_stack.iter().eq(state.stack.iter().copied())
+    }
+
+    /// Records the entry state — the emulator's pc and return stack
+    /// before the first record — and returns a writer appending to the
+    /// chunk's streams: the only way records enter a chunk.
+    pub(crate) fn begin_fill(&mut self, pc: u32, stack: &[u32]) -> ChunkWriter<'_> {
+        debug_assert!(self.is_empty());
+        self.entry_pc = pc;
+        self.entry_stack.owned_mut().extend_from_slice(stack);
         ChunkWriter {
-            starts: self.starts.owned_mut(),
+            len: &mut self.len,
             branches: self.branches.owned_mut(),
-            runs: self.runs.owned_mut(),
             dlats: self.dlats.owned_mut(),
             stall_at: self.stall_at.owned_mut(),
             stalls: self.stalls.owned_mut(),
-            cur: 0,
-            open_run: 0,
         }
-    }
-
-    /// Closes what [`begin_fill`](TraceChunk::begin_fill) opened:
-    /// installs the `written` record count and the writer's trailing
-    /// open-run length.
-    pub(crate) fn end_fill(&mut self, written: u32, open_run: u32) {
-        self.len = written;
-        self.open_run = open_run;
     }
 
     /// Drops the slack capacity of every stream (each chunk of a
     /// materialized trace).
     fn shrink_to_fit(&mut self) {
-        self.starts.shrink_to_fit();
+        self.entry_stack.shrink_to_fit();
         self.branches.shrink_to_fit();
-        self.runs.shrink_to_fit();
         self.dlats.shrink_to_fit();
         self.stall_at.shrink_to_fit();
         self.stalls.shrink_to_fit();
@@ -496,9 +727,8 @@ impl TraceChunk {
     /// Mapped streams count 0: their pages belong to the OS page cache,
     /// not the trace pool's budget.
     pub fn bytes(&self) -> usize {
-        self.starts.heap_bytes()
+        self.entry_stack.heap_bytes()
             + self.branches.heap_bytes()
-            + self.runs.heap_bytes()
             + self.dlats.heap_bytes()
             + self.stall_at.heap_bytes()
             + self.stalls.heap_bytes()
@@ -516,24 +746,31 @@ pub(crate) struct ChunkReqs {
     prob: Vec<bool>,
 }
 
+impl RunVisitor for ChunkReqs {
+    #[inline(always)]
+    fn span(&mut self, _: u32, _: u32) {}
+
+    #[inline(always)]
+    fn branch(&mut self, pc: u32, byte: u8) {
+        // A conditional branch has kind bits 0: only the
+        // present/taken/prob flags may be set.
+        if byte & !(BR_TAKEN | BR_PROB) == BR_PRESENT {
+            self.reqs
+                .push(BranchReq::new(pc as u64, byte & BR_TAKEN != 0));
+            self.prob.push(byte & BR_PROB != 0);
+        }
+    }
+}
+
 impl ChunkReqs {
-    /// Replaces the requests with `chunk`'s, read off its run index —
-    /// the branch of run `i` sits at `starts[i] + runs[i]` — for
-    /// captured and mapped chunks alike. The only code that builds
-    /// predictor requests.
-    pub(crate) fn build(&mut self, chunk: &TraceChunk) {
+    /// Replaces the requests with `chunk`'s, at the pcs `flow` derives
+    /// for its branches ([`FlowTable::derive`]), for captured and mapped
+    /// chunks alike. The only code that builds predictor requests.
+    pub(crate) fn build(&mut self, chunk: &TraceChunk, flow: &FlowTable) {
         self.reqs.clear();
         self.prob.clear();
-        for (i, &byte) in chunk.branches.as_slice().iter().enumerate() {
-            // A conditional branch has kind bits 0: only the
-            // present/taken/prob flags may be set.
-            if byte & !(BR_TAKEN | BR_PROB) == BR_PRESENT {
-                let pc = chunk.starts.get(i) + chunk.runs.get(i);
-                self.reqs
-                    .push(BranchReq::new(pc as u64, byte & BR_TAKEN != 0));
-                self.prob.push(byte & BR_PROB != 0);
-            }
-        }
+        flow.derive(chunk, usize::MAX, self)
+            .expect("captured and loaded chunks follow the program's control flow");
     }
 
     /// The *predictor-visible* requests, in program order: every
@@ -565,46 +802,22 @@ impl ChunkReqs {
 
 /// An appending writer over a [`TraceChunk`]'s streams (see
 /// [`TraceChunk::begin_fill`]) — the chunk format's only writer. It
-/// writes nothing per record: a run's start when a record opens one, a
-/// branch's run entry, a load's latency and a nonzero fetch stall's
-/// index and cycles.
-///
-/// A record that opens a run pushes its pc as the run's start; every
-/// other record of the run must sit at the previous record's pc + 1,
-/// which every capture guarantees (only branch records redirect
-/// control) and debug builds assert.
+/// writes nothing per record and no pc: a control record's branch
+/// byte, a load's latency and a nonzero fetch stall's index and cycles,
+/// and it counts the records. Where each record sits follows from the
+/// entry state and the branch bytes ([`FlowTable::derive`]); debug
+/// builds check each captured chunk's derived exit state against the
+/// emulator's.
 pub(crate) struct ChunkWriter<'a> {
-    starts: &'a mut Vec<u32>,
+    /// The chunk's record count: the records written so far.
+    len: &'a mut u32,
     branches: &'a mut Vec<u8>,
-    runs: &'a mut Vec<u32>,
     dlats: &'a mut Vec<u8>,
     stall_at: &'a mut Vec<u32>,
     stalls: &'a mut Vec<u8>,
-    /// Records written so far.
-    cur: u32,
-    /// Non-branch records of the open run; 0 when no run is open (the
-    /// chunk's start, or right after a branch record).
-    open_run: u32,
 }
 
 impl ChunkWriter<'_> {
-    /// Places the next record, at `pc`, in a run: it opens one when
-    /// none is open, and otherwise continues the open run.
-    #[inline(always)]
-    fn place(&mut self, pc: u32) {
-        if self.open_run == 0 {
-            self.starts.push(pc);
-        } else {
-            debug_assert_eq!(
-                self.starts
-                    .last()
-                    .map(|&s| u64::from(s) + u64::from(self.open_run)),
-                Some(u64::from(pc)),
-                "a record inside a run sits at the previous pc + 1"
-            );
-        }
-    }
-
     /// Appends the load-to-use latency of a load record this writer
     /// emits next: the next [`emit_record`](ChunkWriter::emit_record)'s,
     /// or one of the next [`emit_straight`](ChunkWriter::emit_straight)
@@ -615,45 +828,27 @@ impl ChunkWriter<'_> {
         self.dlats.push(dlat);
     }
 
-    /// Appends `n` straight-line records at the consecutive pcs from
-    /// `start` on — the compiled blocks' warm fast path: no branch bytes
-    /// (a block body is branch-free by construction) and no fetch stalls
-    /// (the warmth rule), so only the run bookkeeping is written. A
-    /// zero-length span (a block that faults at its first body op)
-    /// opens no run.
+    /// Appends `n` straight-line records — the compiled blocks' warm
+    /// fast path: no branch bytes (a block body holds no control op by
+    /// construction) and no fetch stalls (the warmth rule), so only the
+    /// record count moves.
     #[inline(always)]
-    pub(crate) fn emit_straight(&mut self, start: u32, n: u32) {
-        if n == 0 {
-            return;
-        }
-        self.place(start);
-        self.open_run += n;
-        self.cur += n;
+    pub(crate) fn emit_straight(&mut self, n: u32) {
+        *self.len += n;
     }
 
-    /// Appends one record: its pc, packed branch byte (0 for a
-    /// non-branch record) and pre-simulated fetch stall.
+    /// Appends one record: its packed branch byte (0 for a record that
+    /// is not a control op's) and pre-simulated fetch stall.
     #[inline(always)]
-    pub(crate) fn emit_record(&mut self, pc: u32, branch_byte: u8, istall: u8) {
-        self.place(pc);
+    pub(crate) fn emit_record(&mut self, branch_byte: u8, istall: u8) {
         if istall != 0 {
-            self.stall_at.push(self.cur);
+            self.stall_at.push(*self.len);
             self.stalls.push(istall);
         }
-        self.cur += 1;
         if branch_byte != 0 {
-            self.runs.push(self.open_run);
             self.branches.push(branch_byte);
-            self.open_run = 0;
-        } else {
-            self.open_run += 1;
         }
-    }
-
-    /// Ends the session, returning `(written, open_run)` for
-    /// [`TraceChunk::end_fill`].
-    pub(crate) fn finish(self) -> (u32, u32) {
-        (self.cur, self.open_run)
+        *self.len += 1;
     }
 }
 
@@ -662,10 +857,9 @@ impl PartialEq for TraceChunk {
     /// chunk equals its mapped round-trip).
     fn eq(&self, other: &TraceChunk) -> bool {
         self.len == other.len
-            && self.open_run == other.open_run
-            && self.starts == other.starts
+            && self.entry_pc == other.entry_pc
+            && self.entry_stack == other.entry_stack
             && self.branches == other.branches
-            && self.runs == other.runs
             && self.dlats == other.dlats
             && self.stall_at == other.stall_at
             && self.stalls == other.stalls
@@ -685,68 +879,32 @@ pub(crate) trait ChunkVisitor {
 }
 
 /// Drives `v` over every record of `chunk` in program order; `timings`
-/// is the per-pc metadata of the trace the chunk came from. Whole
-/// non-branch runs go through `plain` — the branch test runs once per
-/// *run*, not once per record, and inside a run the `branch: None` arm
-/// of the cycle-accounting core constant-folds away. A run is walked in
+/// and `flow` are the per-pc tables of the trace the chunk came from.
+/// The runs come from [`FlowTable::derive`]. Whole non-branch spans go
+/// through `plain` — the branch test runs once per *run*, not once per
+/// record, and inside a run the `branch: None` arm of the
+/// cycle-accounting core constant-folds away. A span is walked in
 /// stall-free sub-spans with a literal `istall = 0`, so the core's
 /// fetch-stall arm constant-folds too; a stalled record is visited on
 /// its own. Each record's timing-table entry is read once, from a slice
 /// of the table its span's pcs count up through, and a load takes the
 /// next load latency.
-///
-/// The walk monomorphizes over the chunk's u32 backing ([`U32Slice`]):
-/// the owned arm reads native slices, and the mapped arm decodes each
-/// little-endian element in place of a slice load — one specialization
-/// per (starts, runs) backing pair, resolved once per chunk.
 #[inline(always)]
-pub(crate) fn walk_chunk<V: ChunkVisitor>(chunk: &TraceChunk, timings: &[InstTiming], v: &mut V) {
-    match &chunk.starts {
-        U32s::Owned(starts) => walk_runs(chunk, timings, starts.as_slice(), v),
-        U32s::Mapped(starts) => walk_runs(chunk, timings, LeU32s(starts.as_slice()), v),
-    }
-}
-
-/// [`walk_chunk`] past its starts' backing: resolves the run lengths'.
-#[inline(always)]
-fn walk_runs<S: U32Slice, V: ChunkVisitor>(
+pub(crate) fn walk_chunk<V: ChunkVisitor>(
     chunk: &TraceChunk,
     timings: &[InstTiming],
-    starts: S,
+    flow: &FlowTable,
     v: &mut V,
 ) {
-    match &chunk.runs {
-        U32s::Owned(runs) => walk_streams(chunk, timings, starts, runs.as_slice(), v),
-        U32s::Mapped(runs) => walk_streams(chunk, timings, starts, LeU32s(runs.as_slice()), v),
-    }
-}
-
-/// The backing-generic body of [`walk_chunk`].
-#[inline(always)]
-fn walk_streams<S: U32Slice, R: U32Slice, V: ChunkVisitor>(
-    chunk: &TraceChunk,
-    timings: &[InstTiming],
-    starts: S,
-    runs: R,
-    v: &mut V,
-) {
-    let mut lat = Latencies::of(chunk);
-    let branches = chunk.branches.as_slice();
-    let mut idx = 0usize;
-    for (i, &byte) in branches.iter().enumerate() {
-        let (start, run) = (starts.get(i), runs.get(i));
-        lat.span(idx, start, run, timings, v);
-        idx += run as usize;
-        let pc = start + run;
-        let t = &timings[pc as usize];
-        let istall = lat.stall(idx);
-        v.branch(pc, t, istall, lat.dlat(t), decode_branch(byte));
-        idx += 1;
-    }
-    if chunk.open_run > 0 {
-        let start = starts.get(branches.len());
-        lat.span(idx, start, chunk.open_run, timings, v);
-    }
+    let mut walk = Walk {
+        lat: Latencies::of(chunk),
+        idx: 0,
+        timings,
+        v,
+    };
+    flow.derive(chunk, usize::MAX, &mut walk)
+        .expect("captured and loaded chunks follow the program's control flow");
+    let lat = &walk.lat;
     debug_assert!(
         lat.d == lat.dlats.len() && lat.k == lat.stalls.len(),
         "the walk consumed {} of {} load latencies and {} of {} stalls",
@@ -755,6 +913,33 @@ fn walk_streams<S: U32Slice, R: U32Slice, V: ChunkVisitor>(
         lat.k,
         lat.stalls.len()
     );
+}
+
+/// [`walk_chunk`]'s run visitor: hands each derived record to the
+/// chunk visitor with its timing entry and latencies.
+struct Walk<'a, V> {
+    lat: Latencies<'a>,
+    /// The index of the next record.
+    idx: usize,
+    timings: &'a [InstTiming],
+    v: &'a mut V,
+}
+
+impl<V: ChunkVisitor> RunVisitor for Walk<'_, V> {
+    #[inline(always)]
+    fn span(&mut self, pc: u32, n: u32) {
+        self.lat.span(self.idx, pc, n, self.timings, self.v);
+        self.idx += n as usize;
+    }
+
+    #[inline(always)]
+    fn branch(&mut self, pc: u32, byte: u8) {
+        let t = &self.timings[pc as usize];
+        let istall = self.lat.stall(self.idx);
+        self.v
+            .branch(pc, t, istall, self.lat.dlat(t), decode_branch(byte));
+        self.idx += 1;
+    }
 }
 
 /// The latency cursor of a chunk walk: the next load latency, and the
@@ -948,6 +1133,9 @@ pub struct TraceStream {
     /// fetch, then the data access for loads, per record in order.
     pub(crate) presim: MemoryHierarchy,
     pub(crate) timings: Box<[InstTiming]>,
+    /// The program's static control flow, from which each chunk's pcs
+    /// derive.
+    pub(crate) flow: FlowTable,
     /// Per-instruction-cache-line first-touch flags, when the program is
     /// small enough that the L1-I provably never evicts a program line
     /// (≤ its 512-line capacity, consecutive line indices → at most
@@ -987,6 +1175,7 @@ impl TraceStream {
             None => Emulator::new(program.clone(), config.emu.clone()),
         };
         let timings: Box<[InstTiming]> = emu.decoded().insts().iter().map(|d| d.timing).collect();
+        let flow = FlowTable::of(emu.decoded());
         let presim = MemoryHierarchy::default();
         // Instructions are 8 bytes in the timing model's address space,
         // so one cache line covers `line_bytes / 8` consecutive pcs.
@@ -1013,6 +1202,7 @@ impl TraceStream {
             emu,
             presim,
             timings,
+            flow,
             itouched,
             pcs_per_line,
             blocks,
@@ -1029,6 +1219,12 @@ impl TraceStream {
         &self.timings
     }
 
+    /// The program's static control flow, which replay consumers read
+    /// beside [`timings`](TraceStream::timings).
+    pub fn flow(&self) -> &FlowTable {
+        &self.flow
+    }
+
     /// The architectural results, once [`fill`](TraceStream::fill) has
     /// reported the machine halted.
     pub fn finish(self) -> TraceFunctional {
@@ -1042,12 +1238,14 @@ impl TraceStream {
 }
 
 /// A materialized dynamic trace: one emulation key's full record stream
-/// in SoA chunks, the per-pc timing metadata, the pre-simulated cache
-/// latencies and the architectural results — everything `N` timing
-/// models need to replay the run without re-emulating it.
+/// in SoA chunks, the per-pc timing metadata and control flow, the
+/// pre-simulated cache latencies and the architectural results —
+/// everything `N` timing models need to replay the run without
+/// re-emulating it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynTrace {
     pub(crate) timings: Box<[InstTiming]>,
+    pub(crate) flow: FlowTable,
     pub(crate) chunks: Vec<TraceChunk>,
     pub(crate) functional: TraceFunctional,
     /// The emulation key the trace was captured under, re-checked at
@@ -1080,6 +1278,7 @@ impl DynTrace {
         }
         Ok(DynTrace {
             timings: stream.timings.clone(),
+            flow: stream.flow.clone(),
             functional: stream.finish(),
             chunks,
             pbs: config.pbs.clone(),
@@ -1107,6 +1306,12 @@ impl DynTrace {
         &self.timings
     }
 
+    /// The program's static control flow, from which every chunk's pcs
+    /// derive.
+    pub fn flow(&self) -> &FlowTable {
+        &self.flow
+    }
+
     /// The architectural results of the captured run.
     pub fn functional(&self) -> &TraceFunctional {
         &self.functional
@@ -1118,15 +1323,16 @@ impl DynTrace {
         self.chunks.iter().filter(|c| c.is_mapped()).count()
     }
 
-    /// Heap bytes held by the trace (record streams, timing table
-    /// and architectural results) — the number the trace pool's memory
-    /// budget meters. Mapped record streams count 0
-    /// (their pages are the OS page cache's, reclaimable at will), so
-    /// demoting a trace to disk shrinks its pooled footprint to the
-    /// timing table and the architectural results.
+    /// Heap bytes held by the trace (record streams, timing and flow
+    /// tables and architectural results) — the number the trace pool's
+    /// memory budget meters. Mapped record streams count 0 (their pages
+    /// are the OS page cache's, reclaimable at will), so demoting a
+    /// trace to disk shrinks its pooled footprint to the two tables and
+    /// the architectural results.
     pub fn bytes(&self) -> usize {
         self.chunks.iter().map(TraceChunk::bytes).sum::<usize>()
             + self.timings.len() * std::mem::size_of::<InstTiming>()
+            + self.flow.bytes()
             + self.functional.prob_consumed.capacity() * 8
             + self
                 .functional
@@ -1368,13 +1574,13 @@ impl<'t> ReplayConsumer<'t> {
     /// predictions (build its requests and batch-predict them, or read
     /// the tape), then walk the chunk's records through the
     /// cycle-accounting core, replaying the predictions in program
-    /// order. `timings` is the per-pc metadata of the trace the chunk
-    /// came from.
+    /// order. `timings` and `flow` are the per-pc tables of the trace
+    /// the chunk came from.
     #[inline]
-    pub fn consume_chunk(&mut self, timings: &[InstTiming], chunk: &TraceChunk) {
+    pub fn consume_chunk(&mut self, timings: &[InstTiming], flow: &FlowTable, chunk: &TraceChunk) {
         let preds = match &mut self.preds {
             PredSource::Live { batch, reqs } => {
-                reqs.build(chunk);
+                reqs.build(chunk, flow);
                 batch.predict(reqs);
                 batch.tape.chunk(batch.tape.chunk_count() - 1)
             }
@@ -1388,7 +1594,7 @@ impl<'t> ReplayConsumer<'t> {
             feed: PredFeed::new(preds),
             filter_prob: self.filter_prob,
         };
-        walk_chunk(chunk, timings, &mut v);
+        walk_chunk(chunk, timings, flow, &mut v);
         debug_assert!(
             v.feed.consumed_all(),
             "drain consumed {} of {} predictions",
@@ -1693,13 +1899,10 @@ mod tests {
         seen: u64,
         /// Records checked with a nonzero fetch stall.
         stalled: u64,
-        /// The last record checked.
-        last: Option<Rec>,
     }
 
     impl Oracle {
         fn check(&mut self, got: Rec, t: &InstTiming) {
-            self.last = Some(got);
             let d = self
                 .emu
                 .step()
@@ -1736,11 +1939,13 @@ mod tests {
     }
 
     /// Walks every chunk of `trace` — a capture of `program` under
-    /// `cfg`, or a load of one — through the record-level oracle.
-    /// Returns the oracle, done, and how many chunk boundaries fell
-    /// inside a run, each checked to chain: after a chunk that ends on a
-    /// non-branch record at pc p, the next chunk's first run starts at
-    /// p + 1.
+    /// `cfg`, or a load of one — through the record-level oracle, so the
+    /// derived pc stream is the reference stream, and checks that the
+    /// chunks chain: the first enters at pc 0 with an empty return
+    /// stack, each later one at the previous one's derived exit state,
+    /// and the last one exits in the reference emulator's final state.
+    /// Returns the oracle, done, and how many chunks entered inside a
+    /// call.
     fn check_records(
         program: &Program,
         cfg: &SimConfig,
@@ -1758,25 +1963,37 @@ mod tests {
             hierarchy: MemoryHierarchy::default(),
             seen: 0,
             stalled: 0,
-            last: None,
         };
-        let mut chained = 0;
-        for chunk in trace.chunks() {
-            if let Some((pc, None, ..)) = oracle.last {
-                assert_eq!(chunk.starts.get(0), pc + 1, "{at}: chunk chain");
-                chained += 1;
-            }
-            walk_chunk(chunk, trace.timings(), &mut oracle);
+        let mut exit = FlowState::default();
+        let mut in_calls = 0;
+        for (i, chunk) in trace.chunks().iter().enumerate() {
+            assert!(
+                chunk.enters_at(&exit),
+                "{at}: chunk {i} enters at pc {} over {:?}, not at {exit:?}",
+                chunk.entry_pc,
+                chunk.entry_stack.iter().collect::<Vec<_>>()
+            );
+            in_calls += usize::from(!exit.stack.is_empty());
+            walk_chunk(chunk, trace.timings(), trace.flow(), &mut oracle);
+            exit = trace
+                .flow()
+                .derive(chunk, cfg.emu.max_call_depth, &mut ())
+                .expect("a walked chunk derives");
         }
         assert_eq!(oracle.emu.step().unwrap(), None, "{at}: trace ends early");
         assert_eq!(oracle.seen, trace.instructions(), "{at}");
-        (oracle, chained)
+        let end = FlowState {
+            pc: oracle.emu.pc(),
+            stack: oracle.emu.call_stack().to_vec(),
+        };
+        assert_eq!(exit, end, "{at}: exit state");
+        (oracle, in_calls)
     }
 
     #[test]
     fn captured_records_match_the_reference_stream_and_a_full_cache_walk() {
         use probranch_workloads::{BenchmarkId, Scale};
-        let mut chained = 0;
+        let mut in_calls = 0;
         for id in BenchmarkId::ALL {
             let program = id.build(Scale::Smoke, 1).program();
             for pbs in [false, true] {
@@ -1790,11 +2007,11 @@ mod tests {
                         crate::aot::with_capture_tier(tier, || DynTrace::capture(&program, &cfg))
                             .unwrap();
                     let at = format!("{id:?}, PBS {pbs}, {tier:?}");
-                    chained += check_records(&program, &cfg, &trace, &at).1;
+                    in_calls += check_records(&program, &cfg, &trace, &at).1;
                 }
             }
         }
-        assert!(chained > 0, "no chunk boundary fell inside a run");
+        assert!(in_calls > 0, "no chunk entered inside a call");
     }
 
     /// A loop whose straight-line body of 5,000 instructions, a quarter
@@ -1880,10 +2097,10 @@ mod tests {
             for cfg in [SimConfig::default(), SimConfig::default().with_pbs()] {
                 let trace = DynTrace::capture(&id.build(Scale::Smoke, 1).program(), &cfg).unwrap();
                 let mut tally = Tally::default();
-                let mut runs = 0;
+                let mut entries = 0;
                 for chunk in trace.chunks() {
-                    walk_chunk(chunk, trace.timings(), &mut tally);
-                    runs += chunk.branch_count() + usize::from(chunk.open_run > 0);
+                    walk_chunk(chunk, trace.timings(), trace.flow(), &mut tally);
+                    entries += 4 * chunk.entry_stack.len();
                 }
                 let branches: usize = trace.chunks().iter().map(TraceChunk::branch_count).sum();
                 let f = trace.functional();
@@ -1892,10 +2109,12 @@ mod tests {
                         .iter()
                         .map(|(_, v)| v.capacity() * 8)
                         .sum::<usize>();
-                // 9 B per branch (its run length, branch byte and start),
-                // 4 B per open run's start, 1 B per load, 5 B per stall.
-                let records = 4 * runs + 5 * branches + tally.loads + 5 * tally.stalls;
-                let bound = records + std::mem::size_of_val(trace.timings()) + results;
+                // 1 B per branch, 1 B per load, 5 B per stall, and each
+                // chunk's return stack at entry; the entry pc and the
+                // counts sit in the chunk itself.
+                let records = branches + tally.loads + 5 * tally.stalls + entries;
+                let tables = std::mem::size_of_val(trace.timings()) + trace.flow().bytes();
+                let bound = records + tables + results;
                 assert!(
                     trace.bytes() <= bound,
                     "{id:?} under {:?}: {} bytes for {} records, bound {bound}",
@@ -1915,15 +2134,26 @@ mod tests {
         Straight(u32, u32),
     }
 
-    /// Whether `pc` is a load in [`load_table`].
+    /// Whether `pc` is a load in [`tables`].
     fn is_load_pc(pc: u32) -> bool {
         pc % 3 == 0
     }
 
-    /// A timing table for hand-written chunks, 8 Ki pcs long: every
-    /// third pc is a load.
-    fn load_table() -> Vec<InstTiming> {
-        (0..8192)
+    /// The kinds of [`tables`]' control ops, in turn.
+    const KINDS: [FlowKind; 5] = [
+        FlowKind::Cond,
+        FlowKind::Prob,
+        FlowKind::Jmp,
+        FlowKind::Call,
+        FlowKind::Ret,
+    ];
+
+    /// The timing and flow tables of a program for hand-written
+    /// chunks, 8 Ki pcs long: every third pc is a load, and every
+    /// sixteenth a control op, of the [`KINDS`] in turn, jumping to a
+    /// pc spread over the table.
+    fn tables() -> (Vec<InstTiming>, FlowTable) {
+        let timings = (0..8192)
             .map(|pc| {
                 let class = if is_load_pc(pc) {
                     ExecClass::Load
@@ -1938,7 +2168,22 @@ mod tests {
                     class: class.index() as u8,
                 }
             })
-            .collect()
+            .collect();
+        let ops: Vec<_> = (0..8192u32)
+            .map(|pc| match pc % 16 {
+                15 => {
+                    let kind = KINDS[(pc / 16) as usize % KINDS.len()];
+                    let target = if kind.has_target() {
+                        pc.wrapping_mul(7919) % 8192
+                    } else {
+                        0
+                    };
+                    (kind, target)
+                }
+                _ => (FlowKind::None, 0),
+            })
+            .collect();
+        (timings, FlowTable::from_ops(&ops).unwrap())
     }
 
     /// The latency a straight-line span reports for its load at `pc`.
@@ -1946,7 +2191,8 @@ mod tests {
         (pc % 251) as u8 + 1
     }
 
-    /// Every branch event a record can carry: each kind × taken × prob.
+    /// Every branch event a record could carry: each kind × taken ×
+    /// prob.
     fn every_branch_event() -> Vec<BranchEvent> {
         let kinds = [
             BranchEventKind::Conditional,
@@ -1970,16 +2216,86 @@ mod tests {
         events
     }
 
-    /// Writes `writes` into a fresh chunk through its writer — a load
-    /// record's latency through [`ChunkWriter::load`] — and checks that
-    /// the chunk walk over [`load_table`], the branch count, the run
-    /// starts, the latency streams and the predictor requests
-    /// [`ChunkReqs::build`] reads off the run index reproduce them. The
-    /// writes must follow two rules every capture follows: a record
-    /// after a non-branch record sits at its pc + 1, and a record that
-    /// is not a load has `dlat = 0`.
-    fn assert_round_trip(writes: &[Write]) {
-        let timings = load_table();
+    /// Up to `n` writes that follow `flow` from `entry`, and the state
+    /// they leave: at a pc that is not a control op, one plain record or
+    /// a straight span up to the next control op (zero-length spans
+    /// included); at a control op, its record, with a random branch byte
+    /// of its kind. Stops where a capture would fault or leave the
+    /// program — at a `ret` on an empty stack, or past the table's end.
+    /// A record at a load pc carries a latency, every other one 0.
+    fn follow(
+        flow: &FlowTable,
+        entry: FlowState,
+        n: usize,
+        rng: &mut probranch_rng::SplitMix64,
+    ) -> (Vec<Write>, FlowState) {
+        use probranch_rng::UniformSource;
+        let mut state = entry;
+        let mut writes = Vec::new();
+        while writes.len() < n {
+            let pc = state.pc;
+            let Some(&f) = flow.pcs.get(pc as usize) else {
+                break;
+            };
+            let r = rng.next_u64();
+            let dlat = |d: u64| if is_load_pc(pc) { d as u8 } else { 0 };
+            if f.next != pc {
+                if r % 2 == 0 {
+                    writes.push(Write::Record((pc, None, (r >> 8) as u8, dlat(r >> 16))));
+                    state.pc += 1;
+                } else {
+                    let len = (r >> 8) as u32 % (f.next - pc + 1);
+                    writes.push(Write::Straight(pc, len));
+                    state.pc += len;
+                }
+                continue;
+            }
+            let taken = (r >> 8) & 1 == 1;
+            let (taken, kind, is_prob) = match f.kind {
+                FlowKind::Cond => (taken, BranchEventKind::Conditional, false),
+                FlowKind::Prob if (r >> 9) & 1 == 1 => (taken, BranchEventKind::PbsDirected, true),
+                FlowKind::Prob => (taken, BranchEventKind::Conditional, true),
+                FlowKind::Jmp => (true, BranchEventKind::Unconditional, false),
+                FlowKind::Call => (true, BranchEventKind::Call, false),
+                FlowKind::Ret => (true, BranchEventKind::Ret, false),
+                FlowKind::None => unreachable!("handled above"),
+            };
+            state.pc = match f.kind {
+                FlowKind::Call => {
+                    state.stack.push(pc + 1);
+                    f.target
+                }
+                FlowKind::Ret => match state.stack.pop() {
+                    Some(ra) => ra,
+                    None => break,
+                },
+                _ if taken => f.target,
+                _ => pc + 1,
+            };
+            let ev = BranchEvent {
+                taken,
+                kind,
+                is_prob,
+            };
+            writes.push(Write::Record((
+                pc,
+                Some(ev),
+                (r >> 16) as u8,
+                dlat(r >> 24),
+            )));
+        }
+        (writes, state)
+    }
+
+    /// Writes `writes` into a fresh chunk entered at `entry` through its
+    /// writer — a load record's latency through [`ChunkWriter::load`] —
+    /// and checks that the chunk walk over [`tables`], the branch count,
+    /// the latency streams, the derived exit state and the predictor
+    /// requests [`ChunkReqs::build`] derives reproduce them. The writes
+    /// must follow the flow table from `entry` to `exit`, and a record
+    /// that is not a load must have `dlat = 0`, as in every capture.
+    fn assert_round_trip(entry: &FlowState, writes: &[Write], exit: &FlowState) {
+        let (timings, flow) = tables();
         let mut want: Vec<Rec> = Vec::new();
         for write in writes {
             match *write {
@@ -1991,39 +2307,38 @@ mod tests {
             }
         }
         let mut chunk = TraceChunk::default();
-        let mut w = chunk.begin_fill();
+        let mut w = chunk.begin_fill(entry.pc, &entry.stack);
         for write in writes {
             match *write {
                 Write::Record((pc, branch, istall, dlat)) => {
                     if is_load_pc(pc) {
                         w.load(dlat);
                     }
-                    w.emit_record(pc, encode_branch(branch), istall);
+                    w.emit_record(encode_branch(branch), istall);
                 }
                 Write::Straight(start, n) => {
                     for pc in (start..start + n).filter(|&pc| is_load_pc(pc)) {
                         w.load(span_dlat(pc));
                     }
-                    w.emit_straight(start, n);
+                    w.emit_straight(n);
                 }
             }
         }
-        let (written, open_run) = w.finish();
-        chunk.end_fill(written, open_run);
 
         let mut got = Collect {
             timings: &timings,
             recs: Vec::new(),
         };
-        walk_chunk(&chunk, &timings, &mut got);
+        walk_chunk(&chunk, &timings, &flow, &mut got);
         assert_eq!(got.recs, want);
         assert_eq!(chunk.len(), want.len());
+        assert!(chunk.enters_at(entry));
+        assert_eq!(
+            flow.derive(&chunk, usize::MAX, &mut ()).as_ref(),
+            Some(exit)
+        );
         let branches = want.iter().filter(|r| r.1.is_some()).count();
         assert_eq!(chunk.branch_count(), branches);
-        assert_eq!(
-            chunk.starts.len(),
-            branches + usize::from(chunk.open_run > 0)
-        );
         // Nothing per record: one latency per load, one entry per stall.
         let loads = want.iter().filter(|r| is_load_pc(r.0)).count();
         assert_eq!(chunk.dlats.len(), loads);
@@ -2038,74 +2353,65 @@ mod tests {
             })
             .unzip();
         let mut built = ChunkReqs::default();
-        built.build(&chunk);
+        built.build(&chunk, &flow);
         assert_eq!((&built.reqs, &built.prob), (&reqs, &prob));
     }
 
     #[test]
     fn chunk_writer_round_trips_through_the_walk_and_the_request_rebuild() {
         use probranch_rng::{SplitMix64, UniformSource};
-        let events = every_branch_event();
-        // A non-load record keeps `dlat = 0`.
+        let (_, flow) = tables();
         let dlat = |pc: u32, d: u8| if is_load_pc(pc) { d } else { 0 };
-        let branch = |pc: u32, ev: BranchEvent| Write::Record((pc, Some(ev), 3, dlat(pc, 9)));
-        let plain = |pc: u32| Write::Record((pc, None, (pc % 7) as u8, dlat(pc, (pc % 5) as u8)));
         // The empty chunk.
-        assert_round_trip(&[]);
-        // Every branch event alone, after a plain record, and before
-        // one: chunks ending and not ending on a branch.
-        for &ev in &events {
-            assert_round_trip(&[branch(9, ev)]);
-            assert_round_trip(&[plain(8), branch(9, ev)]);
-            assert_round_trip(&[branch(9, ev), plain(10)]);
+        let start = FlowState::default();
+        assert_round_trip(&start, &[], &start);
+        // Every branch byte an op can produce, alone, at an op of its
+        // kind entered over a one-entry stack; no byte fits two kinds.
+        let mut fitting = 0;
+        for ev in every_branch_event() {
+            let byte = encode_branch(Some(ev));
+            let kinds: Vec<FlowKind> = KINDS.into_iter().filter(|k| k.fits(byte)).collect();
+            let [kind] = kinds[..] else {
+                assert!(kinds.is_empty(), "{ev:?} fits {kinds:?}");
+                continue;
+            };
+            fitting += 1;
+            let pc = (0..8192u32)
+                .find(|&pc| flow.pcs[pc as usize].next == pc && flow.pcs[pc as usize].kind == kind)
+                .unwrap();
+            let target = flow.pcs[pc as usize].target;
+            let (next, stack) = match kind {
+                FlowKind::Call => (target, vec![77, pc + 1]),
+                FlowKind::Ret => (77, vec![]),
+                _ if ev.taken => (target, vec![77]),
+                _ => (pc + 1, vec![77]),
+            };
+            let entry = FlowState {
+                pc,
+                stack: vec![77],
+            };
+            let write = Write::Record((pc, Some(ev), 3, dlat(pc, 9)));
+            assert_round_trip(&entry, &[write], &FlowState { pc: next, stack });
         }
-        // All-branch and branch-free runs.
-        assert_round_trip(&events.iter().map(|&ev| branch(40, ev)).collect::<Vec<_>>());
-        assert_round_trip(&(0..300).map(plain).collect::<Vec<_>>());
-        // Zero-length spans open no run and may name any pc: at the
-        // chunk's start, inside a run and after a branch.
-        assert_round_trip(&[
-            Write::Straight(7, 0),
-            Write::Straight(100, 12),
-            Write::Straight(3, 0),
-            Write::Straight(112, 5000),
-            branch(5112, events[0]),
-            Write::Straight(9, 0),
-        ]);
-        // Arbitrary mixes of all three write shapes — stalls dense
-        // enough to split most runs — with pcs by the run rule: after a
-        // non-branch record the next pc is its pc + 1, and after a
-        // branch record (or at the chunk's start) any pc may follow.
+        // Two conditional bytes, four `PROB_JMP` ones, one each for a
+        // jump, a call and a return.
+        assert_eq!(fitting, 9);
+        // Arbitrary walks from arbitrary entry states — stalls dense
+        // enough to split most spans, calls and returns nesting over the
+        // entry stack.
         let mut rng = SplitMix64::seed(17);
-        for _ in 0..200 {
-            let len = rng.next_u64() % 64;
-            let mut next: Option<u32> = None;
-            let writes: Vec<Write> = (0..len)
-                .map(|_| {
-                    let r = rng.next_u64();
-                    let pc = next.unwrap_or((r >> 40) as u32 % 4096);
-                    match r % 4 {
-                        0 => {
-                            next = Some(pc + 1);
-                            Write::Record((pc, None, (r >> 8) as u8, dlat(pc, (r >> 16) as u8)))
-                        }
-                        1 => {
-                            next = None;
-                            let ev = events[(r >> 8) as usize % events.len()];
-                            let d = dlat(pc, (r >> 24) as u8);
-                            Write::Record((pc, Some(ev), (r >> 16) as u8, d))
-                        }
-                        _ => {
-                            let n = (r >> 8) as u32 % 40;
-                            if n > 0 {
-                                next = Some(pc + n);
-                            }
-                            Write::Straight(pc, n)
-                        }
-                    }
-                })
-                .collect();
-            assert_round_trip(&writes);
+        for _ in 0..300 {
+            let r = rng.next_u64();
+            let depth = (r >> 20) % 4;
+            let entry = FlowState {
+                pc: (r % 8192) as u32,
+                stack: (0..depth)
+                    .map(|i| ((r >> (24 + 8 * i)) % 8192) as u32)
+                    .collect(),
+            };
+            let n = (r >> 13) as usize % 64;
+            let (writes, exit) = follow(&flow, entry.clone(), n, &mut rng);
+            assert_round_trip(&entry, &writes, &exit);
         }
     }
 
@@ -2152,11 +2458,18 @@ mod tests {
         assert_eq!(generated, interp);
         assert_eq!(chunk, interp_chunk);
         // The records before the fault: two setup instructions and 100
-        // iterations, ending on the loop's branch. The empty span of
-        // the faulting block opened no run.
+        // iterations, ending on the loop's branch back to the faulting
+        // load at pc 2.
         assert_eq!(chunk.len(), 2 + 100 * 4);
-        assert_eq!(chunk.open_run, 0);
-        assert_eq!(chunk.starts.len(), chunk.branch_count());
+        assert_eq!(chunk.branch_count(), 100);
+        let flow = FlowTable::of(&DecodedProgram::of(&program));
+        assert_eq!(
+            flow.derive(&chunk, usize::MAX, &mut ()),
+            Some(FlowState {
+                pc: 2,
+                stack: Vec::new()
+            })
+        );
     }
 
     #[test]

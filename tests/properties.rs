@@ -794,21 +794,20 @@ fn reseal(file: &mut [u8]) {
     file[at..].copy_from_slice(&d.to_le_bytes());
 }
 
-/// Where one chunk's structural fields sit in a v4 trace file.
+/// Where one chunk's structural fields sit in a v5 trace file.
 struct ChunkFields {
-    /// Offsets of the record, branch, load and stall counts (u64 each).
+    /// Offsets of the record, branch, load and stall counts and the
+    /// return-stack depth (u64 each), and of the entry pc (u32).
     len: usize,
     n_branches: usize,
     n_loads: usize,
     n_stalls: usize,
-    /// Offset of the open-run length (u32).
-    open_run: usize,
+    entry_pc: usize,
+    depth: usize,
     /// The record count.
     records: u64,
-    /// Offsets of the run lengths and the run start pcs (u32 each),
-    /// with each run's length in records (its branch included).
-    runs: Vec<usize>,
-    starts: Vec<(usize, u64)>,
+    /// Offsets of the entry stack's return addresses (u32 each).
+    stack: Vec<usize>,
     /// Offsets of the branch bytes.
     branches: Vec<usize>,
     /// Offsets of the stall record indices (u32 each) and the stall
@@ -817,44 +816,33 @@ struct ChunkFields {
     stalls: Vec<usize>,
 }
 
-/// A v4 trace file's structural fields.
+/// A v5 trace file's structural fields.
 struct Layout {
-    /// The load pcs below each pc of the timing table: one entry per pc
-    /// and one past the end, so a range's loads are a difference.
-    loads_below: Vec<u64>,
+    /// The pcs in the timing and flow tables.
+    pcs: u64,
+    /// Offsets of the flow-table targets (u32 each) of the pcs whose
+    /// control op jumps to one: every kind code but 0 (no control op)
+    /// and 5 (`ret`).
+    targets: Vec<usize>,
     chunks: Vec<ChunkFields>,
 }
 
-impl Layout {
-    /// The pcs in the timing table.
-    fn n_timings(&self) -> u64 {
-        self.loads_below.len() as u64 - 1
-    }
-
-    /// The load pcs in `start..start + n`, when that range lies inside
-    /// the timing table.
-    fn loads(&self, start: u64, n: u64) -> Option<u64> {
-        let end = usize::try_from(start + n).ok()?;
-        Some(self.loads_below.get(end)? - self.loads_below[start as usize])
-    }
-}
-
-/// Walks a v4 trace file's layout (README, "File format (v4)") to its
-/// timing table's load pcs and every chunk's structural fields.
+/// Walks a v5 trace file's layout (README, "File format (v5)") to its
+/// flow table's targets and every chunk's structural fields.
 fn chunk_fields(file: &[u8]) -> Layout {
     let u64_at = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
-    let u32_at = |at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap());
     // Magic, version, content hash, instruction count.
     let mut at = 8 + 4 + 8 + 8;
-    let n_timings = u64_at(at) as usize;
-    let load = probranch::isa::ExecClass::Load.index() as u8;
-    let mut loads_below = vec![0];
-    for pc in 0..n_timings {
-        // A timing entry's last byte is its latency class.
-        let is_load = file[at + 8 + 9 * pc + 8] == load;
-        loads_below.push(loads_below[pc] + u64::from(is_load));
-    }
-    at += 8 + 9 * n_timings;
+    let pcs = u64_at(at) as usize;
+    // The timing table, then the flow table: a kind code and a target
+    // per pc.
+    at += 8 + 9 * pcs;
+    let targets = (0..pcs)
+        .map(|pc| at + 5 * pc)
+        .filter(|&entry| !matches!(file[entry], 0 | 5))
+        .map(|entry| entry + 1)
+        .collect();
+    at += 5 * pcs;
     let ports = u64_at(at);
     at += 8;
     for _ in 0..ports {
@@ -867,33 +855,21 @@ fn chunk_fields(file: &[u8]) -> Layout {
     at += 8;
     let chunks = (0..n_chunks)
         .map(|_| {
-            let nb = u64_at(at + 8) as usize;
-            let open_run = u32_at(at + 16);
-            let (nl, ns) = (u64_at(at + 20) as usize, u64_at(at + 28) as usize);
-            let runs_at = at + 36;
-            let runs: Vec<usize> = (0..nb).map(|i| runs_at + 4 * i).collect();
-            let starts_at = runs_at + 5 * nb;
-            let mut lens: Vec<u64> = runs.iter().map(|&r| u64::from(u32_at(r)) + 1).collect();
-            if open_run > 0 {
-                lens.push(u64::from(open_run));
-            }
-            let n_starts = lens.len();
-            let starts = lens
-                .into_iter()
-                .enumerate()
-                .map(|(i, n)| (starts_at + 4 * i, n))
-                .collect();
-            let stall_at_at = starts_at + 4 * n_starts + nl;
+            let (nb, nl) = (u64_at(at + 8) as usize, u64_at(at + 16) as usize);
+            let (ns, depth) = (u64_at(at + 24) as usize, u64_at(at + 36) as usize);
+            let stack_at = at + 44;
+            let branches_at = stack_at + 4 * depth;
+            let stall_at_at = branches_at + nb + nl;
             let fields = ChunkFields {
                 len: at,
                 n_branches: at + 8,
-                open_run: at + 16,
-                n_loads: at + 20,
-                n_stalls: at + 28,
+                n_loads: at + 16,
+                n_stalls: at + 24,
+                entry_pc: at + 32,
+                depth: at + 36,
                 records: u64_at(at),
-                runs,
-                starts,
-                branches: (0..nb).map(|i| runs_at + 4 * nb + i).collect(),
+                stack: (0..depth).map(|i| stack_at + 4 * i).collect(),
+                branches: (0..nb).map(|i| branches_at + i).collect(),
                 stall_at: (0..ns).map(|i| stall_at_at + 4 * i).collect(),
                 stalls: (0..ns).map(|i| stall_at_at + 4 * ns + i).collect(),
             };
@@ -903,28 +879,47 @@ fn chunk_fields(file: &[u8]) -> Layout {
         .collect();
     assert_eq!(at, file.len() - 8, "the layout walk must end at the digest");
     Layout {
-        loads_below,
+        pcs: pcs as u64,
+        targets,
         chunks,
     }
 }
 
-/// Mutates one structural field of chunk `c` in `file` — by `field`: a
-/// run length, a start pc, the open-run length, the branch count, the
-/// record count, a branch byte, the load count, the stall count, a
-/// stall's record index or a stall's cycles — to a value next to the
+/// Which kind of control op a branch byte fits, by the byte alone:
+/// a conditional branch (taken or not), a `PROB_JMP` (taken or not,
+/// PBS-directed or not), a jump, a call or a return — `None` for a
+/// byte no op produces. In a valid file every byte fits the op it
+/// lands on, so a byte of another class contradicts it.
+fn fit_class(byte: u8) -> Option<u8> {
+    match byte {
+        0x01 | 0x03 => Some(1),
+        0x05 | 0x07 | 0x0D | 0x0F => Some(2),
+        0x13 => Some(3),
+        0x1B => Some(4),
+        0x23 => Some(5),
+        _ => None,
+    }
+}
+
+/// Mutates one structural field of chunk `c` in `file`, by `field`:
+/// the entry pc (0), the return-stack depth (1), a return address on
+/// the entry stack (2), a branch byte (3), the whole entry stack of a
+/// chunk entering inside a call, emptied, so its first `ret` finds the
+/// stack empty (4), a flow-table target (5), the record count (6), the
+/// branch count (7), the load count (8), the stall count (9), a stall's
+/// record index (10) or a stall's cycles (11). A value goes next to the
 /// old one when `near`, else to an arbitrary one, and never to the old
-/// value. Near, a start pc goes to the end of the timing table, a
-/// branch byte flips one bit, a stall index repeats a neighbour's,
-/// goes out of order or lands at or past the record count, and a
-/// stall's cycles go to 0; far, a start pc or a stall index stays below
-/// twice the table's or the chunk's length. Returns whether the file stays structurally
-/// valid: only a start pc whose run still ends inside the timing table
-/// and covers as many load pcs as before, a byte that is still a branch
-/// byte (bit 0 set, and a kind of 0–4 in bits 3 and up), a stall index
-/// still strictly between its neighbours (or the record count), and
-/// nonzero stall cycles are.
+/// value. Near, a branch byte flips one bit other than its taken bit, a
+/// stall index repeats a neighbour's, goes out of order or lands at or
+/// past the record count, and a stall's cycles go to 0; far, a branch
+/// byte leaves its class ([`fit_class`]) and a stall index stays below
+/// twice the chunk's length. A flow-table target always leaves the
+/// table. Returns whether the file stays structurally valid: only a
+/// `PROB_JMP` byte that keeps its class (its PBS-directed bit flipped,
+/// which moves no pc), a stall index still strictly between its
+/// neighbours (or the record count), and nonzero stall cycles are.
 fn mutate_chunk_field(
-    file: &mut [u8],
+    file: &mut Vec<u8>,
     layout: &Layout,
     c: &ChunkFields,
     field: u8,
@@ -932,50 +927,57 @@ fn mutate_chunk_field(
     value: u64,
     near: bool,
 ) -> bool {
+    if field == 4 {
+        file[c.depth..c.depth + 8].copy_from_slice(&0u64.to_le_bytes());
+        file.drain(c.stack[0]..c.stack[0] + 4 * c.stack.len());
+        return false;
+    }
     let read = |at: usize, width: usize| {
         let mut raw = [0u8; 8];
         raw[..width].copy_from_slice(&file[at..at + width]);
         u64::from_le_bytes(raw)
     };
-    let branch_byte = field == 5 && !c.branches.is_empty();
-    let stall = (field == 8 || field == 9) && !c.stalls.is_empty();
+    let stall = (field == 10 || field == 11) && !c.stalls.is_empty();
     let s = pick % c.stalls.len().max(1);
     let (at, width) = match field {
-        0 if !c.runs.is_empty() => (c.runs[pick % c.runs.len()], 4),
-        1 => (c.starts[pick % c.starts.len()].0, 4),
-        5 if branch_byte => (c.branches[pick % c.branches.len()], 1),
-        8 if stall => (c.stall_at[s], 4),
-        9 if stall => (c.stalls[s], 1),
-        0 | 2 => (c.open_run, 4),
-        3 => (c.n_branches, 8),
-        6 => (c.n_loads, 8),
-        7..=9 => (c.n_stalls, 8),
+        0 => (c.entry_pc, 4),
+        1 => (c.depth, 8),
+        2 if !c.stack.is_empty() => (c.stack[pick % c.stack.len()], 4),
+        3 if !c.branches.is_empty() => (c.branches[pick % c.branches.len()], 1),
+        5 => (layout.targets[pick % layout.targets.len()], 4),
+        10 if stall => (c.stall_at[s], 4),
+        11 if stall => (c.stalls[s], 1),
+        7 => (c.n_branches, 8),
+        8 => (c.n_loads, 8),
+        9..=11 => (c.n_stalls, 8),
         _ => (c.len, 8),
     };
+    let branch_byte = field == 3 && !c.branches.is_empty();
     let old = read(at, width);
     let mask = u64::MAX >> (64 - 8 * width);
     // A stall index's neighbours: the indices a valid one lies between.
     let below = (s > 0).then(|| read(c.stall_at[s - 1], 4));
     let above = c.stall_at.get(s + 1).map_or(c.records, |&a| read(a, 4));
     let v = match field {
-        1 => {
-            let n = c.starts[pick % c.starts.len()].1;
-            if near {
-                layout.n_timings() - n + value % 3
+        3 if branch_byte && near => old ^ 1 << [0, 2, 3, 4, 5, 6, 7][value as usize % 7],
+        3 if branch_byte => {
+            let v = value & 0xFF;
+            if fit_class(v as u8) == fit_class(old as u8) {
+                v | 0x80
             } else {
-                value % (2 * layout.n_timings())
+                v
             }
         }
-        8 if stall && near => match (value % 3, below) {
+        5 => layout.pcs + value % (u64::from(u32::MAX) + 1 - layout.pcs),
+        10 if stall && near => match (value % 3, below) {
             (0, Some(b)) => b,
             (0, None) => above,
             (1, Some(b)) => b.saturating_sub(1),
             (1, None) if above < c.records => above + 1,
             _ => c.records + value % 3,
         },
-        8 if stall => value % (2 * c.records),
-        9 if stall && near => 0,
-        5 if branch_byte && near => old ^ (1 << (value % 8)),
+        10 if stall => value % (2 * c.records),
+        11 if stall && near => 0,
         _ if near => old.wrapping_add(value % 7).wrapping_sub(3),
         _ => value,
     } & mask;
@@ -986,13 +988,9 @@ fn mutate_chunk_field(
     };
     file[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
     match field {
-        1 => {
-            let n = c.starts[pick % c.starts.len()].1;
-            layout.loads(v, n).is_some() && layout.loads(v, n) == layout.loads(old, n)
-        }
-        5 if branch_byte => v & 1 == 1 && v >> 3 <= 4,
-        8 if stall => below.is_none_or(|b| v > b) && v < above,
-        9 if stall => v != 0,
+        3 if branch_byte => fit_class(v as u8) == fit_class(old as u8),
+        10 if stall => below.is_none_or(|b| v > b) && v < above,
+        11 if stall => v != 0,
         _ => false,
     }
 }
@@ -1041,7 +1039,7 @@ fn load_both(file: &[u8], cfg: &SimConfig, hash: u64) -> Result<bool, TestCaseEr
     match (mapped, owned) {
         (TraceLoad::Corrupt, None) => Ok(false),
         (TraceLoad::Loaded(trace), Some(owned)) => {
-            prop_assert_eq!(&trace, &owned);
+            prop_assert_eq!(&*trace, &owned);
             let sim = Simulation::default();
             prop_assert!(sim.replay(&trace, cfg).is_ok());
             prop_assert!(sim.replay_branches(&trace, cfg).is_ok());
@@ -1082,26 +1080,37 @@ proptest! {
     #[test]
     fn trace_file_decoder_checks_every_structural_field(
         chunk in any::<usize>(),
-        field in 0u8..10,
+        field in 0u8..12,
         pick in any::<usize>(),
         value in any::<u64>(),
         near in any::<bool>(),
     ) {
-        // One structural field of a valid file mutated — a run length,
-        // a start pc, the open-run length, the branch count, the record
-        // count, a branch byte, the load count, the stall count, a
-        // stall's record index or its cycles — and the digest
-        // recomputed, so that only the structural checks stand between
-        // the decoder and the edit. A stall field is drawn from the
-        // chunks that hold stalls.
+        // One structural field of a valid file mutated — the entry pc,
+        // the return-stack depth or an address on it, a branch byte, an
+        // entry stack emptied, a flow-table target, the record, branch,
+        // load or stall count, a stall's record index or its cycles —
+        // and the digest recomputed, so that only the structural checks
+        // stand between the decoder and the edit. A stack field is drawn
+        // from the chunks that enter inside a call, a branch byte from
+        // the chunks that hold branches, a stall field from the chunks
+        // that hold stalls.
         let _quiesce = probranch_faults::ScopedPlan::install(Default::default());
         let (pristine, cfg, hash) = smoke_trace_file();
         let layout = chunk_fields(pristine);
-        let stalled: Vec<&ChunkFields> =
-            layout.chunks.iter().filter(|c| !c.stalls.is_empty()).collect();
+        let holding = |has: fn(&ChunkFields) -> bool| -> Vec<&ChunkFields> {
+            layout.chunks.iter().filter(|c| has(c)).collect()
+        };
+        let (in_calls, branching, stalled) = (
+            holding(|c| !c.stack.is_empty()),
+            holding(|c| !c.branches.is_empty()),
+            holding(|c| !c.stalls.is_empty()),
+        );
+        prop_assert!(!in_calls.is_empty(), "Bandit's chunks cut its selection call");
         prop_assert!(!stalled.is_empty(), "the first fetches of every line stall");
         let c = match field {
-            8 | 9 => stalled[chunk % stalled.len()],
+            2 | 4 => in_calls[chunk % in_calls.len()],
+            3 => branching[chunk % branching.len()],
+            10 | 11 => stalled[chunk % stalled.len()],
             _ => &layout.chunks[chunk % layout.chunks.len()],
         };
         let mut file = pristine.clone();
