@@ -6,9 +6,7 @@
 //!
 //! Scales: `smoke` (about 0.2 s), `bench` (default, 1.1–1.8 s with
 //! one worker), `paper` (figure-quality, 6.9–8.1 s with one worker),
-//! measured on a 2-vCPU VM whose speed swings by tens of percent. The scale can also be set through the
-//! `PROBRANCH_SCALE` environment variable; the flag wins when both are
-//! given.
+//! measured on a 2-vCPU VM whose speed swings by tens of percent.
 //!
 //! `--jobs N` selects the worker count of the parallel experiment
 //! engine (default: `PROBRANCH_JOBS`, else all available cores). The
@@ -33,7 +31,7 @@
 use probranch_bench::experiments::{self, Engine, ExperimentScale};
 use probranch_bench::service;
 use probranch_faults as faults;
-use probranch_harness::{Jobs, StrictViolation, SupervisedError, Supervision};
+use probranch_harness::{Jobs, Supervision};
 
 struct Options {
     scale: ExperimentScale,
@@ -206,7 +204,7 @@ fn parse_args() -> Options {
         }
     }
     Options {
-        scale: scale.unwrap_or_else(ExperimentScale::from_env),
+        scale: scale.unwrap_or(ExperimentScale::Bench),
         jobs,
         engine: engine.unwrap_or_default(),
         trace_dir,
@@ -220,7 +218,7 @@ fn parse_args() -> Options {
 }
 
 fn usage(error: &str) -> ! {
-    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block, cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3). The first two attempts run the requested engine,\n        later ones the reference engine (all of them the requested\n        engine under --strict-traces).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_SCALE / PROBRANCH_JOBS; default: bench scale,\n        all cores; --jobs 0 also means all cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        Figures 1 and 9 print no cycle count and run only the batch\n        predictor, Figure 9 streaming the seeds no other figure uses\n        with bounded memory; each pass over a pooled trace keeps its\n        predictions beside the trace as a prediction tape, which\n        later passes under the same predictor and filter read instead\n        of predicting again — Figure 1's tapes serve Figures 6, 8 and\n        9 — and Table III and the accuracy check read pooled traces'\n        program results instead of re-emulating; reference\n        re-simulates every cell with the per-instruction oracle, for\n        differential debugging). Both print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool,\n        prediction tapes included (optional k/m/g suffix, e.g.\n        64m). Over budget, the coldest pooled traces are demoted to\n        their mmap-backed persisted form (with --trace-dir) or evicted\n        and re-captured on next use. stdout stays byte-identical for\n        any budget.\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines. A section that finished ok is kept in\n        memory under its (section, scale, engine) and answers every\n        later identical request without re-running; cancelled and\n        failed sweeps are not kept, so a retry recomputes.\n        SIGINT/SIGTERM or a `shutdown` request drains in-flight sweeps,\n        flushes pending demotions, prints the service counters and\n        exits 0. Each section's bytes match the in-process run exactly.";
+    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block, cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3). The first two attempts run the requested engine,\n        later ones the reference engine (all of them the requested\n        engine under --strict-traces).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_JOBS; default: bench scale, all cores;\n        --jobs 0 also means all cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        Figures 1 and 9 print no cycle count and run only the batch\n        predictor, Figure 9 streaming the seeds no other figure uses\n        with bounded memory; each pass over a pooled trace keeps its\n        predictions beside the trace as a prediction tape, which\n        later passes under the same predictor and filter read instead\n        of predicting again — Figure 1's tapes serve Figures 6, 8 and\n        9 — and Table III and the accuracy check read pooled traces'\n        program results instead of re-emulating; reference\n        re-simulates every cell with the per-instruction oracle, for\n        differential debugging). Both print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool,\n        prediction tapes included (optional k/m/g suffix, e.g.\n        64m). Over budget, the coldest pooled traces are demoted to\n        their mmap-backed persisted form (with --trace-dir) or evicted\n        and re-captured on next use. stdout stays byte-identical for\n        any budget.\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines. A section that finished ok is kept in\n        memory under its (section, scale, engine) and answers every\n        later identical request without re-running; cancelled and\n        failed sweeps are not kept, so a retry recomputes.\n        SIGINT/SIGTERM or a `shutdown` request drains in-flight sweeps,\n        flushes pending demotions, prints the service counters and\n        exits 0. Each section's bytes match the in-process run exactly.";
     if error.is_empty() {
         println!("{text}");
         std::process::exit(0);
@@ -255,25 +253,15 @@ fn run_serve(addr: &str, jobs: Jobs, ctx: &experiments::Context) {
     // (indefinite) process lifetime.
     ctx.traces()
         .set_persist_cooldown(std::time::Duration::from_secs(30));
+    // The server's drain gate watches the signal flag itself.
     probranch_serve::install_signal_shutdown();
     eprintln!("serving sweeps on {bound}; SIGTERM or `probranch-client {bound} --shutdown` drains");
-    let shutdown = server.shutdown_handle();
-    let watcher = std::thread::spawn(move || {
-        while !shutdown.load(std::sync::atomic::Ordering::Acquire) {
-            if probranch_serve::signal_shutdown_flag() {
-                shutdown.store(true, std::sync::atomic::Ordering::Release);
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-    });
     let stats = server
         .run(service::sweep_handler(ctx, jobs))
         .unwrap_or_else(|e| {
             eprintln!("error: serve loop: {e}");
             std::process::exit(2);
         });
-    let _ = watcher.join();
     let flushed = ctx.traces().flush_to_disk();
     eprintln!(
         "service: {}; drained, {flushed} pending traces flushed",
@@ -360,11 +348,7 @@ fn main() {
         // A supervised cell that exhausted every attempt (or a strict
         // violation) surfaces as a structured error attributing the
         // exhausted site, not a crash.
-        let msg = if let Some(e) = payload.downcast_ref::<SupervisedError>() {
-            e.to_string()
-        } else if let Some(v) = payload.downcast_ref::<StrictViolation>() {
-            v.to_string()
-        } else {
+        let Some(msg) = service::typed_failure(&*payload) else {
             // A genuine bug: re-raise so the default abort path (and
             // its backtrace machinery) reports it unchanged.
             std::panic::resume_unwind(payload);

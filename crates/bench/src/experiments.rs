@@ -68,17 +68,8 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Reads `PROBRANCH_SCALE` (`smoke` / `bench` / `paper`), defaulting
-    /// to `Bench`.
-    pub fn from_env() -> ExperimentScale {
-        std::env::var("PROBRANCH_SCALE")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or(ExperimentScale::Bench)
-    }
-
-    /// Parses a scale name as accepted by `PROBRANCH_SCALE` and the
-    /// `figures --scale` flag.
+    /// Parses a scale name (`smoke` / `bench` / `paper`) as accepted by
+    /// the `figures --scale` flag.
     pub fn parse(name: &str) -> Option<ExperimentScale> {
         match name {
             "smoke" => Some(ExperimentScale::Smoke),
@@ -225,18 +216,12 @@ impl Context {
 
     /// A context whose trace pool is backed by trace files under `dir`.
     pub fn with_trace_dir(dir: impl Into<std::path::PathBuf>) -> Context {
-        Context::with_store(Some(dir.into()), None)
+        Context::with_robustness(Some(dir.into()), None, false, Supervision::default_robust())
     }
 
-    /// The fully general constructor: an optional trace directory and
-    /// an optional in-memory pool budget in bytes (see
-    /// [`EngineContext::with_options`] for the demotion/eviction
-    /// semantics).
-    pub fn with_store(trace_dir: Option<std::path::PathBuf>, mem_budget: Option<usize>) -> Context {
-        Context::with_robustness(trace_dir, mem_budget, false, Supervision::default_robust())
-    }
-
-    /// [`with_store`](Context::with_store) plus the robustness policy:
+    /// The fully general constructor: an optional trace directory, an
+    /// optional in-memory pool budget in bytes (see [`EngineContext`]
+    /// for the demotion/eviction semantics), and the robustness policy:
     /// `strict` turns every self-healing path (stale rejection,
     /// quarantine, persistence shutdown, engine degradation) into a
     /// hard structured error, and `supervision` sets the per-cell

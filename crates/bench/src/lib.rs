@@ -3,21 +3,22 @@
 //! The experiment harness regenerating **every table and figure** of
 //! *Architectural Support for Probabilistic Branches* (MICRO 2018):
 //!
-//! | Paper artifact | Runner | Criterion bench |
-//! |----------------|--------|-----------------|
-//! | Figure 1 (branch/misprediction breakdown) | [`experiments::fig1`] | `fig1_breakdown` |
-//! | Table I (predication/CFD applicability) | [`experiments::table1`] | `table1_applicability` |
-//! | Table II (benchmark characteristics) | [`experiments::table2`] | `table2_characteristics` |
-//! | Figure 6 (MPKI reduction) | [`experiments::fig6`] | `fig6_mpki` |
-//! | Figure 7 (IPC, 4-wide) | [`experiments::fig7`] | `fig7_ipc_4wide` |
-//! | Figure 8 (IPC, 8-wide) | [`experiments::fig8`] | `fig8_ipc_8wide` |
-//! | Figure 9 (predictor interference) | [`experiments::fig9`] | `fig9_interference` |
-//! | Table III (randomness battery) | [`experiments::table3`] | `table3_randomness` |
-//! | §VII-D (output accuracy) | [`experiments::accuracy`] | `accuracy_outputs` |
-//! | §V-C2 (hardware cost) | [`experiments::hardware_cost`] | — (unit tested) |
+//! | Paper artifact | Runner |
+//! |----------------|--------|
+//! | Figure 1 (branch/misprediction breakdown) | [`experiments::fig1`] |
+//! | Table I (predication/CFD applicability) | [`experiments::table1`] |
+//! | Table II (benchmark characteristics) | [`experiments::table2`] |
+//! | Figure 6 (MPKI reduction) | [`experiments::fig6`] |
+//! | Figure 7 (IPC, 4-wide) | [`experiments::fig7`] |
+//! | Figure 8 (IPC, 8-wide) | [`experiments::fig8`] |
+//! | Figure 9 (predictor interference) | [`experiments::fig9`] |
+//! | Table III (randomness battery) | [`experiments::table3`] |
+//! | §VII-D (output accuracy) | [`experiments::accuracy`] |
+//! | §V-C2 (hardware cost) | [`experiments::hardware_cost`] |
 //!
-//! The `figures` binary prints all of them; set `PROBRANCH_SCALE` to
-//! `smoke`, `bench` (default) or `paper` to choose run sizes.
+//! The `figures` binary prints all of them; `figures --scale` chooses
+//! the run size: `smoke`, `bench` (default) or `paper`. Wall time per
+//! section is measured outside the binary, by `perfbench/run.py`.
 //!
 //! Every sweep runs on the deterministic parallel engine of
 //! [`probranch_harness`]: pass a [`Jobs`] (worker count) to any runner —

@@ -89,17 +89,10 @@ pub fn sweep_handler(
             Ok(Some(body)) => SweepOutcome::Ok(body),
             Ok(None) => SweepOutcome::BadRequest(format!("unknown section `{section}`")),
             Err(payload) => {
-                let msg = if let Some(e) = payload.downcast_ref::<SupervisedError>() {
-                    e.to_string()
-                } else if let Some(v) = payload.downcast_ref::<StrictViolation>() {
-                    v.to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else {
-                    "sweep panicked with a non-string payload".to_string()
-                };
+                let msg = typed_failure(&*payload)
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                    .unwrap_or_else(|| "sweep panicked with a non-string payload".to_string());
                 if msg.contains("cancelled") {
                     SweepOutcome::Cancelled(msg)
                 } else {
@@ -108,4 +101,18 @@ pub fn sweep_handler(
             }
         }
     }
+}
+
+/// The message of a typed sweep failure — a supervised cell that
+/// exhausted its attempts ([`SupervisedError`]) or a strict-traces
+/// violation ([`StrictViolation`]) — or `None` for any other panic
+/// payload. The `figures` binary and [`sweep_handler`] both render
+/// typed failures through it, each with its own fallback for the rest.
+pub fn typed_failure(payload: &(dyn std::any::Any + Send)) -> Option<String> {
+    if let Some(e) = payload.downcast_ref::<SupervisedError>() {
+        return Some(e.to_string());
+    }
+    payload
+        .downcast_ref::<StrictViolation>()
+        .map(ToString::to_string)
 }

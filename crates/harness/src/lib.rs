@@ -1,7 +1,7 @@
 //! # probranch-harness
 //!
 //! The deterministic parallel experiment engine behind the `figures`
-//! binary and the Criterion benches.
+//! binary.
 //!
 //! The paper's seed-averaged sweeps (Figures 1/6/7/8/9, Tables I–III)
 //! are grids of independent **cells** — one (workload, predictor,
@@ -19,6 +19,11 @@
 //!   and returns the slots in index order, so the merged output is
 //!   independent of thread interleaving.
 //!
+//! Every grid runs through [`run_cells`]: [`run_cells_supervised`] runs
+//! its per-cell attempt loop (panic isolation, retries, deadlines) as
+//! the body of a `run_cells` grid, and [`EngineContext`] is the one
+//! trace pool the cells share.
+//!
 //! Consequently `run_cells(cells, Jobs::serial(), f)` and
 //! `run_cells(cells, Jobs::new(8), f)` return equal vectors for any
 //! deterministic `f`, which `tests/determinism.rs` locks in for the
@@ -35,7 +40,8 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use probranch_pipeline::cancel::{self, CancelScope};
@@ -49,7 +55,7 @@ use probranch_workloads::BenchmarkId;
 mod supervise;
 
 /// Locks a mutex, recovering from poisoning: every value guarded by
-/// the harness's internal locks is written whole (a cache slot goes
+/// the harness's internal locks is written whole (a pool slot goes
 /// from `None` to a complete entry, a result slot from `None` to a
 /// finished result), so a panic that poisoned a lock can never have
 /// left a half-updated value behind — and supervised retries must be
@@ -192,10 +198,12 @@ pub fn workload_seed(workload: BenchmarkId, seed: u64) -> u64 {
 /// Workers claim cell indices from a shared atomic counter and deposit
 /// each result into its cell's dedicated slot, so the returned vector —
 /// and therefore everything downstream of it — is byte-identical no
-/// matter how many workers ran or how they interleaved. Every worker
-/// runs under the caller's [`cancel::current`] scope, so a request
-/// deadline reaches the cells on every worker. A panic inside `run`
-/// propagates, with its own payload, after all workers have stopped.
+/// matter how many workers ran or how they interleaved. One worker
+/// means no thread at all: the cells run in order on the caller's
+/// thread. Every worker runs under the caller's [`cancel::current`]
+/// scope, so a request deadline reaches the cells on every worker. A
+/// panic inside `run` propagates, with its own payload, after all
+/// workers have stopped.
 ///
 /// The driver is generic over the item type: the paper sweeps pass
 /// [`Cell`]s, but any `Sync` descriptor works.
@@ -249,31 +257,6 @@ where
         .collect()
 }
 
-/// How a pooled trace can be *demoted* to — and re-served from — its
-/// persisted file: everything [`DynTrace::write_file`] /
-/// [`DynTrace::read_file`] need. Attached per entry by
-/// [`TraceCache::get_or_capture_with`] when the owning context has a
-/// trace directory.
-#[derive(Debug, Clone)]
-pub struct TraceDiskInfo {
-    path: std::path::PathBuf,
-    content_hash: u64,
-    config: SimConfig,
-}
-
-impl TraceDiskInfo {
-    /// Disk identity for a pooled trace: its file path, the content
-    /// hash the file is keyed by, and the emulation key a load replays
-    /// under.
-    pub fn new(path: std::path::PathBuf, content_hash: u64, config: SimConfig) -> TraceDiskInfo {
-        TraceDiskInfo {
-            path,
-            content_hash,
-            config,
-        }
-    }
-}
-
 /// One pooled trace plus its prediction tapes and budget-accounting
 /// metadata.
 #[derive(Debug)]
@@ -289,9 +272,11 @@ struct Entry {
     bytes: usize,
     /// LRU clock value at last touch.
     stamp: u64,
-    /// Disk identity for demotion, cleared after a failed attempt so a
-    /// broken file/directory is not retried forever.
-    disk: Option<TraceDiskInfo>,
+    /// The content hash the trace's file is named and keyed by, and the
+    /// emulation config a load replays under: what a demotion needs.
+    /// Set only under a trace directory, and cleared after a failed
+    /// demotion so a broken file or directory is not retried forever.
+    disk: Option<(u64, SimConfig)>,
     /// Whether the trace's record streams are already mmap-backed
     /// (nothing left to demote; eviction is the only further step).
     mapped: bool,
@@ -304,37 +289,62 @@ impl Entry {
     }
 }
 
-/// A cache slot: empty until its key's one capture completes (or after
+/// A pool slot: empty until its key's one capture completes (or after
 /// its entry was evicted under memory pressure).
 type TraceSlot = Arc<Mutex<Option<Entry>>>;
 
-/// A worker-shared, optionally *bounded* cache of captured
-/// [`DynTrace`]s, keyed by emulation key.
+/// The engine-wide simulation context: one worker-shared, optionally
+/// *bounded* pool of captured [`DynTrace`]s keyed by emulation key —
+/// and, optionally, its on-disk extension — threaded through every
+/// sweep of a `figures` run.
 ///
 /// Sweeps whose cells differ only in timing-side configuration
-/// (predictor, core, filter mode) share one trace per emulation key:
-/// the first cell to reach a key captures, every later cell replays the
-/// `Arc`-shared trace. The cache is safe to share across [`run_cells`]
-/// worker threads — and scheduling-independent: each key is captured by
-/// exactly one worker (a deterministic function of the key), and racing
-/// workers wait on that key's slot rather than re-emulating.
+/// (predictor, core, filter mode) share one trace per emulation key,
+/// and Figures 1, 6, 7 and 8 revisit the *same* keys: the first cell to
+/// reach a key captures (or loads) its trace, and every later cell — on
+/// any [`run_cells`] worker, in any sweep — replays the `Arc`-shared
+/// copy. Each key is captured by exactly one worker, and racing workers
+/// wait on that key's slot rather than re-emulating. The context counts
+/// what actually happened ([`captures`](EngineContext::captures),
+/// [`disk_loads`](EngineContext::disk_loads)) so a run can show each
+/// emulation key was emulated **exactly once**. The key type is
+/// caller-chosen (any `Eq + Hash`); sweeps typically use
+/// `(BenchmarkId, seed, pbs)` tuples.
 ///
-/// The key type is caller-chosen (any `Eq + Hash`); sweeps typically
-/// use `(BenchmarkId, seed, pbs)` tuples.
+/// # Trace directory
+///
+/// With a trace directory ([`EngineContext::with_trace_dir`]) the pool
+/// extends across *processes*:
+/// [`get_or_capture`](EngineContext::get_or_capture) first tries
+/// [`DynTrace::load_file`] under the key's caller-supplied content
+/// hash, and persists fresh captures. Every failure falls back to
+/// capture — persistence can save a re-emulation, never change a
+/// result — but the store *self-heals* along the way instead of
+/// silently looping: transient I/O errors retry with capped backoff, a
+/// stale file (intact, wrong format version or key) is counted
+/// ([`stale_rejected`](EngineContext::stale_rejected)) and
+/// overwritten, a corrupt file is **quarantined** — atomically renamed
+/// to `*.quarantined`, counted, never re-read — and a fatal storage
+/// error (ENOSPC, read-only directory) disables persistence for the
+/// remainder of the run with a single warning. Under
+/// [`with_robustness`](EngineContext::with_robustness)'s strict mode
+/// each of those degradations raises a [`StrictViolation`] instead.
+/// Opening a persistent context also sweeps orphaned writer temp files
+/// from the directory ([`sweep_stale_temps`]), so crashed earlier runs
+/// cannot leak disk forever.
 ///
 /// # Memory budget
 ///
-/// Unbounded by default ([`TraceCache::new`]): every captured trace
-/// (~6 bytes per dynamic instruction) stays pooled until the cache is
-/// dropped. With a budget ([`TraceCache::with_budget`]) the cache keeps
-/// its pooled heap bytes at or under the budget by least-recently-used
+/// Unbounded by default: every pooled trace stays until the context is
+/// dropped. With a budget ([`EngineContext::with_robustness`]) the pool
+/// keeps its heap bytes at or under the budget by least-recently-used
 /// **demotion, then eviction** whenever an insert pushes it over:
 ///
-/// 1. the coldest entry with a disk identity
-///    ([`TraceDiskInfo`]) is *demoted* — persisted if its file is
-///    absent, then re-served as a zero-copy mmap-backed load whose
-///    pooled footprint is just the timing table and derived request
-///    streams (the record streams belong to the OS page cache);
+/// 1. with a trace directory, the coldest entry not yet mapped is
+///    *demoted* — persisted if its file is absent, then re-served as a
+///    zero-copy mmap-backed load whose pooled footprint is just the
+///    timing and flow tables and the architectural results (the record
+///    streams belong to the OS page cache);
 /// 2. once nothing is left to demote, the coldest entry is *evicted*
 ///    outright — its key re-captures (or disk-loads) on next use.
 ///
@@ -346,94 +356,197 @@ type TraceSlot = Arc<Mutex<Option<Entry>>>;
 /// scheduling — what every cell *computes* never does, because a
 /// demoted or re-captured trace is byte-identical to the pooled one
 /// (the persistence round-trip property).
-///
-/// [`TraceCache::peak_bytes`] reports the high-water mark of pooled
-/// bytes sampled after each insert's budget enforcement.
+/// [`peak_bytes`](EngineContext::peak_bytes) reports the high-water
+/// mark of pooled bytes sampled after each insert's budget enforcement.
 ///
 /// # Prediction tapes
 ///
-/// Beside each trace the cache keeps the [`PredTape`]s of the predictor
-/// passes run over it ([`TraceCache::taped`]): a later pass under the
+/// Beside each trace the pool keeps the [`PredTape`]s of the predictor
+/// passes run over it ([`EngineContext::taped`]): a later pass under the
 /// same predictor and filter mode reads the tape instead of running the
 /// predictor again. Tapes count against the budget like the trace they
-/// belong to and are evicted with it.
-#[derive(Debug, Default)]
-pub struct TraceCache<K> {
+/// belong to and are evicted with it. They live in memory only: a disk
+/// load starts with none, and they are recorded again on first use.
+#[derive(Debug)]
+pub struct EngineContext<K> {
     /// One slot per key. The outer lock is held only for slot lookup;
     /// the capture runs under the *slot's* lock, so workers racing on
     /// the same key wait for the one in-flight capture instead of
     /// re-emulating (same-key cells are adjacent in sweep grids, making
     /// that race the common case at `--jobs > 1`), while captures for
     /// different keys proceed in parallel. Lock order is always outer →
-    /// slot; budget enforcement snapshots the slot list and releases
-    /// the outer lock before touching any slot.
+    /// slot; budget enforcement and the drain flush snapshot the slot
+    /// list and release the outer lock before touching any slot.
     slots: Mutex<HashMap<K, TraceSlot>>,
     /// Pooled-byte ceiling; `None` = unbounded.
     budget: Option<usize>,
     /// LRU clock: monotonically increasing touch stamps.
-    clock: std::sync::atomic::AtomicU64,
+    clock: AtomicU64,
     hits: AtomicUsize,
     demotions: AtomicUsize,
     evictions: AtomicUsize,
     peak_bytes: AtomicUsize,
     tape_reads: AtomicUsize,
     tapes_recorded: AtomicUsize,
+    trace_dir: Option<PathBuf>,
+    captures: AtomicUsize,
+    disk_loads: AtomicUsize,
+    /// Intact-but-mismatched persisted traces rejected and re-captured
+    /// (stale format version or emulation key) — satellite visibility
+    /// for what used to be silent re-captures.
+    stale_rejected: AtomicUsize,
+    /// Corrupt persisted traces renamed aside (`*.quarantined`).
+    quarantined: AtomicUsize,
+    /// Transient-I/O retries spent on loads and writes.
+    io_retries: AtomicUsize,
+    /// Persist attempts abandoned after exhausting their retries.
+    write_failures: AtomicUsize,
+    /// Set while the persistence circuit breaker is open: a fatal
+    /// storage error (ENOSPC, read-only dir) tripped it. Without a
+    /// cooldown ([`set_persist_cooldown`](EngineContext::set_persist_cooldown))
+    /// it stays open for the rest of the run; with one, a half-open probe retries after the
+    /// cooldown and success closes the breaker again.
+    persist_disabled: AtomicBool,
+    /// When the breaker last tripped (half-open timing).
+    breaker_tripped_at: Mutex<Option<std::time::Instant>>,
+    /// Half-open cooldown in milliseconds; 0 = breaker never retries
+    /// (the per-run shutdown semantics batch runs keep).
+    persist_cooldown_ms: AtomicU64,
+    /// Times the breaker tripped (first trip + every failed probe).
+    breaker_trips: AtomicUsize,
+    /// `--strict-traces`: every degradation path becomes a hard
+    /// [`StrictViolation`] instead of a heal-and-continue.
+    strict: bool,
+    temp_sweeps: usize,
+    quarantine_sweeps: usize,
 }
 
-impl<K: Eq + Hash> TraceCache<K> {
-    /// An empty, unbounded cache.
-    pub fn new() -> TraceCache<K> {
-        TraceCache::with_budget(None)
+impl<K: Eq + Hash> Default for EngineContext<K> {
+    fn default() -> EngineContext<K> {
+        EngineContext::new()
+    }
+}
+
+impl<K: Eq + Hash> EngineContext<K> {
+    /// A context with an empty, unbounded in-memory pool and no disk
+    /// persistence.
+    pub fn new() -> EngineContext<K> {
+        EngineContext::with_robustness(None, None, false)
     }
 
-    /// An empty cache keeping at most `budget` pooled heap bytes
-    /// (`None` = unbounded).
-    pub fn with_budget(budget: Option<usize>) -> TraceCache<K> {
-        TraceCache {
+    /// A context whose pool is backed by trace files under `dir`
+    /// (created on first write if missing).
+    pub fn with_trace_dir(dir: impl Into<PathBuf>) -> EngineContext<K> {
+        EngineContext::with_robustness(Some(dir.into()), None, false)
+    }
+
+    /// The fully general constructor: an optional trace directory, an
+    /// optional pool memory budget in bytes (see the type docs), and
+    /// the robustness policy — with `strict` set, every self-healing
+    /// path (stale rejection, quarantine, persistence shutdown) raises a
+    /// [`StrictViolation`] instead of degrading gracefully. Opening with
+    /// a directory sweeps its stale writer temp files first.
+    pub fn with_robustness(
+        trace_dir: Option<PathBuf>,
+        mem_budget: Option<usize>,
+        strict: bool,
+    ) -> EngineContext<K> {
+        let temp_sweeps = trace_dir.as_deref().map_or(0, sweep_stale_temps);
+        let quarantine_sweeps = trace_dir.as_deref().map_or(0, sweep_old_quarantined);
+        EngineContext {
             slots: Mutex::new(HashMap::new()),
-            budget,
-            clock: std::sync::atomic::AtomicU64::new(0),
+            budget: mem_budget,
+            clock: AtomicU64::new(0),
             hits: AtomicUsize::new(0),
             demotions: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             peak_bytes: AtomicUsize::new(0),
             tape_reads: AtomicUsize::new(0),
             tapes_recorded: AtomicUsize::new(0),
+            trace_dir,
+            captures: AtomicUsize::new(0),
+            disk_loads: AtomicUsize::new(0),
+            stale_rejected: AtomicUsize::new(0),
+            quarantined: AtomicUsize::new(0),
+            io_retries: AtomicUsize::new(0),
+            write_failures: AtomicUsize::new(0),
+            persist_disabled: AtomicBool::new(false),
+            breaker_tripped_at: Mutex::new(None),
+            persist_cooldown_ms: AtomicU64::new(0),
+            breaker_trips: AtomicUsize::new(0),
+            strict,
+            temp_sweeps,
+            quarantine_sweeps,
         }
+    }
+
+    /// Gives the persistence circuit breaker a half-open cooldown: once
+    /// tripped by a fatal storage error, persistence is retried after
+    /// `cooldown` (one probe; success closes the breaker, failure
+    /// re-trips it and restarts the clock). Batch runs keep the default
+    /// — tripped means off for the rest of the run — but a long-lived
+    /// service wants the store back when the disk recovers.
+    pub fn set_persist_cooldown(&self, cooldown: std::time::Duration) {
+        self.persist_cooldown_ms
+            .store(cooldown.as_millis() as u64, Ordering::Relaxed);
+    }
+
+    /// Whether this context persists traces to disk.
+    pub fn persistent(&self) -> bool {
+        self.trace_dir.is_some()
     }
 
     fn touch(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The trace for `key`, capturing it with `capture` on first use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `capture`'s error; the slot stays empty, so a later
-    /// caller retries the capture.
-    pub fn get_or_capture<E>(
-        &self,
-        key: K,
-        capture: impl FnOnce() -> Result<DynTrace, E>,
-    ) -> Result<Arc<DynTrace>, E> {
-        self.get_or_capture_with(key, None, capture)
+    /// Every slot, snapshotted so the outer lock is released before any
+    /// slot is locked.
+    fn slot_list(&self) -> Vec<TraceSlot> {
+        lock_ignore_poison(&self.slots)
+            .values()
+            .map(Arc::clone)
+            .collect()
     }
 
-    /// [`get_or_capture`](TraceCache::get_or_capture) with a disk
-    /// identity attached to the entry, making it *demotable* under a
-    /// memory budget (see the type docs). `capture` runs for a missing
-    /// **or previously evicted** key — a persistent context's closure
-    /// re-serves evicted keys from disk rather than re-emulating.
+    /// The trace file path for a content hash under `dir`.
+    fn trace_path(dir: &Path, content_hash: u64) -> PathBuf {
+        dir.join(format!("trace-{content_hash:016x}.bin"))
+    }
+
+    /// Writes `trace` to its file under `dir`, creating `dir` first: the
+    /// one write behind a capture's persist, a demotion and the drain
+    /// flush. `attempt` salts the persist failpoints, so a retry
+    /// re-rolls them.
+    fn write_trace(
+        dir: &Path,
+        trace: &DynTrace,
+        content_hash: u64,
+        attempt: u64,
+    ) -> std::io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        trace.write_file_attempt(&Self::trace_path(dir, content_hash), content_hash, attempt)
+    }
+
+    /// The trace for `key`: the pooled one, or else loaded from the
+    /// trace directory (when configured and valid) or captured with
+    /// `capture` — for a missing **or previously evicted** key, so a
+    /// persistent context re-serves evicted keys from disk rather than
+    /// re-emulating. `content_hash` must identify everything that
+    /// shapes the captured stream (see
+    /// [`SimConfig::emu_key_fingerprint`](probranch_pipeline::SimConfig::emu_key_fingerprint)
+    /// and the sweep's workload identity); `config` supplies the
+    /// emulation key a loaded trace replays under.
     ///
     /// # Errors
     ///
     /// Propagates `capture`'s error; the slot stays empty, so a later
     /// caller retries.
-    pub fn get_or_capture_with<E>(
+    pub fn get_or_capture<E>(
         &self,
         key: K,
-        disk: Option<TraceDiskInfo>,
+        content_hash: u64,
+        config: &SimConfig,
         capture: impl FnOnce() -> Result<DynTrace, E>,
     ) -> Result<Arc<DynTrace>, E> {
         let slot = Arc::clone(lock_ignore_poison(&self.slots).entry(key).or_default());
@@ -444,14 +557,14 @@ impl<K: Eq + Hash> TraceCache<K> {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(&entry.trace));
             }
-            let trace = Arc::new(capture()?);
+            let trace = Arc::new(self.load_or_capture_unpooled(content_hash, config, capture)?);
             let mapped = trace.mapped_chunks() > 0;
             *guard = Some(Entry {
                 trace: Arc::clone(&trace),
                 tapes: Vec::new(),
                 bytes: trace.bytes(),
                 stamp: self.touch(),
-                disk,
+                disk: self.persistent().then(|| (content_hash, config.clone())),
                 mapped,
             });
             trace
@@ -460,15 +573,48 @@ impl<K: Eq + Hash> TraceCache<K> {
         Ok(trace)
     }
 
+    /// [`get_or_capture`](EngineContext::get_or_capture) without the
+    /// in-memory pool: loads from the trace directory (when configured
+    /// and valid) or captures — persisting a fresh capture — and hands
+    /// the trace to the caller to drop when done. For one-shot
+    /// consumers whose key no other sweep will revisit (Figure 9's
+    /// per-seed pairs), where pooling a never-evicted multi-megabyte
+    /// trace would buy nothing but peak memory. Capture/disk-load
+    /// accounting is shared with the pooled path.
+    ///
+    /// Unlike the pooled path there is no per-key lock: callers racing
+    /// on the same hash may capture twice (and atomically overwrite
+    /// each other's identical file) — wasteful, never wrong.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `capture`'s error.
+    pub fn load_or_capture_unpooled<E>(
+        &self,
+        content_hash: u64,
+        config: &SimConfig,
+        capture: impl FnOnce() -> Result<DynTrace, E>,
+    ) -> Result<DynTrace, E> {
+        if let Some(dir) = &self.trace_dir {
+            if let Some(trace) = self.healing_load(dir, content_hash, config) {
+                self.disk_loads.fetch_add(1, Ordering::Relaxed);
+                return Ok(trace);
+            }
+        }
+        let trace = capture()?;
+        self.captures.fetch_add(1, Ordering::Relaxed);
+        if let Some(dir) = &self.trace_dir {
+            self.persist_trace(dir, &trace, content_hash);
+        }
+        Ok(trace)
+    }
+
     /// Brings the pooled bytes back under the budget (demote coldest,
     /// then evict coldest — never the most recently touched entry) and
     /// samples the peak. Slots locked by in-flight captures are skipped
     /// — their bytes are accounted at *their* insert's enforcement.
     fn enforce_budget(&self) {
-        let slots: Vec<TraceSlot> = lock_ignore_poison(&self.slots)
-            .values()
-            .map(Arc::clone)
-            .collect();
+        let slots = self.slot_list();
         loop {
             // Snapshot pass: pooled total, the protected newest stamp,
             // and the coldest demotion/eviction candidates.
@@ -516,7 +662,7 @@ impl<K: Eq + Hash> TraceCache<K> {
             let mut guard = lock_ignore_poison(&slots[i]);
             match guard.as_mut() {
                 Some(e) if demote => {
-                    if Self::demote(e) {
+                    if self.demote(e) {
                         self.demotions.fetch_add(1, Ordering::Relaxed);
                     } else {
                         // Broken file or directory: stop retrying; the
@@ -539,406 +685,21 @@ impl<K: Eq + Hash> TraceCache<K> {
     /// already has the bytes), re-reads it zero-copy, and drops the
     /// owned record streams. Returns whether the swap happened; the
     /// entry is untouched on failure.
-    fn demote(e: &mut Entry) -> bool {
-        let Some(disk) = &e.disk else { return false };
-        if !disk.path.exists() {
-            let written = disk
-                .path
-                .parent()
-                .map_or(Ok(()), std::fs::create_dir_all)
-                .and_then(|()| e.trace.write_file(&disk.path, disk.content_hash));
-            if written.is_err() {
-                return false;
-            }
+    fn demote(&self, e: &mut Entry) -> bool {
+        let (Some(dir), Some((content_hash, config))) = (&self.trace_dir, &e.disk) else {
+            return false;
+        };
+        let path = Self::trace_path(dir, *content_hash);
+        if !path.exists() && Self::write_trace(dir, &e.trace, *content_hash, 0).is_err() {
+            return false;
         }
-        let Some(mapped) = DynTrace::read_file(&disk.path, disk.content_hash, &disk.config) else {
+        let Some(mapped) = DynTrace::read_file(&path, *content_hash, config) else {
             return false;
         };
         e.trace = Arc::new(mapped);
         e.bytes = e.footprint();
         e.mapped = true;
         true
-    }
-
-    /// Runs one predictor pass over `key`'s pooled trace through its
-    /// prediction tape for `tape_key`. `pass` receives the tape an
-    /// earlier pass recorded, if the entry holds one, and returns its
-    /// result with the tape it recorded, if it ran the predictor; that
-    /// tape is stored beside the trace, charged to the budget. A pass
-    /// that fails or panics stores nothing, and a tape recorded after
-    /// its entry was evicted is dropped — the key's next capture is
-    /// byte-identical, so its tapes are simply recorded again.
-    ///
-    /// Looking a tape up refreshes the entry's LRU stamp but is not a
-    /// [`hits`](TraceCache::hits) event.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `pass`'s error.
-    pub fn taped<R, E>(
-        &self,
-        key: &K,
-        tape_key: TapeKey,
-        pass: impl FnOnce(Option<&PredTape>) -> Result<(R, Option<PredTape>), E>,
-    ) -> Result<R, E> {
-        let slot = lock_ignore_poison(&self.slots).get(key).map(Arc::clone);
-        let tape = slot.as_ref().and_then(|slot| {
-            let mut guard = lock_ignore_poison(slot);
-            let e = guard.as_mut()?;
-            let tape = e
-                .tapes
-                .iter()
-                .find(|t| t.key() == tape_key)
-                .map(Arc::clone)?;
-            e.stamp = self.touch();
-            Some(tape)
-        });
-        if tape.is_some() {
-            self.tape_reads.fetch_add(1, Ordering::Relaxed);
-        }
-        let (result, recorded) = pass(tape.as_deref())?;
-        if let (Some(recorded), Some(slot)) = (recorded, slot) {
-            let stored = {
-                let mut guard = lock_ignore_poison(&slot);
-                match guard.as_mut() {
-                    Some(e) if e.tapes.iter().all(|t| t.key() != tape_key) => {
-                        e.tapes.push(Arc::new(recorded));
-                        e.bytes = e.footprint();
-                        e.stamp = self.touch();
-                        true
-                    }
-                    _ => false,
-                }
-            };
-            if stored {
-                self.tapes_recorded.fetch_add(1, Ordering::Relaxed);
-                self.enforce_budget();
-            }
-        }
-        Ok(result)
-    }
-
-    /// Passes served from a stored prediction tape.
-    pub fn tape_reads(&self) -> usize {
-        self.tape_reads.load(Ordering::Relaxed)
-    }
-
-    /// Prediction tapes recorded and stored beside their traces.
-    pub fn tapes_recorded(&self) -> usize {
-        self.tapes_recorded.load(Ordering::Relaxed)
-    }
-
-    /// The trace already pooled for `key`, if any — never captures, but
-    /// does refresh the entry's LRU stamp (a peek is a use).
-    pub fn peek(&self, key: &K) -> Option<Arc<DynTrace>> {
-        let slot = Arc::clone(lock_ignore_poison(&self.slots).get(key)?);
-        let mut guard = lock_ignore_poison(&slot);
-        guard.as_mut().map(|e| {
-            e.stamp = self.touch();
-            Arc::clone(&e.trace)
-        })
-    }
-
-    /// Number of pooled traces.
-    pub fn len(&self) -> usize {
-        lock_ignore_poison(&self.slots)
-            .values()
-            .filter(|s| lock_ignore_poison(s).is_some())
-            .count()
-    }
-
-    /// Whether the cache holds no traces.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total heap bytes held by the pooled traces and their tapes
-    /// (mmap-backed record streams count 0 — see [`DynTrace::bytes`]).
-    pub fn bytes(&self) -> usize {
-        lock_ignore_poison(&self.slots)
-            .values()
-            .filter_map(|s| lock_ignore_poison(s).as_ref().map(|e| e.bytes))
-            .sum()
-    }
-
-    /// Pool hits: gets served from an already-pooled entry.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Entries demoted to their mmap-backed form under budget pressure.
-    pub fn demotions(&self) -> usize {
-        self.demotions.load(Ordering::Relaxed)
-    }
-
-    /// Writes every pooled entry that has a disk identity but no file
-    /// yet (write-if-absent, like demotion) — the drain step a service
-    /// takes before exit, so traces captured while persistence was
-    /// down still reach the store once it recovers. Returns the number
-    /// of files written; entries stay pooled and untouched.
-    pub fn flush_to_disk(&self) -> usize {
-        let slots: Vec<TraceSlot> = lock_ignore_poison(&self.slots)
-            .values()
-            .map(Arc::clone)
-            .collect();
-        let mut written = 0usize;
-        for slot in &slots {
-            let guard = lock_ignore_poison(slot);
-            let Some(e) = guard.as_ref() else { continue };
-            let Some(disk) = &e.disk else { continue };
-            if disk.path.exists() {
-                continue;
-            }
-            let ok = disk
-                .path
-                .parent()
-                .map_or(Ok(()), std::fs::create_dir_all)
-                .and_then(|()| e.trace.write_file(&disk.path, disk.content_hash));
-            written += usize::from(ok.is_ok());
-        }
-        written
-    }
-
-    /// Entries evicted outright under budget pressure.
-    pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of pooled bytes, sampled after each insert's
-    /// budget enforcement. At most the budget whenever the budget
-    /// admits at least the single most recent trace.
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes.load(Ordering::Relaxed)
-    }
-}
-
-/// The engine-wide simulation context: one process-wide trace pool —
-/// and, optionally, its on-disk extension — threaded through every
-/// sweep of a `figures` run.
-///
-/// PR 4 scoped one [`TraceCache`] per sweep, so Figures 6, 7 and 8 —
-/// which run the *identical* `(workload, seed, PBS)` cell grid — each
-/// re-captured every key. An `EngineContext` hoists the cache to the
-/// whole run: the first sweep to reach a key captures (or loads) its
-/// trace, every later sweep replays the `Arc`-shared copy, and the
-/// context counts what actually happened ([`captures`]
-/// (EngineContext::captures), [`disk_loads`](EngineContext::disk_loads))
-/// so a run can show each emulation key was emulated **exactly once**.
-///
-/// With a trace directory ([`EngineContext::with_trace_dir`]) the pool
-/// extends across *processes*: [`get_or_capture`]
-/// (EngineContext::get_or_capture) first tries
-/// [`DynTrace::load_file`] under the key's caller-supplied content
-/// hash, and persists fresh captures with
-/// [`DynTrace::write_file_attempt`]. Every failure falls back to
-/// capture — persistence can save a re-emulation, never change a
-/// result — but the store *self-heals* along the way instead of
-/// silently looping: transient I/O errors retry with capped backoff, a
-/// stale file (intact, wrong format version or key) is counted
-/// ([`stale_rejected`](EngineContext::stale_rejected)) and
-/// overwritten, a corrupt file is **quarantined** — atomically renamed
-/// to `*.quarantined`, counted, never re-read — and a fatal storage
-/// error (ENOSPC, read-only directory) disables persistence for the
-/// remainder of the run with a single warning. Under
-/// [`with_robustness`](EngineContext::with_robustness)'s strict mode
-/// each of those degradations raises a [`StrictViolation`] instead.
-/// Opening a persistent context also sweeps orphaned writer temp files
-/// from the directory ([`sweep_stale_temps`]), so crashed earlier runs
-/// cannot leak disk forever.
-///
-/// With a pool memory budget ([`EngineContext::with_options`]) the
-/// in-memory half is bounded: cold traces are demoted to their mmap-
-/// backed persisted form (when a trace directory is configured) or
-/// evicted outright — see [`TraceCache`]. An evicted key's next use
-/// re-serves it from disk, or re-captures when there is no directory;
-/// either way the results are byte-identical to an unbounded run.
-///
-/// The pool also keeps each trace's prediction tapes
-/// ([`EngineContext::taped`]), in memory only: a disk load starts with
-/// none, and they are recorded again on first use.
-#[derive(Debug)]
-pub struct EngineContext<K> {
-    cache: TraceCache<K>,
-    trace_dir: Option<std::path::PathBuf>,
-    captures: AtomicUsize,
-    disk_loads: AtomicUsize,
-    /// Intact-but-mismatched persisted traces rejected and re-captured
-    /// (stale format version or emulation key) — satellite visibility
-    /// for what used to be silent re-captures.
-    stale_rejected: AtomicUsize,
-    /// Corrupt persisted traces renamed aside (`*.quarantined`).
-    quarantined: AtomicUsize,
-    /// Transient-I/O retries spent on loads and writes.
-    io_retries: AtomicUsize,
-    /// Persist attempts abandoned after exhausting their retries.
-    write_failures: AtomicUsize,
-    /// Set while the persistence circuit breaker is open: a fatal
-    /// storage error (ENOSPC, read-only dir) tripped it. Without a
-    /// cooldown ([`set_persist_cooldown`]
-    /// (EngineContext::set_persist_cooldown)) it stays open for the
-    /// rest of the run; with one, a half-open probe retries after the
-    /// cooldown and success closes the breaker again.
-    persist_disabled: AtomicBool,
-    /// When the breaker last tripped (half-open timing).
-    breaker_tripped_at: Mutex<Option<std::time::Instant>>,
-    /// Half-open cooldown in milliseconds; 0 = breaker never retries
-    /// (the per-run shutdown semantics batch runs keep).
-    persist_cooldown_ms: std::sync::atomic::AtomicU64,
-    /// Times the breaker tripped (first trip + every failed probe).
-    breaker_trips: AtomicUsize,
-    /// `--strict-traces`: every degradation path becomes a hard
-    /// [`StrictViolation`] instead of a heal-and-continue.
-    strict: bool,
-    temp_sweeps: usize,
-    quarantine_sweeps: usize,
-}
-
-impl<K: Eq + Hash> Default for EngineContext<K> {
-    fn default() -> EngineContext<K> {
-        EngineContext::new()
-    }
-}
-
-impl<K: Eq + Hash> EngineContext<K> {
-    /// A context with an empty in-memory pool and no disk persistence.
-    pub fn new() -> EngineContext<K> {
-        EngineContext::with_options(None, None)
-    }
-
-    /// A context whose pool is backed by trace files under `dir`
-    /// (created on first write if missing).
-    pub fn with_trace_dir(dir: impl Into<std::path::PathBuf>) -> EngineContext<K> {
-        EngineContext::with_options(Some(dir.into()), None)
-    }
-
-    /// The fully general constructor: an optional trace directory and
-    /// an optional pool memory budget in bytes. Opening with a
-    /// directory sweeps its stale writer temp files first.
-    pub fn with_options(
-        trace_dir: Option<std::path::PathBuf>,
-        mem_budget: Option<usize>,
-    ) -> EngineContext<K> {
-        EngineContext::with_robustness(trace_dir, mem_budget, false)
-    }
-
-    /// [`with_options`](EngineContext::with_options) plus the
-    /// robustness policy: with `strict` set, every self-healing path
-    /// (stale rejection, quarantine, persistence shutdown) raises a
-    /// [`StrictViolation`] instead of degrading gracefully.
-    pub fn with_robustness(
-        trace_dir: Option<std::path::PathBuf>,
-        mem_budget: Option<usize>,
-        strict: bool,
-    ) -> EngineContext<K> {
-        let temp_sweeps = trace_dir.as_deref().map_or(0, sweep_stale_temps);
-        let quarantine_sweeps = trace_dir.as_deref().map_or(0, sweep_old_quarantined);
-        EngineContext {
-            cache: TraceCache::with_budget(mem_budget),
-            trace_dir,
-            captures: AtomicUsize::new(0),
-            disk_loads: AtomicUsize::new(0),
-            stale_rejected: AtomicUsize::new(0),
-            quarantined: AtomicUsize::new(0),
-            io_retries: AtomicUsize::new(0),
-            write_failures: AtomicUsize::new(0),
-            persist_disabled: AtomicBool::new(false),
-            breaker_tripped_at: Mutex::new(None),
-            persist_cooldown_ms: std::sync::atomic::AtomicU64::new(0),
-            breaker_trips: AtomicUsize::new(0),
-            strict,
-            temp_sweeps,
-            quarantine_sweeps,
-        }
-    }
-
-    /// Gives the persistence circuit breaker a half-open cooldown: once
-    /// tripped by a fatal storage error, persistence is retried after
-    /// `cooldown` (one probe; success closes the breaker, failure
-    /// re-trips it and restarts the clock). Batch runs keep the default
-    /// — tripped means off for the rest of the run — but a long-lived
-    /// service wants the store back when the disk recovers.
-    pub fn set_persist_cooldown(&self, cooldown: std::time::Duration) {
-        self.persist_cooldown_ms
-            .store(cooldown.as_millis() as u64, Ordering::Relaxed);
-    }
-
-    /// Whether this context persists traces to disk.
-    pub fn persistent(&self) -> bool {
-        self.trace_dir.is_some()
-    }
-
-    /// The trace file path for a content hash under `dir`.
-    fn trace_path(dir: &std::path::Path, content_hash: u64) -> std::path::PathBuf {
-        dir.join(format!("trace-{content_hash:016x}.bin"))
-    }
-
-    /// The trace for `key`, loading it from the trace directory (when
-    /// configured and valid) or capturing it with `capture` on first
-    /// use. `content_hash` must identify everything that shapes the
-    /// captured stream (see
-    /// [`SimConfig::emu_key_fingerprint`](probranch_pipeline::SimConfig::emu_key_fingerprint)
-    /// and the sweep's workload identity); `config` supplies the
-    /// emulation key a loaded trace replays under.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `capture`'s error; the slot stays empty, so a later
-    /// caller retries.
-    pub fn get_or_capture<E>(
-        &self,
-        key: K,
-        content_hash: u64,
-        config: &probranch_pipeline::SimConfig,
-        capture: impl FnOnce() -> Result<DynTrace, E>,
-    ) -> Result<Arc<DynTrace>, E> {
-        // With a trace directory the pooled entry carries its disk
-        // identity, making it demotable under a memory budget.
-        let disk = self.trace_dir.as_ref().map(|dir| {
-            TraceDiskInfo::new(
-                Self::trace_path(dir, content_hash),
-                content_hash,
-                config.clone(),
-            )
-        });
-        self.cache.get_or_capture_with(key, disk, || {
-            self.load_or_capture_unpooled(content_hash, config, capture)
-        })
-    }
-
-    /// [`get_or_capture`](EngineContext::get_or_capture) without the
-    /// in-memory pool: loads from the trace directory (when configured
-    /// and valid) or captures — persisting a fresh capture — and hands
-    /// the trace to the caller to drop when done. For one-shot
-    /// consumers whose key no other sweep will revisit (Figure 9's
-    /// per-seed pairs), where pooling a never-evicted multi-megabyte
-    /// trace would buy nothing but peak memory. Capture/disk-load
-    /// accounting is shared with the pooled path.
-    ///
-    /// Unlike the pooled path there is no per-key lock: callers racing
-    /// on the same hash may capture twice (and atomically overwrite
-    /// each other's identical file) — wasteful, never wrong.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `capture`'s error.
-    pub fn load_or_capture_unpooled<E>(
-        &self,
-        content_hash: u64,
-        config: &probranch_pipeline::SimConfig,
-        capture: impl FnOnce() -> Result<DynTrace, E>,
-    ) -> Result<DynTrace, E> {
-        if let Some(dir) = &self.trace_dir {
-            if let Some(trace) = self.healing_load(dir, content_hash, config) {
-                self.disk_loads.fetch_add(1, Ordering::Relaxed);
-                return Ok(trace);
-            }
-        }
-        let trace = capture()?;
-        self.captures.fetch_add(1, Ordering::Relaxed);
-        if let Some(dir) = &self.trace_dir {
-            self.persist_trace(dir, &trace, content_hash);
-        }
-        Ok(trace)
     }
 
     /// Transient-I/O retry budget for one load or persist (attempts
@@ -954,12 +715,7 @@ impl<K: Eq + Hash> EngineContext<K> {
     /// ones. Returns `None` whenever the caller should fall back to
     /// capture — after which the path is clear (the bad file is gone or
     /// overwritable), so re-capture heals the store.
-    fn healing_load(
-        &self,
-        dir: &std::path::Path,
-        content_hash: u64,
-        config: &probranch_pipeline::SimConfig,
-    ) -> Option<DynTrace> {
+    fn healing_load(&self, dir: &Path, content_hash: u64, config: &SimConfig) -> Option<DynTrace> {
         let path = Self::trace_path(dir, content_hash);
         let mut attempt = 0u64;
         loop {
@@ -1008,7 +764,7 @@ impl<K: Eq + Hash> EngineContext<K> {
     /// so the evidence survives for inspection and the store never
     /// pays for the same corrupt file twice. In strict mode the file
     /// is left in place and the run fails instead.
-    fn quarantine(&self, path: &std::path::Path, content_hash: u64) {
+    fn quarantine(&self, path: &Path, content_hash: u64) {
         if self.strict {
             std::panic::panic_any(StrictViolation(format!(
                 "corrupt persisted trace {content_hash:016x} at {}",
@@ -1017,12 +773,12 @@ impl<K: Eq + Hash> EngineContext<K> {
         }
         let mut dest = path.as_os_str().to_owned();
         dest.push(".quarantined");
-        match std::fs::rename(path, std::path::Path::new(&dest)) {
+        match std::fs::rename(path, Path::new(&dest)) {
             Ok(()) => {
                 self.quarantined.fetch_add(1, Ordering::Relaxed);
                 eprintln!(
                     "warning: quarantined corrupt trace {content_hash:016x} (kept as {})",
-                    std::path::Path::new(&dest).display()
+                    Path::new(&dest).display()
                 );
             }
             Err(e) => {
@@ -1044,7 +800,7 @@ impl<K: Eq + Hash> EngineContext<K> {
     /// never results. With a half-open cooldown configured
     /// ([`set_persist_cooldown`](EngineContext::set_persist_cooldown)),
     /// the first persist after the cooldown probes the store again.
-    fn persist_trace(&self, dir: &std::path::Path, trace: &DynTrace, content_hash: u64) {
+    fn persist_trace(&self, dir: &Path, trace: &DynTrace, content_hash: u64) {
         let mut half_open_probe = false;
         if self.persist_disabled.load(Ordering::Acquire) {
             if !self.breaker_half_open() {
@@ -1052,11 +808,8 @@ impl<K: Eq + Hash> EngineContext<K> {
             }
             half_open_probe = true;
         }
-        let path = Self::trace_path(dir, content_hash);
         for attempt in 0..=Self::IO_RETRIES {
-            let write = std::fs::create_dir_all(dir)
-                .and_then(|()| trace.write_file_attempt(&path, content_hash, attempt));
-            let e = match write {
+            let e = match Self::write_trace(dir, trace, content_hash, attempt) {
                 Ok(()) => {
                     if half_open_probe {
                         self.close_breaker();
@@ -1154,13 +907,28 @@ impl<K: Eq + Hash> EngineContext<K> {
     }
 
     /// The trace already pooled for `key`, if any — never captures and
-    /// never touches the disk.
+    /// never touches the disk, but does refresh the entry's LRU stamp
+    /// (a peek is a use).
     pub fn peek(&self, key: &K) -> Option<Arc<DynTrace>> {
-        self.cache.peek(key)
+        let slot = Arc::clone(lock_ignore_poison(&self.slots).get(key)?);
+        let mut guard = lock_ignore_poison(&slot);
+        guard.as_mut().map(|e| {
+            e.stamp = self.touch();
+            Arc::clone(&e.trace)
+        })
     }
 
     /// Runs one predictor pass over `key`'s pooled trace through its
-    /// prediction tape (see [`TraceCache::taped`]).
+    /// prediction tape for `tape_key`. `pass` receives the tape an
+    /// earlier pass recorded, if the entry holds one, and returns its
+    /// result with the tape it recorded, if it ran the predictor; that
+    /// tape is stored beside the trace, charged to the budget. A pass
+    /// that fails or panics stores nothing, and a tape recorded after
+    /// its entry was evicted is dropped — the key's next capture is
+    /// byte-identical, so its tapes are simply recorded again.
+    ///
+    /// Looking a tape up refreshes the entry's LRU stamp but is not a
+    /// [`store_hits`](EngineContext::store_hits) event.
     ///
     /// # Errors
     ///
@@ -1171,17 +939,81 @@ impl<K: Eq + Hash> EngineContext<K> {
         tape_key: TapeKey,
         pass: impl FnOnce(Option<&PredTape>) -> Result<(R, Option<PredTape>), E>,
     ) -> Result<R, E> {
-        self.cache.taped(key, tape_key, pass)
+        let slot = lock_ignore_poison(&self.slots).get(key).map(Arc::clone);
+        let tape = slot.as_ref().and_then(|slot| {
+            let mut guard = lock_ignore_poison(slot);
+            let e = guard.as_mut()?;
+            let tape = e
+                .tapes
+                .iter()
+                .find(|t| t.key() == tape_key)
+                .map(Arc::clone)?;
+            e.stamp = self.touch();
+            Some(tape)
+        });
+        if tape.is_some() {
+            self.tape_reads.fetch_add(1, Ordering::Relaxed);
+        }
+        let (result, recorded) = pass(tape.as_deref())?;
+        if let (Some(recorded), Some(slot)) = (recorded, slot) {
+            let stored = {
+                let mut guard = lock_ignore_poison(&slot);
+                match guard.as_mut() {
+                    Some(e) if e.tapes.iter().all(|t| t.key() != tape_key) => {
+                        e.tapes.push(Arc::new(recorded));
+                        e.bytes = e.footprint();
+                        e.stamp = self.touch();
+                        true
+                    }
+                    _ => false,
+                }
+            };
+            if stored {
+                self.tapes_recorded.fetch_add(1, Ordering::Relaxed);
+                self.enforce_budget();
+            }
+        }
+        Ok(result)
+    }
+
+    /// Writes every pooled trace that has a disk identity but no file
+    /// yet (write-if-absent, like demotion) — the drain step a service
+    /// takes before exit, so traces captured while persistence was down
+    /// still reach the store once it recovers. A no-op while the
+    /// breaker is open. Returns the number of files written; entries
+    /// stay pooled and untouched.
+    pub fn flush_to_disk(&self) -> usize {
+        let Some(dir) = &self.trace_dir else { return 0 };
+        if self.persist_disabled.load(Ordering::Acquire) {
+            return 0;
+        }
+        let mut written = 0usize;
+        for slot in self.slot_list() {
+            let guard = lock_ignore_poison(&slot);
+            let Some(Entry {
+                trace,
+                disk: Some((content_hash, _)),
+                ..
+            }) = guard.as_ref()
+            else {
+                continue;
+            };
+            if !Self::trace_path(dir, *content_hash).exists() {
+                let ok = Self::write_trace(dir, trace, *content_hash, 0).is_ok();
+                written += usize::from(ok);
+            }
+        }
+        written
     }
 
     /// Passes over pooled traces served from a stored prediction tape.
     pub fn tape_reads(&self) -> usize {
-        self.cache.tape_reads()
+        self.tape_reads.load(Ordering::Relaxed)
     }
 
     /// Prediction tapes recorded and stored beside pooled traces.
     pub fn tapes_recorded(&self) -> usize {
-        self.cache.tapes_recorded()
+        self.tapes_recorded.load(Ordering::Relaxed)
     }
 
     /// Emulations actually performed through this context.
@@ -1196,34 +1028,42 @@ impl<K: Eq + Hash> EngineContext<K> {
 
     /// Distinct emulation keys currently pooled.
     pub fn keys(&self) -> usize {
-        self.cache.len()
+        lock_ignore_poison(&self.slots)
+            .values()
+            .filter(|s| lock_ignore_poison(s).is_some())
+            .count()
     }
 
-    /// Total heap bytes held by the pooled traces and their tapes.
+    /// Total heap bytes held by the pooled traces and their tapes
+    /// (mmap-backed record streams count 0 — see [`DynTrace::bytes`]).
     pub fn bytes(&self) -> usize {
-        self.cache.bytes()
+        lock_ignore_poison(&self.slots)
+            .values()
+            .filter_map(|s| lock_ignore_poison(s).as_ref().map(|e| e.bytes))
+            .sum()
     }
 
     /// Pool hits: gets served from an already-pooled trace.
     pub fn store_hits(&self) -> usize {
-        self.cache.hits()
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Pooled traces demoted to their mmap-backed persisted form under
     /// the memory budget.
     pub fn demotions(&self) -> usize {
-        self.cache.demotions()
+        self.demotions.load(Ordering::Relaxed)
     }
 
     /// Pooled traces evicted outright under the memory budget.
     pub fn evictions(&self) -> usize {
-        self.cache.evictions()
+        self.evictions.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of pooled bytes (see
-    /// [`TraceCache::peak_bytes`]).
+    /// High-water mark of pooled bytes, sampled after each insert's
+    /// budget enforcement. At most the budget whenever the budget
+    /// admits at least the single most recent trace.
     pub fn peak_bytes(&self) -> usize {
-        self.cache.peak_bytes()
+        self.peak_bytes.load(Ordering::Relaxed)
     }
 
     /// Stale writer temp files reaped when the context opened its
@@ -1233,8 +1073,7 @@ impl<K: Eq + Hash> EngineContext<K> {
     }
 
     /// Expired quarantined traces reaped when the context opened its
-    /// trace directory (see
-    /// [`sweep_old_quarantined`](probranch_pipeline::sweep_old_quarantined)).
+    /// trace directory (see [`sweep_old_quarantined`]).
     pub fn quarantine_sweeps(&self) -> usize {
         self.quarantine_sweeps
     }
@@ -1243,17 +1082,6 @@ impl<K: Eq + Hash> EngineContext<K> {
     /// error plus every failed half-open probe).
     pub fn breaker_trips(&self) -> usize {
         self.breaker_trips.load(Ordering::Relaxed)
-    }
-
-    /// Writes every pooled trace that has a disk identity but no file
-    /// yet (see [`TraceCache::flush_to_disk`]) — the drain step before
-    /// a service exits. A no-op while the breaker is open. Returns the
-    /// number of files written.
-    pub fn flush_to_disk(&self) -> usize {
-        if self.persist_disabled.load(Ordering::Acquire) {
-            return 0;
-        }
-        self.cache.flush_to_disk()
     }
 
     /// Intact persisted traces rejected for a stale format version or
@@ -1367,22 +1195,24 @@ mod tests {
         use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
-        let cache: TraceCache<(B, u64, bool)> = TraceCache::new();
+        let ctx: EngineContext<(B, u64, bool)> = EngineContext::new();
         let program = B::Pi.build(Scale::Smoke, workload_seed(B::Pi, 0)).program();
+        let cfg = SimConfig::default();
         // Eight cells over two keys, claimed by four workers sharing the
-        // cache; every cell replays the same Arc-shared trace.
+        // pool; every cell replays the same Arc-shared trace.
         let cells: Vec<u64> = (0..8).collect();
         let reports = run_cells(&cells, Jobs::new(4), |&c| {
             let key = (B::Pi, c % 2, false);
-            let trace = cache
-                .get_or_capture(key, || DynTrace::capture(&program, &SimConfig::default()))
+            let trace = ctx
+                .get_or_capture(key, cfg.emu_key_fingerprint(), &cfg, || {
+                    DynTrace::capture(&program, &cfg)
+                })
                 .expect("capture");
-            Simulation::default()
-                .replay(&trace, &SimConfig::default())
-                .expect("replay")
+            Simulation::default().replay(&trace, &cfg).expect("replay")
         });
-        assert!(cache.len() <= 2 && !cache.is_empty());
-        assert!(cache.bytes() > 0);
+        assert!(ctx.keys() <= 2 && ctx.keys() > 0);
+        assert!(ctx.bytes() > 0);
+        assert_eq!(ctx.captures(), ctx.keys(), "one capture per key");
         for r in &reports[1..] {
             assert_eq!(r, &reports[0], "shared-trace replays must agree");
         }
@@ -1563,7 +1393,7 @@ mod tests {
         };
         let unbounded: EngineContext<(B, u64, bool)> = EngineContext::new();
         let bounded: EngineContext<(B, u64, bool)> =
-            EngineContext::with_options(None, Some(budget));
+            EngineContext::with_robustness(None, Some(budget), false);
         assert_eq!(
             run(&bounded),
             run(&unbounded),
@@ -1623,7 +1453,7 @@ mod tests {
         };
         let unbounded: EngineContext<(B, u64, bool)> = EngineContext::new();
         let bounded: EngineContext<(B, u64, bool)> =
-            EngineContext::with_options(Some(dir.clone()), Some(budget));
+            EngineContext::with_robustness(Some(dir.clone()), Some(budget), false);
         assert_eq!(
             run(&bounded),
             run(&unbounded),
@@ -1716,7 +1546,8 @@ mod tests {
         // A budget that holds one trace: capturing the second key evicts
         // the first together with its tape, and a pass over the evicted
         // key stores nothing.
-        let bounded: EngineContext<u64> = EngineContext::with_options(None, Some(untaped));
+        let bounded: EngineContext<u64> =
+            EngineContext::with_robustness(None, Some(untaped), false);
         let trace = capture(&bounded, 0);
         assert_eq!(pass(&bounded, 0, &trace), first);
         let _second = capture(&bounded, 1);

@@ -7,15 +7,16 @@
 //! right for tests and wrong for a long sweep: one poisoned cell (an
 //! injected fault, a pathological workload, a broken trace file)
 //! should cost *that cell* a retry, not the other several hundred
-//! cells their results. [`run_cells_supervised`] wraps each cell body
-//! in `catch_unwind`, re-runs failed cells up to a retry budget
+//! cells their results. [`run_cells_supervised`] runs a per-cell
+//! attempt loop as the body of a `run_cells` grid: it wraps each
+//! attempt in `catch_unwind`, re-runs failed cells up to a retry budget
 //! (passing the attempt ordinal so deterministic fault schedules
-//! re-roll and degradation cascades can switch engines), cancels
-//! attempts that overrun the per-cell deadline, and merges results in
-//! cell-index order exactly like the plain driver — **byte-identical
-//! to an unsupervised run whenever every cell eventually succeeds**,
-//! because a retried cell recomputes the same pure function of the
-//! same cell identity.
+//! re-roll and degradation cascades can switch engines), and cancels
+//! attempts that overrun the per-cell deadline. Workers, claims and the
+//! cell-index-order merge are `run_cells`'s own, so a supervised run is
+//! **byte-identical to an unsupervised run whenever every cell
+//! eventually succeeds**, because a retried cell recomputes the same
+//! pure function of the same cell identity.
 //!
 //! Deadlines are enforced through [`CancelToken`]s: every attempt
 //! runs under a fresh token (child of whatever [`cancel::current`]
@@ -25,8 +26,7 @@
 //! fails with a structured `cancelled: deadline exceeded (…)` message
 //! that participates in the retry cascade. A body that never polls
 //! (pure computation outside the pipeline) still completes and is
-//! merely flagged over-deadline, exactly like PR 8's report-only
-//! watchdog.
+//! merely flagged over-deadline.
 //!
 //! When a cell exhausts its attempts the whole run returns a
 //! [`SupervisedError`] naming the cell and carrying every attempt's
@@ -34,13 +34,12 @@
 //! binary turns into a non-zero exit instead of an abort trace.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use probranch_pipeline::cancel::{self, CancelScope, CancelToken};
 
-use crate::Jobs;
+use crate::{lock_ignore_poison, run_cells, Jobs};
 
 /// A strict-mode violation: some degradation path (trace quarantine,
 /// persistence shutdown, engine fallback) fired while `--strict-traces`
@@ -252,21 +251,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> (String, bool) {
     (msg, false)
 }
 
-use crate::lock_ignore_poison;
-
 /// Runs one closure per cell across `jobs` workers with per-cell panic
 /// isolation, bounded retries and an optional hard (cooperatively
 /// cancelled) per-attempt deadline; results return **in cell-index
-/// order**, exactly like [`run_cells`](crate::run_cells).
+/// order**. The per-cell attempt loop runs as the body of a
+/// [`run_cells`] grid, so worker spawning, index claiming and the
+/// index-order merge are `run_cells`'s own: one worker runs the cells
+/// on the caller's thread.
 ///
 /// Each attempt receives an [`Attempt`] carrying its 0-based ordinal:
 /// deterministic fault schedules salt on it (so retries re-roll) and
 /// degradation cascades key engine choice off it. A panicking attempt
 /// is caught and retried up to `sup.retries` times; a
 /// [`StrictViolation`] payload is never retried. Once any cell
-/// exhausts its attempts the run stops claiming new cells and returns
-/// that cell's [`SupervisedError`]; sibling cells already in flight
-/// finish normally (they are never torn down mid-simulation).
+/// exhausts its attempts, cells claimed after it return without
+/// running, and the run returns that cell's [`SupervisedError`];
+/// sibling cells already in flight finish normally (they are never
+/// torn down mid-simulation).
 ///
 /// Every attempt runs under its own [`CancelToken`], a child of the
 /// caller's [`cancel::current`] scope (if any) so an outer request
@@ -294,137 +295,108 @@ where
     // The caller's cancel scope (a service request token, say) parents
     // every attempt token, so cancelling it cancels the whole grid.
     let parent = cancel::current();
-    let n = cells.len();
-    let workers = jobs.get().min(n.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let outcome_slots: Vec<Mutex<Option<CellOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let error: Mutex<Option<SupervisedError>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let run = &run;
-            let slots = &slots;
-            let outcome_slots = &outcome_slots;
-            let error = &error;
-            let next = &next;
-            let parent = &parent;
-            scope.spawn(move || {
-                loop {
-                    // A fatal cell stops the claim loop — in-flight
-                    // siblings finish, unclaimed cells stay unrun.
-                    if lock_ignore_poison(error).is_some() {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut failures: Vec<String> = Vec::new();
-                    let mut strict_failure = false;
-                    let mut over = false;
-                    let mut done: Option<(R, &'static str, u32)> = None;
-                    for a in 0..=sup.retries {
-                        // A fresh token per attempt: each retry gets
-                        // the full deadline budget again.
-                        let token = match parent {
-                            Some(p) => p.child(sup.deadline),
-                            None => match sup.deadline {
-                                Some(d) => CancelToken::with_deadline(d),
-                                None => CancelToken::new(),
-                            },
-                        };
-                        let attempt = Attempt::new(a);
-                        QUIET.with(|q| q.set(true));
-                        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            let _scope = CancelScope::enter(token.clone());
-                            run(&cells[i], &attempt)
-                        }));
-                        QUIET.with(|q| q.set(false));
-                        if token.deadline_passed() && !over {
-                            over = true;
-                            eprintln!(
-                                "warning: cell {i} exceeded deadline ({:?}); cancelled at its \
-                                 next poll point",
-                                sup.deadline.unwrap_or_default()
-                            );
-                        }
-                        match caught {
-                            Ok(r) => {
-                                done = Some((r, attempt.label.get(), a + 1));
-                                break;
-                            }
-                            Err(payload) => {
-                                let (msg, strict) = panic_message(payload);
-                                failures.push(msg);
-                                if strict {
-                                    // Deterministic by definition:
-                                    // retrying cannot help.
-                                    strict_failure = true;
-                                    break;
-                                }
-                                // An outer cancellation (not this
-                                // attempt's own deadline) dooms every
-                                // retry too — stop burning attempts.
-                                if parent.as_ref().is_some_and(|p| p.is_cancelled()) {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    match done {
-                        Some((r, label, attempts)) => {
-                            *lock_ignore_poison(&slots[i]) = Some(r);
-                            if attempts > 1 || over || !label.is_empty() {
-                                *lock_ignore_poison(&outcome_slots[i]) = Some(CellOutcome {
-                                    index: i,
-                                    attempts,
-                                    label,
-                                    over_deadline: over,
-                                    failures: std::mem::take(&mut failures),
-                                });
-                            }
-                        }
-                        None => {
-                            let mut guard = lock_ignore_poison(error);
-                            if guard.is_none() {
-                                *guard = Some(SupervisedError {
-                                    index: i,
-                                    attempts: failures.len() as u32,
-                                    failures: std::mem::take(&mut failures),
-                                    strict: strict_failure,
-                                });
-                            }
-                            break;
-                        }
-                    }
-                }
-            });
+    let indices: Vec<usize> = (0..cells.len()).collect();
+    let done = run_cells(&indices, jobs, |&i| {
+        // A fatal cell stops the grid: cells claimed after it stay
+        // unrun.
+        if lock_ignore_poison(&error).is_some() {
+            return None;
+        }
+        match supervise_cell(i, &cells[i], sup, parent.as_ref(), &run) {
+            Ok(done) => Some(done),
+            Err(e) => {
+                lock_ignore_poison(&error).get_or_insert(e);
+                None
+            }
         }
     });
-
     if let Some(e) = error.into_inner().unwrap_or_else(PoisonError::into_inner) {
         return Err(e);
     }
-    let results = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| panic!("cell {i} produced no result"))
-        })
-        .collect();
-    let outcomes = outcome_slots
-        .into_iter()
-        .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    Ok(SupervisedRun { results, outcomes })
+    // No cell failed, so every cell ran and returned its result.
+    let (results, outcomes): (Vec<R>, Vec<Option<CellOutcome>>) =
+        done.into_iter().flatten().unzip();
+    Ok(SupervisedRun {
+        results,
+        outcomes: outcomes.into_iter().flatten().collect(),
+    })
+}
+
+/// The attempt loop of cell `index`: its result with its outcome
+/// record, if it did not sail through on its first attempt, or its
+/// [`SupervisedError`] once it has exhausted its attempts.
+fn supervise_cell<T, R>(
+    index: usize,
+    cell: &T,
+    sup: Supervision,
+    parent: Option<&CancelToken>,
+    run: &impl Fn(&T, &Attempt) -> R,
+) -> Result<(R, Option<CellOutcome>), SupervisedError> {
+    let mut failures: Vec<String> = Vec::new();
+    let mut over = false;
+    let mut a = 0;
+    loop {
+        // A fresh token per attempt: each retry gets the full deadline
+        // budget again.
+        let token = match parent {
+            Some(p) => p.child(sup.deadline),
+            None => match sup.deadline {
+                Some(d) => CancelToken::with_deadline(d),
+                None => CancelToken::new(),
+            },
+        };
+        let attempt = Attempt::new(a);
+        let quiet = QUIET.replace(true);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _scope = CancelScope::enter(token.clone());
+            run(cell, &attempt)
+        }));
+        QUIET.set(quiet);
+        if token.deadline_passed() && !over {
+            over = true;
+            eprintln!(
+                "warning: cell {index} exceeded deadline ({:?}); cancelled at its next poll point",
+                sup.deadline.unwrap_or_default()
+            );
+        }
+        match caught {
+            Ok(r) => {
+                let label = attempt.label.get();
+                let outcome = (a > 0 || over || !label.is_empty()).then(|| CellOutcome {
+                    index,
+                    attempts: a + 1,
+                    label,
+                    over_deadline: over,
+                    failures,
+                });
+                return Ok((r, outcome));
+            }
+            Err(payload) => {
+                let (msg, strict) = panic_message(payload);
+                failures.push(msg);
+                // Out of retries — or retrying cannot help: a strict
+                // violation is deterministic by definition, and an
+                // outer cancellation (not this attempt's own deadline)
+                // dooms every retry too.
+                if a == sup.retries || strict || parent.is_some_and(CancelToken::is_cancelled) {
+                    return Err(SupervisedError {
+                        index,
+                        attempts: a + 1,
+                        failures,
+                        strict,
+                    });
+                }
+            }
+        }
+        a += 1;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn clean_runs_match_the_plain_driver() {
@@ -445,7 +417,6 @@ mod tests {
 
     #[test]
     fn a_panicking_cell_is_retried_not_fatal_and_siblings_survive() {
-        use std::sync::atomic::AtomicU32;
         let cells: Vec<u64> = (0..32).collect();
         let tries = AtomicU32::new(0);
         let sup = Supervision::none().with_retries(2);
@@ -472,24 +443,38 @@ mod tests {
 
     #[test]
     fn exhausted_retries_return_a_structured_error() {
-        let cells: Vec<u64> = (0..8).collect();
-        let sup = Supervision::none().with_retries(1);
-        let err = run_cells_supervised(&cells, Jobs::serial(), sup, |&c, _| {
-            if c == 3 {
-                panic!("cell 3 is cursed");
+        for jobs in [Jobs::serial(), Jobs::new(4)] {
+            let cells: Vec<u64> = (0..8).collect();
+            let calls: Vec<AtomicU32> = cells.iter().map(|_| AtomicU32::new(0)).collect();
+            let sup = Supervision::none().with_retries(1);
+            let err = run_cells_supervised(&cells, jobs, sup, |&c, _| {
+                calls[c as usize].fetch_add(1, Ordering::Relaxed);
+                if c == 3 {
+                    panic!("cell 3 is cursed");
+                }
+                c
+            })
+            .expect_err("an always-failing cell must fail the run");
+            assert_eq!((err.index, err.attempts, err.strict), (3, 2, false));
+            assert_eq!(err.failures.len(), 2);
+            assert!(err.to_string().contains("cell 3 failed after 2 attempts"));
+            assert!(err.to_string().contains("cursed"));
+            let calls: Vec<u32> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            assert_eq!(calls[3], 2, "every attempt of the failing cell ran");
+            if jobs == Jobs::serial() {
+                // The cells before it ran once each; no cell after it
+                // ran at all.
+                assert_eq!(
+                    calls,
+                    [1, 1, 1, 2, 0, 0, 0, 0],
+                    "cells after the fatal one never run"
+                );
             }
-            c
-        })
-        .expect_err("an always-failing cell must fail the run");
-        assert_eq!((err.index, err.attempts, err.strict), (3, 2, false));
-        assert_eq!(err.failures.len(), 2);
-        assert!(err.to_string().contains("cell 3 failed after 2 attempts"));
-        assert!(err.to_string().contains("cursed"));
+        }
     }
 
     #[test]
     fn strict_violations_are_never_retried() {
-        use std::sync::atomic::AtomicU32;
         let cells: Vec<u64> = (0..4).collect();
         let tries = AtomicU32::new(0);
         let sup = Supervision::none().with_retries(5);
@@ -575,25 +560,33 @@ mod tests {
 
     #[test]
     fn an_outer_cancel_scope_cancels_the_grid_without_retry_burn() {
-        use std::sync::atomic::AtomicU32;
         let outer = CancelToken::new();
         outer.cancel("request dropped");
         let _scope = CancelScope::enter(outer);
-        let attempts_seen = AtomicU32::new(0);
-        let cells: Vec<u64> = (0..4).collect();
-        let sup = Supervision::none().with_retries(5);
-        let err = run_cells_supervised(&cells, Jobs::serial(), sup, |&c, _| {
-            attempts_seen.fetch_add(1, Ordering::Relaxed);
-            cancel::check_current().unwrap_or_else(|e| panic!("cell: {e}"));
-            c
-        })
-        .expect_err("a cancelled parent fails the run");
-        assert!(err.failures[0].contains("cancelled: request dropped"));
-        assert_eq!(
-            attempts_seen.load(Ordering::Relaxed),
-            1,
-            "retries are pointless under a cancelled parent"
-        );
+        for jobs in [Jobs::serial(), Jobs::new(4)] {
+            let cells: Vec<u64> = (0..4).collect();
+            let attempts_seen: Vec<AtomicU32> = cells.iter().map(|_| AtomicU32::new(0)).collect();
+            let sup = Supervision::none().with_retries(5);
+            let err = run_cells_supervised(&cells, jobs, sup, |&c, _| {
+                attempts_seen[c as usize].fetch_add(1, Ordering::Relaxed);
+                cancel::check_current().unwrap_or_else(|e| panic!("cell: {e}"));
+                c
+            })
+            .expect_err("a cancelled parent fails the run");
+            assert!(err.failures[0].contains("cancelled: request dropped"));
+            assert_eq!(err.attempts, 1, "jobs {jobs}");
+            let seen: Vec<u32> = attempts_seen
+                .iter()
+                .map(|a| a.load(Ordering::Relaxed))
+                .collect();
+            assert!(
+                seen.iter().all(|&n| n <= 1),
+                "retries are pointless under a cancelled parent: {seen:?} at jobs {jobs}"
+            );
+            if jobs == Jobs::serial() {
+                assert_eq!(seen, [1, 0, 0, 0], "no cell runs after the first failure");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How often the drain gate re-checks the shutdown flag and the
+/// How often the drain gate re-checks the shutdown flags and the
 /// in-flight count. It only sets how soon a drained server returns:
 /// connections are accepted the moment they arrive.
 const DRAIN_POLL: Duration = Duration::from_millis(20);
@@ -152,8 +152,9 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// A handle that triggers a graceful drain when set — wire it to a
-    /// signal flag ([`crate::signal_shutdown_flag`]) or a test.
+    /// A handle that triggers a graceful drain when set.
+    /// [`run`](Server::run) sets it itself on a shutdown request, or on
+    /// a SIGINT/SIGTERM once [`crate::install_signal_shutdown`] ran.
     pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shutdown)
     }
@@ -165,9 +166,11 @@ impl Server {
     ///
     /// A scoped acceptor thread blocks in `accept` and hands each
     /// connection to its own scoped thread the moment it arrives. The
-    /// calling thread is the drain gate: once a shutdown is requested
-    /// and no sweep is in flight, it stops the acceptor and wakes it
-    /// with one connect to the listener's own port.
+    /// calling thread is the drain gate: every tick it turns a
+    /// delivered shutdown signal ([`crate::signal_shutdown_flag`]) into
+    /// a shutdown request, and once a shutdown is requested and no
+    /// sweep is in flight, it stops the acceptor and wakes it with one
+    /// connect to the listener's own port.
     ///
     /// `handler` must be deterministic in
     /// [`SweepRequest::coalesce_key`]: the server keeps each `Ok`
@@ -228,6 +231,11 @@ impl Server {
             });
             while !(self.shutdown.load(Ordering::Acquire) && inflight.load(Ordering::Acquire) == 0)
             {
+                // A SIGINT/SIGTERM drains like a `shutdown` request:
+                // from here on admission answers `shutting-down`.
+                if crate::signal_shutdown_flag() {
+                    self.shutdown.store(true, Ordering::Release);
+                }
                 std::thread::sleep(DRAIN_POLL);
             }
             stop.store(true, Ordering::Release);

@@ -2,16 +2,17 @@
 //!
 //! Installs minimal SIGINT/SIGTERM handlers whose only effect is one
 //! atomic store into a process-wide flag — the sole async-signal-safe
-//! operation the drain path needs. The `figures --serve` binary polls
-//! the flag and forwards it to [`Server::shutdown_handle`], whose drain
-//! gate turns it into the same drain a protocol `shutdown` request
-//! triggers.
+//! operation the drain path needs. [`Server::run`]'s drain gate, which
+//! wakes every tick anyway, polls the flag and sets the server's own
+//! shutdown flag, so a signal triggers the same drain a protocol
+//! `shutdown` request does; the serving binary runs no watcher thread
+//! of its own.
 //!
-//! [`Server::shutdown_handle`]: crate::Server::shutdown_handle
+//! [`Server::run`]: crate::Server::run
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the signal handler; polled by the serve binary.
+/// Set by the signal handler; polled by the server's drain gate.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// Whether a shutdown signal (SIGINT/SIGTERM) has been delivered since
