@@ -348,13 +348,14 @@ impl Context {
         self.traces.store_hits()
     }
 
-    /// Pooled traces demoted to their mmap-backed persisted form under
-    /// the memory budget.
+    /// Pooled traces dropped under the memory budget with their file
+    /// on disk (see [`EngineContext::demotions`]).
     pub fn demotions(&self) -> usize {
         self.traces.demotions()
     }
 
-    /// Pooled traces evicted outright under the memory budget.
+    /// Pooled traces dropped under the memory budget with no file to
+    /// reload (see [`EngineContext::evictions`]).
     pub fn evictions(&self) -> usize {
         self.traces.evictions()
     }

@@ -2,7 +2,7 @@
 //!
 //! Deterministic, seeded **failpoints** for torture-testing the
 //! execution and storage layers: persisted-trace writes (create/write,
-//! short write, fsync, rename, ENOSPC), memory-mapped loads, trace
+//! short write, fsync, rename, ENOSPC), persisted-trace reads, trace
 //! capture, experiment-cell bodies (injected panics and delays), the
 //! sweep service's request path (dropped accepts, failed frame
 //! reads/writes, post-sweep connection drops) and spurious
@@ -23,8 +23,7 @@
 //! a predicted-not-taken branch — the instrumented hot paths cost
 //! nothing in production.
 //!
-//! Plans parse from a compact spec (`figures --fault-plan`,
-//! `PROBRANCH_FAULTS`):
+//! Plans parse from a compact spec (`figures --fault-plan`):
 //!
 //! ```text
 //! seed=7,cell.panic=0.3,persist.write=0.5x2,mmap.load=1.0
@@ -63,7 +62,8 @@ pub enum Site {
     PersistFsync,
     /// Persisted-trace write path: the publishing rename fails.
     PersistRename,
-    /// Memory-mapped trace load fails with an I/O error.
+    /// Reading a persisted trace file fails with an I/O error (spec
+    /// name `mmap.load`, which fault plans already arm).
     MmapLoad,
     /// Trace capture (functional emulation) fails.
     Capture,
@@ -201,7 +201,7 @@ impl FaultPlan {
         });
     }
 
-    /// Parses the `--fault-plan` / `PROBRANCH_FAULTS` spec syntax:
+    /// Parses the `--fault-plan` spec syntax:
     /// comma-separated clauses, each `seed=N` or
     /// `<site>=<probability>[xCOUNT]`.
     ///

@@ -41,7 +41,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use probranch_pipeline::cancel::{self, CancelScope};
@@ -263,23 +263,15 @@ where
 struct Entry {
     trace: Arc<DynTrace>,
     /// The prediction tapes recorded over `trace`, one per
-    /// [`TapeKey`]: kept, counted and dropped with the trace (a
-    /// demotion keeps them — the mapped trace is byte-identical).
+    /// [`TapeKey`]: kept, counted and dropped with the trace.
     tapes: Vec<Arc<PredTape>>,
-    /// `trace.bytes()` plus the tapes' bytes at the last insert,
-    /// demotion or tape store — what this entry charges against the
-    /// pool budget.
+    /// `trace.bytes()` plus the tapes' bytes at the last insert or tape
+    /// store — what this entry charges against the pool budget.
     bytes: usize,
     /// LRU clock value at last touch.
     stamp: u64,
-    /// The content hash the trace's file is named and keyed by, and the
-    /// emulation config a load replays under: what a demotion needs.
-    /// Set only under a trace directory, and cleared after a failed
-    /// demotion so a broken file or directory is not retried forever.
-    disk: Option<(u64, SimConfig)>,
-    /// Whether the trace's record streams are already mmap-backed
-    /// (nothing left to demote; eviction is the only further step).
-    mapped: bool,
+    /// The content hash the trace's file is named and keyed by.
+    content_hash: u64,
 }
 
 impl Entry {
@@ -337,24 +329,20 @@ type TraceSlot = Arc<Mutex<Option<Entry>>>;
 ///
 /// Unbounded by default: every pooled trace stays until the context is
 /// dropped. With a budget ([`EngineContext::with_robustness`]) the pool
-/// keeps its heap bytes at or under the budget by least-recently-used
-/// **demotion, then eviction** whenever an insert pushes it over:
+/// keeps its heap bytes at or under the budget: whenever an insert
+/// pushes it over, it drops its least recently used entries, tapes
+/// included. With a trace directory a victim's file is first written if
+/// it is absent, and the drop is a **demotion** — the key's next use is
+/// a disk load. Without a directory, or if that write fails, the drop
+/// is an **eviction** — the key's next use re-captures.
 ///
-/// 1. with a trace directory, the coldest entry not yet mapped is
-///    *demoted* — persisted if its file is absent, then re-served as a
-///    zero-copy mmap-backed load whose pooled footprint is just the
-///    timing and flow tables and the architectural results (the record
-///    streams belong to the OS page cache);
-/// 2. once nothing is left to demote, the coldest entry is *evicted*
-///    outright — its key re-captures (or disk-loads) on next use.
-///
-/// The most recently touched entry is never demoted or evicted, so a
-/// budget smaller than one trace degrades to "keep exactly the entry in
-/// use". The budget bounds what the *pool retains*; `Arc`s already
-/// handed to running cells keep their traces alive until those cells
-/// finish, as they must. Which entries get demoted can depend on thread
+/// The most recently touched entry is never dropped, so a budget
+/// smaller than one trace degrades to "keep exactly the entry in use".
+/// The budget bounds what the *pool retains*; `Arc`s already handed to
+/// running cells keep their traces alive until those cells finish, as
+/// they must. Which entries get dropped can depend on thread
 /// scheduling — what every cell *computes* never does, because a
-/// demoted or re-captured trace is byte-identical to the pooled one
+/// reloaded or re-captured trace is byte-identical to the pooled one
 /// (the persistence round-trip property).
 /// [`peak_bytes`](EngineContext::peak_bytes) reports the high-water
 /// mark of pooled bytes sampled after each insert's budget enforcement.
@@ -365,7 +353,7 @@ type TraceSlot = Arc<Mutex<Option<Entry>>>;
 /// passes run over it ([`EngineContext::taped`]): a later pass under the
 /// same predictor and filter mode reads the tape instead of running the
 /// predictor again. Tapes count against the budget like the trace they
-/// belong to and are evicted with it. They live in memory only: a disk
+/// belong to and are dropped with it. They live in memory only: a disk
 /// load starts with none, and they are recorded again on first use.
 #[derive(Debug)]
 pub struct EngineContext<K> {
@@ -375,8 +363,9 @@ pub struct EngineContext<K> {
     /// re-emulating (same-key cells are adjacent in sweep grids, making
     /// that race the common case at `--jobs > 1`), while captures for
     /// different keys proceed in parallel. Lock order is always outer →
-    /// slot; budget enforcement and the drain flush snapshot the slot
-    /// list and release the outer lock before touching any slot.
+    /// slot → persistence breaker; budget enforcement and the drain
+    /// flush snapshot the slot list and release the outer lock before
+    /// touching any slot.
     slots: Mutex<HashMap<K, TraceSlot>>,
     /// Pooled-byte ceiling; `None` = unbounded.
     budget: Option<usize>,
@@ -401,14 +390,16 @@ pub struct EngineContext<K> {
     io_retries: AtomicUsize,
     /// Persist attempts abandoned after exhausting their retries.
     write_failures: AtomicUsize,
-    /// Set while the persistence circuit breaker is open: a fatal
-    /// storage error (ENOSPC, read-only dir) tripped it. Without a
-    /// cooldown ([`set_persist_cooldown`](EngineContext::set_persist_cooldown))
-    /// it stays open for the rest of the run; with one, a half-open probe retries after the
-    /// cooldown and success closes the breaker again.
-    persist_disabled: AtomicBool,
-    /// When the breaker last tripped (half-open timing).
-    breaker_tripped_at: Mutex<Option<std::time::Instant>>,
+    /// The persistence circuit breaker: when it last tripped while it
+    /// is open, `None` while it is closed. A fatal storage error
+    /// (ENOSPC, read-only dir) trips it. Without a cooldown
+    /// ([`set_persist_cooldown`](EngineContext::set_persist_cooldown))
+    /// it stays open for the rest of the run; with one, a half-open
+    /// probe retries after the cooldown and success closes it again.
+    /// Every trace write holds this lock from its breaker check through
+    /// its last attempt, so the first fatal error stops every later
+    /// write.
+    breaker: Mutex<Option<std::time::Instant>>,
     /// Half-open cooldown in milliseconds; 0 = breaker never retries
     /// (the per-run shutdown semantics batch runs keep).
     persist_cooldown_ms: AtomicU64,
@@ -470,8 +461,7 @@ impl<K: Eq + Hash> EngineContext<K> {
             quarantined: AtomicUsize::new(0),
             io_retries: AtomicUsize::new(0),
             write_failures: AtomicUsize::new(0),
-            persist_disabled: AtomicBool::new(false),
-            breaker_tripped_at: Mutex::new(None),
+            breaker: Mutex::new(None),
             persist_cooldown_ms: AtomicU64::new(0),
             breaker_trips: AtomicUsize::new(0),
             strict,
@@ -516,8 +506,8 @@ impl<K: Eq + Hash> EngineContext<K> {
 
     /// Writes `trace` to its file under `dir`, creating `dir` first: the
     /// one write behind a capture's persist, a demotion and the drain
-    /// flush. `attempt` salts the persist failpoints, so a retry
-    /// re-rolls them.
+    /// flush, each under the breaker lock. `attempt` salts the persist
+    /// failpoints, so a retry re-rolls them.
     fn write_trace(
         dir: &Path,
         trace: &DynTrace,
@@ -558,14 +548,12 @@ impl<K: Eq + Hash> EngineContext<K> {
                 return Ok(Arc::clone(&entry.trace));
             }
             let trace = Arc::new(self.load_or_capture_unpooled(content_hash, config, capture)?);
-            let mapped = trace.mapped_chunks() > 0;
             *guard = Some(Entry {
                 trace: Arc::clone(&trace),
                 tapes: Vec::new(),
                 bytes: trace.bytes(),
                 stamp: self.touch(),
-                disk: self.persistent().then(|| (content_hash, config.clone())),
-                mapped,
+                content_hash,
             });
             trace
         };
@@ -609,18 +597,18 @@ impl<K: Eq + Hash> EngineContext<K> {
         Ok(trace)
     }
 
-    /// Brings the pooled bytes back under the budget (demote coldest,
-    /// then evict coldest — never the most recently touched entry) and
-    /// samples the peak. Slots locked by in-flight captures are skipped
-    /// — their bytes are accounted at *their* insert's enforcement.
+    /// Brings the pooled bytes back under the budget — dropping the
+    /// coldest entry, never the most recently touched one, as a demotion
+    /// or an eviction — and samples the peak. Slots locked by in-flight
+    /// captures are skipped — their bytes are accounted at *their*
+    /// insert's enforcement.
     fn enforce_budget(&self) {
         let slots = self.slot_list();
         loop {
             // Snapshot pass: pooled total, the protected newest stamp,
-            // and the coldest demotion/eviction candidates.
+            // and the coldest entry.
             let mut total = 0usize;
             let mut newest = None::<u64>;
-            let mut coldest_demotable = None::<(u64, usize)>;
             let mut coldest = None::<(u64, usize)>;
             for (i, slot) in slots.iter().enumerate() {
                 let guard = match slot.try_lock() {
@@ -636,70 +624,47 @@ impl<K: Eq + Hash> EngineContext<K> {
                 if coldest.is_none_or(|(s, _)| e.stamp < s) {
                     coldest = Some((e.stamp, i));
                 }
-                if !e.mapped
-                    && e.disk.is_some()
-                    && coldest_demotable.is_none_or(|(s, _)| e.stamp < s)
-                {
-                    coldest_demotable = Some((e.stamp, i));
-                }
             }
-            let over = self.budget.is_some_and(|b| total > b);
-            if !over {
-                self.peak_bytes.fetch_max(total, Ordering::Relaxed);
-                return;
-            }
-            let victim = match (coldest_demotable, coldest) {
-                (Some((s, i)), _) if Some(s) != newest => (i, true),
-                (_, Some((s, i))) if Some(s) != newest => (i, false),
-                // Only the in-use entry is left; the budget cannot be
-                // met without breaking the pool's contract.
+            let victim = match coldest {
+                Some((s, i)) if self.budget.is_some_and(|b| total > b) && Some(s) != newest => i,
+                // Under budget, or only the in-use entry is left: the
+                // budget cannot be met without breaking the pool's
+                // contract.
                 _ => {
                     self.peak_bytes.fetch_max(total, Ordering::Relaxed);
                     return;
                 }
             };
-            let (i, demote) = victim;
-            let mut guard = lock_ignore_poison(&slots[i]);
-            match guard.as_mut() {
-                Some(e) if demote => {
-                    if self.demote(e) {
-                        self.demotions.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        // Broken file or directory: stop retrying; the
-                        // entry stays and becomes a plain eviction
-                        // candidate.
-                        e.disk = None;
-                    }
-                }
-                Some(_) => {
-                    *guard = None;
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {}
+            let mut guard = lock_ignore_poison(&slots[victim]);
+            let Some(e) = guard.as_ref() else { continue };
+            let on_disk = self.trace_dir.as_deref().is_some_and(|dir| {
+                self.write_if_absent(dir, &e.trace, e.content_hash)
+                    .is_some()
+            });
+            *guard = None;
+            if on_disk {
+                self.demotions.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// Swaps an owned entry for its mmap-backed load: persists the
-    /// trace if its file is absent (write-if-absent — a warm store
-    /// already has the bytes), re-reads it zero-copy, and drops the
-    /// owned record streams. Returns whether the swap happened; the
-    /// entry is untouched on failure.
-    fn demote(&self, e: &mut Entry) -> bool {
-        let (Some(dir), Some((content_hash, config))) = (&self.trace_dir, &e.disk) else {
-            return false;
-        };
-        let path = Self::trace_path(dir, *content_hash);
-        if !path.exists() && Self::write_trace(dir, &e.trace, *content_hash, 0).is_err() {
-            return false;
+    /// Writes `trace`'s file under `dir` unless it is there already:
+    /// `Some(true)` when it wrote it, `Some(false)` when the file was
+    /// present, `None` when it is missing because the breaker is open
+    /// or the write failed. One attempt, no retry: the caller can always
+    /// fall back to dropping or keeping the trace in memory.
+    fn write_if_absent(&self, dir: &Path, trace: &DynTrace, content_hash: u64) -> Option<bool> {
+        let breaker = lock_ignore_poison(&self.breaker);
+        if Self::trace_path(dir, content_hash).exists() {
+            return Some(false);
         }
-        let Some(mapped) = DynTrace::read_file(&path, *content_hash, config) else {
-            return false;
-        };
-        e.trace = Arc::new(mapped);
-        e.bytes = e.footprint();
-        e.mapped = true;
-        true
+        if breaker.is_some() {
+            return None;
+        }
+        Self::write_trace(dir, trace, content_hash, 0).ok()?;
+        Some(true)
     }
 
     /// Transient-I/O retry budget for one load or persist (attempts
@@ -801,18 +766,25 @@ impl<K: Eq + Hash> EngineContext<K> {
     /// ([`set_persist_cooldown`](EngineContext::set_persist_cooldown)),
     /// the first persist after the cooldown probes the store again.
     fn persist_trace(&self, dir: &Path, trace: &DynTrace, content_hash: u64) {
-        let mut half_open_probe = false;
-        if self.persist_disabled.load(Ordering::Acquire) {
-            if !self.breaker_half_open() {
-                return;
+        let mut breaker = lock_ignore_poison(&self.breaker);
+        let half_open_probe = match *breaker {
+            None => false,
+            Some(tripped) => {
+                let cooldown = self.persist_cooldown_ms.load(Ordering::Relaxed);
+                if cooldown == 0 || tripped.elapsed() < std::time::Duration::from_millis(cooldown) {
+                    return;
+                }
+                true
             }
-            half_open_probe = true;
-        }
+        };
         for attempt in 0..=Self::IO_RETRIES {
             let e = match Self::write_trace(dir, trace, content_hash, attempt) {
                 Ok(()) => {
                     if half_open_probe {
-                        self.close_breaker();
+                        *breaker = None;
+                        eprintln!(
+                            "warning: trace persistence breaker closed; store is healthy again"
+                        );
                     }
                     return;
                 }
@@ -824,7 +796,7 @@ impl<K: Eq + Hash> EngineContext<K> {
                         "persistence disabled by fatal storage error: {e}"
                     )));
                 }
-                self.trip_breaker(&e);
+                self.trip_breaker(&mut breaker, &e);
                 return;
             }
             if attempt == Self::IO_RETRIES {
@@ -839,7 +811,7 @@ impl<K: Eq + Hash> EngineContext<K> {
                 if half_open_probe {
                     // A failed probe re-opens the breaker and restarts
                     // its clock — no probe storm against a sick disk.
-                    self.trip_breaker(&e);
+                    self.trip_breaker(&mut breaker, &e);
                 }
                 return;
             }
@@ -850,48 +822,22 @@ impl<K: Eq + Hash> EngineContext<K> {
 
     /// Opens (or re-opens) the persistence breaker, restarting the
     /// half-open clock; warns on the initial trip only.
-    fn trip_breaker(&self, e: &std::io::Error) {
+    fn trip_breaker(&self, breaker: &mut Option<std::time::Instant>, e: &std::io::Error) {
         self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        *lock_ignore_poison(&self.breaker_tripped_at) = Some(std::time::Instant::now());
-        if !self.persist_disabled.swap(true, Ordering::AcqRel) {
-            let cooldown = self.persist_cooldown_ms.load(Ordering::Relaxed);
-            if cooldown == 0 {
-                eprintln!(
-                    "warning: trace persistence disabled for the rest of the run ({e}); \
-                     results are unaffected"
-                );
-            } else {
-                eprintln!(
-                    "warning: trace persistence breaker tripped ({e}); retrying in {cooldown}ms; \
-                     results are unaffected"
-                );
-            }
+        if breaker.replace(std::time::Instant::now()).is_some() {
+            return;
         }
-    }
-
-    /// Whether an open breaker should admit a half-open probe now.
-    /// Claims the probe by resetting the trip time, so concurrent
-    /// persists don't all probe at once.
-    fn breaker_half_open(&self) -> bool {
         let cooldown = self.persist_cooldown_ms.load(Ordering::Relaxed);
         if cooldown == 0 {
-            return false;
-        }
-        let mut tripped = lock_ignore_poison(&self.breaker_tripped_at);
-        match *tripped {
-            Some(t) if t.elapsed() >= std::time::Duration::from_millis(cooldown) => {
-                *tripped = Some(std::time::Instant::now());
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Closes the breaker after a successful half-open probe.
-    fn close_breaker(&self) {
-        if self.persist_disabled.swap(false, Ordering::AcqRel) {
-            *lock_ignore_poison(&self.breaker_tripped_at) = None;
-            eprintln!("warning: trace persistence breaker closed; store is healthy again");
+            eprintln!(
+                "warning: trace persistence disabled for the rest of the run ({e}); \
+                 results are unaffected"
+            );
+        } else {
+            eprintln!(
+                "warning: trace persistence breaker tripped ({e}); retrying in {cooldown}ms; \
+                 results are unaffected"
+            );
         }
     }
 
@@ -976,31 +922,19 @@ impl<K: Eq + Hash> EngineContext<K> {
         Ok(result)
     }
 
-    /// Writes every pooled trace that has a disk identity but no file
-    /// yet (write-if-absent, like demotion) — the drain step a service
+    /// Writes every pooled trace that has no file yet (write-if-absent,
+    /// like demotion) — the drain step a service
     /// takes before exit, so traces captured while persistence was down
     /// still reach the store once it recovers. A no-op while the
     /// breaker is open. Returns the number of files written; entries
     /// stay pooled and untouched.
     pub fn flush_to_disk(&self) -> usize {
         let Some(dir) = &self.trace_dir else { return 0 };
-        if self.persist_disabled.load(Ordering::Acquire) {
-            return 0;
-        }
         let mut written = 0usize;
         for slot in self.slot_list() {
-            let guard = lock_ignore_poison(&slot);
-            let Some(Entry {
-                trace,
-                disk: Some((content_hash, _)),
-                ..
-            }) = guard.as_ref()
-            else {
-                continue;
-            };
-            if !Self::trace_path(dir, *content_hash).exists() {
-                let ok = Self::write_trace(dir, trace, *content_hash, 0).is_ok();
-                written += usize::from(ok);
+            if let Some(e) = lock_ignore_poison(&slot).as_ref() {
+                let wrote = self.write_if_absent(dir, &e.trace, e.content_hash);
+                written += usize::from(wrote == Some(true));
             }
         }
         written
@@ -1034,8 +968,8 @@ impl<K: Eq + Hash> EngineContext<K> {
             .count()
     }
 
-    /// Total heap bytes held by the pooled traces and their tapes
-    /// (mmap-backed record streams count 0 — see [`DynTrace::bytes`]).
+    /// Total heap bytes held by the pooled traces and their tapes (see
+    /// [`DynTrace::bytes`]).
     pub fn bytes(&self) -> usize {
         lock_ignore_poison(&self.slots)
             .values()
@@ -1048,13 +982,14 @@ impl<K: Eq + Hash> EngineContext<K> {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Pooled traces demoted to their mmap-backed persisted form under
-    /// the memory budget.
+    /// Pooled traces dropped under the memory budget with their file
+    /// on disk, so the key's next use is a disk load.
     pub fn demotions(&self) -> usize {
         self.demotions.load(Ordering::Relaxed)
     }
 
-    /// Pooled traces evicted outright under the memory budget.
+    /// Pooled traces dropped under the memory budget with no file to
+    /// load them from, so the key's next use re-captures.
     pub fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -1109,7 +1044,7 @@ impl<K: Eq + Hash> EngineContext<K> {
     /// Whether a fatal storage error shut persistence off for the
     /// remainder of the run.
     pub fn persistence_disabled(&self) -> bool {
-        self.persist_disabled.load(Ordering::Acquire)
+        lock_ignore_poison(&self.breaker).is_some()
     }
 
     /// Whether this context runs under `--strict-traces`.
@@ -1419,7 +1354,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pool_with_trace_dir_demotes_to_mapped_form() {
+    fn bounded_pool_with_trace_dir_demotes_to_disk_and_never_recaptures() {
         use probranch_faults as faults;
         use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
@@ -1469,32 +1404,56 @@ mod tests {
             bounded.peak_bytes(),
             budget
         );
-        // Demoted keys stay pooled, re-served through the file map with
-        // their owned record streams dropped: a mapped trace owns its
-        // timing and flow tables and architectural results, and nothing
-        // else — no chunk stream and no request stream.
-        let mapped: Vec<_> = seeds
-            .iter()
-            .filter_map(|&s| bounded.peek(&(B::Pi, s, false)))
-            .filter(|t| t.mapped_chunks() == t.chunk_count() && t.chunk_count() > 0)
-            .collect();
-        assert!(
-            !mapped.is_empty(),
-            "at least one key must be serving mapped"
-        );
-        for t in &mapped {
-            let f = t.functional();
-            let owned = std::mem::size_of_val(t.timings())
-                + t.flow().bytes()
-                + f.prob_consumed.capacity() * 8
-                + f.outputs
-                    .iter()
-                    .map(|(_, v)| v.capacity() * 8)
-                    .sum::<usize>();
-            assert_eq!(t.bytes(), owned, "a mapped trace owns no derived bytes");
-            assert!(t.chunks().iter().all(|c| c.bytes() == 0));
-        }
+        // A demoted key comes back from its file: each key is captured
+        // once, on first use, and never again.
+        assert_eq!(bounded.captures(), 3, "a demoted key must not re-capture");
+        assert!(bounded.disk_loads() > 0, "demoted keys reload from disk");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_persistence_breaker_stops_every_write_after_the_first_fatal_one() {
+        use probranch_faults as faults;
+        use probranch_pipeline::{DynTrace, SimConfig};
+        use probranch_workloads::{BenchmarkId as B, Scale};
+
+        // Eight keys persisted by four workers at once under a disk that
+        // is always full: the first write trips the breaker, and no
+        // other write starts, so the fault fires exactly once.
+        let cfg = SimConfig::default();
+        let traces: Vec<DynTrace> = (0..8)
+            .map(|s| {
+                let program = B::Pi.build(Scale::Smoke, workload_seed(B::Pi, s)).program();
+                DynTrace::capture(&program, &cfg).expect("capture")
+            })
+            .collect();
+        let keys: Vec<u64> = (0..8).collect();
+        for round in 0..5 {
+            let _scope = faults::ScopedPlan::install(
+                faults::FaultPlan::seeded(5).arm(faults::Site::PersistEnospc, 1.0),
+            );
+            let dir = std::env::temp_dir().join(format!(
+                "probranch-breaker-race-{}-{round}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let ctx: EngineContext<u64> = EngineContext::with_trace_dir(&dir);
+            run_cells(&keys, Jobs::new(4), |&k| {
+                ctx.get_or_capture(k, cfg.emu_key_fingerprint() ^ k, &cfg, || {
+                    Ok::<_, ()>(traces[k as usize].clone())
+                })
+                .expect("capture");
+            });
+            assert_eq!(ctx.captures(), 8);
+            assert_eq!(
+                faults::hits(),
+                vec![(faults::Site::PersistEnospc, 1)],
+                "round {round}"
+            );
+            assert_eq!(ctx.breaker_trips(), 1, "round {round}");
+            assert!(ctx.persistence_disabled());
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -84,8 +84,7 @@
 //! no blocks, and torture runs prove the fallback is byte-invisible.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use probranch_faults as faults;
 use probranch_isa::{AluOp, CmpOp, FpBinOp, FpUnOp, Reg};
@@ -145,37 +144,21 @@ fn selected_tier() -> CaptureTier {
 
 // --- capture/drain overlap switch -----------------------------------
 
-/// 0 = unset (default on), 1 = forced on, 2 = forced off.
-static OVERLAP: AtomicU8 = AtomicU8::new(0);
+/// Whether convoy runs overlap capture and drain; on by default.
+static OVERLAP: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables the chunk-pipelined capture/drain overlap for
 /// convoy runs (capture chunk `N+1` on a helper thread while consumers
 /// drain chunk `N`). A caller running convoys on one worker passes
-/// `false` to keep to the serial fill loop. The
-/// `PROBRANCH_CAPTURE_OVERLAP` environment variable (`0`/`1`), read
-/// once, wins over this switch — that is how CI runs the serial loop
-/// through the engine-equivalence suite.
+/// `false` to keep to the serial fill loop. The switch is process-wide.
 pub fn set_capture_overlap(enabled: bool) {
-    OVERLAP.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
+    OVERLAP.store(enabled, Ordering::Relaxed);
 }
 
 /// Whether convoy capture currently overlaps capture and drain (see
 /// [`set_capture_overlap`]).
 pub fn capture_overlap() -> bool {
-    static ENV: OnceLock<Option<bool>> = OnceLock::new();
-    let env = *ENV.get_or_init(|| match std::env::var("PROBRANCH_CAPTURE_OVERLAP") {
-        Err(_) => None,
-        Ok(v) => match v.as_str() {
-            "" => None,
-            "0" | "off" | "serial" => Some(false),
-            "1" | "on" | "pipelined" => Some(true),
-            other => panic!("PROBRANCH_CAPTURE_OVERLAP must be 0 or 1, got {other:?}"),
-        },
-    });
-    if let Some(forced) = env {
-        return forced;
-    }
-    OVERLAP.load(Ordering::Relaxed) != 2
+    OVERLAP.load(Ordering::Relaxed)
 }
 
 // --- block program ---------------------------------------------------

@@ -23,7 +23,7 @@
 //! `*.tmp.<pid>.<n>` files; [`sweep_stale_temps`] reaps those when the
 //! trace store opens.
 //!
-//! # Format v5 and zero-copy loads
+//! # Format v5 and loads
 //!
 //! Beside the timing table, a file stores the program's flow table:
 //! each pc's control-op kind and static target. A chunk is stored as
@@ -32,10 +32,10 @@
 //! bytes, load latencies, stall record indices and stall cycles: 1 byte
 //! per control record, 1 per load and 5 per fetch stall, and no pc and
 //! nothing per record (README "File format (v5)" has the whole layout
-//! and why). [`DynTrace::read_file`] memory-maps the file read-only and
-//! serves each chunk's streams as borrowed little-endian views over the
-//! map ([`TraceChunk::is_mapped`]), so a warm-start load materializes
-//! only the two tables and the architectural results. Validation is a
+//! and why). [`DynTrace::load_file`] is the one reader: it reads the
+//! whole file into memory and decodes every stream into owned buffers,
+//! so a loaded trace shares nothing with the file and a file changed
+//! or truncated after the load cannot affect it. Validation is a
 //! single pass: the whole-file digest, then what the chunk walk relies
 //! on — every flow-table target lies inside the table; a chunk holds at
 //! most [`TRACE_CHUNK_RECORDS`] records; it enters where the previous
@@ -48,23 +48,19 @@
 //! stalls sit at strictly increasing record indices below the record
 //! count with nonzero cycles. A count read from the file never reserves
 //! more memory than the bytes left could hold.
-//! [`DynTrace::read_file_owned`] decodes the same format into owned
-//! buffers, as the equivalence-testing and diagnostic path.
 
 use std::io::Write;
 use std::path::Path;
-use std::sync::Arc;
 
 use probranch_core::PbsStats;
 use probranch_faults as faults;
-use probranch_mmap::Mmap;
 use probranch_rng::SplitMix64;
 
 use crate::decode::InstTiming;
 use crate::sim::SimConfig;
 use crate::trace::{
-    ByteView, DynTrace, FlowKind, FlowState, FlowTable, RunVisitor, TraceChunk, TraceFunctional,
-    U32s, U8s, TRACE_CHUNK_RECORDS,
+    DynTrace, FlowKind, FlowState, FlowTable, RunVisitor, TraceChunk, TraceFunctional,
+    TRACE_CHUNK_RECORDS,
 };
 
 /// File magic: identifies a probranch trace file.
@@ -206,23 +202,17 @@ impl<W: Write> Enc<W> {
     fn u64(&mut self, v: u64) -> std::io::Result<()> {
         self.bytes(&v.to_le_bytes())
     }
-    /// A chunk's u32 stream. A mapped stream is already the on-disk
-    /// little-endian bytes and passes straight through; an owned one is
-    /// converted through a small stack buffer.
-    fn u32_stream(&mut self, s: &U32s) -> std::io::Result<()> {
-        match s {
-            U32s::Owned(v) => {
-                let mut buf = [0u8; 4096];
-                for batch in v.chunks(buf.len() / 4) {
-                    for (i, &x) in batch.iter().enumerate() {
-                        buf[4 * i..4 * i + 4].copy_from_slice(&x.to_le_bytes());
-                    }
-                    self.bytes(&buf[..4 * batch.len()])?;
-                }
-                Ok(())
+    /// A chunk's u32 stream, converted to little-endian bytes through a
+    /// small stack buffer.
+    fn u32_stream(&mut self, v: &[u32]) -> std::io::Result<()> {
+        let mut buf = [0u8; 4096];
+        for batch in v.chunks(buf.len() / 4) {
+            for (i, &x) in batch.iter().enumerate() {
+                buf[4 * i..4 * i + 4].copy_from_slice(&x.to_le_bytes());
             }
-            U32s::Mapped(b) => self.bytes(b.as_slice()),
+            self.bytes(&buf[..4 * batch.len()])?;
         }
+        Ok(())
     }
     fn u64s(&mut self, v: &[u64]) -> std::io::Result<()> {
         for &x in v {
@@ -296,30 +286,14 @@ impl<'a> Dec<'a> {
                 .collect(),
         )
     }
-    /// A chunk u32 stream: a zero-copy view over the map when one backs
-    /// the decode, an owned decode otherwise. `self.buf` must be a
-    /// prefix of the map for the recorded offsets to be file offsets —
-    /// [`DynTrace::decode`] decodes the body, which starts at byte 0.
-    fn u32_stream(&mut self, n: usize, backing: Option<&Arc<Mmap>>) -> Option<U32s> {
-        let start = self.pos;
+    /// A chunk's u32 stream of `n` little-endian values.
+    fn u32_stream(&mut self, n: usize) -> Option<Vec<u32>> {
         let raw = self.take(n.checked_mul(4)?)?;
-        Some(match backing {
-            Some(map) => U32s::Mapped(ByteView::new(Arc::clone(map), start, raw.len())),
-            None => U32s::Owned(
-                raw.chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                    .collect(),
-            ),
-        })
-    }
-    /// A chunk byte stream; backing as for [`Dec::u32_stream`].
-    fn u8_stream(&mut self, n: usize, backing: Option<&Arc<Mmap>>) -> Option<U8s> {
-        let start = self.pos;
-        let raw = self.take(n)?;
-        Some(match backing {
-            Some(map) => U8s::Mapped(ByteView::new(Arc::clone(map), start, raw.len())),
-            None => U8s::Owned(raw.to_vec()),
-        })
+        Some(
+            raw.chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                .collect(),
+        )
     }
 }
 
@@ -397,10 +371,10 @@ impl DynTrace {
             e.u32(c.entry_pc)?;
             e.u64(c.entry_stack.len() as u64)?;
             e.u32_stream(&c.entry_stack)?;
-            e.bytes(c.branches.as_slice())?;
-            e.bytes(c.dlats.as_slice())?;
+            e.bytes(&c.branches)?;
+            e.bytes(&c.dlats)?;
             e.u32_stream(&c.stall_at)?;
-            e.bytes(c.stalls.as_slice())?;
+            e.bytes(&c.stalls)?;
         }
         Ok(())
     }
@@ -523,12 +497,6 @@ impl DynTrace {
     /// whole-file digest, and is structurally consistent. `config`
     /// supplies the emulation key the returned trace replays under (the
     /// content hash asserts it matches what was captured).
-    ///
-    /// The file is memory-mapped read-only and the chunk record streams
-    /// of the returned trace are zero-copy views over the map (where
-    /// the platform supports it — see [`Mmap`]): validation is one full
-    /// pass over the map, and the load materializes only the timing
-    /// table and the architectural results.
     pub fn read_file(path: &Path, content_hash: u64, config: &SimConfig) -> Option<DynTrace> {
         match Self::load_file(path, content_hash, config, 0) {
             TraceLoad::Loaded(t) => Some(*t),
@@ -544,8 +512,11 @@ impl DynTrace {
     /// structural validation and should be quarantined so it is never
     /// read again, and [`TraceLoad::Missing`] is an ordinary cold
     /// start. `attempt` is the caller's retry ordinal, folded into the
-    /// `mmap.load` failpoint salt so injected transient errors re-roll
-    /// per attempt.
+    /// salt of the `mmap.load` failpoint (which fails the file read), so
+    /// injected transient errors re-roll per attempt.
+    ///
+    /// The file is read whole into memory and validated in one pass; the
+    /// returned trace owns every stream it decoded.
     pub fn load_file(
         path: &Path,
         content_hash: u64,
@@ -555,52 +526,22 @@ impl DynTrace {
         if faults::injected(faults::Site::MmapLoad, &[content_hash, attempt]) {
             return TraceLoad::Io(faults::io_error(faults::Site::MmapLoad));
         }
-        let map = match Mmap::open(path) {
-            Ok(map) => Arc::new(map),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return TraceLoad::Missing,
-            Err(e) => return TraceLoad::Io(e),
-        };
-        Self::classify(map.as_slice(), Some(&map), content_hash, config)
-    }
-
-    /// [`read_file`](DynTrace::read_file) without the mapping: decodes
-    /// the same format into fully owned buffers. The equivalence and
-    /// diagnostic path — property tests assert it agrees with the
-    /// mapped load byte-for-byte.
-    pub fn read_file_owned(path: &Path, content_hash: u64, config: &SimConfig) -> Option<DynTrace> {
-        let bytes = std::fs::read(path).ok()?;
-        Self::decode(&bytes, None, content_hash, config)
-    }
-
-    /// Decodes `bytes`; when `backing` is the map those bytes came from
-    /// (with `bytes` starting at file offset 0), chunk streams become
-    /// zero-copy views into it instead of owned copies.
-    fn decode(
-        bytes: &[u8],
-        backing: Option<&Arc<Mmap>>,
-        content_hash: u64,
-        config: &SimConfig,
-    ) -> Option<DynTrace> {
-        match Self::classify(bytes, backing, content_hash, config) {
-            TraceLoad::Loaded(t) => Some(*t),
-            _ => None,
+        match std::fs::read(path) {
+            Ok(bytes) => Self::classify(&bytes, content_hash, config),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => TraceLoad::Missing,
+            Err(e) => TraceLoad::Io(e),
         }
     }
 
-    /// [`decode`](DynTrace::decode) with the rejection reason kept: a
-    /// file whose digest *passes* but whose format version or content
-    /// hash mismatches is [`TraceLoad::Stale`] — intact, just written
-    /// for another format or emulation key; anything that fails the
-    /// digest, the magic, or structural validation is
-    /// [`TraceLoad::Corrupt`]. The order matters: the digest runs
-    /// first, so a bit flip *inside* the version or hash fields still
-    /// classifies as corruption, never as staleness.
-    fn classify(
-        bytes: &[u8],
-        backing: Option<&Arc<Mmap>>,
-        content_hash: u64,
-        config: &SimConfig,
-    ) -> TraceLoad {
+    /// Decodes a file's `bytes`, keeping the rejection reason: a file
+    /// whose digest *passes* but whose format version or content hash
+    /// mismatches is [`TraceLoad::Stale`] — intact, just written for
+    /// another format or emulation key; anything that fails the digest,
+    /// the magic, or structural validation is [`TraceLoad::Corrupt`].
+    /// The order matters: the digest runs first, so a bit flip *inside*
+    /// the version or hash fields still classifies as corruption, never
+    /// as staleness.
+    fn classify(bytes: &[u8], content_hash: u64, config: &SimConfig) -> TraceLoad {
         let Some(trailer_at) = bytes.len().checked_sub(8) else {
             return TraceLoad::Corrupt;
         };
@@ -625,18 +566,14 @@ impl DynTrace {
             }
             _ => return TraceLoad::Corrupt,
         }
-        match Self::decode_body(&mut d, backing, config) {
+        match Self::decode_body(&mut d, config) {
             Some(trace) => TraceLoad::Loaded(Box::new(trace)),
             None => TraceLoad::Corrupt,
         }
     }
 
     /// The post-header decode: everything after magic/version/hash.
-    fn decode_body(
-        d: &mut Dec<'_>,
-        backing: Option<&Arc<Mmap>>,
-        config: &SimConfig,
-    ) -> Option<DynTrace> {
+    fn decode_body(d: &mut Dec<'_>, config: &SimConfig) -> Option<DynTrace> {
         let body = d.buf;
         let instructions = d.u64()?;
         let n_timings = d.len(PC_BYTES)?;
@@ -712,11 +649,11 @@ impl DynTrace {
             let chunk = TraceChunk {
                 len,
                 entry_pc,
-                entry_stack: d.u32_stream(depth, backing)?,
-                branches: d.u8_stream(n_branches, backing)?,
-                dlats: d.u8_stream(n_loads, backing)?,
-                stall_at: d.u32_stream(n_stalls, backing)?,
-                stalls: d.u8_stream(n_stalls, backing)?,
+                entry_stack: d.u32_stream(depth)?,
+                branches: d.take(n_branches)?.to_vec(),
+                dlats: d.take(n_loads)?.to_vec(),
+                stall_at: d.u32_stream(n_stalls)?,
+                stalls: d.take(n_stalls)?.to_vec(),
             };
             // Structural consistency, the invariants the chunk walk
             // relies on: the chunk enters where the previous one ended;
@@ -736,12 +673,12 @@ impl DynTrace {
             };
             exit = flow.derive(&chunk, max_depth, &mut loads)?;
             let mut next_stall = 0u64;
-            let stalls_ordered = chunk.stall_at.iter().all(|at| {
+            let stalls_ordered = chunk.stall_at.iter().all(|&at| {
                 let after = u64::from(at) >= next_stall;
                 next_stall = u64::from(at) + 1;
                 after
             }) && next_stall <= u64::from(len);
-            let stalls_nonzero = chunk.stalls.as_slice().iter().all(|&c| c != 0);
+            let stalls_nonzero = chunk.stalls.iter().all(|&c| c != 0);
             if loads.loads != n_loads as u64 || !stalls_ordered || !stalls_nonzero {
                 return None;
             }
@@ -804,8 +741,8 @@ pub enum TraceLoad {
     /// truncation, bit rot, a torn write. Retrying cannot help and
     /// overwriting hides the evidence: the store quarantines it.
     Corrupt,
-    /// Opening or mapping the file failed for a reason other than
-    /// absence — possibly transient; worth a bounded retry.
+    /// Reading the file failed for a reason other than absence —
+    /// possibly transient; worth a bounded retry.
     Io(std::io::Error),
 }
 
@@ -1055,24 +992,35 @@ mod tests {
         trace.write_file(&path, hash).expect("write");
         let back = DynTrace::read_file(&path, hash, &cfg).expect("load");
         assert_eq!(back, trace, "persisted trace must round-trip exactly");
-        // The load is zero-copy: every chunk borrows the file map (on
-        // targets with a real mmap; elsewhere the owned fallback still
-        // round-trips, it just reports unmapped).
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        assert_eq!(
-            back.mapped_chunks(),
-            back.chunk_count(),
-            "a warm-start load must not copy record streams"
-        );
-        // The owned decode path agrees with the mapped one exactly.
-        let owned = DynTrace::read_file_owned(&path, hash, &cfg).expect("owned load");
-        assert_eq!(owned, back);
-        assert_eq!(owned.mapped_chunks(), 0);
         // And the replay through the loaded trace is byte-identical.
         let timing_cfg = cfg.clone().predictor(PredictorChoice::Tournament);
         let replay = |t: &DynTrace| Simulation::default().replay(t, &timing_cfg);
         assert_eq!(replay(&back), replay(&trace));
-        assert_eq!(replay(&owned), replay(&trace));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_loaded_trace_outlives_its_file_being_truncated() {
+        // A load owns every stream it decoded, so truncating the file in
+        // place afterwards leaves the loaded trace replaying exactly like
+        // the capture (a reader serving streams from the file's pages
+        // would fault on them here).
+        let cfg = SimConfig::default().with_pbs();
+        let trace = DynTrace::capture(&workload(3000), &cfg).unwrap();
+        let hash = cfg.emu_key_fingerprint();
+        let dir = tempdir("truncated");
+        let path = dir.join("trace.bin");
+        trace.write_file(&path, hash).expect("write");
+        let loaded = DynTrace::read_file(&path, hash, &cfg).expect("load");
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_len(0))
+            .expect("truncate in place");
+        let timing_cfg = cfg.clone().predictor(PredictorChoice::Tournament);
+        let replay = |t: &DynTrace| Simulation::default().replay(t, &timing_cfg);
+        assert_eq!(replay(&loaded), replay(&trace));
+        assert_eq!(loaded, trace);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1091,17 +1039,12 @@ mod tests {
         assert!(DynTrace::read_file(&dir.join("absent.bin"), hash, &cfg).is_none());
 
         let pristine = std::fs::read(&path).unwrap();
-        // Truncations at every region boundary-ish size — against both
-        // the mapped and the owned reader.
+        // Truncations at every region boundary-ish size.
         for cut in [0, 7, 16, pristine.len() / 2, pristine.len() - 1] {
             std::fs::write(&path, &pristine[..cut]).unwrap();
             assert!(
                 DynTrace::read_file(&path, hash, &cfg).is_none(),
                 "truncated at {cut}"
-            );
-            assert!(
-                DynTrace::read_file_owned(&path, hash, &cfg).is_none(),
-                "owned reader accepted truncation at {cut}"
             );
         }
         // Single flipped bits across the file (magic, header, streams,
@@ -1113,10 +1056,6 @@ mod tests {
             assert!(
                 DynTrace::read_file(&path, hash, &cfg).is_none(),
                 "bit flip at {pos}"
-            );
-            assert!(
-                DynTrace::read_file_owned(&path, hash, &cfg).is_none(),
-                "owned reader accepted bit flip at {pos}"
             );
         }
         // A different format version (v1 to v4 files in particular:
@@ -1316,7 +1255,6 @@ mod tests {
             DynTrace::load_file(&path, 1, &cfg, 0),
             TraceLoad::Corrupt
         ));
-        assert!(DynTrace::read_file_owned(&path, 1, &cfg).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1350,7 +1288,6 @@ mod tests {
             };
             trace.write_file(&path, 1).unwrap();
             assert_eq!(DynTrace::read_file(&path, 1, &cfg).is_some(), loads);
-            assert_eq!(DynTrace::read_file_owned(&path, 1, &cfg).is_some(), loads);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1374,8 +1311,8 @@ mod tests {
             .map(|&(entry_pc, stack, bytes, len)| TraceChunk {
                 len,
                 entry_pc,
-                entry_stack: U32s::Owned(stack.to_vec()),
-                branches: U8s::Owned(bytes.to_vec()),
+                entry_stack: stack.to_vec(),
+                branches: bytes.to_vec(),
                 ..TraceChunk::default()
             })
             .collect();
@@ -1412,8 +1349,7 @@ mod tests {
         let dir = tempdir("derive");
         let path = dir.join("trace.bin");
         // Writes `trace`, applies `patch` to the file and reseals its
-        // digest, and loads it under a call depth of `depth` through
-        // both readers, which must agree.
+        // digest, and loads it under a call depth of `depth`.
         let loads = |trace: &DynTrace, depth: usize, patch: &dyn Fn(&mut [u8])| {
             trace.write_file(&path, 1).unwrap();
             let mut bytes = std::fs::read(&path).unwrap();
@@ -1424,9 +1360,7 @@ mod tests {
             std::fs::write(&path, &bytes).unwrap();
             let mut cfg = SimConfig::default();
             cfg.emu.max_call_depth = depth;
-            let mapped = matches!(DynTrace::load_file(&path, 1, &cfg, 0), TraceLoad::Loaded(_));
-            assert_eq!(DynTrace::read_file_owned(&path, 1, &cfg).is_some(), mapped);
-            mapped
+            matches!(DynTrace::load_file(&path, 1, &cfg, 0), TraceLoad::Loaded(_))
         };
         let as_is = |_: &mut [u8]| {};
         let derives = |ops: &[(FlowKind, u32)], chunks: &[(u32, &[u32], &[u8], u32)]| {
@@ -1471,9 +1405,9 @@ mod tests {
             offset: 0,
         });
         assert!(!loads(&loading, 1, &as_is));
-        loading.chunks[0].dlats = U8s::Owned(vec![5]);
+        loading.chunks[0].dlats = vec![5];
         assert!(loads(&loading, 1, &as_is));
-        loading.chunks[0].dlats = U8s::Owned(vec![5, 5]);
+        loading.chunks[0].dlats = vec![5, 5];
         assert!(!loads(&loading, 1, &as_is));
         // The flow table: a target outside the table, a target on a
         // `ret`, and a kind code that names none. The call is the one

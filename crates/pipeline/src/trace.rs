@@ -98,11 +98,8 @@
 //! paths — which `tests/engine_equivalence.rs` and the
 //! capture-then-replay property test lock in.
 
-use std::sync::Arc;
-
 use probranch_core::{PbsConfig, PbsStats, PbsUnit};
 use probranch_isa::Program;
-use probranch_mmap::Mmap;
 use probranch_predictor::{BranchPredictor, BranchReq, PredictorDispatch};
 
 use crate::aot::BlockProgram;
@@ -399,9 +396,9 @@ impl FlowTable {
     ) -> Option<FlowState> {
         let pcs = &*self.pcs;
         let mut pc = chunk.entry_pc;
-        let mut stack: Vec<u32> = chunk.entry_stack.iter().collect();
+        let mut stack = chunk.entry_stack.clone();
         let mut left = chunk.len;
-        let mut bytes = chunk.branches.as_slice().iter();
+        let mut bytes = chunk.branches.iter();
         while left > 0 {
             let flow = pcs.get(pc as usize)?;
             // The records up to the next control op, cut at the record
@@ -438,203 +435,12 @@ impl FlowTable {
     }
 }
 
-// ---- stream backing -------------------------------------------------------
-
-/// A borrowed byte region of a persisted trace file's read-only memory
-/// map. Every stream of every chunk loaded from one file shares the one
-/// `Arc`'d map; the view adds only a range.
-#[derive(Clone)]
-pub(crate) struct ByteView {
-    map: Arc<Mmap>,
-    start: usize,
-    len: usize,
-}
-
-impl ByteView {
-    /// A view of `map[start..start + len]`.
-    pub(crate) fn new(map: Arc<Mmap>, start: usize, len: usize) -> ByteView {
-        debug_assert!(start.checked_add(len).is_some_and(|end| end <= map.len()));
-        ByteView { map, start, len }
-    }
-
-    #[inline(always)]
-    pub(crate) fn as_slice(&self) -> &[u8] {
-        &self.map.as_slice()[self.start..self.start + self.len]
-    }
-}
-
-impl std::fmt::Debug for ByteView {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ByteView")
-            .field("start", &self.start)
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
-/// A chunk's `u8` stream: owned by capture, or a zero-copy view over a
-/// mapped trace file. Consumers read either backing as one `&[u8]`.
-#[derive(Debug, Clone)]
-pub(crate) enum U8s {
-    /// Capture-side buffer.
-    Owned(Vec<u8>),
-    /// Borrowed bytes of a mapped file (persistence load path).
-    Mapped(ByteView),
-}
-
-impl U8s {
-    #[inline(always)]
-    pub(crate) fn as_slice(&self) -> &[u8] {
-        match self {
-            U8s::Owned(v) => v,
-            U8s::Mapped(b) => b.as_slice(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// The owned buffer — capture-side mutation only. Mapped streams
-    /// are immutable by construction; reaching this on one is a bug.
-    fn owned_mut(&mut self) -> &mut Vec<u8> {
-        match self {
-            U8s::Owned(v) => v,
-            U8s::Mapped(_) => unreachable!("mapped chunk streams are immutable"),
-        }
-    }
-
-    /// Empties the stream; a mapped backing reverts to an owned one.
-    fn clear(&mut self) {
-        match self {
-            U8s::Owned(v) => v.clear(),
-            m => *m = U8s::default(),
-        }
-    }
-
-    fn shrink_to_fit(&mut self) {
-        if let U8s::Owned(v) = self {
-            v.shrink_to_fit();
-        }
-    }
-
-    /// Heap bytes held — 0 for a mapped view: the pages behind it are
-    /// the OS page cache's to keep or reclaim, not pool-owned memory.
-    fn heap_bytes(&self) -> usize {
-        match self {
-            U8s::Owned(v) => v.capacity(),
-            U8s::Mapped(_) => 0,
-        }
-    }
-}
-
-impl Default for U8s {
-    fn default() -> U8s {
-        U8s::Owned(Vec::new())
-    }
-}
-
-impl PartialEq for U8s {
-    fn eq(&self, other: &U8s) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-/// A chunk's `u32` stream: owned by capture, or little-endian bytes
-/// over a mapped trace file, decoded on read (one unaligned LE load —
-/// free on the targets this runs on, and alignment-independent, so the
-/// on-disk layout needs no padding).
-#[derive(Debug, Clone)]
-pub(crate) enum U32s {
-    /// Capture-side buffer.
-    Owned(Vec<u32>),
-    /// Borrowed little-endian bytes of a mapped file; byte length is a
-    /// multiple of 4.
-    Mapped(ByteView),
-}
-
-impl U32s {
-    #[inline(always)]
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            U32s::Owned(v) => v.len(),
-            U32s::Mapped(b) => b.len / 4,
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn get(&self, i: usize) -> u32 {
-        match self {
-            U32s::Owned(v) => v[i],
-            U32s::Mapped(b) => u32::from_le_bytes(
-                b.as_slice()[4 * i..4 * i + 4]
-                    .try_into()
-                    .expect("4-byte element"),
-            ),
-        }
-    }
-
-    /// The values in order, decoding mapped bytes on the fly.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// The owned buffer — capture-side mutation only (see
-    /// [`U8s::owned_mut`]).
-    fn owned_mut(&mut self) -> &mut Vec<u32> {
-        match self {
-            U32s::Owned(v) => v,
-            U32s::Mapped(_) => unreachable!("mapped chunk streams are immutable"),
-        }
-    }
-
-    /// Empties the stream; a mapped backing reverts to an owned one.
-    fn clear(&mut self) {
-        match self {
-            U32s::Owned(v) => v.clear(),
-            m => *m = U32s::default(),
-        }
-    }
-
-    fn shrink_to_fit(&mut self) {
-        if let U32s::Owned(v) = self {
-            v.shrink_to_fit();
-        }
-    }
-
-    /// Heap bytes held — 0 for a mapped view (see [`U8s::heap_bytes`]).
-    fn heap_bytes(&self) -> usize {
-        match self {
-            U32s::Owned(v) => v.capacity() * 4,
-            U32s::Mapped(_) => 0,
-        }
-    }
-}
-
-impl Default for U32s {
-    fn default() -> U32s {
-        U32s::Owned(Vec::new())
-    }
-}
-
-impl PartialEq for U32s {
-    fn eq(&self, other: &U32s) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
 /// One chunk of a dynamic trace in structure-of-arrays form: its entry
 /// state and branch bytes, from which the trace's [`FlowTable`] derives
 /// every pc, and the sparse latency streams — one byte per load record
 /// and one entry per fetch stall (see the module docs). Nothing is
 /// stored per record.
-///
-/// Each stream is either **owned** (capture) or a **zero-copy view**
-/// over a persisted file's read-only memory map (a warm-start load,
-/// see `persist`). Consumers never care which: every engine produces
-/// byte-identical reports either way. Equality is logical — an owned
-/// chunk and its mapped round-trip compare equal.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceChunk {
     /// Number of records, at most [`TRACE_CHUNK_RECORDS`].
     pub(crate) len: u32,
@@ -642,19 +448,19 @@ pub struct TraceChunk {
     pub(crate) entry_pc: u32,
     /// …and the return stack under it, outermost return address first:
     /// the chunk's entry state, where the previous chunk ended.
-    pub(crate) entry_stack: U32s,
+    pub(crate) entry_stack: Vec<u32>,
     /// The packed branch byte of every *control* record, in order —
     /// the zero bytes of the other records are elided.
-    pub(crate) branches: U8s,
+    pub(crate) branches: Vec<u8>,
     /// The load-to-use latency of every load record, in order. Which
     /// records are loads is the timing table's to say; every other
     /// record's latency is 0.
-    pub(crate) dlats: U8s,
+    pub(crate) dlats: Vec<u8>,
     /// The record index of every nonzero fetch stall, ascending…
-    pub(crate) stall_at: U32s,
+    pub(crate) stall_at: Vec<u32>,
     /// …and its cycles, parallel to `stall_at`. Every other record
     /// stalls 0 cycles.
-    pub(crate) stalls: U8s,
+    pub(crate) stalls: Vec<u8>,
 }
 
 impl TraceChunk {
@@ -666,12 +472,6 @@ impl TraceChunk {
     /// Whether the chunk holds no records.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Whether the chunk's streams are zero-copy views over a mapped
-    /// trace file rather than owned buffers.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.branches, U8s::Mapped(_))
     }
 
     /// Number of branch records in the chunk.
@@ -693,7 +493,7 @@ impl TraceChunk {
     /// Whether the chunk enters at `state`: its first record at
     /// `state.pc`, over the return stack `state.stack`.
     pub(crate) fn enters_at(&self, state: &FlowState) -> bool {
-        self.entry_pc == state.pc && self.entry_stack.iter().eq(state.stack.iter().copied())
+        self.entry_pc == state.pc && self.entry_stack == state.stack
     }
 
     /// Records the entry state — the emulator's pc and return stack
@@ -702,13 +502,13 @@ impl TraceChunk {
     pub(crate) fn begin_fill(&mut self, pc: u32, stack: &[u32]) -> ChunkWriter<'_> {
         debug_assert!(self.is_empty());
         self.entry_pc = pc;
-        self.entry_stack.owned_mut().extend_from_slice(stack);
+        self.entry_stack.extend_from_slice(stack);
         ChunkWriter {
             len: &mut self.len,
-            branches: self.branches.owned_mut(),
-            dlats: self.dlats.owned_mut(),
-            stall_at: self.stall_at.owned_mut(),
-            stalls: self.stalls.owned_mut(),
+            branches: &mut self.branches,
+            dlats: &mut self.dlats,
+            stall_at: &mut self.stall_at,
+            stalls: &mut self.stalls,
         }
     }
 
@@ -724,14 +524,12 @@ impl TraceChunk {
 
     /// Heap bytes held by the chunk's stream buffers (capacity, not
     /// length — the number that matters for peak-memory accounting).
-    /// Mapped streams count 0: their pages belong to the OS page cache,
-    /// not the trace pool's budget.
     pub fn bytes(&self) -> usize {
-        self.entry_stack.heap_bytes()
-            + self.branches.heap_bytes()
-            + self.dlats.heap_bytes()
-            + self.stall_at.heap_bytes()
-            + self.stalls.heap_bytes()
+        self.entry_stack.capacity() * 4
+            + self.branches.capacity()
+            + self.dlats.capacity()
+            + self.stall_at.capacity() * 4
+            + self.stalls.capacity()
     }
 }
 
@@ -764,7 +562,7 @@ impl RunVisitor for ChunkReqs {
 
 impl ChunkReqs {
     /// Replaces the requests with `chunk`'s, at the pcs `flow` derives
-    /// for its branches ([`FlowTable::derive`]), for captured and mapped
+    /// for its branches ([`FlowTable::derive`]), for captured and loaded
     /// chunks alike. The only code that builds predictor requests.
     pub(crate) fn build(&mut self, chunk: &TraceChunk, flow: &FlowTable) {
         self.reqs.clear();
@@ -852,20 +650,6 @@ impl ChunkWriter<'_> {
     }
 }
 
-impl PartialEq for TraceChunk {
-    /// Logical equality over the streams — backing-agnostic (an owned
-    /// chunk equals its mapped round-trip).
-    fn eq(&self, other: &TraceChunk) -> bool {
-        self.len == other.len
-            && self.entry_pc == other.entry_pc
-            && self.entry_stack == other.entry_stack
-            && self.branches == other.branches
-            && self.dlats == other.dlats
-            && self.stall_at == other.stall_at
-            && self.stalls == other.stalls
-    }
-}
-
 /// A per-record visitor for [`walk_chunk`]: `plain` sees every
 /// non-branch record, `branch` every branch record with its event
 /// decoded exactly once. Both receive the record's pc, its timing-table
@@ -948,7 +732,7 @@ struct Latencies<'a> {
     dlats: &'a [u8],
     /// Load latencies consumed so far.
     d: usize,
-    stall_at: &'a U32s,
+    stall_at: &'a [u32],
     stalls: &'a [u8],
     /// Stalls consumed so far.
     k: usize,
@@ -959,10 +743,10 @@ struct Latencies<'a> {
 impl<'a> Latencies<'a> {
     fn of(chunk: &'a TraceChunk) -> Latencies<'a> {
         let mut lat = Latencies {
-            dlats: chunk.dlats.as_slice(),
+            dlats: &chunk.dlats,
             d: 0,
             stall_at: &chunk.stall_at,
-            stalls: chunk.stalls.as_slice(),
+            stalls: &chunk.stalls,
             k: 0,
             next: 0,
         };
@@ -973,7 +757,7 @@ impl<'a> Latencies<'a> {
     /// The record index of stall `k`, or `usize::MAX` past the last.
     fn stall_index(&self) -> usize {
         if self.k < self.stalls.len() {
-            self.stall_at.get(self.k) as usize
+            self.stall_at[self.k] as usize
         } else {
             usize::MAX
         }
@@ -1317,18 +1101,9 @@ impl DynTrace {
         &self.functional
     }
 
-    /// How many chunks are zero-copy views over a mapped trace file
-    /// (all of them after a warm-start load, none after a capture).
-    pub fn mapped_chunks(&self) -> usize {
-        self.chunks.iter().filter(|c| c.is_mapped()).count()
-    }
-
     /// Heap bytes held by the trace (record streams, timing and flow
     /// tables and architectural results) — the number the trace pool's
-    /// memory budget meters. Mapped record streams count 0 (their pages
-    /// are the OS page cache's, reclaimable at will), so demoting a
-    /// trace to disk shrinks its pooled footprint to the two tables and
-    /// the architectural results.
+    /// memory budget meters.
     pub fn bytes(&self) -> usize {
         self.chunks.iter().map(TraceChunk::bytes).sum::<usize>()
             + self.timings.len() * std::mem::size_of::<InstTiming>()
@@ -1665,7 +1440,7 @@ impl BranchCounter {
         let s = &mut self.stats;
         s.instructions += chunk.len() as u64;
         s.dyn_branches += chunk.branch_count() as u64;
-        for &byte in chunk.branches.as_slice() {
+        for &byte in &chunk.branches {
             let ev = decode_branch(byte);
             match ev.kind {
                 BranchEventKind::Conditional => {
@@ -1971,7 +1746,7 @@ mod tests {
                 chunk.enters_at(&exit),
                 "{at}: chunk {i} enters at pc {} over {:?}, not at {exit:?}",
                 chunk.entry_pc,
-                chunk.entry_stack.iter().collect::<Vec<_>>()
+                chunk.entry_stack
             );
             in_calls += usize::from(!exit.stack.is_empty());
             walk_chunk(chunk, trace.timings(), trace.flow(), &mut oracle);
@@ -2038,7 +1813,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_stalls_round_trip_through_capture_both_readers_and_the_walk() {
+    fn dense_stalls_round_trip_through_capture_the_reader_and_the_walk() {
         let program = l1i_buster(14);
         let cfg = SimConfig::default();
         let trace = DynTrace::capture(&program, &cfg).unwrap();
@@ -2047,12 +1822,10 @@ mod tests {
         assert!(stream.itouched.is_empty() && stream.blocks.compiled_blocks() == 0);
         let path = std::env::temp_dir().join(format!("probranch-dense-{}.bin", std::process::id()));
         trace.write_file(&path, 7).unwrap();
-        let mapped = DynTrace::read_file(&path, 7, &cfg).expect("mapped load");
-        let owned = DynTrace::read_file_owned(&path, 7, &cfg).expect("owned load");
+        let loaded = DynTrace::read_file(&path, 7, &cfg).expect("load");
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(mapped, trace);
-        assert_eq!(owned, trace);
-        for (t, at) in [(&trace, "captured"), (&mapped, "mapped"), (&owned, "owned")] {
+        assert_eq!(loaded, trace);
+        for (t, at) in [(&trace, "captured"), (&loaded, "loaded")] {
             let (oracle, _) = check_records(&program, &cfg, t, at);
             // One stall per line per pass, at least: an eighth of the
             // records.
@@ -2066,7 +1839,7 @@ mod tests {
             assert_eq!(stalls as u64, oracle.stalled, "{at}");
         }
         assert_eq!(
-            Simulation::default().replay(&mapped, &cfg),
+            Simulation::default().replay(&loaded, &cfg),
             reference(&program, &cfg)
         );
     }

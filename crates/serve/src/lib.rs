@@ -40,8 +40,8 @@
 //!   with [`Status::ShuttingDown`]. The acceptor blocks in `accept`,
 //!   so connections are served the moment they arrive; once the drain
 //!   completes, one connect to the listener's own port wakes it, and
-//!   [`Server::run`] returns so the caller can flush demotions to the
-//!   trace directory before exit.
+//!   [`Server::run`] returns so the caller can write the pooled traces
+//!   the trace directory is missing before exit.
 //!
 //! The request path is torture-testable end to end: the
 //! `serve.{accept,read,write,drop}` failpoints of `probranch-faults`

@@ -30,7 +30,7 @@ pub fn install_signal_shutdown() {
 
 #[cfg(unix)]
 mod sys {
-    // The only unsafe in the service: registering a handler via the
+    // The only unsafe in the workspace: registering a handler via the
     // C `signal` entry point (std offers no stable API for this, and
     // the crate must stay dependency-free).
     #![allow(unsafe_code)]

@@ -21,14 +21,18 @@
 //! The comparison sweeps run through the parallel experiment harness
 //! with default jobs, so the CI matrix (PROBRANCH_JOBS=1 vs default)
 //! exercises the suite — including the trace captures and replays —
-//! both serially and in parallel.
+//! both serially and in parallel. Every case that runs a convoy runs it
+//! with the capture/drain overlap off and on ([`under_both_overlaps`]).
+
+use std::sync::{Mutex, PoisonError};
 
 use probranch::harness::{run_cells, workload_seed, Cell, Jobs};
 use probranch::isa::Program;
 use probranch::pbs::PbsConfig;
 use probranch::pipeline::{
-    run_functional, with_capture_tier, BranchStats, CaptureTier, DynTrace, EmuError, EngineKind,
-    OooConfig, PredictorChoice, SimConfig, SimReport, Simulation, TraceFunctional,
+    run_functional, set_capture_overlap, with_capture_tier, BranchStats, CaptureTier, DynTrace,
+    EmuError, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation,
+    TraceFunctional,
 };
 use probranch::workloads::{BenchmarkId, Scale};
 
@@ -51,6 +55,20 @@ fn config_for(cell: &Cell, core: OooConfig, trace: bool) -> SimConfig {
 
 fn reference(program: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
     Simulation::new(EngineKind::Reference).run(program, cfg)
+}
+
+/// Runs `f` with the process-wide capture/drain overlap of convoy runs
+/// off (the serial fill loop), then on (the default, restored), and
+/// returns both results. Every case that runs a convoy goes through
+/// here and holds the lock throughout, so no case flips the switch
+/// while another one's convoys run.
+fn under_both_overlaps<R>(f: impl Fn() -> R) -> [R; 2] {
+    static SWITCH: Mutex<()> = Mutex::new(());
+    let _held = SWITCH.lock().unwrap_or_else(PoisonError::into_inner);
+    [false, true].map(|overlap| {
+        set_capture_overlap(overlap);
+        f()
+    })
 }
 
 /// Runs the replay engine (capture once, replay once) for `cfg`.
@@ -125,34 +143,41 @@ fn replay_engine_matches_reference_on_the_fig6_grid() {
 fn simulation_api_engines_agree_on_the_fig6_grid() {
     assert_eq!(Simulation::default().engine(), EngineKind::Replay);
     let cells = fig6_grid();
-    let outcomes = run_cells(&cells, Jobs::default(), |cell| {
-        let program = cell
-            .workload
-            .build(Scale::Smoke, cell.workload_seed())
-            .program();
-        let cfg = config_for(cell, OooConfig::default(), false);
-        let reports =
-            EngineKind::ALL.map(|engine| Simulation::new(engine).run(&program, &cfg).expect("run"));
-        // `Simulation::replay` is engine-independent by design: a trace
-        // fixes the branch stream, so every engine re-times it the same
-        // way. Pin that with a capture replayed under every kind.
-        let trace = DynTrace::capture(&program, &cfg).expect("capture");
-        let replays = EngineKind::ALL.map(|engine| {
-            Simulation::new(engine)
-                .replay(&trace, &cfg)
-                .expect("replay")
-        });
-        (reports, replays)
+    let runs = under_both_overlaps(|| {
+        run_cells(&cells, Jobs::default(), |cell| {
+            let program = cell
+                .workload
+                .build(Scale::Smoke, cell.workload_seed())
+                .program();
+            let cfg = config_for(cell, OooConfig::default(), false);
+            let reports = EngineKind::ALL
+                .map(|engine| Simulation::new(engine).run(&program, &cfg).expect("run"));
+            // `Simulation::replay` is engine-independent by design: a trace
+            // fixes the branch stream, so every engine re-times it the same
+            // way. Pin that with a capture replayed under every kind.
+            let trace = DynTrace::capture(&program, &cfg).expect("capture");
+            let replays = EngineKind::ALL.map(|engine| {
+                Simulation::new(engine)
+                    .replay(&trace, &cfg)
+                    .expect("replay")
+            });
+            (reports, replays)
+        })
     });
-    for (cell, (reports, replays)) in cells.iter().zip(&outcomes) {
-        let [replay, convoy, reference] = reports;
-        assert_eq!(
-            replay, reference,
-            "batched replay vs reference drift on {cell:?}"
-        );
-        assert_eq!(replay, convoy, "batched replay vs convoy drift on {cell:?}");
-        for r in replays {
-            assert_eq!(r, replay, "engine-dependent trace replay on {cell:?}");
+    for (overlap, outcomes) in [false, true].iter().zip(&runs) {
+        for (cell, (reports, replays)) in cells.iter().zip(outcomes) {
+            let [replay, convoy, reference] = reports;
+            assert_eq!(
+                replay, reference,
+                "batched replay vs reference drift on {cell:?}"
+            );
+            assert_eq!(
+                convoy, reference,
+                "convoy (overlap {overlap}) vs reference drift on {cell:?}"
+            );
+            for r in replays {
+                assert_eq!(r, replay, "engine-dependent trace replay on {cell:?}");
+            }
         }
     }
 }
@@ -161,7 +186,7 @@ fn simulation_api_engines_agree_on_the_fig6_grid() {
 /// predictor and filter configuration — including a convoy draining all
 /// of them from a single streamed capture — and the predictor-only pass
 /// must equal the reference engine's timing statistics without their
-/// cycle count, over the materialized trace, its mmap-loaded copy and a
+/// cycle count, over the materialized trace, its loaded copy and a
 /// streamed capture.
 #[test]
 fn one_trace_serves_every_timing_configuration() {
@@ -169,78 +194,85 @@ fn one_trace_serves_every_timing_configuration() {
         .iter()
         .flat_map(|&w| [false, true].map(|pbs| Cell::new(w, PredictorChoice::Tournament, pbs, 0)))
         .collect();
-    let outcomes = run_cells(&keys, Jobs::default(), |key| {
-        let program = key
-            .workload
-            .build(Scale::Smoke, key.workload_seed())
-            .program();
-        let configs: Vec<SimConfig> = [
-            PredictorChoice::Tournament,
-            PredictorChoice::TageScL,
-            PredictorChoice::StaticTaken,
-            PredictorChoice::StaticNotTaken,
-        ]
-        .iter()
-        .flat_map(|&p| {
-            let mut plain = config_for(key, OooConfig::default(), false);
-            plain.predictor = p;
-            let mut filtered = plain.clone();
-            filtered.filter_prob_from_predictor = true;
-            [plain, filtered]
+    let runs = under_both_overlaps(|| {
+        run_cells(&keys, Jobs::default(), |key| {
+            let program = key
+                .workload
+                .build(Scale::Smoke, key.workload_seed())
+                .program();
+            let configs: Vec<SimConfig> = [
+                PredictorChoice::Tournament,
+                PredictorChoice::TageScL,
+                PredictorChoice::StaticTaken,
+                PredictorChoice::StaticNotTaken,
+            ]
+            .iter()
+            .flat_map(|&p| {
+                let mut plain = config_for(key, OooConfig::default(), false);
+                plain.predictor = p;
+                let mut filtered = plain.clone();
+                filtered.filter_prob_from_predictor = true;
+                [plain, filtered]
+            })
+            .collect();
+            let direct = Simulation::new(EngineKind::Reference)
+                .run_many(&program, &configs)
+                .expect("reference");
+            // Mode (a): one materialized trace, one replay per config.
+            let trace = DynTrace::capture(&program, &configs[0]).expect("capture");
+            let replays = Simulation::default()
+                .replay_many(&trace, &configs)
+                .expect("replay");
+            // Mode (b): one streamed convoy over all eight configs.
+            let convoy = Simulation::new(EngineKind::Convoy)
+                .run_many(&program, &configs)
+                .expect("convoy");
+            // Mode (c): the predictor-only pass over the materialized trace,
+            // over the same trace written to disk and loaded, and over one
+            // streamed capture feeding all eight configs.
+            let path = std::env::temp_dir().join(format!(
+                "probranch-branch-pass-{}-{:?}-{}.bin",
+                std::process::id(),
+                key.workload,
+                key.pbs
+            ));
+            trace.write_file(&path, 1).expect("write trace");
+            let loaded = DynTrace::read_file(&path, 1, &configs[0]).expect("load trace");
+            std::fs::remove_file(&path).ok();
+            let per_config = |trace: &DynTrace| -> Vec<BranchStats> {
+                configs
+                    .iter()
+                    .map(|cfg| {
+                        Simulation::default()
+                            .replay_branches(trace, cfg)
+                            .expect("predictor-only replay")
+                    })
+                    .collect()
+            };
+            let branches = [
+                per_config(&trace),
+                per_config(&loaded),
+                Simulation::default()
+                    .run_branches(&program, &configs)
+                    .expect("predictor-only stream"),
+            ];
+            (direct, replays, convoy, branches)
         })
-        .collect();
-        let direct = Simulation::new(EngineKind::Reference)
-            .run_many(&program, &configs)
-            .expect("reference");
-        // Mode (a): one materialized trace, one replay per config.
-        let trace = DynTrace::capture(&program, &configs[0]).expect("capture");
-        let replays = Simulation::default()
-            .replay_many(&trace, &configs)
-            .expect("replay");
-        // Mode (b): one streamed convoy over all eight configs.
-        let convoy = Simulation::new(EngineKind::Convoy)
-            .run_many(&program, &configs)
-            .expect("convoy");
-        // Mode (c): the predictor-only pass over the materialized trace,
-        // over the same trace written to disk and mmap-loaded, and over
-        // one streamed capture feeding all eight configs.
-        let path = std::env::temp_dir().join(format!(
-            "probranch-branch-pass-{}-{:?}-{}.bin",
-            std::process::id(),
-            key.workload,
-            key.pbs
-        ));
-        trace.write_file(&path, 1).expect("write trace");
-        let mapped = DynTrace::read_file(&path, 1, &configs[0]).expect("load trace");
-        std::fs::remove_file(&path).ok();
-        let per_config = |trace: &DynTrace| -> Vec<BranchStats> {
-            configs
-                .iter()
-                .map(|cfg| {
-                    Simulation::default()
-                        .replay_branches(trace, cfg)
-                        .expect("predictor-only replay")
-                })
-                .collect()
-        };
-        let branches = [
-            per_config(&trace),
-            per_config(&mapped),
-            Simulation::default()
-                .run_branches(&program, &configs)
-                .expect("predictor-only stream"),
-        ];
-        (direct, replays, convoy, branches)
     });
-    for (key, (direct, replays, convoy, branches)) in keys.iter().zip(&outcomes) {
-        assert_eq!(direct, replays, "shared-trace replay drift on {key:?}");
-        assert_eq!(direct, convoy, "convoy drift on {key:?}");
-        let projected: Vec<BranchStats> = direct.iter().map(|r| r.timing.into()).collect();
-        for (input, stats) in ["trace", "mapped trace", "stream"].iter().zip(branches) {
+    for (overlap, outcomes) in [false, true].iter().zip(&runs) {
+        for (key, (direct, replays, convoy, branches)) in keys.iter().zip(outcomes) {
+            assert_eq!(direct, replays, "shared-trace replay drift on {key:?}");
             assert_eq!(
-                stats, &projected,
-                "predictor-only drift over the {input} on {key:?}"
+                direct, convoy,
+                "convoy (overlap {overlap}) drift on {key:?}"
             );
+            let projected: Vec<BranchStats> = direct.iter().map(|r| r.timing.into()).collect();
+            for (input, stats) in ["trace", "loaded trace", "stream"].iter().zip(branches) {
+                assert_eq!(
+                    stats, &projected,
+                    "predictor-only drift over the {input} on {key:?}"
+                );
+            }
         }
     }
 }
@@ -250,10 +282,10 @@ fn one_trace_serves_every_timing_configuration() {
 /// filter mode reads them instead of running the predictor. For every
 /// benchmark × {tournament, TAGE-SC-L} × filter × PBS × {4-wide, 8-wide}
 /// core, the tapes recorded by a 4-wide replay, an 8-wide replay over
-/// the mmap-loaded copy and the predictor-only pass must be equal, and
-/// each must feed replays and predictor-only passes — over the
-/// materialized trace and the mapped one, on both cores — that equal
-/// the tape-less passes and the reference engine.
+/// the loaded copy and the predictor-only pass must be equal, and each
+/// must feed replays and predictor-only passes — over the materialized
+/// trace and the loaded one, on both cores — that equal the tape-less
+/// passes and the reference engine.
 #[test]
 fn tape_fed_passes_match_tape_less_ones_and_the_reference() {
     let keys: Vec<Cell> = BenchmarkId::ALL
@@ -274,9 +306,8 @@ fn tape_fed_passes_match_tape_less_ones_and_the_reference() {
             key.pbs
         ));
         trace.write_file(&path, 1).expect("write trace");
-        let mapped = DynTrace::read_file(&path, 1, &base).expect("load trace");
+        let loaded = DynTrace::read_file(&path, 1, &base).expect("load trace");
         std::fs::remove_file(&path).ok();
-        assert_eq!(mapped.mapped_chunks(), mapped.chunk_count());
         let sim = Simulation::default();
         for predictor in [PredictorChoice::Tournament, PredictorChoice::TageScL] {
             for filter in [false, true] {
@@ -291,7 +322,7 @@ fn tape_fed_passes_match_tape_less_ones_and_the_reference() {
                     [&narrow, &wide].map(|cfg| reference(&program, cfg).expect("reference"));
                 let (replayed, tape) = sim.replay_taped(&trace, &narrow, None).expect("replay");
                 let (wide_replayed, wide_tape) =
-                    sim.replay_taped(&mapped, &wide, None).expect("replay");
+                    sim.replay_taped(&loaded, &wide, None).expect("replay");
                 let (counted, counted_tape) = sim
                     .replay_branches_taped(&trace, &narrow, None)
                     .expect("predictor-only pass");
@@ -308,7 +339,7 @@ fn tape_fed_passes_match_tape_less_ones_and_the_reference() {
                     "tapes differ by core or pass on {what}"
                 );
                 for tape in &tapes {
-                    for input in [&trace, &mapped] {
+                    for input in [&trace, &loaded] {
                         for (cfg, direct) in [&narrow, &wide].iter().zip(&direct) {
                             assert_eq!(
                                 sim.replay_taped(input, cfg, Some(tape))
@@ -348,34 +379,38 @@ fn streamed_convoy_matches_independent_replays_for_every_predictor_pair() {
         .iter()
         .flat_map(|&a| PREDICTORS.map(|b| (a, b)))
         .collect();
-    let outcomes = run_cells(&pairs, Jobs::default(), |&(a, b)| {
-        let program = BenchmarkId::Bandit
-            .build(Scale::Smoke, workload_seed(BenchmarkId::Bandit, 2))
-            .program();
-        let mut unfiltered = SimConfig::default().predictor(a);
-        unfiltered.collect_branch_trace = true;
-        let mut filtered = SimConfig::default().predictor(b);
-        filtered.filter_prob_from_predictor = true;
-        let pair = [unfiltered, filtered];
-        let direct: Vec<SimReport> = pair
-            .iter()
-            .map(|cfg| reference(&program, cfg).expect("reference"))
-            .collect();
-        let streamed = Simulation::new(EngineKind::Convoy)
-            .run_many(&program, &pair)
-            .expect("streamed convoy");
-        let trace = DynTrace::capture(&program, &pair[0]).expect("capture");
-        let independent = Simulation::default()
-            .replay_many(&trace, &pair)
-            .expect("replays");
-        (direct, streamed, independent)
+    let runs = under_both_overlaps(|| {
+        run_cells(&pairs, Jobs::default(), |&(a, b)| {
+            let program = BenchmarkId::Bandit
+                .build(Scale::Smoke, workload_seed(BenchmarkId::Bandit, 2))
+                .program();
+            let mut unfiltered = SimConfig::default().predictor(a);
+            unfiltered.collect_branch_trace = true;
+            let mut filtered = SimConfig::default().predictor(b);
+            filtered.filter_prob_from_predictor = true;
+            let pair = [unfiltered, filtered];
+            let direct: Vec<SimReport> = pair
+                .iter()
+                .map(|cfg| reference(&program, cfg).expect("reference"))
+                .collect();
+            let streamed = Simulation::new(EngineKind::Convoy)
+                .run_many(&program, &pair)
+                .expect("streamed convoy");
+            let trace = DynTrace::capture(&program, &pair[0]).expect("capture");
+            let independent = Simulation::default()
+                .replay_many(&trace, &pair)
+                .expect("replays");
+            (direct, streamed, independent)
+        })
     });
-    for ((a, b), (direct, streamed, independent)) in pairs.iter().zip(&outcomes) {
-        assert_eq!(
-            independent, streamed,
-            "streamed pair-convoy drift for {a:?}/{b:?}"
-        );
-        assert_eq!(direct, independent, "replay drift for {a:?}/{b:?}");
+    for (overlap, outcomes) in [false, true].iter().zip(&runs) {
+        for ((a, b), (direct, streamed, independent)) in pairs.iter().zip(outcomes) {
+            assert_eq!(
+                independent, streamed,
+                "streamed pair-convoy (overlap {overlap}) drift for {a:?}/{b:?}"
+            );
+            assert_eq!(direct, independent, "replay drift for {a:?}/{b:?}");
+        }
     }
 }
 
@@ -470,13 +505,16 @@ fn engines_match_on_instruction_limits() {
             "capture limit {max_insts}"
         );
         // …and a convoy propagates it to every cell…
-        let convoy =
-            Simulation::new(EngineKind::Convoy).run_many(&program, std::slice::from_ref(&cfg));
-        assert_eq!(
-            convoy.err(),
-            direct.clone().err(),
-            "convoy limit {max_insts}"
-        );
+        let convoys = under_both_overlaps(|| {
+            Simulation::new(EngineKind::Convoy).run_many(&program, std::slice::from_ref(&cfg))
+        });
+        for (overlap, convoy) in [false, true].iter().zip(convoys) {
+            assert_eq!(
+                convoy.err(),
+                direct.clone().err(),
+                "convoy (overlap {overlap}) limit {max_insts}"
+            );
+        }
         // …as does the predictor-only pass under every engine.
         for engine in EngineKind::ALL {
             let branches =

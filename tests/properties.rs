@@ -440,18 +440,16 @@ proptest! {
     }
 
     #[test]
-    fn mapped_trace_load_matches_owned_decode_and_replay(
+    fn loaded_trace_matches_capture_and_replay(
         cfg in sim_config_strategy(),
         iters in 40i64..200,
         content_hash in any::<u64>(),
     ) {
-        // The zero-copy load invariant of the v2 trace store: for any
-        // capturable configuration, persisting a trace and loading it
-        // back memory-mapped yields a `DynTrace` equal to the fully
-        // owned decode of the same file, and replays of the mapped
-        // chunks — one configuration or several sharing the map —
-        // return byte-identical reports to the freshly captured, fully
-        // owned trace.
+        // The load invariant of the trace store: for any capturable
+        // configuration, persisting a trace and loading it back yields
+        // a `DynTrace` equal to the captured one, and replays of the
+        // loaded trace — under one configuration or several — return
+        // byte-identical reports to the freshly captured trace.
         let program = replay_workload(iters);
         // Budget-tripping configs have no trace to persist; the error
         // agreement is covered by the capture round-trip test above.
@@ -465,24 +463,22 @@ proptest! {
             SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         trace.write_file(&path, content_hash).unwrap();
-        let mapped = DynTrace::read_file(&path, content_hash, &cfg);
-        let owned = DynTrace::read_file_owned(&path, content_hash, &cfg);
+        let loaded = DynTrace::read_file(&path, content_hash, &cfg);
         let _ = std::fs::remove_file(&path);
-        let (Some(mapped), Some(owned)) = (mapped, owned) else {
+        let Some(loaded) = loaded else {
             return Err(TestCaseError::fail("persisted trace failed to load"));
         };
-        prop_assert_eq!(&mapped, &owned);
-        prop_assert_eq!(&mapped, &trace);
+        prop_assert_eq!(&loaded, &trace);
         let sim = Simulation::default();
-        prop_assert_eq!(sim.replay(&mapped, &cfg), sim.replay(&trace, &cfg));
-        // Two configurations replaying the one map.
+        prop_assert_eq!(sim.replay(&loaded, &cfg), sim.replay(&trace, &cfg));
+        // Two configurations replaying the one loaded trace.
         let mut other = cfg.clone();
         other.predictor = match cfg.predictor {
             PredictorChoice::Tournament => PredictorChoice::TageScL,
             _ => PredictorChoice::Tournament,
         };
         let configs = [cfg.clone(), other];
-        prop_assert_eq!(sim.replay_many(&mapped, &configs), sim.replay_many(&trace, &configs));
+        prop_assert_eq!(sim.replay_many(&loaded, &configs), sim.replay_many(&trace, &configs));
     }
 
     #[test]
@@ -1025,29 +1021,25 @@ fn fuzz_path() -> std::path::PathBuf {
     ))
 }
 
-/// Loads `file` through both readers, which must agree: either both
-/// reject it, the mapped one as [`TraceLoad::Corrupt`], or both accept
-/// the same trace, which must replay — every pc it yields indexes the
-/// timing table, or the replay would panic. Returns whether the file
-/// loaded.
-fn load_both(file: &[u8], cfg: &SimConfig, hash: u64) -> Result<bool, TestCaseError> {
+/// Loads `file`, which must either be rejected as
+/// [`TraceLoad::Corrupt`] or load a trace that replays — every pc it
+/// yields indexes the timing table, or the replay would panic. Returns
+/// whether the file loaded.
+fn load(file: &[u8], cfg: &SimConfig, hash: u64) -> Result<bool, TestCaseError> {
     let path = fuzz_path();
     std::fs::write(&path, file).unwrap();
-    let mapped = DynTrace::load_file(&path, hash, cfg, 0);
-    let owned = DynTrace::read_file_owned(&path, hash, cfg);
+    let loaded = DynTrace::load_file(&path, hash, cfg, 0);
     std::fs::remove_file(&path).unwrap();
-    match (mapped, owned) {
-        (TraceLoad::Corrupt, None) => Ok(false),
-        (TraceLoad::Loaded(trace), Some(owned)) => {
-            prop_assert_eq!(&*trace, &owned);
+    match loaded {
+        TraceLoad::Corrupt => Ok(false),
+        TraceLoad::Loaded(trace) => {
             let sim = Simulation::default();
             prop_assert!(sim.replay(&trace, cfg).is_ok());
             prop_assert!(sim.replay_branches(&trace, cfg).is_ok());
             Ok(true)
         }
-        (mapped, owned) => Err(TestCaseError::fail(format!(
-            "readers disagree: mapped {mapped:?}, owned loaded {}",
-            owned.is_some()
+        other => Err(TestCaseError::fail(format!(
+            "neither corrupt nor loaded: {other:?}"
         ))),
     }
 }
@@ -1074,7 +1066,7 @@ proptest! {
             reseal(&mut head);
             file = head;
         }
-        prop_assert!(!load_both(&file, cfg, *hash)?);
+        prop_assert!(!load(&file, cfg, *hash)?);
     }
 
     #[test]
@@ -1116,7 +1108,7 @@ proptest! {
         let mut file = pristine.clone();
         let may_load = mutate_chunk_field(&mut file, &layout, c, field, pick, value, near);
         reseal(&mut file);
-        prop_assert_eq!(load_both(&file, cfg, *hash)?, may_load);
+        prop_assert_eq!(load(&file, cfg, *hash)?, may_load);
     }
 }
 
