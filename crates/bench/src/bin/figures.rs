@@ -270,11 +270,12 @@ fn main() {
     if let Some(ms) = opts.cell_deadline_ms {
         supervision = supervision.with_deadline(std::time::Duration::from_millis(ms));
     }
-    let faulted = opts.fault_plan.is_some();
-    if let Some(plan) = opts.fault_plan {
+    // Armed on this thread; the sweep workers and the server's threads
+    // join it, and its hit counters total theirs.
+    let plan = opts.fault_plan.map(|plan| {
         eprintln!("fault plan armed: {}", plan.spec());
-        faults::install(plan);
-    }
+        faults::PlanScope::enter(plan)
+    });
     // One trace pool for the whole run: every timing sweep below shares
     // it, so an emulation key is captured (or disk-loaded) exactly once
     // per invocation no matter how many figures revisit it.
@@ -286,7 +287,7 @@ fn main() {
     );
     if let Some(addr) = &opts.serve {
         run_serve(addr, jobs, &ctx);
-        if faulted {
+        if plan.is_some() {
             eprintln!("fault sites hit: {}", faults::hits_summary());
         }
         return;
@@ -330,7 +331,7 @@ fn main() {
             "on"
         }
     );
-    if faulted {
+    if plan.is_some() {
         eprintln!("fault sites hit: {}", faults::hits_summary());
     }
     if let Err(payload) = outcome {

@@ -254,12 +254,6 @@ impl Context {
         self.supervision
     }
 
-    /// Outcomes of every supervised cell that did not sail through on
-    /// its first attempt, across all sweeps run through this context.
-    pub fn cell_outcomes(&self) -> Vec<CellOutcome> {
-        self.outcomes.lock().expect("outcome lock").clone()
-    }
-
     /// Supervised cells that needed more than one attempt.
     pub fn retried_cells(&self) -> usize {
         self.outcomes

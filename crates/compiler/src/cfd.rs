@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 
 use probranch_isa::{Inst, Program, Reg};
 
-use crate::loops::{find_loops, innermost_containing, Loop};
+use crate::loops::{find_loops, innermost_containing};
 use crate::predication::guarded_region;
 use crate::{Applicability, Inapplicable};
 
@@ -132,12 +132,6 @@ pub fn overhead_per_iteration(num_branches: usize, data_values: usize) -> usize 
     // One push + one pop per predicate, one per queued data value, plus
     // a duplicated loop-control branch and induction update.
     2 * num_branches + 2 * data_values + 2
-}
-
-/// The innermost loop containing `pc`, for reporting.
-pub fn loop_of(program: &Program, pc: u32) -> Option<Loop> {
-    let loops = find_loops(program);
-    innermost_containing(&loops, pc).cloned()
 }
 
 #[cfg(test)]

@@ -19,10 +19,6 @@
 //! what lets CI diff a fault-injected `figures` run byte-for-byte
 //! against a clean one.
 //!
-//! When no plan is installed every check is one relaxed atomic load and
-//! a predicted-not-taken branch — the instrumented hot paths cost
-//! nothing in production.
-//!
 //! Plans parse from a compact spec (`figures --fault-plan`):
 //!
 //! ```text
@@ -33,15 +29,20 @@
 //! `<site>=<probability>` with an optional `xCOUNT` budget capping how
 //! many times the site may fire in total.
 //!
-//! The plan is process-global (faults must be visible across worker
-//! threads); tests install plans through [`ScopedPlan`], which
-//! serializes on a global lock and uninstalls on drop.
+//! A plan is armed per thread, like the pipeline's cancel scope:
+//! [`PlanScope::enter`] arms one on the current thread until the guard
+//! drops, and code that hands work to other threads passes [`current`]
+//! on to [`PlanScope::join`], as the experiment engine and the sweep
+//! service do. Threads that join a plan share its hit counters and
+//! budgets, so [`hits`] on the arming thread totals the run. With no
+//! plan armed every check is one thread-local read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use probranch_rng::SplitMix64;
 
@@ -262,8 +263,10 @@ impl FaultPlan {
     }
 }
 
-/// The installed plan plus its per-site accounting.
-struct Installed {
+/// A plan armed for a run: the plan plus its per-site accounting, shared
+/// by every thread that joins it (see [`PlanScope`]).
+#[derive(Debug)]
+pub struct ArmedPlan {
     plan: FaultPlan,
     /// Times each site fired (indexed by `Site as usize`).
     hits: [AtomicU64; ALL_SITES.len()],
@@ -271,8 +274,8 @@ struct Installed {
     budget: [AtomicU64; ALL_SITES.len()],
 }
 
-impl Installed {
-    fn new(plan: FaultPlan) -> Installed {
+impl ArmedPlan {
+    fn new(plan: FaultPlan) -> ArmedPlan {
         let budget = std::array::from_fn(|i| {
             let site = ALL_SITES[i];
             let left = plan
@@ -283,51 +286,88 @@ impl Installed {
                 .unwrap_or(u64::MAX);
             AtomicU64::new(left)
         });
-        Installed {
+        ArmedPlan {
             plan,
             hits: std::array::from_fn(|_| AtomicU64::new(0)),
             budget,
         }
     }
+
+    /// The roll behind [`injected`].
+    #[cold]
+    fn fires(&self, site: Site, salt: &[u64]) -> bool {
+        let Some(clause) = self.plan.clauses.iter().find(|c| c.site == site) else {
+            return false;
+        };
+        let mut parts = Vec::with_capacity(salt.len() + 2);
+        parts.push(self.plan.seed);
+        parts.push(site as u64 ^ 0xFA17_FA17_FA17_FA17);
+        parts.extend_from_slice(salt);
+        let roll = SplitMix64::mix_fold(&parts);
+        // 53 uniform mantissa bits → [0, 1); p = 1.0 always fires.
+        let u = (roll >> 11) as f64 / (1u64 << 53) as f64;
+        if u >= clause.probability {
+            return false;
+        }
+        // Budget: fire only while the cap has room. The decrement order is
+        // scheduling-dependent under threads, but a budget only *caps* the
+        // schedule — the byte-identity invariant never depends on it.
+        let i = site as usize;
+        if self.budget[i]
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
+                left.checked_sub(1)
+            })
+            .is_err()
+        {
+            return false;
+        }
+        self.hits[i].fetch_add(1, Ordering::Relaxed);
+        true
+    }
 }
 
-/// Fast-path gate: true only while a plan with at least one armed
-/// clause is installed.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-fn plan_slot() -> &'static Mutex<Option<Installed>> {
-    static PLAN: OnceLock<Mutex<Option<Installed>>> = OnceLock::new();
-    PLAN.get_or_init(|| Mutex::new(None))
+thread_local! {
+    /// The plan the failpoints on this thread roll against, if any.
+    static CURRENT: RefCell<Option<Arc<ArmedPlan>>> = const { RefCell::new(None) };
 }
 
-fn lock_plan() -> MutexGuard<'static, Option<Installed>> {
-    // A panic while holding the lock leaves the slot in a consistent
-    // state (we only ever swap whole plans), so poisoning is ignorable.
-    plan_slot().lock().unwrap_or_else(PoisonError::into_inner)
+/// RAII guard arming a plan on the current thread; the previous plan
+/// (if any) is restored on drop, so scopes nest.
+#[derive(Debug)]
+pub struct PlanScope {
+    prev: Option<Arc<ArmedPlan>>,
 }
 
-/// Installs `plan` process-wide, replacing any previous plan and
-/// resetting all hit counters and budgets.
-pub fn install(plan: FaultPlan) {
-    let armed = plan.clauses.iter().any(|c| c.probability > 0.0);
-    *lock_plan() = Some(Installed::new(plan));
-    ACTIVE.store(armed, Ordering::Release);
+impl PlanScope {
+    /// Arms `plan` on the current thread, with fresh hit counters and
+    /// budgets, until the guard drops.
+    pub fn enter(plan: FaultPlan) -> PlanScope {
+        PlanScope::join(Arc::new(ArmedPlan::new(plan)))
+    }
+
+    /// Arms a plan another thread armed (its [`current`]) on this
+    /// thread until the guard drops: fires here count against the same
+    /// hit counters and budgets.
+    pub fn join(plan: Arc<ArmedPlan>) -> PlanScope {
+        let prev = CURRENT.with(|c| c.borrow_mut().replace(plan));
+        PlanScope { prev }
+    }
 }
 
-/// Uninstalls the current plan; every failpoint reverts to a no-op.
-pub fn clear() {
-    *lock_plan() = None;
-    ACTIVE.store(false, Ordering::Release);
+impl Drop for PlanScope {
+    fn drop(&mut self) {
+        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
+    }
 }
 
-/// Whether any fault plan is currently armed.
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Acquire)
+/// The current thread's plan, if a [`PlanScope`] is active — what a
+/// thread hands the threads it spawns.
+pub fn current() -> Option<Arc<ArmedPlan>> {
+    CURRENT.with(|c| c.borrow().clone())
 }
 
 /// The deterministic failpoint decision: does `site` fire for `salt`
-/// under the installed plan?
+/// under the current thread's plan?
 ///
 /// The roll is `SplitMix64::mix_fold([plan seed, site, salt...])`
 /// mapped to `[0, 1)` and compared against the clause probability —
@@ -339,48 +379,11 @@ pub fn active() -> bool {
 /// site's budget and bumps its hit counter.
 #[inline]
 pub fn injected(site: Site, salt: &[u64]) -> bool {
-    if !ACTIVE.load(Ordering::Acquire) {
-        return false;
-    }
-    injected_slow(site, salt)
-}
-
-#[cold]
-fn injected_slow(site: Site, salt: &[u64]) -> bool {
-    let guard = lock_plan();
-    let Some(installed) = guard.as_ref() else {
-        return false;
-    };
-    let Some(clause) = installed.plan.clauses.iter().find(|c| c.site == site) else {
-        return false;
-    };
-    if clause.probability <= 0.0 {
-        return false;
-    }
-    let mut parts = Vec::with_capacity(salt.len() + 2);
-    parts.push(installed.plan.seed);
-    parts.push(site as u64 ^ 0xFA17_FA17_FA17_FA17);
-    parts.extend_from_slice(salt);
-    let roll = SplitMix64::mix_fold(&parts);
-    // 53 uniform mantissa bits → [0, 1); p = 1.0 always fires.
-    let u = (roll >> 11) as f64 / (1u64 << 53) as f64;
-    if u >= clause.probability {
-        return false;
-    }
-    // Budget: fire only while the cap has room. The decrement order is
-    // scheduling-dependent under threads, but a budget only *caps* the
-    // schedule — the byte-identity invariant never depends on it.
-    let i = site as usize;
-    if installed.budget[i]
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
-            left.checked_sub(1)
-        })
-        .is_err()
-    {
-        return false;
-    }
-    installed.hits[i].fetch_add(1, Ordering::Relaxed);
-    true
+    CURRENT.with(|c| {
+        c.borrow()
+            .as_ref()
+            .is_some_and(|plan| plan.fires(site, salt))
+    })
 }
 
 /// The structured I/O error an injected persistence/load fault carries:
@@ -399,9 +402,6 @@ pub fn io_error(site: Site) -> std::io::Error {
 /// naming the site and salt. Call at the top of a supervised cell body
 /// with a salt of (cell identity, attempt number).
 pub fn cell_faults(salt: &[u64]) {
-    if !active() {
-        return;
-    }
     if injected(Site::CellDelay, salt) {
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
@@ -410,18 +410,18 @@ pub fn cell_faults(salt: &[u64]) {
     }
 }
 
-/// Per-site fire counts of the installed plan, non-zero entries only —
-/// the "fault sites hit" section of structured reports. Empty when no
-/// plan is installed.
+/// Per-site fire counts of the current thread's plan, non-zero entries
+/// only — the "fault sites hit" section of structured reports. Counts
+/// fires on every thread that joined the plan; empty when no plan is
+/// armed.
 pub fn hits() -> Vec<(Site, u64)> {
-    let guard = lock_plan();
-    let Some(installed) = guard.as_ref() else {
+    let Some(plan) = current() else {
         return Vec::new();
     };
     ALL_SITES
         .into_iter()
         .filter_map(|s| {
-            let n = installed.hits[s as usize].load(Ordering::Relaxed);
+            let n = plan.hits[s as usize].load(Ordering::Relaxed);
             (n > 0).then_some((s, n))
         })
         .collect()
@@ -440,40 +440,13 @@ pub fn hits_summary() -> String {
         .join(", ")
 }
 
-/// A test-scoped plan installation: serializes on a global lock (fault
-/// state is process-wide) and uninstalls on drop. Every test touching
-/// failpoints must go through this guard so concurrently running tests
-/// in the same binary never see each other's plans.
-#[derive(Debug)]
-pub struct ScopedPlan {
-    _guard: MutexGuard<'static, ()>,
-}
-
-impl ScopedPlan {
-    /// Locks the global fault mutex, then installs `plan`.
-    pub fn install(plan: FaultPlan) -> ScopedPlan {
-        static TEST_LOCK: Mutex<()> = Mutex::new(());
-        let guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        install(plan);
-        ScopedPlan { _guard: guard }
-    }
-}
-
-impl Drop for ScopedPlan {
-    fn drop(&mut self) {
-        clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn inactive_plan_is_a_no_op() {
-        let _scope = ScopedPlan::install(FaultPlan::default());
-        clear();
-        assert!(!active());
+        assert!(current().is_none());
         assert!(!injected(Site::Capture, &[1, 2, 3]));
         assert!(hits().is_empty());
         assert_eq!(hits_summary(), "none");
@@ -503,24 +476,69 @@ mod tests {
 
     #[test]
     fn rolls_are_deterministic_and_seed_sensitive() {
-        let _scope = ScopedPlan::install(FaultPlan::seeded(1).arm(Site::Capture, 0.5));
-        let pattern: Vec<bool> = (0..64).map(|i| injected(Site::Capture, &[i])).collect();
+        let schedule = |seed: u64| {
+            let _plan = PlanScope::enter(FaultPlan::seeded(seed).arm(Site::Capture, 0.5));
+            (0..64)
+                .map(|i| injected(Site::Capture, &[i]))
+                .collect::<Vec<bool>>()
+        };
+        let pattern = schedule(1);
         // Same plan, same salts → same schedule.
-        install(FaultPlan::seeded(1).arm(Site::Capture, 0.5));
-        let again: Vec<bool> = (0..64).map(|i| injected(Site::Capture, &[i])).collect();
-        assert_eq!(pattern, again);
+        assert_eq!(pattern, schedule(1));
         assert!(pattern.iter().any(|&b| b) && !pattern.iter().all(|&b| b));
         // A different seed re-rolls the schedule.
-        install(FaultPlan::seeded(2).arm(Site::Capture, 0.5));
-        let other: Vec<bool> = (0..64).map(|i| injected(Site::Capture, &[i])).collect();
-        assert_ne!(pattern, other);
-        // Unarmed sites never fire even while the plan is active.
+        assert_ne!(pattern, schedule(2));
+        // Unarmed sites never fire even while a plan is armed.
+        let _plan = PlanScope::enter(FaultPlan::seeded(1).arm(Site::Capture, 1.0));
         assert!(!injected(Site::MmapLoad, &[0]));
     }
 
     #[test]
+    fn scopes_nest_and_restore() {
+        let _outer = PlanScope::enter(FaultPlan::seeded(1).arm(Site::Capture, 1.0));
+        {
+            let _inner = PlanScope::enter(FaultPlan::seeded(1).arm(Site::MmapLoad, 1.0));
+            assert!(!injected(Site::Capture, &[0]), "entering replaces the plan");
+            assert!(injected(Site::MmapLoad, &[0]));
+        }
+        assert!(
+            injected(Site::Capture, &[0]),
+            "dropping restores the outer plan"
+        );
+        assert!(!injected(Site::MmapLoad, &[0]));
+        assert_eq!(hits(), vec![(Site::Capture, 1)]);
+    }
+
+    #[test]
+    fn concurrent_plans_count_only_their_own_threads_hits() {
+        // Two threads arm different plans and a third arms none; the
+        // barrier keeps both plans armed while all three roll every site.
+        let barrier = std::sync::Barrier::new(3);
+        let roll = |plan: Option<FaultPlan>| {
+            let _plan = plan.map(PlanScope::enter);
+            barrier.wait();
+            let fired: Vec<Site> = ALL_SITES
+                .into_iter()
+                .filter(|&site| injected(site, &[0]))
+                .collect();
+            barrier.wait();
+            (fired, hits())
+        };
+        let (a, b, quiet) = std::thread::scope(|s| {
+            let a = s.spawn(|| roll(Some(FaultPlan::seeded(5).arm(Site::PersistWrite, 1.0))));
+            let b = s.spawn(|| roll(Some(FaultPlan::seeded(5).arm(Site::CellPanic, 1.0))));
+            let quiet = s.spawn(|| roll(None));
+            (a.join(), b.join(), quiet.join())
+        });
+        for (rolled, site) in [(a, Site::PersistWrite), (b, Site::CellPanic)] {
+            assert_eq!(rolled.unwrap(), (vec![site], vec![(site, 1)]));
+        }
+        assert_eq!(quiet.unwrap(), (Vec::new(), Vec::new()));
+    }
+
+    #[test]
     fn probability_extremes_behave() {
-        let _scope = ScopedPlan::install(
+        let _plan = PlanScope::enter(
             FaultPlan::seeded(3)
                 .arm(Site::MmapLoad, 1.0)
                 .arm(Site::Capture, 0.0),
@@ -531,8 +549,7 @@ mod tests {
 
     #[test]
     fn budget_caps_total_fires_and_hits_count() {
-        let _scope =
-            ScopedPlan::install(FaultPlan::seeded(9).arm_capped(Site::PersistWrite, 1.0, 2));
+        let _plan = PlanScope::enter(FaultPlan::seeded(9).arm_capped(Site::PersistWrite, 1.0, 2));
         let fired = (0..10)
             .filter(|&i| injected(Site::PersistWrite, &[i]))
             .count();
@@ -551,7 +568,7 @@ mod tests {
 
     #[test]
     fn cell_faults_panic_names_the_site() {
-        let _scope = ScopedPlan::install(FaultPlan::seeded(4).arm(Site::CellPanic, 1.0));
+        let _plan = PlanScope::enter(FaultPlan::seeded(4).arm(Site::CellPanic, 1.0));
         let err = std::panic::catch_unwind(|| cell_faults(&[0xBEEF, 0])).unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("injected fault: cell.panic"), "{msg}");

@@ -44,6 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use probranch_faults as faults;
 use probranch_pipeline::cancel::{self, CancelScope};
 use probranch_pipeline::{
     sweep_old_quarantined, sweep_stale_temps, DynTrace, PredTape, PredictorChoice, SimConfig,
@@ -201,9 +202,9 @@ pub fn workload_seed(workload: BenchmarkId, seed: u64) -> u64 {
 /// matter how many workers ran or how they interleaved. One worker
 /// means no thread at all: the cells run in order on the caller's
 /// thread. Every worker runs under the caller's [`cancel::current`]
-/// scope, so a request deadline reaches the cells on every worker. A
-/// panic inside `run` propagates, with its own payload, after all
-/// workers have stopped.
+/// scope and [`faults::current`] plan, so a request deadline and a
+/// fault plan reach the cells on every worker. A panic inside `run`
+/// propagates, with its own payload, after all workers have stopped.
 ///
 /// The driver is generic over the item type: the paper sweeps pass
 /// [`Cell`]s, but any `Sync` descriptor works.
@@ -220,6 +221,7 @@ where
     }
 
     let token = cancel::current();
+    let plan = faults::current();
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -227,6 +229,7 @@ where
             .map(|_| {
                 scope.spawn(|| {
                     let _scope = token.clone().map(CancelScope::enter);
+                    let _plan = plan.clone().map(faults::PlanScope::join);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
@@ -408,8 +411,6 @@ pub struct EngineContext<K> {
     /// `--strict-traces`: every degradation path becomes a hard
     /// [`StrictViolation`] instead of a heal-and-continue.
     strict: bool,
-    temp_sweeps: usize,
-    quarantine_sweeps: usize,
 }
 
 impl<K: Eq + Hash> Default for EngineContext<K> {
@@ -442,8 +443,10 @@ impl<K: Eq + Hash> EngineContext<K> {
         mem_budget: Option<usize>,
         strict: bool,
     ) -> EngineContext<K> {
-        let temp_sweeps = trace_dir.as_deref().map_or(0, sweep_stale_temps);
-        let quarantine_sweeps = trace_dir.as_deref().map_or(0, sweep_old_quarantined);
+        if let Some(dir) = trace_dir.as_deref() {
+            sweep_stale_temps(dir);
+            sweep_old_quarantined(dir);
+        }
         EngineContext {
             slots: Mutex::new(HashMap::new()),
             budget: mem_budget,
@@ -465,8 +468,6 @@ impl<K: Eq + Hash> EngineContext<K> {
             persist_cooldown_ms: AtomicU64::new(0),
             breaker_trips: AtomicUsize::new(0),
             strict,
-            temp_sweeps,
-            quarantine_sweeps,
         }
     }
 
@@ -1001,18 +1002,6 @@ impl<K: Eq + Hash> EngineContext<K> {
         self.peak_bytes.load(Ordering::Relaxed)
     }
 
-    /// Stale writer temp files reaped when the context opened its
-    /// trace directory.
-    pub fn temp_sweeps(&self) -> usize {
-        self.temp_sweeps
-    }
-
-    /// Expired quarantined traces reaped when the context opened its
-    /// trace directory (see [`sweep_old_quarantined`]).
-    pub fn quarantine_sweeps(&self) -> usize {
-        self.quarantine_sweeps
-    }
-
     /// Times the persistence breaker tripped (first fatal storage
     /// error plus every failed half-open probe).
     pub fn breaker_trips(&self) -> usize {
@@ -1105,6 +1094,26 @@ mod tests {
     }
 
     #[test]
+    fn the_callers_fault_plan_reaches_every_worker() {
+        use probranch_pipeline::{DynTrace, SimConfig};
+        use probranch_workloads::{BenchmarkId as B, Scale};
+
+        // `capture.block` rolls once per capture, so a plan armed on the
+        // caller counts every capture its four workers make.
+        let cfg = SimConfig::default();
+        let programs: Vec<_> = (0..8)
+            .map(|s| B::Pi.build(Scale::Smoke, workload_seed(B::Pi, s)).program())
+            .collect();
+        let _plan = faults::PlanScope::enter(
+            faults::FaultPlan::seeded(1).arm(faults::Site::CaptureBlock, 1.0),
+        );
+        run_cells(&programs, Jobs::new(4), |program| {
+            DynTrace::capture(program, &cfg).expect("capture")
+        });
+        assert_eq!(faults::hits(), vec![(faults::Site::CaptureBlock, 8)]);
+    }
+
+    #[test]
     fn workload_seed_ignores_machine_config() {
         use probranch_pipeline::PredictorChoice as P;
         use probranch_workloads::BenchmarkId as B;
@@ -1186,13 +1195,9 @@ mod tests {
 
     #[test]
     fn engine_context_trace_dir_round_trips_and_survives_corruption() {
-        use probranch_faults as faults;
         use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
-        // Fault plans are process-wide: hold the fault lock, disarmed, so
-        // a sibling test's persistence faults never reach these writes.
-        let _quiesce = faults::ScopedPlan::install(faults::FaultPlan::default());
         let dir = std::env::temp_dir().join(format!("probranch-ctx-traces-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let program = B::Pi.build(Scale::Smoke, workload_seed(B::Pi, 0)).program();
@@ -1240,7 +1245,6 @@ mod tests {
 
     #[test]
     fn persistence_breaker_half_opens_and_drain_flushes_missed_writes() {
-        use probranch_faults as faults;
         use probranch_pipeline::{DynTrace, SimConfig};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
@@ -1260,7 +1264,7 @@ mod tests {
 
         // ENOSPC on every write (until the budget runs out) trips the
         // breaker on the first persist.
-        let _scope = faults::ScopedPlan::install(
+        let full_disk = faults::PlanScope::enter(
             faults::FaultPlan::seeded(7).arm(faults::Site::PersistEnospc, 1.0),
         );
         let ctx: EngineContext<(B, u64, bool)> = EngineContext::with_trace_dir(&dir);
@@ -1283,7 +1287,7 @@ mod tests {
 
         // Heal the disk and give the breaker a cooldown: the next
         // persist is a half-open probe, success closes the breaker.
-        faults::install(faults::FaultPlan::default());
+        drop(full_disk);
         ctx.set_persist_cooldown(std::time::Duration::from_millis(1));
         std::thread::sleep(std::time::Duration::from_millis(5));
         capture(&ctx, 2);
@@ -1355,13 +1359,9 @@ mod tests {
 
     #[test]
     fn bounded_pool_with_trace_dir_demotes_to_disk_and_never_recaptures() {
-        use probranch_faults as faults;
         use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
-        // Demotion persists traces: hold the fault lock, disarmed (see
-        // `engine_context_trace_dir_round_trips_and_survives_corruption`).
-        let _quiesce = faults::ScopedPlan::install(faults::FaultPlan::default());
         let dir =
             std::env::temp_dir().join(format!("probranch-demote-traces-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1413,7 +1413,6 @@ mod tests {
 
     #[test]
     fn the_persistence_breaker_stops_every_write_after_the_first_fatal_one() {
-        use probranch_faults as faults;
         use probranch_pipeline::{DynTrace, SimConfig};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
@@ -1429,7 +1428,7 @@ mod tests {
             .collect();
         let keys: Vec<u64> = (0..8).collect();
         for round in 0..5 {
-            let _scope = faults::ScopedPlan::install(
+            let _plan = faults::PlanScope::enter(
                 faults::FaultPlan::seeded(5).arm(faults::Site::PersistEnospc, 1.0),
             );
             let dir = std::env::temp_dir().join(format!(

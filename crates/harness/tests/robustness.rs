@@ -1,9 +1,8 @@
 //! Self-healing trace-store behaviour under corruption and injected
 //! storage faults: quarantine lifecycle, stale rejection accounting,
 //! ENOSPC persistence shutdown, transient-I/O retries, and strict
-//! mode. Fault plans are process-global, so this suite lives in its
-//! own test binary and serializes plan installs on
-//! [`faults::ScopedPlan`].
+//! mode. Each test arms its fault plan on its own thread
+//! ([`faults::PlanScope`]), so no sibling test sees it.
 
 use std::path::PathBuf;
 
@@ -46,9 +45,6 @@ fn trace_file(dir: &std::path::Path) -> PathBuf {
 
 #[test]
 fn corrupt_trace_is_quarantined_once_then_never_reread() {
-    // Hold the global fault lock even with no plan armed: sibling
-    // tests in this binary install process-wide plans.
-    let _quiesce = faults::ScopedPlan::install(faults::FaultPlan::default());
     let dir = tempdir("quarantine");
     let (program, cfg, hash) = fixture();
 
@@ -103,9 +99,6 @@ fn corrupt_trace_is_quarantined_once_then_never_reread() {
 
 #[test]
 fn stale_version_counts_as_stale_rejected_and_is_overwritten() {
-    // Hold the global fault lock even with no plan armed: sibling
-    // tests in this binary install process-wide plans.
-    let _quiesce = faults::ScopedPlan::install(faults::FaultPlan::default());
     let dir = tempdir("stale");
     let (program, cfg, hash) = fixture();
 
@@ -163,9 +156,6 @@ fn stale_version_counts_as_stale_rejected_and_is_overwritten() {
 
 #[test]
 fn enospc_disables_persistence_for_the_run_but_results_survive() {
-    // Take the fault lock before the clean baseline so no sibling
-    // test's plan can leak into it; arm our plan afterwards.
-    let _scope = faults::ScopedPlan::install(faults::FaultPlan::default());
     let dir = tempdir("enospc");
     let cfg = SimConfig::default();
     let programs: Vec<_> = (0..3u64)
@@ -183,7 +173,9 @@ fn enospc_disables_persistence_for_the_run_but_results_survive() {
     // Disk full from the first write: persistence shuts off after one
     // fatal error, later keys never even try, and every result is
     // byte-identical to the memory-only run.
-    faults::install(faults::FaultPlan::seeded(7).arm(faults::Site::PersistEnospc, 1.0));
+    let _plan = faults::PlanScope::enter(
+        faults::FaultPlan::seeded(7).arm(faults::Site::PersistEnospc, 1.0),
+    );
     let ctx = Ctx::with_trace_dir(&dir);
     let under_fault: Vec<DynTrace> = (0..3u64)
         .map(|s| run(&ctx, &programs[s as usize], &cfg, hash(s)))
@@ -217,7 +209,7 @@ fn transient_write_faults_are_retried_to_success() {
     let (program, cfg, hash) = fixture();
     // One guaranteed write failure, then the budget is spent: the
     // store's in-run retry (attempt 1) succeeds.
-    let _scope = faults::ScopedPlan::install(faults::FaultPlan::seeded(5).arm_capped(
+    let plan = faults::PlanScope::enter(faults::FaultPlan::seeded(5).arm_capped(
         faults::Site::PersistWrite,
         1.0,
         1,
@@ -231,9 +223,7 @@ fn transient_write_faults_are_retried_to_success() {
         trace_file(&dir).exists(),
         "the retried persist must have published"
     );
-    // Disarm, but keep the fault lock: a sibling test's plan must not
-    // reach the warm load below.
-    faults::clear();
+    drop(plan);
     // And the published file round-trips byte-identically.
     let warm_ctx = Ctx::with_trace_dir(&dir);
     let warm = run(&warm_ctx, &program, &cfg, hash);
@@ -247,14 +237,9 @@ fn transient_load_faults_are_retried_to_success() {
     let dir = tempdir("transient-load");
     let (program, cfg, hash) = fixture();
     let seed_ctx = Ctx::with_trace_dir(&dir);
-    // Seed under the fault lock too: a plan another test arms meanwhile
-    // could otherwise keep the trace from being persisted.
-    let clean = {
-        let _quiesce = faults::ScopedPlan::install(faults::FaultPlan::default());
-        run(&seed_ctx, &program, &cfg, hash)
-    };
+    let clean = run(&seed_ctx, &program, &cfg, hash);
 
-    let _scope = faults::ScopedPlan::install(faults::FaultPlan::seeded(5).arm_capped(
+    let _plan = faults::PlanScope::enter(faults::FaultPlan::seeded(5).arm_capped(
         faults::Site::MmapLoad,
         1.0,
         2,
@@ -273,9 +258,6 @@ fn transient_load_faults_are_retried_to_success() {
 
 #[test]
 fn strict_mode_turns_quarantine_into_a_hard_error() {
-    // Hold the global fault lock even with no plan armed: sibling
-    // tests in this binary install process-wide plans.
-    let _quiesce = faults::ScopedPlan::install(faults::FaultPlan::default());
     let dir = tempdir("strict-corrupt");
     let (program, cfg, hash) = fixture();
     let seed_ctx = Ctx::with_trace_dir(&dir);
@@ -308,7 +290,7 @@ fn strict_mode_turns_quarantine_into_a_hard_error() {
 fn strict_mode_turns_persistence_shutdown_into_a_hard_error() {
     let dir = tempdir("strict-enospc");
     let (program, cfg, hash) = fixture();
-    let _scope = faults::ScopedPlan::install(
+    let _plan = faults::PlanScope::enter(
         faults::FaultPlan::seeded(7).arm(faults::Site::PersistEnospc, 1.0),
     );
     let strict_ctx = Ctx::with_robustness(Some(dir.clone()), None, true);

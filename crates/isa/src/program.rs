@@ -109,11 +109,6 @@ impl Program {
         &self.insts
     }
 
-    /// Consumes the program, returning its instructions.
-    pub fn into_insts(self) -> Vec<Inst> {
-        self.insts
-    }
-
     /// Enumerates all static branch sites (conditional, probabilistic,
     /// unconditional, calls and returns).
     pub fn static_branches(&self) -> Vec<StaticBranch> {

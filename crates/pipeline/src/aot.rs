@@ -76,14 +76,13 @@
 //!
 //! # Forcing the interpreter
 //!
-//! [`with_capture_tier`] forces [`CaptureTier::Interp`] on one thread
-//! (the tier-equivalence tests' hook), for captures and functional runs
-//! alike. From outside the process, the `capture.block` failpoint does
-//! the same per run, rolled once per capture and once per functional
-//! run: `--fault-plan 'seed=1,capture.block=1.0'` runs everything with
-//! no blocks, and torture runs prove the fallback is byte-invisible.
+//! The `capture.block` failpoint, rolled once per capture and once per
+//! functional run, runs that run with no blocks. At probability 1 it
+//! forces the interpreter wherever its plan reaches, experiment workers
+//! included: `--fault-plan 'seed=1,capture.block=1.0'` from the command
+//! line, a scoped plan in the tier-equivalence tests. Torture runs
+//! prove the fallback is byte-invisible.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use probranch_faults as faults;
@@ -98,48 +97,14 @@ use crate::trace::{
     TRACE_CHUNK_RECORDS,
 };
 
-/// How the capture loop executes the guest program, for trace capture
-/// and functional runs ([`Emulator::run_to_halt`]) alike.
-///
-/// Both tiers are byte-identical — same chunks, same errors at the same
-/// dynamic instruction, same architectural results — locked by the
-/// capture-tier proptests and the CI capture-tier gate. They differ
-/// only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CaptureTier {
-    /// Block-compiled execution with native RNG fragments and loop
-    /// specializations (the default).
-    Generated,
-    /// No compiled blocks: every pc single-steps through the decoded
-    /// interpreter.
-    Interp,
-}
-
-thread_local! {
-    static FORCED_TIER: Cell<Option<CaptureTier>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with the capture tier forced to `tier` on this thread —
-/// the hook the tier-equivalence tests use to capture or run the same
-/// key under both tiers. Restores the previous override on exit
-/// (including on panic/early return).
-pub fn with_capture_tier<R>(tier: CaptureTier, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<CaptureTier>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED_TIER.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(FORCED_TIER.with(|c| c.replace(Some(tier))));
+/// Runs `f` with no compiled blocks when `interp` (under a scoped
+/// `capture.block=1.0` plan), else with the default blocks.
+#[cfg(test)]
+pub(crate) fn on_tier<R>(interp: bool, f: impl FnOnce() -> R) -> R {
+    let _plan = interp.then(|| {
+        faults::PlanScope::enter(faults::FaultPlan::default().arm(faults::Site::CaptureBlock, 1.0))
+    });
     f()
-}
-
-/// The tier new runs select blocks under (the thread override, else
-/// `Generated`).
-fn selected_tier() -> CaptureTier {
-    FORCED_TIER
-        .with(|c| c.get())
-        .unwrap_or(CaptureTier::Generated)
 }
 
 // --- capture/drain overlap switch -----------------------------------
@@ -267,16 +232,14 @@ fn branch_target(op: &DecOp) -> Option<u32> {
 
 impl BlockProgram {
     /// The blocks a run of `decoded` under the instruction budget
-    /// `max_insts` executes: none under [`CaptureTier::Interp`] or when
-    /// the `capture.block` failpoint fires for the run (salted by the
-    /// program length and the budget), else the compiled program.
+    /// `max_insts` executes: none when the `capture.block` failpoint
+    /// fires for the run (salted by the program length and the budget),
+    /// else the compiled program.
     pub(crate) fn select(decoded: &DecodedProgram, max_insts: u64) -> BlockProgram {
-        if selected_tier() == CaptureTier::Interp
-            || faults::injected(
-                faults::Site::CaptureBlock,
-                &[decoded.len() as u64, max_insts],
-            )
-        {
+        if faults::injected(
+            faults::Site::CaptureBlock,
+            &[decoded.len() as u64, max_insts],
+        ) {
             BlockProgram::default()
         } else {
             BlockProgram::compile(decoded)

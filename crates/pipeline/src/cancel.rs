@@ -202,7 +202,7 @@ pub fn check_current() -> Result<(), EmuError> {
     })
 }
 
-/// The `cancel.spurious` failpoint: rolls the installed fault plan and,
+/// The `cancel.spurious` failpoint: rolls the current fault plan and,
 /// on a hit, cancels the current scope's token with a reason naming the
 /// injected site — so torture runs exercise the cancellation path and
 /// the structured-error contract still attributes the failure to an

@@ -24,8 +24,8 @@
 //!   every other pc through the decoded interpreter (see `aot`), writing
 //!   the records into chunks through the chunk format's one writer.
 //!   [`Emulator::run_to_halt`] runs the same loop with nothing to
-//!   record. [`with_capture_tier`] forces the interpreter for tests; the
-//!   `capture.block` failpoint forces it from outside the process;
+//!   record. The `capture.block` failpoint forces the interpreter (a
+//!   scoped plan in tests, `--fault-plan` from outside the process);
 //! * [`Simulation`] / [`run_functional`] — one-call experiment drivers
 //!   returning [`SimReport`]s with IPC, MPKI, PBS counters, program
 //!   outputs and the consumed probabilistic-value stream.
@@ -83,7 +83,7 @@ mod sim;
 mod tape;
 mod trace;
 
-pub use aot::{capture_overlap, set_capture_overlap, with_capture_tier, CaptureTier};
+pub use aot::{capture_overlap, set_capture_overlap};
 pub use cache::{Cache, MemLatencies, MemoryHierarchy};
 pub use cancel::{CancelScope, CancelToken};
 pub use decode::{

@@ -60,7 +60,7 @@ pub enum EmuError {
         limit: u64,
     },
     /// A deterministic fault-injection failpoint fired (torture runs
-    /// only; never occurs without an installed fault plan).
+    /// only; never occurs without an armed fault plan).
     InjectedFault {
         /// The failpoint site name (e.g. `capture`).
         site: &'static str,
@@ -410,32 +410,18 @@ impl Emulator {
         self.pbs.as_ref().map(|p| p.stats())
     }
 
-    /// Direct word access to data memory (for test setup/inspection).
+    /// Direct word access to data memory (for test inspection).
     ///
     /// # Panics
     ///
     /// Panics if `word` is not below [`EmuConfig::mem_words`].
     pub fn mem_word(&self, word: usize) -> u64 {
-        self.assert_in_bounds(word);
-        self.load_word(word)
-    }
-
-    /// Writes a data-memory word (for test setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word` is not below [`EmuConfig::mem_words`].
-    pub fn set_mem_word(&mut self, word: usize, value: u64) {
-        self.assert_in_bounds(word);
-        self.store_word(word, value);
-    }
-
-    fn assert_in_bounds(&self, word: usize) {
         assert!(
             word < self.config.mem_words,
             "word {word} is outside the {}-word data memory",
             self.config.mem_words
         );
+        self.load_word(word)
     }
 
     /// Reads an in-bounds data word; words no store has reached yet
@@ -1128,10 +1114,9 @@ impl Emulator {
     /// program's compiled blocks — native RNG fragments and loop
     /// specializations included — execute from their first visit, and
     /// `out`, `halt` and budget tails single-step through
-    /// [`step_decoded`](Self::step_decoded). Under
-    /// [`CaptureTier::Interp`](crate::CaptureTier::Interp), or when the
-    /// `capture.block` failpoint fires for the run, there are no blocks
-    /// and every instruction single-steps; the results are the same.
+    /// [`step_decoded`](Self::step_decoded). When the `capture.block`
+    /// failpoint fires for the run there are no blocks and every
+    /// instruction single-steps; the results are the same.
     /// The run polls the current cancellation scope on entry and every
     /// 64 Ki instructions.
     ///

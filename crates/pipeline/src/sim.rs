@@ -798,7 +798,7 @@ fn report_of(emu: Emulator, mut timing: OooTimingModel) -> SimReport {
 /// than a full [`Simulation`] run under the default replay engine
 /// (capture plus a TAGE-SC-L replay on the 4-wide core), 20–21× faster
 /// than a reference-engine run, and 2.8–3.0× faster than with no
-/// compiled blocks ([`CaptureTier::Interp`](crate::CaptureTier::Interp)).
+/// compiled blocks (the `capture.block` failpoint's interpreter).
 ///
 /// # Errors
 ///
@@ -992,14 +992,14 @@ mod tests {
         ));
     }
 
-    /// The machine `run_to_halt(max_insts)` leaves under `tier`: the
-    /// result, pc, halt flag, retired count, registers, outputs,
-    /// consumed values and PBS counters.
+    /// The machine `run_to_halt(max_insts)` leaves, on the interpreter
+    /// when `interp`: the result, pc, halt flag, retired count,
+    /// registers, outputs, consumed values and PBS counters.
     fn machine_after_run(
         program: &Program,
         pbs: Option<PbsConfig>,
         max_insts: u64,
-        tier: crate::aot::CaptureTier,
+        interp: bool,
     ) -> impl PartialEq + std::fmt::Debug {
         let mut emu = build_emulator(
             program,
@@ -1008,7 +1008,7 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        let result = crate::aot::with_capture_tier(tier, || emu.run_to_halt(max_insts));
+        let result = crate::aot::on_tier(interp, || emu.run_to_halt(max_insts));
         let regs: Vec<u64> = (0..32).map(|i| emu.reg(Reg::new(i).unwrap())).collect();
         (
             result,
@@ -1025,7 +1025,6 @@ mod tests {
         // the reference engine and capture under either tier runs it —
         // the halt is an instruction, and all of them count it. Both
         // tiers leave the same machine behind.
-        use crate::aot::{with_capture_tier, CaptureTier};
         use crate::trace::TraceFunctional;
         let mut b = ProgramBuilder::new();
         b.li(Reg::R1, 7).out(Reg::R1, 0).halt();
@@ -1051,14 +1050,18 @@ mod tests {
                 let functional =
                     run_functional(&program, pbs.clone(), max_insts).map(TraceFunctional::from);
                 assert_eq!(functional, direct, "N = {n}, budget {max_insts}");
-                for tier in [CaptureTier::Generated, CaptureTier::Interp] {
-                    let captured = with_capture_tier(tier, || DynTrace::capture(&program, &cfg))
-                        .map(|t| t.functional().clone());
-                    assert_eq!(captured, direct, "N = {n}, budget {max_insts}, {tier:?}");
+                for interp in [false, true] {
+                    let captured =
+                        crate::aot::on_tier(interp, || DynTrace::capture(&program, &cfg))
+                            .map(|t| t.functional().clone());
+                    assert_eq!(
+                        captured, direct,
+                        "N = {n}, budget {max_insts}, interp {interp}"
+                    );
                 }
                 assert_eq!(
-                    machine_after_run(&program, pbs.clone(), max_insts, CaptureTier::Generated),
-                    machine_after_run(&program, pbs.clone(), max_insts, CaptureTier::Interp),
+                    machine_after_run(&program, pbs.clone(), max_insts, false),
+                    machine_after_run(&program, pbs.clone(), max_insts, true),
                     "N = {n}, budget {max_insts}"
                 );
             }
@@ -1074,7 +1077,7 @@ mod tests {
         // specialization may start, inside a compiled block that no
         // longer fits, and between iterations. Compiled blocks must
         // leave exactly the machine single steps do.
-        use crate::aot::{BlockProgram, CaptureTier, ARGMAX_ITER_RECORDS};
+        use crate::aot::{BlockProgram, ARGMAX_ITER_RECORDS};
         use probranch_workloads::{BenchmarkId, Scale};
         let program = BenchmarkId::Bandit.build(Scale::Smoke, 3).program();
         let head = BlockProgram::compile(&crate::decode::DecodedProgram::of(&program))
@@ -1092,8 +1095,8 @@ mod tests {
         for start in [visits[0], visits[visits.len() / 2]] {
             for max_insts in start + 1..=start + 3 * ARGMAX_ITER_RECORDS {
                 assert_eq!(
-                    machine_after_run(&program, pbs.clone(), max_insts, CaptureTier::Generated),
-                    machine_after_run(&program, pbs.clone(), max_insts, CaptureTier::Interp),
+                    machine_after_run(&program, pbs.clone(), max_insts, false),
+                    machine_after_run(&program, pbs.clone(), max_insts, true),
                     "budget {max_insts}, {} into the loop",
                     max_insts - start
                 );
@@ -1106,7 +1109,6 @@ mod tests {
         // 2,002 instructions: far below the reference engine's poll
         // stride, so only a poll before the first instruction sees the
         // cancellation — for functional runs too, under either tier.
-        use crate::aot::{with_capture_tier, CaptureTier};
         let mut b = ProgramBuilder::new();
         let top = b.label("top");
         b.li(Reg::R1, 0);
@@ -1150,11 +1152,11 @@ mod tests {
                 "{engine:?} tape-fed predictor-only replay"
             );
         }
-        for tier in [CaptureTier::Generated, CaptureTier::Interp] {
+        for interp in [false, true] {
             assert_eq!(
-                with_capture_tier(tier, || run_functional(&p, None, cfg.max_insts)),
+                crate::aot::on_tier(interp, || run_functional(&p, None, cfg.max_insts)),
                 Err(cancelled.clone()),
-                "functional run, {tier:?}"
+                "functional run, interp {interp}"
             );
         }
     }

@@ -1483,7 +1483,7 @@ impl BranchCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aot::CaptureTier;
+    use crate::aot::on_tier;
     use crate::sim::{EngineKind, PredictorChoice, Simulation};
     use probranch_isa::{CmpOp, ExecClass, ProgramBuilder, Reg};
 
@@ -1777,11 +1777,9 @@ mod tests {
                 } else {
                     SimConfig::default()
                 };
-                for tier in [CaptureTier::Generated, CaptureTier::Interp] {
-                    let trace =
-                        crate::aot::with_capture_tier(tier, || DynTrace::capture(&program, &cfg))
-                            .unwrap();
-                    let at = format!("{id:?}, PBS {pbs}, {tier:?}");
+                for interp in [false, true] {
+                    let trace = on_tier(interp, || DynTrace::capture(&program, &cfg)).unwrap();
+                    let at = format!("{id:?}, PBS {pbs}, interp {interp}");
                     in_calls += check_records(&program, &cfg, &trace, &at).1;
                 }
             }
@@ -2211,19 +2209,16 @@ mod tests {
     #[test]
     fn a_warm_block_faulting_at_its_first_op_leaves_the_interpreters_chunk() {
         let (program, cfg) = faulting_loop();
-        let fill = |tier| {
-            crate::aot::with_capture_tier(tier, || {
+        let fill = |interp| {
+            on_tier(interp, || {
                 let mut stream = TraceStream::new(&program, &cfg);
-                assert_eq!(
-                    stream.blocks.compiled_blocks() > 0,
-                    tier == CaptureTier::Generated
-                );
+                assert_eq!(stream.blocks.compiled_blocks() > 0, !interp);
                 let mut chunk = TraceChunk::default();
                 (stream.fill(&mut chunk), chunk)
             })
         };
-        let (generated, chunk) = fill(CaptureTier::Generated);
-        let (interp, interp_chunk) = fill(CaptureTier::Interp);
+        let (generated, chunk) = fill(false);
+        let (interp, interp_chunk) = fill(true);
         assert!(
             matches!(generated, Err(EmuError::MemoryFault { .. })),
             "{generated:?}"

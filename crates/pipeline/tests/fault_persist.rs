@@ -1,7 +1,5 @@
-//! Failpoint coverage for the persistence layer. These tests install
-//! process-global fault plans, so they live in their own test binary —
-//! the library's unit tests must never observe an armed plan — and
-//! every test serializes on [`faults::ScopedPlan`].
+//! Failpoint coverage for the persistence layer. Each test arms its
+//! fault plan on its own thread ([`faults::PlanScope`]).
 
 use std::path::PathBuf;
 
@@ -70,7 +68,7 @@ fn injected_write_faults_fail_cleanly_and_name_their_site() {
         faults::Site::PersistFsync,
         faults::Site::PersistRename,
     ] {
-        let _scope = faults::ScopedPlan::install(faults::FaultPlan::seeded(11).arm(site, 1.0));
+        let _plan = faults::PlanScope::enter(faults::FaultPlan::seeded(11).arm(site, 1.0));
         let path = dir.join(format!("trace-{}.bin", site.name().replace('.', "-")));
         let err = trace
             .write_file(&path, hash)
@@ -100,7 +98,7 @@ fn enospc_carries_the_storage_full_kind() {
     let trace = DynTrace::capture(&workload(200), &cfg).unwrap();
     let hash = cfg.emu_key_fingerprint();
     let dir = tempdir("enospc");
-    let _scope = faults::ScopedPlan::install(
+    let _plan = faults::PlanScope::enter(
         faults::FaultPlan::seeded(11).arm(faults::Site::PersistEnospc, 1.0),
     );
     let err = trace.write_file(&dir.join("t.bin"), hash).unwrap_err();
@@ -119,7 +117,7 @@ fn retries_reroll_write_and_load_faults_deterministically() {
     // A transient plan (budget 1) fails attempt 0 and lets the
     // re-salted retry through — deterministically.
     {
-        let _scope = faults::ScopedPlan::install(faults::FaultPlan::seeded(11).arm_capped(
+        let _plan = faults::PlanScope::enter(faults::FaultPlan::seeded(11).arm_capped(
             faults::Site::PersistWrite,
             1.0,
             1,
@@ -134,7 +132,7 @@ fn retries_reroll_write_and_load_faults_deterministically() {
     // An injected load fault surfaces as a retryable I/O error, and
     // the next attempt loads clean.
     {
-        let _scope = faults::ScopedPlan::install(faults::FaultPlan::seeded(11).arm_capped(
+        let _plan = faults::PlanScope::enter(faults::FaultPlan::seeded(11).arm_capped(
             faults::Site::MmapLoad,
             1.0,
             1,

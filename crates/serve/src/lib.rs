@@ -46,9 +46,11 @@
 //! The request path is torture-testable end to end: the
 //! `serve.{accept,read,write,drop}` failpoints of `probranch-faults`
 //! inject dropped accepts, failed frame reads/writes and post-sweep
-//! connection drops under seeded plans, and the bundled
-//! `probranch-client` binary retries transient transport failures so a
-//! budget-capped fault plan heals to byte-identical output.
+//! connection drops under a seeded plan armed on the thread that calls
+//! [`Server::run`] (its acceptor and connection threads join it), and
+//! the bundled `probranch-client` binary retries transient transport
+//! failures so a budget-capped fault plan heals to byte-identical
+//! output.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -165,7 +165,8 @@ impl Server {
     /// the final counters return to the caller.
     ///
     /// A scoped acceptor thread blocks in `accept` and hands each
-    /// connection to its own scoped thread the moment it arrives. The
+    /// connection to its own scoped thread the moment it arrives; both
+    /// join the calling thread's fault plan ([`faults::current`]). The
     /// calling thread is the drain gate: every tick it turns a
     /// delivered shutdown signal ([`crate::signal_shutdown_flag`]) into
     /// a shutdown request, and once a shutdown is requested and no
@@ -194,10 +195,12 @@ impl Server {
         // Set by the drain gate; the next accepted connection is its
         // wake-up, not a client.
         let stop = AtomicBool::new(false);
+        let plan = faults::current();
 
         std::thread::scope(|scope| {
             let (handler, inflight, coalesce, stop) = (&handler, &inflight, &coalesce, &stop);
             let acceptor = scope.spawn(move || {
+                let _plan = plan.clone().map(faults::PlanScope::join);
                 let mut conn_id: u64 = 0;
                 loop {
                     match self.listener.accept() {
@@ -214,7 +217,9 @@ impl Server {
                                 drop(stream);
                                 continue;
                             }
+                            let plan = plan.clone();
                             scope.spawn(move || {
+                                let _plan = plan.map(faults::PlanScope::join);
                                 self.serve_connection(stream, id, handler, inflight, coalesce);
                             });
                         }
@@ -478,16 +483,9 @@ mod tests {
             .map(|resp| (resp.status, resp.body))
     }
 
-    /// Holds the process-wide fault lock with no plan armed. Fault plans
-    /// are global, so a test that arms one would otherwise drop this
-    /// test's connections — a lost `shutdown` then leaves the scoped
-    /// server thread running and the test hung.
-    fn quiesce() -> faults::ScopedPlan {
-        faults::ScopedPlan::install(faults::FaultPlan::default())
-    }
-
     /// Binds a server on an ephemeral port, runs it with `handler` on a
-    /// scoped thread, runs `body` against the address, then drains.
+    /// scoped thread under the caller's fault plan, runs `body` against
+    /// the address, then drains.
     fn with_server<H, F>(config: ServerConfig, handler: H, body: F) -> StatsSnapshot
     where
         H: Fn(&SweepRequest) -> SweepOutcome + Sync + Send,
@@ -496,9 +494,13 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", config).expect("bind");
         let addr = server.local_addr().expect("addr");
         let mut snapshot = StatsSnapshot::default();
+        let plan = faults::current();
         std::thread::scope(|scope| {
             let server = &server;
-            let run = scope.spawn(move || server.run(handler).expect("run"));
+            let run = scope.spawn(move || {
+                let _plan = plan.map(faults::PlanScope::join);
+                server.run(handler).expect("run")
+            });
             assert!(client::wait_ready(addr, Duration::from_secs(5)));
             body(addr);
             // The body may have drained the server already; a failed
@@ -513,7 +515,6 @@ mod tests {
 
     #[test]
     fn serves_sweeps_pings_and_bad_requests() {
-        let _quiesce = quiesce();
         let stats = with_server(ServerConfig::default(), canned("body"), |addr| {
             let resp =
                 client::request(addr, &sweep("fig6"), Duration::from_secs(5)).expect("sweep");
@@ -535,7 +536,6 @@ mod tests {
 
     #[test]
     fn draining_rejects_new_sweeps_with_shutting_down() {
-        let _quiesce = quiesce();
         with_server(ServerConfig::default(), canned("body"), |addr| {
             let resp = client::request(addr, &Request::Shutdown, Duration::from_secs(5))
                 .expect("shutdown");
@@ -552,7 +552,6 @@ mod tests {
 
     #[test]
     fn admission_control_sheds_load_with_a_structured_response() {
-        let _quiesce = quiesce();
         // A handler that blocks until released, so the in-flight
         // budget is provably spent when the shed probe arrives.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
@@ -604,7 +603,6 @@ mod tests {
 
     #[test]
     fn concurrent_identical_requests_coalesce_to_one_computation() {
-        let _quiesce = quiesce();
         let computations = Arc::new(AtomicUsize::new(0));
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let (h_comp, h_gate) = (Arc::clone(&computations), Arc::clone(&gate));
@@ -669,25 +667,30 @@ mod tests {
 
     #[test]
     fn injected_serve_faults_are_survivable_via_client_retry() {
-        // serve.accept drops the first two connections; the client's
-        // retry layer heals to a byte-identical response.
-        let _scope = faults::ScopedPlan::install(faults::FaultPlan::seeded(3).arm_capped(
+        // serve.accept drops the first two connections, which are
+        // `with_server`'s readiness pings; the client retries past them
+        // and the sweep answers byte-identically. The drops count on
+        // this thread's plan, which the acceptor joined.
+        let _plan = faults::PlanScope::enter(faults::FaultPlan::seeded(3).arm_capped(
             faults::Site::ServeAccept,
             1.0,
             2,
         ));
+        let mut answers = Vec::new();
         let stats = with_server(ServerConfig::default(), canned("body"), |addr| {
-            let resp = client::request_with_retry(addr, &sweep("fig6"), Duration::from_secs(5), 5)
-                .expect("retries heal injected drops");
-            assert_eq!(resp.status, Status::Ok);
-            assert_eq!(resp.body, "body:fig6");
+            answers.push(
+                client::request_with_retry(addr, &sweep("fig6"), Duration::from_secs(5), 5)
+                    .ok()
+                    .map(|resp| (resp.status, resp.body)),
+            );
         });
+        assert_eq!(answers, [Some((Status::Ok, "body:fig6".to_string()))]);
         assert!(stats.requests >= 1);
+        assert_eq!(faults::hits(), vec![(faults::Site::ServeAccept, 2)]);
     }
 
     #[test]
     fn back_to_back_pings_are_answered_without_an_accept_tick() {
-        let _quiesce = quiesce();
         let mut elapsed = Duration::ZERO;
         with_server(ServerConfig::default(), canned("body"), |addr| {
             let t0 = std::time::Instant::now();
@@ -709,7 +712,6 @@ mod tests {
 
     #[test]
     fn idle_server_on_an_unspecified_address_drains_through_the_handle() {
-        let _quiesce = quiesce();
         let server = Arc::new(Server::bind("0.0.0.0:0", ServerConfig::default()).expect("bind"));
         let port = server.local_addr().expect("addr").port();
         let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
@@ -732,7 +734,6 @@ mod tests {
 
     #[test]
     fn arrivals_during_a_drain_are_answered_shutting_down() {
-        let _quiesce = quiesce();
         // A handler that blocks until released keeps one sweep in
         // flight, so the drain provably stays open.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
@@ -785,7 +786,6 @@ mod tests {
 
     #[test]
     fn sequential_identical_sweeps_run_the_handler_once() {
-        let _quiesce = quiesce();
         let calls = AtomicUsize::new(0);
         let mut answers = Vec::new();
         let stats = with_server(ServerConfig::default(), counted(&calls), |addr| {
@@ -804,7 +804,6 @@ mod tests {
 
     #[test]
     fn failed_and_cancelled_sweeps_run_again_on_the_next_request() {
-        let _quiesce = quiesce();
         // fig6 fails and fig7 is cancelled on their first call; every
         // later call answers ok.
         let calls: Mutex<HashMap<String, usize>> = Mutex::default();
@@ -840,7 +839,6 @@ mod tests {
 
     #[test]
     fn requests_differing_only_in_jobs_or_deadline_share_one_computation() {
-        let _quiesce = quiesce();
         let calls = AtomicUsize::new(0);
         let mut answers = Vec::new();
         let stats = with_server(ServerConfig::default(), counted(&calls), |addr| {
@@ -861,7 +859,6 @@ mod tests {
 
     #[test]
     fn unknown_sections_are_never_kept() {
-        let _quiesce = quiesce();
         let calls = AtomicUsize::new(0);
         let mut statuses = Vec::new();
         // N distinct unknown names, each sent twice.

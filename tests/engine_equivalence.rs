@@ -30,11 +30,11 @@ use probranch::harness::{run_cells, workload_seed, Cell, Jobs};
 use probranch::isa::Program;
 use probranch::pbs::PbsConfig;
 use probranch::pipeline::{
-    run_functional, set_capture_overlap, with_capture_tier, BranchStats, CaptureTier, DynTrace,
-    EmuError, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation,
-    TraceFunctional,
+    run_functional, set_capture_overlap, BranchStats, DynTrace, EmuError, EngineKind, OooConfig,
+    PredictorChoice, SimConfig, SimReport, Simulation, TraceFunctional,
 };
 use probranch::workloads::{BenchmarkId, Scale};
+use probranch_faults::{FaultPlan, PlanScope, Site};
 
 /// The golden-trace suite's fixed workload seed: equivalence at exactly
 /// the stream the golden files pin.
@@ -582,15 +582,16 @@ fn functional_runs_match_the_reference_engine_and_capture_on_every_workload() {
         let direct = TraceFunctional::from(reference(&program, &cfg).expect("reference run"));
         let captured = DynTrace::capture(&program, &cfg).expect("capture");
         assert_eq!(captured.functional(), &direct, "capture: {label}");
-        for tier in [CaptureTier::Generated, CaptureTier::Interp] {
-            let functional = with_capture_tier(tier, || {
-                run_functional(&program, pbs.clone(), cfg.max_insts)
-            })
-            .expect("functional run");
+        for interp in [false, true] {
+            // `capture.block` at probability 1 forces the interpreter.
+            let _plan =
+                interp.then(|| PlanScope::enter(FaultPlan::default().arm(Site::CaptureBlock, 1.0)));
+            let functional =
+                run_functional(&program, pbs.clone(), cfg.max_insts).expect("functional run");
             assert_eq!(
                 TraceFunctional::from(functional),
                 direct,
-                "{tier:?}: {label}"
+                "interp {interp}: {label}"
             );
         }
     });

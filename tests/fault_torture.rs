@@ -10,9 +10,9 @@
 //! attempts all name an injected fault site. Nothing else — no torn
 //! output, no wrong-but-plausible rows, no raw unwinds.
 //!
-//! Lives in its own test binary: fault plans are process-global, so
-//! every test here serializes on [`faults::ScopedPlan`] and must never
-//! share a process with tests that assume a quiet fault layer.
+//! Each test arms its plan on its own thread ([`faults::PlanScope`]);
+//! the sweep workers and the server's threads join it, and no other
+//! test sees it.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::OnceLock;
@@ -33,8 +33,7 @@ fn fig6_fingerprint(ctx: &experiments::Context) -> String {
     )
 }
 
-/// The fault-free baseline, computed once under an empty (installed,
-/// so the lock is held) plan.
+/// The fault-free baseline, computed once with no plan armed.
 fn baseline() -> &'static str {
     static BASELINE: OnceLock<String> = OnceLock::new();
     BASELINE.get_or_init(|| fig6_fingerprint(&experiments::Context::new()))
@@ -70,20 +69,13 @@ fn is_structured_fault(payload: &(dyn std::any::Any + Send)) -> bool {
     })
 }
 
-/// Service-mode torture: the same dichotomy, but the sweep travels a
-/// real socket through `probranch-serve` with the transport failpoints
-/// armed. For every seeded plan the client either heals (via retry) to
-/// a response byte-identical to the clean rendering, or receives a
-/// structured error naming only injected sites. Never a hang, never
-/// torn bytes.
 #[test]
 fn table2_over_a_warmed_pool_emulates_nothing() {
     // Every capture and every functional run rolls `capture.block` once,
     // so with the site armed its hits count emulations — and the
     // interpreter tier they then run prints the same rows.
-    let _scope = faults::ScopedPlan::install(
-        faults::FaultPlan::seeded(1).arm(faults::Site::CaptureBlock, 1.0),
-    );
+    let _plan =
+        faults::PlanScope::enter(faults::FaultPlan::seeded(1).arm(faults::Site::CaptureBlock, 1.0));
     let emulations = || {
         faults::hits()
             .into_iter()
@@ -106,6 +98,12 @@ fn table2_over_a_warmed_pool_emulates_nothing() {
     assert_eq!(warm, cold);
 }
 
+/// Service-mode torture: the same dichotomy, but the sweep travels a
+/// real socket through `probranch-serve` with the transport failpoints
+/// armed. For every seeded plan the client either heals (via retry) to
+/// a response byte-identical to the clean rendering, or receives a
+/// structured error naming only injected sites. Never a hang, never
+/// torn bytes.
 #[test]
 fn service_mode_faults_heal_or_fail_structured_over_the_socket() {
     use std::time::Duration;
@@ -115,7 +113,6 @@ fn service_mode_faults_heal_or_fail_structured_over_the_socket() {
         request_with_retry, Request, Server, ServerConfig, Status, SweepRequest,
     };
 
-    let _scope = faults::ScopedPlan::install(faults::FaultPlan::default());
     let clean_body = service::section_text(
         "fig6",
         ExperimentScale::Smoke,
@@ -148,13 +145,15 @@ fn service_mode_faults_heal_or_fail_structured_over_the_socket() {
         ),
     ];
     for (plan, healable) in plans {
-        faults::install(plan);
+        let _plan = faults::PlanScope::enter(plan);
+        let plan = faults::current();
         let ctx = experiments::Context::new();
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
         let addr = server.local_addr().expect("addr");
-        std::thread::scope(|scope| {
+        let (outcome, drain) = std::thread::scope(|scope| {
             let (server, ctx) = (&server, &ctx);
             let run = scope.spawn(move || {
+                let _plan = plan.map(faults::PlanScope::join);
                 server
                     .run(service::sweep_handler(ctx, Jobs::new(2)))
                     .expect("serve loop")
@@ -169,30 +168,32 @@ fn service_mode_faults_heal_or_fail_structured_over_the_socket() {
             // Generous retry budget: every armed transport fault is
             // budget-capped, so retries always reach a live exchange.
             let outcome = request_with_retry(addr, &req, Duration::from_secs(600), 10);
-            match outcome {
-                Ok(resp) if resp.status == Status::Ok => {
-                    assert!(healable, "uncapped cell.panic cannot produce a clean sweep");
-                    assert_eq!(
-                        resp.body, clean_body,
-                        "surviving served sweep must be byte-identical"
-                    );
-                }
-                Ok(resp) => {
-                    assert_eq!(resp.status, Status::Failed);
-                    assert!(
-                        resp.body.contains("injected fault"),
-                        "structured failure must name an injected site: {}",
-                        resp.body
-                    );
-                }
-                Err(e) => panic!("transport must heal within the retry budget: {e}"),
-            }
             // Shutdown itself rides the faulted transport; retry too.
-            let resp = request_with_retry(addr, &Request::Shutdown, Duration::from_secs(5), 10)
-                .expect("drain");
-            assert_eq!(resp.status, Status::Ok);
+            let drain = request_with_retry(addr, &Request::Shutdown, Duration::from_secs(5), 10);
             run.join().expect("server thread");
+            (outcome, drain)
         });
+        // Asserted after the drain: a failure inside the scope would
+        // leave the server running and the test hung.
+        match outcome {
+            Ok(resp) if resp.status == Status::Ok => {
+                assert!(healable, "uncapped cell.panic cannot produce a clean sweep");
+                assert_eq!(
+                    resp.body, clean_body,
+                    "surviving served sweep must be byte-identical"
+                );
+            }
+            Ok(resp) => {
+                assert_eq!(resp.status, Status::Failed);
+                assert!(
+                    resp.body.contains("injected fault"),
+                    "structured failure must name an injected site: {}",
+                    resp.body
+                );
+            }
+            Err(e) => panic!("transport must heal within the retry budget: {e}"),
+        }
+        assert_eq!(drain.expect("drain").status, Status::Ok);
     }
 }
 
@@ -205,9 +206,6 @@ proptest! {
         dice in any::<u64>(),
         use_dir in any::<u64>(),
     ) {
-        // Take the global fault lock with a quiet plan first: the
-        // baseline must never see a sibling case's armed sites.
-        let _scope = faults::ScopedPlan::install(faults::FaultPlan::default());
         let clean = baseline().to_string();
 
         let plan = arbitrary_plan(plan_seed, dice);
@@ -219,7 +217,7 @@ proptest! {
         if use_dir {
             std::fs::create_dir_all(&dir).expect("torture trace dir");
         }
-        faults::install(plan);
+        let _plan = faults::PlanScope::enter(plan);
 
         // Cold pass (capturing), then — if it survived and persisted —
         // a warm pass over whatever mangled store the faults left.

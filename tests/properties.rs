@@ -10,11 +10,11 @@ use probranch::isa::{
 };
 use probranch::pbs::{BranchResolution, PbsConfig, PbsUnit};
 use probranch::pipeline::{
-    with_capture_tier, Cache, CaptureTier, DynTrace, EmuConfig, EmuError, Emulator, EngineKind,
-    ExecLatencies, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation, TraceChunk,
-    TraceLoad, TRACE_CHUNK_RECORDS,
+    Cache, DynTrace, EmuConfig, EmuError, Emulator, EngineKind, ExecLatencies, OooConfig,
+    PredictorChoice, SimConfig, SimReport, Simulation, TraceChunk, TraceLoad, TRACE_CHUNK_RECORDS,
 };
 use probranch::predictor::{BranchPredictor, TageScL, Tournament};
+use probranch_faults::{FaultPlan, PlanScope, Site};
 use probranch_serve::{
     read_frame, write_frame, Request, Response, Status, SweepRequest, MAX_FRAME, PROTOCOL,
 };
@@ -23,6 +23,13 @@ use probranch_serve::{
 /// are checked against.
 fn reference(program: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
     Simulation::new(EngineKind::Reference).run(program, cfg)
+}
+
+/// Runs `f` with no compiled blocks when `interp` (under a scoped
+/// `capture.block=1.0` plan), else with the default blocks.
+fn on_tier<R>(interp: bool, f: impl FnOnce() -> R) -> R {
+    let _plan = interp.then(|| PlanScope::enter(FaultPlan::default().arm(Site::CaptureBlock, 1.0)));
+    f()
 }
 
 fn reg_strategy() -> impl Strategy<Value = Reg> {
@@ -213,15 +220,16 @@ struct MachineAfterRun {
     pbs: Option<probranch::pbs::PbsStats>,
 }
 
-/// Runs `program` with `run_to_halt(max_insts)` under `tier`.
+/// Runs `program` with `run_to_halt(max_insts)`, on the interpreter
+/// when `interp`.
 fn machine_after_run(
     program: &Program,
     emu: &EmuConfig,
     max_insts: u64,
-    tier: CaptureTier,
+    interp: bool,
 ) -> MachineAfterRun {
     let mut e = Emulator::new(program.clone(), emu.clone());
-    let result = with_capture_tier(tier, || e.run_to_halt(max_insts));
+    let result = on_tier(interp, || e.run_to_halt(max_insts));
     MachineAfterRun {
         result,
         halted: e.is_halted(),
@@ -316,10 +324,8 @@ proptest! {
         // terminators, and single-stepped `out` and `halt`.
         let program = replay_workload(iters);
         let direct = reference(&program, &cfg);
-        let interp =
-            with_capture_tier(CaptureTier::Interp, || DynTrace::capture(&program, &cfg));
-        let generated =
-            with_capture_tier(CaptureTier::Generated, || DynTrace::capture(&program, &cfg));
+        let interp = on_tier(true, || DynTrace::capture(&program, &cfg));
+        let generated = on_tier(false, || DynTrace::capture(&program, &cfg));
         prop_assert_eq!(&generated, &interp);
         let via_trace = interp.and_then(|trace| Simulation::default().replay(&trace, &cfg));
         prop_assert_eq!(via_trace, direct);
@@ -345,19 +351,14 @@ proptest! {
         b.halt();
         let program = b.build().unwrap();
         let cfg = SimConfig { max_insts: budget, ..SimConfig::default() };
-        let interp =
-            with_capture_tier(CaptureTier::Interp, || DynTrace::capture(&program, &cfg));
-        let generated =
-            with_capture_tier(CaptureTier::Generated, || DynTrace::capture(&program, &cfg));
+        let interp = on_tier(true, || DynTrace::capture(&program, &cfg));
+        let generated = on_tier(false, || DynTrace::capture(&program, &cfg));
         prop_assert_eq!(&generated, &interp);
         prop_assert!(generated.is_err());
         prop_assert_eq!(generated.err(), reference(&program, &cfg).err());
-        let run = machine_after_run(&program, &EmuConfig::default(), budget, CaptureTier::Interp);
+        let run = machine_after_run(&program, &EmuConfig::default(), budget, true);
         prop_assert_eq!(run.result.as_ref().err(), interp.as_ref().err());
-        prop_assert_eq!(
-            machine_after_run(&program, &EmuConfig::default(), budget, CaptureTier::Generated),
-            run
-        );
+        prop_assert_eq!(machine_after_run(&program, &EmuConfig::default(), budget, false), run);
     }
 
     #[test]
@@ -373,18 +374,18 @@ proptest! {
         let (program, outputs, fault) = mem_program(mem_words, &accesses);
         let emu = EmuConfig { mem_words: mem_words as usize, ..EmuConfig::default() };
         let by_port = if outputs.is_empty() { vec![] } else { vec![(0u16, outputs)] };
-        let run = machine_after_run(&program, &emu, 1_000, CaptureTier::Interp);
+        let run = machine_after_run(&program, &emu, 1_000, true);
         prop_assert_eq!(run.result.as_ref().err(), fault.as_ref());
         prop_assert_eq!(&run.outputs, &by_port);
-        prop_assert_eq!(machine_after_run(&program, &emu, 1_000, CaptureTier::Generated), run);
+        prop_assert_eq!(machine_after_run(&program, &emu, 1_000, false), run);
         let cfg = SimConfig { emu, ..SimConfig::default() };
         let direct = reference(&program, &cfg);
         prop_assert_eq!(direct.as_ref().err(), fault.as_ref());
         if let Ok(report) = &direct {
             prop_assert_eq!(&report.outputs, &by_port);
         }
-        for tier in [CaptureTier::Generated, CaptureTier::Interp] {
-            let captured = with_capture_tier(tier, || DynTrace::capture(&program, &cfg));
+        for interp in [false, true] {
+            let captured = on_tier(interp, || DynTrace::capture(&program, &cfg));
             prop_assert_eq!(captured.as_ref().err(), fault.as_ref());
             if let Ok(trace) = &captured {
                 prop_assert_eq!(&trace.functional().outputs, &by_port);
@@ -404,8 +405,7 @@ proptest! {
         // up to the reference engine's branch records.
         let program = replay_workload(iters);
         let cfg = SimConfig { pbs: pbs.then(PbsConfig::default), ..SimConfig::default() };
-        let tier = if interp { CaptureTier::Interp } else { CaptureTier::Generated };
-        let trace = with_capture_tier(tier, || DynTrace::capture(&program, &cfg)).unwrap();
+        let trace = on_tier(interp, || DynTrace::capture(&program, &cfg)).unwrap();
         let Some((last, full)) = trace.chunks().split_last() else {
             return Err(TestCaseError::fail("a completed run captures a chunk"));
         };
@@ -1056,7 +1056,6 @@ proptest! {
         // version and content hash with a matching digest, they reach
         // the decoder, whose counts must be bounded by the bytes left
         // before anything is allocated for them.
-        let _quiesce = probranch_faults::ScopedPlan::install(Default::default());
         let (pristine, cfg, hash) = smoke_trace_file();
         let mut file = bytes;
         if sealed {
@@ -1086,7 +1085,6 @@ proptest! {
         // from the chunks that enter inside a call, a branch byte from
         // the chunks that hold branches, a stall field from the chunks
         // that hold stalls.
-        let _quiesce = probranch_faults::ScopedPlan::install(Default::default());
         let (pristine, cfg, hash) = smoke_trace_file();
         let layout = chunk_fields(pristine);
         let holding = |has: fn(&ChunkFields) -> bool| -> Vec<&ChunkFields> {
