@@ -43,8 +43,7 @@
 use probranch_core::PbsConfig;
 use probranch_faults as faults;
 use probranch_harness::{
-    run_cells, run_cells_supervised, workload_seed, Attempt, Cell, CellOutcome, EngineContext,
-    Jobs, Supervision,
+    run_cells, run_cells_supervised, workload_seed, Attempt, Cell, CellOutcome, EngineContext, Jobs,
 };
 use probranch_pipeline::{
     run_functional, BranchStats, DynTrace, EmuError, OooConfig, PredictorChoice, SimConfig,
@@ -192,19 +191,12 @@ pub struct Context {
     grids:
         std::sync::Mutex<std::collections::HashMap<GridKey, std::sync::Arc<Vec<Vec<SimReport>>>>>,
     grid_hits: std::sync::atomic::AtomicUsize,
-    supervision: Supervision,
     outcomes: std::sync::Mutex<Vec<CellOutcome>>,
 }
 
 impl Default for Context {
     fn default() -> Context {
-        Context {
-            traces: EngineContext::default(),
-            grids: std::sync::Mutex::default(),
-            grid_hits: std::sync::atomic::AtomicUsize::new(0),
-            supervision: Supervision::default_robust(),
-            outcomes: std::sync::Mutex::default(),
-        }
+        Context::with_robustness(None, None)
     }
 }
 
@@ -216,42 +208,27 @@ impl Context {
 
     /// A context whose trace pool is backed by trace files under `dir`.
     pub fn with_trace_dir(dir: impl Into<std::path::PathBuf>) -> Context {
-        Context::with_robustness(Some(dir.into()), None, false, Supervision::default_robust())
+        Context::with_robustness(Some(dir.into()), None)
     }
 
-    /// The fully general constructor: an optional trace directory, an
-    /// optional in-memory pool budget in bytes (see [`EngineContext`]
-    /// for the demotion/eviction semantics), and the robustness policy:
-    /// `strict` turns every self-healing path (stale rejection,
-    /// quarantine, persistence shutdown, engine degradation) into a
-    /// hard structured error, and `supervision` sets the per-cell
-    /// retry/deadline envelope of the supervised sweeps.
+    /// The fully general constructor: an optional trace directory and
+    /// an optional in-memory pool budget in bytes (see
+    /// [`EngineContext`] for the demotion/eviction semantics).
     pub fn with_robustness(
         trace_dir: Option<std::path::PathBuf>,
         mem_budget: Option<usize>,
-        strict: bool,
-        supervision: Supervision,
     ) -> Context {
         Context {
-            traces: EngineContext::with_robustness(trace_dir, mem_budget, strict),
-            supervision,
-            ..Context::default()
+            traces: EngineContext::with_robustness(trace_dir, mem_budget),
+            grids: std::sync::Mutex::default(),
+            grid_hits: std::sync::atomic::AtomicUsize::new(0),
+            outcomes: std::sync::Mutex::default(),
         }
     }
 
     /// The underlying trace pool.
     pub fn traces(&self) -> &EngineContext<EmuKey> {
         &self.traces
-    }
-
-    /// Whether this context runs under `--strict-traces`.
-    pub fn strict(&self) -> bool {
-        self.traces.strict()
-    }
-
-    /// The per-cell supervision policy of the timing sweeps.
-    pub fn supervision(&self) -> Supervision {
-        self.supervision
     }
 
     /// Supervised cells that needed more than one attempt.
@@ -274,16 +251,6 @@ impl Context {
             .count()
     }
 
-    /// Supervised cells the watchdog saw overrun the soft deadline.
-    pub fn over_deadline_cells(&self) -> usize {
-        self.outcomes
-            .lock()
-            .expect("outcome lock")
-            .iter()
-            .filter(|o| o.over_deadline)
-            .count()
-    }
-
     /// Runs one supervised sweep: results in cell-index order
     /// (byte-identical to an unsupervised run whenever every cell
     /// eventually succeeds), non-clean outcomes folded into this
@@ -298,7 +265,7 @@ impl Context {
         jobs: Jobs,
         run: impl Fn(&T, &Attempt) -> R + Sync,
     ) -> Vec<R> {
-        match run_cells_supervised(cells, jobs, self.supervision, run) {
+        match run_cells_supervised(cells, jobs, run) {
             Ok(done) => {
                 if !done.outcomes.is_empty() {
                     self.outcomes
@@ -469,16 +436,13 @@ fn sim_cell_engine(
 }
 
 /// The engine attempt `number` of a supervised cell actually runs: the
-/// requested engine twice, then the reference engine, which captures
-/// no trace — so a cell whose trace capture or replay keeps failing
-/// still retires. Engine equivalence (locked in by
-/// `tests/engine_equivalence.rs`) keeps degraded rows byte-identical
-/// to clean ones. Under `--strict-traces` the cascade is off: the
-/// requested engine either succeeds or the cell's failure surfaces as
-/// a structured error.
-fn engine_for_attempt(requested: Engine, number: u32, strict: bool) -> Engine {
+/// requested engine for the first two of its four attempts, then the
+/// reference engine, which captures no trace — so a cell whose trace
+/// capture or replay keeps failing still retires. Engine equivalence
+/// (locked in by `tests/engine_equivalence.rs`) keeps degraded rows
+/// byte-identical to clean ones.
+fn engine_for_attempt(requested: Engine, number: u32) -> Engine {
     match number {
-        _ if strict => requested,
         0 | 1 => requested,
         _ => Engine::Reference,
     }
@@ -488,10 +452,10 @@ fn engine_for_attempt(requested: Engine, number: u32, strict: bool) -> Engine {
 /// cell-body fault sites fire first (salted by cell identity and attempt
 /// ordinal, so retries re-roll), then the cascade picks the attempt's
 /// engine, and the cell labels itself when it degraded.
-fn attempt_engine(cell: &Cell, requested: Engine, ctx: &Context, attempt: &Attempt) -> Engine {
+fn attempt_engine(cell: &Cell, requested: Engine, attempt: &Attempt) -> Engine {
     faults::cell_faults(&[cell.stable_hash(), attempt.number as u64]);
     probranch_pipeline::cancel::inject_spurious(&[cell.stable_hash(), attempt.number as u64]);
-    let engine = engine_for_attempt(requested, attempt.number, ctx.strict());
+    let engine = engine_for_attempt(requested, attempt.number);
     if engine != requested {
         attempt.set_label(engine.name());
     }
@@ -508,7 +472,7 @@ fn sim_cell_supervised(
     ctx: &Context,
     attempt: &Attempt,
 ) -> SimReport {
-    let engine = attempt_engine(cell, requested, ctx, attempt);
+    let engine = attempt_engine(cell, requested, attempt);
     sim_cell_engine(cell, scale, core, engine, ctx, attempt.number as u64)
 }
 
@@ -561,7 +525,7 @@ pub fn fig1_with_ctx(
     let stats = ctx.sweep(&cells, jobs, |c, attempt| {
         let core = OooConfig::default();
         let number = attempt.number as u64;
-        match attempt_engine(c, engine, ctx, attempt) {
+        match attempt_engine(c, engine, attempt) {
             Engine::Reference => BranchStats::from(
                 sim_cell_engine(c, scale, core, Engine::Reference, ctx, number).timing,
             ),
@@ -903,7 +867,7 @@ pub fn fig9_with_ctx(
         .flat_map(|&w| (0..seeds).map(move |s| Cell::new(w, PredictorChoice::Tournament, false, s)))
         .collect();
     let increases = ctx.sweep(&cells, jobs, |cell, attempt| {
-        let engine = attempt_engine(cell, engine, ctx, attempt);
+        let engine = attempt_engine(cell, engine, attempt);
         let cfg = SimConfig {
             predictor: cell.predictor,
             max_insts: MAX_INSTS,

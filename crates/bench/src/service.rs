@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use probranch_harness::{Jobs, StrictViolation, SupervisedError};
+use probranch_harness::{Jobs, SupervisedError};
 use probranch_pipeline::cancel::{CancelScope, CancelToken};
 use probranch_serve::{SweepOutcome, SweepRequest};
 
@@ -22,9 +22,9 @@ use crate::render;
 /// `figures` prints, in [`probranch_serve::SECTIONS`] order. Returns
 /// `None` for an unknown section name.
 ///
-/// Panics raised by supervised sweeps (exhausted cells, strict
-/// violations, cancellation) propagate to the caller, which owns
-/// turning them into structured errors.
+/// Panics raised by supervised sweeps (exhausted cells, cancellation)
+/// propagate to the caller, which owns turning them into structured
+/// errors.
 pub fn section_text(
     section: &str,
     scale: ExperimentScale,
@@ -104,15 +104,12 @@ pub fn sweep_handler(
 }
 
 /// The message of a typed sweep failure — a supervised cell that
-/// exhausted its attempts ([`SupervisedError`]) or a strict-traces
-/// violation ([`StrictViolation`]) — or `None` for any other panic
-/// payload. The `figures` binary and [`sweep_handler`] both render
-/// typed failures through it, each with its own fallback for the rest.
+/// exhausted its attempts ([`SupervisedError`]) — or `None` for any
+/// other panic payload. The `figures` binary and [`sweep_handler`] both
+/// render typed failures through it, each with its own fallback for the
+/// rest.
 pub fn typed_failure(payload: &(dyn std::any::Any + Send)) -> Option<String> {
-    if let Some(e) = payload.downcast_ref::<SupervisedError>() {
-        return Some(e.to_string());
-    }
     payload
-        .downcast_ref::<StrictViolation>()
+        .downcast_ref::<SupervisedError>()
         .map(ToString::to_string)
 }

@@ -22,7 +22,7 @@
 //! Plans parse from a compact spec (`figures --fault-plan`):
 //!
 //! ```text
-//! seed=7,cell.panic=0.3,persist.write=0.5x2,mmap.load=1.0
+//! seed=7,cell.panic=0.3,persist.write=0.5x2,trace.load=1.0
 //! ```
 //!
 //! `seed=N` seeds the schedule (default 0); every other clause is
@@ -63,15 +63,14 @@ pub enum Site {
     PersistFsync,
     /// Persisted-trace write path: the publishing rename fails.
     PersistRename,
-    /// Reading a persisted trace file fails with an I/O error (spec
-    /// name `mmap.load`, which fault plans already arm).
-    MmapLoad,
+    /// Reading a persisted trace file fails with an I/O error.
+    TraceLoad,
     /// Trace capture (functional emulation) fails.
     Capture,
     /// An experiment cell body panics.
     CellPanic,
-    /// An experiment cell body stalls briefly (exercises the
-    /// per-cell deadline watchdog).
+    /// An experiment cell body stalls briefly (a slow attempt must
+    /// still merge in cell-index order).
     CellDelay,
     /// Sweep service: an accepted connection is dropped before its
     /// request is read.
@@ -102,7 +101,7 @@ pub const ALL_SITES: [Site; 15] = [
     Site::PersistShort,
     Site::PersistFsync,
     Site::PersistRename,
-    Site::MmapLoad,
+    Site::TraceLoad,
     Site::Capture,
     Site::CellPanic,
     Site::CellDelay,
@@ -123,7 +122,7 @@ impl Site {
             Site::PersistShort => "persist.short",
             Site::PersistFsync => "persist.fsync",
             Site::PersistRename => "persist.rename",
-            Site::MmapLoad => "mmap.load",
+            Site::TraceLoad => "trace.load",
             Site::Capture => "capture",
             Site::CellPanic => "cell.panic",
             Site::CellDelay => "cell.delay",
@@ -397,10 +396,10 @@ pub fn io_error(site: Site) -> std::io::Error {
 }
 
 /// Cell-body failpoints: [`Site::CellDelay`] stalls ~2 ms (long enough
-/// for a millisecond-deadline watchdog to notice, short enough for
-/// torture suites), then [`Site::CellPanic`] panics with a message
-/// naming the site and salt. Call at the top of a supervised cell body
-/// with a salt of (cell identity, attempt number).
+/// to reorder a parallel grid's finishes, short enough for torture
+/// suites), then [`Site::CellPanic`] panics with a message naming the
+/// site and salt. Call at the top of a supervised cell body with a salt
+/// of (cell identity, attempt number).
 pub fn cell_faults(salt: &[u64]) {
     if injected(Site::CellDelay, salt) {
         std::thread::sleep(std::time::Duration::from_millis(2));
@@ -490,22 +489,22 @@ mod tests {
         assert_ne!(pattern, schedule(2));
         // Unarmed sites never fire even while a plan is armed.
         let _plan = PlanScope::enter(FaultPlan::seeded(1).arm(Site::Capture, 1.0));
-        assert!(!injected(Site::MmapLoad, &[0]));
+        assert!(!injected(Site::TraceLoad, &[0]));
     }
 
     #[test]
     fn scopes_nest_and_restore() {
         let _outer = PlanScope::enter(FaultPlan::seeded(1).arm(Site::Capture, 1.0));
         {
-            let _inner = PlanScope::enter(FaultPlan::seeded(1).arm(Site::MmapLoad, 1.0));
+            let _inner = PlanScope::enter(FaultPlan::seeded(1).arm(Site::TraceLoad, 1.0));
             assert!(!injected(Site::Capture, &[0]), "entering replaces the plan");
-            assert!(injected(Site::MmapLoad, &[0]));
+            assert!(injected(Site::TraceLoad, &[0]));
         }
         assert!(
             injected(Site::Capture, &[0]),
             "dropping restores the outer plan"
         );
-        assert!(!injected(Site::MmapLoad, &[0]));
+        assert!(!injected(Site::TraceLoad, &[0]));
         assert_eq!(hits(), vec![(Site::Capture, 1)]);
     }
 
@@ -540,10 +539,10 @@ mod tests {
     fn probability_extremes_behave() {
         let _plan = PlanScope::enter(
             FaultPlan::seeded(3)
-                .arm(Site::MmapLoad, 1.0)
+                .arm(Site::TraceLoad, 1.0)
                 .arm(Site::Capture, 0.0),
         );
-        assert!((0..32).all(|i| injected(Site::MmapLoad, &[i])));
+        assert!((0..32).all(|i| injected(Site::TraceLoad, &[i])));
         assert!((0..32).all(|i| !injected(Site::Capture, &[i])));
     }
 
@@ -563,7 +562,7 @@ mod tests {
         let e = io_error(Site::PersistEnospc);
         assert_eq!(e.kind(), std::io::ErrorKind::StorageFull);
         assert!(e.to_string().contains("persist.enospc"));
-        assert!(io_error(Site::MmapLoad).to_string().contains("mmap.load"));
+        assert!(io_error(Site::TraceLoad).to_string().contains("trace.load"));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   independent of thread interleaving.
 //!
 //! Every grid runs through [`run_cells`]: [`run_cells_supervised`] runs
-//! its per-cell attempt loop (panic isolation, retries, deadlines) as
-//! the body of a `run_cells` grid, and [`EngineContext`] is the one
+//! its per-cell attempt loop (panic isolation, four attempts) as the
+//! body of a `run_cells` grid, and [`EngineContext`] is the one
 //! trace pool the cells share.
 //!
 //! Consequently `run_cells(cells, Jobs::serial(), f)` and
@@ -66,8 +66,8 @@ pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T
 }
 
 pub use supervise::{
-    install_quiet_panic_hook, run_cells_supervised, Attempt, CellOutcome, StrictViolation,
-    SupervisedError, SupervisedRun, Supervision,
+    install_quiet_panic_hook, run_cells_supervised, Attempt, CellOutcome, SupervisedError,
+    SupervisedRun,
 };
 
 /// Worker-count selection for [`run_cells`].
@@ -321,12 +321,10 @@ type TraceSlot = Arc<Mutex<Option<Entry>>>;
 /// overwritten, a corrupt file is **quarantined** — atomically renamed
 /// to `*.quarantined`, counted, never re-read — and a fatal storage
 /// error (ENOSPC, read-only directory) disables persistence for the
-/// remainder of the run with a single warning. Under
-/// [`with_robustness`](EngineContext::with_robustness)'s strict mode
-/// each of those degradations raises a [`StrictViolation`] instead.
-/// Opening a persistent context also sweeps orphaned writer temp files
-/// from the directory ([`sweep_stale_temps`]), so crashed earlier runs
-/// cannot leak disk forever.
+/// remainder of the run with a single warning. Opening a persistent
+/// context also sweeps orphaned writer temp files from the directory
+/// ([`sweep_stale_temps`]), so crashed earlier runs cannot leak disk
+/// forever.
 ///
 /// # Memory budget
 ///
@@ -408,9 +406,6 @@ pub struct EngineContext<K> {
     persist_cooldown_ms: AtomicU64,
     /// Times the breaker tripped (first trip + every failed probe).
     breaker_trips: AtomicUsize,
-    /// `--strict-traces`: every degradation path becomes a hard
-    /// [`StrictViolation`] instead of a heal-and-continue.
-    strict: bool,
 }
 
 impl<K: Eq + Hash> Default for EngineContext<K> {
@@ -423,25 +418,22 @@ impl<K: Eq + Hash> EngineContext<K> {
     /// A context with an empty, unbounded in-memory pool and no disk
     /// persistence.
     pub fn new() -> EngineContext<K> {
-        EngineContext::with_robustness(None, None, false)
+        EngineContext::with_robustness(None, None)
     }
 
     /// A context whose pool is backed by trace files under `dir`
     /// (created on first write if missing).
     pub fn with_trace_dir(dir: impl Into<PathBuf>) -> EngineContext<K> {
-        EngineContext::with_robustness(Some(dir.into()), None, false)
+        EngineContext::with_robustness(Some(dir.into()), None)
     }
 
-    /// The fully general constructor: an optional trace directory, an
-    /// optional pool memory budget in bytes (see the type docs), and
-    /// the robustness policy — with `strict` set, every self-healing
-    /// path (stale rejection, quarantine, persistence shutdown) raises a
-    /// [`StrictViolation`] instead of degrading gracefully. Opening with
-    /// a directory sweeps its stale writer temp files first.
+    /// The fully general constructor: an optional trace directory and
+    /// an optional pool memory budget in bytes (see the type docs).
+    /// Opening with a directory sweeps its stale writer temp files
+    /// first.
     pub fn with_robustness(
         trace_dir: Option<PathBuf>,
         mem_budget: Option<usize>,
-        strict: bool,
     ) -> EngineContext<K> {
         if let Some(dir) = trace_dir.as_deref() {
             sweep_stale_temps(dir);
@@ -467,7 +459,6 @@ impl<K: Eq + Hash> EngineContext<K> {
             breaker: Mutex::new(None),
             persist_cooldown_ms: AtomicU64::new(0),
             breaker_trips: AtomicUsize::new(0),
-            strict,
         }
     }
 
@@ -690,11 +681,6 @@ impl<K: Eq + Hash> EngineContext<K> {
                 TraceLoad::Missing => return None,
                 TraceLoad::Stale => {
                     self.stale_rejected.fetch_add(1, Ordering::Relaxed);
-                    if self.strict {
-                        std::panic::panic_any(StrictViolation(format!(
-                            "stale persisted trace {content_hash:016x} would be re-captured"
-                        )));
-                    }
                     // Intact file, wrong format/key: the fresh capture
                     // simply overwrites it.
                     return None;
@@ -705,12 +691,6 @@ impl<K: Eq + Hash> EngineContext<K> {
                 }
                 TraceLoad::Io(e) => {
                     if attempt >= Self::IO_RETRIES {
-                        if self.strict {
-                            std::panic::panic_any(StrictViolation(format!(
-                                "persisted trace {content_hash:016x} unreadable after {} attempts: {e}",
-                                attempt + 1
-                            )));
-                        }
                         eprintln!(
                             "warning: trace {content_hash:016x} unreadable after {} attempts ({e}); re-capturing",
                             attempt + 1
@@ -728,15 +708,8 @@ impl<K: Eq + Hash> EngineContext<K> {
     /// Moves a corrupt persisted trace aside — an atomic rename to
     /// `<name>.quarantined`, which no load path ever matches again —
     /// so the evidence survives for inspection and the store never
-    /// pays for the same corrupt file twice. In strict mode the file
-    /// is left in place and the run fails instead.
+    /// pays for the same corrupt file twice.
     fn quarantine(&self, path: &Path, content_hash: u64) {
-        if self.strict {
-            std::panic::panic_any(StrictViolation(format!(
-                "corrupt persisted trace {content_hash:016x} at {}",
-                path.display()
-            )));
-        }
         let mut dest = path.as_os_str().to_owned();
         dest.push(".quarantined");
         match std::fs::rename(path, Path::new(&dest)) {
@@ -792,22 +765,11 @@ impl<K: Eq + Hash> EngineContext<K> {
                 Err(e) => e,
             };
             if Self::fatal_storage_error(&e) {
-                if self.strict {
-                    std::panic::panic_any(StrictViolation(format!(
-                        "persistence disabled by fatal storage error: {e}"
-                    )));
-                }
                 self.trip_breaker(&mut breaker, &e);
                 return;
             }
             if attempt == Self::IO_RETRIES {
                 self.write_failures.fetch_add(1, Ordering::Relaxed);
-                if self.strict {
-                    std::panic::panic_any(StrictViolation(format!(
-                        "could not persist trace {content_hash:016x} after {} attempts: {e}",
-                        attempt + 1
-                    )));
-                }
                 eprintln!("warning: could not persist trace {content_hash:016x}: {e}");
                 if half_open_probe {
                     // A failed probe re-opens the breaker and restarts
@@ -1034,11 +996,6 @@ impl<K: Eq + Hash> EngineContext<K> {
     /// remainder of the run.
     pub fn persistence_disabled(&self) -> bool {
         lock_ignore_poison(&self.breaker).is_some()
-    }
-
-    /// Whether this context runs under `--strict-traces`.
-    pub fn strict(&self) -> bool {
-        self.strict
     }
 }
 
@@ -1332,7 +1289,7 @@ mod tests {
         };
         let unbounded: EngineContext<(B, u64, bool)> = EngineContext::new();
         let bounded: EngineContext<(B, u64, bool)> =
-            EngineContext::with_robustness(None, Some(budget), false);
+            EngineContext::with_robustness(None, Some(budget));
         assert_eq!(
             run(&bounded),
             run(&unbounded),
@@ -1388,7 +1345,7 @@ mod tests {
         };
         let unbounded: EngineContext<(B, u64, bool)> = EngineContext::new();
         let bounded: EngineContext<(B, u64, bool)> =
-            EngineContext::with_robustness(Some(dir.clone()), Some(budget), false);
+            EngineContext::with_robustness(Some(dir.clone()), Some(budget));
         assert_eq!(
             run(&bounded),
             run(&unbounded),
@@ -1504,8 +1461,7 @@ mod tests {
         // A budget that holds one trace: capturing the second key evicts
         // the first together with its tape, and a pass over the evicted
         // key stores nothing.
-        let bounded: EngineContext<u64> =
-            EngineContext::with_robustness(None, Some(untaped), false);
+        let bounded: EngineContext<u64> = EngineContext::with_robustness(None, Some(untaped));
         let trace = capture(&bounded, 0);
         assert_eq!(pass(&bounded, 0, &trace), first);
         let _second = capture(&bounded, 1);

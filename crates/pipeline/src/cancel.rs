@@ -20,10 +20,11 @@
 //! single thread-local read that always succeeds, so unsupervised
 //! callers pay ~nothing.
 //!
-//! Tokens form a parent/child tree: a request-level token (carrying
-//! the request deadline) parents the per-attempt tokens the supervisor
-//! mints (carrying the per-cell deadline), and cancelling the parent
-//! cancels every child.
+//! Tokens form a parent/child tree: a request-level token (carrying a
+//! served request's `deadline-ms`) parents the per-attempt tokens the
+//! supervisor mints, so cancelling the request cancels every attempt,
+//! while the `cancel.spurious` failpoint ([`inject_spurious`]) cancels
+//! only the attempt it hits.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,12 +73,11 @@ impl CancelToken {
         }
     }
 
-    /// A child of this token: cancelled when the parent is, with an
-    /// optional deadline of its own (`budget` from now).
-    pub fn child(&self, budget: Option<Duration>) -> CancelToken {
+    /// A child of this token: cancelled when the parent is, or on its
+    /// own.
+    pub fn child(&self) -> CancelToken {
         CancelToken {
             inner: Arc::new(Inner {
-                deadline: budget.map(|b| (Instant::now() + b, b)),
                 parent: Some(self.clone()),
                 ..Inner::default()
             }),
@@ -120,15 +120,6 @@ impl CancelToken {
             }
             _ => false,
         }
-    }
-
-    /// Whether this token's own deadline (not an ancestor's) has
-    /// passed. Used by the supervisor to flag over-deadline cells even
-    /// when the body completed without ever polling.
-    pub fn deadline_passed(&self) -> bool {
-        self.inner
-            .deadline
-            .is_some_and(|(at, _)| Instant::now() >= at)
     }
 
     /// The cancellation reason (empty string when not cancelled).
@@ -241,23 +232,24 @@ mod tests {
         let t = CancelToken::with_deadline(Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         assert!(t.is_cancelled());
-        assert!(t.deadline_passed());
         assert!(t.reason().contains("deadline exceeded"));
         let far = CancelToken::with_deadline(Duration::from_secs(3600));
-        assert!(!far.is_cancelled() && !far.deadline_passed());
+        assert!(!far.is_cancelled());
     }
 
     #[test]
     fn children_inherit_parent_cancellation() {
         let parent = CancelToken::new();
-        let child = parent.child(None);
+        let child = parent.child();
         assert!(!child.is_cancelled());
+        // Cancelling a child leaves its parent and siblings live.
+        let sibling = parent.child();
+        sibling.cancel("one attempt");
+        assert!(!parent.is_cancelled() && !child.is_cancelled());
         parent.cancel("parent gone");
         assert!(child.is_cancelled());
         assert_eq!(child.reason(), "parent gone");
-        // A child deadline does not cancel the parent.
-        let strict_child = parent.child(Some(Duration::from_secs(3600)));
-        assert!(strict_child.is_cancelled(), "parent already cancelled");
+        assert!(parent.child().is_cancelled(), "parent already cancelled");
     }
 
     #[test]

@@ -88,137 +88,49 @@ const PC_BYTES: usize = 9 + 5;
 /// accumulation): not cryptographic, but any truncation or flipped bit
 /// changes it with overwhelming probability.
 fn digest(bytes: &[u8]) -> u64 {
-    let mut d = StreamDigest::new(bytes.len() as u64);
-    d.update(bytes);
-    d.finish()
-}
-
-/// The incremental form of [`digest`]: byte-for-byte compatible however
-/// the input is split across [`update`](StreamDigest::update) calls, so
-/// the writer digests the trace while streaming it out instead of
-/// materializing one serialized copy first. Needs the total length
-/// up-front (the digest seeds with it) — the writer computes it exactly
-/// via [`DynTrace::encoded_len`].
-struct StreamDigest {
-    h: u64,
-    /// Bytes of a partially-filled 8-byte word carried between updates.
-    carry: [u8; 8],
-    carry_len: usize,
-}
-
-impl StreamDigest {
-    fn new(total_len: u64) -> StreamDigest {
-        StreamDigest {
-            h: 0x9E37_79B9_7F4A_7C15u64 ^ total_len,
-            carry: [0u8; 8],
-            carry_len: 0,
-        }
+    let mut h = 0x9E37_79B9_7F4A_7C15u64 ^ bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = SplitMix64::mix(h ^ u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
     }
-
-    fn update(&mut self, mut bytes: &[u8]) {
-        if self.carry_len > 0 {
-            let take = (8 - self.carry_len).min(bytes.len());
-            self.carry[self.carry_len..self.carry_len + take].copy_from_slice(&bytes[..take]);
-            self.carry_len += take;
-            bytes = &bytes[take..];
-            if self.carry_len < 8 {
-                return;
-            }
-            self.h = SplitMix64::mix(self.h ^ u64::from_le_bytes(self.carry));
-            self.carry_len = 0;
-        }
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let v = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
-            self.h = SplitMix64::mix(self.h ^ v);
-        }
-        let rest = words.remainder();
-        self.carry[..rest.len()].copy_from_slice(rest);
-        self.carry_len = rest.len();
-    }
-
-    fn finish(&self) -> u64 {
-        // The zero-padded tail word folds in unconditionally — even
-        // when the stream length is a word multiple — matching the
-        // one-shot form exactly.
-        let mut tail = [0u8; 8];
-        tail[..self.carry_len].copy_from_slice(&self.carry[..self.carry_len]);
-        SplitMix64::mix(self.h ^ u64::from_le_bytes(tail))
-    }
+    // The zero-padded tail word folds in unconditionally, even when the
+    // length is a word multiple.
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    SplitMix64::mix(h ^ u64::from_le_bytes(tail))
 }
 
 // ---- writer ---------------------------------------------------------------
 
-/// A sink that forwards at most `left` bytes and then fails with an
-/// injected short-write error — the [`faults::Site::PersistShort`]
-/// failpoint's model of a writer dying mid-encode. With `left` at
-/// `u64::MAX` (no fault armed) it is a transparent pass-through.
-struct Capped<W: Write> {
-    w: W,
-    left: u64,
-}
+/// A little-endian encoder into the one buffer a trace file is written
+/// from.
+struct Enc(Vec<u8>);
 
-impl<W: Write> Write for Capped<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if self.left == 0 {
-            return Err(faults::io_error(faults::Site::PersistShort));
-        }
-        let n = buf
-            .len()
-            .min(usize::try_from(self.left).unwrap_or(usize::MAX));
-        let written = self.w.write(&buf[..n])?;
-        self.left -= written as u64;
-        Ok(written)
+impl Enc {
+    fn bytes(&mut self, v: &[u8]) {
+        self.0.extend_from_slice(v);
     }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.w.flush()
+    fn u8(&mut self, v: u8) {
+        self.0.push(v);
     }
-}
-
-/// A digesting little-endian encoder over any byte sink: each value is
-/// folded into the running [`StreamDigest`] as it is written, so
-/// serialization is one pass with no in-memory copy of the file.
-struct Enc<W: Write> {
-    w: W,
-    digest: StreamDigest,
-    written: u64,
-}
-
-impl<W: Write> Enc<W> {
-    fn bytes(&mut self, v: &[u8]) -> std::io::Result<()> {
-        self.digest.update(v);
-        self.written += v.len() as u64;
-        self.w.write_all(v)
+    fn u16(&mut self, v: u16) {
+        self.bytes(&v.to_le_bytes());
     }
-    fn u8(&mut self, v: u8) -> std::io::Result<()> {
-        self.bytes(&[v])
+    fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
     }
-    fn u16(&mut self, v: u16) -> std::io::Result<()> {
-        self.bytes(&v.to_le_bytes())
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
     }
-    fn u32(&mut self, v: u32) -> std::io::Result<()> {
-        self.bytes(&v.to_le_bytes())
-    }
-    fn u64(&mut self, v: u64) -> std::io::Result<()> {
-        self.bytes(&v.to_le_bytes())
-    }
-    /// A chunk's u32 stream, converted to little-endian bytes through a
-    /// small stack buffer.
-    fn u32_stream(&mut self, v: &[u32]) -> std::io::Result<()> {
-        let mut buf = [0u8; 4096];
-        for batch in v.chunks(buf.len() / 4) {
-            for (i, &x) in batch.iter().enumerate() {
-                buf[4 * i..4 * i + 4].copy_from_slice(&x.to_le_bytes());
-            }
-            self.bytes(&buf[..4 * batch.len()])?;
-        }
-        Ok(())
-    }
-    fn u64s(&mut self, v: &[u64]) -> std::io::Result<()> {
+    fn u32s(&mut self, v: &[u32]) {
         for &x in v {
-            self.u64(x)?;
+            self.u32(x);
         }
-        Ok(())
+    }
+    fn u64s(&mut self, v: &[u64]) {
+        for &x in v {
+            self.u64(x);
+        }
     }
 }
 
@@ -298,59 +210,38 @@ impl<'a> Dec<'a> {
 }
 
 impl DynTrace {
-    /// The exact serialized size of the trace, digest included — the
-    /// writer pre-computes it to seed the streaming digest (and as a
-    /// cheap cross-check that the streamed encoding matched).
-    fn encoded_len(&self) -> u64 {
-        // magic, version, content hash, instruction count.
-        let mut n = (MAGIC.len() + 4 + 8 + 8) as u64;
-        n += 8 + self.timings.len() as u64 * PC_BYTES as u64;
-        n += 8;
-        for (_, values) in &self.functional.outputs {
-            n += 2 + 8 + values.len() as u64 * 8;
-        }
-        n += 8 + self.functional.prob_consumed.len() as u64 * 8;
-        n += 1 + if self.functional.pbs.is_some() { 56 } else { 0 };
-        n += 8;
-        for c in &self.chunks {
-            // The chunk header and return stack, then 1 B/branch,
-            // 1 B/load and 5 B/stall.
-            n += CHUNK_HEADER_BYTES as u64 + 4 * c.entry_stack.len() as u64;
-            n += c.branch_count() as u64 + c.dlats.len() as u64 + 5 * c.stalls.len() as u64;
-        }
-        n + 8 // trailing digest
-    }
-
-    /// Streams the serialized trace (sans trailing digest) into `e`.
-    fn encode_into<W: Write>(&self, e: &mut Enc<W>, content_hash: u64) -> std::io::Result<()> {
-        e.bytes(MAGIC)?;
-        e.u32(TRACE_FILE_VERSION)?;
-        e.u64(content_hash)?;
-        e.u64(self.functional.instructions)?;
-        e.u64(self.timings.len() as u64)?;
+    /// The file's bytes: the serialized trace, then the digest of
+    /// everything before it.
+    fn encode(&self, content_hash: u64) -> Vec<u8> {
+        let mut e = Enc(Vec::new());
+        e.bytes(MAGIC);
+        e.u32(TRACE_FILE_VERSION);
+        e.u64(content_hash);
+        e.u64(self.functional.instructions);
+        e.u64(self.timings.len() as u64);
         for t in self.timings.iter() {
-            e.bytes(&t.uses)?;
-            e.u8(t.n_uses)?;
-            e.bytes(&t.defs)?;
-            e.u8(t.n_defs)?;
-            e.u8(t.class)?;
+            e.bytes(&t.uses);
+            e.u8(t.n_uses);
+            e.bytes(&t.defs);
+            e.u8(t.n_defs);
+            e.u8(t.class);
         }
         for (kind, target) in self.flow.ops() {
-            e.u8(kind.code())?;
-            e.u32(target)?;
+            e.u8(kind.code());
+            e.u32(target);
         }
-        e.u64(self.functional.outputs.len() as u64)?;
+        e.u64(self.functional.outputs.len() as u64);
         for (port, values) in &self.functional.outputs {
-            e.u16(*port)?;
-            e.u64(values.len() as u64)?;
-            e.u64s(values)?;
+            e.u16(*port);
+            e.u64(values.len() as u64);
+            e.u64s(values);
         }
-        e.u64(self.functional.prob_consumed.len() as u64)?;
-        e.u64s(&self.functional.prob_consumed)?;
+        e.u64(self.functional.prob_consumed.len() as u64);
+        e.u64s(&self.functional.prob_consumed);
         match &self.functional.pbs {
-            None => e.u8(0)?,
+            None => e.u8(0),
             Some(s) => {
-                e.u8(1)?;
+                e.u8(1);
                 e.u64s(&[
                     s.directed,
                     s.bootstrap,
@@ -359,24 +250,26 @@ impl DynTrace {
                     s.const_val_demotions,
                     s.evictions,
                     s.context_flushes,
-                ])?;
+                ]);
             }
         }
-        e.u64(self.chunks.len() as u64)?;
+        e.u64(self.chunks.len() as u64);
         for c in &self.chunks {
-            e.u64(c.len() as u64)?;
-            e.u64(c.branch_count() as u64)?;
-            e.u64(c.dlats.len() as u64)?;
-            e.u64(c.stalls.len() as u64)?;
-            e.u32(c.entry_pc)?;
-            e.u64(c.entry_stack.len() as u64)?;
-            e.u32_stream(&c.entry_stack)?;
-            e.bytes(&c.branches)?;
-            e.bytes(&c.dlats)?;
-            e.u32_stream(&c.stall_at)?;
-            e.bytes(&c.stalls)?;
+            e.u64(c.len() as u64);
+            e.u64(c.branch_count() as u64);
+            e.u64(c.dlats.len() as u64);
+            e.u64(c.stalls.len() as u64);
+            e.u32(c.entry_pc);
+            e.u64(c.entry_stack.len() as u64);
+            e.u32s(&c.entry_stack);
+            e.bytes(&c.branches);
+            e.bytes(&c.dlats);
+            e.u32s(&c.stall_at);
+            e.bytes(&c.stalls);
         }
-        Ok(())
+        let d = digest(&e.0);
+        e.u64(d);
+        e.0
     }
 
     /// Writes the trace to `path` atomically (temp file + rename), so a
@@ -387,9 +280,8 @@ impl DynTrace {
     /// shortly after return could silently roll the directory back to
     /// "no trace", costing a re-capture on the next cold start.
     ///
-    /// The encoding streams through a buffered writer with an
-    /// incremental digest, so writing never materializes a serialized
-    /// copy of the trace in memory.
+    /// The trace is encoded into one buffer, digest included, and
+    /// written with one `write_all`, as the reader reads a file whole.
     ///
     /// # Errors
     ///
@@ -434,33 +326,17 @@ impl DynTrace {
             std::process::id(),
             WRITER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
-        let total_len = self.encoded_len();
-        // The short-write failpoint dies halfway through the encoding,
+        let buf = self.encode(content_hash);
+        // The short-write failpoint dies halfway through the buffer,
         // leaving a torn temp — which must never publish.
-        let cap = if faults::injected(faults::Site::PersistShort, &salt) {
-            total_len / 2
-        } else {
-            u64::MAX
-        };
+        let short = faults::injected(faults::Site::PersistShort, &salt);
         let write_body = || -> std::io::Result<()> {
-            let f = std::fs::File::create(&tmp)?;
-            let mut e = Enc {
-                w: Capped {
-                    w: std::io::BufWriter::new(&f),
-                    left: cap,
-                },
-                digest: StreamDigest::new(total_len - 8),
-                written: 0,
-            };
-            self.encode_into(&mut e, content_hash)?;
-            debug_assert_eq!(
-                e.written + 8,
-                total_len,
-                "encoded_len out of sync with the streamed encoding"
-            );
-            let d = e.digest.finish();
-            e.w.write_all(&d.to_le_bytes())?;
-            e.w.flush()?;
+            let mut f = std::fs::File::create(&tmp)?;
+            if short {
+                f.write_all(&buf[..buf.len() / 2])?;
+                return Err(faults::io_error(faults::Site::PersistShort));
+            }
+            f.write_all(&buf)?;
             if faults::injected(faults::Site::PersistFsync, &salt) {
                 return Err(faults::io_error(faults::Site::PersistFsync));
             }
@@ -512,7 +388,7 @@ impl DynTrace {
     /// structural validation and should be quarantined so it is never
     /// read again, and [`TraceLoad::Missing`] is an ordinary cold
     /// start. `attempt` is the caller's retry ordinal, folded into the
-    /// salt of the `mmap.load` failpoint (which fails the file read), so
+    /// salt of the `trace.load` failpoint (which fails the file read), so
     /// injected transient errors re-roll per attempt.
     ///
     /// The file is read whole into memory and validated in one pass; the
@@ -523,8 +399,8 @@ impl DynTrace {
         config: &SimConfig,
         attempt: u64,
     ) -> TraceLoad {
-        if faults::injected(faults::Site::MmapLoad, &[content_hash, attempt]) {
-            return TraceLoad::Io(faults::io_error(faults::Site::MmapLoad));
+        if faults::injected(faults::Site::TraceLoad, &[content_hash, attempt]) {
+            return TraceLoad::Io(faults::io_error(faults::Site::TraceLoad));
         }
         match std::fs::read(path) {
             Ok(bytes) => Self::classify(&bytes, content_hash, config),
@@ -1424,24 +1300,5 @@ mod tests {
         assert!(!loads(&called, 1, &target(2, 1)));
         assert!(!loads(&called, 1, &|f: &mut [u8]| f[flow_at(1)] = 6));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn streamed_digest_matches_one_shot_for_any_split() {
-        let data: Vec<u8> = (0..1021u32).flat_map(|i| i.to_le_bytes()).collect();
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, data.len()] {
-            let bytes = &data[..len];
-            let expect = digest(bytes);
-            for split in [0usize, 1, 3, 5, 8, 13, len / 2, len] {
-                let split = split.min(len);
-                let mut d = StreamDigest::new(len as u64);
-                d.update(&bytes[..split]);
-                // Second half in deliberately awkward 3-byte dribbles.
-                for piece in bytes[split..].chunks(3) {
-                    d.update(piece);
-                }
-                assert_eq!(d.finish(), expect, "len {len}, split {split}");
-            }
-        }
     }
 }

@@ -133,7 +133,7 @@ fn retries_reroll_write_and_load_faults_deterministically() {
     // the next attempt loads clean.
     {
         let _plan = faults::PlanScope::enter(faults::FaultPlan::seeded(11).arm_capped(
-            faults::Site::MmapLoad,
+            faults::Site::TraceLoad,
             1.0,
             1,
         ));

@@ -13,11 +13,12 @@
 //! experiment layer. Four robustness layers, one per failure mode a
 //! long-running service meets:
 //!
-//! * **Admission control** — a bounded in-flight budget: a request
-//!   arriving while the budget is spent receives a structured
+//! * **Admission control** — a fixed in-flight budget of 4 sweeps: a
+//!   request arriving while the budget is spent receives a structured
 //!   [`Status::Overloaded`] response immediately (load-shedding, never
-//!   accept-then-hang), and every connection carries read/write
-//!   timeouts so a stalled peer cannot pin a worker.
+//!   accept-then-hang), and every connection carries 10 s read/write
+//!   timeouts so a stalled peer cannot pin a worker. [`Server::bind`]
+//!   takes only an address.
 //! * **Request coalescing** — identical sweep requests (same section,
 //!   scale and engine: [`SweepRequest::coalesce_key`]) share one
 //!   computation: the first becomes the leader, later arrivals wait on
@@ -30,10 +31,10 @@
 //!   capture locks, N concurrent requests for one emulation key perform
 //!   exactly one capture.
 //! * **Cooperative cancellation** — requests carry an optional
-//!   deadline the handler turns into a `CancelToken`; the pipeline's
-//!   chunk loops poll it, so an expired request stops consuming CPU
-//!   within one chunk and fails with a structured
-//!   [`Status::Cancelled`] response.
+//!   deadline the handler turns into a `CancelToken`, the parent of
+//!   every supervised cell attempt's token; the pipeline's chunk loops
+//!   poll it, so an expired request stops consuming CPU within one
+//!   chunk and fails with a structured [`Status::Cancelled`] response.
 //! * **Graceful shutdown** — SIGTERM/ctrl-c (see
 //!   [`install_signal_shutdown`]) or a protocol `shutdown` request
 //!   drains in-flight sweeps to completion while answering new ones
@@ -64,5 +65,5 @@ pub use client::{request, request_with_retry, wait_ready};
 pub use protocol::{
     read_frame, write_frame, Request, Response, Status, SweepRequest, MAX_FRAME, PROTOCOL, SECTIONS,
 };
-pub use server::{Server, ServerConfig, StatsSnapshot, SweepOutcome};
+pub use server::{Server, StatsSnapshot, SweepOutcome};
 pub use sig::{install_signal_shutdown, signal_shutdown_flag};

@@ -25,29 +25,13 @@ const DRAIN_POLL: Duration = Duration::from_millis(20);
 /// handshake).
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
-/// Server tuning knobs. The defaults suit the CI smoke gates; a real
-/// deployment would size `max_inflight` to cores/`jobs`.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Sweep requests admitted concurrently; arrivals beyond this are
-    /// load-shed with [`Status::Overloaded`].
-    pub max_inflight: usize,
-    /// Per-connection read timeout (a peer that never sends a frame
-    /// cannot pin a connection thread).
-    pub read_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
-}
+/// Sweep requests admitted concurrently; arrivals beyond this are
+/// load-shed with [`Status::Overloaded`].
+const MAX_INFLIGHT: usize = 4;
 
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig {
-            max_inflight: 4,
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-        }
-    }
-}
+/// Per-connection read and write timeout: a peer that never sends a
+/// frame, or never reads its response, cannot pin a connection thread.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What the sweep handler reports back for one admitted request.
 #[derive(Debug, Clone)]
@@ -122,7 +106,6 @@ type CoalesceCell = Arc<(Mutex<Option<SweepOutcome>>, Condvar)>;
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    config: ServerConfig,
     shutdown: Arc<AtomicBool>,
     stats: Stats,
 }
@@ -134,10 +117,9 @@ impl Server {
     /// # Errors
     ///
     /// Propagates bind errors.
-    pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<Server> {
+    pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Server> {
         Ok(Server {
             listener: TcpListener::bind(addr)?,
-            config,
             shutdown: Arc::new(AtomicBool::new(false)),
             stats: Stats::default(),
         })
@@ -291,8 +273,8 @@ impl Server {
     ) where
         H: Fn(&SweepRequest) -> SweepOutcome + Sync,
     {
-        let _ = stream.set_read_timeout(Some(self.config.read_timeout));
-        let _ = stream.set_write_timeout(Some(self.config.write_timeout));
+        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
         // Injected read-path fault: answer with a structured failure
         // naming the site, so the client sees an attributable error
         // rather than a hang.
@@ -343,17 +325,16 @@ impl Server {
             return Response::new(Status::ShuttingDown, "server is draining; no new sweeps");
         }
         // Load-shed at admission: never accept-then-hang.
-        let max = self.config.max_inflight;
         if inflight
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                (n < max).then_some(n + 1)
+                (n < MAX_INFLIGHT).then_some(n + 1)
             })
             .is_err()
         {
             self.stats.shed.fetch_add(1, Ordering::Relaxed);
             return Response::new(
                 Status::Overloaded,
-                format!("in-flight budget of {max} sweeps is spent; retry later"),
+                format!("in-flight budget of {MAX_INFLIGHT} sweeps is spent; retry later"),
             );
         }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -485,13 +466,15 @@ mod tests {
 
     /// Binds a server on an ephemeral port, runs it with `handler` on a
     /// scoped thread under the caller's fault plan, runs `body` against
-    /// the address, then drains.
-    fn with_server<H, F>(config: ServerConfig, handler: H, body: F) -> StatsSnapshot
+    /// the address, then drains. The listener is bound before `run`
+    /// starts, so `body`'s first connection waits in the backlog rather
+    /// than failing, and no readiness ping consumes the plan's faults.
+    fn with_server<H, F>(handler: H, body: F) -> StatsSnapshot
     where
         H: Fn(&SweepRequest) -> SweepOutcome + Sync + Send,
         F: FnOnce(SocketAddr),
     {
-        let server = Server::bind("127.0.0.1:0", config).expect("bind");
+        let server = Server::bind("127.0.0.1:0").expect("bind");
         let addr = server.local_addr().expect("addr");
         let mut snapshot = StatsSnapshot::default();
         let plan = faults::current();
@@ -501,13 +484,11 @@ mod tests {
                 let _plan = plan.map(faults::PlanScope::join);
                 server.run(handler).expect("run")
             });
-            assert!(client::wait_ready(addr, Duration::from_secs(5)));
             body(addr);
-            // The body may have drained the server already; a failed
-            // shutdown request then just means it is gone.
-            if let Ok(resp) = client::request(addr, &Request::Shutdown, Duration::from_secs(5)) {
-                assert_eq!(resp.status, Status::Ok);
-            }
+            // Drained through the handle, not a request: the body may
+            // have drained the server already, and the caller's fault
+            // plan may drop a shutdown request.
+            server.shutdown_handle().store(true, Ordering::Release);
             snapshot = run.join().expect("server thread");
         });
         snapshot
@@ -515,7 +496,7 @@ mod tests {
 
     #[test]
     fn serves_sweeps_pings_and_bad_requests() {
-        let stats = with_server(ServerConfig::default(), canned("body"), |addr| {
+        let stats = with_server(canned("body"), |addr| {
             let resp =
                 client::request(addr, &sweep("fig6"), Duration::from_secs(5)).expect("sweep");
             assert_eq!(resp.status, Status::Ok);
@@ -536,7 +517,7 @@ mod tests {
 
     #[test]
     fn draining_rejects_new_sweeps_with_shutting_down() {
-        with_server(ServerConfig::default(), canned("body"), |addr| {
+        with_server(canned("body"), |addr| {
             let resp = client::request(addr, &Request::Shutdown, Duration::from_secs(5))
                 .expect("shutdown");
             assert_eq!(resp.status, Status::Ok);
@@ -556,11 +537,7 @@ mod tests {
         // budget is provably spent when the shed probe arrives.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let handler_gate = Arc::clone(&gate);
-        let config = ServerConfig {
-            max_inflight: 1,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", config).expect("bind");
+        let server = Server::bind("127.0.0.1:0").expect("bind");
         let addr = server.local_addr().expect("addr");
         std::thread::scope(|scope| {
             let server = &server;
@@ -574,30 +551,37 @@ mod tests {
             };
             let run = scope.spawn(move || server.run(handler).expect("run"));
             assert!(client::wait_ready(addr, Duration::from_secs(5)));
-            // First sweep occupies the only slot...
-            let first = scope.spawn(move || {
-                client::request(addr, &sweep("fig6"), Duration::from_secs(10)).expect("first")
+            // Four sweeps occupy every slot...
+            let first = ["fig6", "fig7", "fig8", "fig9"].map(|section| {
+                scope.spawn(move || {
+                    client::request(addr, &sweep(section), Duration::from_secs(10))
+                        .expect("admitted")
+                })
             });
-            // ...wait until it is actually admitted...
+            // ...wait until they are actually admitted...
             let t0 = std::time::Instant::now();
-            while server.snapshot().requests == 0 {
+            while server.snapshot().requests < MAX_INFLIGHT as u64 {
                 assert!(t0.elapsed() < Duration::from_secs(5), "admission stuck");
                 std::thread::sleep(Duration::from_millis(5));
             }
-            // ...so the second is shed immediately.
-            let shed = client::request(addr, &sweep("fig7"), Duration::from_secs(5)).expect("shed");
-            assert_eq!(shed.status, Status::Overloaded);
-            assert!(shed.body.contains("budget"));
-            // Release the gate; the first completes normally.
+            // ...so the fifth is shed immediately.
+            let shed = client::request(addr, &sweep("table2"), Duration::from_secs(5));
+            // Released before asserting, so a failure below still lets
+            // the drain finish instead of hanging the scope join.
             {
                 let (lock_, cvar) = &*gate;
                 *lock_.lock().unwrap() = true;
                 cvar.notify_all();
             }
-            assert_eq!(first.join().expect("join").status, Status::Ok);
+            let shed = shed.expect("shed");
+            assert_eq!(shed.status, Status::Overloaded);
+            assert!(shed.body.contains("budget of 4 sweeps"), "{}", shed.body);
+            for first in first {
+                assert_eq!(first.join().expect("join").status, Status::Ok);
+            }
             client::request(addr, &Request::Shutdown, Duration::from_secs(5)).expect("shutdown");
             let stats = run.join().expect("server");
-            assert_eq!((stats.requests, stats.shed), (1, 1));
+            assert_eq!((stats.requests, stats.shed), (4, 1));
         });
     }
 
@@ -606,11 +590,7 @@ mod tests {
         let computations = Arc::new(AtomicUsize::new(0));
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let (h_comp, h_gate) = (Arc::clone(&computations), Arc::clone(&gate));
-        let config = ServerConfig {
-            max_inflight: 8,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", config).expect("bind");
+        let server = Server::bind("127.0.0.1:0").expect("bind");
         let addr = server.local_addr().expect("addr");
         std::thread::scope(|scope| {
             let server = &server;
@@ -625,7 +605,8 @@ mod tests {
             };
             let run = scope.spawn(move || server.run(handler).expect("run"));
             assert!(client::wait_ready(addr, Duration::from_secs(5)));
-            let clients: Vec<_> = (0..4)
+            // As many identical requests as the in-flight budget admits.
+            let clients: Vec<_> = (0..MAX_INFLIGHT)
                 .map(|_| {
                     scope.spawn(move || {
                         client::request(addr, &sweep("fig6"), Duration::from_secs(10))
@@ -667,17 +648,17 @@ mod tests {
 
     #[test]
     fn injected_serve_faults_are_survivable_via_client_retry() {
-        // serve.accept drops the first two connections, which are
-        // `with_server`'s readiness pings; the client retries past them
-        // and the sweep answers byte-identically. The drops count on
-        // this thread's plan, which the acceptor joined.
+        // serve.accept drops the sweep request's first two connections;
+        // the client's third attempt gets through and the sweep answers
+        // byte-identically. The drops count on this thread's plan,
+        // which the acceptor joined.
         let _plan = faults::PlanScope::enter(faults::FaultPlan::seeded(3).arm_capped(
             faults::Site::ServeAccept,
             1.0,
             2,
         ));
         let mut answers = Vec::new();
-        let stats = with_server(ServerConfig::default(), canned("body"), |addr| {
+        let stats = with_server(canned("body"), |addr| {
             answers.push(
                 client::request_with_retry(addr, &sweep("fig6"), Duration::from_secs(5), 5)
                     .ok()
@@ -685,14 +666,14 @@ mod tests {
             );
         });
         assert_eq!(answers, [Some((Status::Ok, "body:fig6".to_string()))]);
-        assert!(stats.requests >= 1);
+        assert_eq!(stats.requests, 1);
         assert_eq!(faults::hits(), vec![(faults::Site::ServeAccept, 2)]);
     }
 
     #[test]
     fn back_to_back_pings_are_answered_without_an_accept_tick() {
         let mut elapsed = Duration::ZERO;
-        with_server(ServerConfig::default(), canned("body"), |addr| {
+        with_server(canned("body"), |addr| {
             let t0 = std::time::Instant::now();
             for _ in 0..50 {
                 let resp =
@@ -712,7 +693,7 @@ mod tests {
 
     #[test]
     fn idle_server_on_an_unspecified_address_drains_through_the_handle() {
-        let server = Arc::new(Server::bind("0.0.0.0:0", ServerConfig::default()).expect("bind"));
+        let server = Arc::new(Server::bind("0.0.0.0:0").expect("bind"));
         let port = server.local_addr().expect("addr").port();
         let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
         let runner = Arc::clone(&server);
@@ -738,7 +719,7 @@ mod tests {
         // flight, so the drain provably stays open.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let handler_gate = Arc::clone(&gate);
-        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let server = Server::bind("127.0.0.1:0").expect("bind");
         let addr = server.local_addr().expect("addr");
         std::thread::scope(|scope| {
             let server = &server;
@@ -788,7 +769,7 @@ mod tests {
     fn sequential_identical_sweeps_run_the_handler_once() {
         let calls = AtomicUsize::new(0);
         let mut answers = Vec::new();
-        let stats = with_server(ServerConfig::default(), counted(&calls), |addr| {
+        let stats = with_server(counted(&calls), |addr| {
             for section in ["fig6", "fig6", "fig7", "fig6", "fig7"] {
                 answers.push(answer(addr, &sweep(section)));
             }
@@ -818,7 +799,7 @@ mod tests {
             }
         };
         let mut statuses = Vec::new();
-        let stats = with_server(ServerConfig::default(), handler, |addr| {
+        let stats = with_server(handler, |addr| {
             for section in ["fig6", "fig6", "fig6", "fig7", "fig7", "fig7"] {
                 statuses.push(answer(addr, &sweep(section)).map(|(status, _)| status));
             }
@@ -841,7 +822,7 @@ mod tests {
     fn requests_differing_only_in_jobs_or_deadline_share_one_computation() {
         let calls = AtomicUsize::new(0);
         let mut answers = Vec::new();
-        let stats = with_server(ServerConfig::default(), counted(&calls), |addr| {
+        let stats = with_server(counted(&calls), |addr| {
             for (jobs, deadline_ms) in [(Some(1), None), (Some(4), None), (None, Some(60_000))] {
                 let req = SweepRequest {
                     jobs,
@@ -863,7 +844,7 @@ mod tests {
         let mut statuses = Vec::new();
         // N distinct unknown names, each sent twice.
         let n = 5;
-        let stats = with_server(ServerConfig::default(), counted(&calls), |addr| {
+        let stats = with_server(counted(&calls), |addr| {
             for _ in 0..2 {
                 for i in 0..n {
                     let section = format!("missing-{i}");

@@ -109,9 +109,7 @@ fn service_mode_faults_heal_or_fail_structured_over_the_socket() {
     use std::time::Duration;
 
     use probranch_bench::service;
-    use probranch_serve::{
-        request_with_retry, Request, Server, ServerConfig, Status, SweepRequest,
-    };
+    use probranch_serve::{request_with_retry, Request, Server, Status, SweepRequest};
 
     let clean_body = service::section_text(
         "fig6",
@@ -148,7 +146,7 @@ fn service_mode_faults_heal_or_fail_structured_over_the_socket() {
         let _plan = faults::PlanScope::enter(plan);
         let plan = faults::current();
         let ctx = experiments::Context::new();
-        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let server = Server::bind("127.0.0.1:0").expect("bind");
         let addr = server.local_addr().expect("addr");
         let (outcome, drain) = std::thread::scope(|scope| {
             let (server, ctx) = (&server, &ctx);

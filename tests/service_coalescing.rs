@@ -12,9 +12,7 @@ use std::time::Duration;
 use probranch_bench::experiments::{self, Engine, ExperimentScale};
 use probranch_bench::service;
 use probranch_harness::Jobs;
-use probranch_serve::{
-    request, Request, Server, ServerConfig, Status, SweepOutcome, SweepRequest, SECTIONS,
-};
+use probranch_serve::{request, Request, Server, Status, SweepOutcome, SweepRequest, SECTIONS};
 
 fn fig6_request() -> Request {
     Request::Sweep(SweepRequest {
@@ -43,7 +41,7 @@ fn concurrent_identical_sweeps_share_one_capture_pass() {
     assert!(reference_captures > 0, "fig6 must capture traces");
 
     let served_ctx = experiments::Context::new();
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let server = Server::bind("127.0.0.1:0").expect("bind");
     let addr = server.local_addr().expect("addr");
     std::thread::scope(|scope| {
         let server = &server;
