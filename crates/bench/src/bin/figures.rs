@@ -169,7 +169,7 @@ fn parse_args() -> Options {
 }
 
 fn usage(error: &str) -> ! {
-    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, trace.load (the\n        trace-file read), capture, capture.block, cell.panic,\n        cell.delay, cancel.spurious, serve.accept/.read/.write/.drop;\n        probability in [0,1], optional xCOUNT budget). Decisions are\n        pure functions of (seed, site, salt), so a plan misbehaves\n        identically across reruns and worker counts. Every timing\n        cell gets four attempts (the requested engine twice, then\n        the reference engine twice) and the trace store heals itself\n        (retries, quarantine, stale overwrite, a persistence breaker),\n        so the run either survives with byte-identical stdout or exits\n        3 with a structured error naming the exhausted cell.\n       (or set PROBRANCH_JOBS; default: bench scale, all cores;\n        --jobs 0 also means all cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        Figures 1 and 9 print no cycle count and run only the batch\n        predictor, Figure 9 streaming the seeds no other figure uses\n        with bounded memory; each pass over a pooled trace keeps its\n        predictions beside the trace as a prediction tape, which\n        later passes under the same predictor and filter read instead\n        of predicting again — Figure 1's tapes serve Figures 6, 8 and\n        9 — and Table III and the accuracy check read pooled traces'\n        program results instead of re-emulating; reference\n        re-simulates every cell with the per-instruction oracle, for\n        differential debugging). Both print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs load the files instead of\n        emulating. Stale or corrupt files fall back to capture;\n        orphaned writer temp files and old quarantined files are\n        swept on open. stdout stays byte-identical with or without\n        the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool,\n        prediction tapes included (optional k/m/g suffix, e.g.\n        64m). Over budget, the coldest pooled traces are dropped: with\n        --trace-dir their files are written first if absent and they\n        load again from disk on next use, otherwise they are\n        re-captured. stdout stays byte-identical for any budget.\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control (4 sweeps in flight), request coalescing\n        and per-request cancellation deadlines. A section that\n        finished ok is kept in memory under its (section, scale,\n        engine) and answers every later identical request without\n        re-running; cancelled and failed sweeps are not kept, so a\n        retry recomputes.\n        SIGINT/SIGTERM or a `shutdown` request drains in-flight sweeps,\n        writes pooled traces the store is missing, prints the service\n        counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
+    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--serve ADDR]\n       --scale: how large a run is (default: bench); smoke is a\n        quick check, paper gives figure-quality numbers.\n       --jobs N: worker threads for the sweeps; 0 means all\n        available cores (default: the PROBRANCH_JOBS environment\n        variable, or all cores when it is unset or 0). stdout is\n        byte-identical for every worker count.\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        Figures 1 and 9 print no cycle count and run only the batch\n        predictor, Figure 9 streaming the seeds no other figure uses\n        with bounded memory; each pass over a pooled trace keeps its\n        predictions beside the trace as a prediction tape, which\n        later passes under the same predictor and filter read instead\n        of predicting again — Figure 1's tapes serve Figures 6, 8 and\n        9 — and Table III and the accuracy check read pooled traces'\n        program results instead of re-emulating; reference\n        re-simulates every cell with the per-instruction oracle, for\n        differential debugging). Both print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs load the files instead of\n        emulating. Stale or corrupt files fall back to capture;\n        orphaned writer temp files and old quarantined files are\n        swept on open. stdout stays byte-identical with or without\n        the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool,\n        prediction tapes included (optional k/m/g suffix, e.g.\n        64m). Over budget, the coldest pooled traces are dropped: with\n        --trace-dir their files are written first if absent and they\n        load again from disk on next use, otherwise they are\n        re-captured. stdout stays byte-identical for any budget.\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, trace.load (the\n        trace-file read), capture, capture.block, cell.panic,\n        cell.delay, cancel.spurious, serve.accept/.read/.write/.drop;\n        probability in [0,1], optional xCOUNT budget). Decisions are\n        pure functions of (seed, site, salt), so a plan misbehaves\n        identically across reruns and worker counts. Every timing\n        cell gets four attempts (the requested engine twice, then\n        the reference engine twice) and the trace store heals itself\n        (retries, quarantine, stale overwrite, a persistence breaker),\n        so the run either survives with byte-identical stdout or exits\n        3 with a structured error naming the exhausted cell.\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control (4 sweeps in flight), request coalescing\n        and per-request cancellation deadlines. A section that\n        finished ok is kept in memory under its (section, scale,\n        engine) and answers every later identical request without\n        re-running; cancelled and failed sweeps are not kept, so a\n        retry recomputes.\n        SIGINT/SIGTERM or a `shutdown` request drains in-flight sweeps,\n        writes pooled traces the store is missing, prints the service\n        counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
     if error.is_empty() {
         println!("{text}");
         std::process::exit(0);

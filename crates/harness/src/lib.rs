@@ -65,10 +65,7 @@ pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-pub use supervise::{
-    install_quiet_panic_hook, run_cells_supervised, Attempt, CellOutcome, SupervisedError,
-    SupervisedRun,
-};
+pub use supervise::{run_cells_supervised, Attempt, CellOutcome, SupervisedError, SupervisedRun};
 
 /// Worker-count selection for [`run_cells`].
 ///

@@ -147,7 +147,7 @@ thread_local! {
 /// [`SupervisedError`] raised as a panic payload do not spray abort
 /// traces for failures the harness catches and reports in structured
 /// form.
-pub fn install_quiet_panic_hook() {
+fn install_quiet_panic_hook() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();

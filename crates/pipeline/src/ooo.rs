@@ -322,13 +322,12 @@ pub struct OooTimingModel {
     /// Ready cycle per architectural register + flag. Sized 64 (only
     /// 0..=32 are used) so `u8 & 63` indexing needs no bounds check.
     reg_ready: [u64; 64],
-    /// Commit cycles of in-flight instructions (ROB occupancy), as a
-    /// fixed-capacity ring buffer: `rob_len` entries starting at
-    /// `rob_head`, capacity `cfg.rob_size` — no deque bookkeeping on the
-    /// per-instruction push/pop pair.
+    /// ROB occupancy as a delay line of `cfg.rob_size` commit cycles:
+    /// `rob[rob_at]` holds the commit cycle of the instruction
+    /// `rob_size` older than the next one, or 0 while fewer than
+    /// `rob_size` have entered (a 0 never stalls fetch).
     rob: Vec<u64>,
-    rob_head: usize,
-    rob_len: usize,
+    rob_at: usize,
     /// Issue-bandwidth ring, sized at construction to a power of two
     /// covering the worst-case span of live issue cycles (see
     /// [`issue_ring_len`]) and indexed by mask. Each `u32` slot packs
@@ -381,8 +380,7 @@ impl OooTimingModel {
             fetched_in_cycle: 0,
             reg_ready: [0; 64],
             rob: vec![0; cfg.rob_size],
-            rob_head: 0,
-            rob_len: 0,
+            rob_at: 0,
             // All-zero init is exact: a zero slot reads as "no issues
             // recorded at this slot's cycle yet", which the probe treats
             // identically to an unused slot — and `vec![0]` is an
@@ -551,20 +549,13 @@ impl OooTimingModel {
         self.fetch_cycle += group_full as u64;
         self.fetched_in_cycle = if group_full { 0 } else { fic };
         // ROB back-pressure: the instruction cannot enter until the entry
-        // `rob_size` older has committed.
-        if self.rob_len >= self.cfg.rob_size {
-            let free_at = self.rob[self.rob_head];
-            self.rob_head += 1;
-            if self.rob_head == self.cfg.rob_size {
-                self.rob_head = 0;
-            }
-            self.rob_len -= 1;
-            // Written to favour conditional moves: the stall condition is
-            // data-dependent and mispredicts as a branch.
-            let stalled = free_at > self.fetch_cycle;
-            self.fetch_cycle = if stalled { free_at } else { self.fetch_cycle };
-            self.fetched_in_cycle = if stalled { 0 } else { self.fetched_in_cycle };
-        }
+        // `rob_size` older has committed. Written to favour conditional
+        // moves: the stall condition is data-dependent and mispredicts
+        // as a branch.
+        let free_at = self.rob[self.rob_at];
+        let stalled = free_at > self.fetch_cycle;
+        self.fetch_cycle = if stalled { free_at } else { self.fetch_cycle };
+        self.fetched_in_cycle = if stalled { 0 } else { self.fetched_in_cycle };
         let fetch = self.fetch_cycle;
         self.fetched_in_cycle += 1;
 
@@ -663,12 +654,11 @@ impl OooTimingModel {
             1
         };
         self.last_commit = commit;
-        let mut slot = self.rob_head + self.rob_len;
-        if slot >= self.cfg.rob_size {
-            slot -= self.cfg.rob_size;
+        self.rob[self.rob_at] = commit;
+        self.rob_at += 1;
+        if self.rob_at == self.rob.len() {
+            self.rob_at = 0;
         }
-        self.rob[slot] = commit;
-        self.rob_len += 1;
         self.stats.instructions += 1;
         // `stats.cycles` is derived from `last_commit` in `stats()`
         // rather than stored per instruction.

@@ -17,7 +17,7 @@
 //!   request arriving while the budget is spent receives a structured
 //!   [`Status::Overloaded`] response immediately (load-shedding, never
 //!   accept-then-hang), and every connection carries 10 s read/write
-//!   timeouts so a stalled peer cannot pin a worker. [`Server::bind`]
+//!   timeouts so a stalled peer cannot pin a thread. [`Server::bind`]
 //!   takes only an address.
 //! * **Request coalescing** — identical sweep requests (same section,
 //!   scale and engine: [`SweepRequest::coalesce_key`]) share one
@@ -38,17 +38,21 @@
 //! * **Graceful shutdown** — SIGTERM/ctrl-c (see
 //!   [`install_signal_shutdown`]) or a protocol `shutdown` request
 //!   drains in-flight sweeps to completion while answering new ones
-//!   with [`Status::ShuttingDown`]. The acceptor blocks in `accept`,
-//!   so connections are served the moment they arrive; once the drain
-//!   completes, one connect to the listener's own port wakes it, and
-//!   [`Server::run`] returns so the caller can write the pooled traces
-//!   the trace directory is missing before exit.
+//!   with [`Status::ShuttingDown`]. Each accepting thread serves the
+//!   connection it accepts and then blocks in `accept` again, so a
+//!   closed-loop client starts no thread per request; two threads wait
+//!   in `accept`, and one more starts whenever a thread takes a
+//!   connection while no other waits, so no client waits behind
+//!   another client's connection. Once the drain completes, one
+//!   connect to the listener's own port wakes each thread still in
+//!   `accept`, and [`Server::run`] returns so the caller can write the
+//!   pooled traces the trace directory is missing before exit.
 //!
 //! The request path is torture-testable end to end: the
 //! `serve.{accept,read,write,drop}` failpoints of `probranch-faults`
 //! inject dropped accepts, failed frame reads/writes and post-sweep
 //! connection drops under a seeded plan armed on the thread that calls
-//! [`Server::run`] (its acceptor and connection threads join it), and
+//! [`Server::run`] (every accepting thread joins it), and
 //! the bundled `probranch-client` binary retries transient transport
 //! failures so a budget-capped fault plan heals to byte-identical
 //! output.

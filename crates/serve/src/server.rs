@@ -6,6 +6,7 @@ use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::Scope;
 use std::time::Duration;
 
 use probranch_faults as faults;
@@ -30,8 +31,16 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 const MAX_INFLIGHT: usize = 4;
 
 /// Per-connection read and write timeout: a peer that never sends a
-/// frame, or never reads its response, cannot pin a connection thread.
+/// frame, or never reads its response, cannot pin a thread.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Threads kept waiting in `accept`. A thread that takes a connection
+/// while no other thread waits starts one more first, and a thread that
+/// finishes a connection while this many others wait ends. So a
+/// closed-loop client starts no thread per request, and N concurrent or
+/// silent connections still get N threads. With one, every request
+/// would start a thread again.
+const WAITING_ACCEPTORS: usize = 2;
 
 /// What the sweep handler reports back for one admitted request.
 #[derive(Debug, Clone)]
@@ -101,6 +110,49 @@ impl StatsSnapshot {
 /// and answers every later identical request.
 type CoalesceCell = Arc<(Mutex<Option<SweepOutcome>>, Condvar)>;
 
+/// What the accepting threads of one [`Server::run`] share.
+struct Shared<H> {
+    handler: H,
+    /// Admitted sweeps currently running — the drain gate.
+    inflight: AtomicUsize,
+    /// Leader cells of in-flight sweeps and kept `Ok` outcomes, by
+    /// coalescing key.
+    coalesce: Mutex<HashMap<String, CoalesceCell>>,
+    /// Set by the drain gate: a thread whose `accept` returns after it
+    /// ends without serving that connection.
+    stop: AtomicBool,
+    /// Threads blocked in `accept`, or on their way there.
+    waiting: AtomicUsize,
+    /// The last connection id handed out.
+    last_id: AtomicU64,
+    /// The caller's fault plan, which every accepting thread joins.
+    plan: Option<Arc<faults::ArmedPlan>>,
+}
+
+impl<H> Shared<H> {
+    /// Counts one more thread as waiting in `accept`, unless
+    /// [`WAITING_ACCEPTORS`] already wait or the drain has begun. The
+    /// count is raised before `stop` is read, so the count the drain
+    /// gate reads after setting `stop` covers every thread that will
+    /// still block in `accept`.
+    fn enlist(&self) -> bool {
+        if self
+            .waiting
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < WAITING_ACCEPTORS).then_some(n + 1)
+            })
+            .is_err()
+        {
+            return false;
+        }
+        if self.stop.load(Ordering::SeqCst) {
+            self.waiting.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+        true
+    }
+}
+
 /// The sweep server. [`Server::run`] blocks until a drain completes;
 /// see the crate docs for the robustness layers.
 #[derive(Debug)]
@@ -108,6 +160,9 @@ pub struct Server {
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
     stats: Stats,
+    /// Accepting threads started over the server's lifetime; read only
+    /// by the tests.
+    acceptors: AtomicUsize,
 }
 
 impl Server {
@@ -122,6 +177,7 @@ impl Server {
             listener: TcpListener::bind(addr)?,
             shutdown: Arc::new(AtomicBool::new(false)),
             stats: Stats::default(),
+            acceptors: AtomicUsize::new(0),
         })
     }
 
@@ -146,14 +202,18 @@ impl Server {
     /// sweeps finish (new arrivals get [`Status::ShuttingDown`]), and
     /// the final counters return to the caller.
     ///
-    /// A scoped acceptor thread blocks in `accept` and hands each
-    /// connection to its own scoped thread the moment it arrives; both
-    /// join the calling thread's fault plan ([`faults::current`]). The
-    /// calling thread is the drain gate: every tick it turns a
-    /// delivered shutdown signal ([`crate::signal_shutdown_flag`]) into
-    /// a shutdown request, and once a shutdown is requested and no
-    /// sweep is in flight, it stops the acceptor and wakes it with one
-    /// connect to the listener's own port.
+    /// Each scoped thread that blocks in `accept` serves the connection
+    /// it takes and then blocks in `accept` again, so a closed-loop
+    /// client pays no thread spawn, join or cross-thread wake-up per
+    /// request. Two threads wait in `accept`: one more starts whenever a
+    /// thread takes a connection while no other waits, and a thread that
+    /// finishes a connection while two others wait ends. Every accepting thread joins the calling thread's fault
+    /// plan ([`faults::current`]) when it starts. The calling thread is
+    /// the drain gate: every tick it turns a delivered shutdown signal
+    /// ([`crate::signal_shutdown_flag`]) into a shutdown request, and
+    /// once a shutdown is requested and no sweep is in flight, it stops
+    /// the accepting threads and wakes each one still in `accept` with
+    /// a connect to the listener's own port.
     ///
     /// `handler` must be deterministic in
     /// [`SweepRequest::coalesce_key`]: the server keeps each `Ok`
@@ -169,54 +229,21 @@ impl Server {
         H: Fn(&SweepRequest) -> SweepOutcome + Sync,
     {
         let wake = self.wake_addr()?;
-        // Admitted sweeps currently running — the drain gate.
-        let inflight = AtomicUsize::new(0);
-        // Leader cells of in-flight sweeps and kept `Ok` outcomes, by
-        // coalescing key.
-        let coalesce: Mutex<HashMap<String, CoalesceCell>> = Mutex::new(HashMap::new());
-        // Set by the drain gate; the next accepted connection is its
-        // wake-up, not a client.
-        let stop = AtomicBool::new(false);
-        let plan = faults::current();
-
+        let shared = Shared {
+            handler,
+            inflight: AtomicUsize::new(0),
+            coalesce: Mutex::new(HashMap::new()),
+            stop: AtomicBool::new(false),
+            waiting: AtomicUsize::new(0),
+            last_id: AtomicU64::new(0),
+            plan: faults::current(),
+        };
         std::thread::scope(|scope| {
-            let (handler, inflight, coalesce, stop) = (&handler, &inflight, &coalesce, &stop);
-            let acceptor = scope.spawn(move || {
-                let _plan = plan.clone().map(faults::PlanScope::join);
-                let mut conn_id: u64 = 0;
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _peer)) => {
-                            if stop.load(Ordering::Acquire) {
-                                return;
-                            }
-                            conn_id += 1;
-                            let id = conn_id;
-                            // Injected accept-path fault: the connection
-                            // is dropped before its request is read —
-                            // the client sees EOF and retries.
-                            if faults::injected(faults::Site::ServeAccept, &[id]) {
-                                drop(stream);
-                                continue;
-                            }
-                            let plan = plan.clone();
-                            scope.spawn(move || {
-                                let _plan = plan.map(faults::PlanScope::join);
-                                self.serve_connection(stream, id, handler, inflight, coalesce);
-                            });
-                        }
-                        Err(_) => {
-                            // Transient accept failure (EMFILE, aborted
-                            // handshake): back off and keep serving.
-                            if stop.load(Ordering::Acquire) {
-                                return;
-                            }
-                            std::thread::sleep(ACCEPT_BACKOFF);
-                        }
-                    }
-                }
-            });
-            while !(self.shutdown.load(Ordering::Acquire) && inflight.load(Ordering::Acquire) == 0)
+            for _ in 0..WAITING_ACCEPTORS {
+                self.spawn_acceptor(scope, &shared);
+            }
+            while !(self.shutdown.load(Ordering::Acquire)
+                && shared.inflight.load(Ordering::Acquire) == 0)
             {
                 // A SIGINT/SIGTERM drains like a `shutdown` request:
                 // from here on admission answers `shutting-down`.
@@ -225,19 +252,94 @@ impl Server {
                 }
                 std::thread::sleep(DRAIN_POLL);
             }
-            stop.store(true, Ordering::Release);
-            // A connect that fails (say, under fd exhaustion) is retried
-            // until it lands or the acceptor has returned on its own.
-            while TcpStream::connect(wake).is_err() && !acceptor.is_finished() {
-                std::thread::sleep(DRAIN_POLL);
+            shared.stop.store(true, Ordering::SeqCst);
+            // One connect per thread still counted in `accept`; each
+            // ends the thread that takes it. A connect that fails (say,
+            // under fd exhaustion) is retried until it lands or no
+            // thread is left waiting.
+            for _ in 0..shared.waiting.load(Ordering::SeqCst) {
+                while TcpStream::connect(wake).is_err() && shared.waiting.load(Ordering::SeqCst) > 0
+                {
+                    std::thread::sleep(DRAIN_POLL);
+                }
             }
         });
         Ok(self.snapshot())
     }
 
-    /// Where the drain gate connects to wake the acceptor: the bound
-    /// address, with an unspecified IP (`0.0.0.0`, `::`) replaced by
-    /// the loopback address of the same family.
+    /// Starts one more accepting thread, counted as waiting before it
+    /// starts, unless [`Shared::enlist`] refuses.
+    fn spawn_acceptor<'scope, 'env, H>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        shared: &'env Shared<H>,
+    ) where
+        H: Fn(&SweepRequest) -> SweepOutcome + Sync,
+    {
+        if !shared.enlist() {
+            return;
+        }
+        let spawned = std::thread::Builder::new()
+            .spawn_scoped(scope, move || self.accept_loop(scope, shared));
+        if spawned.is_err() {
+            // No thread started, so none waits in its place.
+            shared.waiting.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// One accepting thread: blocks in `accept`, serves the connection
+    /// it takes, and blocks in `accept` again until the drain stops it
+    /// or [`WAITING_ACCEPTORS`] others wait.
+    fn accept_loop<'scope, 'env, H>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        shared: &'env Shared<H>,
+    ) where
+        H: Fn(&SweepRequest) -> SweepOutcome + Sync,
+    {
+        self.acceptors.fetch_add(1, Ordering::Relaxed);
+        let _plan = shared.plan.clone().map(faults::PlanScope::join);
+        loop {
+            let accepted = self.listener.accept();
+            let others = shared.waiting.fetch_sub(1, Ordering::SeqCst) - 1;
+            if shared.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            let connection = match accepted {
+                Ok((mut stream, _peer)) => {
+                    if others == 0 {
+                        self.spawn_acceptor(scope, shared);
+                    }
+                    let id = shared.last_id.fetch_add(1, Ordering::Relaxed) + 1;
+                    // Injected accept-path fault: the connection is
+                    // dropped before its request is read — the client
+                    // sees EOF and retries.
+                    if !faults::injected(faults::Site::ServeAccept, &[id]) {
+                        self.serve_connection(&mut stream, id, shared);
+                    }
+                    Some(stream)
+                }
+                // Transient accept failure (EMFILE, aborted handshake):
+                // back off and keep serving.
+                Err(_) => {
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                    None
+                }
+            };
+            // Counted again before the connection closes, so a client
+            // that waits for the close before its next connect always
+            // finds this thread counted.
+            let rejoined = shared.enlist();
+            drop(connection);
+            if !rejoined {
+                return;
+            }
+        }
+    }
+
+    /// Where the drain gate connects to wake the accepting threads: the
+    /// bound address, with an unspecified IP (`0.0.0.0`, `::`) replaced
+    /// by the loopback address of the same family.
     fn wake_addr(&self) -> std::io::Result<SocketAddr> {
         let mut addr = self.listener.local_addr()?;
         if addr.ip().is_unspecified() {
@@ -261,16 +363,10 @@ impl Server {
     }
 
     /// One connection: read the request frame, dispatch, write the
-    /// response frame. All transport failures end the connection; the
-    /// client's retry layer owns recovery.
-    fn serve_connection<H>(
-        &self,
-        mut stream: TcpStream,
-        id: u64,
-        handler: &H,
-        inflight: &AtomicUsize,
-        coalesce: &Mutex<HashMap<String, CoalesceCell>>,
-    ) where
+    /// response frame; the caller closes it. All transport failures end
+    /// the connection; the client's retry layer owns recovery.
+    fn serve_connection<H>(&self, stream: &mut TcpStream, id: u64, shared: &Shared<H>)
+    where
         H: Fn(&SweepRequest) -> SweepOutcome + Sync,
     {
         let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
@@ -280,17 +376,17 @@ impl Server {
         // rather than a hang.
         if faults::injected(faults::Site::ServeRead, &[id]) {
             let resp = Response::new(Status::Failed, "injected fault: serve.read");
-            self.write_response(&mut stream, id, &resp);
+            self.write_response(stream, id, &resp);
             return;
         }
-        let frame = match read_frame(&mut stream) {
+        let frame = match read_frame(stream) {
             Ok(frame) => frame,
             Err(_) => return, // client gone or stalled past the timeout
         };
         let request = match Request::parse(&frame) {
             Ok(request) => request,
             Err(msg) => {
-                self.write_response(&mut stream, id, &Response::new(Status::BadRequest, msg));
+                self.write_response(stream, id, &Response::new(Status::BadRequest, msg));
                 return;
             }
         };
@@ -300,24 +396,18 @@ impl Server {
                 self.shutdown.store(true, Ordering::Release);
                 Response::new(Status::Ok, "draining")
             }
-            Request::Sweep(req) => self.run_sweep(&req, handler, inflight, coalesce),
+            Request::Sweep(req) => self.run_sweep(&req, shared),
         };
         // Injected post-sweep drop: the work happened (and fed the
         // coalescing cell / trace store) but the response is lost.
         if faults::injected(faults::Site::ServeDrop, &[id]) {
             return;
         }
-        self.write_response(&mut stream, id, &response);
+        self.write_response(stream, id, &response);
     }
 
     /// Admission control + coalescing around one sweep.
-    fn run_sweep<H>(
-        &self,
-        req: &SweepRequest,
-        handler: &H,
-        inflight: &AtomicUsize,
-        coalesce: &Mutex<HashMap<String, CoalesceCell>>,
-    ) -> Response
+    fn run_sweep<H>(&self, req: &SweepRequest, shared: &Shared<H>) -> Response
     where
         H: Fn(&SweepRequest) -> SweepOutcome + Sync,
     {
@@ -325,7 +415,8 @@ impl Server {
             return Response::new(Status::ShuttingDown, "server is draining; no new sweeps");
         }
         // Load-shed at admission: never accept-then-hang.
-        if inflight
+        if shared
+            .inflight
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
                 (n < MAX_INFLIGHT).then_some(n + 1)
             })
@@ -338,8 +429,8 @@ impl Server {
             );
         }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.coalesced_sweep(req, handler, coalesce);
-        inflight.fetch_sub(1, Ordering::AcqRel);
+        let outcome = self.coalesced_sweep(req, shared);
+        shared.inflight.fetch_sub(1, Ordering::AcqRel);
         match &outcome {
             SweepOutcome::Cancelled(_) => {
                 self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
@@ -365,18 +456,13 @@ impl Server {
     /// before it is published, so the next identical request runs the
     /// handler again, and unknown names sent by clients never stay in
     /// the map.
-    fn coalesced_sweep<H>(
-        &self,
-        req: &SweepRequest,
-        handler: &H,
-        coalesce: &Mutex<HashMap<String, CoalesceCell>>,
-    ) -> SweepOutcome
+    fn coalesced_sweep<H>(&self, req: &SweepRequest, shared: &Shared<H>) -> SweepOutcome
     where
         H: Fn(&SweepRequest) -> SweepOutcome + Sync,
     {
         let key = req.coalesce_key();
         let (cell, leader) = {
-            let mut map = lock(coalesce);
+            let mut map = lock(&shared.coalesce);
             match map.get(&key) {
                 Some(cell) => (Arc::clone(cell), false),
                 None => {
@@ -387,9 +473,9 @@ impl Server {
             }
         };
         if leader {
-            let outcome = handler(req);
+            let outcome = (shared.handler)(req);
             if !matches!(outcome, SweepOutcome::Ok(_)) {
-                lock(coalesce).remove(&key);
+                lock(&shared.coalesce).remove(&key);
             }
             let mut slot = lock(&cell.0);
             *slot = Some(outcome.clone());
@@ -464,22 +550,43 @@ mod tests {
             .map(|resp| (resp.status, resp.body))
     }
 
-    /// Binds a server on an ephemeral port, runs it with `handler` on a
-    /// scoped thread under the caller's fault plan, runs `body` against
-    /// the address, then drains. The listener is bound before `run`
-    /// starts, so `body`'s first connection waits in the backlog rather
-    /// than failing, and no readiness ping consumes the plan's faults.
+    /// [`answer`] from a client that reads on until the server closes
+    /// the connection, as a client that waits for the close before its
+    /// next request does.
+    fn answer_to_close(addr: SocketAddr, req: &Request) -> Option<(Status, String)> {
+        let mut stream = TcpStream::connect(addr).ok()?;
+        stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
+        write_frame(&mut stream, &req.encode()).ok()?;
+        let resp = Response::parse(&read_frame(&mut stream).ok()?).ok()?;
+        let mut rest = Vec::new();
+        std::io::Read::read_to_end(&mut stream, &mut rest).ok()?;
+        rest.is_empty().then_some((resp.status, resp.body))
+    }
+
+    /// Binds a server on an ephemeral port and [`serve`]s `body` with
+    /// it.
     fn with_server<H, F>(handler: H, body: F) -> StatsSnapshot
     where
         H: Fn(&SweepRequest) -> SweepOutcome + Sync + Send,
         F: FnOnce(SocketAddr),
     {
-        let server = Server::bind("127.0.0.1:0").expect("bind");
+        serve(&Server::bind("127.0.0.1:0").expect("bind"), handler, body)
+    }
+
+    /// Runs `server` with `handler` on a scoped thread under the
+    /// caller's fault plan, runs `body` against its address, then
+    /// drains. The listener is bound before `run` starts, so `body`'s
+    /// first connection waits in the backlog rather than failing, and
+    /// no readiness ping consumes the plan's faults.
+    fn serve<H, F>(server: &Server, handler: H, body: F) -> StatsSnapshot
+    where
+        H: Fn(&SweepRequest) -> SweepOutcome + Sync + Send,
+        F: FnOnce(SocketAddr),
+    {
         let addr = server.local_addr().expect("addr");
         let mut snapshot = StatsSnapshot::default();
         let plan = faults::current();
         std::thread::scope(|scope| {
-            let server = &server;
             let run = scope.spawn(move || {
                 let _plan = plan.map(faults::PlanScope::join);
                 server.run(handler).expect("run")
@@ -651,7 +758,7 @@ mod tests {
         // serve.accept drops the sweep request's first two connections;
         // the client's third attempt gets through and the sweep answers
         // byte-identically. The drops count on this thread's plan,
-        // which the acceptor joined.
+        // which the accepting threads joined.
         let _plan = faults::PlanScope::enter(faults::FaultPlan::seeded(3).arm_capped(
             faults::Site::ServeAccept,
             1.0,
@@ -692,6 +799,56 @@ mod tests {
     }
 
     #[test]
+    fn a_silent_connection_does_not_stall_other_clients() {
+        let mut pinged = None;
+        with_server(canned("body"), |addr| {
+            // Each holds a thread in its read until the 10 s timeout.
+            let silent: Vec<TcpStream> = (0..3)
+                .map(|_| TcpStream::connect(addr).expect("connect"))
+                .collect();
+            let t0 = std::time::Instant::now();
+            let pong = answer(addr, &Request::Ping);
+            pinged = Some((pong, t0.elapsed()));
+            // Closed before the drain, so it does not wait out their
+            // read timeouts.
+            drop(silent);
+        });
+        let (pong, elapsed) = pinged.expect("the body ran");
+        assert_eq!(pong, Some((Status::Ok, "pong".to_string())));
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "a ping behind three silent connections took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn sequential_requests_start_no_thread_per_request() {
+        // The client waits for each close, and a thread is counted in
+        // `accept` again before it closes, so no request can find the
+        // thread that served the previous one still uncounted.
+        let server = Server::bind("127.0.0.1:0").expect("bind");
+        let mut answers = Vec::new();
+        let stats = serve(&server, canned("body"), |addr| {
+            for _ in 0..100 {
+                answers.push(answer_to_close(addr, &Request::Ping));
+            }
+            for _ in 0..100 {
+                answers.push(answer_to_close(addr, &sweep("fig6")));
+            }
+        });
+        let started = server.acceptors.load(Ordering::Relaxed);
+        let pong = Some((Status::Ok, "pong".to_string()));
+        let kept = Some((Status::Ok, "body:fig6".to_string()));
+        assert_eq!(answers[..100], vec![pong; 100]);
+        assert_eq!(answers[100..], vec![kept; 100]);
+        assert_eq!((stats.requests, stats.coalesced), (100, 99));
+        assert!(
+            started <= 3,
+            "{started} accepting threads for 200 sequential requests"
+        );
+    }
+
+    #[test]
     fn idle_server_on_an_unspecified_address_drains_through_the_handle() {
         let server = Arc::new(Server::bind("0.0.0.0:0").expect("bind"));
         let port = server.local_addr().expect("addr").port();
@@ -706,7 +863,7 @@ mod tests {
         while !run.is_finished() {
             assert!(
                 t0.elapsed() < Duration::from_secs(5),
-                "the loopback connect never woke the acceptor"
+                "the loopback connects never woke the accepting threads"
             );
             std::thread::sleep(Duration::from_millis(5));
         }
