@@ -38,25 +38,8 @@ struct Options {
     jobs: Option<Jobs>,
     engine: Engine,
     trace_dir: Option<String>,
-    trace_mem_budget: Option<usize>,
     fault_plan: Option<faults::FaultPlan>,
     serve: Option<String>,
-}
-
-/// Parses a byte count with an optional `k`/`m`/`g` (KiB/MiB/GiB)
-/// suffix, e.g. `64m`.
-fn parse_bytes(v: &str) -> Option<usize> {
-    let v = v.trim();
-    let (digits, shift) = match v.as_bytes().last()? {
-        b'k' | b'K' => (&v[..v.len() - 1], 10),
-        b'm' | b'M' => (&v[..v.len() - 1], 20),
-        b'g' | b'G' => (&v[..v.len() - 1], 30),
-        _ => (v, 0),
-    };
-    digits
-        .parse::<usize>()
-        .ok()
-        .and_then(|n| n.checked_shl(shift).filter(|_| n.leading_zeros() >= shift))
 }
 
 fn parse_args() -> Options {
@@ -64,15 +47,13 @@ fn parse_args() -> Options {
     let mut jobs: Option<Jobs> = None;
     let mut engine: Option<Engine> = None;
     let mut trace_dir: Option<String> = None;
-    let mut trace_mem_budget: Option<usize> = None;
     let mut fault_plan: Option<faults::FaultPlan> = None;
     let mut serve: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let (flag, value) = match arg.as_str() {
             "--help" | "-h" => usage(""),
-            "--scale" | "--jobs" | "--engine" | "--trace-dir" | "--trace-mem-budget"
-            | "--fault-plan" | "--serve" => {
+            "--scale" | "--jobs" | "--engine" | "--trace-dir" | "--fault-plan" | "--serve" => {
                 let v = args
                     .next()
                     .unwrap_or_else(|| usage(&format!("{arg} needs a value")));
@@ -82,7 +63,6 @@ fn parse_args() -> Options {
                 || arg.starts_with("--jobs=")
                 || arg.starts_with("--engine=")
                 || arg.starts_with("--trace-dir=")
-                || arg.starts_with("--trace-mem-budget=")
                 || arg.starts_with("--fault-plan=")
                 || arg.starts_with("--serve=") =>
             {
@@ -130,15 +110,6 @@ fn parse_args() -> Options {
                 }
                 trace_dir = Some(value);
             }
-            "--trace-mem-budget" => {
-                if trace_mem_budget.is_some() {
-                    usage("--trace-mem-budget given twice");
-                }
-                trace_mem_budget = Some(
-                    parse_bytes(&value)
-                        .unwrap_or_else(|| usage(&format!("invalid byte count `{value}`"))),
-                );
-            }
             "--fault-plan" => {
                 if fault_plan.is_some() {
                     usage("--fault-plan given twice");
@@ -162,14 +133,13 @@ fn parse_args() -> Options {
         jobs,
         engine: engine.unwrap_or_default(),
         trace_dir,
-        trace_mem_budget,
         fault_plan,
         serve,
     }
 }
 
 fn usage(error: &str) -> ! {
-    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--serve ADDR]\n       --scale: how large a run is (default: bench); smoke is a\n        quick check, paper gives figure-quality numbers.\n       --jobs N: worker threads for the sweeps; 0 means all\n        available cores (default: the PROBRANCH_JOBS environment\n        variable, or all cores when it is unset or 0). stdout is\n        byte-identical for every worker count.\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        Figures 1 and 9 print no cycle count and run only the batch\n        predictor, Figure 9 streaming the seeds no other figure uses\n        with bounded memory; each pass over a pooled trace keeps its\n        predictions beside the trace as a prediction tape, which\n        later passes under the same predictor and filter read instead\n        of predicting again — Figure 1's tapes serve Figures 6, 8 and\n        9 — and Table III and the accuracy check read pooled traces'\n        program results instead of re-emulating; reference\n        re-simulates every cell with the per-instruction oracle, for\n        differential debugging). Both print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs load the files instead of\n        emulating. Stale or corrupt files fall back to capture;\n        orphaned writer temp files and old quarantined files are\n        swept on open. stdout stays byte-identical with or without\n        the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool,\n        prediction tapes included (optional k/m/g suffix, e.g.\n        64m). Over budget, the coldest pooled traces are dropped: with\n        --trace-dir their files are written first if absent and they\n        load again from disk on next use, otherwise they are\n        re-captured. stdout stays byte-identical for any budget.\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, trace.load (the\n        trace-file read), capture, capture.block, cell.panic,\n        cell.delay, cancel.spurious, serve.accept/.read/.write/.drop;\n        probability in [0,1], optional xCOUNT budget). Decisions are\n        pure functions of (seed, site, salt), so a plan misbehaves\n        identically across reruns and worker counts. Every timing\n        cell gets four attempts (the requested engine twice, then\n        the reference engine twice) and the trace store heals itself\n        (retries, quarantine, stale overwrite, a persistence breaker),\n        so the run either survives with byte-identical stdout or exits\n        3 with a structured error naming the exhausted cell.\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control (4 sweeps in flight), request coalescing\n        and per-request cancellation deadlines. A section that\n        finished ok is kept in memory under its (section, scale,\n        engine) and answers every later identical request without\n        re-running; cancelled and failed sweeps are not kept, so a\n        retry recomputes.\n        SIGINT/SIGTERM or a `shutdown` request drains in-flight sweeps,\n        writes pooled traces the store is missing, prints the service\n        counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
+    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--fault-plan SPEC]\n               [--serve ADDR]\n       --scale: how large a run is (default: bench); smoke is a\n        quick check, paper gives figure-quality numbers.\n       --jobs N: worker threads for the sweeps; 0 means all\n        available cores (default: the PROBRANCH_JOBS environment\n        variable, or all cores when it is unset or 0). stdout is\n        byte-identical for every worker count.\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        Figures 1 and 9 print no cycle count and run only the batch\n        predictor, Figure 9 streaming the seeds no other figure uses\n        with bounded memory; each pass over a pooled trace keeps its\n        predictions beside the trace as a prediction tape, which\n        later passes under the same predictor and filter read instead\n        of predicting again — Figure 1's tapes serve Figures 6, 8 and\n        9 — and Table III and the accuracy check read pooled traces'\n        program results instead of re-emulating; reference\n        re-simulates every cell with the per-instruction oracle, for\n        differential debugging). Both print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs load the files instead of\n        emulating. Stale or corrupt files fall back to capture;\n        orphaned writer temp files and old quarantined files are\n        swept on open. stdout stays byte-identical with or without\n        the flag.\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, trace.load (the\n        trace-file read), capture, capture.block, cell.panic,\n        cell.delay, cancel.spurious, serve.accept/.read/.write/.drop;\n        probability in [0,1], optional xCOUNT budget). Decisions are\n        pure functions of (seed, site, salt), so a plan misbehaves\n        identically across reruns and worker counts. Every timing\n        cell gets four attempts (the requested engine twice, then\n        the reference engine twice) and the trace store heals itself\n        (retries, quarantine, stale overwrite, a persistence breaker),\n        so the run either survives with byte-identical stdout or exits\n        3 with a structured error naming the exhausted cell.\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control (4 sweeps in flight), request coalescing\n        and per-request cancellation deadlines. A section that\n        finished ok is kept in memory under its (section, scale,\n        engine) and answers every later identical request without\n        re-running; cancelled and failed sweeps are not kept, so a\n        retry recomputes.\n        SIGINT/SIGTERM or a `shutdown` request drains in-flight sweeps,\n        writes pooled traces the store is missing, prints the service\n        counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
     if error.is_empty() {
         println!("{text}");
         std::process::exit(0);
@@ -233,9 +203,9 @@ fn main() {
     // One trace pool for the whole run: every timing sweep below shares
     // it, so an emulation key is captured (or disk-loaded) exactly once
     // per invocation no matter how many figures revisit it.
-    let ctx = experiments::Context::with_robustness(
-        opts.trace_dir.as_ref().map(Into::into),
-        opts.trace_mem_budget,
+    let ctx = opts.trace_dir.map_or_else(
+        experiments::Context::new,
+        experiments::Context::with_trace_dir,
     );
     if let Some(addr) = &opts.serve {
         run_serve(addr, jobs, &ctx);
@@ -261,11 +231,11 @@ fn main() {
         ctx.grid_hits(),
         ctx.bytes() / (1 << 20)
     );
+    // The pool never drops an entry; `0 demotions, 0 evictions` stays
+    // because perfbench/run.py parses the fields.
     eprintln!(
-        "trace store: {} hits, {} demotions, {} evictions, peak {} MiB",
+        "trace store: {} hits, 0 demotions, 0 evictions, peak {} MiB",
         ctx.store_hits(),
-        ctx.demotions(),
-        ctx.evictions(),
         ctx.peak_bytes() / (1 << 20)
     );
     // Cells have no deadline; `0 over deadline` stays because

@@ -43,7 +43,7 @@
 use probranch_core::PbsConfig;
 use probranch_faults as faults;
 use probranch_harness::{
-    run_cells, run_cells_supervised, workload_seed, Attempt, Cell, CellOutcome, EngineContext, Jobs,
+    run_cells, run_cells_supervised, workload_seed, Attempt, Cell, EngineContext, Jobs,
 };
 use probranch_pipeline::{
     run_functional, BranchStats, DynTrace, EmuError, OooConfig, PredictorChoice, SimConfig,
@@ -185,19 +185,14 @@ type GridKey = (ExperimentScale, Engine, u64);
 /// are deterministic memoizations of pure functions, so rows are
 /// byte-identical with or without sharing — the engine-diff and
 /// determinism gates check exactly that.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Context {
     traces: EngineContext<EmuKey>,
     grids:
         std::sync::Mutex<std::collections::HashMap<GridKey, std::sync::Arc<Vec<Vec<SimReport>>>>>,
     grid_hits: std::sync::atomic::AtomicUsize,
-    outcomes: std::sync::Mutex<Vec<CellOutcome>>,
-}
-
-impl Default for Context {
-    fn default() -> Context {
-        Context::with_robustness(None, None)
-    }
+    retried_cells: std::sync::atomic::AtomicUsize,
+    degraded_cells: std::sync::atomic::AtomicUsize,
 }
 
 impl Context {
@@ -208,21 +203,9 @@ impl Context {
 
     /// A context whose trace pool is backed by trace files under `dir`.
     pub fn with_trace_dir(dir: impl Into<std::path::PathBuf>) -> Context {
-        Context::with_robustness(Some(dir.into()), None)
-    }
-
-    /// The fully general constructor: an optional trace directory and
-    /// an optional in-memory pool budget in bytes (see
-    /// [`EngineContext`] for the demotion/eviction semantics).
-    pub fn with_robustness(
-        trace_dir: Option<std::path::PathBuf>,
-        mem_budget: Option<usize>,
-    ) -> Context {
         Context {
-            traces: EngineContext::with_robustness(trace_dir, mem_budget),
-            grids: std::sync::Mutex::default(),
-            grid_hits: std::sync::atomic::AtomicUsize::new(0),
-            outcomes: std::sync::Mutex::default(),
+            traces: EngineContext::with_trace_dir(dir),
+            ..Context::default()
         }
     }
 
@@ -233,29 +216,21 @@ impl Context {
 
     /// Supervised cells that needed more than one attempt.
     pub fn retried_cells(&self) -> usize {
-        self.outcomes
-            .lock()
-            .expect("outcome lock")
-            .iter()
-            .filter(|o| o.attempts > 1)
-            .count()
+        self.retried_cells
+            .load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Supervised cells whose surviving attempt ran a degraded engine.
     pub fn degraded_cells(&self) -> usize {
-        self.outcomes
-            .lock()
-            .expect("outcome lock")
-            .iter()
-            .filter(|o| !o.label.is_empty())
-            .count()
+        self.degraded_cells
+            .load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Runs one supervised sweep: results in cell-index order
     /// (byte-identical to an unsupervised run whenever every cell
-    /// eventually succeeds), non-clean outcomes folded into this
-    /// context's tally. A cell that exhausts its attempts raises the
-    /// typed [`SupervisedError`](probranch_harness::SupervisedError)
+    /// eventually succeeds), its retried and degraded cells added to
+    /// this context's counts. A cell that exhausts its attempts raises
+    /// the typed [`SupervisedError`](probranch_harness::SupervisedError)
     /// as a panic payload; the figures binary catches it and renders a
     /// structured error instead of a crash (the quiet panic hook keeps
     /// the unwind silent).
@@ -267,12 +242,10 @@ impl Context {
     ) -> Vec<R> {
         match run_cells_supervised(cells, jobs, run) {
             Ok(done) => {
-                if !done.outcomes.is_empty() {
-                    self.outcomes
-                        .lock()
-                        .expect("outcome lock")
-                        .extend(done.outcomes);
-                }
+                self.retried_cells
+                    .fetch_add(done.retried(), std::sync::atomic::Ordering::Relaxed);
+                self.degraded_cells
+                    .fetch_add(done.degraded(), std::sync::atomic::Ordering::Relaxed);
                 done.results
             }
             Err(e) => std::panic::panic_any(e),
@@ -294,7 +267,8 @@ impl Context {
         self.traces.keys()
     }
 
-    /// Total heap bytes held by the pooled traces.
+    /// Total heap bytes held by the pooled traces and their prediction
+    /// tapes.
     pub fn bytes(&self) -> usize {
         self.traces.bytes()
     }
@@ -309,21 +283,10 @@ impl Context {
         self.traces.store_hits()
     }
 
-    /// Pooled traces dropped under the memory budget with their file
-    /// on disk (see [`EngineContext::demotions`]).
-    pub fn demotions(&self) -> usize {
-        self.traces.demotions()
-    }
-
-    /// Pooled traces dropped under the memory budget with no file to
-    /// reload (see [`EngineContext::evictions`]).
-    pub fn evictions(&self) -> usize {
-        self.traces.evictions()
-    }
-
-    /// High-water mark of pooled trace bytes.
+    /// High-water mark of pooled bytes: the pool never drops an entry,
+    /// so it peaks at its current size, [`bytes`](Context::bytes).
     pub fn peak_bytes(&self) -> usize {
-        self.traces.peak_bytes()
+        self.traces.bytes()
     }
 
     /// The memoized grid for `key`, computing it with `compute` on

@@ -257,19 +257,13 @@ where
         .collect()
 }
 
-/// One pooled trace plus its prediction tapes and budget-accounting
-/// metadata.
+/// One pooled trace plus its prediction tapes.
 #[derive(Debug)]
 struct Entry {
     trace: Arc<DynTrace>,
     /// The prediction tapes recorded over `trace`, one per
-    /// [`TapeKey`]: kept, counted and dropped with the trace.
+    /// [`TapeKey`]: kept and counted with the trace.
     tapes: Vec<Arc<PredTape>>,
-    /// `trace.bytes()` plus the tapes' bytes at the last insert or tape
-    /// store — what this entry charges against the pool budget.
-    bytes: usize,
-    /// LRU clock value at last touch.
-    stamp: u64,
     /// The content hash the trace's file is named and keyed by.
     content_hash: u64,
 }
@@ -281,14 +275,12 @@ impl Entry {
     }
 }
 
-/// A pool slot: empty until its key's one capture completes (or after
-/// its entry was evicted under memory pressure).
+/// A pool slot: empty until its key's one capture completes.
 type TraceSlot = Arc<Mutex<Option<Entry>>>;
 
-/// The engine-wide simulation context: one worker-shared, optionally
-/// *bounded* pool of captured [`DynTrace`]s keyed by emulation key —
-/// and, optionally, its on-disk extension — threaded through every
-/// sweep of a `figures` run.
+/// The engine-wide simulation context: one worker-shared pool of
+/// captured [`DynTrace`]s keyed by emulation key — and, optionally, its
+/// on-disk extension — threaded through every sweep of a `figures` run.
 ///
 /// Sweeps whose cells differ only in timing-side configuration
 /// (predictor, core, filter mode) share one trace per emulation key,
@@ -323,36 +315,23 @@ type TraceSlot = Arc<Mutex<Option<Entry>>>;
 /// ([`sweep_stale_temps`]), so crashed earlier runs cannot leak disk
 /// forever.
 ///
-/// # Memory budget
+/// # Pool size
 ///
-/// Unbounded by default: every pooled trace stays until the context is
-/// dropped. With a budget ([`EngineContext::with_robustness`]) the pool
-/// keeps its heap bytes at or under the budget: whenever an insert
-/// pushes it over, it drops its least recently used entries, tapes
-/// included. With a trace directory a victim's file is first written if
-/// it is absent, and the drop is a **demotion** — the key's next use is
-/// a disk load. Without a directory, or if that write fails, the drop
-/// is an **eviction** — the key's next use re-captures.
-///
-/// The most recently touched entry is never dropped, so a budget
-/// smaller than one trace degrades to "keep exactly the entry in use".
-/// The budget bounds what the *pool retains*; `Arc`s already handed to
-/// running cells keep their traces alive until those cells finish, as
-/// they must. Which entries get dropped can depend on thread
-/// scheduling — what every cell *computes* never does, because a
-/// reloaded or re-captured trace is byte-identical to the pooled one
-/// (the persistence round-trip property).
-/// [`peak_bytes`](EngineContext::peak_bytes) reports the high-water
-/// mark of pooled bytes sampled after each insert's budget enforcement.
+/// The pool never drops an entry: every pooled trace stays until the
+/// context is dropped, so its size is set by the keys its callers pool,
+/// and [`bytes`](EngineContext::bytes) never shrinks. Callers keep it
+/// small by pooling only keys that several passes revisit and loading
+/// one-shot keys with
+/// [`load_or_capture_unpooled`](EngineContext::load_or_capture_unpooled).
 ///
 /// # Prediction tapes
 ///
 /// Beside each trace the pool keeps the [`PredTape`]s of the predictor
 /// passes run over it ([`EngineContext::taped`]): a later pass under the
 /// same predictor and filter mode reads the tape instead of running the
-/// predictor again. Tapes count against the budget like the trace they
-/// belong to and are dropped with it. They live in memory only: a disk
-/// load starts with none, and they are recorded again on first use.
+/// predictor again. Tapes count in [`bytes`](EngineContext::bytes) with
+/// the trace they belong to. They live in memory only: a disk load
+/// starts with none, and they are recorded again on first use.
 #[derive(Debug)]
 pub struct EngineContext<K> {
     /// One slot per key. The outer lock is held only for slot lookup;
@@ -361,18 +340,10 @@ pub struct EngineContext<K> {
     /// re-emulating (same-key cells are adjacent in sweep grids, making
     /// that race the common case at `--jobs > 1`), while captures for
     /// different keys proceed in parallel. Lock order is always outer →
-    /// slot → persistence breaker; budget enforcement and the drain
-    /// flush snapshot the slot list and release the outer lock before
-    /// touching any slot.
+    /// slot → persistence breaker; the drain flush snapshots the slot
+    /// list and releases the outer lock before touching any slot.
     slots: Mutex<HashMap<K, TraceSlot>>,
-    /// Pooled-byte ceiling; `None` = unbounded.
-    budget: Option<usize>,
-    /// LRU clock: monotonically increasing touch stamps.
-    clock: AtomicU64,
     hits: AtomicUsize,
-    demotions: AtomicUsize,
-    evictions: AtomicUsize,
-    peak_bytes: AtomicUsize,
     tape_reads: AtomicUsize,
     tapes_recorded: AtomicUsize,
     trace_dir: Option<PathBuf>,
@@ -412,41 +383,14 @@ impl<K: Eq + Hash> Default for EngineContext<K> {
 }
 
 impl<K: Eq + Hash> EngineContext<K> {
-    /// A context with an empty, unbounded in-memory pool and no disk
-    /// persistence.
+    /// A context with an empty in-memory pool and no disk persistence.
     pub fn new() -> EngineContext<K> {
-        EngineContext::with_robustness(None, None)
-    }
-
-    /// A context whose pool is backed by trace files under `dir`
-    /// (created on first write if missing).
-    pub fn with_trace_dir(dir: impl Into<PathBuf>) -> EngineContext<K> {
-        EngineContext::with_robustness(Some(dir.into()), None)
-    }
-
-    /// The fully general constructor: an optional trace directory and
-    /// an optional pool memory budget in bytes (see the type docs).
-    /// Opening with a directory sweeps its stale writer temp files
-    /// first.
-    pub fn with_robustness(
-        trace_dir: Option<PathBuf>,
-        mem_budget: Option<usize>,
-    ) -> EngineContext<K> {
-        if let Some(dir) = trace_dir.as_deref() {
-            sweep_stale_temps(dir);
-            sweep_old_quarantined(dir);
-        }
         EngineContext {
             slots: Mutex::new(HashMap::new()),
-            budget: mem_budget,
-            clock: AtomicU64::new(0),
             hits: AtomicUsize::new(0),
-            demotions: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-            peak_bytes: AtomicUsize::new(0),
             tape_reads: AtomicUsize::new(0),
             tapes_recorded: AtomicUsize::new(0),
-            trace_dir,
+            trace_dir: None,
             captures: AtomicUsize::new(0),
             disk_loads: AtomicUsize::new(0),
             stale_rejected: AtomicUsize::new(0),
@@ -456,6 +400,20 @@ impl<K: Eq + Hash> EngineContext<K> {
             breaker: Mutex::new(None),
             persist_cooldown_ms: AtomicU64::new(0),
             breaker_trips: AtomicUsize::new(0),
+        }
+    }
+
+    /// A context whose pool is backed by trace files under `dir`
+    /// (created on first write if missing). Opening sweeps the
+    /// directory's stale writer temp files and old quarantined files
+    /// first.
+    pub fn with_trace_dir(dir: impl Into<PathBuf>) -> EngineContext<K> {
+        let dir = dir.into();
+        sweep_stale_temps(&dir);
+        sweep_old_quarantined(&dir);
+        EngineContext {
+            trace_dir: Some(dir),
+            ..EngineContext::new()
         }
     }
 
@@ -475,28 +433,15 @@ impl<K: Eq + Hash> EngineContext<K> {
         self.trace_dir.is_some()
     }
 
-    fn touch(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Every slot, snapshotted so the outer lock is released before any
-    /// slot is locked.
-    fn slot_list(&self) -> Vec<TraceSlot> {
-        lock_ignore_poison(&self.slots)
-            .values()
-            .map(Arc::clone)
-            .collect()
-    }
-
     /// The trace file path for a content hash under `dir`.
     fn trace_path(dir: &Path, content_hash: u64) -> PathBuf {
         dir.join(format!("trace-{content_hash:016x}.bin"))
     }
 
     /// Writes `trace` to its file under `dir`, creating `dir` first: the
-    /// one write behind a capture's persist, a demotion and the drain
-    /// flush, each under the breaker lock. `attempt` salts the persist
-    /// failpoints, so a retry re-rolls them.
+    /// one write behind a capture's persist and the drain flush, each
+    /// under the breaker lock. `attempt` salts the persist failpoints,
+    /// so a retry re-rolls them.
     fn write_trace(
         dir: &Path,
         trace: &DynTrace,
@@ -509,10 +454,8 @@ impl<K: Eq + Hash> EngineContext<K> {
 
     /// The trace for `key`: the pooled one, or else loaded from the
     /// trace directory (when configured and valid) or captured with
-    /// `capture` — for a missing **or previously evicted** key, so a
-    /// persistent context re-serves evicted keys from disk rather than
-    /// re-emulating. `content_hash` must identify everything that
-    /// shapes the captured stream (see
+    /// `capture`, and pooled. `content_hash` must identify everything
+    /// that shapes the captured stream (see
     /// [`SimConfig::emu_key_fingerprint`](probranch_pipeline::SimConfig::emu_key_fingerprint)
     /// and the sweep's workload identity); `config` supplies the
     /// emulation key a loaded trace replays under.
@@ -529,24 +472,17 @@ impl<K: Eq + Hash> EngineContext<K> {
         capture: impl FnOnce() -> Result<DynTrace, E>,
     ) -> Result<Arc<DynTrace>, E> {
         let slot = Arc::clone(lock_ignore_poison(&self.slots).entry(key).or_default());
-        let trace = {
-            let mut guard = lock_ignore_poison(&slot);
-            if let Some(entry) = guard.as_mut() {
-                entry.stamp = self.touch();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&entry.trace));
-            }
-            let trace = Arc::new(self.load_or_capture_unpooled(content_hash, config, capture)?);
-            *guard = Some(Entry {
-                trace: Arc::clone(&trace),
-                tapes: Vec::new(),
-                bytes: trace.bytes(),
-                stamp: self.touch(),
-                content_hash,
-            });
-            trace
-        };
-        self.enforce_budget();
+        let mut guard = lock_ignore_poison(&slot);
+        if let Some(entry) = guard.as_ref() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(&entry.trace));
+        }
+        let trace = Arc::new(self.load_or_capture_unpooled(content_hash, config, capture)?);
+        *guard = Some(Entry {
+            trace: Arc::clone(&trace),
+            tapes: Vec::new(),
+            content_hash,
+        });
         Ok(trace)
     }
 
@@ -586,74 +522,15 @@ impl<K: Eq + Hash> EngineContext<K> {
         Ok(trace)
     }
 
-    /// Brings the pooled bytes back under the budget — dropping the
-    /// coldest entry, never the most recently touched one, as a demotion
-    /// or an eviction — and samples the peak. Slots locked by in-flight
-    /// captures are skipped — their bytes are accounted at *their*
-    /// insert's enforcement.
-    fn enforce_budget(&self) {
-        let slots = self.slot_list();
-        loop {
-            // Snapshot pass: pooled total, the protected newest stamp,
-            // and the coldest entry.
-            let mut total = 0usize;
-            let mut newest = None::<u64>;
-            let mut coldest = None::<(u64, usize)>;
-            for (i, slot) in slots.iter().enumerate() {
-                let guard = match slot.try_lock() {
-                    Ok(guard) => guard,
-                    Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-                    Err(std::sync::TryLockError::WouldBlock) => continue,
-                };
-                let Some(e) = guard.as_ref() else { continue };
-                total += e.bytes;
-                if newest.is_none_or(|n| e.stamp > n) {
-                    newest = Some(e.stamp);
-                }
-                if coldest.is_none_or(|(s, _)| e.stamp < s) {
-                    coldest = Some((e.stamp, i));
-                }
-            }
-            let victim = match coldest {
-                Some((s, i)) if self.budget.is_some_and(|b| total > b) && Some(s) != newest => i,
-                // Under budget, or only the in-use entry is left: the
-                // budget cannot be met without breaking the pool's
-                // contract.
-                _ => {
-                    self.peak_bytes.fetch_max(total, Ordering::Relaxed);
-                    return;
-                }
-            };
-            let mut guard = lock_ignore_poison(&slots[victim]);
-            let Some(e) = guard.as_ref() else { continue };
-            let on_disk = self.trace_dir.as_deref().is_some_and(|dir| {
-                self.write_if_absent(dir, &e.trace, e.content_hash)
-                    .is_some()
-            });
-            *guard = None;
-            if on_disk {
-                self.demotions.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Writes `trace`'s file under `dir` unless it is there already:
-    /// `Some(true)` when it wrote it, `Some(false)` when the file was
-    /// present, `None` when it is missing because the breaker is open
-    /// or the write failed. One attempt, no retry: the caller can always
-    /// fall back to dropping or keeping the trace in memory.
-    fn write_if_absent(&self, dir: &Path, trace: &DynTrace, content_hash: u64) -> Option<bool> {
+    /// whether it wrote it. The breaker being open or the write failing
+    /// writes nothing; one attempt, no retry, since the trace stays
+    /// pooled either way.
+    fn write_if_absent(&self, dir: &Path, trace: &DynTrace, content_hash: u64) -> bool {
         let breaker = lock_ignore_poison(&self.breaker);
-        if Self::trace_path(dir, content_hash).exists() {
-            return Some(false);
-        }
-        if breaker.is_some() {
-            return None;
-        }
-        Self::write_trace(dir, trace, content_hash, 0).ok()?;
-        Some(true)
+        breaker.is_none()
+            && !Self::trace_path(dir, content_hash).exists()
+            && Self::write_trace(dir, trace, content_hash, 0).is_ok()
     }
 
     /// Transient-I/O retry budget for one load or persist (attempts
@@ -813,27 +690,24 @@ impl<K: Eq + Hash> EngineContext<K> {
     }
 
     /// The trace already pooled for `key`, if any — never captures and
-    /// never touches the disk, but does refresh the entry's LRU stamp
-    /// (a peek is a use).
+    /// never touches the disk.
     pub fn peek(&self, key: &K) -> Option<Arc<DynTrace>> {
         let slot = Arc::clone(lock_ignore_poison(&self.slots).get(key)?);
-        let mut guard = lock_ignore_poison(&slot);
-        guard.as_mut().map(|e| {
-            e.stamp = self.touch();
-            Arc::clone(&e.trace)
-        })
+        let trace = lock_ignore_poison(&slot)
+            .as_ref()
+            .map(|e| Arc::clone(&e.trace));
+        trace
     }
 
     /// Runs one predictor pass over `key`'s pooled trace through its
     /// prediction tape for `tape_key`. `pass` receives the tape an
     /// earlier pass recorded, if the entry holds one, and returns its
     /// result with the tape it recorded, if it ran the predictor; that
-    /// tape is stored beside the trace, charged to the budget. A pass
-    /// that fails or panics stores nothing, and a tape recorded after
-    /// its entry was evicted is dropped — the key's next capture is
-    /// byte-identical, so its tapes are simply recorded again.
+    /// tape is stored beside the trace. A pass that fails or panics
+    /// stores nothing, nor does a pass over a key with no pooled trace,
+    /// nor one whose tape a racing pass stored first.
     ///
-    /// Looking a tape up refreshes the entry's LRU stamp but is not a
+    /// Reading a tape is not a
     /// [`store_hits`](EngineContext::store_hits) event.
     ///
     /// # Errors
@@ -847,54 +721,42 @@ impl<K: Eq + Hash> EngineContext<K> {
     ) -> Result<R, E> {
         let slot = lock_ignore_poison(&self.slots).get(key).map(Arc::clone);
         let tape = slot.as_ref().and_then(|slot| {
-            let mut guard = lock_ignore_poison(slot);
-            let e = guard.as_mut()?;
-            let tape = e
-                .tapes
-                .iter()
-                .find(|t| t.key() == tape_key)
-                .map(Arc::clone)?;
-            e.stamp = self.touch();
-            Some(tape)
+            let guard = lock_ignore_poison(slot);
+            let tapes = &guard.as_ref()?.tapes;
+            tapes.iter().find(|t| t.key() == tape_key).map(Arc::clone)
         });
         if tape.is_some() {
             self.tape_reads.fetch_add(1, Ordering::Relaxed);
         }
         let (result, recorded) = pass(tape.as_deref())?;
         if let (Some(recorded), Some(slot)) = (recorded, slot) {
-            let stored = {
-                let mut guard = lock_ignore_poison(&slot);
-                match guard.as_mut() {
-                    Some(e) if e.tapes.iter().all(|t| t.key() != tape_key) => {
-                        e.tapes.push(Arc::new(recorded));
-                        e.bytes = e.footprint();
-                        e.stamp = self.touch();
-                        true
-                    }
-                    _ => false,
-                }
-            };
-            if stored {
+            let mut guard = lock_ignore_poison(&slot);
+            let entry = guard.as_mut();
+            if let Some(e) = entry.filter(|e| e.tapes.iter().all(|t| t.key() != tape_key)) {
+                e.tapes.push(Arc::new(recorded));
                 self.tapes_recorded.fetch_add(1, Ordering::Relaxed);
-                self.enforce_budget();
             }
         }
         Ok(result)
     }
 
-    /// Writes every pooled trace that has no file yet (write-if-absent,
-    /// like demotion) — the drain step a service
-    /// takes before exit, so traces captured while persistence was down
-    /// still reach the store once it recovers. A no-op while the
-    /// breaker is open. Returns the number of files written; entries
-    /// stay pooled and untouched.
+    /// Writes every pooled trace that has no file yet — the drain step
+    /// a service takes before exit, so traces captured while
+    /// persistence was down still reach the store once it recovers. A
+    /// no-op while the breaker is open. Returns the number of files
+    /// written; entries stay pooled and untouched.
     pub fn flush_to_disk(&self) -> usize {
         let Some(dir) = &self.trace_dir else { return 0 };
+        // Snapshot the slots, so the outer lock is released before any
+        // slot is locked.
+        let slots: Vec<TraceSlot> = lock_ignore_poison(&self.slots)
+            .values()
+            .map(Arc::clone)
+            .collect();
         let mut written = 0usize;
-        for slot in self.slot_list() {
+        for slot in slots {
             if let Some(e) = lock_ignore_poison(&slot).as_ref() {
-                let wrote = self.write_if_absent(dir, &e.trace, e.content_hash);
-                written += usize::from(wrote == Some(true));
+                written += usize::from(self.write_if_absent(dir, &e.trace, e.content_hash));
             }
         }
         written
@@ -933,32 +795,13 @@ impl<K: Eq + Hash> EngineContext<K> {
     pub fn bytes(&self) -> usize {
         lock_ignore_poison(&self.slots)
             .values()
-            .filter_map(|s| lock_ignore_poison(s).as_ref().map(|e| e.bytes))
+            .filter_map(|s| lock_ignore_poison(s).as_ref().map(Entry::footprint))
             .sum()
     }
 
     /// Pool hits: gets served from an already-pooled trace.
     pub fn store_hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Pooled traces dropped under the memory budget with their file
-    /// on disk, so the key's next use is a disk load.
-    pub fn demotions(&self) -> usize {
-        self.demotions.load(Ordering::Relaxed)
-    }
-
-    /// Pooled traces dropped under the memory budget with no file to
-    /// load them from, so the key's next use re-captures.
-    pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of pooled bytes, sampled after each insert's
-    /// budget enforcement. At most the budget whenever the budget
-    /// admits at least the single most recent trace.
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes.load(Ordering::Relaxed)
     }
 
     /// Times the persistence breaker tripped (first fatal storage
@@ -1256,116 +1099,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pool_evicts_but_never_changes_results() {
-        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
-        use probranch_workloads::{BenchmarkId as B, Scale};
-
-        let cfg = SimConfig::default();
-        let hash = cfg.emu_key_fingerprint();
-        let seeds: Vec<u64> = (0..4).collect();
-        let programs: Vec<_> = seeds
-            .iter()
-            .map(|&s| B::Pi.build(Scale::Smoke, workload_seed(B::Pi, s)).program())
-            .collect();
-        // Budget: room for one-and-a-half traces, so pooling four keys
-        // must evict (no trace directory ⇒ nothing to demote to).
-        let one = DynTrace::capture(&programs[0], &cfg).unwrap().bytes();
-        let budget = one * 3 / 2;
-        let run = |ctx: &EngineContext<(B, u64, bool)>| {
-            // Two passes over every key: the second revisits keys the
-            // budget evicted, forcing re-captures.
-            let cells: Vec<u64> = seeds.iter().chain(seeds.iter()).copied().collect();
-            run_cells(&cells, Jobs::serial(), |&s| {
-                let trace = ctx
-                    .get_or_capture((B::Pi, s, false), hash, &cfg, || {
-                        DynTrace::capture(&programs[s as usize], &cfg)
-                    })
-                    .expect("capture");
-                Simulation::default().replay(&trace, &cfg).expect("replay")
-            })
-        };
-        let unbounded: EngineContext<(B, u64, bool)> = EngineContext::new();
-        let bounded: EngineContext<(B, u64, bool)> =
-            EngineContext::with_robustness(None, Some(budget));
-        assert_eq!(
-            run(&bounded),
-            run(&unbounded),
-            "eviction must not change results"
-        );
-        assert_eq!(unbounded.captures(), 4, "unbounded pools each key once");
-        assert!(
-            bounded.evictions() > 0,
-            "a 1.5-trace budget over 4 keys must evict"
-        );
-        assert!(
-            bounded.captures() > 4,
-            "revisiting evicted keys re-captures"
-        );
-        assert!(
-            bounded.peak_bytes() <= budget,
-            "peak pooled bytes {} exceeded the budget {}",
-            bounded.peak_bytes(),
-            budget
-        );
-        assert!(unbounded.peak_bytes() > budget);
-        assert_eq!(bounded.demotions(), 0, "nowhere to demote without a dir");
-    }
-
-    #[test]
-    fn bounded_pool_with_trace_dir_demotes_to_disk_and_never_recaptures() {
-        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
-        use probranch_workloads::{BenchmarkId as B, Scale};
-
-        let dir =
-            std::env::temp_dir().join(format!("probranch-demote-traces-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cfg = SimConfig::default();
-        let seeds: Vec<u64> = (0..3).collect();
-        let programs: Vec<_> = seeds
-            .iter()
-            .map(|&s| B::Pi.build(Scale::Smoke, workload_seed(B::Pi, s)).program())
-            .collect();
-        // Per-key content hashes: each seed builds a different program.
-        let hash = |s: u64| SplitMix64::mix_fold(&[cfg.emu_key_fingerprint(), s]);
-        let one = DynTrace::capture(&programs[0], &cfg).unwrap().bytes();
-        let budget = one * 3 / 2;
-        let run = |ctx: &EngineContext<(B, u64, bool)>| {
-            let cells: Vec<u64> = seeds.iter().chain(seeds.iter()).copied().collect();
-            run_cells(&cells, Jobs::serial(), |&s| {
-                let trace = ctx
-                    .get_or_capture((B::Pi, s, false), hash(s), &cfg, || {
-                        DynTrace::capture(&programs[s as usize], &cfg)
-                    })
-                    .expect("capture");
-                Simulation::default().replay(&trace, &cfg).expect("replay")
-            })
-        };
-        let unbounded: EngineContext<(B, u64, bool)> = EngineContext::new();
-        let bounded: EngineContext<(B, u64, bool)> =
-            EngineContext::with_robustness(Some(dir.clone()), Some(budget));
-        assert_eq!(
-            run(&bounded),
-            run(&unbounded),
-            "demotion must not change results"
-        );
-        assert!(
-            bounded.demotions() > 0,
-            "a 1.5-trace budget over 3 keys with a dir must demote"
-        );
-        assert!(
-            bounded.peak_bytes() <= budget,
-            "peak pooled bytes {} exceeded the budget {}",
-            bounded.peak_bytes(),
-            budget
-        );
-        // A demoted key comes back from its file: each key is captured
-        // once, on first use, and never again.
-        assert_eq!(bounded.captures(), 3, "a demoted key must not re-capture");
-        assert!(bounded.disk_loads() > 0, "demoted keys reload from disk");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn the_persistence_breaker_stops_every_write_after_the_first_fatal_one() {
         use probranch_pipeline::{DynTrace, SimConfig};
         use probranch_workloads::{BenchmarkId as B, Scale};
@@ -1410,32 +1143,27 @@ mod tests {
     }
 
     #[test]
-    fn tapes_are_pooled_counted_and_evicted_with_their_trace() {
+    fn tapes_are_pooled_and_counted_beside_their_trace() {
         use probranch_pipeline::{DynTrace, SimConfig, Simulation, TapeKey};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
         let cfg = SimConfig::default();
-        let hash = cfg.emu_key_fingerprint();
-        let programs: Vec<_> = (0..2)
-            .map(|s| B::Pi.build(Scale::Smoke, workload_seed(B::Pi, s)).program())
-            .collect();
-        let capture = |ctx: &EngineContext<u64>, s: u64| {
-            ctx.get_or_capture(s, hash ^ s, &cfg, || {
-                DynTrace::capture(&programs[s as usize], &cfg)
-            })
-            .expect("capture")
-        };
-        let pass = |ctx: &EngineContext<u64>, s: u64, trace: &DynTrace| {
+        let program = B::Pi.build(Scale::Smoke, workload_seed(B::Pi, 0)).program();
+        let ctx: EngineContext<u64> = EngineContext::new();
+        let pass = |s: u64, trace: &DynTrace| {
             ctx.taped(&s, TapeKey::of(&cfg), |tape| {
                 Simulation::default().replay_taped(trace, &cfg, tape)
             })
             .expect("replay")
         };
 
-        let ctx: EngineContext<u64> = EngineContext::new();
-        let trace = capture(&ctx, 0);
+        let trace = ctx
+            .get_or_capture(0, cfg.emu_key_fingerprint(), &cfg, || {
+                DynTrace::capture(&program, &cfg)
+            })
+            .expect("capture");
         let untaped = ctx.bytes();
-        let first = pass(&ctx, 0, &trace);
+        let first = pass(0, &trace);
         let (_, tape) = Simulation::default()
             .replay_taped(&trace, &cfg, None)
             .expect("replay");
@@ -1445,27 +1173,15 @@ mod tests {
             untaped + tape_bytes,
             "a stored tape is pooled bytes"
         );
-        assert_eq!(ctx.peak_bytes(), untaped + tape_bytes);
         assert_eq!((ctx.tapes_recorded(), ctx.tape_reads()), (1, 0));
-        assert_eq!(
-            pass(&ctx, 0, &trace),
-            first,
-            "a tape-fed replay is the same"
-        );
+        assert_eq!(pass(0, &trace), first, "a tape-fed replay is the same");
         assert_eq!((ctx.tapes_recorded(), ctx.tape_reads()), (1, 1));
         assert_eq!(ctx.store_hits(), 0, "tape reads are not store hits");
 
-        // A budget that holds one trace: capturing the second key evicts
-        // the first together with its tape, and a pass over the evicted
-        // key stores nothing.
-        let bounded: EngineContext<u64> = EngineContext::with_robustness(None, Some(untaped));
-        let trace = capture(&bounded, 0);
-        assert_eq!(pass(&bounded, 0, &trace), first);
-        let _second = capture(&bounded, 1);
-        assert_eq!(bounded.evictions(), 1);
-        assert_eq!(pass(&bounded, 0, &trace), first);
-        assert_eq!((bounded.tapes_recorded(), bounded.tape_reads()), (1, 0));
-        assert_eq!(bounded.keys(), 1);
+        // A pass over a key with no pooled trace runs but stores no tape.
+        assert_eq!(pass(1, &trace), first);
+        assert_eq!((ctx.tapes_recorded(), ctx.tape_reads()), (1, 1));
+        assert_eq!(ctx.bytes(), untaped + tape_bytes);
     }
 
     #[test]

@@ -151,7 +151,8 @@ fn removed_engine_names_are_bad_requests() {
 fn a_warm_context_renders_every_section_like_a_fresh_one() {
     // The second pass runs over the warm pool — prediction tapes, the
     // grid memo and pooled functional results — which a server's kept
-    // outcomes no longer reach on repeated requests.
+    // outcomes no longer reach on repeated requests. It is also what a
+    // long-lived server does to its pool, so the pool must not grow.
     let render = |ctx: &experiments::Context| -> Vec<String> {
         SECTIONS
             .iter()
@@ -170,13 +171,21 @@ fn a_warm_context_renders_every_section_like_a_fresh_one() {
     let fresh = render(&experiments::Context::new());
     let ctx = experiments::Context::new();
     let cold = render(&ctx);
-    let (keys, captures) = (ctx.keys(), ctx.captures());
+    // The pool is bounded by construction: only Figures 1 and 6–8 pool
+    // traces, all at seed 0, so it holds 8 workloads × PBS off and on.
+    assert_eq!(ctx.keys(), 16, "the pool holds exactly the seed-0 keys");
+    let (captures, bytes) = (ctx.captures(), ctx.bytes());
     let warm = render(&ctx);
     assert_eq!(cold, fresh, "the first pass differs from a fresh context's");
     assert_eq!(warm, fresh, "the warm pass differs from a fresh context's");
     assert_eq!(
         (ctx.keys(), ctx.captures()),
-        (keys, captures),
+        (16, captures),
         "the warm pass must add no key and no capture"
+    );
+    assert_eq!(
+        ctx.bytes(),
+        bytes,
+        "the warm pass must not grow the pool, tapes included"
     );
 }
